@@ -216,6 +216,10 @@ pub trait DurableTier: Send + Sync {
     /// Persist `value` under `key` (best-effort; errors degrade, never
     /// abort).
     fn save(&self, key: u64, value: &CachedResult);
+    /// Make every value saved so far durable. Callers invoke it once
+    /// after a batch of saves, so an implementation can group-commit the
+    /// batch; the default suits tiers with nothing to flush.
+    fn sync(&self) {}
 }
 
 /// Deterministic size estimate for one cached result. Exact heap

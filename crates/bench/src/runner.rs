@@ -240,6 +240,9 @@ impl Runner {
     ///
     /// Identical jobs — same fingerprint, whether duplicated inside this
     /// batch or already completed in an earlier batch — are simulated once.
+    /// With a durable tier attached, the batch's fresh results are on
+    /// stable storage when this returns (one [`DurableTier::sync`] per
+    /// batch).
     pub fn run_all(&self, specs: &[JobSpec]) -> Vec<CachedResult> {
         let keys: Vec<u64> = specs.iter().map(JobSpec::fingerprint).collect();
 
@@ -288,12 +291,17 @@ impl Runner {
             }
         });
 
-        // Publish results to the shared cache and the batch-local map, then
-        // assemble the batch in submission order.
-        for (k, r) in fresh.into_inner().unwrap() {
-            if let Some(t) = &self.tier {
-                t.save(k, &r);
+        // Persist the batch with one group commit, publish results to the
+        // shared cache and the batch-local map, then assemble the batch in
+        // submission order.
+        let fresh = fresh.into_inner().unwrap();
+        if let Some(t) = self.tier.as_ref().filter(|_| !fresh.is_empty()) {
+            for (k, r) in &fresh {
+                t.save(*k, r);
             }
+            t.sync();
+        }
+        for (k, r) in fresh {
             self.cache.insert(k, r.clone());
             local.insert(k, r);
         }
@@ -309,7 +317,8 @@ impl Runner {
     ///
     /// Two threads racing on the same fingerprint may both simulate it;
     /// the simulations are deterministic, so the duplicate work is a
-    /// performance wrinkle, never a correctness one.
+    /// performance wrinkle, never a correctness one. With a durable tier
+    /// attached, a fresh result is on stable storage when this returns.
     pub fn run_one(&self, spec: &JobSpec) -> (CachedResult, bool) {
         let key = spec.fingerprint();
         if let Some(v) = self.cache.probe(key) {
@@ -325,6 +334,7 @@ impl Runner {
         let result = run_isolated(spec);
         if let Some(t) = &self.tier {
             t.save(key, &result);
+            t.sync();
         }
         self.cache.insert(key, result.clone());
         (result, false)
@@ -687,6 +697,7 @@ mod tests {
         struct MemTier {
             map: Mutex<HashMap<u64, CachedResult>>,
             saves: AtomicUsize,
+            syncs: AtomicUsize,
         }
         impl DurableTier for MemTier {
             fn load(&self, key: u64) -> Option<CachedResult> {
@@ -695,6 +706,9 @@ mod tests {
             fn save(&self, key: u64, value: &CachedResult) {
                 self.saves.fetch_add(1, Ordering::Relaxed);
                 self.map.lock().unwrap().insert(key, value.clone());
+            }
+            fn sync(&self) {
+                self.syncs.fetch_add(1, Ordering::Relaxed);
             }
         }
 
@@ -705,6 +719,11 @@ mod tests {
         a.set_tier(Arc::clone(&tier) as Arc<dyn DurableTier>);
         let first = a.run_reports(&batch);
         assert_eq!(tier.saves.load(Ordering::Relaxed), batch.len());
+        assert_eq!(
+            tier.syncs.load(Ordering::Relaxed),
+            1,
+            "one group commit per batch"
+        );
 
         // A different runner with a cold cache but the same tier must not
         // simulate anything — every job is a (tier) hit, and the results
@@ -714,6 +733,11 @@ mod tests {
         let second = b.run_reports(&batch);
         assert_eq!(b.cache_misses(), 0, "tier must serve the warm start");
         assert_eq!(b.cache_hits(), batch.len() as u64);
+        assert_eq!(
+            tier.syncs.load(Ordering::Relaxed),
+            1,
+            "nothing fresh to commit"
+        );
         for (x, y) in first.iter().zip(&second) {
             assert_eq!(x.stats.cycles, y.stats.cycles);
             assert_eq!(x.stats.checksum, y.stats.checksum);

@@ -1,21 +1,10 @@
 //! The checksummed append-only record journal.
 //!
-//! On-disk layout:
-//!
-//! ```text
-//! +----------+----------------------------------------------+
-//! | "RMXJRNL1" (8-byte file header)                          |
-//! +----------+------------+-------------+-------------------+
-//! | "RMXR"   | len u32 LE | fnv u64 LE  | payload (len bytes)|
-//! +----------+------------+-------------+-------------------+
-//! | ... more records ...                                     |
-//! ```
-//!
-//! The per-record checksum is FNV-1a over the length prefix bytes
-//! followed by the payload, so a flipped length bit is caught the same
-//! way a flipped payload bit is. Payloads are UTF-8 text; the campaign
-//! layers define the vocabulary (first record is always the campaign
-//! meta line).
+//! One file in the shared record framing (see [`crate::record`]): the
+//! `RMXJRNL1` header, then one `RMXR`-marked, length-prefixed,
+//! FNV-1a-checksummed record per append. Payloads are UTF-8 text; the
+//! campaign layers define the vocabulary (first record is always the
+//! campaign meta line).
 //!
 //! Reopening classifies damage into three buckets:
 //!
@@ -36,17 +25,9 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 
-use crate::{fnv1a, note_degradation};
+use crate::note_degradation;
+use crate::record::{self, Event, FILE_HEADER};
 
-/// 8-byte file header: magic + format version.
-pub const FILE_HEADER: &[u8; 8] = b"RMXJRNL1";
-/// Per-record marker, the resync anchor after corruption.
-const MARKER: &[u8; 4] = b"RMXR";
-/// Marker + length prefix + checksum.
-const RECORD_HEADER: usize = 4 + 4 + 8;
-/// Upper bound on a single payload; a "length" beyond this is treated
-/// as corruption rather than honored with a giant allocation.
-const MAX_PAYLOAD: u32 = 1 << 24;
 /// Batch this many appends per fsync (plus explicit [`Journal::sync`]
 /// calls at checkpoints).
 const SYNC_EVERY: u32 = 16;
@@ -113,67 +94,60 @@ impl Journal {
     /// Errors are diagnosed refusals — a missing file or a file that is
     /// not a journal — never silent fresh starts.
     pub fn open(path: &Path) -> io::Result<(Journal, Replay)> {
-        let mut raw = Vec::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_end(&mut raw))
-            .map_err(|e| {
-                io::Error::new(
-                    e.kind(),
-                    format!("cannot read journal {}: {e}", path.display()),
-                )
-            })?;
-        if raw.len() < FILE_HEADER.len() || &raw[..FILE_HEADER.len()] != FILE_HEADER {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{} is not a regmutex journal (bad file header); \
-                     refusing to resume from it",
-                    path.display()
-                ),
-            ));
-        }
-
-        let mut replay = Replay::default();
-        let mut off = FILE_HEADER.len();
-        // End of the last record that parsed, i.e. where appends resume.
-        let mut good_end = off;
-        while off < raw.len() {
-            match parse_record(&raw[off..]) {
-                Parsed::Record { payload, consumed } => {
-                    replay.records.push(payload);
-                    off += consumed;
-                    good_end = off;
-                }
-                Parsed::Corrupt(why) => {
-                    // Resync: the earliest later marker restarts parsing.
-                    // False positives inside damaged bytes fail their own
-                    // checksum and land back here.
-                    match find_marker(&raw, off + 1) {
-                        Some(next) => {
-                            replay.quarantined += 1;
-                            replay.diagnostics.push(format!(
-                                "quarantined {} corrupt bytes at offset {off}: {why}",
-                                next - off
-                            ));
-                            off = next;
-                        }
-                        None => {
-                            // Nothing recognizable follows: torn tail.
-                            replay.truncated_bytes = (raw.len() - good_end) as u64;
-                            replay.diagnostics.push(format!(
-                                "truncated torn tail of {} bytes at offset {good_end}: {why}",
-                                replay.truncated_bytes
-                            ));
-                            off = raw.len();
-                        }
-                    }
-                }
+        let cannot_read = |e: io::Error| {
+            io::Error::new(
+                e.kind(),
+                format!("cannot read journal {}: {e}", path.display()),
+            )
+        };
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .map_err(cannot_read)?;
+        let mut header = [0u8; FILE_HEADER.len()];
+        match file.read_exact(&mut header) {
+            Ok(()) if &header == FILE_HEADER => {}
+            Err(e) if e.kind() != io::ErrorKind::UnexpectedEof => return Err(cannot_read(e)),
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} is not a regmutex journal (bad file header); \
+                         refusing to resume from it",
+                        path.display()
+                    ),
+                ));
             }
         }
 
-        let mut file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(good_end as u64)?;
-        file.seek(SeekFrom::Start(good_end as u64))?;
+        let mut replay = Replay::default();
+        // End of the last record that parsed, i.e. where appends resume.
+        let good_end = record::scan(&mut file, FILE_HEADER.len() as u64, |ev| {
+            match ev {
+                Event::Record { payload, .. } => {
+                    let text =
+                        std::str::from_utf8(payload).map_err(|_| "record payload is not UTF-8")?;
+                    replay.records.push(text.to_string());
+                }
+                Event::Quarantined { offset, len, why } => {
+                    replay.quarantined += 1;
+                    replay.diagnostics.push(format!(
+                        "quarantined {len} corrupt bytes at offset {offset}: {why}"
+                    ));
+                }
+                Event::TornTail { offset, len, why } => {
+                    replay.truncated_bytes = len;
+                    replay.diagnostics.push(format!(
+                        "truncated torn tail of {len} bytes at offset {offset}: {why}"
+                    ));
+                }
+            }
+            Ok(())
+        })?;
+
+        file.set_len(good_end)?;
+        file.seek(SeekFrom::Start(good_end))?;
         file.sync_data()?;
         Ok((
             Journal {
@@ -193,20 +167,7 @@ impl Journal {
         let Some(file) = self.file.as_mut() else {
             return;
         };
-        let bytes = payload.as_bytes();
-        debug_assert!(bytes.len() <= MAX_PAYLOAD as usize);
-        let len = (bytes.len() as u32).to_le_bytes();
-        let mut sum = fnv1a(&len);
-        for &b in bytes {
-            sum ^= u64::from(b);
-            sum = sum.wrapping_mul(crate::FNV_PRIME);
-        }
-        let mut rec = Vec::with_capacity(RECORD_HEADER + bytes.len());
-        rec.extend_from_slice(MARKER);
-        rec.extend_from_slice(&len);
-        rec.extend_from_slice(&sum.to_le_bytes());
-        rec.extend_from_slice(bytes);
-        if let Err(e) = file.write_all(&rec) {
+        if let Err(e) = file.write_all(&record::frame(payload.as_bytes())) {
             self.degrade("journal append", &e);
             return;
         }
@@ -243,53 +204,10 @@ impl Journal {
     }
 }
 
-enum Parsed {
-    Record { payload: String, consumed: usize },
-    Corrupt(&'static str),
-}
-
-fn parse_record(buf: &[u8]) -> Parsed {
-    if buf.len() < RECORD_HEADER {
-        return Parsed::Corrupt("incomplete record header");
-    }
-    if &buf[..4] != MARKER {
-        return Parsed::Corrupt("missing record marker");
-    }
-    let len_bytes: [u8; 4] = buf[4..8].try_into().unwrap();
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_PAYLOAD {
-        return Parsed::Corrupt("implausible record length");
-    }
-    let total = RECORD_HEADER + len as usize;
-    if buf.len() < total {
-        return Parsed::Corrupt("record extends past end of file");
-    }
-    let stored = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-    let payload = &buf[RECORD_HEADER..total];
-    let mut sum = fnv1a(&len_bytes);
-    for &b in payload {
-        sum ^= u64::from(b);
-        sum = sum.wrapping_mul(crate::FNV_PRIME);
-    }
-    if sum != stored {
-        return Parsed::Corrupt("record checksum mismatch");
-    }
-    match std::str::from_utf8(payload) {
-        Ok(s) => Parsed::Record {
-            payload: s.to_string(),
-            consumed: total,
-        },
-        Err(_) => Parsed::Corrupt("record payload is not UTF-8"),
-    }
-}
-
-fn find_marker(raw: &[u8], from: usize) -> Option<usize> {
-    (from..raw.len().saturating_sub(MARKER.len() - 1)).find(|&i| &raw[i..i + 4] == MARKER)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::RECORD_HEADER;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(

@@ -13,11 +13,13 @@
 //!   continue) from mid-file corruption (quarantine the record, resync
 //!   on the next marker) from a file that is not a journal at all
 //!   (diagnosed refusal). Appends batch their fsyncs.
-//! - [`ResultStore`]: one file per result, named by the 64-bit job
-//!   fingerprint, written atomically (tempfile + rename) with its own
-//!   checksummed header. Content addressing makes the store safely
-//!   shareable across campaigns: a key either maps to the one result it
-//!   fingerprints or to nothing.
+//! - [`ResultStore`]: one append-only log of results in the same record
+//!   framing, each record carrying the 64-bit job fingerprint it is
+//!   stored under, with an in-memory fingerprint index rebuilt on open.
+//!   Appends are group-committed: one fsync per [`ResultStore::sync`],
+//!   which the runner calls once per batch. Content addressing makes the
+//!   store safely shareable across campaigns: a key either maps to the
+//!   one result it fingerprints or to nothing.
 //!
 //! Both degrade rather than abort: any write-side I/O error (ENOSPC,
 //! EIO, a yanked disk) flips the instance to in-memory-only operation
@@ -34,6 +36,7 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 pub mod journal;
+mod record;
 pub mod store;
 
 pub use journal::{Journal, Replay};

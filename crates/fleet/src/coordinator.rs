@@ -333,6 +333,7 @@ impl Coordinator {
                     self.note_worker_ok(worker);
                     if let Some(t) = &self.tier {
                         t.save(fingerprint, &Ok((*report).clone()));
+                        t.sync();
                     }
                     if let Some(j) = &self.journal {
                         j.job_ok(fingerprint);

@@ -2,7 +2,7 @@
 //!
 //! The coordinator's resume story has two layers. The *results* live in
 //! the content-addressed [`DurableTier`](regmutex_bench::DurableTier)
-//! (`<dir>/store/<fingerprint>`), which the dispatcher probes before
+//! (`<dir>/store/results.log`), which the dispatcher probes before
 //! dispatching — a completed job replays from disk instead of going back
 //! to a worker. The *campaign cursor and worker health* live here: one
 //! checksummed record per verified job completion (`job-ok fp=…`) plus

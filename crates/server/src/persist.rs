@@ -28,7 +28,7 @@ use regmutex_durable::ResultStore;
 use crate::json;
 use crate::wire;
 
-/// Layout: results live under `<dir>/store/<fingerprint hex>`, next to
+/// Layout: results live in the log `<dir>/store/results.log`, next to
 /// the campaign journal (`<dir>/journal.log`) when one is in use.
 pub struct DiskTier {
     store: ResultStore,
@@ -68,6 +68,10 @@ impl DurableTier for DiskTier {
             self.store
                 .put(key, wire::report_to_json(report).encode().as_bytes());
         }
+    }
+
+    fn sync(&self) {
+        self.store.sync();
     }
 }
 
@@ -140,12 +144,68 @@ mod tests {
         let t = DiskTier::open(&dir).unwrap();
         t.save(9, &Ok(report()));
         // Corrupt the payload on disk; the store checksum rejects it.
-        let file = dir.join("store").join(format!("{:016x}", 9u64));
+        let file = dir.join("store").join("results.log");
         let mut raw = std::fs::read(&file).unwrap();
         let last = raw.len() - 1;
         raw[last] ^= 0x01;
         std::fs::write(&file, &raw).unwrap();
         assert!(t.load(9).is_none());
         assert_eq!(t.store().rejected(), 1);
+    }
+
+    #[test]
+    fn power_loss_keeps_every_result_of_a_completed_batch() {
+        use regmutex_bench::{JobSpec, Runner};
+        use regmutex_sim::{GpuConfig, LaunchConfig};
+
+        let dir = tier_dir("powerloss");
+        let tier = DiskTier::shared(&dir).unwrap();
+        let mut runner = Runner::new(2);
+        runner.set_tier(Arc::clone(&tier) as Arc<dyn DurableTier>);
+        let w = regmutex_workloads::suite::by_name("Gaussian").unwrap();
+        let cfg = GpuConfig::test_tiny();
+        let specs: Vec<JobSpec> = regmutex::ALL_TECHNIQUES
+            .iter()
+            .map(|&t| {
+                JobSpec::new(
+                    format!("powerloss/{t}"),
+                    &w.kernel,
+                    &cfg,
+                    LaunchConfig::new(2),
+                    t,
+                )
+            })
+            .collect();
+        let done = runner.run_all(&specs);
+        let log = dir.join("store").join("results.log");
+        let committed = std::fs::metadata(&log).unwrap().len() as usize;
+
+        // Saves after the batch's group commit, never synced: power loss
+        // keeps only the committed bytes plus part of the next record.
+        for key in 0..3 {
+            tier.save(0xdead_0000 + key, &Ok(report()));
+        }
+        let raw = std::fs::read(&log).unwrap();
+        let record = (raw.len() - committed) / 3;
+        std::fs::write(&log, &raw[..committed + record / 2]).unwrap();
+
+        let reopened = DiskTier::open(&dir).unwrap();
+        let ok: Vec<_> = specs
+            .iter()
+            .zip(&done)
+            .filter_map(|(spec, r)| Some((spec, r.as_ref().ok()?)))
+            .collect();
+        assert!(ok.len() >= 3, "the batch must commit several results");
+        for (spec, want) in &ok {
+            let got = reopened
+                .load(spec.fingerprint())
+                .expect("committed result loads");
+            assert_eq!(got.unwrap().stats, want.stats, "{}", spec.label);
+        }
+        assert!(
+            reopened.load(0xdead_0000).is_none(),
+            "the cut record is a miss"
+        );
+        assert_eq!(reopened.store().entries(), ok.len());
     }
 }

@@ -3,26 +3,33 @@
 use crate::apps;
 use crate::{Group, Workload};
 
+/// Builds one application's workload.
+type Build = fn() -> Workload;
+
+/// The 16 applications in Table I order, by name, each with the
+/// constructor that builds it.
+const APPS: [(&str, Build); 16] = [
+    ("BFS", apps::bfs::workload),
+    ("CUTCP", apps::cutcp::workload),
+    ("DWT2D", apps::dwt2d::workload),
+    ("HotSpot3D", apps::hotspot3d::workload),
+    ("MRI-Q", apps::mriq::workload),
+    ("ParticleFilter", apps::particlefilter::workload),
+    ("RadixSort", apps::radixsort::workload),
+    ("SAD", apps::sad::workload),
+    ("Gaussian", apps::gaussian::workload),
+    ("HeartWall", apps::heartwall::workload),
+    ("LavaMD", apps::lavamd::workload),
+    ("MergeSort", apps::mergesort::workload),
+    ("MonteCarlo", apps::montecarlo::workload),
+    ("SPMV", apps::spmv::workload),
+    ("SRAD", apps::srad::workload),
+    ("TPACF", apps::tpacf::workload),
+];
+
 /// All 16 applications in Table I order.
 pub fn all() -> Vec<Workload> {
-    vec![
-        apps::bfs::workload(),
-        apps::cutcp::workload(),
-        apps::dwt2d::workload(),
-        apps::hotspot3d::workload(),
-        apps::mriq::workload(),
-        apps::particlefilter::workload(),
-        apps::radixsort::workload(),
-        apps::sad::workload(),
-        apps::gaussian::workload(),
-        apps::heartwall::workload(),
-        apps::lavamd::workload(),
-        apps::mergesort::workload(),
-        apps::montecarlo::workload(),
-        apps::spmv::workload(),
-        apps::srad::workload(),
-        apps::tpacf::workload(),
-    ]
+    APPS.iter().map(|(_, build)| build()).collect()
 }
 
 /// The 8 occupancy-limited applications of Fig 7 (evaluated on the GTX480
@@ -43,20 +50,19 @@ pub fn rf_insensitive() -> Vec<Workload> {
         .collect()
 }
 
-/// Look an application up by (case-insensitive) name.
+/// Look an application up by (case-insensitive) name, building only
+/// that one.
 pub fn by_name(name: &str) -> Option<Workload> {
-    all()
-        .into_iter()
-        .find(|w| w.name.eq_ignore_ascii_case(name))
+    APPS.iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, build)| build())
 }
 
-/// The 16 application names in Table I order, built once. Request
-/// validation goes through this: constructing every workload (16 full
-/// kernels) per lookup is fine for a bench harness but not on a serving
-/// hot path.
+/// The 16 application names in Table I order, without constructing any
+/// of them.
 pub fn names() -> &'static [&'static str] {
     static NAMES: std::sync::OnceLock<Vec<&'static str>> = std::sync::OnceLock::new();
-    NAMES.get_or_init(|| all().iter().map(|w| w.name).collect())
+    NAMES.get_or_init(|| APPS.iter().map(|(name, _)| *name).collect())
 }
 
 /// Whether a (case-insensitive) name is one of the 16 applications,
@@ -82,6 +88,15 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 16);
+    }
+
+    #[test]
+    fn table_names_match_the_built_workloads() {
+        let built: Vec<&str> = all().iter().map(|w| w.name).collect();
+        assert_eq!(names(), built.as_slice());
+        for name in names() {
+            assert_eq!(by_name(&name.to_lowercase()).unwrap().name, *name);
+        }
     }
 
     #[test]
