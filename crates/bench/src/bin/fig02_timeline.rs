@@ -39,7 +39,6 @@ fn fig2_config() -> GpuConfig {
         stall_multiplier: 64,
         reg_banks: 0,
         cycle_skipping: true,
-        sm_workers: 0,
     }
 }
 

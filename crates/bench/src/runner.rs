@@ -34,6 +34,7 @@ use std::sync::{Arc, Mutex};
 
 use regmutex::{RunError, RunReport, Session, Technique};
 use regmutex_compiler::CompileOptions;
+use regmutex_durable::Fnv1a;
 use regmutex_isa::Kernel;
 use regmutex_sim::{GpuConfig, LaunchConfig};
 
@@ -116,44 +117,20 @@ impl JobSpec {
         // The kernel's disassembly covers every instruction; name/seed and
         // the resource declaration are folded in separately because they
         // affect execution but may not appear in the listing.
-        h.write(self.kernel.name.as_bytes());
-        h.write(&self.kernel.seed.to_le_bytes());
-        h.write(&self.kernel.regs_per_thread.to_le_bytes());
-        h.write(&self.kernel.shmem_per_cta.to_le_bytes());
-        h.write(&self.kernel.threads_per_cta.to_le_bytes());
-        h.write(self.kernel.to_string().as_bytes());
+        h.write_field(self.kernel.name.as_bytes());
+        h.write_field(&self.kernel.seed.to_le_bytes());
+        h.write_field(&self.kernel.regs_per_thread.to_le_bytes());
+        h.write_field(&self.kernel.shmem_per_cta.to_le_bytes());
+        h.write_field(&self.kernel.threads_per_cta.to_le_bytes());
+        h.write_field(self.kernel.to_string().as_bytes());
         // The budget is hashed via the effective config, so a job with a
         // budget below the watchdog is distinct from the uncapped job while
         // a no-op budget (≥ watchdog) shares its cache entry.
-        h.write(format!("{:?}", self.effective_cfg()).as_bytes());
-        h.write(format!("{:?}", self.options).as_bytes());
-        h.write(format!("{}", self.technique).as_bytes());
-        h.write(&self.launch.grid_ctas.to_le_bytes());
+        h.write_field(format!("{:?}", self.effective_cfg()).as_bytes());
+        h.write_field(format!("{:?}", self.options).as_bytes());
+        h.write_field(format!("{}", self.technique).as_bytes());
+        h.write_field(&self.launch.grid_ctas.to_le_bytes());
         h.finish()
-    }
-}
-
-/// FNV-1a, 64-bit: tiny, dependency-free, stable across runs and builds
-/// (unlike `DefaultHasher`, whose algorithm is explicitly unspecified).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Length separator so concatenated fields can't alias.
-        self.0 ^= bytes.len() as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

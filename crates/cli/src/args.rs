@@ -37,9 +37,6 @@ pub enum Command {
         stall_multiplier: Option<u32>,
         /// Disable event-driven cycle skipping (tick every cycle).
         no_cycle_skip: bool,
-        /// Device-loop worker threads sharding the simulated SMs
-        /// (default: `REGMUTEX_SM_WORKERS` or 1 = serial).
-        sm_workers: Option<u32>,
     },
     /// `bench-loop` — wall-clock the simulation loop with cycle skipping
     /// on vs off over a workload basket; write `BENCH_simloop.json`.
@@ -50,9 +47,6 @@ pub enum Command {
         iters: usize,
         /// Output path for the JSON report.
         out: String,
-        /// Device-loop worker count for the parallel rows (default:
-        /// `REGMUTEX_SM_WORKERS` or 4).
-        sm_workers: Option<u32>,
     },
     /// `compare <app>` — run all techniques and print the comparison.
     Compare {
@@ -119,9 +113,6 @@ pub enum Command {
         cycle_budget: Option<u64>,
         /// Maximum concurrent connections.
         max_connections: usize,
-        /// Device-loop worker threads per simulation (default:
-        /// `REGMUTEX_SM_WORKERS` or 1 = serial).
-        sm_workers: Option<u32>,
         /// Per-client token-bucket rate in requests/second (0 = off).
         client_rate: f64,
         /// Per-client token-bucket burst size.
@@ -199,8 +190,6 @@ pub enum Command {
         duration_secs: Option<u64>,
         /// Simulation worker threads (default: all cores).
         jobs: Option<usize>,
-        /// Device-loop worker threads per simulation.
-        sm_workers: Option<u32>,
         /// Per-technique cycle budget before watchdog escalation.
         cycle_budget: Option<u64>,
         /// Stop scanning after this many divergences.
@@ -333,7 +322,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut cache_mb = 64usize;
             let mut cycle_budget = None;
             let mut max_connections = 64usize;
-            let mut sm_workers = None;
             let mut client_rate = 0.0f64;
             let mut client_burst = 8.0f64;
             let mut cache_dir = None;
@@ -353,7 +341,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "--max-connections" => {
                         max_connections = value_of("--max-connections", it.next())?
                     }
-                    "--sm-workers" => sm_workers = Some(value_of("--sm-workers", it.next())?),
                     "--client-rate" => client_rate = value_of("--client-rate", it.next())?,
                     "--client-burst" => client_burst = value_of("--client-burst", it.next())?,
                     "--cache-dir" => {
@@ -381,7 +368,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 cache_mb,
                 cycle_budget,
                 max_connections,
-                sm_workers,
                 client_rate,
                 client_burst,
                 cache_dir,
@@ -620,7 +606,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut watchdog_cycles = None;
             let mut stall_multiplier = None;
             let mut no_cycle_skip = false;
-            let mut sm_workers = None;
             let mut it = rest.iter().skip(1);
             while let Some(a) = it.next() {
                 match a.as_str() {
@@ -640,7 +625,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         stall_multiplier = Some(value_of("--stall-multiplier", it.next())?)
                     }
                     "--no-cycle-skip" => no_cycle_skip = true,
-                    "--sm-workers" => sm_workers = Some(value_of("--sm-workers", it.next())?),
                     other => return Err(ParseError(format!("unknown flag '{other}'"))),
                 }
             }
@@ -653,14 +637,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 watchdog_cycles,
                 stall_multiplier,
                 no_cycle_skip,
-                sm_workers,
             })
         }
         "bench-loop" => {
             let mut apps = Vec::new();
             let mut iters = 3usize;
             let mut out = "BENCH_simloop.json".to_string();
-            let mut sm_workers = None;
             let mut it = rest.iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
@@ -677,19 +659,13 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                             .ok_or_else(|| ParseError("--out needs a value".into()))?
                             .clone()
                     }
-                    "--sm-workers" => sm_workers = Some(value_of("--sm-workers", it.next())?),
                     other => return Err(ParseError(format!("unknown flag '{other}'"))),
                 }
             }
             if iters == 0 {
                 return Err(ParseError("--iters must be at least 1".into()));
             }
-            Ok(Command::BenchLoop {
-                apps,
-                iters,
-                out,
-                sm_workers,
-            })
+            Ok(Command::BenchLoop { apps, iters, out })
         }
         "chaos" => {
             let mut apps = Vec::new();
@@ -758,7 +734,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut iters = 1000u64;
             let mut duration_secs = None;
             let mut jobs = None;
-            let mut sm_workers = None;
             let mut cycle_budget = None;
             let mut max_divergences = 5u64;
             let mut stats = None;
@@ -778,7 +753,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         duration_secs = Some(value_of("--duration-secs", it.next())?)
                     }
                     "--jobs" => jobs = Some(value_of("--jobs", it.next())?),
-                    "--sm-workers" => sm_workers = Some(value_of("--sm-workers", it.next())?),
                     "--cycle-budget" => cycle_budget = Some(value_of("--cycle-budget", it.next())?),
                     "--max-divergences" => {
                         max_divergences = value_of("--max-divergences", it.next())?
@@ -858,7 +832,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 iters,
                 duration_secs,
                 jobs,
-                sm_workers,
                 cycle_budget,
                 max_divergences,
                 stats,
@@ -885,9 +858,8 @@ USAGE:
   regmutex-cli run <app> [--technique baseline|regmutex|paired|rfv|owf]
                          [--half-rf] [--ctas N] [--force-es N]
                          [--watchdog-cycles N] [--stall-multiplier N]
-                         [--no-cycle-skip] [--sm-workers N]
+                         [--no-cycle-skip]
   regmutex-cli bench-loop [--apps A,B,...] [--iters N] [--out PATH]
-                          [--sm-workers N]
   regmutex-cli compare <app> [--half-rf] [--jobs N]
   regmutex-cli trace <app> [--max N]
   regmutex-cli sweep <app> [--jobs N] [--journal DIR [--resume]]
@@ -896,7 +868,7 @@ USAGE:
                      [--expect-detections] [--journal DIR [--resume]]
   regmutex-cli serve [--addr HOST:PORT] [--workers N] [--queue N]
                      [--cache-mb N] [--cycle-budget N]
-                     [--max-connections N] [--sm-workers N]
+                     [--max-connections N]
                      [--client-rate R] [--client-burst N]
                      [--cache-dir DIR]
   regmutex-cli loadgen [--addr HOST:PORT] [--threads N] [--requests N]
@@ -910,7 +882,7 @@ USAGE:
                            [--no-cycle-budget] [--trigger-after N]
                            [--sim-workers N]
   regmutex-cli fuzz [--seed N] [--iters N] [--duration-secs N] [--jobs N]
-                    [--sm-workers N] [--cycle-budget N]
+                    [--cycle-budget N]
                     [--max-divergences N] [--stats PATH] [--no-minimize]
                     [--replay FILE] [--fault CLASS:SEV:SEED:TECHNIQUE]
                     [--fleet --workers H:P,H:P,...]
@@ -923,13 +895,10 @@ all cores). Output is identical for any worker count.
 
 The simulator fast-forwards over provably idle stretches (event-driven
 cycle skipping); results are bit-identical either way. --no-cycle-skip
-forces the tick-by-tick loop. One simulation can also shard its SMs
-across threads: --sm-workers N (or REGMUTEX_SM_WORKERS; default 1 =
-serial) steps the simulated SMs on N lockstep workers with bit-identical
-results at any count. bench-loop times both loops over a workload basket
-(median of --iters runs) plus a whole-device serial-vs-sharded pass,
-cross-checks that all stats agree, and writes the measurements as JSON
-(exit 1 on any mismatch or if skipping is >10% slower overall).
+forces the tick-by-tick loop. bench-loop times both loops over a
+workload basket (median of --iters runs), cross-checks that all stats
+agree, and writes the measurements as JSON (exit 1 on any mismatch or
+if skipping is >10% slower overall).
 
 chaos injects seeded register-manager faults (dropped/delayed releases,
 spurious acquires, corrupted LUT entries, stuck SRP bits, memory-latency
@@ -971,7 +940,7 @@ The campaign verbs (sweep, chaos, fuzz, coordinator) can run durably:
 and spills results into a content-addressed store there, SIGINT/SIGTERM
 checkpoints cleanly (exit 4, progress saved), and --resume replays the
 journal, skips finished work, and produces byte-identical final output
-to an uninterrupted run — at any --jobs / --sm-workers / worker count.
+to an uninterrupted run — at any --jobs or worker count.
 A journal from a different campaign is refused; corrupted journal
 records are diagnosed on stderr and the affected work re-runs. serve
 --cache-dir DIR persists the result cache the same way, so a restarted
@@ -983,7 +952,7 @@ from mix(seed, i)) and runs each through every technique, checking
 checksum agreement, the RegMutex occupancy floor, and verdict symmetry;
 divergences are delta-debugged over the generator's decision trace into
 small replayable seed+trace artifacts (exit 1 if any are found). The
-report is byte-identical at any --jobs / --sm-workers count. --replay
+report is byte-identical at any --jobs count. --replay
 re-runs one artifact and exits 0 iff its documented outcome reproduces;
 --fault plants a register-manager fault (the oracle self-test: the
 campaign MUST diverge); --stats writes machine-readable counters
@@ -1028,7 +997,6 @@ mod tests {
                 cache_mb: 64,
                 cycle_budget: None,
                 max_connections: 64,
-                sm_workers: None,
                 client_rate: 0.0,
                 client_burst: 8.0,
                 cache_dir: None,
@@ -1061,7 +1029,6 @@ mod tests {
                 cache_mb: 16,
                 cycle_budget: Some(1_000_000),
                 max_connections: 32,
-                sm_workers: None,
                 client_rate: 50.5,
                 client_burst: 4.0,
                 cache_dir: None,
@@ -1278,7 +1245,6 @@ mod tests {
                 watchdog_cycles: None,
                 stall_multiplier: None,
                 no_cycle_skip: false,
-                sm_workers: None,
             })
         );
     }
@@ -1303,7 +1269,6 @@ mod tests {
                 watchdog_cycles: Some(5_000_000),
                 stall_multiplier: Some(16),
                 no_cycle_skip: false,
-                sm_workers: None,
             })
         );
         assert!(parse(&v(&["run", "BFS", "--watchdog-cycles", "soon"])).is_err());
@@ -1322,7 +1287,6 @@ mod tests {
                 watchdog_cycles: None,
                 stall_multiplier: None,
                 no_cycle_skip: false,
-                sm_workers: None,
             })
         );
     }
@@ -1340,26 +1304,22 @@ mod tests {
                 watchdog_cycles: None,
                 stall_multiplier: None,
                 no_cycle_skip: true,
-                sm_workers: None,
             })
         );
     }
 
     #[test]
-    fn sm_workers_flag_on_all_three_subcommands() {
-        match parse(&v(&["run", "BFS", "--sm-workers", "4"])) {
-            Ok(Command::Run { sm_workers, .. }) => assert_eq!(sm_workers, Some(4)),
-            other => panic!("expected run to parse, got {other:?}"),
+    fn device_loop_shard_flag_is_unknown() {
+        // The device loop is serial, so no verb takes a shard count.
+        for verb in [&["run", "BFS"][..], &["bench-loop"], &["serve"], &["fuzz"]] {
+            let mut args = v(verb);
+            args.extend(v(&["--sm-workers", "4"]));
+            assert_eq!(
+                parse(&args),
+                Err(ParseError("unknown flag '--sm-workers'".into())),
+                "{verb:?}"
+            );
         }
-        match parse(&v(&["bench-loop", "--sm-workers", "2"])) {
-            Ok(Command::BenchLoop { sm_workers, .. }) => assert_eq!(sm_workers, Some(2)),
-            other => panic!("expected bench-loop to parse, got {other:?}"),
-        }
-        match parse(&v(&["serve", "--sm-workers", "8"])) {
-            Ok(Command::Serve { sm_workers, .. }) => assert_eq!(sm_workers, Some(8)),
-            other => panic!("expected serve to parse, got {other:?}"),
-        }
-        assert!(parse(&v(&["run", "BFS", "--sm-workers", "many"])).is_err());
     }
 
     #[test]
@@ -1370,7 +1330,6 @@ mod tests {
                 apps: vec![],
                 iters: 3,
                 out: "BENCH_simloop.json".into(),
-                sm_workers: None,
             })
         );
         assert_eq!(
@@ -1387,7 +1346,6 @@ mod tests {
                 apps: vec!["Gaussian".into(), "BFS".into()],
                 iters: 7,
                 out: "/tmp/b.json".into(),
-                sm_workers: None,
             })
         );
         assert!(parse(&v(&["bench-loop", "--iters", "0"])).is_err());
@@ -1500,7 +1458,6 @@ mod tests {
                 iters: 1000,
                 duration_secs: None,
                 jobs: None,
-                sm_workers: None,
                 cycle_budget: None,
                 max_divergences: 5,
                 stats: None,
@@ -1522,8 +1479,6 @@ mod tests {
                 "500",
                 "--jobs",
                 "2",
-                "--sm-workers",
-                "4",
                 "--cycle-budget",
                 "100000",
                 "--max-divergences",
@@ -1539,7 +1494,6 @@ mod tests {
                 iters: 500,
                 duration_secs: None,
                 jobs: Some(2),
-                sm_workers: Some(4),
                 cycle_budget: Some(100_000),
                 max_divergences: 3,
                 stats: Some("/tmp/fuzz.json".into()),

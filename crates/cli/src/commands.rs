@@ -134,7 +134,6 @@ pub fn run(
     watchdog_cycles: Option<u64>,
     stall_multiplier: Option<u32>,
     no_cycle_skip: bool,
-    sm_workers: Option<u32>,
 ) -> Result<String, CommandError> {
     let w = lookup(app)?;
     let mut cfg = config(half_rf);
@@ -145,9 +144,6 @@ pub fn run(
         cfg.stall_multiplier = m;
     }
     cfg.cycle_skipping = !no_cycle_skip;
-    if let Some(wk) = sm_workers {
-        cfg.sm_workers = wk;
-    }
     let session = Session::with_options(
         cfg,
         CompileOptions {
@@ -214,7 +210,6 @@ pub fn bench_loop(
     apps: &[String],
     iters: usize,
     out_path: &str,
-    sm_workers: Option<u32>,
 ) -> Result<(String, i32), CommandError> {
     use regmutex_server::json::Json;
     use std::time::Instant;
@@ -311,91 +306,6 @@ pub fn bench_loop(
                 ),
                 ("skipping".into(), Json::Bool(skipping)),
                 ("simulated_sms".into(), Json::U64(1)),
-                ("sm_workers".into(), Json::U64(1)),
-            ]));
-        }
-    }
-
-    // The workers dimension: the same basket as whole-device simulations
-    // (every SM instantiated, uneven CTA tails and all), stepped serially
-    // and sharded over `par_workers` device-loop threads. The parallel loop
-    // is a wall-clock knob only, so the stats must be *bit*-identical —
-    // including the engine's own meta-counters.
-    let par_workers = sm_workers
-        .or_else(|| {
-            std::env::var("REGMUTEX_SM_WORKERS")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .filter(|&n| n > 0)
-        })
-        .unwrap_or(4);
-    let device_sms = config(false).num_sms;
-    let _ = writeln!(
-        out,
-        "
-whole-device loop — {device_sms} simulated SMs, serial vs {par_workers} workers
-"
-    );
-    let _ = writeln!(
-        out,
-        "{:<18} {:>12} {:>10} {:>10} {:>8}",
-        "workload", "cycles", "serial ms", "shard ms", "speedup"
-    );
-    for (label, w, ctas) in &basket {
-        let launch = LaunchConfig::new(ctas.unwrap_or(w.grid_ctas));
-        let mut medians = [0.0f64; 2];
-        let mut reports = Vec::with_capacity(2);
-        for (mode, workers) in [1, par_workers].into_iter().enumerate() {
-            let mut cfg = config(false);
-            cfg.simulated_sms = cfg.num_sms;
-            cfg.sm_workers = workers;
-            let session = Session::new(cfg);
-            let compiled = session
-                .compile(&w.kernel)
-                .map_err(|e| CommandError(format!("{label}: {e}")))?;
-            let mut walls = Vec::with_capacity(iters);
-            let mut rep = None;
-            for _ in 0..iters {
-                let t0 = Instant::now();
-                let r = session
-                    .run_compiled(&compiled, launch, Technique::RegMutex)
-                    .map_err(|e| CommandError(format!("{label}: {e}")))?;
-                walls.push(t0.elapsed().as_secs_f64() * 1e3);
-                rep = Some(r);
-            }
-            walls.sort_by(f64::total_cmp);
-            medians[mode] = walls[walls.len() / 2];
-            reports.push(rep.expect("iters >= 1"));
-        }
-        let [serial_ms, shard_ms] = medians;
-        if reports[0].stats != reports[1].stats {
-            let _ = writeln!(
-                out,
-                "FAIL: {label}: sharding the device loop changed the simulation
-                   serial: {:?}
-  shard:  {:?}",
-                reports[0].stats, reports[1].stats
-            );
-            code = 1;
-        }
-        let cycles = reports[0].cycles();
-        let _ = writeln!(
-            out,
-            "{label:<18} {cycles:>12} {serial_ms:>10.2} {shard_ms:>10.2} {:>7.1}x",
-            serial_ms / shard_ms.max(1e-9)
-        );
-        for (workers, wall_ms) in [(1, serial_ms), (par_workers, shard_ms)] {
-            rows.push(Json::Obj(vec![
-                ("workload".into(), Json::Str(label.clone())),
-                ("cycles".into(), Json::U64(cycles)),
-                ("wall_ms".into(), Json::F64(wall_ms)),
-                (
-                    "cycles_per_sec".into(),
-                    Json::F64(cycles as f64 / (wall_ms / 1e3).max(1e-12)),
-                ),
-                ("skipping".into(), Json::Bool(true)),
-                ("simulated_sms".into(), Json::U64(u64::from(device_sms))),
-                ("sm_workers".into(), Json::U64(u64::from(workers))),
             ]));
         }
     }
@@ -756,7 +666,6 @@ pub fn serve(
     cache_mb: usize,
     cycle_budget: Option<u64>,
     max_connections: usize,
-    sm_workers: Option<u32>,
     client_rate: f64,
     client_burst: f64,
     cache_dir: Option<String>,
@@ -772,8 +681,6 @@ pub fn serve(
         cache_budget: cache_mb.saturating_mul(1024 * 1024),
         cycle_budget,
         max_connections,
-        // 0 = auto: each job's device loop resolves REGMUTEX_SM_WORKERS.
-        sm_workers: sm_workers.unwrap_or(0),
         client_rate,
         client_burst,
         cache_dir,
@@ -934,7 +841,6 @@ pub fn fuzz(
     iters: u64,
     duration_secs: Option<u64>,
     jobs: Option<usize>,
-    sm_workers: Option<u32>,
     cycle_budget: Option<u64>,
     max_divergences: u64,
     stats: Option<String>,
@@ -946,10 +852,7 @@ pub fn fuzz(
     journal_dir: Option<&str>,
     resume: bool,
 ) -> Result<(String, i32), CommandError> {
-    let mut oracle = regmutex_fuzz::OracleConfig {
-        sm_workers: sm_workers.unwrap_or(0),
-        ..regmutex_fuzz::OracleConfig::default()
-    };
+    let mut oracle = regmutex_fuzz::OracleConfig::default();
     if let Some(b) = cycle_budget {
         oracle.cycle_budget = b;
     }
@@ -1136,7 +1039,6 @@ mod tests {
             None,
             None,
             false,
-            None,
         )
         .unwrap();
         assert!(out.contains("plan"));
@@ -1157,7 +1059,6 @@ mod tests {
             Some(1),
             None,
             false,
-            None,
         )
         .unwrap_err();
         assert!(err.0.contains("Gaussian/baseline"), "{err}");
@@ -1220,7 +1121,6 @@ mod tests {
             None,
             Some(2),
             None,
-            None,
             5,
             Some(stats_path.to_string_lossy().into_owned()),
             None,
@@ -1244,7 +1144,6 @@ mod tests {
             60,
             None,
             Some(2),
-            None,
             None,
             1,
             None,
@@ -1276,7 +1175,6 @@ mod tests {
             None,
             Some(2),
             None,
-            None,
             1,
             None,
             Some(artifact_path.to_string_lossy().into_owned()),
@@ -1298,7 +1196,6 @@ mod tests {
             1,
             None,
             Some(1),
-            None,
             None,
             1,
             None,

@@ -31,7 +31,6 @@ fn main() {
             watchdog_cycles,
             stall_multiplier,
             no_cycle_skip,
-            sm_workers,
         } => commands::run(
             &app,
             technique,
@@ -41,15 +40,9 @@ fn main() {
             watchdog_cycles,
             stall_multiplier,
             no_cycle_skip,
-            sm_workers,
         ),
-        Command::BenchLoop {
-            apps,
-            iters,
-            out,
-            sm_workers,
-        } => {
-            exit_with(commands::bench_loop(&apps, iters, &out, sm_workers));
+        Command::BenchLoop { apps, iters, out } => {
+            exit_with(commands::bench_loop(&apps, iters, &out));
         }
         Command::Compare { app, half_rf, jobs } => commands::compare(&app, half_rf, jobs),
         Command::Serve {
@@ -59,7 +52,6 @@ fn main() {
             cache_mb,
             cycle_budget,
             max_connections,
-            sm_workers,
             client_rate,
             client_burst,
             cache_dir,
@@ -71,7 +63,6 @@ fn main() {
                 cache_mb,
                 cycle_budget,
                 max_connections,
-                sm_workers,
                 client_rate,
                 client_burst,
                 cache_dir,
@@ -148,7 +139,6 @@ fn main() {
             iters,
             duration_secs,
             jobs,
-            sm_workers,
             cycle_budget,
             max_divergences,
             stats,
@@ -165,7 +155,6 @@ fn main() {
                 iters,
                 duration_secs,
                 jobs,
-                sm_workers,
                 cycle_budget,
                 max_divergences,
                 stats,

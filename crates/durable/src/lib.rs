@@ -5,7 +5,7 @@
 //! matrix, fleet coordination, the mass fuzzer — used to keep all
 //! campaign progress in memory, so a SIGKILL at hour three lost
 //! everything. This crate provides the two durable primitives they
-//! journal through (see DESIGN.md §11):
+//! journal through (see DESIGN.md §10):
 //!
 //! - [`Journal`]: an append-only record log. Each record is
 //!   length-prefixed and carries an FNV-1a checksum over its length and
@@ -42,20 +42,55 @@ pub mod store;
 pub use journal::{Journal, Replay};
 pub use store::ResultStore;
 
-/// FNV-1a offset basis (the same constants the runner's job
-/// fingerprinter uses, so the on-disk formats share one hash family).
+/// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Streaming 64-bit FNV-1a: tiny, dependency-free, and stable across runs
+/// and builds (unlike `DefaultHasher`, whose algorithm is explicitly
+/// unspecified). The workspace's one hash: job fingerprints, fleet ring
+/// placement and the on-disk record checksums all use it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV-1a offset basis.
+    pub fn new() -> Self {
+        Fnv1a(FNV_OFFSET)
+    }
+
+    /// Fold `bytes` in, one FNV-1a step per byte.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Fold `bytes` in, then their length as one more step, so that
+    /// consecutive fields cannot alias (`"ab"` + `"c"` vs `"a"` + `"bc"`).
+    pub fn write_field(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+        self.0 = (self.0 ^ bytes.len() as u64).wrapping_mul(FNV_PRIME);
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// FNV-1a over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Process-wide count of write-side degradations (journal or store
@@ -89,6 +124,23 @@ mod tests {
         // Well-known FNV-1a 64-bit test vectors.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn streaming_writes_concatenate_and_fields_do_not_alias() {
+        let mut h = Fnv1a::new();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
+
+        let field_hash = |fields: &[&[u8]]| {
+            let mut h = Fnv1a::new();
+            for f in fields {
+                h.write_field(f);
+            }
+            h.finish()
+        };
+        assert_ne!(field_hash(&[b"ab", b"c"]), field_hash(&[b"a", b"bc"]));
     }
 }

@@ -21,7 +21,7 @@
 
 use std::io::{self, Read};
 
-use crate::{fnv1a, FNV_PRIME};
+use crate::Fnv1a;
 
 /// 8-byte file header: magic + format version.
 pub(crate) const FILE_HEADER: &[u8; 8] = b"RMXJRNL1";
@@ -36,9 +36,10 @@ pub(crate) const MAX_PAYLOAD: u32 = 1 << 24;
 const CHUNK: usize = 64 * 1024;
 
 fn checksum(len: [u8; 4], payload: &[u8]) -> u64 {
-    payload.iter().fold(fnv1a(&len), |sum, &b| {
-        (sum ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
+    let mut h = Fnv1a::new();
+    h.write(&len);
+    h.write(payload);
+    h.finish()
 }
 
 /// Frame `payload` as one record.

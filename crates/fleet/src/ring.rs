@@ -13,16 +13,7 @@
 //!   goes to the k-th distinct successor, so the retry path is a pure
 //!   function of the fingerprint and fleet size.
 
-/// FNV-1a over a byte slice — the same constants `JobSpec::fingerprint`
-/// uses, so ring placement and cache keys live in one hash family.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use regmutex_durable::fnv1a;
 
 /// A consistent-hash ring over worker indices `0..n`.
 #[derive(Debug, Clone)]
@@ -80,14 +71,6 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn route_returns_every_worker_exactly_once() {

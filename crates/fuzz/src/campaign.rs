@@ -3,7 +3,7 @@
 //!
 //! Kernel `i` of a campaign is derived purely from `mix(seed, i)`, and
 //! results are evaluated in index order, so a campaign's rendered report
-//! is byte-identical at any `--jobs` / `--sm-workers` count and across
+//! is byte-identical at any `--jobs` count and across
 //! execution substrates — sharding a seed range over fleet workers and
 //! concatenating the shard reports reproduces the local run exactly.
 //! (Wall-clock numbers live only in the JSON stats artifact, never in the
@@ -39,7 +39,7 @@ pub struct CampaignConfig {
     /// duration-capped campaign trades the byte-for-byte reproducibility
     /// of a pure iteration budget for boundedness.
     pub duration: Option<Duration>,
-    /// Oracle settings (cycle budget, `sm_workers`, escalation).
+    /// Oracle settings (cycle budget, escalation).
     pub oracle: OracleConfig,
     /// Planted manager fault (oracle self-test mode); forces session-based
     /// execution so the fault never pollutes the shared result cache.
@@ -709,19 +709,14 @@ mod tests {
             // public journal by appending through a scratch FuzzJournal
             // would re-write the meta, so splice raw bytes instead.
             let payload = b"ok index=5 runs=999 esc=9";
+            let len = (payload.len() as u32).to_le_bytes();
+            let mut h = regmutex_durable::Fnv1a::new();
+            h.write(&len);
+            h.write(payload);
             let mut rec = Vec::new();
             rec.extend_from_slice(b"RMXR");
-            rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for b in (payload.len() as u32)
-                .to_le_bytes()
-                .iter()
-                .chain(payload.iter())
-            {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            rec.extend_from_slice(&h.to_le_bytes());
+            rec.extend_from_slice(&len);
+            rec.extend_from_slice(&h.finish().to_le_bytes());
             rec.extend_from_slice(payload);
             f.write_all(&rec).unwrap();
         }

@@ -33,7 +33,7 @@ use crate::oracle::{Divergence, DivergenceKind};
 /// Everything that shapes the deterministic rendered report is pinned:
 /// seed, index range, oracle budgets, planted fault, and minimizer
 /// settings. Throughput knobs that the determinism contract already
-/// proves irrelevant — `--jobs`, `--sm-workers`, batch size, duration
+/// proves irrelevant — `--jobs`, batch size, duration
 /// budget — are deliberately excluded, so a campaign may resume at a
 /// different parallelism than it started with.
 fn meta_line(cfg: &CampaignConfig) -> String {

@@ -9,7 +9,7 @@
 //! 2. **Occupancy floor** — RegMutex and RegMutexPaired never report a
 //!    *theoretical* occupancy below baseline (the whole point of sharing;
 //!    RFV/OWF are related-work baselines whose storage overhead may
-//!    legitimately cost a warp and are exempt — see DESIGN.md §10).
+//!    legitimately cost a warp and are exempt — see DESIGN.md §9).
 //! 3. **Verdict symmetry** — a technique may not deadlock or trip the
 //!    safety net when the baseline completes. Two asymmetries are
 //!    *blessed*: (a) a watchdog expiry that disappears under an escalated
@@ -33,8 +33,6 @@ pub struct OracleConfig {
     /// Cycle budget per run (watchdog override); generated kernels are
     /// sized to finish far below it.
     pub cycle_budget: u64,
-    /// Device-loop worker threads per simulation (0 = resolve env).
-    pub sm_workers: u32,
     /// Budget multiplier for re-running a watchdog-expired technique
     /// before calling the asymmetry a divergence.
     pub escalate_factor: u64,
@@ -44,7 +42,6 @@ impl Default for OracleConfig {
     fn default() -> Self {
         OracleConfig {
             cycle_budget: 400_000,
-            sm_workers: 0,
             escalate_factor: 8,
         }
     }
@@ -120,21 +117,19 @@ impl DivergenceKind {
 }
 
 /// The GPU config a generated kernel runs under.
-pub fn config_for(g: &Generated, oc: &OracleConfig) -> GpuConfig {
-    let mut cfg = if g.half_rf {
+pub fn config_for(g: &Generated) -> GpuConfig {
+    if g.half_rf {
         GpuConfig::gtx480_half_rf()
     } else {
         GpuConfig::gtx480()
-    };
-    cfg.sm_workers = oc.sm_workers;
-    cfg
+    }
 }
 
 /// The five [`JobSpec`]s (baseline first, [`ALL_TECHNIQUES`] order) one
 /// kernel fans out to. Labels carry the kernel name so cache fingerprints
 /// and error rows stay self-describing.
 pub fn specs_for(g: &Generated, oc: &OracleConfig) -> Vec<JobSpec> {
-    let cfg = config_for(g, oc);
+    let cfg = config_for(g);
     let launch = LaunchConfig::new(g.grid_ctas);
     ALL_TECHNIQUES
         .iter()
@@ -165,7 +160,7 @@ fn run_techniques(
     oc: &OracleConfig,
     techniques: &[Technique],
 ) -> Outcome {
-    let cfg = config_for(g, oc);
+    let cfg = config_for(g);
     let launch = LaunchConfig::new(g.grid_ctas);
     let specs: Vec<JobSpec> = techniques
         .iter()
@@ -265,7 +260,7 @@ fn evaluate_over(
                     DivergenceKind::Verdict,
                     format!(
                         "baseline completed but {t} failed ({}): {e}",
-                        fallback_note(g, oc)
+                        fallback_note(g)
                     ),
                 )
             }
@@ -311,7 +306,7 @@ fn evaluate_over(
                 format!(
                     "untransformed ({}) yet stats differ from baseline: \
                      {} vs {} cycles",
-                    fallback_note(g, oc),
+                    fallback_note(g),
                     rep.stats.cycles,
                     base.stats.cycles
                 ),
@@ -346,7 +341,7 @@ fn run_faulted_over(
     fault: &PlantedFault,
     techniques: &[Technique],
 ) -> Outcome {
-    let mut cfg = config_for(g, oc);
+    let mut cfg = config_for(g);
     cfg.watchdog_cycles = cfg.watchdog_cycles.min(oc.cycle_budget);
     let launch = LaunchConfig::new(g.grid_ctas);
     let session = Session::new(cfg.clone());
@@ -413,8 +408,8 @@ fn is_watchdog(e: &RunError) -> bool {
 /// The static verifier's "expected rejection" classification for this
 /// kernel, rendered for divergence details ("applied es=6" /
 /// "fallback: verifier rejected every candidate").
-fn fallback_note(g: &Generated, oc: &OracleConfig) -> String {
-    let cfg = config_for(g, oc);
+fn fallback_note(g: &Generated) -> String {
+    let cfg = config_for(g);
     match compile(&g.kernel, &cfg, &CompileOptions::default()) {
         Ok(c) => match c.fallback() {
             None => match c.plan {

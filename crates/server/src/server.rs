@@ -66,11 +66,6 @@ pub struct ServerConfig {
     pub limits: Limits,
     /// Maximum concurrent connections (beyond it: 503).
     pub max_connections: usize,
-    /// Device-loop worker threads per job (`GpuConfig::sm_workers`): 0 lets
-    /// each job resolve `REGMUTEX_SM_WORKERS` (default serial). Enters the
-    /// job fingerprint, so runs at different shard counts cache separately —
-    /// their reports are bit-identical regardless.
-    pub sm_workers: u32,
     /// Per-client token-bucket refill rate (job requests per second per
     /// client IP). `0.0` disables the fairness policy.
     pub client_rate: f64,
@@ -97,7 +92,6 @@ impl Default for ServerConfig {
             cycle_budget: None,
             limits: Limits::default(),
             max_connections: 64,
-            sm_workers: 0,
             client_rate: 0.0,
             client_burst: 8.0,
             drain_on_signal: false,
@@ -495,20 +489,23 @@ fn parse_body(request: &Request) -> Result<Json, Response> {
         .map_err(|e| Response::json(400, wire::error_json(&format!("invalid JSON: {e}"))))
 }
 
-/// Build the [`JobSpec`] a [`RunRequest`] runs as, under a server's
-/// `sm_workers` setting and cycle cap. Public so a coordinator can compute
-/// the *same* content fingerprint the worker will key its cache with —
-/// consistent-hash routing by that fingerprint shards the workers' LRU
-/// caches cleanly. With the defaults (`sm_workers = 0`, no server cap) the
-/// spec is identical to the one the local harness builds for the same job.
-pub fn spec_for_request(req: &RunRequest, sm_workers: u32, server_budget: Option<u64>) -> JobSpec {
+/// Build the [`JobSpec`] a [`RunRequest`] runs as, under a server's cycle
+/// cap. Public so a coordinator can compute the *same* content fingerprint
+/// the worker will key its cache with — consistent-hash routing by that
+/// fingerprint shards the workers' LRU caches cleanly. Without a server cap
+/// the spec is identical to the one the local harness builds for the same
+/// job.
+///
+/// The second argument is ignored. It is kept only so the benchmark
+/// package's existing `spec_for_request(&run, 0, None)` call still
+/// compiles; pass `0`.
+pub fn spec_for_request(req: &RunRequest, _: u32, server_budget: Option<u64>) -> JobSpec {
     let w = suite::by_name(&req.app).expect("validated by parse_run_request");
-    let mut cfg = if req.half_rf {
+    let cfg = if req.half_rf {
         GpuConfig::gtx480_half_rf()
     } else {
         GpuConfig::gtx480()
     };
-    cfg.sm_workers = sm_workers;
     let launch = LaunchConfig::new(req.ctas.unwrap_or(w.grid_ctas));
     let mut spec = JobSpec::new(
         format!("{}/{}", w.name, req.technique),
@@ -533,7 +530,7 @@ pub fn spec_for_request(req: &RunRequest, sm_workers: u32, server_budget: Option
 
 /// Build the job spec for one run request under this server's config.
 fn build_spec(req: &RunRequest, state: &ServerState) -> JobSpec {
-    spec_for_request(req, state.cfg.sm_workers, state.cfg.cycle_budget)
+    spec_for_request(req, 0, state.cfg.cycle_budget)
 }
 
 /// The 503 every job route answers while draining.
@@ -851,7 +848,7 @@ fn sweep_step(
         let mut req = t.base_req.clone();
         req.technique = Technique::RegMutex;
         req.force_es = Some(es);
-        let spec = spec_for_request(&req, state.cfg.sm_workers, state.cfg.cycle_budget);
+        let spec = spec_for_request(&req, 0, state.cfg.cycle_budget);
         let job = QueuedJob {
             spec,
             sink: Sink::Sweep {
@@ -963,10 +960,7 @@ fn fuzz_endpoint(
             }
         },
     };
-    let mut oracle = regmutex_fuzz::OracleConfig {
-        sm_workers: state.cfg.sm_workers,
-        ..regmutex_fuzz::OracleConfig::default()
-    };
+    let mut oracle = regmutex_fuzz::OracleConfig::default();
     if let Some(b) = body.get("cycle_budget").and_then(parse_u64_field) {
         oracle.cycle_budget = b;
     }

@@ -95,15 +95,6 @@ pub struct GpuConfig {
     /// tick loop's — but the legacy loop is kept behind this switch
     /// (`--no-cycle-skip` on the CLI) for differential testing.
     pub cycle_skipping: bool,
-    /// Worker threads the device loop shards its simulated SMs across.
-    /// `0` (the default everywhere) means *auto*: resolve
-    /// `REGMUTEX_SM_WORKERS` from the environment, falling back to `1`.
-    /// `1` is the serial loop; `N > 1` partitions the SMs over `N` scoped
-    /// threads stepping in lockstep epochs (see
-    /// [`resolved_sm_workers`](GpuConfig::resolved_sm_workers)). Results
-    /// are bit-identical at every worker count — this knob trades wall
-    /// clock only, exactly like `--jobs` for the sweep runner.
-    pub sm_workers: u32,
 }
 
 impl GpuConfig {
@@ -136,7 +127,6 @@ impl GpuConfig {
             stall_multiplier: 64,
             reg_banks: 0,
             cycle_skipping: true,
-            sm_workers: 0,
         }
     }
 
@@ -192,24 +182,7 @@ impl GpuConfig {
             stall_multiplier: 64,
             reg_banks: 0,
             cycle_skipping: true,
-            sm_workers: 0,
         }
-    }
-
-    /// Device-loop worker threads to actually use, resolved with the same
-    /// precedence as the sweep runner's `jobs_from_env`: an explicit
-    /// `sm_workers > 0` (the `--sm-workers` flag) wins, else a positive
-    /// `REGMUTEX_SM_WORKERS` environment variable, else `1` (serial).
-    /// Unparsable or zero env values fall through to the serial default.
-    pub fn resolved_sm_workers(&self) -> u32 {
-        if self.sm_workers > 0 {
-            return self.sm_workers;
-        }
-        std::env::var("REGMUTEX_SM_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
     }
 
     /// No-progress bound for the deadlock detector: the longest structural
@@ -357,18 +330,6 @@ mod tests {
         assert_eq!(l.simulated_ctas(&c), 3);
         c.simulated_sms = 100;
         assert_eq!(l.simulated_ctas(&c), 31);
-    }
-
-    #[test]
-    fn explicit_sm_workers_wins_over_auto() {
-        // Explicit values pass straight through; only 0 consults the
-        // environment (exercised end to end by the CI matrix, not here —
-        // env mutation is racy under the parallel test harness).
-        let mut c = GpuConfig::gtx480();
-        c.sm_workers = 7;
-        assert_eq!(c.resolved_sm_workers(), 7);
-        c.sm_workers = 1;
-        assert_eq!(c.resolved_sm_workers(), 1);
     }
 
     #[test]

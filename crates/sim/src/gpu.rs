@@ -187,243 +187,9 @@ pub fn run_kernel_faulted(
     run_inner(cfg, kernel, launch, factory, false, Some((plan, &log))).map(|(stats, _)| stats)
 }
 
-/// Everything one shard of SMs reports after stepping a cycle: the inputs
-/// the device-level controller needs, already reduced over the shard.
-/// Shard outcomes combine associatively ([`ShardOutcome::fold`]), so the
-/// serial loop (one shard holding every SM) and the parallel loop (one
-/// shard per worker, folded in worker order) feed [`DeviceClock::decide`]
-/// bit-identical values.
-#[derive(Debug)]
-pub(crate) struct ShardOutcome {
-    /// Every SM in the shard is idle (retired all its CTAs).
-    pub(crate) all_idle: bool,
-    /// Every SM is idle or just executed a provably repeatable no-issue
-    /// step ([`Sm::can_skip`]).
-    pub(crate) all_skippable: bool,
-    /// Max `last_progress` over the shard.
-    pub(crate) last_progress: u64,
-    /// Min [`Sm::next_event_cycle`] over the shard's non-idle SMs; only
-    /// computed when the shard is all-skippable (it is unused otherwise),
-    /// `u64::MAX` when absent.
-    pub(crate) min_wake: u64,
-    /// Lowest-id faulting SM, if any step tripped the safety net.
-    pub(crate) fault: Option<(u32, IssueFault)>,
-    /// `(last_progress, sm_id)` of the non-idle SM with the oldest
-    /// progress — the deadlock snapshot candidate.
-    pub(crate) oldest: Option<(u64, u32)>,
-}
-
-/// Apply the fault plan's memory-latency spike for `now` and step every SM
-/// in `shard` (global ids `base..`), reducing the controller inputs. Wake
-/// hints are only gathered when `want_wake` (the run is skipping) — the
-/// tick loop never reads them.
-///
-/// All SMs step the cycle even after one faults: a worker cannot retract
-/// steps other shards already took in the same epoch, so the serial loop
-/// matches by also finishing the cycle and reporting the lowest-id fault.
-pub(crate) fn step_shard(
-    shard: &mut [Sm],
-    base: u32,
-    now: u64,
-    mem_extra: Option<u64>,
-    want_wake: bool,
-) -> ShardOutcome {
-    if let Some(extra) = mem_extra {
-        for sm in shard.iter_mut() {
-            sm.set_mem_extra_latency(extra);
-        }
-    }
-    let mut out = ShardOutcome {
-        all_idle: true,
-        all_skippable: true,
-        last_progress: 0,
-        min_wake: u64::MAX,
-        fault: None,
-        oldest: None,
-    };
-    for (i, sm) in shard.iter_mut().enumerate() {
-        let sm_id = base + i as u32;
-        if let Err(fault) = sm.step(now) {
-            if out.fault.is_none() {
-                out.fault = Some((sm_id, fault));
-            }
-        }
-        let idle = sm.idle();
-        out.all_idle &= idle;
-        out.all_skippable &= idle || sm.can_skip();
-        out.last_progress = out.last_progress.max(sm.last_progress);
-        if !idle && out.oldest.is_none_or(|o| (sm.last_progress, sm_id) < o) {
-            out.oldest = Some((sm.last_progress, sm_id));
-        }
-    }
-    if want_wake && out.all_skippable && !out.all_idle {
-        out.min_wake = shard
-            .iter()
-            .filter(|s| !s.idle())
-            .map(|s| s.next_event_cycle())
-            .min()
-            .unwrap_or(u64::MAX);
-    }
-    out
-}
-
-impl ShardOutcome {
-    /// Combine with the outcome of the next-higher shard. `fault` keeps the
-    /// lowest SM id (shards are laid out in ascending id order, so `self`'s
-    /// fault wins), every other field is a plain max/min/and reduction.
-    pub(crate) fn fold(mut self, next: ShardOutcome) -> ShardOutcome {
-        self.all_idle &= next.all_idle;
-        self.all_skippable &= next.all_skippable;
-        self.last_progress = self.last_progress.max(next.last_progress);
-        self.min_wake = self.min_wake.min(next.min_wake);
-        if self.fault.is_none() {
-            self.fault = next.fault;
-        }
-        self.oldest = match (self.oldest, next.oldest) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self
-    }
-}
-
-/// What the device controller decided after seeing a cycle's reduced
-/// [`ShardOutcome`].
-#[derive(Debug)]
-pub(crate) enum Decision {
-    /// All CTAs retired: stop and merge stats.
-    Done,
-    /// A safety-net fault fired at `cycle`; the caller still owns the
-    /// [`ShardOutcome`] and extracts the lowest-id fault from it.
-    Fault { cycle: u64 },
-    /// The no-progress detector fired; diagnostics must be snapshotted from
-    /// `sm_id` (the oldest-progress non-idle SM).
-    Deadlock {
-        cycle: u64,
-        last_progress: u64,
-        sm_id: u32,
-    },
-    /// The absolute cycle bound was (or provably will be) exceeded.
-    Watchdog,
-    /// Keep going: step cycle `next_now` next; if `skip_gap > 0`, fold that
-    /// many repeated no-issue cycles into every non-idle SM first.
-    Continue { next_now: u64, skip_gap: u64 },
-}
-
-/// The device-global control law shared verbatim by the serial and
-/// parallel loops: deadlock/watchdog detection and the event-driven
-/// fast-forward (the global min-wake reduction). One instance advances one
-/// run; both loops feed it identical reduced inputs, so every verdict —
-/// and its exact cycle — is worker-count-invariant by construction.
-pub(crate) struct DeviceClock<'p> {
-    now: u64,
-    stall_limit: u64,
-    watchdog: u64,
-    skipping: bool,
-    plan: Option<&'p FaultPlan>,
-}
-
-impl<'p> DeviceClock<'p> {
-    pub(crate) fn new(cfg: &GpuConfig, skipping: bool, plan: Option<&'p FaultPlan>) -> Self {
-        DeviceClock {
-            now: 0,
-            stall_limit: cfg.stall_limit(),
-            watchdog: cfg.watchdog_cycles,
-            skipping,
-            plan,
-        }
-    }
-
-    /// The cycle the next [`decide`](Self::decide) expects to have been
-    /// stepped (equals the last `Continue`'s `next_now`).
-    pub(crate) fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Whether this run fast-forwards (and therefore wants wake hints).
-    pub(crate) fn skipping(&self) -> bool {
-        self.skipping
-    }
-
-    /// Judge the cycle at `self.now` and advance the clock.
-    pub(crate) fn decide(&mut self, r: &ShardOutcome) -> Decision {
-        if r.fault.is_some() {
-            return Decision::Fault { cycle: self.now };
-        }
-        if r.all_idle {
-            return Decision::Done;
-        }
-        let oldest_sm = r.oldest.map(|(_, id)| id).unwrap_or_default();
-        if self.now > r.last_progress + self.stall_limit {
-            return Decision::Deadlock {
-                cycle: self.now,
-                last_progress: r.last_progress,
-                sm_id: oldest_sm,
-            };
-        }
-        self.now += 1;
-        if self.now >= self.watchdog {
-            return Decision::Watchdog;
-        }
-
-        // Event-driven fast-forward: when every busy SM just executed a
-        // provably repeatable no-issue step ([`Sm::can_skip`]), cycles
-        // `now .. target-1` would replay it byte-for-byte. Fold their stat
-        // deltas in multiplicatively and jump straight to the earliest cycle
-        // at which anything can change.
-        let mut skip_gap = 0;
-        if self.skipping && r.all_skippable {
-            let mut target = r.min_wake;
-            if let Some(plan) = self.plan {
-                // Land exactly on memory-latency-spike edges so the
-                // first-spike log note and `set_mem_extra_latency` happen on
-                // the same cycles as in the tick-by-tick loop.
-                if let Some(edge) = plan.next_mem_change_after(self.now - 1) {
-                    target = target.min(edge);
-                }
-            }
-            // First cycle at which the no-progress detector would fire. If
-            // that comes before any wake event (and before the watchdog),
-            // every intervening step is a replica of the current fully
-            // stalled one, so the verdict is already decided — report it
-            // without grinding through the replicas. Stats are discarded on
-            // error, so the gap needs no accounting. At `deadline ==
-            // target` the landing step must run first: it may issue and
-            // push `last_progress` forward.
-            let deadline = r.last_progress + self.stall_limit + 1;
-            if deadline < target && deadline < self.watchdog {
-                return Decision::Deadlock {
-                    cycle: deadline,
-                    last_progress: r.last_progress,
-                    sm_id: oldest_sm,
-                };
-            }
-            if self.watchdog <= target {
-                // The tick loop would replay stalled steps up to the bound
-                // and never reach a wake event.
-                return Decision::Watchdog;
-            }
-            if target > self.now {
-                skip_gap = target - self.now;
-                self.now = target;
-            }
-        }
-        Decision::Continue {
-            next_now: self.now,
-            skip_gap,
-        }
-    }
-
-    pub(crate) fn watchdog_error(&self) -> SimError {
-        SimError::WatchdogExpired {
-            limit: self.watchdog,
-        }
-    }
-}
-
-/// Map a shard-reported [`IssueFault`] to the public error, stamped with
-/// the cycle it fired on.
-pub(crate) fn fault_error(fault: IssueFault, cycle: u64) -> SimError {
+/// Map an SM's [`IssueFault`] to the public error, stamped with the cycle
+/// it fired on.
+fn fault_error(fault: IssueFault, cycle: u64) -> SimError {
     match fault {
         IssueFault::Ledger {
             manager,
@@ -452,22 +218,21 @@ pub(crate) fn fault_error(fault: IssueFault, cycle: u64) -> SimError {
     }
 }
 
-/// Snapshot deadlock diagnostics from the decided SM and build the error.
-pub(crate) fn deadlock_error(
-    sms: &[Sm],
-    base: u32,
-    cycle: u64,
-    last_progress: u64,
-    sm_id: u32,
-) -> SimError {
-    let (blocked_at_acquire, srp_holders) = sms
-        .get((sm_id - base) as usize)
-        .map(|s| s.stall_snapshot())
-        .unwrap_or_default();
+/// The deadlock verdict, with diagnostics snapshotted from the non-idle SM
+/// with the oldest progress (ties to the lowest id). `sms` must be in the
+/// state the detector judged, with no step since.
+fn deadlock_error(sms: &[Sm], cycle: u64, last_progress: u64) -> SimError {
+    let (sm_id, sm) = sms
+        .iter()
+        .enumerate()
+        .filter(|(_, sm)| !sm.idle())
+        .min_by_key(|&(id, sm)| (sm.last_progress, id))
+        .expect("the no-progress detector only fires while an SM is busy");
+    let (blocked_at_acquire, srp_holders) = sm.stall_snapshot();
     SimError::Deadlock {
         cycle,
         last_progress,
-        sm_id,
+        sm_id: sm_id as u32,
         blocked_at_acquire,
         srp_holders,
     }
@@ -506,18 +271,9 @@ fn run_inner(
     }
 
     // Tracing wants an event-per-cycle view (per-cycle acquire-stall
-    // events), so the fast-forward path is disabled for traced runs; the
-    // parallel loop is too (tracing is a single-SM debugging aid, and the
-    // serial path keeps its event stream trivially ordered).
+    // events), so the fast-forward path is disabled for traced runs.
     let skipping = cfg.cycle_skipping && !traced;
-    let workers = (cfg.resolved_sm_workers() as usize).clamp(1, sms.len());
-    let clock = DeviceClock::new(cfg, skipping, faults.map(|(plan, _)| plan));
-
-    if workers > 1 && !traced {
-        crate::parallel::run_parallel(&mut sms, workers, clock, faults)?;
-    } else {
-        run_serial(&mut sms, clock, faults)?;
-    }
+    run_serial(&mut sms, cfg, skipping, faults)?;
 
     let mut total = SimStats::default();
     for sm in &sms {
@@ -531,45 +287,102 @@ fn run_inner(
     Ok((total, trace))
 }
 
-/// The single-threaded device loop: one shard holding every SM, stepped in
-/// the same epoch structure the parallel loop distributes.
+/// The device loop: step every SM at `now`, then judge the cycle (fault,
+/// done, deadlock, watchdog) and pick the next one.
+///
+/// Every SM steps a cycle to the end even when one of them faults, and the
+/// fault from the lowest SM id is the one reported.
 fn run_serial(
     sms: &mut [Sm],
-    mut clock: DeviceClock<'_>,
+    cfg: &GpuConfig,
+    skipping: bool,
     faults: Option<(&FaultPlan, &Arc<FaultLog>)>,
 ) -> Result<(), SimError> {
+    let stall_limit = cfg.stall_limit();
+    let watchdog = cfg.watchdog_cycles;
+    let mut now = 0u64;
     let mut mem_spike_noted = false;
     loop {
-        let now = clock.now();
-        let mem_extra = faults.map(|(plan, log)| {
+        if let Some((plan, log)) = faults {
             let extra = plan.mem_extra_at(now);
             if extra > 0 && !mem_spike_noted {
                 log.note(now);
                 mem_spike_noted = true;
             }
-            extra
-        });
-        let mut out = step_shard(sms, 0, now, mem_extra, clock.skipping());
-        match clock.decide(&out) {
-            Decision::Done => return Ok(()),
-            Decision::Fault { cycle } => {
-                let (_, fault) = out.fault.take().expect("decide saw a fault");
-                return Err(fault_error(fault, cycle));
+            for sm in sms.iter_mut() {
+                sm.set_mem_extra_latency(extra);
             }
-            Decision::Deadlock {
-                cycle,
-                last_progress,
-                sm_id,
-            } => return Err(deadlock_error(sms, 0, cycle, last_progress, sm_id)),
-            Decision::Watchdog => return Err(clock.watchdog_error()),
-            Decision::Continue { skip_gap, .. } => {
-                if skip_gap > 0 {
-                    for sm in sms.iter_mut() {
-                        if !sm.idle() {
-                            sm.skip_ahead(skip_gap);
-                        }
-                    }
+        }
+        let mut fault = None;
+        let mut all_idle = true;
+        let mut all_skippable = true;
+        let mut last_progress = 0;
+        for sm in sms.iter_mut() {
+            if let Err(f) = sm.step(now) {
+                fault.get_or_insert(f);
+            }
+            let idle = sm.idle();
+            all_idle &= idle;
+            all_skippable &= idle || sm.can_skip();
+            last_progress = last_progress.max(sm.last_progress);
+        }
+        if let Some(fault) = fault {
+            return Err(fault_error(fault, now));
+        }
+        if all_idle {
+            return Ok(());
+        }
+        if now > last_progress + stall_limit {
+            return Err(deadlock_error(sms, now, last_progress));
+        }
+        now += 1;
+        if now >= watchdog {
+            return Err(SimError::WatchdogExpired { limit: watchdog });
+        }
+
+        // Event-driven fast-forward: when every busy SM just executed a
+        // provably repeatable no-issue step ([`Sm::can_skip`]), cycles
+        // `now .. target-1` would replay it byte-for-byte. Fold their stat
+        // deltas in multiplicatively and jump straight to the earliest cycle
+        // at which anything can change.
+        if skipping && all_skippable {
+            let mut target = sms
+                .iter()
+                .filter(|sm| !sm.idle())
+                .map(Sm::next_event_cycle)
+                .min()
+                .unwrap_or(u64::MAX);
+            if let Some((plan, _)) = faults {
+                // Land exactly on memory-latency-spike edges so the
+                // first-spike log note and `set_mem_extra_latency` happen on
+                // the same cycles as in the tick-by-tick loop.
+                if let Some(edge) = plan.next_mem_change_after(now - 1) {
+                    target = target.min(edge);
                 }
+            }
+            // First cycle at which the no-progress detector would fire. If
+            // that comes before any wake event (and before the watchdog),
+            // every intervening step is a replica of the current fully
+            // stalled one, so the verdict is already decided — report it
+            // without grinding through the replicas. Stats are discarded on
+            // error, so the gap needs no accounting. At `deadline ==
+            // target` the landing step must run first: it may issue and
+            // push `last_progress` forward.
+            let deadline = last_progress + stall_limit + 1;
+            if deadline < target && deadline < watchdog {
+                return Err(deadlock_error(sms, deadline, last_progress));
+            }
+            if watchdog <= target {
+                // The tick loop would replay stalled steps up to the bound
+                // and never reach a wake event.
+                return Err(SimError::WatchdogExpired { limit: watchdog });
+            }
+            if target > now {
+                let gap = target - now;
+                for sm in sms.iter_mut().filter(|sm| !sm.idle()) {
+                    sm.skip_ahead(gap);
+                }
+                now = target;
             }
         }
     }
@@ -578,8 +391,9 @@ fn run_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::StaticManager;
-    use regmutex_isa::{ArchReg, KernelBuilder, TripCount};
+    use crate::manager::{AcquireResult, Ledger, StaticManager};
+    use regmutex_isa::{ArchReg, KernelBuilder, PhysReg, TripCount};
+    use std::sync::Mutex;
 
     fn r(i: u16) -> ArchReg {
         ArchReg(i)
@@ -802,48 +616,67 @@ mod tests {
         assert!(matches!(res, Err(SimError::InvalidKernel(_))), "{res:?}");
     }
 
+    /// The baseline manager, broken two ways: only the first `grants`
+    /// acquires succeed (every later one stalls forever), and with a
+    /// `fault_log` every register translation fails, so the SM faults on
+    /// its first register access after recording `name` in the log.
+    struct Broken {
+        inner: StaticManager,
+        name: &'static str,
+        grants: u32,
+        fault_log: Option<Arc<Mutex<Vec<&'static str>>>>,
+    }
+
+    impl Broken {
+        fn new(cfg: &GpuConfig, k: &Kernel, name: &'static str, grants: u32) -> Self {
+            Broken {
+                inner: StaticManager::new(cfg, k.regs_per_thread),
+                name,
+                grants,
+                fault_log: None,
+            }
+        }
+    }
+
+    impl RegisterManager for Broken {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn try_admit_cta(&mut self, l: &mut Ledger, c: CtaId, s: &[WarpId]) -> bool {
+            self.inner.try_admit_cta(l, c, s)
+        }
+        fn retire_cta(&mut self, l: &mut Ledger, c: CtaId, s: &[WarpId]) {
+            self.inner.retire_cta(l, c, s)
+        }
+        fn try_acquire(&mut self, l: &mut Ledger, w: WarpId) -> AcquireResult {
+            if self.grants == 0 {
+                return AcquireResult::Stalled;
+            }
+            self.grants -= 1;
+            self.inner.try_acquire(l, w)
+        }
+        fn release(&mut self, l: &mut Ledger, w: WarpId) {
+            self.inner.release(l, w)
+        }
+        fn translate(&self, w: WarpId, r: ArchReg) -> Option<PhysReg> {
+            match &self.fault_log {
+                Some(log) => {
+                    log.lock().unwrap().push(self.name);
+                    None
+                }
+                None => self.inner.translate(w, r),
+            }
+        }
+        fn on_warp_exit(&mut self, l: &mut Ledger, w: WarpId) {
+            self.inner.on_warp_exit(l, w)
+        }
+    }
+
+    const SM_NAMES: [&str; 8] = ["sm0", "sm1", "sm2", "sm3", "sm4", "sm5", "sm6", "sm7"];
+
     #[test]
     fn watchdog_detects_unsatisfiable_acquire() {
         // A kernel that acquires under a manager that always stalls.
-        struct NeverAcquire(StaticManager);
-        impl RegisterManager for NeverAcquire {
-            fn name(&self) -> &'static str {
-                "never-acquire"
-            }
-            fn try_admit_cta(
-                &mut self,
-                l: &mut crate::manager::Ledger,
-                c: CtaId,
-                s: &[regmutex_isa::WarpId],
-            ) -> bool {
-                self.0.try_admit_cta(l, c, s)
-            }
-            fn retire_cta(
-                &mut self,
-                l: &mut crate::manager::Ledger,
-                c: CtaId,
-                s: &[regmutex_isa::WarpId],
-            ) {
-                self.0.retire_cta(l, c, s)
-            }
-            fn try_acquire(
-                &mut self,
-                _l: &mut crate::manager::Ledger,
-                _w: regmutex_isa::WarpId,
-            ) -> crate::manager::AcquireResult {
-                crate::manager::AcquireResult::Stalled
-            }
-            fn release(&mut self, _l: &mut crate::manager::Ledger, _w: regmutex_isa::WarpId) {}
-            fn translate(
-                &self,
-                w: regmutex_isa::WarpId,
-                r: ArchReg,
-            ) -> Option<regmutex_isa::PhysReg> {
-                self.0.translate(w, r)
-            }
-            fn on_warp_exit(&mut self, _l: &mut crate::manager::Ledger, _w: regmutex_isa::WarpId) {}
-        }
-
         let mut b = KernelBuilder::new("stuck");
         b.threads_per_cta(32);
         b.acq_es().exit();
@@ -851,9 +684,100 @@ mod tests {
         let mut cfg = GpuConfig::test_tiny();
         cfg.gmem_latency = 10; // shrink the stall bound for test speed
         let res = run_kernel(&cfg, &k, LaunchConfig::new(1), |_| {
-            Box::new(NeverAcquire(StaticManager::new(&cfg, k.regs_per_thread)))
+            Box::new(Broken::new(&cfg, &k, "never-acquire", 0))
         });
         assert!(matches!(res, Err(SimError::Deadlock { .. })));
+    }
+
+    #[test]
+    fn same_cycle_faults_report_the_lowest_sm() {
+        // One identical CTA per SM; the SMs in `broken` fault on their
+        // first register access, which every SM reaches on the same cycle.
+        let mut b = KernelBuilder::new("unmapped");
+        b.threads_per_cta(32);
+        b.movi(r(0), 1).iadd(r(1), r(0), r(0)).exit();
+        let k = b.build().unwrap();
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.num_sms = 8;
+        cfg.simulated_sms = 8;
+        let run = |broken: &[u32]| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let res = run_kernel(&cfg, &k, LaunchConfig::new(8), |sm| {
+                Box::new(Broken {
+                    fault_log: broken.contains(&sm).then(|| Arc::clone(&log)),
+                    ..Broken::new(&cfg, &k, SM_NAMES[sm as usize], u32::MAX)
+                })
+            });
+            let faulted = log.lock().unwrap().clone();
+            (res, faulted)
+        };
+
+        let (alone, _) = run(&[7]);
+        let Err(SimError::NoMapping {
+            manager: "sm7",
+            cycle,
+            ..
+        }) = alone
+        else {
+            panic!("expected SM 7's NoMapping, got {alone:?}");
+        };
+
+        // SMs 3 and 7 now fault on that same cycle: SM 7 still steps it,
+        // and the reported fault is SM 3's.
+        let (both, faulted) = run(&[3, 7]);
+        match both {
+            Err(SimError::NoMapping {
+                manager, cycle: c, ..
+            }) => {
+                assert_eq!(manager, "sm3");
+                assert_eq!(c, cycle, "SMs 3 and 7 fault on the same cycle");
+            }
+            other => panic!("expected SM 3's NoMapping, got {other:?}"),
+        }
+        assert!(
+            faulted.contains(&"sm7"),
+            "SM 7 must step the faulting cycle too: {faulted:?}"
+        );
+    }
+
+    #[test]
+    fn deadlock_names_the_oldest_progress_sm() {
+        // Every warp loops over acq.es, and each SM grants a different
+        // number of acquires before stalling forever. SMs 2 and 3 grant the
+        // fewest, so they stop issuing first and tie on the oldest
+        // progress: the snapshot comes from SM 2, the lower id, not SM 0.
+        let mut b = KernelBuilder::new("starved");
+        b.threads_per_cta(32);
+        b.movi(r(0), 1);
+        let top = b.here();
+        b.acq_es().iadd(r(1), r(0), r(0)).rel_es();
+        b.bra_loop(top, TripCount::Fixed(64));
+        b.exit();
+        let k = b.build().unwrap();
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.num_sms = 4;
+        cfg.simulated_sms = 4;
+        cfg.gmem_latency = 10; // shrink the stall bound for test speed
+        let grants = [40, 30, 10, 10];
+        let res = run_kernel(&cfg, &k, LaunchConfig::new(4), |sm| {
+            Box::new(Broken::new(
+                &cfg,
+                &k,
+                SM_NAMES[sm as usize],
+                grants[sm as usize],
+            ))
+        });
+        match res {
+            Err(SimError::Deadlock {
+                sm_id,
+                blocked_at_acquire,
+                ..
+            }) => {
+                assert_eq!(sm_id, 2);
+                assert_eq!(blocked_at_acquire, vec![0]);
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
     }
 
     #[test]

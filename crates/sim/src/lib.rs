@@ -36,7 +36,6 @@ mod gpu;
 pub mod manager;
 mod memory;
 pub mod occupancy;
-mod parallel;
 mod scheduler;
 mod simt;
 mod sm;

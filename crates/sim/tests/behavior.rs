@@ -355,32 +355,3 @@ fn sampled_sm_cta_accounting_is_explicit() {
     assert_eq!(whole.ctas, u64::from(launch.simulated_ctas(&cfg)));
     assert_eq!(whole.warps, 31);
 }
-
-/// The parallel device loop is invisible: a whole-device run sharded over
-/// worker threads produces field-identical stats to the serial loop, at
-/// every worker count (including one that leaves some workers a short
-/// shard).
-#[test]
-fn sm_worker_count_is_stat_invariant() {
-    let mut b = KernelBuilder::new("workers");
-    b.threads_per_cta(64);
-    b.movi(r(0), 2);
-    let top = b.here();
-    b.ld_global(r(1), r(0));
-    b.iadd(r(0), r(1), r(0));
-    b.st_global(r(0), r(1));
-    b.bra_loop(top, TripCount::PerWarp { base: 2, spread: 3 });
-    b.exit();
-    let k = b.build().unwrap();
-
-    let mut cfg = GpuConfig::test_tiny();
-    cfg.num_sms = 15;
-    cfg.simulated_sms = 15;
-    cfg.sm_workers = 1;
-    let serial = run(&k, &cfg, 31);
-    for workers in [2, 4, 7, 15] {
-        cfg.sm_workers = workers;
-        let parallel = run(&k, &cfg, 31);
-        assert_eq!(parallel, serial, "stats diverge at sm_workers={workers}");
-    }
-}

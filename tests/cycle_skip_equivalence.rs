@@ -7,7 +7,9 @@
 //! campaigns (including one that must end in a deadlock verdict) produce
 //! field-for-field identical [`SimStats`] with skipping on and off — the
 //! only permitted differences are the two meta-counters the engine itself
-//! maintains (`skipped_cycles`, `step_calls`).
+//! maintains (`skipped_cycles`, `step_calls`). Each check runs on the one
+//! sampled SM the experiments use and again on the whole device, where the
+//! skip target is a minimum over SMs in different states.
 
 use std::sync::Arc;
 
@@ -33,21 +35,14 @@ fn cfg_for(w: &Workload, skipping: bool) -> GpuConfig {
     cfg
 }
 
-/// The workload's home architecture as a whole-device simulation (every SM
-/// instantiated — with `launch_for`'s capped grids the CTA split across SMs
-/// is uneven, which is exactly what the parallel loop must not perturb)
-/// sharded over `workers` device-loop threads.
-fn cfg_whole_device(w: &Workload, workers: u32) -> GpuConfig {
-    let mut cfg = w.table_config();
+/// The workload's home architecture as a whole-device simulation: every SM
+/// instantiated, so with `launch_for`'s capped grids the CTA split across
+/// SMs is uneven and SMs idle, stall and wake at different cycles.
+fn cfg_whole_device(w: &Workload, skipping: bool) -> GpuConfig {
+    let mut cfg = cfg_for(w, skipping);
     cfg.simulated_sms = cfg.num_sms;
-    cfg.sm_workers = workers;
     cfg
 }
-
-/// Worker counts the determinism sweeps pin: serial, even splits, and one
-/// that leaves the last shard short (15 SMs / 7 workers → 3-SM shards with
-/// a 1-SM tail; 4 workers → 4-SM shards with a 3-SM tail).
-const WORKER_COUNTS: [u32; 4] = [1, 2, 4, 7];
 
 /// Debug builds tick every cycle in the reference run, so shrink the grids:
 /// a couple of waves per SM exercises admission, steady-state stalling, and
@@ -100,41 +95,39 @@ fn every_workload_technique_and_seed_is_skip_invariant() {
 }
 
 #[test]
-fn every_workload_and_technique_is_sm_worker_invariant() {
-    // Whole-device runs sharded across 1/2/4/7 device-loop workers must be
-    // *field*-identical — not merely `strip`-identical: the parallel loop
-    // reduces wake hints globally and merges stats in fixed SM-id order, so
-    // even the meta-counters (`skipped_cycles` max-merge, `step_calls`) may
-    // not move.
+fn whole_device_every_workload_and_technique_is_skip_invariant() {
     for w in suite::all() {
         for technique in [Technique::Baseline, Technique::RegMutex] {
-            let launch = launch_for(&w, &w.table_config());
-            let run = |workers: u32| {
-                Session::new(cfg_whole_device(&w, workers))
+            let run = |skipping: bool| {
+                let cfg = cfg_whole_device(&w, skipping);
+                let launch = launch_for(&w, &cfg);
+                Session::new(cfg)
                     .run(&w.kernel, launch, technique)
-                    .unwrap_or_else(|e| panic!("{} ({technique}, {workers} workers): {e}", w.name))
+                    .unwrap_or_else(|e| {
+                        panic!("{} ({technique}, skipping={skipping}): {e}", w.name)
+                    })
             };
-            let serial = run(1);
-            for workers in WORKER_COUNTS.into_iter().skip(1) {
-                let sharded = run(workers);
-                assert_eq!(
-                    sharded.stats, serial.stats,
-                    "{} ({technique}): stats diverge at sm_workers={workers}",
-                    w.name
-                );
-            }
+            let skip = run(true);
+            let tick = run(false);
+            assert_eq!(
+                strip(&skip.stats),
+                strip(&tick.stats),
+                "{} ({technique}): whole-device stats diverge",
+                w.name
+            );
+            assert_eq!(tick.stats.skipped_cycles, 0);
+            assert!(skip.stats.step_calls <= tick.stats.step_calls);
         }
     }
 }
 
-/// Run `w` under RegMutex with `plan` injected, returning the outcome and
-/// what the injectors recorded.
+/// Run `w` under RegMutex on `cfg` with `plan` injected, returning the
+/// outcome and what the injectors recorded.
 fn run_faulted(
     w: &Workload,
+    cfg: GpuConfig,
     plan: &FaultPlan,
-    skipping: bool,
 ) -> (Result<SimStats, RunError>, u64) {
-    let cfg = cfg_for(w, skipping);
     let launch = launch_for(w, &cfg);
     let log = Arc::new(FaultLog::new());
     let res = Session::new(cfg)
@@ -149,8 +142,11 @@ fn run_faulted(
     (res, log.injections())
 }
 
-#[test]
-fn fault_campaigns_are_skip_invariant() {
+/// Gaussian under a transient latency spike and under a delayed release,
+/// on the configuration `cfg(workload, skipping)` builds: stats and
+/// injection counts must not depend on skipping. Every SM carries its own
+/// injector, so on the whole device all of them fire.
+fn check_fault_campaigns(cfg: fn(&Workload, bool) -> GpuConfig) {
     let w = suite::by_name("Gaussian").expect("registered workload");
     let home = w.table_config();
 
@@ -163,8 +159,8 @@ fn fault_campaigns_are_skip_invariant() {
     let delayed = FaultPlan::generate(FaultClass::DelayedRelease, Severity::Light, 42, &home);
 
     for plan in [&spike, &delayed] {
-        let (skip_res, skip_inj) = run_faulted(&w, plan, true);
-        let (tick_res, tick_inj) = run_faulted(&w, plan, false);
+        let (skip_res, skip_inj) = run_faulted(&w, cfg(&w, true), plan);
+        let (tick_res, tick_inj) = run_faulted(&w, cfg(&w, false), plan);
         let skip_stats = skip_res.unwrap_or_else(|e| panic!("{}: {e}", plan.describe()));
         let tick_stats = tick_res.unwrap_or_else(|e| panic!("{}: {e}", plan.describe()));
         assert_eq!(
@@ -183,11 +179,20 @@ fn fault_campaigns_are_skip_invariant() {
 }
 
 #[test]
-fn deadlock_verdict_is_skip_invariant() {
-    // A spike deeper than the no-progress bound: the run cannot finish, and
-    // the skipping loop must pre-fire the deadlock detector with *exactly*
-    // the verdict the tick loop grinds its way to — same cycle, same
-    // diagnostics.
+fn fault_campaigns_are_skip_invariant() {
+    check_fault_campaigns(cfg_for);
+}
+
+#[test]
+fn whole_device_fault_campaigns_are_skip_invariant() {
+    check_fault_campaigns(cfg_whole_device);
+}
+
+/// A spike deeper than the no-progress bound: the run cannot finish, and
+/// the skipping loop must pre-fire the deadlock detector with *exactly* the
+/// verdict the tick loop grinds its way to — same cycle, same snapshot SM,
+/// same diagnostics.
+fn check_deadlock_verdict(cfg: fn(&Workload, bool) -> GpuConfig) {
     let w = suite::by_name("Gaussian").expect("registered workload");
     let plan = FaultPlan::generate(
         FaultClass::MemLatencySpike,
@@ -196,8 +201,8 @@ fn deadlock_verdict_is_skip_invariant() {
         &w.table_config(),
     );
 
-    let (skip_res, skip_inj) = run_faulted(&w, &plan, true);
-    let (tick_res, tick_inj) = run_faulted(&w, &plan, false);
+    let (skip_res, skip_inj) = run_faulted(&w, cfg(&w, true), &plan);
+    let (tick_res, tick_inj) = run_faulted(&w, cfg(&w, false), &plan);
 
     let skip_err = skip_res.expect_err("severe spike must deadlock (skipping)");
     let tick_err = tick_res.expect_err("severe spike must deadlock (tick)");
@@ -209,122 +214,38 @@ fn deadlock_verdict_is_skip_invariant() {
     assert_eq!(skip_inj, tick_inj, "injection counts diverge");
 }
 
-/// Whole-device faulted run at a given worker count.
-fn run_faulted_workers(
-    w: &Workload,
-    plan: &FaultPlan,
-    workers: u32,
-) -> (Result<SimStats, RunError>, u64) {
-    let cfg = cfg_whole_device(w, workers);
-    let launch = launch_for(w, &cfg);
-    let log = Arc::new(FaultLog::new());
-    let res = Session::new(cfg)
-        .run_faulted(
-            &w.kernel,
-            launch,
-            Technique::RegMutex,
-            plan,
-            Arc::clone(&log),
-        )
-        .map(|rep| rep.stats);
-    (res, log.injections())
+#[test]
+fn deadlock_verdict_is_skip_invariant() {
+    check_deadlock_verdict(cfg_for);
 }
 
 #[test]
-fn fault_campaigns_are_sm_worker_invariant() {
-    // Every SM carries its own injector, so a whole-device campaign fires
-    // on all 15 — stats *and* the shared fault log must agree with the
-    // serial loop at every worker count (the `mem_extra` spike edges land
-    // on globally agreed cycles).
-    let w = suite::by_name("Gaussian").expect("registered workload");
-    let home = w.table_config();
-    let spike = FaultPlan::generate(FaultClass::MemLatencySpike, Severity::Light, 42, &home);
-    let delayed = FaultPlan::generate(FaultClass::DelayedRelease, Severity::Light, 42, &home);
-
-    for plan in [&spike, &delayed] {
-        let (serial_res, serial_inj) = run_faulted_workers(&w, plan, 1);
-        let serial_stats = serial_res.unwrap_or_else(|e| panic!("{}: {e}", plan.describe()));
-        for workers in WORKER_COUNTS.into_iter().skip(1) {
-            let (res, inj) = run_faulted_workers(&w, plan, workers);
-            let stats =
-                res.unwrap_or_else(|e| panic!("{} ({workers} workers): {e}", plan.describe()));
-            assert_eq!(
-                stats,
-                serial_stats,
-                "{}: stats diverge at sm_workers={workers}",
-                plan.describe()
-            );
-            assert_eq!(
-                inj,
-                serial_inj,
-                "{}: injection counts diverge at sm_workers={workers}",
-                plan.describe()
-            );
-        }
-    }
+fn whole_device_deadlock_verdict_is_skip_invariant() {
+    check_deadlock_verdict(cfg_whole_device);
 }
 
 #[test]
-fn deadlock_verdict_is_sm_worker_invariant() {
-    // A whole-device deadlock: the parallel controller must fire the
-    // no-progress detector on exactly the serial loop's cycle, name the
-    // same oldest-progress SM, and carry the identical warp diagnostics —
-    // even when that SM lives on a non-controller shard.
-    let w = suite::by_name("Gaussian").expect("registered workload");
-    let plan = FaultPlan::generate(
-        FaultClass::MemLatencySpike,
-        Severity::Severe,
-        7,
-        &w.table_config(),
-    );
-
-    let (serial_res, serial_inj) = run_faulted_workers(&w, &plan, 1);
-    let serial_err = serial_res.expect_err("severe spike must deadlock (serial)");
-    assert!(
-        matches!(serial_err, RunError::Sim(SimError::Deadlock { .. })),
-        "unexpected verdict: {serial_err:?}"
-    );
-    for workers in WORKER_COUNTS.into_iter().skip(1) {
-        let (res, inj) = run_faulted_workers(&w, &plan, workers);
-        let err = res.expect_err("severe spike must deadlock (sharded)");
-        assert_eq!(
-            err, serial_err,
-            "deadlock diagnostics diverge at sm_workers={workers}"
-        );
-        assert_eq!(
-            inj, serial_inj,
-            "injection counts diverge at sm_workers={workers}"
-        );
-    }
-}
-
-#[test]
-fn watchdog_verdict_is_sm_worker_invariant() {
+fn whole_device_watchdog_verdict_is_skip_invariant() {
     // An absolute cycle bound low enough that the run cannot finish: the
-    // sharded loops must pre-fire `WatchdogExpired` with the same verdict
-    // as the serial loop at every worker count.
+    // skipping loop must pre-fire `WatchdogExpired` with the tick loop's
+    // verdict.
     let w = suite::by_name("Gaussian").expect("registered workload");
-    let launch = launch_for(&w, &w.table_config());
-    let run = |workers: u32| {
-        let mut cfg = cfg_whole_device(&w, workers);
+    let run = |skipping: bool| {
+        let mut cfg = cfg_whole_device(&w, skipping);
         cfg.watchdog_cycles = 2_000;
+        let launch = launch_for(&w, &cfg);
         Session::new(cfg)
             .run(&w.kernel, launch, Technique::RegMutex)
             .map(|rep| rep.stats)
     };
-    let serial_err = run(1).expect_err("bound too low to finish (serial)");
+    let skip_err = run(true).expect_err("bound too low to finish (skipping)");
     assert!(
         matches!(
-            serial_err,
+            skip_err,
             RunError::Sim(SimError::WatchdogExpired { limit: 2_000 })
         ),
-        "unexpected verdict: {serial_err:?}"
+        "unexpected verdict: {skip_err:?}"
     );
-    for workers in WORKER_COUNTS.into_iter().skip(1) {
-        let err = run(workers).expect_err("bound too low to finish (sharded)");
-        assert_eq!(
-            err, serial_err,
-            "watchdog verdict diverges at sm_workers={workers}"
-        );
-    }
+    let tick_err = run(false).expect_err("bound too low to finish (tick)");
+    assert_eq!(skip_err, tick_err, "watchdog verdict diverges");
 }
