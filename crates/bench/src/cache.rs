@@ -35,7 +35,9 @@ pub type CachedResult = Result<RunReport, RunError>;
 /// a serving process under adversarial job mixes.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 * 1024 * 1024;
 
-/// One resident entry plus its bookkeeping.
+/// One resident entry plus its bookkeeping. Boxed in the map: a slot is a
+/// few hundred bytes, and the hash table keeps spare capacity for
+/// entries stored inline.
 struct Slot {
     value: CachedResult,
     bytes: usize,
@@ -47,7 +49,7 @@ struct Slot {
 /// The LRU state behind the lock.
 #[derive(Default)]
 struct Lru {
-    map: HashMap<u64, Slot>,
+    map: HashMap<u64, Box<Slot>>,
     /// `(key, stamp)` in use order; lazily pruned.
     order: VecDeque<(u64, u64)>,
     clock: u64,
@@ -120,11 +122,11 @@ impl ResultCache {
         lru.bytes += bytes;
         lru.map.insert(
             key,
-            Slot {
+            Box::new(Slot {
                 value,
                 bytes,
                 stamp: 0,
-            },
+            }),
         );
         lru.touch(key);
 
@@ -224,15 +226,10 @@ pub trait DurableTier: Send + Sync {
 
 /// Deterministic size estimate for one cached result. Exact heap
 /// accounting is not worth the fragility; this tracks the dominant terms
-/// (fixed struct overhead, the kernel name, and the stall-attribution
-/// map).
+/// (fixed struct overhead and the kernel name).
 pub fn approx_result_bytes(value: &CachedResult) -> usize {
     match value {
-        Ok(report) => {
-            320 + report.kernel_name.len()
-                + report.stats.stall_cycles.len() * 24
-                + if report.plan.is_some() { 32 } else { 0 }
-        }
+        Ok(report) => 320 + report.kernel_name.len() + if report.plan.is_some() { 32 } else { 0 },
         Err(_) => 160,
     }
 }

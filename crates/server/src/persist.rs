@@ -102,7 +102,7 @@ mod tests {
             checksum: 0xfeed_f00d_dead_beef,
             ..Default::default()
         };
-        stats.stall_cycles.insert(StallReason::Acquire, 55);
+        stats.stall_cycles[StallReason::Acquire.index()] = 55;
         RunReport {
             technique: Technique::RegMutex,
             kernel_name: "persist-test".into(),

@@ -338,7 +338,10 @@ fn memo_probe(state: &ServerState, key: &[u8]) -> Option<Vec<u8>> {
     state.memo.lock().unwrap().get(key).cloned()
 }
 
-fn memo_store(state: &ServerState, key: Vec<u8>, value: Vec<u8>) {
+fn memo_store(state: &ServerState, key: Vec<u8>, mut value: Vec<u8>) {
+    // The response was encoded into a buffer that grew by doubling, and the
+    // memo keeps it for its lifetime. The key is a clone, so already exact.
+    value.shrink_to_fit();
     let mut memo = state.memo.lock().unwrap();
     if memo.len() >= MEMO_MAX_ENTRIES {
         memo.clear();

@@ -240,7 +240,7 @@ pub fn stats_from_json(v: &Json) -> Result<SimStats, WireError> {
         let n = count
             .as_u64()
             .ok_or_else(|| bad(format!("stall count for '{name}' must be an integer")))?;
-        stats.stall_cycles.insert(reason, n);
+        stats.stall_cycles[reason.index()] = n;
     }
     Ok(stats)
 }
@@ -380,8 +380,8 @@ mod tests {
             step_calls: 23_456,
             ..Default::default()
         };
-        s.stall_cycles.insert(StallReason::Scoreboard, 100);
-        s.stall_cycles.insert(StallReason::Acquire, 55);
+        s.stall_cycles[StallReason::Scoreboard.index()] = 100;
+        s.stall_cycles[StallReason::Acquire.index()] = 55;
         s
     }
 

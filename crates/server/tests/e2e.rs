@@ -39,6 +39,11 @@ fn body_json(resp: &ClientResponse) -> Json {
     json::parse(core::str::from_utf8(&resp.body).expect("UTF-8 body")).expect("JSON body")
 }
 
+/// Grid size for requests that must still be simulating while a test polls
+/// `/metrics` and sends more requests: far above every workload's default
+/// grid, so the job lasts long after the poll first sees it in flight.
+const SLOW_CTAS: u32 = 2000;
+
 /// Poll `/metrics` until `line` appears (gauge transitions are racy to
 /// observe exactly once; polling makes the tests deterministic).
 fn wait_for_metric(server: &Server, line: &str) {
@@ -172,7 +177,9 @@ fn sweep_reports_baseline_relative_rows() {
 #[test]
 fn full_queue_answers_429_with_retry_after() {
     // One worker, one queue slot: occupy the worker, fill the slot, then
-    // the third job must be refused with backpressure.
+    // the third job must be refused with backpressure. The jobs are slow by
+    // construction (a large grid), so the worker is still busy when the
+    // `/metrics` polls and the third request arrive.
     let server = start(1, 1);
     let addr = server.local_addr();
 
@@ -182,7 +189,10 @@ fn full_queue_answers_429_with_retry_after() {
                 addr,
                 "POST",
                 "/v1/run",
-                Some(format!(r#"{{"app":"{app}","technique":"regmutex"}}"#).as_bytes()),
+                Some(
+                    format!(r#"{{"app":"{app}","technique":"regmutex","ctas":{SLOW_CTAS}}}"#)
+                        .as_bytes(),
+                ),
                 Duration::from_secs(120),
             )
             .expect("slow job completes")
@@ -215,13 +225,16 @@ fn graceful_shutdown_drains_inflight_work() {
     let server = start(1, 4);
     let addr = server.local_addr();
 
-    // Park a real job in flight, then begin the drain.
+    // Park a real job in flight (slow by construction), then begin the
+    // drain.
     let inflight = std::thread::spawn(move || {
         client_request(
             addr,
             "POST",
             "/v1/run",
-            Some(br#"{"app":"BFS","technique":"baseline"}"#.as_slice()),
+            Some(
+                format!(r#"{{"app":"BFS","technique":"baseline","ctas":{SLOW_CTAS}}}"#).as_bytes(),
+            ),
             Duration::from_secs(120),
         )
         .expect("in-flight job survives the drain")
@@ -684,13 +697,14 @@ fn drain_finishes_streamed_sweep_and_closes_idle_keepalive() {
     let n = idle.read(&mut first).expect("idle first response");
     assert!(n > 0);
 
-    // One streamed sweep in flight while the drain begins.
+    // One streamed sweep in flight (slow by construction) while the drain
+    // begins.
     let streamer = std::thread::spawn(move || {
         client_request(
             addr,
             "POST",
             "/v1/sweep",
-            Some(br#"{"app":"SPMV","es":[2,4,8]}"#.as_slice()),
+            Some(format!(r#"{{"app":"SPMV","es":[2,4,8],"ctas":{SLOW_CTAS}}}"#).as_bytes()),
             Duration::from_secs(120),
         )
         .expect("in-flight streamed sweep survives the drain")

@@ -54,7 +54,7 @@ pub use gpu::{run_kernel, run_kernel_faulted, run_kernel_traced, SimError};
 pub use manager::{AcquireResult, Ledger, LedgerViolation, RegisterManager, StaticManager};
 pub use memory::MemoryPipe;
 pub use occupancy::{theoretical, theoretical_with_base_set, KernelResources, Limiter, Occupancy};
-pub use scheduler::{order_candidates, Candidate, SchedulerState};
+pub use scheduler::SchedulerState;
 pub use simt::{full_mask, ReconvEntry, SimtStack};
 pub use sm::{IssueFault, KernelImage, Sm};
 pub use stats::SimStats;

@@ -18,7 +18,7 @@ use crate::barrier::BarrierUnit;
 use crate::config::GpuConfig;
 use crate::manager::{AcquireResult, Ledger, LedgerViolation, RegisterManager};
 use crate::memory::MemoryPipe;
-use crate::scheduler::{order_candidates, Candidate, SchedulerState};
+use crate::scheduler::SchedulerState;
 use crate::simt::full_mask;
 use crate::stats::SimStats;
 use crate::trace::{TraceEvent, TraceKind};
@@ -109,18 +109,6 @@ enum Blocked {
     Fatal(IssueFault),
 }
 
-/// Position of `r` in [`StallReason::ALL`] (index into [`StepProbe`]'s
-/// stall-count array; the `match` mirrors the `ALL` order).
-fn stall_index(r: StallReason) -> usize {
-    match r {
-        StallReason::Scoreboard => 0,
-        StallReason::Barrier => 1,
-        StallReason::Acquire => 2,
-        StallReason::MemoryStructural => 3,
-        StallReason::RegAlloc => 4,
-    }
-}
-
 /// Record of the stat deltas and wake hints of the most recent [`Sm::step`]
 /// call. The cycle-skipping engine's contract: a step that issued nothing,
 /// admitted nothing, and ran only steady managers reads from state that no
@@ -138,7 +126,7 @@ struct StepProbe {
     /// Schedulers with no candidate warp at all.
     empty_scheds: u64,
     /// Stalled-scheduler attributions, indexed as [`StallReason::ALL`].
-    stalls: [u64; 5],
+    stalls: [u64; StallReason::ALL.len()],
     /// `acq.es` attempts performed during the step.
     acquire_attempts: u64,
     /// Minimum wake hint over every stalled candidate tried this step.
@@ -167,7 +155,6 @@ pub struct Sm {
     resident: Vec<ResidentCta>,
     pending_ctas: VecDeque<CtaId>,
     shmem_used: u32,
-    age_counter: u64,
     /// Counters for this SM.
     pub stats: SimStats,
     /// Cycle of the most recent issued instruction (progress watchdog).
@@ -175,9 +162,9 @@ pub struct Sm {
     trace: Option<Vec<TraceEvent>>,
     /// Deltas and wake hints of the most recent step (cycle skipping).
     probe: StepProbe,
-    /// Reusable candidate scratch — `step` must not allocate in steady
+    /// Reusable issue-order scratch — `step` must not allocate in steady
     /// state.
-    cand_buf: Vec<Candidate>,
+    order_buf: Vec<u32>,
     /// Reusable admission scratch for `fill_ctas` (same reason).
     slot_buf: Vec<WarpId>,
     /// Incremental per-scheduler issuable-warp counts, so schedulers with
@@ -185,6 +172,8 @@ pub struct Sm {
     /// `issuable()` transition: admission (+1), barrier park (−1), barrier
     /// release (+1), exit (−1).
     sched_ready: Vec<u32>,
+    /// Resident, unfinished warps: +1 per admitted warp, −1 per exit.
+    live_warps: u32,
 }
 
 impl Sm {
@@ -211,18 +200,20 @@ impl Sm {
             barrier: BarrierUnit::new(),
             mem,
             warps: (0..max_warps).map(|_| None).collect(),
-            sched: (0..nsched).map(|_| SchedulerState::default()).collect(),
+            sched: (0..nsched)
+                .map(|sid| SchedulerState::new((sid..max_warps).step_by(nsched).map(|s| s as u32)))
+                .collect(),
             resident: Vec::new(),
             pending_ctas: ctas.into_iter().collect(),
             shmem_used: 0,
-            age_counter: 0,
             stats: SimStats::default(),
             last_progress: 0,
             trace: None,
             probe: StepProbe::default(),
-            cand_buf: Vec::with_capacity(max_warps),
+            order_buf: Vec::with_capacity(max_warps),
             slot_buf: Vec::new(),
             sched_ready: vec![0; nsched],
+            live_warps: 0,
         }
     }
 
@@ -248,7 +239,12 @@ impl Sm {
 
     /// Resident, unfinished warps right now.
     pub fn resident_warps(&self) -> u32 {
-        self.warps.iter().flatten().filter(|w| !w.done).count() as u32
+        debug_assert_eq!(
+            self.live_warps,
+            self.warps.iter().flatten().filter(|w| !w.done).count() as u32,
+            "live-warp counter out of sync"
+        );
+        self.live_warps
     }
 
     /// Snapshot of SRP-related stall state for deadlock diagnostics:
@@ -310,10 +306,8 @@ impl Sm {
         self.stats.resident_warp_cycles += self.probe.resident * gap;
         self.stats.empty_scheduler_cycles += self.probe.empty_scheds * gap;
         self.stats.acquire_attempts += self.probe.acquire_attempts * gap;
-        for (i, r) in StallReason::ALL.into_iter().enumerate() {
-            if self.probe.stalls[i] > 0 {
-                *self.stats.stall_cycles.entry(r).or_insert(0) += self.probe.stalls[i] * gap;
-            }
+        for (total, per_step) in self.stats.stall_cycles.iter_mut().zip(self.probe.stalls) {
+            *total += per_step * gap;
         }
         self.stats.skipped_cycles += gap;
     }
@@ -338,9 +332,9 @@ impl Sm {
         self.probe.resident = resident;
 
         let nsched = self.sched.len();
-        // The candidate buffer lives on the SM: `step` runs every simulated
+        // The order buffer lives on the SM: `step` runs every simulated
         // cycle and must not allocate in steady state.
-        let mut candidates = std::mem::take(&mut self.cand_buf);
+        let mut order = std::mem::take(&mut self.order_buf);
         for sid in 0..nsched {
             debug_assert_eq!(
                 self.sched_ready[sid],
@@ -352,26 +346,20 @@ impl Sm {
                 self.probe.empty_scheds += 1;
                 continue;
             }
-            candidates.clear();
-            for slot in (sid..self.warps.len()).step_by(nsched) {
-                if let Some(w) = &self.warps[slot] {
-                    if w.issuable() {
-                        candidates.push(Candidate {
-                            slot: slot as u32,
-                            age: w.age,
-                            priority: self.manager.scheduling_priority(WarpId(slot as u32)),
-                        });
-                    }
-                }
-            }
-            order_candidates(self.cfg.policy, &self.sched[sid], &mut candidates);
+            let (warps, manager) = (&self.warps, &self.manager);
+            self.sched[sid].issue_order(
+                self.cfg.policy,
+                |s| warps[s as usize].as_ref().is_some_and(WarpState::issuable),
+                |s| manager.scheduling_priority(WarpId(s)),
+                &mut order,
+            );
             let mut first_block: Option<StallReason> = None;
             let mut issued = false;
-            for c in candidates.iter() {
-                match self.try_issue(c.slot as usize, now) {
+            for &slot in &order {
+                match self.try_issue(slot as usize, now) {
                     Ok(()) => {
-                        self.sched[sid].last_issued = Some(c.slot);
-                        self.sched[sid].rr_cursor = c.slot;
+                        self.sched[sid].last_issued = Some(slot);
+                        self.sched[sid].rr_cursor = slot;
                         self.last_progress = now;
                         self.probe.issued = true;
                         issued = true;
@@ -384,7 +372,7 @@ impl Sm {
                         }
                     }
                     Err(Blocked::Fatal(fault)) => {
-                        self.cand_buf = candidates;
+                        self.order_buf = order;
                         return Err(fault);
                     }
                 }
@@ -392,11 +380,11 @@ impl Sm {
             if !issued {
                 if let Some(r) = first_block {
                     self.stats.note_stall(r);
-                    self.probe.stalls[stall_index(r)] += 1;
+                    self.probe.stalls[r.index()] += 1;
                 }
             }
         }
-        self.cand_buf = candidates;
+        self.order_buf = order;
 
         self.retire_finished_ctas();
         self.stats.cycles = now + 1;
@@ -423,29 +411,38 @@ impl Sm {
             Exit(CtaId, u64),
         }
         let after = {
-            let image = Arc::clone(&self.image);
+            let image: &KernelImage = &self.image;
             let w = self.warps[slot].as_mut().expect("issuing absent warp");
+            let instr = &image.kernel.instrs[w.pc as usize];
+
+            // A scoreboard verdict found on an earlier cycle still holds
+            // until its wake cycle: the pending set only grows when this
+            // warp issues, the stall below returns before any manager,
+            // ledger or memory call, and reconverging at an unchanged PC is
+            // idempotent.
+            if now < w.scoreboard_until {
+                debug_assert_eq!(
+                    w.scoreboard_block(instr, now),
+                    Some(w.scoreboard_until),
+                    "stale scoreboard verdict (warp {slot}, pc {})",
+                    w.pc
+                );
+                return Err(Blocked::Stall {
+                    reason: StallReason::Scoreboard,
+                    wake: Some(w.scoreboard_until),
+                });
+            }
 
             // Reconverge masked-off lanes arriving at their rejoin point.
             let rejoined = w.simt.reconverge_at(w.pc);
             w.active_mask |= rejoined;
 
-            let instr = &image.kernel.instrs[w.pc as usize];
-
             // Scoreboard: RAW + WAW. A blocked warp next changes state when
             // the earliest pending write among the registers this
             // instruction touches drains — that cycle is the wake hint.
             w.drain_scoreboard(now);
-            let blocking_ready = w
-                .pending
-                .iter()
-                .filter(|&&(r, _)| {
-                    instr.srcs.iter().any(|s| s.0 == r)
-                        || instr.dst.map(|d| d.0 == r).unwrap_or(false)
-                })
-                .map(|&(_, ready)| ready)
-                .min();
-            if let Some(ready) = blocking_ready {
+            if let Some(ready) = w.scoreboard_block(instr, now) {
+                w.scoreboard_until = ready;
                 return Err(Blocked::Stall {
                     reason: StallReason::Scoreboard,
                     wake: Some(ready),
@@ -531,6 +528,7 @@ impl Sm {
                     debug_assert!(w.simt.is_converged(), "exit inside divergence");
                     w.done = true;
                     self.sched_ready[slot % self.sched.len()] -= 1;
+                    self.live_warps -= 1;
                     w.issued += 1;
                     self.stats.instructions += 1;
                     self.manager.on_warp_exit(&mut self.ledger, wid);
@@ -834,10 +832,10 @@ impl Sm {
                     self.image.kernel.seed,
                     regs,
                     fm,
-                    self.age_counter,
                 ));
-                self.age_counter += 1;
                 self.sched_ready[slot.index() % nsched] += 1;
+                self.sched[slot.index() % nsched].admit(slot.0);
+                self.live_warps += 1;
             }
             self.barrier.register_cta(next, wpc as u32);
             self.resident.push(ResidentCta {
@@ -864,8 +862,10 @@ impl Sm {
                 self.manager.retire_cta(&mut self.ledger, rc.cta, &rc.slots);
                 self.barrier.retire_cta(rc.cta);
                 self.shmem_used -= rc.shmem;
+                let nsched = self.sched.len();
                 for s in &rc.slots {
                     self.warps[s.index()] = None;
+                    self.sched[s.index() % nsched].retire(s.0);
                 }
                 retired_any = true;
             } else {

@@ -1,7 +1,5 @@
 //! Simulation statistics.
 
-use std::collections::HashMap;
-
 use crate::warp::StallReason;
 
 /// Counters collected by one SM (and merged across SMs by the GPU loop).
@@ -24,7 +22,8 @@ pub struct SimStats {
     pub releases: u64,
     /// Scheduler-cycle stall attribution: for every scheduler-cycle in which
     /// no warp issued, the blocking reason of the best-ranked candidate.
-    pub stall_cycles: HashMap<StallReason, u64>,
+    /// Indexed as [`StallReason::ALL`] (see [`StallReason::index`]).
+    pub stall_cycles: [u64; StallReason::ALL.len()],
     /// Scheduler-cycles with no resident candidate at all.
     pub empty_scheduler_cycles: u64,
     /// Sum over cycles of resident (non-done) warps, for achieved occupancy.
@@ -53,7 +52,7 @@ pub struct SimStats {
 impl SimStats {
     /// Record one stalled scheduler-cycle.
     pub fn note_stall(&mut self, reason: StallReason) {
-        *self.stall_cycles.entry(reason).or_insert(0) += 1;
+        self.stall_cycles[reason.index()] += 1;
     }
 
     /// Fraction of acquire attempts that succeeded (1.0 when none executed).
@@ -84,16 +83,13 @@ impl SimStats {
     }
 
     /// Stall attribution in the canonical [`StallReason::ALL`] order,
-    /// zero-count reasons omitted — the deterministic view serializers and
-    /// metric exporters should iterate (the backing `HashMap`'s order is
-    /// unspecified and varies run to run).
+    /// zero-count reasons omitted — the view serializers and metric
+    /// exporters iterate.
     pub fn sorted_stall_cycles(&self) -> Vec<(StallReason, u64)> {
         StallReason::ALL
             .into_iter()
-            .filter_map(|r| {
-                let n = *self.stall_cycles.get(&r).unwrap_or(&0);
-                (n > 0).then_some((r, n))
-            })
+            .zip(self.stall_cycles)
+            .filter(|&(_, n)| n > 0)
             .collect()
     }
 
@@ -151,8 +147,8 @@ impl SimStats {
         self.acquire_attempts += other.acquire_attempts;
         self.acquire_successes += other.acquire_successes;
         self.releases += other.releases;
-        for (r, n) in &other.stall_cycles {
-            *self.stall_cycles.entry(*r).or_insert(0) += n;
+        for (mine, theirs) in self.stall_cycles.iter_mut().zip(other.stall_cycles) {
+            *mine += theirs;
         }
         self.empty_scheduler_cycles += other.empty_scheduler_cycles;
         self.resident_warp_cycles += other.resident_warp_cycles;
@@ -218,8 +214,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.cycles, 100);
         assert_eq!(a.instructions, 15);
-        assert_eq!(a.stall_cycles[&StallReason::Scoreboard], 2);
-        assert_eq!(a.stall_cycles[&StallReason::Acquire], 1);
+        assert_eq!(a.stall_cycles[StallReason::Scoreboard.index()], 2);
+        assert_eq!(a.stall_cycles[StallReason::Acquire.index()], 1);
     }
 
     #[test]
@@ -251,8 +247,8 @@ mod tests {
             step_calls: 40 + salt,
             ..Default::default()
         };
-        for (i, r) in StallReason::ALL.into_iter().enumerate() {
-            s.stall_cycles.insert(r, 10 + salt + i as u64);
+        for (i, n) in s.stall_cycles.iter_mut().enumerate() {
+            *n = 10 + salt + i as u64;
         }
         s
     }
@@ -263,7 +259,7 @@ mod tests {
         let b = sample(100);
         let expected: Vec<(StallReason, u64)> = StallReason::ALL
             .into_iter()
-            .map(|r| (r, a.stall_cycles[&r] + b.stall_cycles[&r]))
+            .map(|r| (r, a.stall_cycles[r.index()] + b.stall_cycles[r.index()]))
             .collect();
         a.merge(&b);
         assert_eq!(a.sorted_stall_cycles(), expected);
@@ -367,9 +363,8 @@ mod tests {
     #[test]
     fn sorted_stalls_are_canonical_and_skip_zeros() {
         let mut s = SimStats::default();
-        s.stall_cycles.insert(StallReason::RegAlloc, 4);
-        s.stall_cycles.insert(StallReason::Scoreboard, 9);
-        s.stall_cycles.insert(StallReason::Acquire, 0); // explicit zero
+        s.stall_cycles[StallReason::RegAlloc.index()] = 4;
+        s.stall_cycles[StallReason::Scoreboard.index()] = 9;
         assert_eq!(
             s.sorted_stall_cycles(),
             vec![(StallReason::Scoreboard, 9), (StallReason::RegAlloc, 4)]
@@ -389,7 +384,7 @@ mod tests {
         );
         assert!(j1.contains("\"checksum\":\"0x00000000deadbeef\""), "{j1}");
         assert!(j1.contains("\"stall_cycles\":{\"scoreboard\":10"), "{j1}");
-        // Canonical reason order regardless of HashMap iteration order.
+        // Canonical reason order.
         let sb = j1.find("scoreboard").unwrap();
         let ba = j1.find("barrier").unwrap();
         let aq = j1.find("\"acquire\"").unwrap();
@@ -398,7 +393,8 @@ mod tests {
 
     #[test]
     fn stall_reason_names_round_trip() {
-        for r in StallReason::ALL {
+        for (i, r) in StallReason::ALL.into_iter().enumerate() {
+            assert_eq!(r.index(), i);
             assert_eq!(r.as_str().parse::<StallReason>(), Ok(r));
             assert_eq!(format!("{r}"), r.as_str());
         }

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use regmutex_isa::{mix, CtaId, WarpId};
+use regmutex_isa::{mix, CtaId, Instr, WarpId};
 
 use crate::simt::SimtStack;
 
@@ -30,6 +30,11 @@ impl StallReason {
         StallReason::MemoryStructural,
         StallReason::RegAlloc,
     ];
+
+    /// Position in [`StallReason::ALL`] (the declaration order).
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
     /// Stable wire/metrics name (lower_snake_case).
     pub fn as_str(self) -> &'static str {
@@ -86,6 +91,11 @@ pub struct WarpState {
     /// the per-cycle scoreboard drain is a single comparison until the next
     /// writeback actually matures.
     pending_min: u64,
+    /// Cached scoreboard verdict: the instruction at `pc` is blocked on a
+    /// pending write until this cycle. Set by the issue stage when it finds
+    /// the block; any cycle before it would find the same block, since the
+    /// pending set only grows when this warp issues.
+    pub(crate) scoreboard_until: u64,
     /// Remaining-iteration counters per loop-branch ordinal.
     pub loop_counters: HashMap<u32, u32>,
     /// Dynamic occurrence counters per branch ordinal (seeds `If` choices).
@@ -96,8 +106,6 @@ pub struct WarpState {
     pub done: bool,
     /// Warp is parked at a barrier.
     pub at_barrier: bool,
-    /// Admission sequence number (GTO "oldest" ordering).
-    pub age: u64,
     /// Dynamic instructions issued by this warp.
     pub issued: u64,
 }
@@ -113,7 +121,6 @@ impl WarpState {
         kernel_seed: u64,
         regs: u16,
         full_mask: u64,
-        age: u64,
     ) -> Self {
         let warp_key = mix(
             kernel_seed,
@@ -131,12 +138,12 @@ impl WarpState {
             regs: reg_values,
             pending: Vec::new(),
             pending_min: u64::MAX,
+            scoreboard_until: 0,
             loop_counters: HashMap::new(),
             occurrences: HashMap::new(),
             checksum: 0,
             done: false,
             at_barrier: false,
-            age,
             issued: 0,
         }
     }
@@ -160,6 +167,19 @@ impl WarpState {
     /// True if `reg` has a pending write (RAW/WAW hazard).
     pub fn reg_pending(&self, reg: u16) -> bool {
         self.pending.iter().any(|&(r, _)| r == reg)
+    }
+
+    /// Earliest cycle at which every write `instr` reads or overwrites
+    /// (RAW/WAW) has landed, when one is still in flight at `now`.
+    pub(crate) fn scoreboard_block(&self, instr: &Instr, now: u64) -> Option<u64> {
+        self.pending
+            .iter()
+            .filter(|&&(r, ready)| {
+                ready > now
+                    && (instr.srcs.iter().any(|s| s.0 == r) || instr.dst.is_some_and(|d| d.0 == r))
+            })
+            .map(|&(_, ready)| ready)
+            .min()
     }
 
     /// Record a pending write to `reg` completing at `ready`.
@@ -194,7 +214,7 @@ mod tests {
     use super::*;
 
     fn warp() -> WarpState {
-        WarpState::new(WarpId(3), CtaId(1), 2, 42, 8, 0xFFFF_FFFF, 7)
+        WarpState::new(WarpId(3), CtaId(1), 2, 42, 8, 0xFFFF_FFFF)
     }
 
     #[test]
@@ -209,10 +229,10 @@ mod tests {
 
     #[test]
     fn initial_values_depend_on_cta_not_slot() {
-        let a = WarpState::new(WarpId(0), CtaId(1), 2, 42, 8, u64::MAX, 0);
-        let b = WarpState::new(WarpId(5), CtaId(1), 2, 42, 8, u64::MAX, 9);
+        let a = WarpState::new(WarpId(0), CtaId(1), 2, 42, 8, u64::MAX);
+        let b = WarpState::new(WarpId(5), CtaId(1), 2, 42, 8, u64::MAX);
         assert_eq!(a.regs, b.regs);
-        let c = WarpState::new(WarpId(0), CtaId(2), 2, 42, 8, u64::MAX, 0);
+        let c = WarpState::new(WarpId(0), CtaId(2), 2, 42, 8, u64::MAX);
         assert_ne!(a.regs, c.regs);
     }
 

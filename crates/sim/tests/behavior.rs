@@ -2,7 +2,9 @@
 //! unit tests of individual components cannot capture.
 
 use regmutex_isa::{ArchReg, Kernel, KernelBuilder, TripCount};
-use regmutex_sim::{run_kernel, GpuConfig, LaunchConfig, SchedulerPolicy, SimStats, StaticManager};
+use regmutex_sim::{
+    run_kernel, GpuConfig, LaunchConfig, SchedulerPolicy, SimStats, StallReason, StaticManager,
+};
 
 fn r(i: u16) -> ArchReg {
     ArchReg(i)
@@ -354,4 +356,49 @@ fn sampled_sm_cta_accounting_is_explicit() {
     assert_eq!(whole.ctas, 31);
     assert_eq!(whole.ctas, u64::from(launch.simulated_ctas(&cfg)));
     assert_eq!(whole.warps, 31);
+}
+
+/// A warp blocked on a long global load keeps its cached scoreboard
+/// verdict while skips land on other warps' shorter SFU wake-ups. The
+/// verdict must hold exactly across those landings: every counter matches
+/// a run that ticks each cycle, under every scheduling policy.
+#[test]
+fn scoreboard_stall_across_a_skip_landing_is_skip_invariant() {
+    let mut b = KernelBuilder::new("sb_landing");
+    b.threads_per_cta(128); // 4 warps, two per scheduler
+    b.movi(r(0), 8);
+    let top = b.here();
+    b.ld_global(r(1), r(0)); // 60-cycle write
+    b.fsqrt(r(2), r(0)); // 8-cycle write
+    b.iadd(r(3), r(2), r(2)); // stalls until the SFU lands
+    b.iadd(r(4), r(1), r(3)); // stalls until the load lands
+    b.iadd(r(0), r(4), r(0));
+    b.bra_loop(top, TripCount::PerWarp { base: 2, spread: 3 });
+    b.st_global(r(0), r(4));
+    b.exit();
+    let k = b.build().unwrap();
+
+    for policy in [
+        SchedulerPolicy::Gto,
+        SchedulerPolicy::Lrr,
+        SchedulerPolicy::OwnerWarpFirst,
+    ] {
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.policy = policy;
+        let skip = run(&k, &cfg, 3);
+        cfg.cycle_skipping = false;
+        let tick = run(&k, &cfg, 3);
+        assert!(skip.skipped_cycles > 0, "{policy:?}: nothing skipped");
+        assert!(
+            skip.stall_cycles[StallReason::Scoreboard.index()] > 0,
+            "{policy:?}: no scoreboard stalls"
+        );
+        assert_eq!(tick.skipped_cycles, 0);
+        let strip = |s: &SimStats| SimStats {
+            skipped_cycles: 0,
+            step_calls: 0,
+            ..s.clone()
+        };
+        assert_eq!(strip(&skip), strip(&tick), "{policy:?}");
+    }
 }
