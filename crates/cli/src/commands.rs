@@ -214,20 +214,28 @@ pub fn bench_loop(
     use regmutex_server::json::Json;
     use std::time::Instant;
 
-    // (row label, workload, grid override)
-    let mut basket: Vec<(String, Workload, Option<u32>)> = Vec::new();
+    // (row label, workload, grid override, simulated SMs)
+    let mut basket: Vec<(String, Workload, Option<u32>, u32)> = Vec::new();
     if apps.is_empty() {
         // Default basket: a memory-latency-dominated workload at full
         // occupancy, the same workload at minimal occupancy (one CTA per
         // simulated SM — long fully stalled stretches, the skip loop's best
-        // case), and a control-heavy one as the adversarial control.
+        // case), a control-heavy one as the adversarial control, and that
+        // one again on the whole device, where every SM skips on its own
+        // clock and the run's verdict is folded across SMs.
         let num_sms = GpuConfig::gtx480().num_sms;
-        basket.push(("Gaussian".into(), lookup("Gaussian")?, None));
-        basket.push(("Gaussian-lowocc".into(), lookup("Gaussian")?, Some(num_sms)));
-        basket.push(("BFS".into(), lookup("BFS")?, None));
+        basket.push(("Gaussian".into(), lookup("Gaussian")?, None, 1));
+        basket.push((
+            "Gaussian-lowocc".into(),
+            lookup("Gaussian")?,
+            Some(num_sms),
+            1,
+        ));
+        basket.push(("BFS".into(), lookup("BFS")?, None, 1));
+        basket.push(("BFS-device".into(), lookup("BFS")?, None, num_sms));
     } else {
         for a in apps {
-            basket.push((a.clone(), lookup(a)?, None));
+            basket.push((a.clone(), lookup(a)?, None, 1));
         }
     }
 
@@ -244,13 +252,14 @@ pub fn bench_loop(
         "{:<18} {:>12} {:>10} {:>10} {:>8}",
         "workload", "cycles", "skip ms", "tick ms", "speedup"
     );
-    for (label, w, ctas) in &basket {
+    for (label, w, ctas, sms) in &basket {
         let launch = LaunchConfig::new(ctas.unwrap_or(w.grid_ctas));
         let mut medians = [0.0f64; 2];
         let mut reports = Vec::with_capacity(2);
         for (mode, skipping) in [true, false].into_iter().enumerate() {
             let mut cfg = config(false);
             cfg.cycle_skipping = skipping;
+            cfg.simulated_sms = *sms;
             let session = Session::new(cfg);
             let compiled = session
                 .compile(&w.kernel)
@@ -305,7 +314,7 @@ pub fn bench_loop(
                     Json::F64(cycles as f64 / (wall_ms / 1e3).max(1e-12)),
                 ),
                 ("skipping".into(), Json::Bool(skipping)),
-                ("simulated_sms".into(), Json::U64(1)),
+                ("simulated_sms".into(), Json::U64(u64::from(*sms))),
             ]));
         }
     }

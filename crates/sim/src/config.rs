@@ -87,9 +87,9 @@ pub struct GpuConfig {
     /// evaluation does not model bank conflicts either; this is an
     /// extension, see `ablation_bank_conflicts`).
     pub reg_banks: u32,
-    /// Event-driven cycle skipping: when every resident warp on every SM is
+    /// Event-driven cycle skipping: when every resident warp on an SM is
     /// provably asleep until a known future event (memory completion,
-    /// scoreboard writeback, …), the device loop jumps straight to the
+    /// scoreboard writeback, …), that SM's clock jumps straight to the
     /// earliest such event instead of ticking through the dead cycles. The
     /// skip is exact — every [`crate::SimStats`] field is identical to the
     /// tick loop's — but the legacy loop is kept behind this switch

@@ -332,6 +332,14 @@ impl FaultLog {
         let c = self.first_cycle.load(Ordering::Relaxed);
         (c != u64::MAX).then_some(c)
     }
+
+    /// Add everything `other` recorded to this log.
+    pub fn absorb(&self, other: &FaultLog) {
+        self.injections
+            .fetch_add(other.injections(), Ordering::Relaxed);
+        self.first_cycle
+            .fetch_min(other.first_cycle.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
 }
 
 impl Default for FaultLog {
@@ -779,6 +787,31 @@ mod tests {
             inj.bump(&mut ledger);
         }
         assert!(inj.steady());
+    }
+
+    #[test]
+    fn absorb_adds_counts_and_keeps_the_earliest_cycle() {
+        let into = FaultLog::new();
+        into.absorb(&FaultLog::new());
+        assert_eq!(into.injections(), 0);
+        assert_eq!(into.first_injection_cycle(), None);
+
+        let other = FaultLog::new();
+        other.note(40);
+        other.note(25);
+        into.absorb(&other);
+        assert_eq!(into.injections(), 2);
+        assert_eq!(into.first_injection_cycle(), Some(25));
+
+        into.note(30);
+        let earlier = FaultLog::new();
+        earlier.note(10);
+        into.absorb(&earlier);
+        assert_eq!(into.injections(), 4);
+        assert_eq!(into.first_injection_cycle(), Some(10));
+        // The absorbed log is left as it was.
+        assert_eq!(other.injections(), 2);
+        assert_eq!(other.first_injection_cycle(), Some(25));
     }
 
     #[test]

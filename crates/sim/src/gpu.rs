@@ -115,7 +115,8 @@ impl core::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Run `kernel` on `cfg` with per-SM register managers produced by
-/// `manager_factory` (one call per simulated SM).
+/// `manager_factory` (one call per simulated SM, plus one for each SM a
+/// fault or deadlock verdict re-runs).
 ///
 /// CTAs are split evenly across the device's `num_sms`; only
 /// `cfg.simulated_sms` of them are actually simulated (SM-local effects —
@@ -132,9 +133,17 @@ pub fn run_kernel(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
+    mut manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
 ) -> Result<SimStats, SimError> {
-    run_inner(cfg, kernel, launch, manager_factory, false, None).map(|(stats, _)| stats)
+    run_inner(
+        cfg,
+        kernel,
+        launch,
+        |sm, _| manager_factory(sm),
+        false,
+        None,
+    )
+    .map(|(stats, _)| stats)
 }
 
 /// Like [`run_kernel`], but records issue-stage [`TraceEvent`]s on the first
@@ -148,9 +157,9 @@ pub fn run_kernel_traced(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
+    mut manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
 ) -> Result<(SimStats, Vec<crate::trace::TraceEvent>), SimError> {
-    run_inner(cfg, kernel, launch, manager_factory, true, None)
+    run_inner(cfg, kernel, launch, |sm, _| manager_factory(sm), true, None)
 }
 
 /// Like [`run_kernel`], but wraps every SM's manager in a
@@ -174,13 +183,11 @@ pub fn run_kernel_faulted(
     log: Arc<FaultLog>,
 ) -> Result<SimStats, SimError> {
     let max_warps = cfg.max_warps_per_sm;
-    let plan_inner = plan.clone();
-    let log_inner = Arc::clone(&log);
-    let factory = move |sm: u32| -> Box<dyn RegisterManager> {
+    let factory = |sm: u32, log: &Arc<FaultLog>| -> Box<dyn RegisterManager> {
         Box::new(FaultInjector::new(
             manager_factory(sm),
-            plan_inner.clone(),
-            Arc::clone(&log_inner),
+            plan.clone(),
+            Arc::clone(log),
             max_warps,
         ))
     };
@@ -219,16 +226,17 @@ fn fault_error(fault: IssueFault, cycle: u64) -> SimError {
 }
 
 /// The deadlock verdict, with diagnostics snapshotted from the non-idle SM
-/// with the oldest progress (ties to the lowest id). `sms` must be in the
-/// state the detector judged, with no step since.
-fn deadlock_error(sms: &[Sm], cycle: u64, last_progress: u64) -> SimError {
-    let (sm_id, sm) = sms
+/// with the oldest progress (ties to the lowest id). Every SM must have
+/// [`stopped_at`](SmRun::stopped_at) `cycle`.
+fn deadlock_error(runs: &[SmRun], cycle: u64) -> SimError {
+    let last_progress = runs.iter().map(|r| r.sm.last_progress).max().unwrap_or(0);
+    let (sm_id, run) = runs
         .iter()
         .enumerate()
-        .filter(|(_, sm)| !sm.idle())
-        .min_by_key(|&(id, sm)| (sm.last_progress, id))
+        .filter(|(_, r)| !r.sm.idle())
+        .min_by_key(|&(id, r)| (r.sm.last_progress, id))
         .expect("the no-progress detector only fires while an SM is busy");
-    let (blocked_at_acquire, srp_holders) = sm.stall_snapshot();
+    let (blocked_at_acquire, srp_holders) = run.sm.stall_snapshot();
     SimError::Deadlock {
         cycle,
         last_progress,
@@ -238,153 +246,288 @@ fn deadlock_error(sms: &[Sm], cycle: u64, last_progress: u64) -> SimError {
     }
 }
 
+/// One SM running on its own clock.
+struct SmRun {
+    sm: Sm,
+    /// What this SM's injector did (unused without a fault plan).
+    log: Arc<FaultLog>,
+    /// Next cycle to step.
+    now: u64,
+    /// The SM's next wake event after a skippable step: it fast-forwards
+    /// there before stepping again, even across a window end.
+    skip_to: u64,
+    /// How the run ended: the cycle the SM fell idle on, or its fault and
+    /// the cycle it fired on.
+    end: Option<Result<u64, (u64, IssueFault)>>,
+    /// Closed cycle ranges, already passed, in which this SM alone trips
+    /// the no-progress detector: more than `stall_limit` cycles since its
+    /// last issue.
+    quiet: Vec<(u64, u64)>,
+}
+
+impl SmRun {
+    /// The recorded quiet ranges, then the one that starts a stall limit
+    /// after the SM's last issue and lasts until it issues again.
+    fn quiet_ranges(&self, stall_limit: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let open = (self.sm.last_progress + stall_limit + 1, u64::MAX);
+        self.quiet.iter().copied().chain(std::iter::once(open))
+    }
+
+    /// Whether the SM is in the state the lockstep loop left it in after
+    /// stepping `cycle`: it stepped (or skipped) exactly through `cycle`,
+    /// or it fell idle or faulted no later.
+    fn stopped_at(&self, cycle: u64) -> bool {
+        match self.end {
+            Some(Ok(idle)) => idle <= cycle,
+            Some(Err((fault, _))) => fault <= cycle,
+            None => self.now == cycle + 1,
+        }
+    }
+}
+
+/// How a whole-device run ends, judged from the per-SM runs.
+enum Verdict {
+    /// The last SM fell idle on this cycle.
+    Done(u64),
+    /// The earliest fault fired on this cycle.
+    Fault(u64),
+    /// The device-wide no-progress detector fired on this cycle.
+    Deadlock(u64),
+    /// The absolute cycle bound ran out.
+    Watchdog,
+}
+
 fn run_inner(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    mut manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
+    mut manager_factory: impl FnMut(u32, &Arc<FaultLog>) -> Box<dyn RegisterManager>,
     traced: bool,
     faults: Option<(&FaultPlan, &Arc<FaultLog>)>,
 ) -> Result<(SimStats, Vec<crate::trace::TraceEvent>), SimError> {
     kernel.validate().map_err(SimError::InvalidKernel)?;
     let image = Arc::new(KernelImage::new(kernel.clone()));
     let simulated = cfg.simulated_sms.min(cfg.num_sms).max(1);
-
-    let mut next_cta = 0u32;
-    let mut sms: Vec<Sm> = (0..simulated)
-        .map(|sm_id| {
-            let n = launch.ctas_for_sm(sm_id, cfg);
-            let ctas: Vec<CtaId> = (next_cta..next_cta + n).map(CtaId).collect();
-            next_cta += n;
-            Sm::new(
-                cfg.clone(),
-                Arc::clone(&image),
-                manager_factory(sm_id),
-                ctas,
-            )
-        })
-        .collect();
-    if traced {
-        if let Some(sm) = sms.first_mut() {
-            sm.enable_tracing();
+    let mut new_run = |sm_id: u32| -> SmRun {
+        let first: u32 = (0..sm_id).map(|id| launch.ctas_for_sm(id, cfg)).sum();
+        let ctas = (first..first + launch.ctas_for_sm(sm_id, cfg)).map(CtaId);
+        let log = Arc::new(FaultLog::new());
+        let manager = manager_factory(sm_id, &log);
+        SmRun {
+            sm: Sm::new(cfg.clone(), Arc::clone(&image), manager, ctas),
+            log,
+            now: 0,
+            skip_to: 0,
+            end: None,
+            quiet: Vec::new(),
         }
-    }
+    };
 
+    let mut runs: Vec<SmRun> = (0..simulated).map(&mut new_run).collect();
+    if traced {
+        runs[0].sm.enable_tracing();
+    }
     // Tracing wants an event-per-cycle view (per-cycle acquire-stall
     // events), so the fast-forward path is disabled for traced runs.
     let skipping = cfg.cycle_skipping && !traced;
-    run_serial(&mut sms, cfg, skipping, faults)?;
+    let plan = faults.map(|(plan, _)| plan);
+    let stall_limit = cfg.stall_limit();
+    let watchdog = cfg.watchdog_cycles;
+
+    let (last_cycle, error) = match run_device(&mut runs, stall_limit, watchdog, skipping, plan) {
+        Verdict::Done(cycle) => (cycle, None),
+        Verdict::Watchdog => (
+            watchdog.saturating_sub(1),
+            Some(SimError::WatchdogExpired { limit: watchdog }),
+        ),
+        verdict @ (Verdict::Fault(cycle) | Verdict::Deadlock(cycle)) => {
+            // SMs that ran past the verdict cycle are rebuilt and re-run
+            // exactly through it, so the snapshot and the log show what
+            // the lockstep loop would have shown.
+            for (sm_id, run) in runs.iter_mut().enumerate() {
+                if !run.stopped_at(cycle) {
+                    *run = new_run(sm_id as u32);
+                    run_sm(run, cycle + 1, stall_limit, skipping, plan);
+                }
+            }
+            let error = match verdict {
+                Verdict::Deadlock(_) => deadlock_error(&runs, cycle),
+                _ => runs
+                    .iter()
+                    .find_map(|r| match r.end {
+                        Some(Err((_, fault))) => Some(fault_error(fault, cycle)),
+                        _ => None,
+                    })
+                    .expect("an SM faulted on the verdict cycle"),
+            };
+            (cycle, Some(error))
+        }
+    };
+    if let Some((plan, log)) = faults {
+        for run in &runs {
+            log.absorb(&run.log);
+        }
+        note_first_spike(plan, last_cycle, log);
+    }
+    if let Some(error) = error {
+        return Err(error);
+    }
 
     let mut total = SimStats::default();
-    for sm in &sms {
-        total.merge(&sm.stats);
-        total.spills += sm.manager().spill_count();
+    for run in &runs {
+        total.merge(&run.sm.stats);
+        total.spills += run.sm.manager().spill_count();
     }
-    let trace = sms
-        .first_mut()
-        .map(|sm| sm.take_trace())
-        .unwrap_or_default();
+    let trace = runs[0].sm.take_trace();
     Ok((total, trace))
 }
 
-/// The device loop: step every SM at `now`, then judge the cycle (fault,
-/// done, deadlock, watchdog) and pick the next one.
-///
-/// Every SM steps a cycle to the end even when one of them faults, and the
-/// fault from the lowest SM id is the one reported.
-fn run_serial(
-    sms: &mut [Sm],
-    cfg: &GpuConfig,
-    skipping: bool,
-    faults: Option<(&FaultPlan, &Arc<FaultLog>)>,
-) -> Result<(), SimError> {
-    let stall_limit = cfg.stall_limit();
-    let watchdog = cfg.watchdog_cycles;
-    let mut now = 0u64;
-    let mut mem_spike_noted = false;
-    loop {
-        if let Some((plan, log)) = faults {
-            let extra = plan.mem_extra_at(now);
-            if extra > 0 && !mem_spike_noted {
-                log.note(now);
-                mem_spike_noted = true;
-            }
-            for sm in sms.iter_mut() {
-                sm.set_mem_extra_latency(extra);
-            }
+/// Log the first cycle of a memory-latency spike, if the device ran that
+/// far: the lockstep loop noted it once, device-wide, on the first cycle it
+/// stepped with extra latency.
+fn note_first_spike(plan: &FaultPlan, last_cycle: u64, log: &FaultLog) {
+    let mut at = Some(0);
+    while let Some(cycle) = at.filter(|&c| c <= last_cycle) {
+        if plan.mem_extra_at(cycle) > 0 {
+            log.note(cycle);
+            return;
         }
-        let mut fault = None;
-        let mut all_idle = true;
-        let mut all_skippable = true;
-        let mut last_progress = 0;
-        for sm in sms.iter_mut() {
-            if let Err(f) = sm.step(now) {
-                fault.get_or_insert(f);
-            }
-            let idle = sm.idle();
-            all_idle &= idle;
-            all_skippable &= idle || sm.can_skip();
-            last_progress = last_progress.max(sm.last_progress);
-        }
-        if let Some(fault) = fault {
-            return Err(fault_error(fault, now));
-        }
-        if all_idle {
-            return Ok(());
-        }
-        if now > last_progress + stall_limit {
-            return Err(deadlock_error(sms, now, last_progress));
-        }
-        now += 1;
-        if now >= watchdog {
-            return Err(SimError::WatchdogExpired { limit: watchdog });
-        }
+        at = plan.next_mem_change_after(cycle);
+    }
+}
 
-        // Event-driven fast-forward: when every busy SM just executed a
-        // provably repeatable no-issue step ([`Sm::can_skip`]), cycles
-        // `now .. target-1` would replay it byte-for-byte. Fold their stat
-        // deltas in multiplicatively and jump straight to the earliest cycle
-        // at which anything can change.
-        if skipping && all_skippable {
-            let mut target = sms
-                .iter()
-                .filter(|sm| !sm.idle())
-                .map(Sm::next_event_cycle)
-                .min()
-                .unwrap_or(u64::MAX);
-            if let Some((plan, _)) = faults {
-                // Land exactly on memory-latency-spike edges so the
-                // first-spike log note and `set_mem_extra_latency` happen on
-                // the same cycles as in the tick-by-tick loop.
-                if let Some(edge) = plan.next_mem_change_after(now - 1) {
-                    target = target.min(edge);
-                }
-            }
-            // First cycle at which the no-progress detector would fire. If
-            // that comes before any wake event (and before the watchdog),
-            // every intervening step is a replica of the current fully
-            // stalled one, so the verdict is already decided — report it
-            // without grinding through the replicas. Stats are discarded on
-            // error, so the gap needs no accounting. At `deadline ==
-            // target` the landing step must run first: it may issue and
-            // push `last_progress` forward.
-            let deadline = last_progress + stall_limit + 1;
-            if deadline < target && deadline < watchdog {
-                return Err(deadlock_error(sms, deadline, last_progress));
-            }
-            if watchdog <= target {
-                // The tick loop would replay stalled steps up to the bound
-                // and never reach a wake event.
-                return Err(SimError::WatchdogExpired { limit: watchdog });
-            }
-            if target > now {
-                let gap = target - now;
-                for sm in sms.iter_mut().filter(|sm| !sm.idle()) {
-                    sm.skip_ahead(gap);
-                }
-                now = target;
+/// The device loop. SMs share no simulation state, so each one runs on its
+/// own clock ([`run_sm`]), one window of at most `stall_limit` cycles at a
+/// time; after every window [`judge`] folds the per-SM runs into the
+/// verdict the lockstep loop (every SM stepped on one shared clock) would
+/// have reached.
+///
+/// A window also ends on the first cycle at which every SM could be quiet
+/// at once, so a deadlock is judged without running the SMs past it; and
+/// once an SM faults, the SMs after it in the window stop right after the
+/// fault cycle.
+fn run_device(
+    runs: &mut [SmRun],
+    stall_limit: u64,
+    watchdog: u64,
+    skipping: bool,
+    plan: Option<&FaultPlan>,
+) -> Verdict {
+    let mut horizon = 0u64;
+    loop {
+        horizon = (horizon + stall_limit)
+            .min(first_all_quiet(runs, stall_limit).saturating_add(1))
+            .min(watchdog.max(1));
+        let mut stop = horizon;
+        for run in runs.iter_mut() {
+            run_sm(run, stop, stall_limit, skipping, plan);
+            if let Some(Err((cycle, _))) = run.end {
+                stop = stop.min(cycle + 1);
             }
         }
+        if let Some(verdict) = judge(runs, horizon, stall_limit) {
+            return verdict;
+        }
+        if horizon >= watchdog {
+            return Verdict::Watchdog;
+        }
+    }
+}
+
+/// Step one SM from its own clock up to (not including) `horizon`.
+///
+/// Event-driven fast-forward: when the SM just executed a provably
+/// repeatable no-issue step ([`Sm::can_skip`]), the cycles up to its next
+/// wake event would replay it byte-for-byte, so their stat deltas are
+/// folded in multiplicatively and the clock jumps. Jumps land on
+/// memory-spike edges; one that crosses the horizon stops there and
+/// resumes in the next window without a step. Every issue that ends a
+/// spell of more than `stall_limit` quiet cycles records that spell.
+fn run_sm(
+    run: &mut SmRun,
+    horizon: u64,
+    stall_limit: u64,
+    skipping: bool,
+    plan: Option<&FaultPlan>,
+) {
+    let sm = &mut run.sm;
+    while run.end.is_none() && run.now < horizon {
+        if run.skip_to > run.now {
+            let target = run.skip_to.min(horizon);
+            sm.skip_ahead(target - run.now);
+            run.now = target;
+            continue;
+        }
+        let now = run.now;
+        if let Some(plan) = plan {
+            sm.set_mem_extra_latency(plan.mem_extra_at(now));
+        }
+        let quiet_from = sm.last_progress + stall_limit + 1;
+        if let Err(fault) = sm.step(now) {
+            run.end = Some(Err((now, fault)));
+            return;
+        }
+        if sm.last_progress == now && now > quiet_from {
+            run.quiet.push((quiet_from, now - 1));
+        }
+        if sm.idle() {
+            run.end = Some(Ok(now));
+            return;
+        }
+        run.now = now + 1;
+        if skipping && sm.can_skip() {
+            run.skip_to = sm.next_event_cycle();
+            if let Some(edge) = plan.and_then(|p| p.next_mem_change_after(now)) {
+                run.skip_to = run.skip_to.min(edge);
+            }
+        }
+    }
+}
+
+/// The lockstep verdict, if the per-SM runs (each stepped up to `horizon`)
+/// already decide it. In the lockstep loop's order of checks on one cycle:
+/// the earliest fault (the lowest SM id on ties), completion once every SM
+/// fell idle, and the first cycle that lies in a quiet range of every SM
+/// while one SM is still busy.
+fn judge(runs: &[SmRun], horizon: u64, stall_limit: u64) -> Option<Verdict> {
+    let mut fault: Option<u64> = None;
+    let mut last_idle: Option<u64> = Some(0);
+    for run in runs {
+        match run.end {
+            Some(Ok(cycle)) => last_idle = last_idle.map(|c| c.max(cycle)),
+            Some(Err((cycle, _))) => {
+                fault = Some(fault.map_or(cycle, |f| f.min(cycle)));
+                last_idle = None;
+            }
+            None => last_idle = None,
+        }
+    }
+    let before = horizon
+        .min(fault.unwrap_or(u64::MAX))
+        .min(last_idle.unwrap_or(u64::MAX));
+    let quiet = first_all_quiet(runs, stall_limit);
+    if quiet < before {
+        return Some(Verdict::Deadlock(quiet));
+    }
+    fault.map(Verdict::Fault).or(last_idle.map(Verdict::Done))
+}
+
+/// The first cycle that lies in a quiet range of every SM. Issues only
+/// ever shrink quiet ranges, so no later run can move it earlier.
+fn first_all_quiet(runs: &[SmRun], stall_limit: u64) -> u64 {
+    let mut cycle = 0;
+    'search: loop {
+        for run in runs {
+            let (start, _) = run
+                .quiet_ranges(stall_limit)
+                .find(|&(_, end)| end >= cycle)
+                .expect("the last quiet range never ends");
+            if start > cycle {
+                cycle = start;
+                continue 'search;
+            }
+        }
+        return cycle;
     }
 }
 
@@ -616,13 +759,17 @@ mod tests {
         assert!(matches!(res, Err(SimError::InvalidKernel(_))), "{res:?}");
     }
 
-    /// The baseline manager, broken two ways: only the first `grants`
-    /// acquires succeed (every later one stalls forever), and with a
-    /// `fault_log` every register translation fails, so the SM faults on
-    /// its first register access after recording `name` in the log.
+    /// The baseline manager, broken three ways: the first `stalls` acquire
+    /// attempts stall (and a manager with stalls is never steady, so the SM
+    /// ticks through them), only the first `grants` acquires succeed
+    /// (every later one stalls forever), and with a `fault_log` every
+    /// register translation fails, so the SM faults on its first register
+    /// access after recording `name` in the log.
     struct Broken {
         inner: StaticManager,
         name: &'static str,
+        stalls: u64,
+        attempts: u64,
         grants: u32,
         fault_log: Option<Arc<Mutex<Vec<&'static str>>>>,
     }
@@ -632,6 +779,8 @@ mod tests {
             Broken {
                 inner: StaticManager::new(cfg, k.regs_per_thread),
                 name,
+                stalls: 0,
+                attempts: 0,
                 grants,
                 fault_log: None,
             }
@@ -649,6 +798,10 @@ mod tests {
             self.inner.retire_cta(l, c, s)
         }
         fn try_acquire(&mut self, l: &mut Ledger, w: WarpId) -> AcquireResult {
+            self.attempts += 1;
+            if self.attempts <= self.stalls {
+                return AcquireResult::Stalled;
+            }
             if self.grants == 0 {
                 return AcquireResult::Stalled;
             }
@@ -669,6 +822,9 @@ mod tests {
         }
         fn on_warp_exit(&mut self, l: &mut Ledger, w: WarpId) {
             self.inner.on_warp_exit(l, w)
+        }
+        fn steady(&self) -> bool {
+            self.stalls == 0 && self.inner.steady()
         }
     }
 
@@ -774,6 +930,76 @@ mod tests {
                 ..
             }) => {
                 assert_eq!(sm_id, 2);
+                assert_eq!(blocked_at_acquire, vec![0]);
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
+
+    /// One warp per CTA: acquire, spin through `trips` dependent adds,
+    /// release, exit.
+    fn long_acquiring_loop(trips: u32) -> Kernel {
+        let mut b = KernelBuilder::new("spin");
+        b.threads_per_cta(32);
+        b.movi(r(0), 1).acq_es();
+        let top = b.here();
+        b.iadd(r(0), r(0), r(0));
+        b.bra_loop(top, TripCount::Fixed(trips));
+        b.rel_es().exit();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn an_sm_quiet_past_the_stall_limit_resumes_while_another_issues() {
+        // SM 0's first acquire attempts stall for longer than the stall
+        // limit; SM 1 issues all the while. No-progress is judged across the
+        // device, so SM 0's own quiet spell is not a deadlock.
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.num_sms = 2;
+        cfg.simulated_sms = 2;
+        let limit = cfg.stall_limit();
+        let k = long_acquiring_loop(limit as u32);
+        let stats = run_kernel(&cfg, &k, LaunchConfig::new(2), |sm| {
+            Box::new(Broken {
+                stalls: if sm == 0 { limit + 1_000 } else { 0 },
+                ..Broken::new(&cfg, &k, SM_NAMES[sm as usize], u32::MAX)
+            })
+        })
+        .expect("SM 0 resumes, so the run completes");
+        assert_eq!(stats.acquire_successes, 2);
+        assert_eq!(stats.acquire_attempts, 2 + limit + 1_000);
+        assert!(stats.cycles > limit + 1_000);
+    }
+
+    #[test]
+    fn a_stuck_sm_deadlocks_once_the_last_busy_sm_falls_quiet() {
+        // SM 1 never acquires; SM 0 issues far past the stall limit, then
+        // exits. The device deadlocks a stall limit after SM 0's last issue,
+        // and the snapshot is the stuck SM's.
+        let mut cfg = GpuConfig::test_tiny();
+        let limit = cfg.stall_limit();
+        let k = long_acquiring_loop(limit as u32);
+        let alone = run(&k, &cfg, 1);
+        let last_issue = alone.cycles - 1;
+        assert!(last_issue > 2 * limit, "SM 0 must outlive the stall limit");
+
+        cfg.num_sms = 2;
+        cfg.simulated_sms = 2;
+        let res = run_kernel(&cfg, &k, LaunchConfig::new(2), |sm| {
+            let grants = if sm == 0 { u32::MAX } else { 0 };
+            Box::new(Broken::new(&cfg, &k, SM_NAMES[sm as usize], grants))
+        });
+        match res {
+            Err(SimError::Deadlock {
+                cycle,
+                last_progress,
+                sm_id,
+                blocked_at_acquire,
+                ..
+            }) => {
+                assert_eq!(cycle, last_issue + limit + 1);
+                assert_eq!(last_progress, last_issue);
+                assert_eq!(sm_id, 1);
                 assert_eq!(blocked_at_acquire, vec![0]);
             }
             other => panic!("expected a deadlock, got {other:?}"),

@@ -280,7 +280,7 @@ impl Sm {
     /// every manager behaviour is cycle-count independent
     /// ([`RegisterManager::steady`]). Re-running such a step on later cycles
     /// (up to [`Sm::next_event_cycle`]) yields byte-identical deltas, which
-    /// is what lets the device loop fast-forward. Only meaningful on a
+    /// is what lets this SM's run fast-forward. Only meaningful on a
     /// non-idle SM right after `step` returned `Ok`.
     pub(crate) fn can_skip(&self) -> bool {
         !self.probe.issued && !self.probe.admitted && self.manager.steady()
@@ -288,15 +288,14 @@ impl Sm {
 
     /// Conservative earliest cycle at which this SM's issue outcome could
     /// differ from the step just executed. `u64::MAX` means no warp here can
-    /// unblock without another warp issuing first — on a fully stalled
-    /// device that is a deadlock, which the run loop reports at the usual
-    /// no-progress bound.
+    /// unblock without another warp issuing first: the SM is stuck, and the
+    /// device loop judges the deadlock at the usual no-progress bound.
     pub(crate) fn next_event_cycle(&self) -> u64 {
         self.probe.wake.unwrap_or(u64::MAX)
     }
 
     /// Fold `gap` replicas of the (fully stalled) step just executed into
-    /// the stats: the device loop proved cycles `now .. now+gap` would
+    /// the stats: the SM's run proved cycles `now .. now+gap` would
     /// re-run the identical no-issue step, so their per-cycle accounting is
     /// the recorded deltas times `gap`. `stats.cycles` and
     /// `stats.mem_requests` need no adjustment — the landing step overwrites

@@ -40,8 +40,9 @@ pub struct SimStats {
     /// Register-file writes (destination operands, warp-granular rows).
     pub reg_writes: u64,
     /// Simulated cycles the event-driven loop fast-forwarded instead of
-    /// ticking (0 with `--no-cycle-skip`; max across SMs when merged, like
-    /// `cycles`, since a device-wide skip advances every SM at once).
+    /// ticking (0 with `--no-cycle-skip`). Each SM skips on its own clock;
+    /// merged, this is the most cycles any one SM fast-forwarded, so it
+    /// stays within `cycles`.
     pub skipped_cycles: u64,
     /// `Sm::step` invocations that did real work (idle early-outs excluded).
     /// With skipping on this is the wall-clock-proportional work measure:
@@ -157,8 +158,8 @@ impl SimStats {
         self.mem_requests += other.mem_requests;
         self.reg_reads += other.reg_reads;
         self.reg_writes += other.reg_writes;
-        // Skips are device-wide: every SM fast-forwards over the same
-        // interval, so the merged count is the max, not the sum.
+        // Each SM fast-forwards over its own intervals; the merged count is
+        // the most any one SM skipped (a sum could exceed `cycles`).
         self.skipped_cycles = self.skipped_cycles.max(other.skipped_cycles);
         self.step_calls += other.step_calls;
     }
@@ -351,8 +352,8 @@ mod tests {
 
     #[test]
     fn merge_is_max_of_skipped_cycles_not_sum() {
-        // Same argument as `cycles`: a device-wide skip fast-forwards every
-        // SM over the same interval, so summing would double-count time.
+        // Like `cycles`, a count of simulated time: the merged value is the
+        // most cycles any one SM fast-forwarded, never more than `cycles`.
         let mut a = sample(0);
         let b = sample(100);
         let (sa, sb) = (a.skipped_cycles, b.skipped_cycles);

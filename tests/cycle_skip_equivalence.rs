@@ -249,3 +249,109 @@ fn whole_device_watchdog_verdict_is_skip_invariant() {
     let tick_err = run(false).expect_err("bound too low to finish (tick)");
     assert_eq!(skip_err, tick_err, "watchdog verdict diverges");
 }
+
+/// One whole-device RegMutex fault run, summarised as the verdict plus
+/// what the injectors logged: `(verdict, injections, first injection)`.
+fn device_verdict(app: &str, class: FaultClass, severity: Severity, seed: u64) -> String {
+    let w = suite::by_name(app).expect("registered workload");
+    let cfg = cfg_whole_device(&w, true);
+    let plan = FaultPlan::generate(class, severity, seed, &w.table_config());
+    let launch = launch_for(&w, &cfg);
+    let log = Arc::new(FaultLog::new());
+    let res = Session::new(cfg).run_faulted(
+        &w.kernel,
+        launch,
+        Technique::RegMutex,
+        &plan,
+        Arc::clone(&log),
+    );
+    let verdict = match res {
+        Ok(rep) => format!("Ok {} {:#018x}", rep.stats.cycles, rep.stats.checksum),
+        Err(RunError::Sim(SimError::LedgerViolation { cycle, .. })) => {
+            format!("LedgerViolation {cycle}")
+        }
+        Err(RunError::Sim(SimError::Deadlock {
+            cycle,
+            last_progress,
+            sm_id,
+            blocked_at_acquire,
+            ..
+        })) => format!(
+            "Deadlock {cycle} {last_progress} sm{sm_id} blocked{}",
+            blocked_at_acquire.len()
+        ),
+        Err(e) => format!("{e:?}"),
+    };
+    format!(
+        "{verdict} | {} {:?}",
+        log.injections(),
+        log.first_injection_cycle()
+    )
+}
+
+#[test]
+fn whole_device_fault_verdicts_are_pinned() {
+    // Each SM runs on its own clock, so the device verdict is rebuilt from
+    // per-SM runs: the earliest fault, the first cycle every SM is quiet,
+    // or completion. These values were measured on the lockstep device
+    // loop (every SM stepped on one shared clock) and must not move.
+    use FaultClass::*;
+    use Severity::*;
+    let cases = [
+        (
+            "BFS",
+            CorruptLut,
+            Light,
+            7,
+            "LedgerViolation 6831 | 1 Some(6829)",
+        ),
+        (
+            "BFS",
+            StuckSrpBit,
+            Severe,
+            7,
+            "LedgerViolation 4717 | 2 Some(4707)",
+        ),
+        // SM 12 stops issuing first; the device stalls once the last busy
+        // SM has been quiet for the stall limit.
+        (
+            "BFS",
+            SpuriousAcquire,
+            Severe,
+            42,
+            "Deadlock 80623 6302 sm12 blocked16 | 15 Some(1997)",
+        ),
+        // Every SM is quiet at once, though each would resume later.
+        (
+            "Gaussian",
+            MemLatencySpike,
+            Severe,
+            7,
+            "Deadlock 74360 39 sm0 blocked0 | 1 Some(0)",
+        ),
+        (
+            "Gaussian",
+            MemLatencySpike,
+            Light,
+            42,
+            "Ok 8651 0x8fd2b91ec507cf1a | 1 Some(2724)",
+        ),
+        (
+            "BFS",
+            DelayedRelease,
+            Light,
+            42,
+            "Ok 27114 0x2141a5414464c9bd | 32 Some(12747)",
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (app, class, severity, seed, want) in cases {
+        let got = device_verdict(app, class, severity, seed);
+        if got != want {
+            mismatches.push(format!(
+                "{app} {class} {severity} s{seed}: got {got:?}, want {want:?}"
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}

@@ -143,3 +143,61 @@ fn fig1_sample_utilization_is_fractional_and_fluctuating() {
         );
     }
 }
+
+/// The figures simulate one sampled SM with its share of the grid. This
+/// prints, per app, how far that sample's cycle counts sit from a run of
+/// the whole device on the app's Table I architecture (the table in
+/// EXPERIMENTS.md's "Sampled SM vs whole device"). Run with:
+///
+/// ```text
+/// cargo test --release --test table1_and_paper_claims \
+///   sampled_vs_whole_device -- --ignored --nocapture
+/// ```
+#[test]
+#[ignore = "prints an EXPERIMENTS.md table; ~5 s in release"]
+fn sampled_vs_whole_device_cycles() {
+    let cycles = |w: &Workload, t: Technique, whole_device: bool| {
+        let mut cfg = w.table_config();
+        if whole_device {
+            cfg.simulated_sms = cfg.num_sms;
+        }
+        let rep = Session::new(cfg)
+            .run(&w.kernel, w.launch(), t)
+            .unwrap_or_else(|e| panic!("{}/{t}: {e}", w.name));
+        rep.stats.cycles
+    };
+    let pct = |from: u64, to: u64| 100.0 * (to as f64 - from as f64) / from as f64;
+    println!(
+        "| app | baseline, sampled | baseline, device | sampled vs device \
+         | RegMutex, sampled | RegMutex, device | sampled vs device \
+         | cycle reduction, sampled | cycle reduction, device |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|");
+    let (mut sampled_sum, mut device_sum, mut n) = (0.0, 0.0, 0.0);
+    for w in suite::all() {
+        let [bs, bd, rs, rd] = [
+            (Technique::Baseline, false),
+            (Technique::Baseline, true),
+            (Technique::RegMutex, false),
+            (Technique::RegMutex, true),
+        ]
+        .map(|(t, whole)| cycles(&w, t, whole));
+        let (red_s, red_d) = (-pct(bs, rs), -pct(bd, rd));
+        if suite::occupancy_limited().iter().any(|o| o.name == w.name) {
+            sampled_sum += red_s;
+            device_sum += red_d;
+            n += 1.0;
+        }
+        println!(
+            "| {} | {bs} | {bd} | {:+.1}% | {rs} | {rd} | {:+.1}% | {red_s:.1}% | {red_d:.1}% |",
+            w.name,
+            pct(bd, bs),
+            pct(rd, rs),
+        );
+    }
+    println!(
+        "\nFig 7 average reduction (8 occupancy-limited apps): sampled {:.2}%, whole device {:.2}%",
+        sampled_sum / n,
+        device_sum / n
+    );
+}
