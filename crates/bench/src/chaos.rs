@@ -18,14 +18,12 @@
 //! Every job is panic-isolated and capped by a cycle budget derived from
 //! its golden run, so a campaign always terminates with a full report.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use regmutex::{RunError, Session, Technique};
-use regmutex_durable::Journal;
+use regmutex_durable::{Campaign, Record, Run};
 use regmutex_sim::fault::{FaultClass, FaultLog, FaultPlan, Severity};
 use regmutex_sim::{GpuConfig, SimError};
 use regmutex_workloads::{suite, Workload};
@@ -331,123 +329,55 @@ fn decode_outcome(s: &str) -> Option<Outcome> {
     }
 }
 
-/// The campaign-identity line pinned as the journal's first record: a
-/// resume against a journal whose meta differs from the current
-/// invocation is a diagnosed refusal, because injection indices would
-/// mean different jobs.
-fn meta_line(spec: &CampaignSpec) -> String {
-    let opt = |v: Option<u64>| v.map_or("-".to_string(), |x| x.to_string());
-    format!(
-        "meta kind=chaos technique={} seeds={} watchdog={} stall={} matrix={} workloads={}",
-        spec.technique,
-        spec.seeds,
-        opt(spec.watchdog_cycles),
-        opt(spec.stall_multiplier.map(u64::from)),
-        FAULT_MATRIX.len(),
-        spec.workloads.join(",")
-    )
+/// The `chaos --journal` record: one classified injection, by its index
+/// in the deterministic job list (label, class and severity re-derive
+/// from that list, which the meta line pins).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InjectionRecord {
+    /// Index of the injection in the campaign's job list.
+    pub index: u64,
+    /// What the safety net did with it.
+    pub outcome: Outcome,
 }
 
-/// Durable campaign state for `chaos --journal`: the append handle plus
-/// the injections replayed from a previous run.
-#[derive(Debug)]
-pub struct ChaosJournal {
-    journal: Mutex<Journal>,
-    completed: HashMap<usize, Outcome>,
-}
+impl Record for InjectionRecord {
+    const KIND: &'static str = "chaos";
 
-impl ChaosJournal {
-    fn log_path(dir: &Path) -> std::path::PathBuf {
-        dir.join("journal.log")
+    type Identity = CampaignSpec;
+
+    /// Everything that decides which job an injection index names.
+    fn identity(spec: &CampaignSpec) -> String {
+        let opt = |v: Option<u64>| v.map_or("-".to_string(), |x| x.to_string());
+        format!(
+            "technique={} seeds={} watchdog={} stall={} matrix={} workloads={}",
+            spec.technique,
+            spec.seeds,
+            opt(spec.watchdog_cycles),
+            opt(spec.stall_multiplier.map(u64::from)),
+            FAULT_MATRIX.len(),
+            spec.workloads.join(",")
+        )
     }
 
-    /// Start a fresh campaign journal under `dir` (truncating any
-    /// previous journal there).
-    pub fn create(dir: &Path, spec: &CampaignSpec) -> Result<ChaosJournal, String> {
-        let mut journal = Journal::create(&Self::log_path(dir))
-            .map_err(|e| format!("cannot create journal in {}: {e}", dir.display()))?;
-        journal.append(&meta_line(spec));
-        journal.sync();
-        Ok(ChaosJournal {
-            journal: Mutex::new(journal),
-            completed: HashMap::new(),
+    fn encode(&self) -> String {
+        format!(
+            "inj index={} outcome={}",
+            self.index,
+            encode_outcome(&self.outcome)
+        )
+    }
+
+    fn decode(rec: &str) -> Option<Self> {
+        let (index, outcome) = rec.strip_prefix("inj index=")?.split_once(" outcome=")?;
+        Some(InjectionRecord {
+            index: index.parse().ok()?,
+            outcome: decode_outcome(outcome)?,
         })
     }
 
-    /// Resume from an existing journal: verify the campaign meta matches
-    /// this invocation, then fold every intact `inj` record. Recovery
-    /// diagnostics (torn tail, quarantined records) go to stderr.
-    pub fn resume(dir: &Path, spec: &CampaignSpec) -> Result<ChaosJournal, String> {
-        let (journal, replay) = Journal::open(&Self::log_path(dir)).map_err(|e| e.to_string())?;
-        for d in &replay.diagnostics {
-            eprintln!("[chaos] journal recovery: {d}");
-        }
-        let mut records = replay.records.iter();
-        match records.next() {
-            Some(meta) if *meta == meta_line(spec) => {}
-            Some(meta) => {
-                return Err(format!(
-                    "journal campaign mismatch: journal has `{meta}`, \
-                     this invocation is `{}`; refusing to resume",
-                    meta_line(spec)
-                ))
-            }
-            None => {
-                // Recovery ate everything (or the journal never got its
-                // meta): nothing to resume, start clean on the same file.
-                return ChaosJournal::create(dir, spec);
-            }
-        }
-        let mut completed = HashMap::new();
-        for rec in records {
-            if let Some((index, outcome)) = parse_injection_record(rec) {
-                // Keep the first occurrence: duplicated records (replayed
-                // writes) must not flip an outcome.
-                completed.entry(index).or_insert(outcome);
-            }
-        }
-        Ok(ChaosJournal {
-            journal: Mutex::new(journal),
-            completed,
-        })
+    fn key(&self) -> Option<u64> {
+        Some(self.index)
     }
-
-    /// Injections already completed by a previous run.
-    pub fn completed(&self) -> usize {
-        self.completed.len()
-    }
-
-    fn record(&self, index: usize, outcome: &Outcome) {
-        self.journal.lock().unwrap().append(&format!(
-            "inj index={index} outcome={}",
-            encode_outcome(outcome)
-        ));
-    }
-
-    /// Flush batched appends (checkpoint boundary).
-    pub fn sync(&self) {
-        self.journal.lock().unwrap().sync();
-    }
-}
-
-fn parse_injection_record(rec: &str) -> Option<(usize, Outcome)> {
-    let rest = rec.strip_prefix("inj index=")?;
-    let (index, outcome) = rest.split_once(" outcome=")?;
-    Some((index.parse().ok()?, decode_outcome(outcome)?))
-}
-
-/// How a durable campaign ended.
-pub enum ChaosRun {
-    /// Every injection classified; the full report.
-    Complete(CampaignReport),
-    /// The cancel check fired first: progress is journaled, the rest of
-    /// the matrix is waiting for `--resume`.
-    Checkpointed {
-        /// Injections classified so far (including replayed ones).
-        completed: usize,
-        /// Total matrix size.
-        total: usize,
-    },
 }
 
 /// Run a campaign. Fails early (with a message) only on setup errors: an
@@ -455,8 +385,8 @@ pub enum ChaosRun {
 /// Injection failures never abort the campaign — they are the data.
 pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
     match run_campaign_durable(spec, None, None)? {
-        ChaosRun::Complete(report) => Ok(report),
-        ChaosRun::Checkpointed { .. } => unreachable!("no cancel check installed"),
+        Run::Complete(report) => Ok(report),
+        Run::Checkpointed { .. } => unreachable!("no cancel check installed"),
     }
 }
 
@@ -468,9 +398,9 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
 /// byte-identically to an uninterrupted one at any worker count.
 pub fn run_campaign_durable(
     spec: &CampaignSpec,
-    journal: Option<&ChaosJournal>,
+    journal: Option<&Campaign<InjectionRecord>>,
     cancel: Option<&(dyn Fn() -> bool + Sync)>,
-) -> Result<ChaosRun, String> {
+) -> Result<Run<CampaignReport>, String> {
     // Resolve workloads and establish each one's golden (fault-free) run.
     let mut targets: Vec<(Workload, GpuConfig, u64, u64)> = Vec::new();
     for name in &spec.workloads {
@@ -520,15 +450,17 @@ pub fn run_campaign_durable(
     // deterministic job list, which the verified meta record pins).
     let mut replayed: Vec<(usize, Injection)> = Vec::new();
     if let Some(j) = journal {
-        for (&index, outcome) in &j.completed {
-            let Some(job) = jobs.get(index) else { continue };
+        for (index, job) in jobs.iter().enumerate() {
+            let Some(rec) = j.replayed(index as u64) else {
+                continue;
+            };
             replayed.push((
                 index,
                 Injection {
                     label: job.label.clone(),
                     class: job.class,
                     severity: job.severity,
-                    outcome: outcome.clone(),
+                    outcome: rec.outcome.clone(),
                 },
             ));
         }
@@ -568,7 +500,10 @@ pub fn run_campaign_durable(
                     *golden_checksum,
                 );
                 if let Some(j) = journal {
-                    j.record(n, &outcome);
+                    j.append(&InjectionRecord {
+                        index: n as u64,
+                        outcome: outcome.clone(),
+                    });
                 }
                 done.lock().unwrap().push((
                     n,
@@ -588,13 +523,13 @@ pub fn run_campaign_durable(
     }
     let mut results = done.into_inner().unwrap();
     if results.len() < jobs.len() {
-        return Ok(ChaosRun::Checkpointed {
-            completed: results.len(),
-            total: jobs.len(),
+        return Ok(Run::Checkpointed {
+            completed: results.len() as u64,
+            total: jobs.len() as u64,
         });
     }
     results.sort_by_key(|(n, _)| *n);
-    Ok(ChaosRun::Complete(CampaignReport {
+    Ok(Run::Complete(CampaignReport {
         injections: results.into_iter().map(|(_, i)| i).collect(),
         technique: spec.technique,
         workloads: targets.len(),
@@ -693,33 +628,6 @@ mod tests {
         assert!(err.contains("NoSuchApp"), "{err}");
     }
 
-    #[test]
-    fn outcome_codec_round_trips() {
-        let outcomes = [
-            Outcome::NotTriggered,
-            Outcome::Benign,
-            Outcome::Detected {
-                detector: "ledger",
-                cycles_to_detection: Some(123),
-            },
-            Outcome::Detected {
-                detector: "watchdog",
-                cycles_to_detection: None,
-            },
-            Outcome::SilentCorruption {
-                expected: 0xdead_beef,
-                got: 0x1234,
-            },
-        ];
-        for o in &outcomes {
-            assert_eq!(decode_outcome(&encode_outcome(o)).as_ref(), Some(o));
-        }
-        assert_eq!(decode_outcome("detected:made-up-detector:5"), None);
-        assert_eq!(decode_outcome("silent:nothex:0x1"), None);
-        assert_eq!(decode_outcome("detected:ledger:3:extra"), None);
-        assert_eq!(decode_outcome(""), None);
-    }
-
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec {
             workloads: vec!["BFS".into()],
@@ -748,44 +656,31 @@ mod tests {
 
         // Run with a journal, cancelling after a few completions.
         let dir = journal_dir("resume");
-        let journal = ChaosJournal::create(&dir, &spec).unwrap();
+        let journal = Campaign::create(&dir, &spec).unwrap();
         let polls = AtomicUsize::new(0);
         let cancel = move || polls.fetch_add(1, Ordering::Relaxed) >= 6;
         let first =
             run_campaign_durable(&spec, Some(&journal), Some(&cancel)).expect("setup must succeed");
         let completed = match first {
-            ChaosRun::Checkpointed { completed, total } => {
-                assert_eq!(total, FAULT_MATRIX.len());
+            Run::Checkpointed { completed, total } => {
+                assert_eq!(total, FAULT_MATRIX.len() as u64);
                 assert!(completed < total, "cancel must leave work behind");
                 completed
             }
-            ChaosRun::Complete(_) => panic!("cancel must checkpoint"),
+            Run::Complete(_) => panic!("cancel must checkpoint"),
         };
         drop(journal);
 
         // Resume: replay the journal, run only the remainder, and the
         // assembled report must byte-match the uninterrupted golden.
-        let journal = ChaosJournal::resume(&dir, &spec).unwrap();
-        assert_eq!(journal.completed(), completed);
+        let journal = Campaign::resume(&dir, &spec).unwrap();
+        assert_eq!(journal.completed() as u64, completed);
         match run_campaign_durable(&spec, Some(&journal), None).unwrap() {
-            ChaosRun::Complete(report) => {
+            Run::Complete(report) => {
                 assert_eq!(report.render(), golden.render());
             }
-            ChaosRun::Checkpointed { .. } => panic!("no cancel on resume"),
+            Run::Checkpointed { .. } => panic!("no cancel on resume"),
         }
-    }
-
-    #[test]
-    fn resume_with_different_campaign_is_refused() {
-        let spec = tiny_spec();
-        let dir = journal_dir("mismatch");
-        drop(ChaosJournal::create(&dir, &spec).unwrap());
-        let mut other = spec.clone();
-        other.seeds = 3;
-        let err = ChaosJournal::resume(&dir, &other).unwrap_err();
-        assert!(err.contains("refusing to resume"), "{err}");
-        // The matching spec resumes fine.
-        assert!(ChaosJournal::resume(&dir, &spec).is_ok());
     }
 
     #[test]

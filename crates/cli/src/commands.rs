@@ -1,21 +1,18 @@
 //! Command implementations. Each returns its output as a `String` so tests
 //! can assert on it; `main.rs` prints.
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
 use regmutex::{cycle_reduction_percent, Session, Technique, ALL_TECHNIQUES};
-use regmutex_bench::chaos::{run_campaign, run_campaign_durable, CampaignSpec, ChaosRun};
-use regmutex_bench::{
-    runner::default_jobs, ChaosJournal, Fig07Source, JobExecutor, JobSource, JobSpec, Runner,
-};
+use regmutex_bench::chaos::{run_campaign, run_campaign_durable, CampaignSpec};
+use regmutex_bench::{runner::default_jobs, Fig07Source, JobExecutor, JobSource, JobSpec, Runner};
 use regmutex_compiler::{analyze, live_trace, CompileOptions};
-use regmutex_durable::Journal;
+use regmutex_durable::{Campaign, Record, Run};
 use regmutex_fleet::{
-    is_checkpoint, run_fleet_campaign, run_fleet_loadgen, Coordinator, FleetCampaignSpec,
-    FleetConfig, FleetJournal, FleetLoadgenConfig,
+    run_fleet_campaign, run_fleet_loadgen, Coordinator, FleetCampaignSpec, FleetConfig,
+    FleetLoadgenConfig,
 };
 use regmutex_server::{signal, DiskTier, LoadgenConfig, ServerConfig};
 use regmutex_sim::{GpuConfig, LaunchConfig};
@@ -26,14 +23,49 @@ use regmutex_workloads::{suite, Workload};
 /// Distinct from 0 (clean), 1 (failure), 2 (usage), 3 (partial rows).
 pub const CHECKPOINT_EXIT: i32 = 4;
 
-/// The standard checkpoint epilogue: flush already happened, tell the
-/// user how to pick the campaign back up.
-fn checkpoint_hint(verb: &str, dir: &Path, completed: u64, total: u64) -> String {
-    format!(
-        "{verb}: checkpointed at {completed} of {total}; \
-         resume with --journal {} --resume\n",
-        dir.display()
-    )
+/// The durable mode of `sweep`, `chaos`, `fuzz` and `coordinator`
+/// (`--journal DIR [--resume]`): install the SIGINT/SIGTERM handler,
+/// create or resume the campaign journal in `dir`, hand it to `run`, and
+/// turn a checkpoint into the `--resume` hint on stderr. `None` means the
+/// run checkpointed and the verb exits with [`CHECKPOINT_EXIT`].
+fn durable<R: Record, T>(
+    verb: &str,
+    dir: &Path,
+    resume: bool,
+    identity: &R::Identity,
+    unit: &str,
+    run: impl FnOnce(Campaign<R>) -> Result<Run<T>, CommandError>,
+) -> Result<Option<T>, CommandError> {
+    signal::install();
+    let campaign = if resume {
+        Campaign::resume(dir, identity)
+    } else {
+        Campaign::create(dir, identity)
+    }
+    .map_err(CommandError)?;
+    if campaign.completed() > 0 {
+        eprintln!(
+            "[{verb}] resuming: {} {unit} already journaled",
+            campaign.completed()
+        );
+    }
+    match run(campaign)? {
+        Run::Complete(done) => Ok(Some(done)),
+        Run::Checkpointed { completed, total } => {
+            eprintln!(
+                "{verb}: checkpointed at {completed} of {total}; \
+                 resume with --journal {} --resume",
+                dir.display()
+            );
+            Ok(None)
+        }
+    }
+}
+
+/// The content-addressed result store in a campaign directory.
+fn result_store(dir: &Path) -> Result<Arc<DiskTier>, CommandError> {
+    DiskTier::shared(dir)
+        .map_err(|e| CommandError(format!("open result store in {}: {e}", dir.display())))
 }
 
 /// Errors surfaced to the user.
@@ -410,64 +442,32 @@ pub fn trace(app: &str, max_steps: usize) -> Result<String, CommandError> {
     Ok(out)
 }
 
-/// The sweep's durable campaign state: a checksummed journal pinning the
-/// workload identity and recording per-job completions, plus the set of
-/// fingerprints a previous run already finished. Results themselves live
-/// in the content-addressed [`DiskTier`] the runner probes before
-/// simulating, so replayed rows cost a disk read, not a simulation.
-struct SweepJournal {
-    journal: Journal,
-    replayed: HashSet<u64>,
-}
+/// The sweep journal's record: one job that simulated, by fingerprint.
+/// Results themselves live in the content-addressed store the runner
+/// probes before simulating, so replayed rows cost a disk read, not a
+/// simulation.
+struct SweepJob(u64);
 
-impl SweepJournal {
-    fn meta(app: &str) -> String {
-        format!("meta kind=sweep app={app}")
+impl Record for SweepJob {
+    const KIND: &'static str = "sweep";
+
+    type Identity = str;
+
+    fn identity(app: &str) -> String {
+        format!("app={app}")
     }
 
-    fn open(dir: &Path, app: &str, resume: bool) -> Result<SweepJournal, CommandError> {
-        let path = dir.join("journal.log");
-        if !resume {
-            let mut journal = Journal::create(&path).map_err(|e| {
-                CommandError(format!("cannot create journal in {}: {e}", dir.display()))
-            })?;
-            journal.append(&Self::meta(app));
-            journal.sync();
-            return Ok(SweepJournal {
-                journal,
-                replayed: HashSet::new(),
-            });
-        }
-        let (journal, replay) =
-            Journal::open(&path).map_err(|e| CommandError(format!("open journal: {e}")))?;
-        for d in &replay.diagnostics {
-            eprintln!("[sweep] journal recovery: {d}");
-        }
-        let mut records = replay.records.iter();
-        match records.next() {
-            Some(meta) if *meta == Self::meta(app) => {}
-            Some(meta) => {
-                return Err(CommandError(format!(
-                    "journal campaign mismatch: journal has `{meta}`, this invocation \
-                     is `{}`; refusing to resume",
-                    Self::meta(app)
-                )));
-            }
-            None => return SweepJournal::open(dir, app, false),
-        }
-        let replayed = records
-            .filter_map(|r| {
-                r.strip_prefix("job-ok fp=")
-                    .and_then(|h| u64::from_str_radix(h, 16).ok())
-            })
-            .collect();
-        Ok(SweepJournal { journal, replayed })
+    fn encode(&self) -> String {
+        format!("job-ok fp={:016x}", self.0)
     }
 
-    fn job_ok(&mut self, fp: u64) {
-        if !self.replayed.contains(&fp) {
-            self.journal.append(&format!("job-ok fp={fp:016x}"));
-        }
+    fn decode(rec: &str) -> Option<Self> {
+        let hex = rec.strip_prefix("job-ok fp=")?;
+        u64::from_str_radix(hex, 16).ok().map(SweepJob)
+    }
+
+    fn key(&self) -> Option<u64> {
+        Some(self.0)
     }
 }
 
@@ -511,40 +511,34 @@ pub fn sweep(
     let collected = match journal_dir {
         None => runner.run_all(&specs),
         Some(dir) => {
-            // Durable mode: persist results content-addressed, journal
-            // completions, and poll for SIGINT/SIGTERM between batches.
-            signal::install();
+            // Persist results content-addressed, journal completions, and
+            // poll for SIGINT/SIGTERM between batches.
             let dir = Path::new(dir);
-            let tier = DiskTier::shared(dir).map_err(|e| {
-                CommandError(format!("open result store in {}: {e}", dir.display()))
-            })?;
-            runner.set_tier(tier);
-            let mut journal = SweepJournal::open(dir, app, resume)?;
-            if resume && !journal.replayed.is_empty() {
-                eprintln!(
-                    "[sweep] resuming: {} of {} jobs already journaled",
-                    journal.replayed.len(),
-                    specs.len()
-                );
-            }
-            let mut collected = Vec::with_capacity(specs.len());
-            for batch in specs.chunks(runner.jobs().max(1)) {
-                if signal::triggered() {
-                    journal.journal.sync();
-                    let msg =
-                        checkpoint_hint("sweep", dir, collected.len() as u64, specs.len() as u64);
-                    eprint!("{msg}");
-                    return Ok((String::new(), CHECKPOINT_EXIT));
-                }
-                let results = runner.run_all(batch);
-                for (result, spec) in results.iter().zip(batch) {
-                    if result.is_ok() {
-                        journal.job_ok(spec.fingerprint());
+            runner.set_tier(result_store(dir)?);
+            let sweep = durable::<SweepJob, _>("sweep", dir, resume, app, "jobs", |journal| {
+                let mut collected = Vec::with_capacity(specs.len());
+                for batch in specs.chunks(runner.jobs().max(1)) {
+                    if signal::triggered() {
+                        journal.sync();
+                        return Ok(Run::Checkpointed {
+                            completed: collected.len() as u64,
+                            total: specs.len() as u64,
+                        });
                     }
+                    let results = runner.run_all(batch);
+                    for (result, spec) in results.iter().zip(batch) {
+                        if result.is_ok() {
+                            journal.append(&SweepJob(spec.fingerprint()));
+                        }
+                    }
+                    collected.extend(results);
                 }
-                collected.extend(results);
-            }
-            journal.journal.sync();
+                journal.sync();
+                Ok(Run::Complete(collected))
+            })?;
+            let Some(collected) = sweep else {
+                return Ok((String::new(), CHECKPOINT_EXIT));
+            };
             collected
         }
     };
@@ -624,29 +618,21 @@ pub fn chaos(
     let report = match journal_dir {
         None => run_campaign(&spec).map_err(CommandError)?,
         Some(dir) => {
-            signal::install();
-            let dir = Path::new(dir);
-            let journal = if resume {
-                ChaosJournal::resume(dir, &spec)
-            } else {
-                ChaosJournal::create(dir, &spec)
-            }
-            .map_err(CommandError)?;
-            if resume && journal.completed() > 0 {
-                eprintln!(
-                    "[chaos] resuming: {} injections already journaled",
-                    journal.completed()
-                );
-            }
-            let cancel: &(dyn Fn() -> bool + Sync) = &signal::triggered;
-            match run_campaign_durable(&spec, Some(&journal), Some(cancel)).map_err(CommandError)? {
-                ChaosRun::Complete(report) => report,
-                ChaosRun::Checkpointed { completed, total } => {
-                    let msg = checkpoint_hint("chaos", dir, completed as u64, total as u64);
-                    eprint!("{msg}");
-                    return Ok((String::new(), CHECKPOINT_EXIT));
-                }
-            }
+            let chaos = durable(
+                "chaos",
+                Path::new(dir),
+                resume,
+                &spec,
+                "injections",
+                |journal| {
+                    run_campaign_durable(&spec, Some(&journal), Some(&signal::triggered))
+                        .map_err(CommandError)
+                },
+            )?;
+            let Some(report) = chaos else {
+                return Ok((String::new(), CHECKPOINT_EXIT));
+            };
+            report
         }
     };
 
@@ -722,40 +708,6 @@ pub fn coordinator(
         ..FleetConfig::default()
     })
     .map_err(CommandError)?;
-    if let Some(dir) = journal_dir {
-        signal::install();
-        let dir = Path::new(dir);
-        let tier = DiskTier::shared(dir)
-            .map_err(|e| CommandError(format!("open result store in {}: {e}", dir.display())))?;
-        coordinator.set_tier(tier);
-        // The campaign identity pins the job matrix (which jobs run), not
-        // the throughput knobs — the determinism contract lets a resumed
-        // run use a different worker list, seed, or thread count.
-        let campaign = format!(
-            "fig07 budget={}",
-            cycle_budget.map_or_else(|| "-".to_string(), |b| b.to_string())
-        );
-        let journal = if resume {
-            FleetJournal::resume(dir, &campaign)
-        } else {
-            FleetJournal::create(dir, &campaign)
-        }
-        .map_err(CommandError)?;
-        let journal = Arc::new(journal);
-        if resume {
-            if journal.completed() > 0 {
-                eprintln!(
-                    "[coordinator] resuming: {} jobs already journaled",
-                    journal.completed()
-                );
-            }
-            // Restore journaled circuit-breaker state; execute() re-probes
-            // before dispatching so a recovered worker is re-admitted.
-            coordinator.quarantine_workers(journal.quarantined());
-        }
-        coordinator.set_journal(journal);
-        coordinator.set_cancel(Arc::new(signal::triggered));
-    }
     let source = Fig07Source;
     let mut jobs = source.jobs();
     if cycle_budget.is_some() {
@@ -763,14 +715,30 @@ pub fn coordinator(
             j.cycle_budget = cycle_budget;
         }
     }
-    let results = match coordinator.execute(&jobs) {
-        Ok(results) => results,
-        Err(e) if is_checkpoint(&e) => {
-            let dir = journal_dir.unwrap_or_default();
-            eprintln!("coordinator: {e}; resume with --journal {dir} --resume");
-            return Ok((String::new(), coordinator.render_metrics(), CHECKPOINT_EXIT));
+    let results = match journal_dir {
+        None => coordinator.execute(&jobs).map_err(CommandError)?,
+        Some(dir) => {
+            let dir = Path::new(dir);
+            coordinator.set_tier(result_store(dir)?);
+            coordinator.set_cancel(Arc::new(signal::triggered));
+            // The campaign identity pins the job matrix (which jobs run), not
+            // the throughput knobs — the determinism contract lets a resumed
+            // run use a different worker list, seed, or thread count.
+            let campaign = format!(
+                "fig07 budget={}",
+                cycle_budget.map_or_else(|| "-".to_string(), |b| b.to_string())
+            );
+            let fleet = durable("coordinator", dir, resume, &*campaign, "jobs", |journal| {
+                // Restores journaled circuit-breaker state; execution
+                // re-probes first, so a recovered worker is re-admitted.
+                coordinator.set_journal(journal);
+                coordinator.execute_durable(&jobs).map_err(CommandError)
+            })?;
+            let Some(results) = fleet else {
+                return Ok((String::new(), coordinator.render_metrics(), CHECKPOINT_EXIT));
+            };
+            results
         }
-        Err(e) => return Err(CommandError(e)),
     };
     let (out, code) = source.render(&jobs, &results);
     Ok((out, coordinator.render_metrics(), code))
@@ -913,33 +881,20 @@ pub fn fuzz(
     let report = match journal_dir {
         None => regmutex_fuzz::run_campaign(&cfg, &runner),
         Some(dir) => {
-            signal::install();
             let dir = Path::new(dir);
-            let tier = DiskTier::shared(dir).map_err(|e| {
-                CommandError(format!("open result store in {}: {e}", dir.display()))
+            runner.set_tier(result_store(dir)?);
+            let fuzz = durable("fuzz", dir, resume, &cfg, "kernels", |journal| {
+                Ok(regmutex_fuzz::run_campaign_durable(
+                    &cfg,
+                    &runner,
+                    Some(&journal),
+                    Some(&signal::triggered),
+                ))
             })?;
-            runner.set_tier(tier);
-            let journal = if resume {
-                regmutex_fuzz::FuzzJournal::resume(dir, &cfg)
-            } else {
-                regmutex_fuzz::FuzzJournal::create(dir, &cfg)
-            }
-            .map_err(CommandError)?;
-            if resume && journal.completed() > 0 {
-                eprintln!(
-                    "[fuzz] resuming: {} kernels already journaled",
-                    journal.completed()
-                );
-            }
-            let cancel: &dyn Fn() -> bool = &signal::triggered;
-            match regmutex_fuzz::run_campaign_durable(&cfg, &runner, Some(&journal), Some(cancel)) {
-                regmutex_fuzz::FuzzRun::Complete(report) => report,
-                regmutex_fuzz::FuzzRun::Checkpointed { completed, total } => {
-                    let msg = checkpoint_hint("fuzz", dir, completed, total);
-                    eprint!("{msg}");
-                    return Ok((String::new(), CHECKPOINT_EXIT));
-                }
-            }
+            let Some(report) = fuzz else {
+                return Ok((String::new(), CHECKPOINT_EXIT));
+            };
+            report
         }
     };
     if let Some(path) = stats {
@@ -1238,11 +1193,138 @@ mod tests {
         let (resumed, code) = sweep("BFS", Some(1), Some(&dir_s), true).unwrap();
         assert_eq!(code, 0);
         assert_eq!(resumed, golden);
-
-        // A journal from a different campaign is refused.
-        let err = sweep("SAD", Some(1), Some(&dir_s), true).unwrap_err();
-        assert!(err.0.contains("refusing to resume"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The on-disk journal vocabulary, literally: every meta line and one
+    /// record of every kind. Journals written by earlier builds must keep
+    /// resuming, so none of these strings may move.
+    #[test]
+    fn journal_vocabulary_is_pinned() {
+        use regmutex_bench::{chaos::Outcome, InjectionRecord};
+        use regmutex_fleet::FleetRecord;
+        use regmutex_fuzz::{CampaignConfig, KernelRecord, PlantedFault};
+        use regmutex_sim::{FaultClass, Severity};
+
+        /// `text` decodes to a record with `key` that encodes back to it.
+        fn pinned<R: Record>(text: &str, key: Option<u64>) {
+            let rec = R::decode(text).expect("pinned record must decode");
+            assert_eq!((rec.encode().as_str(), rec.key()), (text, key));
+        }
+        /// Malformed payloads are gaps, never records.
+        fn rejected<R: Record>(bad: &[&str]) {
+            for b in bad {
+                assert!(R::decode(b).is_none(), "accepted {b:?}");
+            }
+        }
+
+        assert_eq!(Campaign::<SweepJob>::meta("BFS"), "meta kind=sweep app=BFS");
+        let mut spec = CampaignSpec::default_campaign(4);
+        spec.workloads = vec!["Gaussian".into()];
+        spec.seeds = 1;
+        assert_eq!(
+            Campaign::<InjectionRecord>::meta(&spec),
+            "meta kind=chaos technique=regmutex seeds=1 watchdog=- stall=- matrix=11 \
+             workloads=Gaussian"
+        );
+        spec.watchdog_cycles = Some(5000);
+        spec.stall_multiplier = Some(3);
+        spec.workloads.push("BFS".into());
+        assert_eq!(
+            Campaign::<InjectionRecord>::meta(&spec),
+            "meta kind=chaos technique=regmutex seeds=1 watchdog=5000 stall=3 matrix=11 \
+             workloads=Gaussian,BFS"
+        );
+        let mut cfg = CampaignConfig {
+            seed: 0xc1,
+            iters: 600,
+            ..CampaignConfig::default()
+        };
+        assert_eq!(
+            Campaign::<KernelRecord>::meta(&cfg),
+            "meta kind=fuzz seed=0xc1 start=0 iters=600 budget=400000 esc=8 fault=- \
+             minimize=1 mintests=12000 maxdiv=5"
+        );
+        cfg.start = 100;
+        cfg.fault = Some(PlantedFault {
+            class: FaultClass::StuckSrpBit,
+            severity: Severity::Severe,
+            seed: 5,
+            technique: Technique::RegMutex,
+        });
+        cfg.minimize = false;
+        cfg.max_divergences = 1;
+        assert_eq!(
+            Campaign::<KernelRecord>::meta(&cfg),
+            "meta kind=fuzz seed=0xc1 start=100 iters=600 budget=400000 esc=8 \
+             fault=stuck-srp-bit:severe:5:regmutex minimize=0 mintests=12000 maxdiv=1"
+        );
+        assert_eq!(
+            Campaign::<FleetRecord>::meta("fig07 budget=-"),
+            "meta kind=fleet fig07 budget=-"
+        );
+
+        assert_eq!(SweepJob(0xab).encode(), "job-ok fp=00000000000000ab");
+        pinned::<SweepJob>("job-ok fp=00000000000000ab", Some(0xab));
+        assert_eq!(
+            FleetRecord::JobOk(0xab).encode(),
+            "job-ok fp=00000000000000ab"
+        );
+        pinned::<FleetRecord>("job-ok fp=00000000000000ab", Some(0xab));
+        pinned::<FleetRecord>("quarantine addr=127.0.0.1:9001", None);
+        pinned::<FleetRecord>("readmit addr=127.0.0.1:9001", None);
+        let ledger = InjectionRecord {
+            index: 3,
+            outcome: Outcome::Detected {
+                detector: "ledger",
+                cycles_to_detection: Some(17),
+            },
+        };
+        assert_eq!(ledger.encode(), "inj index=3 outcome=detected:ledger:17");
+        for outcome in [
+            "detected:ledger:17",
+            "detected:panic:-",
+            "benign",
+            "not-triggered",
+            "silent:0x00000000deadbeef:0x0000000000000012",
+        ] {
+            pinned::<InjectionRecord>(&format!("inj index=3 outcome={outcome}"), Some(3));
+        }
+        pinned::<KernelRecord>("ok index=4 runs=5 esc=1", Some(4));
+        pinned::<KernelRecord>(
+            "div index=7 runs=41 technique=regmutex kind=checksum steps=3 tests=17 instr=12\n\
+             detail=store checksum 0x1 != baseline 0x2\n\
+             # regmutex-fuzz artifact v1\n\
+             version=1\n\
+             seed=0x000000000000abcd\n\
+             trace=1,0,3\n\
+             fault=stuck-srp-bit:severe:5:regmutex\n\
+             expect=divergence:regmutex:checksum\n\
+             note=minimized from campaign seed 0xc1 index 7\n",
+            Some(7),
+        );
+
+        rejected::<SweepJob>(&["job-ok fp=xyz", "job-ok 00ab", "ok index=1 runs=2 esc=0"]);
+        rejected::<FleetRecord>(&[
+            "job-ok fp=",
+            "quarantine w1:1",
+            "inj index=0 outcome=benign",
+        ]);
+        rejected::<InjectionRecord>(&[
+            "inj index=0 outcome=detected:made-up-detector:5",
+            "inj index=0 outcome=detected:ledger:3:extra",
+            "inj index=0 outcome=silent:nothex:0x1",
+            "inj index=x outcome=benign",
+            "inj index=0 outcome=",
+        ]);
+        rejected::<KernelRecord>(&[
+            "",
+            "ok index=1 runs=x esc=0",
+            "ok index=1 runs=2 esc=0 extra=1",
+            "div index=1 runs=2",
+            "div index=1 runs=2 technique=nope kind=checksum steps=0 tests=0 instr=1\ndetail=d\nx",
+            "inj index=0 outcome=benign",
+        ]);
     }
 
     #[test]

@@ -13,6 +13,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use std::io::{BufRead, BufReader};
 
+use regmutex_server::loadgen::Rng;
+
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_regmutex-cli"))
 }
@@ -23,35 +25,21 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     d
 }
 
-/// A tiny deterministic PRNG seeded from the wall clock; the seed is
+/// A kill-schedule generator seeded from the wall clock; the seed is
 /// printed so a failing schedule can be replayed by hand.
-struct Rng(u64);
+fn clock_rng(tag: &str) -> Rng {
+    let nanos = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .expect("clock after epoch")
+        .subsec_nanos();
+    let seed = u64::from(nanos) | 1;
+    eprintln!("[{tag}] kill-schedule seed: {seed:#x}");
+    Rng::new(seed)
+}
 
-impl Rng {
-    fn from_clock(tag: &str) -> Rng {
-        let seed = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .expect("clock after epoch")
-            .subsec_nanos() as u64
-            | 1;
-        eprintln!("[{tag}] kill-schedule seed: {seed:#x}");
-        Rng(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        // splitmix64 step — quality is irrelevant, variety is the point.
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// A kill delay between 10% and 80% of the golden wall time.
-    fn kill_delay(&mut self, golden: Duration) -> Duration {
-        let frac = 10 + self.next() % 71; // 10..=80 percent
-        golden.mul_f64(frac as f64 / 100.0)
-    }
+/// A kill delay between 10% and 80% of the golden wall time.
+fn kill_delay(rng: &mut Rng, golden: Duration) -> Duration {
+    golden.mul_f64((10 + rng.next_u64() % 71) as f64 / 100.0)
 }
 
 /// Spawn `args`, send `signal` after `delay`, and reap. Returns the
@@ -90,7 +78,7 @@ fn fuzz_campaign_survives_sigkill_storm_byte_identically() {
         "golden produced no report:\n{golden_out}"
     );
 
-    let mut rng = Rng::from_clock("fuzz");
+    let mut rng = clock_rng("fuzz");
     let mut journaled: Vec<String> = base.iter().map(|s| s.to_string()).collect();
     journaled.extend(["--journal".to_string(), dir_s.clone()]);
 
@@ -101,7 +89,7 @@ fn fuzz_campaign_survives_sigkill_storm_byte_identically() {
         if round > 0 {
             args.push("--resume");
         }
-        let out = run_and_signal(&args, sig, rng.kill_delay(golden_wall));
+        let out = run_and_signal(&args, sig, kill_delay(&mut rng, golden_wall));
         if out.status.success() {
             // The campaign outran the kill: its output must already be
             // golden, and the remaining rounds have nothing to interrupt.
@@ -219,13 +207,13 @@ fn fleet_sweep_survives_coordinator_sigkills_byte_identically() {
 
     // The coordinator process dies three times; the workers live on, so
     // each resume finds their caches warm *and* the journal's cursor.
-    let mut rng = Rng::from_clock("fleet");
+    let mut rng = clock_rng("fleet");
     for round in 0..3 {
         let mut args: Vec<&str> = base.to_vec();
         if round > 0 {
             args.push("--resume");
         }
-        let out = run_and_signal(&args, "-KILL", rng.kill_delay(golden_wall));
+        let out = run_and_signal(&args, "-KILL", kill_delay(&mut rng, golden_wall));
         if out.status.success() {
             assert_eq!(
                 String::from_utf8_lossy(&out.stdout),
@@ -251,4 +239,59 @@ fn fleet_sweep_survives_coordinator_sigkills_byte_identically() {
         "resumed fleet sweep must be byte-identical to the local golden"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every campaign verb refuses `--resume` against another campaign's
+/// journal before doing any work: exit code 1 and one message, quoting
+/// both meta lines (`meta kind=…`) whole.
+#[test]
+fn every_verb_refuses_a_mismatched_resume_with_one_message() {
+    let chaos = "chaos technique=regmutex seeds=N watchdog=- stall=- matrix=11 \
+                 workloads=Gaussian";
+    let fuzz = "fuzz seed=N start=0 iters=600 budget=400000 esc=8 fault=- \
+                minimize=1 mintests=12000 maxdiv=5";
+    let cases: [(&[&str], String, String); 4] = [
+        (
+            &["sweep", "BFS"],
+            "sweep app=SAD".into(),
+            "sweep app=BFS".into(),
+        ),
+        (
+            &["chaos", "Gaussian", "--seeds", "2"],
+            chaos.replace('N', "1"),
+            chaos.replace('N', "2"),
+        ),
+        (
+            &["fuzz", "--seed", "0xc1", "--iters", "600"],
+            fuzz.replace('N', "0xc2"),
+            fuzz.replace('N', "0xc1"),
+        ),
+        (
+            &["coordinator", "--workers", "127.0.0.1:1"],
+            "fleet fig07 budget=5000".into(),
+            "fleet fig07 budget=-".into(),
+        ),
+    ];
+    for (n, (args, journaled, invocation)) in cases.iter().enumerate() {
+        let dir = temp_dir(&format!("mismatch-{n}"));
+        let mut journal = regmutex_durable::Journal::create(&dir.join("journal.log")).unwrap();
+        journal.append(&format!("meta kind={journaled}"));
+        journal.sync();
+        let out = cli()
+            .args(*args)
+            .arg("--journal")
+            .arg(&dir)
+            .arg("--resume")
+            .output()
+            .expect("spawn regmutex-cli");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!(
+                "error: journal campaign mismatch: journal has `meta kind={journaled}`, \
+                 this invocation is `meta kind={invocation}`; refusing to resume\n"
+            ),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -189,11 +189,6 @@ impl Journal {
         self.unsynced = 0;
     }
 
-    /// True once a write error has downgraded this journal to a no-op.
-    pub fn degraded(&self) -> bool {
-        self.file.is_none()
-    }
-
     fn degrade(&mut self, what: &str, err: &io::Error) {
         note_degradation(
             &format!("{what} to {} failed", self.path.display()),

@@ -1,12 +1,19 @@
-//! Crash-survivable campaign state: a checksummed append-only journal
-//! and a content-addressed on-disk result store.
+//! Crash-survivable campaign state: a checksummed append-only journal,
+//! the one campaign layer on top of it, and a content-addressed on-disk
+//! result store.
 //!
 //! Every long-running surface in the workspace — sweeps, the chaos
-//! matrix, fleet coordination, the mass fuzzer — used to keep all
-//! campaign progress in memory, so a SIGKILL at hour three lost
-//! everything. This crate provides the two durable primitives they
-//! journal through (see DESIGN.md §10):
+//! matrix, fleet coordination, the mass fuzzer — journals through this
+//! crate, so a SIGKILL at hour three loses at most a few units of work
+//! (see DESIGN.md §10):
 //!
+//! - [`Campaign`]: the campaign journal all four share. A campaign
+//!   supplies only a [`Record`] vocabulary (its meta-line identity,
+//!   `encode`/`decode`, an optional completion key); [`Campaign`] owns
+//!   create and resume, the identity check and its refusal, keep-first
+//!   dedup, ordered replay of keyless records, recovery diagnostics and
+//!   locked appends. A durable run ends as a [`Run`]: complete, or
+//!   checkpointed for a later resume.
 //! - [`Journal`]: an append-only record log. Each record is
 //!   length-prefixed and carries an FNV-1a checksum over its length and
 //!   payload, so a reopening reader can tell a torn tail (truncate and
@@ -21,24 +28,25 @@
 //!   store safely shareable across campaigns: a key either maps to the
 //!   one result it fingerprints or to nothing.
 //!
-//! Both degrade rather than abort: any write-side I/O error (ENOSPC,
+//! The journal and the store degrade rather than abort: any write-side I/O error (ENOSPC,
 //! EIO, a yanked disk) flips the instance to in-memory-only operation
 //! with a one-time stderr warning and bumps a process-wide counter
 //! ([`degradation_count`]) that the server exposes as
 //! `regmutex_durable_degradations_total`. The campaign keeps running;
 //! it just stops being resumable past that point.
 //!
-//! The crate is std-only and dependency-free: payloads are opaque
-//! bytes/UTF-8 here, and each campaign layer defines its own record
-//! vocabulary on top.
+//! The crate is std-only and dependency-free: journal payloads are UTF-8
+//! text whose vocabulary each campaign's [`Record`] type defines.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+pub mod campaign;
 pub mod journal;
 mod record;
 pub mod store;
 
+pub use campaign::{Campaign, Record, Run};
 pub use journal::{Journal, Replay};
 pub use store::ResultStore;
 

@@ -3,13 +3,16 @@
 //! The delay before re-dispatching a job is a *pure function* of
 //! `(seed, fingerprint, attempt)`: exponential growth from
 //! [`BackoffPolicy::base`], capped at [`BackoffPolicy::cap`], scaled by a
-//! jitter factor in `[0.5, 1.0)` drawn from an xorshift64\* hash of the
-//! inputs. Jitter de-synchronizes a thundering herd of retries without
+//! jitter factor in `[0.5, 1.0)`: one output of the service side's
+//! xorshift64\* [`Rng`] seeded with a hash of the inputs. Jitter
+//! de-synchronizes a thundering herd of retries without
 //! sacrificing reproducibility — the same seed replays the exact same
 //! delay schedule, which is what makes chaos campaigns and retry tests
 //! deterministic.
 
 use std::time::Duration;
+
+use regmutex_server::loadgen::Rng;
 
 /// Exponential backoff parameters.
 #[derive(Debug, Clone)]
@@ -29,15 +32,6 @@ impl Default for BackoffPolicy {
     }
 }
 
-/// One xorshift64* step — the repo-wide seeded PRNG convention.
-fn mix(mut x: u64) -> u64 {
-    x = x.max(1);
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-}
-
 impl BackoffPolicy {
     /// The delay before retry `attempt` (1-based; attempt 0 is the first
     /// dispatch and never waits) of the job with this `fingerprint`, under
@@ -50,9 +44,11 @@ impl BackoffPolicy {
             .base
             .saturating_mul(1u32 << (attempt - 1).min(16))
             .min(self.cap);
-        let r = mix(seed
-            ^ fingerprint.rotate_left(17)
-            ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let r = Rng::new(
+            seed ^ fingerprint.rotate_left(17)
+                ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        )
+        .next_u64();
         // Top 53 bits → uniform in [0,1); squeeze into [0.5, 1.0).
         let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
         exp.mul_f64(0.5 + unit / 2.0)
@@ -105,6 +101,13 @@ mod tests {
         }
         // Huge attempt numbers must not overflow the shift.
         assert!(p.delay(9, 9, u32::MAX) < Duration::from_millis(300));
+    }
+
+    #[test]
+    fn jitter_sequence_is_pinned() {
+        let p = BackoffPolicy::default();
+        let us: Vec<u128> = (1..4).map(|a| p.delay(7, 0xabc, a).as_micros()).collect();
+        assert_eq!(us, [35_147, 87_600, 199_487]);
     }
 
     #[test]

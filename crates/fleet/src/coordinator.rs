@@ -50,20 +50,15 @@ use std::time::Duration;
 
 use regmutex::{RunError, RunReport};
 use regmutex_bench::{CachedResult, DurableTier, JobExecutor, MatrixJob};
+use regmutex_durable::{Campaign, Run};
 use regmutex_server::json::{self, Json};
 use regmutex_server::wire::{report_from_json, run_request_json, RunRequest};
 
 use crate::backoff::BackoffPolicy;
-use crate::journal::FleetJournal;
+use crate::journal::FleetRecord;
 use crate::metrics::FleetMetrics;
 use crate::ring::Ring;
 use crate::worker::WorkerHandle;
-
-/// True when an [`JobExecutor::execute`] error is a graceful checkpoint
-/// (the cancel hook fired; progress is journaled) rather than a failure.
-pub fn is_checkpoint(err: &str) -> bool {
-    err.starts_with("checkpointed:")
-}
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -155,7 +150,7 @@ pub struct Coordinator {
     metrics: Arc<FleetMetrics>,
     lease_counter: AtomicU64,
     tier: Option<Arc<dyn DurableTier>>,
-    journal: Option<Arc<FleetJournal>>,
+    journal: Option<Campaign<FleetRecord>>,
     cancel: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
 }
 
@@ -193,33 +188,38 @@ impl Coordinator {
         self.tier = Some(tier);
     }
 
-    /// Attach a campaign journal: verified completions and worker
-    /// quarantine transitions are appended as they happen.
-    pub fn set_journal(&mut self, journal: Arc<FleetJournal>) {
+    /// Attach a campaign journal. Its worker-health transitions fold
+    /// last-wins, and a worker whose last one was a quarantine starts
+    /// benched: execution re-probes it before dispatching, so a worker
+    /// that recovered while the campaign was down is re-admitted instead
+    /// of staying benched on stale state. Verified completions and health
+    /// transitions are appended as they happen.
+    pub fn set_journal(&mut self, journal: Campaign<FleetRecord>) {
+        let mut benched: HashMap<&str, bool> = HashMap::new();
+        for rec in journal.keyless() {
+            match rec {
+                FleetRecord::Quarantine(addr) => benched.insert(addr, true),
+                FleetRecord::Readmit(addr) => benched.insert(addr, false),
+                FleetRecord::JobOk(_) => None,
+            };
+        }
+        for w in &self.workers {
+            if benched.get(w.addr.as_str()) == Some(&true) {
+                w.quarantine();
+            }
+        }
         self.journal = Some(journal);
     }
 
     /// Install a cancellation hook, polled by dispatch threads between
-    /// jobs. When it fires, [`JobExecutor::execute`] stops claiming work,
-    /// flushes the journal, and returns a [`is_checkpoint`] error.
+    /// jobs. When it fires, [`Coordinator::execute_durable`] stops
+    /// claiming work, flushes the journal, and returns a checkpoint.
     pub fn set_cancel(&mut self, cancel: Arc<dyn Fn() -> bool + Send + Sync>) {
         self.cancel = Some(cancel);
     }
 
     fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(|c| c())
-    }
-
-    /// Apply journaled quarantine state during resume replay. Always
-    /// paired with the pre-dispatch [`Coordinator::reprobe_quarantined`]
-    /// pass, so a worker that recovered while the campaign was down is
-    /// re-admitted instead of staying benched on stale state.
-    pub fn quarantine_workers(&self, addrs: &[String]) {
-        for w in &self.workers {
-            if addrs.iter().any(|a| *a == w.addr) {
-                w.quarantine();
-            }
-        }
     }
 
     /// Synchronously probe every quarantined worker once, re-admitting
@@ -230,7 +230,7 @@ impl Coordinator {
             if w.is_quarantined() && w.probe(self.cfg.probe_timeout).is_ok() {
                 w.readmit();
                 if let Some(j) = &self.journal {
-                    j.readmit(&w.addr);
+                    j.append(&FleetRecord::Readmit(w.addr.clone()));
                 }
                 readmitted += 1;
             }
@@ -295,7 +295,7 @@ impl Coordinator {
         // miss, so the job simply re-dispatches.
         if let Some(v) = self.tier.as_ref().and_then(|t| t.load(fingerprint)) {
             if let Some(j) = &self.journal {
-                j.job_ok(fingerprint);
+                j.append(&FleetRecord::JobOk(fingerprint));
             }
             self.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
             self.metrics.jobs_cached.fetch_add(1, Ordering::Relaxed);
@@ -336,7 +336,7 @@ impl Coordinator {
                         t.sync();
                     }
                     if let Some(j) = &self.journal {
-                        j.job_ok(fingerprint);
+                        j.append(&FleetRecord::JobOk(fingerprint));
                     }
                     trace.cached = cached;
                     self.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
@@ -364,7 +364,7 @@ impl Coordinator {
                             .quarantines
                             .fetch_add(1, Ordering::Relaxed);
                         if let Some(j) = &self.journal {
-                            j.quarantine(&worker.addr);
+                            j.append(&FleetRecord::Quarantine(worker.addr.clone()));
                         }
                     }
                     last_fault = format!("worker {}: {desc}", worker.addr);
@@ -495,7 +495,7 @@ impl Coordinator {
     fn note_worker_ok(&self, worker: &WorkerHandle) {
         if worker.is_quarantined() {
             if let Some(j) = &self.journal {
-                j.readmit(&worker.addr);
+                j.append(&FleetRecord::Readmit(worker.addr.clone()));
             }
         }
         worker.note_success();
@@ -516,7 +516,7 @@ impl Coordinator {
                 if w.is_quarantined() && w.probe(self.cfg.probe_timeout).is_ok() {
                     w.readmit();
                     if let Some(j) = &self.journal {
-                        j.readmit(&w.addr);
+                        j.append(&FleetRecord::Readmit(w.addr.clone()));
                     }
                 }
             }
@@ -539,12 +539,24 @@ fn error_message(body: &[u8]) -> String {
 }
 
 impl JobExecutor for Coordinator {
+    fn execute(&self, jobs: &[MatrixJob]) -> Result<Vec<CachedResult>, String> {
+        match self.execute_durable(jobs)? {
+            Run::Complete(results) => Ok(results),
+            Run::Checkpointed { completed, total } => Err(format!(
+                "checkpointed: {completed} of {total} unique jobs complete"
+            )),
+        }
+    }
+}
+
+impl Coordinator {
     /// Dispatch the batch across the fleet. Unique jobs (by fingerprint)
     /// run once each over a shared-cursor thread pool; duplicates reuse
     /// the first result; assembly is in submission order — exactly the
     /// local `Runner`'s contract, so renderers can't tell the substrates
-    /// apart.
-    fn execute(&self, jobs: &[MatrixJob]) -> Result<Vec<CachedResult>, String> {
+    /// apart. A fired cancel hook ends the run as a checkpoint counting
+    /// unique jobs.
+    pub fn execute_durable(&self, jobs: &[MatrixJob]) -> Result<Run<Vec<CachedResult>>, String> {
         // Resume replay may have restored quarantine state that went
         // stale while the campaign was down: give every benched worker
         // one synchronous probe before routing around it.
@@ -605,21 +617,23 @@ impl JobExecutor for Coordinator {
                 .iter()
                 .filter(|&&i| results[i].lock().expect("result slot lock").is_some())
                 .count();
-            return Err(format!(
-                "checkpointed: {done} of {} unique jobs complete",
-                unique.len()
-            ));
+            return Ok(Run::Checkpointed {
+                completed: done as u64,
+                total: unique.len() as u64,
+            });
         }
-        Ok(fingerprints
-            .iter()
-            .map(|fp| {
-                results[first[fp]]
-                    .lock()
-                    .expect("result slot lock")
-                    .clone()
-                    .expect("every unique job was dispatched")
-            })
-            .collect())
+        Ok(Run::Complete(
+            fingerprints
+                .iter()
+                .map(|fp| {
+                    results[first[fp]]
+                        .lock()
+                        .expect("result slot lock")
+                        .clone()
+                        .expect("every unique job was dispatched")
+                })
+                .collect(),
+        ))
     }
 }
 
@@ -756,17 +770,43 @@ mod tests {
     fn cancel_checkpoints_instead_of_dispatching() {
         let mut c = coordinator(vec!["127.0.0.1:1".into()]);
         c.set_cancel(Arc::new(|| true));
-        let err = c
-            .execute(&[MatrixJob::new("BFS", Technique::Baseline)])
-            .unwrap_err();
-        assert!(is_checkpoint(&err), "{err}");
+        let run = c
+            .execute_durable(&[MatrixJob::new("BFS", Technique::Baseline)])
+            .unwrap();
+        assert!(
+            matches!(
+                run,
+                Run::Checkpointed {
+                    completed: 0,
+                    total: 1
+                }
+            ),
+            "{run:?}"
+        );
         assert_eq!(c.metrics().attempts.load(Ordering::Relaxed), 0);
+    }
+
+    /// A campaign journal resumed after a run that journaled `recs`.
+    fn journal(tag: &str, recs: &[FleetRecord]) -> Campaign<FleetRecord> {
+        let d = std::env::temp_dir().join(format!("rmx-coord-{tag}-{}", std::process::id()));
+        let j = Campaign::create(&d, "test").unwrap();
+        recs.iter().for_each(|r| j.append(r));
+        drop(j);
+        Campaign::resume(&d, "test").unwrap()
     }
 
     #[test]
     fn journaled_quarantine_is_applied_and_dead_workers_stay_benched() {
-        let c = coordinator(vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()]);
-        c.quarantine_workers(&["127.0.0.1:2".into()]);
+        let mut c = coordinator(vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()]);
+        let (w1, w2) = (c.workers[0].addr.clone(), c.workers[1].addr.clone());
+        c.set_journal(journal(
+            "benched",
+            &[
+                FleetRecord::Quarantine(w2),
+                FleetRecord::Quarantine(w1.clone()),
+                FleetRecord::Readmit(w1),
+            ],
+        ));
         assert!(!c.workers[0].is_quarantined());
         assert!(c.workers[1].is_quarantined());
         // The address is dead, so the re-probe fails and the quarantine
@@ -787,8 +827,8 @@ mod tests {
         })
         .expect("boot worker");
         let addr = server.local_addr().to_string();
-        let c = coordinator(vec![addr.clone()]);
-        c.quarantine_workers(std::slice::from_ref(&addr));
+        let mut c = coordinator(vec![addr.clone()]);
+        c.set_journal(journal("recovered", &[FleetRecord::Quarantine(addr)]));
         assert!(c.workers[0].is_quarantined());
         assert_eq!(c.reprobe_quarantined(), 1);
         assert!(!c.workers[0].is_quarantined());

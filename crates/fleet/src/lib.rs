@@ -53,10 +53,10 @@ pub mod worker;
 
 pub use backoff::BackoffPolicy;
 pub use chaos::{run_fleet_campaign, FleetCampaignReport, FleetCampaignSpec, ScenarioResult};
-pub use coordinator::{is_checkpoint, Coordinator, FleetConfig, JobTrace};
+pub use coordinator::{Coordinator, FleetConfig, JobTrace};
 pub use fault::{FaultKind, FaultPlan, FaultProxy};
 pub use fuzz_fanout::{run_fuzz_fanout, FuzzFanoutConfig, FuzzFanoutReport};
-pub use journal::FleetJournal;
+pub use journal::FleetRecord;
 pub use loadgen::{run_fleet_loadgen, FleetLoadgenConfig, FleetLoadgenReport};
 pub use metrics::FleetMetrics;
 pub use ring::Ring;

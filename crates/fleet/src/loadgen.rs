@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use regmutex::Technique;
 use regmutex_bench::{MatrixJob, Table};
+use regmutex_server::loadgen::{percentile_us, Rng};
 use regmutex_workloads::suite;
 
 use crate::coordinator::Coordinator;
@@ -57,16 +58,6 @@ pub struct WorkerBreakdown {
     pub latencies_us: Vec<u64>,
 }
 
-impl WorkerBreakdown {
-    fn percentile_us(&self, p: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let idx = ((p / 100.0) * (self.latencies_us.len() - 1) as f64).round() as usize;
-        self.latencies_us[idx.min(self.latencies_us.len() - 1)]
-    }
-}
-
 /// Aggregate results of one fleet load-generation run.
 #[derive(Debug, Clone, Default)]
 pub struct FleetLoadgenReport {
@@ -93,15 +84,6 @@ pub struct FleetLoadgenReport {
 }
 
 impl FleetLoadgenReport {
-    /// Exact percentile over all requests, µs.
-    pub fn percentile_us(&self, p: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let idx = ((p / 100.0) * (self.latencies_us.len() - 1) as f64).round() as usize;
-        self.latencies_us[idx.min(self.latencies_us.len() - 1)]
-    }
-
     /// Successfully completed requests per second.
     pub fn goodput(&self) -> f64 {
         let s = self.elapsed.as_secs_f64();
@@ -140,8 +122,8 @@ impl FleetLoadgenReport {
             self.retried_429,
             self.elapsed.as_secs_f64(),
             self.goodput(),
-            self.percentile_us(50.0) as f64 / 1e3,
-            self.percentile_us(95.0) as f64 / 1e3,
+            percentile_us(&self.latencies_us, 50.0) as f64 / 1e3,
+            percentile_us(&self.latencies_us, 95.0) as f64 / 1e3,
         );
         let mut table = Table::new(&["worker", "served", "share", "cached", "p50 ms", "p95 ms"]);
         for w in &self.per_worker {
@@ -155,34 +137,12 @@ impl FleetLoadgenReport {
                 w.served.to_string(),
                 format!("{share:.1}%"),
                 w.cached.to_string(),
-                format!("{:.3}", w.percentile_us(50.0) as f64 / 1e3),
-                format!("{:.3}", w.percentile_us(95.0) as f64 / 1e3),
+                format!("{:.3}", percentile_us(&w.latencies_us, 50.0) as f64 / 1e3),
+                format!("{:.3}", percentile_us(&w.latencies_us, 95.0) as f64 / 1e3),
             ]);
         }
         let _ = write!(out, "\n{}", table.render());
         out
-    }
-}
-
-/// xorshift64* — the repo-wide seeded PRNG convention.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[(self.next() % items.len() as u64) as usize]
     }
 }
 
@@ -306,7 +266,7 @@ mod tests {
     #[test]
     fn empty_report_is_safe() {
         let r = FleetLoadgenReport::default();
-        assert_eq!(r.percentile_us(99.0), 0);
+        assert_eq!(percentile_us(&r.latencies_us, 99.0), 0);
         assert_eq!(r.goodput(), 0.0);
         assert!(r.render().contains("requests      0"));
     }

@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use regmutex_bench::{JobSpec, Runner};
+use regmutex_durable::Run;
 use regmutex_isa::mix;
 
 use crate::artifact::{Artifact, Expectation};
@@ -134,20 +135,8 @@ pub struct FuzzReport {
     pub divergences: Vec<FoundDivergence>,
 }
 
-/// How a durable campaign ended.
-pub enum FuzzRun {
-    /// The full index range evaluated (or a duration/divergence cap hit,
-    /// exactly as an uninterrupted run would).
-    Complete(FuzzReport),
-    /// The cancel check fired first: progress is journaled, the rest of
-    /// the range is waiting for `--resume`.
-    Checkpointed {
-        /// Kernels evaluated so far (including replayed ones).
-        completed: u64,
-        /// Total iteration budget.
-        total: u64,
-    },
-}
+/// How a durable campaign ended: a [`Run`] counting kernels.
+pub type FuzzRun = Run<FuzzReport>;
 
 /// Run a campaign on `runner`. Fault-free campaigns batch all techniques
 /// of `cfg.batch` kernels into single [`Runner::run_all`] calls; planted
@@ -190,7 +179,9 @@ pub fn run_campaign_durable(
             let Some(rec) = j.replayed(index) else { break };
             stats.kernels += 1;
             match rec {
-                KernelRecord::Agreement { runs, escalations } => {
+                KernelRecord::Agreement {
+                    runs, escalations, ..
+                } => {
                     stats.runs += runs;
                     stats.agreements += 1;
                     stats.escalations += u64::from(*escalations);
@@ -268,26 +259,21 @@ pub fn run_campaign_durable(
                     stats.agreements += 1;
                     stats.escalations += u64::from(escalations);
                     if let Some(j) = journal {
-                        j.record(
-                            i,
-                            &KernelRecord::Agreement {
-                                runs: stats.runs - runs_before,
-                                escalations,
-                            },
-                        );
+                        j.append(&KernelRecord::Agreement {
+                            index: i,
+                            runs: stats.runs - runs_before,
+                            escalations,
+                        });
                     }
                 }
                 Outcome::Divergence(d) => {
                     stats.divergences += 1;
                     let found = shrink_divergence(cfg, runner, i, g, d, &mut stats);
                     if let Some(j) = journal {
-                        j.record(
-                            i,
-                            &KernelRecord::Divergence {
-                                runs: stats.runs - runs_before,
-                                found: found.clone(),
-                            },
-                        );
+                        j.append(&KernelRecord::Divergence {
+                            runs: stats.runs - runs_before,
+                            found: found.clone(),
+                        });
                     }
                     divergences.push(found);
                     if stats.divergences >= cfg.max_divergences {
@@ -673,18 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_with_different_campaign_is_refused() {
-        let cfg = quick_cfg(8);
-        let dir = journal_dir("mismatch");
-        drop(crate::journal::FuzzJournal::create(&dir, &cfg).unwrap());
-        let mut other = cfg.clone();
-        other.seed ^= 1;
-        let err = crate::journal::FuzzJournal::resume(&dir, &other).unwrap_err();
-        assert!(err.contains("refusing to resume"), "{err}");
-        assert!(crate::journal::FuzzJournal::resume(&dir, &cfg).is_ok());
-    }
-
-    #[test]
     fn journal_gap_falls_back_to_rerun() {
         // A record that is not part of the contiguous prefix must be
         // ignored (the fold stops at the first gap), so a journal whose
@@ -695,31 +669,11 @@ mod tests {
         let (golden, _) = run_campaign(&cfg, &runner).render();
 
         let dir = journal_dir("gap");
-        let journal = crate::journal::FuzzJournal::create(&dir, &cfg).unwrap();
-        journal.sync();
-        drop(journal);
+        drop(crate::journal::FuzzJournal::create(&dir, &cfg).unwrap());
         // Plant an out-of-prefix record with corrupt counters at index 5.
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(dir.join("journal.log"))
-                .unwrap();
-            // Hand-build a valid journal record the hard way: reuse the
-            // public journal by appending through a scratch FuzzJournal
-            // would re-write the meta, so splice raw bytes instead.
-            let payload = b"ok index=5 runs=999 esc=9";
-            let len = (payload.len() as u32).to_le_bytes();
-            let mut h = regmutex_durable::Fnv1a::new();
-            h.write(&len);
-            h.write(payload);
-            let mut rec = Vec::new();
-            rec.extend_from_slice(b"RMXR");
-            rec.extend_from_slice(&len);
-            rec.extend_from_slice(&h.finish().to_le_bytes());
-            rec.extend_from_slice(payload);
-            f.write_all(&rec).unwrap();
-        }
+        let (mut raw, _) = regmutex_durable::Journal::open(&dir.join("journal.log")).unwrap();
+        raw.append("ok index=5 runs=999 esc=9");
+        raw.sync();
         let resumed = crate::journal::FuzzJournal::resume(&dir, &cfg).unwrap();
         assert_eq!(resumed.completed(), 1, "planted record must decode");
         let FuzzRun::Complete(report) = run_campaign_durable(&cfg, &runner, Some(&resumed), None)

@@ -46,7 +46,7 @@ pub use campaign::{
     FoundDivergence, FuzzReport, FuzzRun,
 };
 pub use gen::{generate, replay, Generated};
-pub use journal::FuzzJournal;
+pub use journal::{FuzzJournal, KernelRecord};
 pub use minimize::{minimize, Minimized};
 pub use oracle::{Divergence, DivergenceKind, OracleConfig, Outcome, PlantedFault};
 pub use trace::{trace_from_text, trace_to_text, Decisions};

@@ -104,16 +104,17 @@ pub struct LoadgenReport {
     pub conn_requests: Vec<u64>,
 }
 
-impl LoadgenReport {
-    /// Exact percentile (nearest-rank on the sorted samples), in µs.
-    pub fn percentile_us(&self, p: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let idx = ((p / 100.0) * (self.latencies_us.len() - 1) as f64).round() as usize;
-        self.latencies_us[idx.min(self.latencies_us.len() - 1)]
-    }
+/// Exact percentile of ascending `sorted` samples: the nearest rank,
+/// rounded, or 0 for no samples.
+pub fn percentile_us(sorted: &[u64], p: f64) -> u64 {
+    let Some(last) = sorted.len().checked_sub(1) else {
+        return 0;
+    };
+    let idx = ((p / 100.0) * last as f64).round() as usize;
+    sorted[idx.min(last)]
+}
 
+impl LoadgenReport {
     /// Completed requests per second (every response counts — 429s are
     /// responses, not drops).
     pub fn rps(&self) -> f64 {
@@ -184,28 +185,38 @@ impl LoadgenReport {
             self.elapsed.as_secs_f64(),
             self.rps(),
             self.goodput(),
-            self.percentile_us(50.0) as f64 / 1e3,
-            self.percentile_us(95.0) as f64 / 1e3,
-            self.percentile_us(99.0) as f64 / 1e3,
+            percentile_us(&self.latencies_us, 50.0) as f64 / 1e3,
+            percentile_us(&self.latencies_us, 95.0) as f64 / 1e3,
+            percentile_us(&self.latencies_us, 99.0) as f64 / 1e3,
         )
     }
 }
 
-/// xorshift64* — tiny, seedable, good enough for workload sampling.
-struct Rng(u64);
+/// xorshift64* (shifts 12/25/27, seed 0 remapped to 1): the service
+/// side's one seeded generator, behind the loadgen's request picks and
+/// the fleet's backoff jitter.
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
 
 impl Rng {
-    fn new(seed: u64) -> Self {
+    /// A generator seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
         Rng(seed.max(1))
     }
 
-    fn next(&mut self) -> u64 {
+    /// The next output.
+    pub fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
         x ^= x << 25;
         x ^= x >> 27;
         self.0 = x;
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    /// An element of non-empty `items`, drawn with one output.
+    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[(self.next_u64() % items.len() as u64) as usize]
     }
 }
 
@@ -338,8 +349,8 @@ fn worker(cfg: &LoadgenConfig, names: &[String], seed: u64) -> LoadgenReport {
             remaining -= n;
             let idxs: Vec<usize> = (0..n)
                 .map(|_| {
-                    let app_idx = (rng.next() % names.len() as u64) as usize;
-                    let tech_idx = (rng.next() % TECHNIQUES.len() as u64) as usize;
+                    let app_idx = (rng.next_u64() % names.len() as u64) as usize;
+                    let tech_idx = (rng.next_u64() % TECHNIQUES.len() as u64) as usize;
                     app_idx * TECHNIQUES.len() + tech_idx
                 })
                 .collect();
@@ -366,8 +377,8 @@ fn worker(cfg: &LoadgenConfig, names: &[String], seed: u64) -> LoadgenReport {
         for _ in 0..cfg.requests {
             // Same two rng draws (app, then technique) as the pre-pool
             // code, so a seed reproduces the same request stream.
-            let app_idx = (rng.next() % names.len() as u64) as usize;
-            let tech_idx = (rng.next() % TECHNIQUES.len() as u64) as usize;
+            let app_idx = (rng.next_u64() % names.len() as u64) as usize;
+            let tech_idx = (rng.next_u64() % TECHNIQUES.len() as u64) as usize;
             let body = &bodies[app_idx * TECHNIQUES.len() + tech_idx];
             // One logical request: up to 1 + max_retries_429 attempts,
             // backing off by the server's Retry-After between them. The
@@ -407,10 +418,23 @@ mod tests {
         let mut a = Rng::new(42);
         let mut b = Rng::new(42);
         for _ in 0..32 {
-            assert_eq!(a.next(), b.next());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
         let mut c = Rng::new(43);
-        assert_ne!(a.next(), c.next());
+        assert_ne!(a.next_u64(), c.next_u64());
+        // The sequence itself is pinned: a seed replays the same stream
+        // across builds, and seed 0 is remapped to 1.
+        let mut r = Rng::new(42);
+        let first: Vec<u64> = (0..3).map(|_| r.next_u64()).collect();
+        assert_eq!(
+            first,
+            [
+                0x56ce_4ab7_719b_a3a0,
+                0xc841_eb53_ebbb_2dda,
+                0xca46_6be0_c998_0276
+            ]
+        );
+        assert_eq!(Rng::new(0).next_u64(), 0x47e4_ce4b_896c_dd1d);
     }
 
     #[test]
@@ -422,9 +446,9 @@ mod tests {
             elapsed: Duration::from_secs(2),
             ..Default::default()
         };
-        assert_eq!(report.percentile_us(50.0), 51);
-        assert_eq!(report.percentile_us(99.0), 99);
-        assert_eq!(report.percentile_us(100.0), 100);
+        assert_eq!(percentile_us(&report.latencies_us, 50.0), 51);
+        assert_eq!(percentile_us(&report.latencies_us, 99.0), 99);
+        assert_eq!(percentile_us(&report.latencies_us, 100.0), 100);
         assert!((report.rps() - 50.0).abs() < 1e-9);
         assert!(report.nothing_dropped());
     }
@@ -432,7 +456,7 @@ mod tests {
     #[test]
     fn empty_report_is_safe() {
         let r = LoadgenReport::default();
-        assert_eq!(r.percentile_us(99.0), 0);
+        assert_eq!(percentile_us(&r.latencies_us, 99.0), 0);
         assert_eq!(r.rps(), 0.0);
         assert_eq!(r.cache_hit_rate(), 0.0);
     }

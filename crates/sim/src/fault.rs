@@ -159,8 +159,11 @@ pub struct FaultPlan {
     pub faults: Vec<Fault>,
 }
 
-/// Minimal xorshift64* generator — deterministic fault parameters without
-/// an external RNG dependency.
+/// Minimal xorshift generator with a xorshift64* output multiply, on the
+/// 13/7/17 shift triple (not the 12/25/27 of the service side's `Rng`,
+/// so its sequence differs) — deterministic fault parameters without an
+/// external RNG dependency. Pinned fault verdicts depend on this exact
+/// sequence.
 struct Rng(u64);
 
 impl Rng {
