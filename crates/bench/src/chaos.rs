@@ -103,10 +103,12 @@ pub struct CampaignSpec {
     pub stall_multiplier: Option<u32>,
 }
 
-impl CampaignSpec {
+impl Default for CampaignSpec {
     /// The default campaign: the six-workload mix (barrier-free and
-    /// barrier-synchronised) against RegMutex with 8 seeds — 528 injections.
-    pub fn default_campaign(jobs: usize) -> Self {
+    /// barrier-synchronised) against RegMutex with 8 seeds — 528
+    /// injections — on [`default_jobs`](crate::runner::default_jobs)
+    /// workers.
+    fn default() -> Self {
         CampaignSpec {
             workloads: ["BFS", "HotSpot3D", "SAD", "Gaussian", "MergeSort", "SPMV"]
                 .iter()
@@ -114,7 +116,7 @@ impl CampaignSpec {
                 .collect(),
             seeds: 8,
             technique: Technique::RegMutex,
-            jobs,
+            jobs: crate::runner::default_jobs(),
             watchdog_cycles: None,
             stall_multiplier: None,
         }

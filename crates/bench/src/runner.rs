@@ -392,11 +392,12 @@ pub fn error_table(specs: &[JobSpec], results: &[Result<RunReport, RunError>]) -
     Some(out)
 }
 
-/// Default worker count: every available core.
+/// Default worker count when no `--jobs`/`--workers` flag names one:
+/// `REGMUTEX_JOBS` if it holds a positive integer, else every available
+/// core. Every pool in the workspace (figure binaries, CLI verbs, the
+/// server) resolves its size through this one rule.
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    jobs_from_env(&[], std::env::var("REGMUTEX_JOBS").ok().as_deref())
 }
 
 /// Extract a `--jobs N` / `--jobs=N` override from an argument list.
@@ -416,12 +417,16 @@ pub fn jobs_from_args(args: &[String]) -> Option<usize> {
 }
 
 /// Resolve the worker count from an argument list plus an optional
-/// `REGMUTEX_JOBS` value: flag, then env, then [`default_jobs`]. A zero or
-/// unparsable env value falls through to the default.
+/// `REGMUTEX_JOBS` value: flag, then env, then every available core. A
+/// zero or unparsable env value falls through to the core count.
 pub fn jobs_from_env(args: &[String], env: Option<&str>) -> usize {
     jobs_from_args(args)
         .or_else(|| env.and_then(|v| v.trim().parse().ok()).filter(|&n| n > 0))
-        .unwrap_or_else(default_jobs)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
 }
 
 #[cfg(test)]
@@ -740,10 +745,11 @@ mod tests {
         // Env beats the default.
         assert_eq!(jobs_from_env(&[], Some("7")), 7);
         assert_eq!(jobs_from_env(&[], Some(" 2 ")), 2);
-        // Bad env values fall through to the default.
-        assert_eq!(jobs_from_env(&[], Some("zero")), default_jobs());
-        assert_eq!(jobs_from_env(&[], Some("0")), default_jobs());
-        assert_eq!(jobs_from_env(&[], None), default_jobs());
+        // Bad env values fall through to the core count.
+        let cores = jobs_from_env(&[], None);
+        assert!(cores >= 1);
+        assert_eq!(jobs_from_env(&[], Some("zero")), cores);
+        assert_eq!(jobs_from_env(&[], Some("0")), cores);
     }
 
     #[test]

@@ -1,897 +1,693 @@
 //! Dependency-free argument parsing for the CLI.
+//!
+//! Each verb is one static `Verb` table: its positional workload name(s),
+//! one `Flag` per option, and a cross-flag `check`. One generic loop
+//! (`Verb::parse`) reads an argument vector straight into the
+//! configuration the verb runs with, starting from that configuration's
+//! `Default`, so a default value is written down exactly once. The usage
+//! synopsis is generated from the same tables.
 
-use regmutex::Technique;
+use std::path::PathBuf;
+use std::time::Duration;
 
-/// A parsed CLI invocation.
-#[derive(Debug, Clone, PartialEq)]
+use regmutex::{ParseTechniqueError, Technique};
+use regmutex_bench::chaos::CampaignSpec;
+use regmutex_fleet::{FleetCampaignSpec, FleetConfig};
+use regmutex_fuzz::{parse_fault, CampaignConfig};
+use regmutex_server::{LoadgenConfig, ServerConfig};
+
+/// A parsed CLI invocation: the verb and the configuration it runs with.
+#[derive(Debug, Clone)]
 pub enum Command {
-    /// `list` — print the workload registry.
-    List {
-        /// Emit the machine-readable JSON registry instead of the table.
-        json: bool,
-    },
-    /// `disasm <app>` — print a kernel (optionally transformed / annotated).
-    Disasm {
-        /// Workload name.
-        app: String,
-        /// Show the RegMutex-transformed kernel instead of the original.
-        transformed: bool,
-        /// Annotate each instruction with its live-register count.
-        liveness: bool,
-    },
-    /// `run <app>` — simulate one workload under one technique.
-    Run {
-        /// Workload name.
-        app: String,
-        /// Technique to run.
-        technique: Technique,
-        /// Use the half-size register file.
-        half_rf: bool,
-        /// Override the grid size.
-        ctas: Option<u32>,
-        /// Force a specific `|Es|`.
-        force_es: Option<u16>,
-        /// Override the absolute watchdog cycle bound.
-        watchdog_cycles: Option<u64>,
-        /// Override the no-progress detector's `gmem_latency` multiplier.
-        stall_multiplier: Option<u32>,
-        /// Disable event-driven cycle skipping (tick every cycle).
-        no_cycle_skip: bool,
-    },
-    /// `bench-loop` — wall-clock the simulation loop with cycle skipping
-    /// on vs off over a workload basket; write `BENCH_simloop.json`.
-    BenchLoop {
-        /// Workload names; empty selects the default basket.
-        apps: Vec<String>,
-        /// Timed repetitions per configuration (median reported).
-        iters: usize,
-        /// Output path for the JSON report.
-        out: String,
-    },
-    /// `compare <app>` — run all techniques and print the comparison.
-    Compare {
-        /// Workload name.
-        app: String,
-        /// Use the half-size register file.
-        half_rf: bool,
-        /// Simulation worker threads (default: all cores).
-        jobs: Option<usize>,
-    },
-    /// `trace <app>` — dump the Fig 1 live-register trace as CSV.
-    Trace {
-        /// Workload name.
-        app: String,
-        /// Maximum dynamic instructions.
-        max_steps: usize,
-    },
-    /// `sweep <app>` — the Fig 10 |Es| sweep for one workload.
-    Sweep {
-        /// Workload name.
-        app: String,
-        /// Simulation worker threads (default: all cores).
-        jobs: Option<usize>,
-        /// Durable campaign directory (journal + result store).
-        journal: Option<String>,
-        /// Resume the journaled campaign instead of starting fresh.
-        resume: bool,
-    },
-    /// `chaos [<app>...]` — a seeded fault-injection campaign against the
-    /// safety net.
-    Chaos {
-        /// Workload names; empty selects the default six-workload mix.
-        apps: Vec<String>,
-        /// Seeds per `(workload, fault class, severity)` cell.
-        seeds: u64,
-        /// Technique whose manager the faults attack.
-        technique: Technique,
-        /// Simulation worker threads (default: all cores).
-        jobs: Option<usize>,
-        /// Override the absolute watchdog cycle bound.
-        watchdog_cycles: Option<u64>,
-        /// Override the no-progress detector's `gmem_latency` multiplier.
-        stall_multiplier: Option<u32>,
-        /// Fail (exit 1) unless every fault class was detected at least
-        /// once.
-        expect_detections: bool,
-        /// Durable campaign directory (journal + result store).
-        journal: Option<String>,
-        /// Resume the journaled campaign instead of starting fresh.
-        resume: bool,
-    },
-    /// `serve` — run the HTTP simulation service.
-    Serve {
-        /// Bind address (`host:port`).
-        addr: String,
-        /// Simulation worker threads (default: `REGMUTEX_JOBS` or all
-        /// cores).
-        workers: Option<usize>,
-        /// Bounded job-queue capacity.
-        queue: usize,
-        /// Result-cache budget in MiB.
-        cache_mb: usize,
-        /// Cycle cap applied to every job.
-        cycle_budget: Option<u64>,
-        /// Maximum concurrent connections.
-        max_connections: usize,
-        /// Per-client token-bucket rate in requests/second (0 = off).
-        client_rate: f64,
-        /// Per-client token-bucket burst size.
-        client_burst: f64,
-        /// Persist the result cache here; a restarted server warm-starts.
-        cache_dir: Option<String>,
-    },
-    /// `loadgen` — closed-loop load generator against a running server,
-    /// or (with `--fleet`) through the fault-tolerant coordinator.
-    Loadgen {
-        /// Server address (`host:port`).
-        addr: String,
-        /// Concurrent client threads.
-        threads: usize,
-        /// Requests per thread.
-        requests: usize,
-        /// Sampling seed.
-        seed: u64,
-        /// Restrict sampling to these workloads (comma-separated).
-        apps: Vec<String>,
-        /// Route every request through the fleet coordinator instead of
-        /// speaking raw HTTP at one server.
-        fleet: bool,
-        /// Worker addresses for `--fleet` (comma-separated `host:port`).
-        workers: Vec<String>,
-        /// Per-job cycle budget in fleet mode (tightens deadlines).
-        cycle_budget: Option<u64>,
-        /// Reuse connections across requests (HTTP/1.1 keep-alive).
-        keep_alive: bool,
-        /// Requests pipelined per round trip (1 = classic).
-        pipeline: usize,
-    },
-    /// `coordinator` — run the Fig 7 sweep across a fleet of workers with
-    /// retries, backoff, and failover.
-    Coordinator {
-        /// Worker addresses (comma-separated `host:port`).
-        workers: Vec<String>,
-        /// Fleet seed (backoff jitter).
-        seed: u64,
-        /// Concurrent dispatch threads.
-        threads: usize,
-        /// Attempts per job before giving up with a labeled error row.
-        max_attempts: u32,
-        /// Per-job cycle budget (tightens deadlines).
-        cycle_budget: Option<u64>,
-        /// Durable campaign directory (journal + result store).
-        journal: Option<String>,
-        /// Resume the journaled campaign instead of starting fresh.
-        resume: bool,
-    },
-    /// `chaos-fleet` — network-fault campaign against a live two-worker
-    /// fleet; exits 1 on any lost or silently-wrong row.
-    ChaosFleet {
-        /// Fleet seeds per scenario (campaign uses seeds `1..=N`).
-        seeds: u64,
-        /// Restrict the campaign to one workload set (comma-separated;
-        /// empty = the default two sets).
-        apps: Vec<String>,
-        /// Per-job cycle budget (keeps scenarios fast).
-        cycle_budget: Option<u64>,
-        /// Connections forwarded cleanly before each fault engages.
-        trigger_after: usize,
-        /// Simulation worker threads per in-process server.
-        sim_workers: usize,
-    },
-    /// `fuzz` — mass kernel fuzzing with the differential cross-technique
-    /// oracle, locally or fanned out across a fleet.
-    Fuzz {
-        /// Campaign seed.
-        seed: u64,
-        /// Kernel count (the reproducible budget).
-        iters: u64,
-        /// Optional wall-clock budget in seconds (coarse; trades
-        /// byte-for-byte reproducibility for boundedness).
-        duration_secs: Option<u64>,
-        /// Simulation worker threads (default: all cores).
-        jobs: Option<usize>,
-        /// Per-technique cycle budget before watchdog escalation.
-        cycle_budget: Option<u64>,
-        /// Stop scanning after this many divergences.
-        max_divergences: u64,
-        /// Write the JSON stats artifact to this path.
-        stats: Option<String>,
-        /// Replay one artifact file instead of running a campaign.
-        replay: Option<String>,
-        /// Planted manager fault, `class:severity:seed:technique`
-        /// (oracle self-test mode).
-        fault: Option<String>,
-        /// Skip minimization of found divergences.
-        no_minimize: bool,
-        /// Fan the campaign out across fleet workers.
-        fleet: bool,
-        /// Worker addresses for `--fleet` (comma-separated `host:port`).
-        workers: Vec<String>,
-        /// Durable campaign directory (journal + result store).
-        journal: Option<String>,
-        /// Resume the journaled campaign instead of starting fresh.
-        resume: bool,
-    },
     /// `help` — usage.
     Help,
+    /// `list` — print the workload registry (`true`: as JSON).
+    List(bool),
+    /// `disasm <app>` — print a kernel (optionally transformed / annotated).
+    Disasm(DisasmArgs),
+    /// `run <app>` — simulate one workload under one technique.
+    Run(RunArgs),
+    /// `bench-loop` — wall-clock the simulation loop with cycle skipping on
+    /// vs off over a workload basket.
+    BenchLoop(BenchLoopArgs),
+    /// `compare <app>` — run all techniques and print the comparison.
+    Compare(CompareArgs),
+    /// `trace <app>` — dump the Fig 1 live-register trace as CSV.
+    Trace(TraceArgs),
+    /// `sweep <app>` — the Fig 10 |Es| sweep for one workload.
+    Sweep(SweepArgs),
+    /// `chaos [<app>...]` — a seeded fault-injection campaign.
+    Chaos(ChaosArgs),
+    /// `serve` — run the HTTP simulation service.
+    Serve(ServerConfig),
+    /// `loadgen` — closed-loop load against one server or a fleet.
+    Loadgen(LoadgenArgs),
+    /// `coordinator` — the Fig 7 sweep across a fleet of workers.
+    Coordinator(CoordinatorArgs),
+    /// `chaos-fleet` — network-fault campaign against a live fleet.
+    ChaosFleet(FleetCampaignSpec),
+    /// `fuzz` — mass kernel fuzzing with the differential oracle.
+    Fuzz(FuzzArgs),
 }
 
-/// Parse failures, with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError(pub String);
+/// `--journal DIR [--resume]`, shared by the campaign verbs.
+#[derive(Debug, Clone, Default)]
+pub struct JournalArgs {
+    pub(crate) dir: Option<PathBuf>,
+    pub(crate) resume: bool,
+}
 
-impl core::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}", self.0)
+/// `disasm` configuration.
+#[derive(Debug, Clone, Default)]
+pub struct DisasmArgs {
+    pub(crate) app: String,
+    pub(crate) transformed: bool,
+    pub(crate) liveness: bool,
+}
+
+/// `run` configuration.
+#[derive(Debug, Clone, Default)]
+pub struct RunArgs {
+    pub(crate) app: String,
+    pub(crate) technique: Technique,
+    pub(crate) half_rf: bool,
+    pub(crate) ctas: Option<u32>,
+    pub(crate) force_es: Option<u16>,
+    pub(crate) watchdog_cycles: Option<u64>,
+    pub(crate) stall_multiplier: Option<u32>,
+    pub(crate) no_cycle_skip: bool,
+}
+
+/// `bench-loop` configuration.
+#[derive(Debug, Clone)]
+pub struct BenchLoopArgs {
+    /// Empty selects the default basket.
+    pub(crate) apps: Vec<String>,
+    pub(crate) iters: usize,
+    pub(crate) out: String,
+}
+
+impl Default for BenchLoopArgs {
+    fn default() -> Self {
+        BenchLoopArgs {
+            apps: Vec::new(),
+            iters: 3,
+            out: "BENCH_simloop.json".into(),
+        }
     }
 }
 
-impl std::error::Error for ParseError {}
+/// `compare` configuration.
+#[derive(Debug, Clone, Default)]
+pub struct CompareArgs {
+    pub(crate) app: String,
+    pub(crate) half_rf: bool,
+    /// `None`: [`default_jobs`](regmutex_bench::runner::default_jobs).
+    pub(crate) jobs: Option<usize>,
+}
 
-/// Validate the `--journal DIR` / `--resume` pair shared by the campaign
-/// verbs: `--resume` is meaningless without a journal to resume from.
-fn check_journal(journal: &Option<String>, resume: bool) -> Result<(), ParseError> {
-    if resume && journal.is_none() {
-        return Err(ParseError("--resume needs --journal DIR".into()));
+/// `trace` configuration.
+#[derive(Debug, Clone)]
+pub struct TraceArgs {
+    pub(crate) app: String,
+    pub(crate) max_steps: usize,
+}
+
+impl Default for TraceArgs {
+    fn default() -> Self {
+        TraceArgs {
+            app: String::new(),
+            max_steps: 20_000,
+        }
     }
+}
+
+/// `sweep` configuration.
+#[derive(Debug, Clone, Default)]
+pub struct SweepArgs {
+    pub(crate) app: String,
+    /// `None`: [`default_jobs`](regmutex_bench::runner::default_jobs).
+    pub(crate) jobs: Option<usize>,
+    pub(crate) journal: JournalArgs,
+}
+
+/// `chaos` configuration.
+#[derive(Debug, Clone, Default)]
+pub struct ChaosArgs {
+    pub(crate) spec: CampaignSpec,
+    pub(crate) expect_detections: bool,
+    pub(crate) journal: JournalArgs,
+}
+
+/// `loadgen` configuration: direct load uses `load`; with `fleet` the
+/// coordinator is built from `workers` and `load`'s seed, threads,
+/// requests and apps.
+#[derive(Debug, Clone, Default)]
+pub struct LoadgenArgs {
+    pub(crate) load: LoadgenConfig,
+    pub(crate) fleet: bool,
+    pub(crate) workers: Vec<String>,
+    /// Per-job cycle budget in fleet mode.
+    pub(crate) cycle_budget: Option<u64>,
+}
+
+/// `coordinator` configuration.
+#[derive(Debug, Clone, Default)]
+pub struct CoordinatorArgs {
+    pub(crate) fleet: FleetConfig,
+    pub(crate) cycle_budget: Option<u64>,
+    pub(crate) journal: JournalArgs,
+}
+
+/// `fuzz` configuration: a local `campaign`, its `--replay` of one
+/// artifact, or (with `fleet`) a fan-out built from `workers` and the
+/// campaign's seed, iterations, cycle budget and minimize setting.
+#[derive(Debug, Clone, Default)]
+pub struct FuzzArgs {
+    pub(crate) campaign: CampaignConfig,
+    /// `None`: [`default_jobs`](regmutex_bench::runner::default_jobs).
+    pub(crate) jobs: Option<usize>,
+    pub(crate) stats: Option<String>,
+    pub(crate) replay: Option<String>,
+    pub(crate) fleet: bool,
+    pub(crate) workers: Vec<String>,
+    pub(crate) journal: JournalArgs,
+}
+
+/// Parses a flag's value into a verb's configuration `C`.
+type Setter<C> = fn(&mut C, &str) -> Result<(), String>;
+
+/// One flag of one verb.
+struct Flag<C> {
+    name: &'static str,
+    short: Option<&'static str>,
+    /// `None` for a switch, which takes no value.
+    metavar: Option<&'static str>,
+    help: &'static str,
+    set: Setter<C>,
+}
+
+/// A flag taking a value, `--name V` or `--name=V`.
+const fn opt<C>(
+    name: &'static str,
+    metavar: &'static str,
+    help: &'static str,
+    set: Setter<C>,
+) -> Flag<C> {
+    let mut flag = switch(name, help, set);
+    flag.metavar = Some(metavar);
+    flag
+}
+
+/// A switch, `--name`; the setter sees an empty value.
+const fn switch<C>(name: &'static str, help: &'static str, set: Setter<C>) -> Flag<C> {
+    Flag {
+        name,
+        short: None,
+        metavar: None,
+        help,
+        set,
+    }
+}
+
+/// `flag`, also spelled `short`.
+const fn short<C>(short: &'static str, mut flag: Flag<C>) -> Flag<C> {
+    flag.short = Some(short);
+    flag
+}
+
+/// How many positional workload names a verb takes.
+enum Apps<C> {
+    None,
+    /// Exactly one, first: `<app>`.
+    One(fn(&mut C, String)),
+    /// Any number, anywhere: `[<app>...]`; the setter sees them only when
+    /// at least one was given.
+    Many(fn(&mut C, Vec<String>)),
+}
+
+/// One verb's grammar.
+struct Verb<C: 'static> {
+    name: &'static str,
+    apps: Apps<C>,
+    flags: &'static [Flag<C>],
+    /// Cross-flag rules, run after every flag is set.
+    check: fn(&C) -> Result<(), String>,
+    wrap: fn(C) -> Command,
+}
+
+impl<C: Default + 'static> Verb<C> {
+    /// Parse the arguments after the verb name into `C`, starting from
+    /// `C::default()`.
+    fn parse(&self, args: &[String]) -> Result<C, String> {
+        let mut cfg = C::default();
+        let mut it = args.iter();
+        if let Apps::One(set) = self.apps {
+            match it.next() {
+                Some(app) if !app.starts_with('-') => set(&mut cfg, app.clone()),
+                _ => return Err(format!("'{}' needs a workload name; try 'list'", self.name)),
+            }
+        }
+        let mut apps = Vec::new();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                match self.apps {
+                    Apps::Many(_) => apps.push(arg.clone()),
+                    _ => return Err(format!("unexpected argument '{arg}'")),
+                }
+                continue;
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (arg.as_str(), None),
+            };
+            let flag = self
+                .flags
+                .iter()
+                .find(|f| f.name == name || f.short == Some(name))
+                .ok_or_else(|| format!("unknown flag '{name}'"))?;
+            let value = match (flag.metavar, inline) {
+                (None, None) => "",
+                (None, Some(_)) => return Err(format!("{name} takes no value")),
+                (Some(_), Some(value)) => value,
+                (Some(metavar), None) => it
+                    .next()
+                    .ok_or_else(|| format!("{name} needs a value ({metavar})"))?,
+            };
+            (flag.set)(&mut cfg, value)
+                .map_err(|e| format!("invalid value '{value}' for {name}: {e}"))?;
+        }
+        if let (Apps::Many(set), false) = (&self.apps, apps.is_empty()) {
+            set(&mut cfg, apps);
+        }
+        (self.check)(&cfg)?;
+        Ok(cfg)
+    }
+}
+
+/// A verb with its configuration type erased, for dispatch and usage.
+trait AnyVerb: Sync {
+    fn name(&self) -> &'static str;
+    fn command(&self, args: &[String]) -> Result<Command, String>;
+    /// `regmutex-cli <verb> <apps> [--flag V]...`, wrapped under the verb.
+    fn synopsis(&self) -> String;
+    /// One help line per flag.
+    fn flag_help(&self) -> String;
+}
+
+impl<C: Default + 'static> AnyVerb for Verb<C> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn command(&self, args: &[String]) -> Result<Command, String> {
+        self.parse(args).map(self.wrap)
+    }
+
+    fn synopsis(&self) -> String {
+        let mut out = format!("  regmutex-cli {}", self.name);
+        let indent = " ".repeat(out.len());
+        out += match self.apps {
+            Apps::None => "",
+            Apps::One(_) => " <app>",
+            Apps::Many(_) => " [<app>...]",
+        };
+        let mut width = out.len();
+        for f in self.flags {
+            let item = match f.metavar {
+                Some(m) => format!(" [{} {m}]", f.name),
+                None => format!(" [{}]", f.name),
+            };
+            if width + item.len() > 78 {
+                out = out + "\n" + &indent;
+                width = indent.len();
+            }
+            width += item.len();
+            out += &item;
+        }
+        out + "\n"
+    }
+
+    fn flag_help(&self) -> String {
+        let mut out = String::new();
+        for f in self.flags {
+            let names = match f.short {
+                Some(short) => format!("{short}, {}", f.name),
+                None => format!("    {}", f.name),
+            };
+            let flag = format!("{names} {}", f.metavar.unwrap_or_default());
+            out += &format!("  {flag:<32} {}\n", f.help);
+        }
+        out
+    }
+}
+
+// Value grammar shared by every verb.
+
+/// Store a parsed value.
+fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
     Ok(())
 }
 
-fn technique_from(s: &str) -> Result<Technique, ParseError> {
-    match s.to_ascii_lowercase().as_str() {
-        "baseline" => Ok(Technique::Baseline),
-        "regmutex" => Ok(Technique::RegMutex),
-        "paired" | "regmutex-paired" => Ok(Technique::RegMutexPaired),
-        "rfv" => Ok(Technique::Rfv),
-        "owf" => Ok(Technique::Owf),
-        other => Err(ParseError(format!(
-            "unknown technique '{other}' (expected baseline|regmutex|paired|rfv|owf)"
-        ))),
-    }
-}
-
-fn value_of<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, ParseError> {
-    let v = v.ok_or_else(|| ParseError(format!("{flag} needs a value")))?;
-    v.parse()
-        .map_err(|_| ParseError(format!("invalid value '{v}' for {flag}")))
-}
-
-/// Parse a u64 seed flag, accepting decimal or `0x`-prefixed hex (the
-/// form fuzz reports and artifacts print seeds in).
-fn seed_of(flag: &str, v: Option<&String>) -> Result<u64, ParseError> {
-    let v = v.ok_or_else(|| ParseError(format!("{flag} needs a value")))?;
-    let parsed = match v.strip_prefix("0x") {
+/// An integer, decimal or `0x`-prefixed hex (the form fuzz reports and
+/// artifacts print seeds in).
+fn int<T: TryFrom<u64>>(v: &str) -> Result<T, String> {
+    let n = match v.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => v.parse(),
-    };
-    parsed.map_err(|_| ParseError(format!("invalid value '{v}' for {flag}")))
-}
-
-/// Parse the flags shared by `sweep` and `compare`: `--jobs N` (or
-/// `--jobs=N`) plus any of `allowed`, returning (jobs, which allowed flags
-/// were seen).
-fn sweep_flags<'a>(
-    rest: &[String],
-    allowed: &[&'a str],
-) -> Result<(Option<usize>, Vec<&'a str>), ParseError> {
-    let mut jobs = None;
-    let mut seen = Vec::new();
-    let mut it = rest.iter().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            jobs = Some(value_of("--jobs", it.next())?);
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = Some(value_of("--jobs", Some(&v.to_string()))?);
-        } else if let Some(&f) = allowed.iter().find(|&&f| f == a) {
-            seen.push(f);
-        } else {
-            return Err(ParseError(format!("unknown flag '{a}'")));
-        }
     }
-    Ok((jobs, seen))
+    .map_err(|_| "expected a decimal or 0x-hex integer".to_string())?;
+    T::try_from(n).map_err(|_| "out of range".to_string())
 }
 
-/// Parse an argument vector (without the program name).
-pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let Some(cmd) = args.first() else {
+/// A count that must be at least 1.
+fn count<T: TryFrom<u64>>(v: &str) -> Result<T, String> {
+    match int::<u64>(v)? {
+        0 => Err("must be at least 1".into()),
+        n => T::try_from(n).map_err(|_| "out of range".to_string()),
+    }
+}
+
+/// A finite, non-negative rate.
+fn rate(v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        _ => Err("expected a finite non-negative number".into()),
+    }
+}
+
+/// A comma-separated list.
+fn list(v: &str) -> Result<Vec<String>, String> {
+    Ok(v.split(',').map(str::to_string).collect())
+}
+
+/// A file or directory named by an optional flag.
+fn path<T: for<'a> From<&'a str>>(v: &str) -> Result<Option<T>, String> {
+    Ok(Some(T::from(v)))
+}
+
+fn technique(v: &str) -> Result<Technique, String> {
+    v.parse().map_err(|e: ParseTechniqueError| e.to_string())
+}
+
+/// `--resume` is meaningless without a journal to resume from.
+fn check_journal(j: &JournalArgs) -> Result<(), String> {
+    match (&j.dir, j.resume) {
+        (None, true) => Err("--resume needs --journal DIR".into()),
+        _ => Ok(()),
+    }
+}
+
+const JOBS: &str = "simulation worker threads (default: REGMUTEX_JOBS, else all cores)";
+const JOURNAL: &str = "journal the campaign and store its results in DIR";
+const RESUME: &str = "resume the journaled campaign instead of starting fresh";
+const TECHNIQUE: &str = "baseline|regmutex|paired|rfv|owf (default: regmutex)";
+const HALF_RF: &str = "use the half-size (64 KB/SM) register file";
+const WATCHDOG: &str = "override the absolute watchdog cycle bound";
+const STALL: &str = "override the no-progress detector's gmem_latency multiplier";
+const FLEET: &str = "route through the fleet coordinator (needs --workers)";
+const WORKERS: &str = "fleet worker addresses (implies --fleet)";
+const NEEDS_WORKERS: &str = "needs --workers HOST:PORT[,HOST:PORT...]";
+
+// The tables below are laid out one flag per row.
+
+#[rustfmt::skip]
+static LIST: Verb<bool> = Verb {
+    name: "list",
+    apps: Apps::None,
+    flags: &[
+        switch("--json", "emit the registry as a JSON array", |c, _| put(c, Ok(true))),
+    ],
+    check: |_| Ok(()),
+    wrap: Command::List,
+};
+
+#[rustfmt::skip]
+static DISASM: Verb<DisasmArgs> = Verb {
+    name: "disasm",
+    apps: Apps::One(|c, app| c.app = app),
+    flags: &[
+        switch("--transformed", "show the RegMutex-transformed kernel", |c, _| put(&mut c.transformed, Ok(true))),
+        switch("--liveness", "annotate each instruction with its live-register count", |c, _| put(&mut c.liveness, Ok(true))),
+    ],
+    check: |_| Ok(()),
+    wrap: Command::Disasm,
+};
+
+#[rustfmt::skip]
+static RUN: Verb<RunArgs> = Verb {
+    name: "run",
+    apps: Apps::One(|c, app| c.app = app),
+    flags: &[
+        short("-t", opt("--technique", "T", TECHNIQUE, |c, v| put(&mut c.technique, technique(v)))),
+        switch("--half-rf", HALF_RF, |c, _| put(&mut c.half_rf, Ok(true))),
+        opt("--ctas", "N", "override the grid size", |c, v| put(&mut c.ctas, count(v).map(Some))),
+        opt("--force-es", "N", "force the |Es| extended-set size", |c, v| put(&mut c.force_es, int(v).map(Some))),
+        opt("--watchdog-cycles", "N", WATCHDOG, |c, v| put(&mut c.watchdog_cycles, int(v).map(Some))),
+        opt("--stall-multiplier", "N", STALL, |c, v| put(&mut c.stall_multiplier, int(v).map(Some))),
+        switch("--no-cycle-skip", "tick every cycle (no event-driven skipping)", |c, _| put(&mut c.no_cycle_skip, Ok(true))),
+    ],
+    check: |_| Ok(()),
+    wrap: Command::Run,
+};
+
+#[rustfmt::skip]
+static BENCH_LOOP: Verb<BenchLoopArgs> = Verb {
+    name: "bench-loop",
+    apps: Apps::None,
+    flags: &[
+        opt("--apps", "A,B,...", "workloads to time (default: a 4-row basket)", |c, v| put(&mut c.apps, list(v))),
+        opt("--iters", "N", "timed runs per mode; the median is reported", |c, v| put(&mut c.iters, count(v))),
+        opt("--out", "PATH", "where to write the JSON report", |c, v| put(&mut c.out, Ok(v.into()))),
+    ],
+    check: |_| Ok(()),
+    wrap: Command::BenchLoop,
+};
+
+#[rustfmt::skip]
+static COMPARE: Verb<CompareArgs> = Verb {
+    name: "compare",
+    apps: Apps::One(|c, app| c.app = app),
+    flags: &[
+        switch("--half-rf", HALF_RF, |c, _| put(&mut c.half_rf, Ok(true))),
+        opt("--jobs", "N", JOBS, |c, v| put(&mut c.jobs, count(v).map(Some))),
+    ],
+    check: |_| Ok(()),
+    wrap: Command::Compare,
+};
+
+#[rustfmt::skip]
+static TRACE: Verb<TraceArgs> = Verb {
+    name: "trace",
+    apps: Apps::One(|c, app| c.app = app),
+    flags: &[
+        opt("--max", "N", "maximum dynamic instructions", |c, v| put(&mut c.max_steps, int(v))),
+    ],
+    check: |_| Ok(()),
+    wrap: Command::Trace,
+};
+
+#[rustfmt::skip]
+static SWEEP: Verb<SweepArgs> = Verb {
+    name: "sweep",
+    apps: Apps::One(|c, app| c.app = app),
+    flags: &[
+        opt("--jobs", "N", JOBS, |c, v| put(&mut c.jobs, count(v).map(Some))),
+        opt("--journal", "DIR", JOURNAL, |c, v| put(&mut c.journal.dir, path(v))),
+        switch("--resume", RESUME, |c, _| put(&mut c.journal.resume, Ok(true))),
+    ],
+    check: |c| check_journal(&c.journal),
+    wrap: Command::Sweep,
+};
+
+#[rustfmt::skip]
+static CHAOS: Verb<ChaosArgs> = Verb {
+    name: "chaos",
+    apps: Apps::Many(|c, apps| c.spec.workloads = apps),
+    flags: &[
+        opt("--seeds", "N", "seeds per (workload, fault class, severity) cell", |c, v| put(&mut c.spec.seeds, count(v))),
+        short("-t", opt("--technique", "T", TECHNIQUE, |c, v| put(&mut c.spec.technique, technique(v)))),
+        opt("--jobs", "N", JOBS, |c, v| put(&mut c.spec.jobs, count(v))),
+        opt("--watchdog-cycles", "N", WATCHDOG, |c, v| put(&mut c.spec.watchdog_cycles, int(v).map(Some))),
+        opt("--stall-multiplier", "N", STALL, |c, v| put(&mut c.spec.stall_multiplier, int(v).map(Some))),
+        switch("--expect-detections", "exit 1 unless every fault class is caught", |c, _| put(&mut c.expect_detections, Ok(true))),
+        opt("--journal", "DIR", JOURNAL, |c, v| put(&mut c.journal.dir, path(v))),
+        switch("--resume", RESUME, |c, _| put(&mut c.journal.resume, Ok(true))),
+    ],
+    check: |c| check_journal(&c.journal),
+    wrap: Command::Chaos,
+};
+
+#[rustfmt::skip]
+static SERVE: Verb<ServerConfig> = Verb {
+    name: "serve",
+    apps: Apps::None,
+    flags: &[
+        opt("--addr", "HOST:PORT", "bind address", |c, v| put(&mut c.addr, Ok(v.into()))),
+        opt("--workers", "N", JOBS, |c, v| put(&mut c.sim_workers, count(v))),
+        opt("--queue", "N", "bounded job-queue capacity", |c, v| put(&mut c.queue_capacity, count(v))),
+        opt("--cache-mb", "N", "result-cache budget in MiB", |c, v| put(&mut c.cache_budget, int(v).map(|mb: usize| mb.saturating_mul(1 << 20)))),
+        opt("--cycle-budget", "N", "cycle cap applied to every job", |c, v| put(&mut c.cycle_budget, int(v).map(Some))),
+        opt("--max-connections", "N", "maximum concurrent connections", |c, v| put(&mut c.max_connections, int(v))),
+        opt("--client-rate", "R", "per-client requests/second (0 = off)", |c, v| put(&mut c.client_rate, rate(v))),
+        opt("--client-burst", "N", "per-client token-bucket burst", |c, v| put(&mut c.client_burst, rate(v))),
+        opt("--cache-dir", "DIR", "persist the result cache in DIR", |c, v| put(&mut c.cache_dir, path(v))),
+    ],
+    check: |_| Ok(()),
+    wrap: Command::Serve,
+};
+
+#[rustfmt::skip]
+static LOADGEN: Verb<LoadgenArgs> = Verb {
+    name: "loadgen",
+    apps: Apps::None,
+    flags: &[
+        opt("--addr", "HOST:PORT", "server address", |c, v| put(&mut c.load.addr, Ok(v.into()))),
+        opt("--threads", "N", "concurrent client threads", |c, v| put(&mut c.load.threads, count(v))),
+        opt("--requests", "N", "requests per thread", |c, v| put(&mut c.load.requests, count(v))),
+        opt("--seed", "N", "workload-sampling seed", |c, v| put(&mut c.load.seed, int(v))),
+        opt("--apps", "A,B,...", "sample only these workloads", |c, v| put(&mut c.load.apps, list(v))),
+        switch("--keep-alive", "reuse connections (the default)", |c, _| put(&mut c.load.keep_alive, Ok(true))),
+        switch("--no-keep-alive", "one connection per request", |c, _| put(&mut c.load.keep_alive, Ok(false))),
+        opt("--pipeline", "N", "requests pipelined per round trip", |c, v| put(&mut c.load.pipeline, count(v))),
+        switch("--fleet", FLEET, |c, _| put(&mut c.fleet, Ok(true))),
+        opt("--workers", "H:P,...", WORKERS, |c, v| {
+            c.fleet = true;
+            put(&mut c.workers, list(v))
+        }),
+        opt("--cycle-budget", "N", "per-job cycle budget in fleet mode", |c, v| put(&mut c.cycle_budget, int(v).map(Some))),
+    ],
+    check: |c| match (c.fleet, c.workers.is_empty(), c.load.pipeline > 1) {
+        (true, true, _) => Err(format!("--fleet {NEEDS_WORKERS}")),
+        (true, _, true) => Err("--pipeline applies to direct loadgen, not --fleet".into()),
+        _ => Ok(()),
+    },
+    wrap: Command::Loadgen,
+};
+
+#[rustfmt::skip]
+static COORDINATOR: Verb<CoordinatorArgs> = Verb {
+    name: "coordinator",
+    apps: Apps::None,
+    flags: &[
+        opt("--workers", "H:P,...", "worker addresses (required)", |c, v| put(&mut c.fleet.workers, list(v))),
+        opt("--seed", "N", "fleet seed (backoff jitter)", |c, v| put(&mut c.fleet.seed, int(v))),
+        opt("--threads", "N", "concurrent dispatch threads", |c, v| put(&mut c.fleet.dispatch_threads, count(v))),
+        opt("--max-attempts", "N", "attempts per job before an error row", |c, v| put(&mut c.fleet.max_attempts, count(v))),
+        opt("--cycle-budget", "N", "per-job cycle budget", |c, v| put(&mut c.cycle_budget, int(v).map(Some))),
+        opt("--journal", "DIR", JOURNAL, |c, v| put(&mut c.journal.dir, path(v))),
+        switch("--resume", RESUME, |c, _| put(&mut c.journal.resume, Ok(true))),
+    ],
+    check: |c| {
+        check_journal(&c.journal)?;
+        if c.fleet.workers.is_empty() {
+            return Err(format!("coordinator {NEEDS_WORKERS}"));
+        }
+        Ok(())
+    },
+    wrap: Command::Coordinator,
+};
+
+#[rustfmt::skip]
+static CHAOS_FLEET: Verb<FleetCampaignSpec> = Verb {
+    name: "chaos-fleet",
+    apps: Apps::None,
+    flags: &[
+        opt("--seeds", "N", "fleet seeds per scenario (seeds 1..=N)", |c, v| put(&mut c.seeds, count(v).map(|n: u64| (1..=n).collect()))),
+        opt("--apps", "A,B,...", "one workload set in place of the default two", |c, v| put(&mut c.app_sets, list(v).map(|apps| vec![apps]))),
+        opt("--cycle-budget", "N", "per-job cycle budget", |c, v| put(&mut c.cycle_budget, int(v).map(Some))),
+        switch("--no-cycle-budget", "run every job to completion", |c, _| put(&mut c.cycle_budget, Ok(None))),
+        opt("--trigger-after", "N", "clean connections before each fault", |c, v| put(&mut c.trigger_after, int(v))),
+        opt("--sim-workers", "N", "simulation threads per worker", |c, v| put(&mut c.sim_workers, count(v))),
+    ],
+    check: |_| Ok(()),
+    wrap: Command::ChaosFleet,
+};
+
+#[rustfmt::skip]
+static FUZZ: Verb<FuzzArgs> = Verb {
+    name: "fuzz",
+    apps: Apps::None,
+    flags: &[
+        opt("--seed", "N", "campaign seed", |c, v| put(&mut c.campaign.seed, int(v))),
+        opt("--iters", "N", "kernel count", |c, v| put(&mut c.campaign.iters, count(v))),
+        opt("--duration-secs", "N", "wall-clock budget (not reproducible)", |c, v| put(&mut c.campaign.duration, int(v).map(|s| Some(Duration::from_secs(s))))),
+        opt("--jobs", "N", JOBS, |c, v| put(&mut c.jobs, count(v).map(Some))),
+        opt("--cycle-budget", "N", "per-technique cycle budget", |c, v| put(&mut c.campaign.oracle.cycle_budget, int(v))),
+        opt("--max-divergences", "N", "stop after this many divergences", |c, v| put(&mut c.campaign.max_divergences, count(v))),
+        opt("--stats", "PATH", "write the JSON stats artifact", |c, v| put(&mut c.stats, path(v))),
+        switch("--no-minimize", "skip minimizing divergences", |c, _| put(&mut c.campaign.minimize, Ok(false))),
+        opt("--replay", "FILE", "replay one artifact instead", |c, v| put(&mut c.replay, path(v))),
+        opt("--fault", "CLASS:SEV:SEED:TECHNIQUE", "plant a manager fault", |c, v| put(&mut c.campaign.fault, parse_fault(v).map(Some))),
+        switch("--fleet", FLEET, |c, _| put(&mut c.fleet, Ok(true))),
+        opt("--workers", "H:P,...", WORKERS, |c, v| {
+            c.fleet = true;
+            put(&mut c.workers, list(v))
+        }),
+        opt("--journal", "DIR", JOURNAL, |c, v| put(&mut c.journal.dir, path(v))),
+        switch("--resume", RESUME, |c, _| put(&mut c.journal.resume, Ok(true))),
+    ],
+    check: |c| {
+        if c.fleet && c.workers.is_empty() {
+            return Err(format!("--fleet {NEEDS_WORKERS}"));
+        }
+        if c.fleet && (c.replay.is_some() || c.campaign.fault.is_some()) {
+            return Err("--fleet cannot be combined with --replay or --fault".into());
+        }
+        check_journal(&c.journal)?;
+        match (&c.journal.dir, c.fleet, &c.replay) {
+            (Some(_), true, _) => Err("--journal applies to local campaigns, not --fleet".into()),
+            (Some(_), _, Some(_)) => Err("--journal applies to campaigns, not --replay".into()),
+            _ => Ok(()),
+        }
+    },
+    wrap: Command::Fuzz,
+};
+
+/// Every verb, in usage order.
+#[rustfmt::skip]
+static VERBS: [&dyn AnyVerb; 13] = [
+    &LIST, &DISASM, &RUN, &BENCH_LOOP, &COMPARE, &TRACE, &SWEEP, &CHAOS, &SERVE, &LOADGEN,
+    &COORDINATOR, &CHAOS_FLEET, &FUZZ,
+];
+
+/// Parse an argument vector (without the program name); an error is the
+/// user-facing diagnosis.
+pub fn parse(args: &[String]) -> Result<Command, String> {
+    let Some(verb) = args.first() else {
         return Ok(Command::Help);
     };
-    let rest = &args[1..];
-    let app = || -> Result<String, ParseError> {
-        rest.first()
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .ok_or_else(|| ParseError(format!("'{cmd}' needs a workload name; try 'list'")))
-    };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "list" => {
-            let mut json = false;
-            for a in rest {
-                match a.as_str() {
-                    "--json" => json = true,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::List { json })
-        }
-        "serve" => {
-            let mut addr = "127.0.0.1:8077".to_string();
-            let mut workers = None;
-            let mut queue = 64usize;
-            let mut cache_mb = 64usize;
-            let mut cycle_budget = None;
-            let mut max_connections = 64usize;
-            let mut client_rate = 0.0f64;
-            let mut client_burst = 8.0f64;
-            let mut cache_dir = None;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--addr" => {
-                        addr = it
-                            .next()
-                            .ok_or_else(|| ParseError("--addr needs a value".into()))?
-                            .clone()
-                    }
-                    "--workers" => workers = Some(value_of("--workers", it.next())?),
-                    "--queue" => queue = value_of("--queue", it.next())?,
-                    "--cache-mb" => cache_mb = value_of("--cache-mb", it.next())?,
-                    "--cycle-budget" => cycle_budget = Some(value_of("--cycle-budget", it.next())?),
-                    "--max-connections" => {
-                        max_connections = value_of("--max-connections", it.next())?
-                    }
-                    "--client-rate" => client_rate = value_of("--client-rate", it.next())?,
-                    "--client-burst" => client_burst = value_of("--client-burst", it.next())?,
-                    "--cache-dir" => {
-                        cache_dir = Some(
-                            it.next()
-                                .ok_or_else(|| ParseError("--cache-dir needs a directory".into()))?
-                                .clone(),
-                        )
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            if queue == 0 {
-                return Err(ParseError("--queue must be at least 1".into()));
-            }
-            if client_rate < 0.0 || client_burst < 0.0 {
-                return Err(ParseError(
-                    "--client-rate and --client-burst must be non-negative".into(),
-                ));
-            }
-            Ok(Command::Serve {
-                addr,
-                workers,
-                queue,
-                cache_mb,
-                cycle_budget,
-                max_connections,
-                client_rate,
-                client_burst,
-                cache_dir,
-            })
-        }
-        "loadgen" => {
-            let mut addr = "127.0.0.1:8077".to_string();
-            let mut threads = 4usize;
-            let mut requests = 50usize;
-            let mut seed = 0x5eed_2024u64;
-            let mut apps = Vec::new();
-            let mut fleet = false;
-            let mut workers = Vec::new();
-            let mut cycle_budget = None;
-            let mut keep_alive = true;
-            let mut pipeline = 1usize;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--addr" => {
-                        addr = it
-                            .next()
-                            .ok_or_else(|| ParseError("--addr needs a value".into()))?
-                            .clone()
-                    }
-                    "--threads" => threads = value_of("--threads", it.next())?,
-                    "--requests" => requests = value_of("--requests", it.next())?,
-                    "--seed" => seed = value_of("--seed", it.next())?,
-                    "--apps" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| ParseError("--apps needs a value".into()))?;
-                        apps = v.split(',').map(str::to_string).collect();
-                    }
-                    "--fleet" => fleet = true,
-                    "--workers" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| ParseError("--workers needs a value".into()))?;
-                        workers = v.split(',').map(str::to_string).collect();
-                        fleet = true;
-                    }
-                    "--cycle-budget" => cycle_budget = Some(value_of("--cycle-budget", it.next())?),
-                    "--keep-alive" => keep_alive = true,
-                    "--no-keep-alive" => keep_alive = false,
-                    "--pipeline" => pipeline = value_of("--pipeline", it.next())?,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            if threads == 0 || requests == 0 {
-                return Err(ParseError(
-                    "--threads and --requests must be at least 1".into(),
-                ));
-            }
-            if fleet && workers.is_empty() {
-                return Err(ParseError(
-                    "--fleet needs --workers HOST:PORT[,HOST:PORT...]".into(),
-                ));
-            }
-            if pipeline == 0 {
-                return Err(ParseError("--pipeline must be at least 1".into()));
-            }
-            if fleet && pipeline > 1 {
-                return Err(ParseError(
-                    "--pipeline applies to direct loadgen, not --fleet".into(),
-                ));
-            }
-            Ok(Command::Loadgen {
-                addr,
-                threads,
-                requests,
-                seed,
-                apps,
-                fleet,
-                workers,
-                cycle_budget,
-                keep_alive,
-                pipeline,
-            })
-        }
-        "coordinator" => {
-            let mut workers = Vec::new();
-            let mut seed = 0x5eed_2024u64;
-            let mut threads = 4usize;
-            let mut max_attempts = 4u32;
-            let mut cycle_budget = None;
-            let mut journal = None;
-            let mut resume = false;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--workers" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| ParseError("--workers needs a value".into()))?;
-                        workers = v.split(',').map(str::to_string).collect();
-                    }
-                    "--seed" => seed = value_of("--seed", it.next())?,
-                    "--threads" => threads = value_of("--threads", it.next())?,
-                    "--max-attempts" => max_attempts = value_of("--max-attempts", it.next())?,
-                    "--cycle-budget" => cycle_budget = Some(value_of("--cycle-budget", it.next())?),
-                    "--journal" => {
-                        journal = Some(
-                            it.next()
-                                .ok_or_else(|| ParseError("--journal needs a directory".into()))?
-                                .clone(),
-                        )
-                    }
-                    "--resume" => resume = true,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            check_journal(&journal, resume)?;
-            if workers.is_empty() {
-                return Err(ParseError(
-                    "coordinator needs --workers HOST:PORT[,HOST:PORT...]".into(),
-                ));
-            }
-            if threads == 0 || max_attempts == 0 {
-                return Err(ParseError(
-                    "--threads and --max-attempts must be at least 1".into(),
-                ));
-            }
-            Ok(Command::Coordinator {
-                workers,
-                seed,
-                threads,
-                max_attempts,
-                cycle_budget,
-                journal,
-                resume,
-            })
-        }
-        "chaos-fleet" => {
-            let mut seeds = 4u64;
-            let mut apps = Vec::new();
-            let mut cycle_budget = Some(150_000u64);
-            let mut trigger_after = 0usize;
-            let mut sim_workers = 2usize;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--seeds" => seeds = value_of("--seeds", it.next())?,
-                    "--apps" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| ParseError("--apps needs a value".into()))?;
-                        apps = v.split(',').map(str::to_string).collect();
-                    }
-                    "--cycle-budget" => cycle_budget = Some(value_of("--cycle-budget", it.next())?),
-                    "--no-cycle-budget" => cycle_budget = None,
-                    "--trigger-after" => trigger_after = value_of("--trigger-after", it.next())?,
-                    "--sim-workers" => sim_workers = value_of("--sim-workers", it.next())?,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            if seeds == 0 || sim_workers == 0 {
-                return Err(ParseError(
-                    "--seeds and --sim-workers must be at least 1".into(),
-                ));
-            }
-            Ok(Command::ChaosFleet {
-                seeds,
-                apps,
-                cycle_budget,
-                trigger_after,
-                sim_workers,
-            })
-        }
-        "disasm" => Ok(Command::Disasm {
-            app: app()?,
-            transformed: rest.iter().any(|a| a == "--transformed"),
-            liveness: rest.iter().any(|a| a == "--liveness"),
-        }),
-        "trace" => {
-            let mut max_steps = 20_000usize;
-            let mut it = rest.iter().skip(1);
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--max" => max_steps = value_of("--max", it.next())?,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Trace {
-                app: app()?,
-                max_steps,
-            })
-        }
-        "sweep" => {
-            let mut jobs = None;
-            let mut journal = None;
-            let mut resume = false;
-            let mut it = rest.iter().skip(1);
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--jobs" => jobs = Some(value_of("--jobs", it.next())?),
-                    "--journal" => {
-                        journal = Some(
-                            it.next()
-                                .ok_or_else(|| ParseError("--journal needs a directory".into()))?
-                                .clone(),
-                        )
-                    }
-                    "--resume" => resume = true,
-                    other => {
-                        if let Some(v) = other.strip_prefix("--jobs=") {
-                            jobs = Some(value_of("--jobs", Some(&v.to_string()))?);
-                        } else {
-                            return Err(ParseError(format!("unknown flag '{other}'")));
-                        }
-                    }
-                }
-            }
-            check_journal(&journal, resume)?;
-            Ok(Command::Sweep {
-                app: app()?,
-                jobs,
-                journal,
-                resume,
-            })
-        }
-        "compare" => {
-            let (jobs, seen) = sweep_flags(rest, &["--half-rf"])?;
-            Ok(Command::Compare {
-                app: app()?,
-                half_rf: seen.contains(&"--half-rf"),
-                jobs,
-            })
-        }
-        "run" => {
-            let app = app()?;
-            let mut technique = Technique::RegMutex;
-            let mut half_rf = false;
-            let mut ctas = None;
-            let mut force_es = None;
-            let mut watchdog_cycles = None;
-            let mut stall_multiplier = None;
-            let mut no_cycle_skip = false;
-            let mut it = rest.iter().skip(1);
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--technique" | "-t" => {
-                        technique = technique_from(
-                            it.next()
-                                .ok_or_else(|| ParseError("--technique needs a value".into()))?,
-                        )?
-                    }
-                    "--half-rf" => half_rf = true,
-                    "--ctas" => ctas = Some(value_of("--ctas", it.next())?),
-                    "--force-es" => force_es = Some(value_of("--force-es", it.next())?),
-                    "--watchdog-cycles" => {
-                        watchdog_cycles = Some(value_of("--watchdog-cycles", it.next())?)
-                    }
-                    "--stall-multiplier" => {
-                        stall_multiplier = Some(value_of("--stall-multiplier", it.next())?)
-                    }
-                    "--no-cycle-skip" => no_cycle_skip = true,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Run {
-                app,
-                technique,
-                half_rf,
-                ctas,
-                force_es,
-                watchdog_cycles,
-                stall_multiplier,
-                no_cycle_skip,
-            })
-        }
-        "bench-loop" => {
-            let mut apps = Vec::new();
-            let mut iters = 3usize;
-            let mut out = "BENCH_simloop.json".to_string();
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--apps" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| ParseError("--apps needs a value".into()))?;
-                        apps = v.split(',').map(str::to_string).collect();
-                    }
-                    "--iters" => iters = value_of("--iters", it.next())?,
-                    "--out" => {
-                        out = it
-                            .next()
-                            .ok_or_else(|| ParseError("--out needs a value".into()))?
-                            .clone()
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            if iters == 0 {
-                return Err(ParseError("--iters must be at least 1".into()));
-            }
-            Ok(Command::BenchLoop { apps, iters, out })
-        }
-        "chaos" => {
-            let mut apps = Vec::new();
-            let mut seeds = 8u64;
-            let mut technique = Technique::RegMutex;
-            let mut jobs = None;
-            let mut watchdog_cycles = None;
-            let mut stall_multiplier = None;
-            let mut expect_detections = false;
-            let mut journal = None;
-            let mut resume = false;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--seeds" => seeds = value_of("--seeds", it.next())?,
-                    "--journal" => {
-                        journal = Some(
-                            it.next()
-                                .ok_or_else(|| ParseError("--journal needs a directory".into()))?
-                                .clone(),
-                        )
-                    }
-                    "--resume" => resume = true,
-                    "--technique" | "-t" => {
-                        technique = technique_from(
-                            it.next()
-                                .ok_or_else(|| ParseError("--technique needs a value".into()))?,
-                        )?
-                    }
-                    "--jobs" => jobs = Some(value_of("--jobs", it.next())?),
-                    "--watchdog-cycles" => {
-                        watchdog_cycles = Some(value_of("--watchdog-cycles", it.next())?)
-                    }
-                    "--stall-multiplier" => {
-                        stall_multiplier = Some(value_of("--stall-multiplier", it.next())?)
-                    }
-                    "--expect-detections" => expect_detections = true,
-                    other if other.starts_with("--") => {
-                        if let Some(v) = other.strip_prefix("--jobs=") {
-                            jobs = Some(value_of("--jobs", Some(&v.to_string()))?);
-                        } else {
-                            return Err(ParseError(format!("unknown flag '{other}'")));
-                        }
-                    }
-                    name => apps.push(name.to_string()),
-                }
-            }
-            if seeds == 0 {
-                return Err(ParseError("--seeds must be at least 1".into()));
-            }
-            check_journal(&journal, resume)?;
-            Ok(Command::Chaos {
-                apps,
-                seeds,
-                technique,
-                jobs,
-                watchdog_cycles,
-                stall_multiplier,
-                expect_detections,
-                journal,
-                resume,
-            })
-        }
-        "fuzz" => {
-            let mut seed = 0x5eed_f022u64;
-            let mut iters = 1000u64;
-            let mut duration_secs = None;
-            let mut jobs = None;
-            let mut cycle_budget = None;
-            let mut max_divergences = 5u64;
-            let mut stats = None;
-            let mut replay = None;
-            let mut fault = None;
-            let mut no_minimize = false;
-            let mut fleet = false;
-            let mut workers = Vec::new();
-            let mut journal = None;
-            let mut resume = false;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--seed" => seed = seed_of("--seed", it.next())?,
-                    "--iters" => iters = value_of("--iters", it.next())?,
-                    "--duration-secs" => {
-                        duration_secs = Some(value_of("--duration-secs", it.next())?)
-                    }
-                    "--jobs" => jobs = Some(value_of("--jobs", it.next())?),
-                    "--cycle-budget" => cycle_budget = Some(value_of("--cycle-budget", it.next())?),
-                    "--max-divergences" => {
-                        max_divergences = value_of("--max-divergences", it.next())?
-                    }
-                    "--stats" => {
-                        stats = Some(
-                            it.next()
-                                .ok_or_else(|| ParseError("--stats needs a path".into()))?
-                                .clone(),
-                        )
-                    }
-                    "--replay" => {
-                        replay = Some(
-                            it.next()
-                                .ok_or_else(|| ParseError("--replay needs a file".into()))?
-                                .clone(),
-                        )
-                    }
-                    "--fault" => {
-                        fault = Some(
-                            it.next()
-                                .ok_or_else(|| {
-                                    ParseError("--fault needs class:severity:seed:technique".into())
-                                })?
-                                .clone(),
-                        )
-                    }
-                    "--no-minimize" => no_minimize = true,
-                    "--journal" => {
-                        journal = Some(
-                            it.next()
-                                .ok_or_else(|| ParseError("--journal needs a directory".into()))?
-                                .clone(),
-                        )
-                    }
-                    "--resume" => resume = true,
-                    "--fleet" => fleet = true,
-                    "--workers" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| ParseError("--workers needs a value".into()))?;
-                        workers = v.split(',').map(str::to_string).collect();
-                        fleet = true;
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            if iters == 0 {
-                return Err(ParseError("--iters must be at least 1".into()));
-            }
-            if max_divergences == 0 {
-                return Err(ParseError("--max-divergences must be at least 1".into()));
-            }
-            if fleet && workers.is_empty() {
-                return Err(ParseError(
-                    "--fleet needs --workers HOST:PORT[,HOST:PORT...]".into(),
-                ));
-            }
-            if fleet && (replay.is_some() || fault.is_some()) {
-                return Err(ParseError(
-                    "--fleet cannot be combined with --replay or --fault".into(),
-                ));
-            }
-            check_journal(&journal, resume)?;
-            if journal.is_some() && fleet {
-                return Err(ParseError(
-                    "--journal applies to local campaigns, not --fleet".into(),
-                ));
-            }
-            if journal.is_some() && replay.is_some() {
-                return Err(ParseError(
-                    "--journal applies to campaigns, not --replay".into(),
-                ));
-            }
-            Ok(Command::Fuzz {
-                seed,
-                iters,
-                duration_secs,
-                jobs,
-                cycle_budget,
-                max_divergences,
-                stats,
-                replay,
-                fault,
-                no_minimize,
-                fleet,
-                workers,
-                journal,
-                resume,
-            })
-        }
-        other => Err(ParseError(format!("unknown command '{other}'; try 'help'"))),
+    if matches!(verb.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
     }
+    VERBS
+        .iter()
+        .find(|v| v.name() == verb)
+        .ok_or_else(|| format!("unknown command '{verb}'; try 'help'"))
+        .and_then(|v| v.command(&args[1..]))
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-regmutex-cli — drive the RegMutex (ISCA 2018) reproduction
+/// The usage text: for a known `verb`, its synopsis and one help line per
+/// flag; otherwise every verb's synopsis and the overview.
+pub fn usage(verb: Option<&str>) -> String {
+    if let Some(v) = VERBS.iter().find(|v| Some(v.name()) == verb) {
+        let grammar = "FLAGS (--flag V or --flag=V; integers in decimal or 0x hex):";
+        return format!("USAGE:\n{}\n{grammar}\n{}", v.synopsis(), v.flag_help());
+    }
+    let mut out =
+        "regmutex-cli — drive the RegMutex (ISCA 2018) reproduction\n\nUSAGE:\n".to_string();
+    for v in VERBS {
+        out += &v.synopsis();
+    }
+    out + "  regmutex-cli help\n\n" + OVERVIEW
+}
 
-USAGE:
-  regmutex-cli list [--json]
-  regmutex-cli disasm <app> [--transformed] [--liveness]
-  regmutex-cli run <app> [--technique baseline|regmutex|paired|rfv|owf]
-                         [--half-rf] [--ctas N] [--force-es N]
-                         [--watchdog-cycles N] [--stall-multiplier N]
-                         [--no-cycle-skip]
-  regmutex-cli bench-loop [--apps A,B,...] [--iters N] [--out PATH]
-  regmutex-cli compare <app> [--half-rf] [--jobs N]
-  regmutex-cli trace <app> [--max N]
-  regmutex-cli sweep <app> [--jobs N] [--journal DIR [--resume]]
-  regmutex-cli chaos [<app>...] [--seeds N] [--technique T] [--jobs N]
-                     [--watchdog-cycles N] [--stall-multiplier N]
-                     [--expect-detections] [--journal DIR [--resume]]
-  regmutex-cli serve [--addr HOST:PORT] [--workers N] [--queue N]
-                     [--cache-mb N] [--cycle-budget N]
-                     [--max-connections N]
-                     [--client-rate R] [--client-burst N]
-                     [--cache-dir DIR]
-  regmutex-cli loadgen [--addr HOST:PORT] [--threads N] [--requests N]
-                       [--seed N] [--apps A,B,...] [--no-keep-alive]
-                       [--pipeline N]
-                       [--fleet --workers H:P,H:P,...] [--cycle-budget N]
-  regmutex-cli coordinator --workers H:P[,H:P...] [--seed N] [--threads N]
-                           [--max-attempts N] [--cycle-budget N]
-                           [--journal DIR [--resume]]
-  regmutex-cli chaos-fleet [--seeds N] [--apps A,B,...] [--cycle-budget N]
-                           [--no-cycle-budget] [--trigger-after N]
-                           [--sim-workers N]
-  regmutex-cli fuzz [--seed N] [--iters N] [--duration-secs N] [--jobs N]
-                    [--cycle-budget N]
-                    [--max-divergences N] [--stats PATH] [--no-minimize]
-                    [--replay FILE] [--fault CLASS:SEV:SEED:TECHNIQUE]
-                    [--fleet --workers H:P,H:P,...]
-                    [--journal DIR [--resume]]
-  regmutex-cli help
-
-The multi-simulation commands (compare, sweep, chaos) run their
-simulations on a worker pool; --jobs N sets the worker count (default:
-all cores). Output is identical for any worker count.
+const OVERVIEW: &str = "\
+The multi-simulation commands (compare, sweep, chaos, fuzz) and serve run
+their simulations on a worker pool; --jobs N (serve: --workers N) sets the
+worker count (default: REGMUTEX_JOBS, else all cores). Output is identical
+for any worker count.
 
 The simulator fast-forwards over provably idle stretches (event-driven
 cycle skipping); results are bit-identical either way. --no-cycle-skip
@@ -964,672 +760,585 @@ in index order.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
-    fn v(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    /// An argument vector written as one whitespace-separated line.
+    fn v(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn err(line: &str) -> String {
+        match parse(&v(line)) {
+            Err(e) => e,
+            Ok(cmd) => panic!("`{line}` parsed to {cmd:?}"),
+        }
+    }
+
+    /// The configuration of a verb line that must parse.
+    macro_rules! parsed {
+        ($variant:ident, $line:expr) => {
+            match parse(&v($line)) {
+                Ok(Command::$variant(c)) => c,
+                other => panic!("`{}` parsed to {other:?}", $line),
+            }
+        };
+    }
+
+    fn dbg(x: &impl std::fmt::Debug) -> String {
+        format!("{x:?}")
     }
 
     #[test]
     fn empty_is_help() {
-        assert_eq!(parse(&[]), Ok(Command::Help));
-        assert_eq!(parse(&v(&["help"])), Ok(Command::Help));
-        assert_eq!(parse(&v(&["--help"])), Ok(Command::Help));
+        for line in ["", "help", "--help", "-h"] {
+            assert!(matches!(parse(&v(line)), Ok(Command::Help)), "{line}");
+        }
+    }
+
+    /// Every verb's bare invocation is its library configuration's
+    /// `Default`: the grammar holds no default values of its own.
+    #[test]
+    fn bare_verbs_parse_to_the_library_defaults() {
+        let app = || "BFS".to_string();
+        let fleet = FleetConfig {
+            workers: v("h:1"),
+            ..FleetConfig::default()
+        };
+        let cases = [
+            ("list", Command::List(false)),
+            (
+                "disasm BFS",
+                Command::Disasm(DisasmArgs {
+                    app: app(),
+                    ..Default::default()
+                }),
+            ),
+            (
+                "run BFS",
+                Command::Run(RunArgs {
+                    app: app(),
+                    ..Default::default()
+                }),
+            ),
+            ("bench-loop", Command::BenchLoop(BenchLoopArgs::default())),
+            (
+                "compare BFS",
+                Command::Compare(CompareArgs {
+                    app: app(),
+                    ..Default::default()
+                }),
+            ),
+            (
+                "trace BFS",
+                Command::Trace(TraceArgs {
+                    app: app(),
+                    ..Default::default()
+                }),
+            ),
+            (
+                "sweep BFS",
+                Command::Sweep(SweepArgs {
+                    app: app(),
+                    ..Default::default()
+                }),
+            ),
+            ("chaos", Command::Chaos(ChaosArgs::default())),
+            ("serve", Command::Serve(ServerConfig::default())),
+            ("loadgen", Command::Loadgen(LoadgenArgs::default())),
+            (
+                "coordinator --workers h:1",
+                Command::Coordinator(CoordinatorArgs {
+                    fleet,
+                    ..Default::default()
+                }),
+            ),
+            (
+                "chaos-fleet",
+                Command::ChaosFleet(FleetCampaignSpec::default()),
+            ),
+            ("fuzz", Command::Fuzz(FuzzArgs::default())),
+        ];
+        let verbs = cases.each_ref().map(|(line, _)| v(line)[0].clone());
+        assert_eq!(verbs, VERBS.map(|v| v.name()));
+        for (line, want) in cases {
+            assert_eq!(dbg(&parse(&v(line)).unwrap()), dbg(&want), "{line}");
+        }
+    }
+
+    /// A valid sample value for each metavar, chosen to differ from every
+    /// default so a flag that fails to land shows.
+    fn sample(metavar: &str) -> &'static str {
+        match metavar {
+            "N" => "12345",
+            "R" => "2.5",
+            "T" => "rfv",
+            "HOST:PORT" => "127.0.0.1:1",
+            "H:P,..." => "127.0.0.1:1,127.0.0.1:2",
+            "A,B,..." => "BFS,SPMV",
+            "DIR" | "PATH" | "FILE" => "/tmp/x",
+            "CLASS:SEV:SEED:TECHNIQUE" => "corrupt-lut:severe:3:regmutex",
+            other => panic!("no sample value for metavar {other}"),
+        }
+    }
+
+    /// Every value flag of `verb` lands as `--f v`, `--f=v` and its short
+    /// alias alike; every switch refuses an inline value.
+    fn round_trip<C: Default + 'static>(verb: &Verb<C>, base: &str) {
+        let base = format!("{} {base}", verb.name);
+        let bare = dbg(&parse(&v(&base)).unwrap());
+        for f in verb.flags {
+            let Some(metavar) = f.metavar else {
+                assert_eq!(
+                    err(&format!("{base} {}=x", f.name)),
+                    format!("{} takes no value", f.name)
+                );
+                continue;
+            };
+            let value = sample(metavar);
+            let spaced = parse(&v(&format!("{base} {} {value}", f.name)));
+            let spaced = dbg(&spaced.unwrap_or_else(|e| panic!("{} {value}: {e}", f.name)));
+            let inline = parse(&v(&format!("{base} {}={value}", f.name)));
+            assert_eq!(dbg(&inline.unwrap()), spaced, "{}", f.name);
+            assert_ne!(spaced, bare, "{} {value} did not land", f.name);
+            if let Some(short) = f.short {
+                let aliased = parse(&v(&format!("{base} {short} {value}")));
+                assert_eq!(dbg(&aliased.unwrap()), spaced, "{short}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_value_flag_round_trips_in_both_spellings() {
+        round_trip(&LIST, "");
+        round_trip(&DISASM, "BFS");
+        round_trip(&RUN, "BFS");
+        round_trip(&BENCH_LOOP, "");
+        round_trip(&COMPARE, "BFS");
+        round_trip(&TRACE, "BFS");
+        round_trip(&SWEEP, "BFS");
+        round_trip(&CHAOS, "");
+        round_trip(&SERVE, "");
+        round_trip(&LOADGEN, "");
+        round_trip(&COORDINATOR, "--workers h:1");
+        round_trip(&CHAOS_FLEET, "");
+        round_trip(&FUZZ, "");
     }
 
     #[test]
     fn list_parses() {
-        assert_eq!(parse(&v(&["list"])), Ok(Command::List { json: false }));
-        assert_eq!(
-            parse(&v(&["list", "--json"])),
-            Ok(Command::List { json: true })
-        );
-        assert!(parse(&v(&["list", "--yaml"])).is_err());
+        assert!(matches!(parse(&v("list")), Ok(Command::List(false))));
+        assert!(matches!(parse(&v("list --json")), Ok(Command::List(true))));
+        assert!(parse(&v("list --yaml")).is_err());
     }
 
     #[test]
     fn serve_defaults_and_flags() {
-        assert_eq!(
-            parse(&v(&["serve"])),
-            Ok(Command::Serve {
-                addr: "127.0.0.1:8077".into(),
-                workers: None,
-                queue: 64,
-                cache_mb: 64,
-                cycle_budget: None,
-                max_connections: 64,
-                client_rate: 0.0,
-                client_burst: 8.0,
-                cache_dir: None,
-            })
+        assert_eq!(dbg(&parsed!(Serve, "serve")), dbg(&ServerConfig::default()));
+        let c = parsed!(
+            Serve,
+            "serve --addr 0.0.0.0:9000 --workers 2 --queue 8 --cache-mb 16 --cycle-budget 1000000 \
+             --max-connections 32 --client-rate 50.5 --client-burst 4"
         );
         assert_eq!(
-            parse(&v(&[
-                "serve",
-                "--addr",
-                "0.0.0.0:9000",
-                "--workers",
-                "2",
-                "--queue",
-                "8",
-                "--cache-mb",
-                "16",
-                "--cycle-budget",
-                "1000000",
-                "--max-connections",
-                "32",
-                "--client-rate",
-                "50.5",
-                "--client-burst",
-                "4"
-            ])),
-            Ok(Command::Serve {
-                addr: "0.0.0.0:9000".into(),
-                workers: Some(2),
-                queue: 8,
-                cache_mb: 16,
-                cycle_budget: Some(1_000_000),
-                max_connections: 32,
-                client_rate: 50.5,
-                client_burst: 4.0,
-                cache_dir: None,
-            })
+            (c.addr.as_str(), c.sim_workers, c.queue_capacity),
+            ("0.0.0.0:9000", 2, 8)
         );
-        assert!(parse(&v(&["serve", "--queue", "0"])).is_err());
-        assert!(parse(&v(&["serve", "--client-rate", "-1"])).is_err());
-        assert!(parse(&v(&["serve", "--what"])).is_err());
+        assert_eq!(
+            (c.cache_budget, c.cycle_budget),
+            (16 << 20, Some(1_000_000))
+        );
+        assert_eq!(
+            (c.max_connections, c.client_rate, c.client_burst),
+            (32, 50.5, 4.0)
+        );
+        // The benchmark's daemon spawn.
+        let c = parsed!(Serve, "serve --addr 127.0.0.1:0 --workers 3");
+        assert_eq!((c.addr.as_str(), c.sim_workers), ("127.0.0.1:0", 3));
+        assert!(parse(&v("serve --queue 0")).is_err());
+        assert!(parse(&v("serve --client-rate -1")).is_err());
+        assert!(parse(&v("serve --what")).is_err());
     }
 
     #[test]
     fn loadgen_defaults_and_flags() {
+        let c = parsed!(Loadgen, "loadgen");
+        assert_eq!(dbg(&c.load), dbg(&LoadgenConfig::default()));
+        assert_eq!((c.fleet, c.workers.len(), c.cycle_budget), (false, 0, None));
+        let line = "loadgen --addr 127.0.0.1:1234 --threads 2 --requests 10 --seed 7 \
+                    --apps BFS,SPMV --no-keep-alive --pipeline 8";
+        let c = parsed!(Loadgen, line);
+        let l = &c.load;
         assert_eq!(
-            parse(&v(&["loadgen"])),
-            Ok(Command::Loadgen {
-                addr: "127.0.0.1:8077".into(),
-                threads: 4,
-                requests: 50,
-                seed: 0x5eed_2024,
-                apps: vec![],
-                fleet: false,
-                workers: vec![],
-                cycle_budget: None,
-                keep_alive: true,
-                pipeline: 1,
-            })
+            (l.addr.as_str(), l.threads, l.requests, l.seed),
+            ("127.0.0.1:1234", 2, 10, 7)
         );
         assert_eq!(
-            parse(&v(&[
-                "loadgen",
-                "--addr",
-                "127.0.0.1:1234",
-                "--threads",
-                "2",
-                "--requests",
-                "10",
-                "--seed",
-                "7",
-                "--apps",
-                "BFS,SPMV",
-                "--no-keep-alive",
-                "--pipeline",
-                "8"
-            ])),
-            Ok(Command::Loadgen {
-                addr: "127.0.0.1:1234".into(),
-                threads: 2,
-                requests: 10,
-                seed: 7,
-                apps: vec!["BFS".into(), "SPMV".into()],
-                fleet: false,
-                workers: vec![],
-                cycle_budget: None,
-                keep_alive: false,
-                pipeline: 8,
-            })
+            (l.apps.clone(), l.keep_alive, l.pipeline),
+            (v("BFS SPMV"), false, 8)
         );
+        assert!(!c.fleet);
         // --keep-alive restores the default (last flag wins).
-        match parse(&v(&["loadgen", "--no-keep-alive", "--keep-alive"])) {
-            Ok(Command::Loadgen { keep_alive, .. }) => assert!(keep_alive),
-            other => panic!("expected loadgen to parse, got {other:?}"),
-        }
-        assert!(parse(&v(&["loadgen", "--threads", "0"])).is_err());
-        assert!(parse(&v(&["loadgen", "--pipeline", "0"])).is_err());
-        assert!(parse(&v(&[
-            "loadgen",
-            "--workers",
-            "127.0.0.1:1",
-            "--pipeline",
-            "4"
-        ]))
-        .is_err());
+        assert!(
+            parsed!(Loadgen, "loadgen --no-keep-alive --keep-alive")
+                .load
+                .keep_alive
+        );
+        // Seeds take the hex form on every verb.
+        assert_eq!(parsed!(Loadgen, "loadgen --seed 0x10").load.seed, 16);
+        assert!(parse(&v("loadgen --threads 0")).is_err());
+        assert!(parse(&v("loadgen --pipeline 0")).is_err());
+        assert!(parse(&v("loadgen --workers 127.0.0.1:1 --pipeline 4")).is_err());
     }
 
     #[test]
     fn loadgen_fleet_mode() {
         // --workers implies --fleet; --cycle-budget rides along.
-        assert_eq!(
-            parse(&v(&[
-                "loadgen",
-                "--workers",
-                "127.0.0.1:1,127.0.0.1:2",
-                "--cycle-budget",
-                "100000"
-            ])),
-            Ok(Command::Loadgen {
-                addr: "127.0.0.1:8077".into(),
-                threads: 4,
-                requests: 50,
-                seed: 0x5eed_2024,
-                apps: vec![],
-                fleet: true,
-                workers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
-                cycle_budget: Some(100_000),
-                keep_alive: true,
-                pipeline: 1,
-            })
+        let c = parsed!(
+            Loadgen,
+            "loadgen --workers 127.0.0.1:1,127.0.0.1:2 --cycle-budget 100000"
         );
+        assert!(c.fleet);
+        assert_eq!(c.workers, v("127.0.0.1:1 127.0.0.1:2"));
+        assert_eq!(c.cycle_budget, Some(100_000));
+        assert_eq!(dbg(&c.load), dbg(&LoadgenConfig::default()));
         // --fleet without workers is an error.
-        assert!(parse(&v(&["loadgen", "--fleet"])).is_err());
+        assert!(parse(&v("loadgen --fleet")).is_err());
     }
 
     #[test]
     fn coordinator_requires_workers() {
-        assert!(parse(&v(&["coordinator"])).is_err());
-        assert_eq!(
-            parse(&v(&[
-                "coordinator",
-                "--workers",
-                "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3",
-                "--seed",
-                "9",
-                "--threads",
-                "8",
-                "--max-attempts",
-                "5",
-                "--cycle-budget",
-                "50000"
-            ])),
-            Ok(Command::Coordinator {
-                workers: vec![
-                    "127.0.0.1:1".into(),
-                    "127.0.0.1:2".into(),
-                    "127.0.0.1:3".into()
-                ],
-                seed: 9,
-                threads: 8,
-                max_attempts: 5,
-                cycle_budget: Some(50_000),
-                journal: None,
-                resume: false,
-            })
+        assert!(parse(&v("coordinator")).is_err());
+        let c = parsed!(
+            Coordinator,
+            "coordinator --workers 127.0.0.1:1,127.0.0.1:2,127.0.0.1:3 --seed 9 --threads 8 \
+             --max-attempts 5 --cycle-budget 50000"
         );
-        assert!(parse(&v(&["coordinator", "--workers", "a", "--threads", "0"])).is_err());
+        assert_eq!(c.fleet.workers, v("127.0.0.1:1 127.0.0.1:2 127.0.0.1:3"));
+        assert_eq!(
+            (c.fleet.seed, c.fleet.dispatch_threads, c.fleet.max_attempts),
+            (9, 8, 5)
+        );
+        assert_eq!(c.cycle_budget, Some(50_000));
+        assert_eq!((c.journal.dir, c.journal.resume), (None, false));
+        assert_eq!(
+            parsed!(Coordinator, "coordinator --workers a --seed 0x10")
+                .fleet
+                .seed,
+            16
+        );
+        assert!(parse(&v("coordinator --workers a --threads 0")).is_err());
     }
 
     #[test]
     fn chaos_fleet_defaults_and_flags() {
-        assert_eq!(
-            parse(&v(&["chaos-fleet"])),
-            Ok(Command::ChaosFleet {
-                seeds: 4,
-                apps: vec![],
-                cycle_budget: Some(150_000),
-                trigger_after: 0,
-                sim_workers: 2,
-            })
+        let c = parsed!(ChaosFleet, "chaos-fleet");
+        assert_eq!(dbg(&c), dbg(&FleetCampaignSpec::default()));
+        let c = parsed!(
+            ChaosFleet,
+            "chaos-fleet --seeds 2 --apps BFS,SPMV --no-cycle-budget --trigger-after 3 \
+             --sim-workers 1"
         );
+        assert_eq!((c.seeds, c.app_sets), (vec![1, 2], vec![v("BFS SPMV")]));
         assert_eq!(
-            parse(&v(&[
-                "chaos-fleet",
-                "--seeds",
-                "2",
-                "--apps",
-                "BFS,SPMV",
-                "--no-cycle-budget",
-                "--trigger-after",
-                "3",
-                "--sim-workers",
-                "1"
-            ])),
-            Ok(Command::ChaosFleet {
-                seeds: 2,
-                apps: vec!["BFS".into(), "SPMV".into()],
-                cycle_budget: None,
-                trigger_after: 3,
-                sim_workers: 1,
-            })
+            (c.cycle_budget, c.trigger_after, c.sim_workers),
+            (None, 3, 1)
         );
-        assert!(parse(&v(&["chaos-fleet", "--seeds", "0"])).is_err());
-        assert!(parse(&v(&["chaos-fleet", "--nope"])).is_err());
+        assert!(parse(&v("chaos-fleet --seeds 0")).is_err());
+        assert!(parse(&v("chaos-fleet --nope")).is_err());
     }
 
     #[test]
     fn disasm_flags() {
+        let c = parsed!(Disasm, "disasm BFS --transformed --liveness");
         assert_eq!(
-            parse(&v(&["disasm", "BFS", "--transformed", "--liveness"])),
-            Ok(Command::Disasm {
-                app: "BFS".into(),
-                transformed: true,
-                liveness: true
-            })
+            (c.app.as_str(), c.transformed, c.liveness),
+            ("BFS", true, true)
         );
+        let c = parsed!(Disasm, "disasm BFS");
         assert_eq!(
-            parse(&v(&["disasm", "BFS"])),
-            Ok(Command::Disasm {
-                app: "BFS".into(),
-                transformed: false,
-                liveness: false
-            })
+            (c.app.as_str(), c.transformed, c.liveness),
+            ("BFS", false, false)
         );
+        // Unknown flags and stray arguments are refused, not ignored.
+        assert_eq!(err("disasm BFS --what"), "unknown flag '--what'");
+        assert_eq!(err("disasm BFS extra"), "unexpected argument 'extra'");
     }
 
     #[test]
     fn run_full_form() {
+        let c = parsed!(Run, "run SAD -t rfv --half-rf --ctas 90 --force-es 8");
         assert_eq!(
-            parse(&v(&[
-                "run",
-                "SAD",
-                "-t",
-                "rfv",
-                "--half-rf",
-                "--ctas",
-                "90",
-                "--force-es",
-                "8"
-            ])),
-            Ok(Command::Run {
-                app: "SAD".into(),
-                technique: Technique::Rfv,
-                half_rf: true,
-                ctas: Some(90),
-                force_es: Some(8),
-                watchdog_cycles: None,
-                stall_multiplier: None,
-                no_cycle_skip: false,
-            })
+            (c.app.as_str(), c.technique, c.half_rf),
+            ("SAD", Technique::Rfv, true)
+        );
+        assert_eq!((c.ctas, c.force_es), (Some(90), Some(8)));
+        assert_eq!(
+            (c.watchdog_cycles, c.stall_multiplier, c.no_cycle_skip),
+            (None, None, false)
         );
     }
 
     #[test]
     fn run_detector_flags() {
-        assert_eq!(
-            parse(&v(&[
-                "run",
-                "BFS",
-                "--watchdog-cycles",
-                "5000000",
-                "--stall-multiplier",
-                "16"
-            ])),
-            Ok(Command::Run {
-                app: "BFS".into(),
-                technique: Technique::RegMutex,
-                half_rf: false,
-                ctas: None,
-                force_es: None,
-                watchdog_cycles: Some(5_000_000),
-                stall_multiplier: Some(16),
-                no_cycle_skip: false,
-            })
+        let c = parsed!(
+            Run,
+            "run BFS --watchdog-cycles 5000000 --stall-multiplier 16"
         );
-        assert!(parse(&v(&["run", "BFS", "--watchdog-cycles", "soon"])).is_err());
+        assert_eq!(
+            (c.technique, c.half_rf, c.ctas, c.force_es),
+            (Technique::RegMutex, false, None, None)
+        );
+        assert_eq!(
+            (c.watchdog_cycles, c.stall_multiplier),
+            (Some(5_000_000), Some(16))
+        );
+        assert!(parse(&v("run BFS --watchdog-cycles soon")).is_err());
     }
 
     #[test]
     fn run_defaults_to_regmutex() {
+        let c = parsed!(Run, "run BFS");
+        assert_eq!((c.app.as_str(), c.technique), ("BFS", Technique::RegMutex));
         assert_eq!(
-            parse(&v(&["run", "BFS"])),
-            Ok(Command::Run {
-                app: "BFS".into(),
-                technique: Technique::RegMutex,
-                half_rf: false,
-                ctas: None,
-                force_es: None,
-                watchdog_cycles: None,
-                stall_multiplier: None,
-                no_cycle_skip: false,
-            })
+            (c.half_rf, c.ctas, c.force_es, c.no_cycle_skip),
+            (false, None, None, false)
         );
+        assert_eq!((c.watchdog_cycles, c.stall_multiplier), (None, None));
     }
 
     #[test]
     fn run_no_cycle_skip_flag() {
+        assert!(parsed!(Run, "run BFS --no-cycle-skip").no_cycle_skip);
+    }
+
+    #[test]
+    fn out_of_range_values_are_diagnosed() {
         assert_eq!(
-            parse(&v(&["run", "BFS", "--no-cycle-skip"])),
-            Ok(Command::Run {
-                app: "BFS".into(),
-                technique: Technique::RegMutex,
-                half_rf: false,
-                ctas: None,
-                force_es: None,
-                watchdog_cycles: None,
-                stall_multiplier: None,
-                no_cycle_skip: true,
-            })
+            err("run BFS --ctas 0"),
+            "invalid value '0' for --ctas: must be at least 1"
         );
+        assert_eq!(
+            err("run BFS --force-es 70000"),
+            "invalid value '70000' for --force-es: out of range"
+        );
+        for line in [
+            "sweep BFS --jobs 0",
+            "compare BFS --jobs=0",
+            "chaos --jobs 0",
+            "fuzz --jobs 0",
+            "serve --workers 0",
+        ] {
+            assert!(err(line).ends_with("must be at least 1"), "{line}");
+        }
+        for rate in ["NaN", "inf", "-inf", "-1", "fast"] {
+            let e = err(&format!("serve --client-rate {rate}"));
+            assert!(e.ends_with("expected a finite non-negative number"), "{e}");
+            assert!(parse(&v(&format!("serve --client-burst {rate}"))).is_err());
+        }
     }
 
     #[test]
     fn device_loop_shard_flag_is_unknown() {
         // The device loop is serial, so no verb takes a shard count.
-        for verb in [&["run", "BFS"][..], &["bench-loop"], &["serve"], &["fuzz"]] {
-            let mut args = v(verb);
-            args.extend(v(&["--sm-workers", "4"]));
-            assert_eq!(
-                parse(&args),
-                Err(ParseError("unknown flag '--sm-workers'".into())),
-                "{verb:?}"
-            );
+        for verb in ["run BFS", "bench-loop", "serve", "fuzz"] {
+            let line = format!("{verb} --sm-workers 4");
+            assert_eq!(err(&line), "unknown flag '--sm-workers'", "{verb}");
         }
     }
 
     #[test]
     fn bench_loop_defaults_and_flags() {
+        let c = parsed!(BenchLoop, "bench-loop");
         assert_eq!(
-            parse(&v(&["bench-loop"])),
-            Ok(Command::BenchLoop {
-                apps: vec![],
-                iters: 3,
-                out: "BENCH_simloop.json".into(),
-            })
+            (c.apps.len(), c.iters, c.out.as_str()),
+            (0, 3, "BENCH_simloop.json")
+        );
+        let c = parsed!(
+            BenchLoop,
+            "bench-loop --apps Gaussian,BFS --iters 7 --out /tmp/b.json"
         );
         assert_eq!(
-            parse(&v(&[
-                "bench-loop",
-                "--apps",
-                "Gaussian,BFS",
-                "--iters",
-                "7",
-                "--out",
-                "/tmp/b.json"
-            ])),
-            Ok(Command::BenchLoop {
-                apps: vec!["Gaussian".into(), "BFS".into()],
-                iters: 7,
-                out: "/tmp/b.json".into(),
-            })
+            (c.apps, c.iters, c.out.as_str()),
+            (v("Gaussian BFS"), 7, "/tmp/b.json")
         );
-        assert!(parse(&v(&["bench-loop", "--iters", "0"])).is_err());
+        assert!(parse(&v("bench-loop --iters 0")).is_err());
     }
 
     #[test]
     fn chaos_defaults_and_flags() {
+        let c = parsed!(Chaos, "chaos");
+        assert_eq!(dbg(&c.spec), dbg(&CampaignSpec::default()));
+        assert_eq!(c.spec.workloads.len(), 6);
+        assert_eq!((c.spec.seeds, c.spec.technique), (8, Technique::RegMutex));
+        assert!(!c.expect_detections);
+        let line = "chaos BFS MergeSort --seeds 2 --jobs 4 --expect-detections -t paired \
+                    --stall-multiplier 32";
+        let c = parsed!(Chaos, line);
+        let s = &c.spec;
+        assert_eq!(s.workloads, v("BFS MergeSort"));
         assert_eq!(
-            parse(&v(&["chaos"])),
-            Ok(Command::Chaos {
-                apps: vec![],
-                seeds: 8,
-                technique: Technique::RegMutex,
-                jobs: None,
-                watchdog_cycles: None,
-                stall_multiplier: None,
-                expect_detections: false,
-                journal: None,
-                resume: false,
-            })
+            (s.seeds, s.technique, s.jobs),
+            (2, Technique::RegMutexPaired, 4)
         );
+        assert_eq!((s.watchdog_cycles, s.stall_multiplier), (None, Some(32)));
+        assert!(c.expect_detections);
+        // Workload names may come anywhere among the flags.
         assert_eq!(
-            parse(&v(&[
-                "chaos",
-                "BFS",
-                "MergeSort",
-                "--seeds",
-                "2",
-                "--jobs",
-                "4",
-                "--expect-detections",
-                "-t",
-                "paired",
-                "--stall-multiplier",
-                "32"
-            ])),
-            Ok(Command::Chaos {
-                apps: vec!["BFS".into(), "MergeSort".into()],
-                seeds: 2,
-                technique: Technique::RegMutexPaired,
-                jobs: Some(4),
-                watchdog_cycles: None,
-                stall_multiplier: Some(32),
-                expect_detections: true,
-                journal: None,
-                resume: false,
-            })
+            parsed!(Chaos, "chaos --seeds 1 SAD").spec.workloads,
+            v("SAD")
         );
-        assert!(parse(&v(&["chaos", "--seeds", "0"])).is_err());
-        assert!(parse(&v(&["chaos", "--nope"])).is_err());
+        assert!(parse(&v("chaos --seeds 0")).is_err());
+        assert!(parse(&v("chaos --nope")).is_err());
     }
 
     #[test]
     fn technique_aliases() {
-        assert_eq!(technique_from("paired"), Ok(Technique::RegMutexPaired));
-        assert_eq!(technique_from("OWF"), Ok(Technique::Owf));
-        assert!(technique_from("nope").is_err());
+        assert_eq!(technique("paired"), Ok(Technique::RegMutexPaired));
+        assert_eq!(technique("OWF"), Ok(Technique::Owf));
+        assert!(technique("nope").is_err());
+        assert!(err("run BFS --technique nope").contains("unknown technique 'nope'"));
     }
 
     #[test]
     fn missing_app_is_an_error() {
-        assert!(parse(&v(&["run"])).is_err());
-        assert!(parse(&v(&["disasm", "--liveness"])).is_err());
+        assert!(parse(&v("run")).is_err());
+        assert!(parse(&v("disasm --liveness")).is_err());
+        // A flag where the workload belongs is named as a missing workload,
+        // not as its value being an unknown flag.
+        assert_eq!(
+            err("sweep --jobs 4"),
+            "'sweep' needs a workload name; try 'list'"
+        );
     }
 
     #[test]
     fn unknown_flag_is_an_error() {
-        assert!(parse(&v(&["run", "BFS", "--what"])).is_err());
-        assert!(parse(&v(&["nonsense"])).is_err());
+        assert!(parse(&v("run BFS --what")).is_err());
+        assert!(parse(&v("nonsense")).is_err());
+        assert_eq!(err("run BFS --ctas"), "--ctas needs a value (N)");
     }
 
     #[test]
     fn sweep_and_compare_jobs() {
+        let c = parsed!(Sweep, "sweep BFS");
         assert_eq!(
-            parse(&v(&["sweep", "BFS"])),
-            Ok(Command::Sweep {
-                app: "BFS".into(),
-                jobs: None,
-                journal: None,
-                resume: false,
-            })
+            (c.app.as_str(), c.jobs, c.journal.dir, c.journal.resume),
+            ("BFS", None, None, false)
         );
-        assert_eq!(
-            parse(&v(&["sweep", "BFS", "--jobs", "4"])),
-            Ok(Command::Sweep {
-                app: "BFS".into(),
-                jobs: Some(4),
-                journal: None,
-                resume: false,
-            })
-        );
-        assert_eq!(
-            parse(&v(&["compare", "SAD", "--jobs=2", "--half-rf"])),
-            Ok(Command::Compare {
-                app: "SAD".into(),
-                half_rf: true,
-                jobs: Some(2)
-            })
-        );
-        assert!(parse(&v(&["sweep", "BFS", "--jobs", "many"])).is_err());
-        assert!(parse(&v(&["sweep", "BFS", "--half-rf"])).is_err());
+        assert_eq!(parsed!(Sweep, "sweep BFS --jobs 4").jobs, Some(4));
+        let c = parsed!(Compare, "compare SAD --jobs=2 --half-rf");
+        assert_eq!((c.app.as_str(), c.half_rf, c.jobs), ("SAD", true, Some(2)));
+        assert!(parse(&v("sweep BFS --jobs many")).is_err());
+        assert!(parse(&v("sweep BFS --half-rf")).is_err());
     }
 
     #[test]
     fn fuzz_defaults_and_flags() {
+        let c = parsed!(Fuzz, "fuzz");
+        assert_eq!(dbg(&c.campaign), dbg(&CampaignConfig::default()));
         assert_eq!(
-            parse(&v(&["fuzz"])),
-            Ok(Command::Fuzz {
-                seed: 0x5eed_f022,
-                iters: 1000,
-                duration_secs: None,
-                jobs: None,
-                cycle_budget: None,
-                max_divergences: 5,
-                stats: None,
-                replay: None,
-                fault: None,
-                no_minimize: false,
-                fleet: false,
-                workers: vec![],
-                journal: None,
-                resume: false,
-            })
+            (c.jobs, c.stats, c.replay, c.fleet),
+            (None, None, None, false)
+        );
+        let fault = "corrupt-lut:severe:3:regmutex";
+        let c = parsed!(
+            Fuzz,
+            &format!(
+                "fuzz --seed 42 --iters 500 --jobs 2 --cycle-budget 100000 --max-divergences 3 \
+                 --stats /tmp/fuzz.json --no-minimize --fault {fault}"
+            )
+        );
+        let k = &c.campaign;
+        assert_eq!(
+            (k.seed, k.iters, k.oracle.cycle_budget, k.max_divergences),
+            (42, 500, 100_000, 3)
         );
         assert_eq!(
-            parse(&v(&[
-                "fuzz",
-                "--seed",
-                "42",
-                "--iters",
-                "500",
-                "--jobs",
-                "2",
-                "--cycle-budget",
-                "100000",
-                "--max-divergences",
-                "3",
-                "--stats",
-                "/tmp/fuzz.json",
-                "--no-minimize",
-                "--fault",
-                "corrupt-lut:severe:3:regmutex"
-            ])),
-            Ok(Command::Fuzz {
-                seed: 42,
-                iters: 500,
-                duration_secs: None,
-                jobs: Some(2),
-                cycle_budget: Some(100_000),
-                max_divergences: 3,
-                stats: Some("/tmp/fuzz.json".into()),
-                replay: None,
-                fault: Some("corrupt-lut:severe:3:regmutex".into()),
-                no_minimize: true,
-                fleet: false,
-                workers: vec![],
-                journal: None,
-                resume: false,
-            })
+            (c.jobs, c.stats.as_deref(), k.minimize),
+            (Some(2), Some("/tmp/fuzz.json"), false)
         );
+        assert_eq!(dbg(&k.fault), dbg(&parse_fault(fault).ok()));
+        let secs = parsed!(Fuzz, "fuzz --duration-secs 9").campaign.duration;
+        assert_eq!(secs, Some(Duration::from_secs(9)));
         // Seeds parse in the same hex form the reports print them in.
-        match parse(&v(&["fuzz", "--seed", "0xfa017"])) {
-            Ok(Command::Fuzz { seed, .. }) => assert_eq!(seed, 0xfa017),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse(&v(&["fuzz", "--iters", "0"])).is_err());
-        assert!(parse(&v(&["fuzz", "--max-divergences", "0"])).is_err());
-        assert!(parse(&v(&["fuzz", "--nope"])).is_err());
+        assert_eq!(parsed!(Fuzz, "fuzz --seed 0xfa017").campaign.seed, 0xfa017);
+        assert_eq!(parsed!(Fuzz, "fuzz --jobs=2").jobs, Some(2));
+        assert!(parse(&v("fuzz --iters 0")).is_err());
+        assert!(parse(&v("fuzz --max-divergences 0")).is_err());
+        assert!(parse(&v("fuzz --nope")).is_err());
+        // A bad fault spec is a usage error.
+        assert!(err("fuzz --fault nope").starts_with("invalid value 'nope' for --fault"));
     }
 
     #[test]
     fn fuzz_fleet_mode() {
         // --workers implies --fleet.
-        match parse(&v(&["fuzz", "--workers", "127.0.0.1:1,127.0.0.1:2"])) {
-            Ok(Command::Fuzz { fleet, workers, .. }) => {
-                assert!(fleet);
-                assert_eq!(workers.len(), 2);
-            }
-            other => panic!("expected fuzz to parse, got {other:?}"),
-        }
-        assert!(parse(&v(&["fuzz", "--fleet"])).is_err());
+        let c = parsed!(Fuzz, "fuzz --workers 127.0.0.1:1,127.0.0.1:2");
+        assert!(c.fleet);
+        assert_eq!(c.workers.len(), 2);
+        assert!(parse(&v("fuzz --fleet")).is_err());
         // Fleet excludes single-kernel / fault-injection modes.
-        assert!(parse(&v(&[
-            "fuzz",
-            "--fleet",
-            "--workers",
-            "a:1",
-            "--replay",
-            "f"
-        ]))
-        .is_err());
-        assert!(parse(&v(&[
-            "fuzz",
-            "--fleet",
-            "--workers",
-            "a:1",
-            "--fault",
-            "corrupt-lut:severe:1:regmutex"
-        ]))
+        assert!(parse(&v("fuzz --fleet --workers a:1 --replay f")).is_err());
+        assert!(parse(&v(
+            "fuzz --fleet --workers a:1 --fault corrupt-lut:severe:1:regmutex"
+        ))
         .is_err());
     }
 
     #[test]
     fn journal_and_resume_flags() {
         // Every campaign verb takes --journal DIR, optionally --resume.
-        match parse(&v(&["sweep", "BFS", "--journal", "/tmp/j", "--resume"])) {
-            Ok(Command::Sweep {
-                journal, resume, ..
-            }) => {
-                assert_eq!(journal.as_deref(), Some("/tmp/j"));
-                assert!(resume);
-            }
-            other => panic!("expected sweep to parse, got {other:?}"),
-        }
-        match parse(&v(&["chaos", "BFS", "--journal", "/tmp/j"])) {
-            Ok(Command::Chaos {
-                journal, resume, ..
-            }) => {
-                assert_eq!(journal.as_deref(), Some("/tmp/j"));
-                assert!(!resume);
-            }
-            other => panic!("expected chaos to parse, got {other:?}"),
-        }
-        match parse(&v(&["fuzz", "--journal", "/tmp/j", "--resume"])) {
-            Ok(Command::Fuzz {
-                journal, resume, ..
-            }) => {
-                assert_eq!(journal.as_deref(), Some("/tmp/j"));
-                assert!(resume);
-            }
-            other => panic!("expected fuzz to parse, got {other:?}"),
-        }
-        match parse(&v(&[
-            "coordinator",
-            "--workers",
-            "a:1",
-            "--journal",
-            "/tmp/j",
-        ])) {
-            Ok(Command::Coordinator {
-                journal, resume, ..
-            }) => {
-                assert_eq!(journal.as_deref(), Some("/tmp/j"));
-                assert!(!resume);
-            }
-            other => panic!("expected coordinator to parse, got {other:?}"),
-        }
+        let dir = Some(Path::new("/tmp/j"));
+        let j = parsed!(Sweep, "sweep BFS --journal /tmp/j --resume").journal;
+        assert_eq!((j.dir.as_deref(), j.resume), (dir, true));
+        let j = parsed!(Chaos, "chaos BFS --journal /tmp/j").journal;
+        assert_eq!((j.dir.as_deref(), j.resume), (dir, false));
+        let j = parsed!(Fuzz, "fuzz --journal /tmp/j --resume").journal;
+        assert_eq!((j.dir.as_deref(), j.resume), (dir, true));
+        let j = parsed!(Coordinator, "coordinator --workers a:1 --journal /tmp/j").journal;
+        assert_eq!((j.dir.as_deref(), j.resume), (dir, false));
         // --resume without --journal is a usage error, on every verb.
         for bad in [
-            vec!["sweep", "BFS", "--resume"],
-            vec!["chaos", "--resume"],
-            vec!["fuzz", "--resume"],
-            vec!["coordinator", "--workers", "a:1", "--resume"],
+            "sweep BFS --resume",
+            "chaos --resume",
+            "fuzz --resume",
+            "coordinator --workers a:1 --resume",
         ] {
-            assert!(parse(&v(&bad)).is_err(), "{bad:?} should be rejected");
+            assert_eq!(err(bad), "--resume needs --journal DIR", "{bad}");
         }
         // The journal drives a local campaign loop; fleet fan-out and
         // single-artifact replay don't have one.
-        assert!(parse(&v(&["fuzz", "--journal", "/tmp/j", "--workers", "a:1"])).is_err());
-        assert!(parse(&v(&["fuzz", "--journal", "/tmp/j", "--replay", "f"])).is_err());
+        assert!(parse(&v("fuzz --journal /tmp/j --workers a:1")).is_err());
+        assert!(parse(&v("fuzz --journal /tmp/j --replay f")).is_err());
         // A value-less --journal is rejected.
-        assert!(parse(&v(&["sweep", "BFS", "--journal"])).is_err());
+        assert!(parse(&v("sweep BFS --journal")).is_err());
     }
 
     #[test]
     fn serve_cache_dir_flag() {
-        match parse(&v(&["serve", "--cache-dir", "/tmp/cache"])) {
-            Ok(Command::Serve { cache_dir, .. }) => {
-                assert_eq!(cache_dir.as_deref(), Some("/tmp/cache"));
-            }
-            other => panic!("expected serve to parse, got {other:?}"),
-        }
-        assert!(parse(&v(&["serve", "--cache-dir"])).is_err());
+        let c = parsed!(Serve, "serve --cache-dir /tmp/cache");
+        assert_eq!(c.cache_dir.as_deref(), Some("/tmp/cache"));
+        assert!(parse(&v("serve --cache-dir")).is_err());
     }
 
     #[test]
     fn trace_max() {
-        assert_eq!(
-            parse(&v(&["trace", "SAD", "--max", "500"])),
-            Ok(Command::Trace {
-                app: "SAD".into(),
-                max_steps: 500
-            })
-        );
-        assert!(parse(&v(&["trace", "SAD", "--max", "abc"])).is_err());
+        let c = parsed!(Trace, "trace SAD --max 500");
+        assert_eq!((c.app.as_str(), c.max_steps), ("SAD", 500));
+        assert!(parse(&v("trace SAD --max abc")).is_err());
+    }
+
+    #[test]
+    fn usage_synopsis_lists_every_flag() {
+        let full = usage(None);
+        for verb in VERBS {
+            assert!(full.contains(&format!("regmutex-cli {}", verb.name())));
+            assert!(usage(Some(verb.name())).starts_with("USAGE:\n"));
+        }
+        for flag in FUZZ.flags {
+            assert!(full.contains(&format!("[{}", flag.name)), "{}", flag.name);
+        }
+        assert!(usage(Some("run")).contains("-t, --technique T"));
+        assert!(full.lines().all(|l| l.chars().count() <= 80), "{full}");
     }
 }

@@ -6,7 +6,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use regmutex::{cycle_reduction_percent, Session, Technique, ALL_TECHNIQUES};
-use regmutex_bench::chaos::{run_campaign, run_campaign_durable, CampaignSpec};
+use regmutex_bench::chaos::{run_campaign, run_campaign_durable};
 use regmutex_bench::{runner::default_jobs, Fig07Source, JobExecutor, JobSource, JobSpec, Runner};
 use regmutex_compiler::{analyze, live_trace, CompileOptions};
 use regmutex_durable::{Campaign, Record, Run};
@@ -14,9 +14,14 @@ use regmutex_fleet::{
     run_fleet_campaign, run_fleet_loadgen, Coordinator, FleetCampaignSpec, FleetConfig,
     FleetLoadgenConfig,
 };
-use regmutex_server::{signal, DiskTier, LoadgenConfig, ServerConfig};
+use regmutex_server::{signal, DiskTier, ServerConfig};
 use regmutex_sim::{GpuConfig, LaunchConfig};
 use regmutex_workloads::{suite, Workload};
+
+use crate::args::{
+    BenchLoopArgs, ChaosArgs, CompareArgs, CoordinatorArgs, DisasmArgs, FuzzArgs, LoadgenArgs,
+    RunArgs, SweepArgs, TraceArgs,
+};
 
 /// Exit code for a graceful SIGINT/SIGTERM checkpoint: the campaign is
 /// incomplete but its progress is journaled and `--resume` will finish it.
@@ -82,11 +87,8 @@ impl std::error::Error for CommandError {}
 
 fn lookup(app: &str) -> Result<Workload, CommandError> {
     suite::by_name(app).ok_or_else(|| {
-        let names: Vec<&str> = suite::all().iter().map(|w| w.name).collect();
-        CommandError(format!(
-            "unknown workload '{app}'; available: {}",
-            names.join(", ")
-        ))
+        let names = suite::names().join(", ");
+        CommandError(format!("unknown workload '{app}'; available: {names}"))
     })
 }
 
@@ -128,10 +130,10 @@ pub fn list(json: bool) -> String {
 }
 
 /// `disasm <app>`
-pub fn disasm(app: &str, transformed: bool, liveness: bool) -> Result<String, CommandError> {
-    let w = lookup(app)?;
+pub fn disasm(a: &DisasmArgs) -> Result<String, CommandError> {
+    let w = lookup(&a.app)?;
     let session = Session::new(w.table_config());
-    let kernel = if transformed {
+    let kernel = if a.transformed {
         let compiled = session
             .compile(&w.kernel)
             .map_err(|e| CommandError(e.to_string()))?;
@@ -139,7 +141,7 @@ pub fn disasm(app: &str, transformed: bool, liveness: bool) -> Result<String, Co
     } else {
         w.kernel.clone()
     };
-    if !liveness {
+    if !a.liveness {
         return Ok(kernel.to_string());
     }
     let lv = analyze(&kernel);
@@ -156,34 +158,25 @@ pub fn disasm(app: &str, transformed: bool, liveness: bool) -> Result<String, Co
 }
 
 /// `run <app> ...`
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    app: &str,
-    technique: Technique,
-    half_rf: bool,
-    ctas: Option<u32>,
-    force_es: Option<u16>,
-    watchdog_cycles: Option<u64>,
-    stall_multiplier: Option<u32>,
-    no_cycle_skip: bool,
-) -> Result<String, CommandError> {
-    let w = lookup(app)?;
-    let mut cfg = config(half_rf);
-    if let Some(wd) = watchdog_cycles {
+pub fn run(a: &RunArgs) -> Result<String, CommandError> {
+    let w = lookup(&a.app)?;
+    let technique = a.technique;
+    let mut cfg = config(a.half_rf);
+    if let Some(wd) = a.watchdog_cycles {
         cfg.watchdog_cycles = wd;
     }
-    if let Some(m) = stall_multiplier {
+    if let Some(m) = a.stall_multiplier {
         cfg.stall_multiplier = m;
     }
-    cfg.cycle_skipping = !no_cycle_skip;
+    cfg.cycle_skipping = !a.no_cycle_skip;
     let session = Session::with_options(
         cfg,
         CompileOptions {
-            force_es,
-            force_apply: force_es.is_some(),
+            force_es: a.force_es,
+            force_apply: a.force_es.is_some(),
         },
     );
-    let launch = LaunchConfig::new(ctas.unwrap_or(w.grid_ctas));
+    let launch = LaunchConfig::new(a.ctas.unwrap_or(w.grid_ctas));
     let rep = session
         .run(&w.kernel, launch, technique)
         .map_err(|e| CommandError(format!("{}/{technique}: {e}", w.name)))?;
@@ -192,7 +185,7 @@ pub fn run(
     let _ = writeln!(
         out,
         "arch       : {}",
-        if half_rf {
+        if a.half_rf {
             "GTX480 half RF (64 KB/SM)"
         } else {
             "GTX480 (128 KB/SM)"
@@ -238,14 +231,11 @@ pub fn run(
 /// Runs go through [`Session`] directly — never the batch [`Runner`], whose
 /// result cache would satisfy repeat runs without simulating and falsify
 /// the timings.
-pub fn bench_loop(
-    apps: &[String],
-    iters: usize,
-    out_path: &str,
-) -> Result<(String, i32), CommandError> {
+pub fn bench_loop(a: &BenchLoopArgs) -> Result<(String, i32), CommandError> {
     use regmutex_server::json::Json;
     use std::time::Instant;
 
+    let (apps, iters, out_path) = (&a.apps, a.iters, &a.out);
     // (row label, workload, grid override, simulated SMs)
     let mut basket: Vec<(String, Workload, Option<u32>, u32)> = Vec::new();
     if apps.is_empty() {
@@ -375,11 +365,11 @@ pub fn bench_loop(
 }
 
 /// `compare <app>`
-pub fn compare(app: &str, half_rf: bool, jobs: Option<usize>) -> Result<String, CommandError> {
-    let w = lookup(app)?;
-    let cfg = config(half_rf);
+pub fn compare(a: &CompareArgs) -> Result<String, CommandError> {
+    let w = lookup(&a.app)?;
+    let cfg = config(a.half_rf);
     let launch = w.launch();
-    let runner = Runner::new(jobs.unwrap_or_else(default_jobs));
+    let runner = Runner::new(a.jobs.unwrap_or_else(default_jobs));
     let specs: Vec<JobSpec> = ALL_TECHNIQUES
         .iter()
         .map(|&t| JobSpec::new(format!("{}/{t}", w.name), &w.kernel, &cfg, launch, t))
@@ -397,7 +387,7 @@ pub fn compare(app: &str, half_rf: bool, jobs: Option<usize>) -> Result<String, 
         out,
         "{} on {} — baseline {} cycles, occupancy {}%\n",
         w.name,
-        if half_rf { "half RF" } else { "GTX480" },
+        if a.half_rf { "half RF" } else { "GTX480" },
         base.cycles(),
         base.occupancy_percent()
     );
@@ -427,9 +417,9 @@ pub fn compare(app: &str, half_rf: bool, jobs: Option<usize>) -> Result<String, 
 }
 
 /// `trace <app>`
-pub fn trace(app: &str, max_steps: usize) -> Result<String, CommandError> {
-    let w = lookup(app)?;
-    let t = live_trace(&w.kernel, max_steps);
+pub fn trace(a: &TraceArgs) -> Result<String, CommandError> {
+    let w = lookup(&a.app)?;
+    let t = live_trace(&w.kernel, a.max_steps);
     let mut out = String::new();
     let _ = writeln!(out, "# {} — live% per executed instruction", w.name);
     let _ = writeln!(out, "instruction,live_percent");
@@ -437,7 +427,7 @@ pub fn trace(app: &str, max_steps: usize) -> Result<String, CommandError> {
         let _ = writeln!(out, "{i},{p:.2}");
     }
     if t.truncated {
-        let _ = writeln!(out, "# truncated at {max_steps} steps");
+        let _ = writeln!(out, "# truncated at {} steps", a.max_steps);
     }
     Ok(out)
 }
@@ -475,15 +465,10 @@ impl Record for SweepJob {
 /// 0 when every `|Es|` row simulated, 3 when any row errored (the table
 /// still renders — partial results beat none), [`CHECKPOINT_EXIT`] when a
 /// journaled run was interrupted by SIGINT/SIGTERM.
-pub fn sweep(
-    app: &str,
-    jobs: Option<usize>,
-    journal_dir: Option<&str>,
-    resume: bool,
-) -> Result<(String, i32), CommandError> {
-    let w = lookup(app)?;
+pub fn sweep(a: &SweepArgs) -> Result<(String, i32), CommandError> {
+    let w = lookup(&a.app)?;
     let cfg = w.table_config();
-    let mut runner = Runner::new(jobs.unwrap_or_else(default_jobs));
+    let mut runner = Runner::new(a.jobs.unwrap_or_else(default_jobs));
     const ES_VALUES: [u16; 6] = [2, 4, 6, 8, 10, 12];
 
     let mut specs = vec![JobSpec::new(
@@ -508,14 +493,14 @@ pub fn sweep(
             }),
         );
     }
-    let collected = match journal_dir {
+    let collected = match &a.journal.dir {
         None => runner.run_all(&specs),
         Some(dir) => {
             // Persist results content-addressed, journal completions, and
             // poll for SIGINT/SIGTERM between batches.
-            let dir = Path::new(dir);
             runner.set_tier(result_store(dir)?);
-            let sweep = durable::<SweepJob, _>("sweep", dir, resume, app, "jobs", |journal| {
+            let resume = a.journal.resume;
+            let sweep = durable::<SweepJob, _>("sweep", dir, resume, &a.app, "jobs", |journal| {
                 let mut collected = Vec::with_capacity(specs.len());
                 for batch in specs.chunks(runner.jobs().max(1)) {
                     if signal::triggered() {
@@ -595,37 +580,19 @@ pub fn sweep(
 /// code: 1 when the campaign observed silent corruption, or when
 /// `expect_detections` is set and some fault class was never caught;
 /// [`CHECKPOINT_EXIT`] when a journaled run was interrupted.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos(
-    apps: &[String],
-    seeds: u64,
-    technique: Technique,
-    jobs: Option<usize>,
-    watchdog_cycles: Option<u64>,
-    stall_multiplier: Option<u32>,
-    expect_detections: bool,
-    journal_dir: Option<&str>,
-    resume: bool,
-) -> Result<(String, i32), CommandError> {
-    let mut spec = CampaignSpec::default_campaign(jobs.unwrap_or_else(default_jobs));
-    if !apps.is_empty() {
-        spec.workloads = apps.to_vec();
-    }
-    spec.seeds = seeds;
-    spec.technique = technique;
-    spec.watchdog_cycles = watchdog_cycles;
-    spec.stall_multiplier = stall_multiplier;
-    let report = match journal_dir {
-        None => run_campaign(&spec).map_err(CommandError)?,
+pub fn chaos(a: &ChaosArgs) -> Result<(String, i32), CommandError> {
+    let spec = &a.spec;
+    let report = match &a.journal.dir {
+        None => run_campaign(spec).map_err(CommandError)?,
         Some(dir) => {
             let chaos = durable(
                 "chaos",
-                Path::new(dir),
-                resume,
-                &spec,
+                dir,
+                a.journal.resume,
+                spec,
                 "injections",
                 |journal| {
-                    run_campaign_durable(&spec, Some(&journal), Some(&signal::triggered))
+                    run_campaign_durable(spec, Some(&journal), Some(&signal::triggered))
                         .map_err(CommandError)
                 },
             )?;
@@ -642,7 +609,7 @@ pub fn chaos(
         let _ = writeln!(out, "FAIL: the safety net let corruption through");
         code = 1;
     }
-    if expect_detections && !report.all_classes_detected() {
+    if a.expect_detections && !report.all_classes_detected() {
         let _ = writeln!(
             out,
             "FAIL: --expect-detections set but some fault class was never caught"
@@ -653,61 +620,21 @@ pub fn chaos(
 }
 
 /// `serve ...` — blocks until SIGINT/SIGTERM or `POST /v1/shutdown`.
-#[allow(clippy::too_many_arguments)]
-pub fn serve(
-    addr: String,
-    workers: Option<usize>,
-    queue: usize,
-    cache_mb: usize,
-    cycle_budget: Option<u64>,
-    max_connections: usize,
-    client_rate: f64,
-    client_burst: f64,
-    cache_dir: Option<String>,
-) -> Result<(), CommandError> {
-    let env = std::env::var("REGMUTEX_JOBS").ok();
-    let sim_workers = workers
-        .or_else(|| env.and_then(|v| v.trim().parse().ok()).filter(|&n| n > 0))
-        .unwrap_or_else(default_jobs);
-    regmutex_server::serve_until_shutdown(ServerConfig {
-        addr,
-        sim_workers,
-        queue_capacity: queue,
-        cache_budget: cache_mb.saturating_mul(1024 * 1024),
-        cycle_budget,
-        max_connections,
-        client_rate,
-        client_burst,
-        cache_dir,
-        ..ServerConfig::default()
-    })
-    .map_err(|e| CommandError(format!("serve: {e}")))
+pub fn serve(cfg: &ServerConfig) -> Result<String, CommandError> {
+    regmutex_server::serve_until_shutdown(cfg.clone())
+        .map(|()| String::new())
+        .map_err(|e| CommandError(format!("serve: {e}")))
 }
 
 /// `coordinator ...` — run the Fig 7 sweep across a fleet of workers.
-/// Returns `(sweep output, aggregated Prometheus metrics, exit code)`;
-/// the metrics go to stderr so the sweep on stdout stays byte-comparable
-/// to the local golden. Exit code 3 when any row is a labeled error row
-/// (a give-up after exhausting retries — never a missing row);
-/// [`CHECKPOINT_EXIT`] when a journaled run was interrupted.
-#[allow(clippy::too_many_arguments)]
-pub fn coordinator(
-    workers: Vec<String>,
-    seed: u64,
-    threads: usize,
-    max_attempts: u32,
-    cycle_budget: Option<u64>,
-    journal_dir: Option<&str>,
-    resume: bool,
-) -> Result<(String, String, i32), CommandError> {
-    let mut coordinator = Coordinator::new(FleetConfig {
-        workers,
-        seed,
-        dispatch_threads: threads,
-        max_attempts,
-        ..FleetConfig::default()
-    })
-    .map_err(CommandError)?;
+/// Returns the sweep output and the exit code, and prints the aggregated
+/// Prometheus metrics to stderr so the sweep on stdout stays
+/// byte-comparable to the local golden. Exit code 3 when any row is a
+/// labeled error row (a give-up after exhausting retries — never a missing
+/// row); [`CHECKPOINT_EXIT`] when a journaled run was interrupted.
+pub fn coordinator(a: &CoordinatorArgs) -> Result<(String, i32), CommandError> {
+    let mut coordinator = Coordinator::new(a.fleet.clone()).map_err(CommandError)?;
+    let cycle_budget = a.cycle_budget;
     let source = Fig07Source;
     let mut jobs = source.jobs();
     if cycle_budget.is_some() {
@@ -715,10 +642,9 @@ pub fn coordinator(
             j.cycle_budget = cycle_budget;
         }
     }
-    let results = match journal_dir {
-        None => coordinator.execute(&jobs).map_err(CommandError)?,
+    let results = match &a.journal.dir {
+        None => Some(coordinator.execute(&jobs).map_err(CommandError)?),
         Some(dir) => {
-            let dir = Path::new(dir);
             coordinator.set_tier(result_store(dir)?);
             coordinator.set_cancel(Arc::new(signal::triggered));
             // The campaign identity pins the job matrix (which jobs run), not
@@ -728,69 +654,47 @@ pub fn coordinator(
                 "fig07 budget={}",
                 cycle_budget.map_or_else(|| "-".to_string(), |b| b.to_string())
             );
-            let fleet = durable("coordinator", dir, resume, &*campaign, "jobs", |journal| {
+            let resume = a.journal.resume;
+            durable("coordinator", dir, resume, &*campaign, "jobs", |journal| {
                 // Restores journaled circuit-breaker state; execution
                 // re-probes first, so a recovered worker is re-admitted.
                 coordinator.set_journal(journal);
                 coordinator.execute_durable(&jobs).map_err(CommandError)
-            })?;
-            let Some(results) = fleet else {
-                return Ok((String::new(), coordinator.render_metrics(), CHECKPOINT_EXIT));
-            };
-            results
+            })?
         }
     };
-    let (out, code) = source.render(&jobs, &results);
-    Ok((out, coordinator.render_metrics(), code))
+    eprint!("{}", coordinator.render_metrics());
+    let Some(results) = results else {
+        return Ok((String::new(), CHECKPOINT_EXIT));
+    };
+    Ok(source.render(&jobs, &results))
 }
 
 /// `chaos-fleet ...` — the network-fault campaign. The second element of
 /// the pair is the process exit code: 1 when any job was lost or any row
 /// silently wrong.
-pub fn chaos_fleet(
-    seeds: u64,
-    apps: Vec<String>,
-    cycle_budget: Option<u64>,
-    trigger_after: usize,
-    sim_workers: usize,
-) -> Result<(String, i32), CommandError> {
-    let mut spec = FleetCampaignSpec {
-        seeds: (1..=seeds).collect(),
-        cycle_budget,
-        trigger_after,
-        sim_workers,
-        ..FleetCampaignSpec::default()
-    };
-    if !apps.is_empty() {
-        spec.app_sets = vec![apps];
-    }
-    let report = run_fleet_campaign(&spec).map_err(CommandError)?;
+pub fn chaos_fleet(spec: &FleetCampaignSpec) -> Result<(String, i32), CommandError> {
+    let report = run_fleet_campaign(spec).map_err(CommandError)?;
     Ok(report.render())
 }
 
 /// `loadgen --fleet ...` — drive the coordinator closed-loop.
-pub fn fleet_loadgen(
-    workers: Vec<String>,
-    threads: usize,
-    requests: usize,
-    seed: u64,
-    apps: Vec<String>,
-    cycle_budget: Option<u64>,
-) -> Result<String, CommandError> {
+fn fleet_loadgen(a: &LoadgenArgs) -> Result<String, CommandError> {
+    let load = &a.load;
     let coordinator = Coordinator::new(FleetConfig {
-        workers,
-        seed,
+        workers: a.workers.clone(),
+        seed: load.seed,
         ..FleetConfig::default()
     })
     .map_err(CommandError)?;
     let report = run_fleet_loadgen(
         &coordinator,
         &FleetLoadgenConfig {
-            threads,
-            requests,
-            seed,
-            apps,
-            cycle_budget,
+            threads: load.threads,
+            requests: load.requests,
+            seed: load.seed,
+            apps: load.apps.clone(),
+            cycle_budget: a.cycle_budget,
         },
     )
     .map_err(CommandError)?;
@@ -812,80 +716,43 @@ pub fn fleet_loadgen(
 /// documented outcome reproduces); `--fleet` shards the campaign across
 /// workers' `/v1/fuzz` endpoints; otherwise a local campaign. In every
 /// mode exit code 1 means a divergence (or a replay mismatch).
-#[allow(clippy::too_many_arguments)]
-pub fn fuzz(
-    seed: u64,
-    iters: u64,
-    duration_secs: Option<u64>,
-    jobs: Option<usize>,
-    cycle_budget: Option<u64>,
-    max_divergences: u64,
-    stats: Option<String>,
-    replay: Option<String>,
-    fault: Option<String>,
-    no_minimize: bool,
-    fleet: bool,
-    workers: Vec<String>,
-    journal_dir: Option<&str>,
-    resume: bool,
-) -> Result<(String, i32), CommandError> {
-    let mut oracle = regmutex_fuzz::OracleConfig::default();
-    if let Some(b) = cycle_budget {
-        oracle.cycle_budget = b;
-    }
-
-    if let Some(path) = replay {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| CommandError(format!("read {path}: {e}")))?;
+pub fn fuzz(a: &FuzzArgs) -> Result<(String, i32), CommandError> {
+    let cfg = &a.campaign;
+    let mut runner = Runner::new(a.jobs.unwrap_or_else(default_jobs));
+    if let Some(path) = &a.replay {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| CommandError(format!("read {path}: {e}")))?;
         let artifact = regmutex_fuzz::Artifact::parse(&text)
             .map_err(|e| CommandError(format!("{path}: {e}")))?;
-        let runner = Runner::new(jobs.unwrap_or_else(default_jobs));
-        return Ok(regmutex_fuzz::replay_artifact(&artifact, &runner, &oracle));
+        let oracle = &cfg.oracle;
+        return Ok(regmutex_fuzz::replay_artifact(&artifact, &runner, oracle));
     }
 
-    if fleet {
+    if a.fleet {
         let started = std::time::Instant::now();
-        let cfg = regmutex_fleet::FuzzFanoutConfig {
-            workers,
-            seed,
-            iters,
-            cycle_budget: oracle.cycle_budget,
-            minimize: !no_minimize,
+        let fanout = regmutex_fleet::FuzzFanoutConfig {
+            workers: a.workers.clone(),
+            seed: cfg.seed,
+            iters: cfg.iters,
+            cycle_budget: cfg.oracle.cycle_budget,
+            minimize: cfg.minimize,
             ..regmutex_fleet::FuzzFanoutConfig::default()
         };
-        let report = regmutex_fleet::run_fuzz_fanout(&cfg).map_err(CommandError)?;
-        if let Some(path) = stats {
-            std::fs::write(&path, report.to_json(started.elapsed().as_millis()))
+        let report = regmutex_fleet::run_fuzz_fanout(&fanout).map_err(CommandError)?;
+        if let Some(path) = &a.stats {
+            std::fs::write(path, report.to_json(started.elapsed().as_millis()))
                 .map_err(|e| CommandError(format!("write {path}: {e}")))?;
         }
-        return Ok(report.render(&cfg.workers));
+        return Ok(report.render(&fanout.workers));
     }
 
-    let planted = match fault {
-        Some(spec) => Some(
-            regmutex_fuzz::parse_fault(&spec).map_err(|e| CommandError(format!("--fault: {e}")))?,
-        ),
-        None => None,
-    };
-    let cfg = regmutex_fuzz::CampaignConfig {
-        seed,
-        iters,
-        duration: duration_secs.map(std::time::Duration::from_secs),
-        oracle,
-        fault: planted,
-        minimize: !no_minimize,
-        max_divergences,
-        ..regmutex_fuzz::CampaignConfig::default()
-    };
-    let mut runner = Runner::new(jobs.unwrap_or_else(default_jobs));
-    let report = match journal_dir {
-        None => regmutex_fuzz::run_campaign(&cfg, &runner),
+    let report = match &a.journal.dir {
+        None => regmutex_fuzz::run_campaign(cfg, &runner),
         Some(dir) => {
-            let dir = Path::new(dir);
             runner.set_tier(result_store(dir)?);
-            let fuzz = durable("fuzz", dir, resume, &cfg, "kernels", |journal| {
+            let fuzz = durable("fuzz", dir, a.journal.resume, cfg, "kernels", |journal| {
                 Ok(regmutex_fuzz::run_campaign_durable(
-                    &cfg,
+                    cfg,
                     &runner,
                     Some(&journal),
                     Some(&signal::triggered),
@@ -897,35 +764,20 @@ pub fn fuzz(
             report
         }
     };
-    if let Some(path) = stats {
-        std::fs::write(&path, report.to_json())
+    if let Some(path) = &a.stats {
+        std::fs::write(path, report.to_json())
             .map_err(|e| CommandError(format!("write {path}: {e}")))?;
     }
     Ok(report.render())
 }
 
-/// `loadgen ...`
-#[allow(clippy::too_many_arguments)]
-pub fn loadgen(
-    addr: String,
-    threads: usize,
-    requests: usize,
-    seed: u64,
-    apps: Vec<String>,
-    keep_alive: bool,
-    pipeline: usize,
-) -> Result<String, CommandError> {
-    let report = regmutex_server::run_loadgen(&LoadgenConfig {
-        addr,
-        threads,
-        requests,
-        seed,
-        apps,
-        keep_alive,
-        pipeline,
-        ..LoadgenConfig::default()
-    })
-    .map_err(CommandError)?;
+/// `loadgen ...` — against one server, or with `--fleet` through the
+/// coordinator.
+pub fn loadgen(a: &LoadgenArgs) -> Result<String, CommandError> {
+    if a.fleet {
+        return fleet_loadgen(a);
+    }
+    let report = regmutex_server::run_loadgen(&a.load).map_err(CommandError)?;
     let mut out = report.render();
     out.push('\n');
     if !report.nothing_dropped() {
@@ -941,6 +793,23 @@ pub fn loadgen(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::Command;
+
+    /// The configuration a whitespace-separated argument line parses to:
+    /// the tests drive the commands through the binary's own grammar.
+    macro_rules! args {
+        ($variant:ident, $line:expr) => {
+            match crate::parse(
+                &$line
+                    .split_whitespace()
+                    .map(String::from)
+                    .collect::<Vec<_>>(),
+            ) {
+                Ok(Command::$variant(a)) => a,
+                other => panic!("`{}` parsed to {other:?}", $line),
+            }
+        };
+    }
 
     #[test]
     fn list_mentions_all_16() {
@@ -973,38 +842,28 @@ mod tests {
 
     #[test]
     fn unknown_workload_reports_options() {
-        let err = disasm("nope", false, false).unwrap_err();
+        let err = disasm(&args!(Disasm, "disasm nope")).unwrap_err();
         assert!(err.0.contains("available"));
     }
 
     #[test]
     fn disasm_transformed_contains_primitives() {
-        let plain = disasm("BFS", false, false).unwrap();
+        let plain = disasm(&args!(Disasm, "disasm BFS")).unwrap();
         assert!(!plain.contains("acq.es"));
-        let transformed = disasm("BFS", true, false).unwrap();
+        let transformed = disasm(&args!(Disasm, "disasm BFS --transformed")).unwrap();
         assert!(transformed.contains("acq.es"));
         assert!(transformed.contains("rel.es"));
     }
 
     #[test]
     fn disasm_liveness_annotates() {
-        let out = disasm("Gaussian", false, true).unwrap();
+        let out = disasm(&args!(Disasm, "disasm Gaussian --liveness")).unwrap();
         assert!(out.contains("live]"));
     }
 
     #[test]
     fn run_reports_plan_and_cycles() {
-        let out = run(
-            "Gaussian",
-            Technique::RegMutex,
-            true,
-            Some(30),
-            None,
-            None,
-            None,
-            false,
-        )
-        .unwrap();
+        let out = run(&args!(Run, "run Gaussian --half-rf --ctas 30")).unwrap();
         assert!(out.contains("plan"));
         assert!(out.contains("cycles"));
         assert!(out.contains("checksum"));
@@ -1014,31 +873,25 @@ mod tests {
     fn run_watchdog_flag_reaches_the_simulator() {
         // A 1-cycle watchdog must abort any real workload, and the error
         // must carry the workload/technique label.
-        let err = run(
-            "Gaussian",
-            Technique::Baseline,
-            true,
-            Some(30),
-            None,
-            Some(1),
-            None,
-            false,
-        )
-        .unwrap_err();
+        let a = args!(
+            Run,
+            "run Gaussian -t baseline --half-rf --ctas 30 --watchdog-cycles 1"
+        );
+        let err = run(&a).unwrap_err();
         assert!(err.0.contains("Gaussian/baseline"), "{err}");
         assert!(err.0.contains("exceeded 1 cycles"), "{err}");
     }
 
     #[test]
     fn trace_emits_csv() {
-        let out = trace("SAD", 100).unwrap();
+        let out = trace(&args!(Trace, "trace SAD --max 100")).unwrap();
         assert!(out.starts_with("# SAD"));
         assert!(out.lines().count() > 50);
     }
 
     #[test]
     fn compare_covers_all_techniques() {
-        let out = compare("Gaussian", true, Some(2)).unwrap();
+        let out = compare(&args!(Compare, "compare Gaussian --half-rf --jobs 2")).unwrap();
         for t in ["baseline", "regmutex", "regmutex-paired", "rfv", "owf"] {
             assert!(out.contains(t), "missing {t}");
         }
@@ -1046,8 +899,8 @@ mod tests {
 
     #[test]
     fn sweep_is_worker_count_independent() {
-        let (serial, code) = sweep("BFS", Some(1), None, false).unwrap();
-        let (parallel, _) = sweep("BFS", Some(4), None, false).unwrap();
+        let (serial, code) = sweep(&args!(Sweep, "sweep BFS --jobs 1")).unwrap();
+        let (parallel, _) = sweep(&args!(Sweep, "sweep BFS --jobs=4")).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(code, 0);
         assert!(serial.contains("|Es|"));
@@ -1055,7 +908,8 @@ mod tests {
 
     #[test]
     fn coordinator_rejects_an_empty_fleet() {
-        let err = coordinator(vec![], 1, 2, 3, None, None, false).unwrap_err();
+        // The grammar requires --workers, so build the empty fleet directly.
+        let err = coordinator(&CoordinatorArgs::default()).unwrap_err();
         assert!(err.0.contains("fleet has no workers"), "{err}");
     }
 
@@ -1063,15 +917,9 @@ mod tests {
     fn fleet_loadgen_rejects_unknown_apps_before_sending_traffic() {
         // The app filter is validated up front, so no worker is contacted
         // and the bogus address never matters.
-        let err = fleet_loadgen(
-            vec!["127.0.0.1:1".into()],
-            1,
-            1,
-            1,
-            vec!["nope".into()],
-            None,
-        )
-        .unwrap_err();
+        let line = "loadgen --workers 127.0.0.1:1 --threads 1 --requests 1 --seed 1 --apps nope";
+        let a = args!(Loadgen, line);
+        let err = loadgen(&a).unwrap_err();
         assert!(err.0.contains("no requested app"), "{err}");
     }
 
@@ -1079,23 +927,9 @@ mod tests {
     fn fuzz_smoke_campaign_stats_and_replay() {
         // A tiny clean campaign, with the stats artifact on disk.
         let stats_path = std::env::temp_dir().join("regmutex_fuzz_cli_stats.json");
-        let (out, code) = fuzz(
-            0xfeed,
-            12,
-            None,
-            Some(2),
-            None,
-            5,
-            Some(stats_path.to_string_lossy().into_owned()),
-            None,
-            None,
-            false,
-            false,
-            vec![],
-            None,
-            false,
-        )
-        .unwrap();
+        let stats = stats_path.to_string_lossy().into_owned();
+        let line = format!("fuzz --seed 0xfeed --iters 12 --jobs 2 --stats {stats}");
+        let (out, code) = fuzz(&args!(Fuzz, line)).unwrap();
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("verdict: CLEAN"), "{out}");
         let stats = std::fs::read_to_string(&stats_path).unwrap();
@@ -1103,23 +937,9 @@ mod tests {
         let _ = std::fs::remove_file(&stats_path);
 
         // A planted fault must diverge (exit 1) and print an artifact.
-        let (out, code) = fuzz(
-            0xfa_017,
-            60,
-            None,
-            Some(2),
-            None,
-            1,
-            None,
-            None,
-            Some("stuck-srp-bit:severe:5:regmutex".into()),
-            false,
-            false,
-            vec![],
-            None,
-            false,
-        )
-        .unwrap();
+        let line = "fuzz --seed 0xfa017 --iters 60 --jobs 2 --max-divergences 1 \
+                    --fault stuck-srp-bit:severe:5:regmutex";
+        let (out, code) = fuzz(&args!(Fuzz, line)).unwrap();
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("verdict: DIVERGENT"), "{out}");
         assert!(out.contains("# regmutex-fuzz artifact v1"), "{out}");
@@ -1133,45 +953,16 @@ mod tests {
             .collect();
         let artifact_path = std::env::temp_dir().join("regmutex_fuzz_cli_artifact.txt");
         std::fs::write(&artifact_path, &artifact).unwrap();
-        let (out, code) = fuzz(
-            0,
-            1,
-            None,
-            Some(2),
-            None,
-            1,
-            None,
-            Some(artifact_path.to_string_lossy().into_owned()),
-            None,
-            false,
-            false,
-            vec![],
-            None,
-            false,
-        )
-        .unwrap();
+        let line = format!("fuzz --jobs 2 --replay {}", artifact_path.display());
+        let (out, code) = fuzz(&args!(Fuzz, line)).unwrap();
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("verdict: REPRODUCED"), "{out}");
         let _ = std::fs::remove_file(&artifact_path);
 
-        // A malformed fault spec is a structured error.
-        assert!(fuzz(
-            1,
-            1,
-            None,
-            Some(1),
-            None,
-            1,
-            None,
-            None,
-            Some("nope".into()),
-            false,
-            false,
-            vec![],
-            None,
-            false,
-        )
-        .is_err());
+        // A malformed fault spec is a usage error, caught by the grammar.
+        let bad = ["fuzz", "--fault", "nope"].map(String::from);
+        let err = crate::parse(&bad).unwrap_err();
+        assert!(err.contains("invalid fault 'nope'"), "{err}");
     }
 
     #[test]
@@ -1179,10 +970,11 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("rmx-cli-sweep-journal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let dir_s = dir.to_string_lossy().into_owned();
+        let journal = format!("--journal {}", dir.display());
 
-        let (golden, _) = sweep("BFS", Some(2), None, false).unwrap();
-        let (journaled, code) = sweep("BFS", Some(2), Some(&dir_s), false).unwrap();
+        let (golden, _) = sweep(&args!(Sweep, "sweep BFS --jobs 2")).unwrap();
+        let (journaled, code) =
+            sweep(&args!(Sweep, format!("sweep BFS --jobs 2 {journal}"))).unwrap();
         assert_eq!(code, 0);
         assert_eq!(journaled, golden, "journaling must not change the output");
         assert!(dir.join("journal.log").is_file());
@@ -1190,7 +982,8 @@ mod tests {
 
         // Resume after completion: every row replays from the durable
         // tier, at a different worker count, byte-identically.
-        let (resumed, code) = sweep("BFS", Some(1), Some(&dir_s), true).unwrap();
+        let a = args!(Sweep, format!("sweep BFS --jobs 1 {journal} --resume"));
+        let (resumed, code) = sweep(&a).unwrap();
         assert_eq!(code, 0);
         assert_eq!(resumed, golden);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1219,7 +1012,10 @@ mod tests {
         }
 
         assert_eq!(Campaign::<SweepJob>::meta("BFS"), "meta kind=sweep app=BFS");
-        let mut spec = CampaignSpec::default_campaign(4);
+        let mut spec = regmutex_bench::chaos::CampaignSpec {
+            jobs: 4,
+            ..Default::default()
+        };
         spec.workloads = vec!["Gaussian".into()];
         spec.seeds = 1;
         assert_eq!(
@@ -1329,18 +1125,7 @@ mod tests {
 
     #[test]
     fn chaos_smoke_is_clean_and_exit_zero() {
-        let (out, code) = chaos(
-            &["BFS".into()],
-            1,
-            Technique::RegMutex,
-            Some(4),
-            None,
-            None,
-            false,
-            None,
-            false,
-        )
-        .unwrap();
+        let (out, code) = chaos(&args!(Chaos, "chaos BFS --seeds 1 --jobs 4")).unwrap();
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("silent corruption: NONE"), "{out}");
         assert!(out.contains("chaos campaign"), "{out}");

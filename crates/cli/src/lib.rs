@@ -10,4 +10,4 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{parse, Command, ParseError};
+pub use args::{parse, Command};

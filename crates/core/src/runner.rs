@@ -17,12 +17,14 @@ use crate::baselines::rfv::RfvManager;
 use crate::manager::RegMutexManager;
 use crate::paired::PairedWarpsManager;
 
-/// A register-allocation technique under evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A register-allocation technique under evaluation. The default is
+/// RegMutex, the paper's technique.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Technique {
     /// Conventional static/exclusive allocation (§II).
     Baseline,
     /// RegMutex with the communal Shared Register Pool (§III).
+    #[default]
     RegMutex,
     /// The paired-warps specialization (§III-C).
     RegMutexPaired,

@@ -129,7 +129,10 @@ pub fn parse_run_request(v: &Json) -> Result<RunRequest, WireError> {
         technique,
         half_rf: opt_bool(v, "half_rf", false)?,
         ctas: opt_u64(v, "ctas")?
-            .map(|n| narrow::<u32>(n, "ctas"))
+            .map(|n| match n {
+                0 => Err(bad("'ctas' must be at least 1")),
+                n => narrow::<u32>(n, "ctas"),
+            })
             .transpose()?,
         force_es: opt_u64(v, "force_es")?
             .map(|n| narrow::<u16>(n, "force_es"))
@@ -490,6 +493,7 @@ mod tests {
             r#"{"app":"Nope"}"#,                 // unknown workload
             r#"{"app":"BFS","technique":"x"}"#,  // unknown technique
             r#"{"app":"BFS","ctas":-1}"#,        // negative integer
+            r#"{"app":"BFS","ctas":0}"#,         // an empty grid
             r#"{"app":"BFS","ctas":"many"}"#,    // wrong type
             r#"{"app":"BFS","force_es":70000}"#, // u16 overflow
             r#"{"app":"BFS","typo_field":1}"#,   // unknown field
