@@ -177,36 +177,54 @@ pub struct FuzzArgs {
 /// Parses a flag's value into a verb's configuration `C`.
 type Setter<C> = fn(&mut C, &str) -> Result<(), String>;
 
+/// What a flag takes after its name.
+enum Takes<C> {
+    /// Nothing: a switch, `--name`.
+    Nothing(fn(&mut C)),
+    /// A value, `--name V` or `--name=V`, shown as `--name METAVAR`.
+    Value(&'static str, Setter<C>),
+}
+
 /// One flag of one verb.
 struct Flag<C> {
     name: &'static str,
     short: Option<&'static str>,
-    /// `None` for a switch, which takes no value.
-    metavar: Option<&'static str>,
     help: &'static str,
-    set: Setter<C>,
+    takes: Takes<C>,
 }
 
-/// A flag taking a value, `--name V` or `--name=V`.
+impl<C> Flag<C> {
+    /// `None` for a switch.
+    fn metavar(&self) -> Option<&'static str> {
+        match self.takes {
+            Takes::Nothing(_) => None,
+            Takes::Value(metavar, _) => Some(metavar),
+        }
+    }
+}
+
+/// A flag taking a value.
 const fn opt<C>(
     name: &'static str,
     metavar: &'static str,
     help: &'static str,
     set: Setter<C>,
 ) -> Flag<C> {
-    let mut flag = switch(name, help, set);
-    flag.metavar = Some(metavar);
-    flag
-}
-
-/// A switch, `--name`; the setter sees an empty value.
-const fn switch<C>(name: &'static str, help: &'static str, set: Setter<C>) -> Flag<C> {
     Flag {
         name,
         short: None,
-        metavar: None,
         help,
-        set,
+        takes: Takes::Value(metavar, set),
+    }
+}
+
+/// A switch.
+const fn switch<C>(name: &'static str, help: &'static str, set: fn(&mut C)) -> Flag<C> {
+    Flag {
+        name,
+        short: None,
+        help,
+        takes: Takes::Nothing(set),
     }
 }
 
@@ -266,16 +284,21 @@ impl<C: Default + 'static> Verb<C> {
                 .iter()
                 .find(|f| f.name == name || f.short == Some(name))
                 .ok_or_else(|| format!("unknown flag '{name}'"))?;
-            let value = match (flag.metavar, inline) {
-                (None, None) => "",
-                (None, Some(_)) => return Err(format!("{name} takes no value")),
-                (Some(_), Some(value)) => value,
-                (Some(metavar), None) => it
+            let (metavar, set) = match (&flag.takes, inline) {
+                (Takes::Nothing(set), None) => {
+                    set(&mut cfg);
+                    continue;
+                }
+                (Takes::Nothing(_), Some(_)) => return Err(format!("{name} takes no value")),
+                (Takes::Value(metavar, set), _) => (metavar, set),
+            };
+            let value = match inline {
+                Some(value) => value,
+                None => it
                     .next()
                     .ok_or_else(|| format!("{name} needs a value ({metavar})"))?,
             };
-            (flag.set)(&mut cfg, value)
-                .map_err(|e| format!("invalid value '{value}' for {name}: {e}"))?;
+            set(&mut cfg, value).map_err(|e| format!("invalid value '{value}' for {name}: {e}"))?;
         }
         if let (Apps::Many(set), false) = (&self.apps, apps.is_empty()) {
             set(&mut cfg, apps);
@@ -314,7 +337,7 @@ impl<C: Default + 'static> AnyVerb for Verb<C> {
         };
         let mut width = out.len();
         for f in self.flags {
-            let item = match f.metavar {
+            let item = match f.metavar() {
                 Some(m) => format!(" [{} {m}]", f.name),
                 None => format!(" [{}]", f.name),
             };
@@ -335,7 +358,7 @@ impl<C: Default + 'static> AnyVerb for Verb<C> {
                 Some(short) => format!("{short}, {}", f.name),
                 None => format!("    {}", f.name),
             };
-            let flag = format!("{names} {}", f.metavar.unwrap_or_default());
+            let flag = format!("{names} {}", f.metavar().unwrap_or_default());
             out += &format!("  {flag:<32} {}\n", f.help);
         }
         out
@@ -410,153 +433,270 @@ const FLEET: &str = "route through the fleet coordinator (needs --workers)";
 const WORKERS: &str = "fleet worker addresses (implies --fleet)";
 const NEEDS_WORKERS: &str = "needs --workers HOST:PORT[,HOST:PORT...]";
 
-// The tables below are laid out one flag per row.
-
-#[rustfmt::skip]
 static LIST: Verb<bool> = Verb {
     name: "list",
     apps: Apps::None,
-    flags: &[
-        switch("--json", "emit the registry as a JSON array", |c, _| put(c, Ok(true))),
-    ],
+    flags: &[switch("--json", "emit the registry as a JSON array", |c| {
+        *c = true
+    })],
     check: |_| Ok(()),
     wrap: Command::List,
 };
 
-#[rustfmt::skip]
 static DISASM: Verb<DisasmArgs> = Verb {
     name: "disasm",
     apps: Apps::One(|c, app| c.app = app),
     flags: &[
-        switch("--transformed", "show the RegMutex-transformed kernel", |c, _| put(&mut c.transformed, Ok(true))),
-        switch("--liveness", "annotate each instruction with its live-register count", |c, _| put(&mut c.liveness, Ok(true))),
+        switch(
+            "--transformed",
+            "show the RegMutex-transformed kernel",
+            |c| c.transformed = true,
+        ),
+        switch(
+            "--liveness",
+            "annotate each instruction with its live-register count",
+            |c| c.liveness = true,
+        ),
     ],
     check: |_| Ok(()),
     wrap: Command::Disasm,
 };
 
-#[rustfmt::skip]
 static RUN: Verb<RunArgs> = Verb {
     name: "run",
     apps: Apps::One(|c, app| c.app = app),
     flags: &[
-        short("-t", opt("--technique", "T", TECHNIQUE, |c, v| put(&mut c.technique, technique(v)))),
-        switch("--half-rf", HALF_RF, |c, _| put(&mut c.half_rf, Ok(true))),
-        opt("--ctas", "N", "override the grid size", |c, v| put(&mut c.ctas, count(v).map(Some))),
-        opt("--force-es", "N", "force the |Es| extended-set size", |c, v| put(&mut c.force_es, int(v).map(Some))),
-        opt("--watchdog-cycles", "N", WATCHDOG, |c, v| put(&mut c.watchdog_cycles, int(v).map(Some))),
-        opt("--stall-multiplier", "N", STALL, |c, v| put(&mut c.stall_multiplier, int(v).map(Some))),
-        switch("--no-cycle-skip", "tick every cycle (no event-driven skipping)", |c, _| put(&mut c.no_cycle_skip, Ok(true))),
+        short(
+            "-t",
+            opt("--technique", "T", TECHNIQUE, |c, v| {
+                put(&mut c.technique, technique(v))
+            }),
+        ),
+        switch("--half-rf", HALF_RF, |c| c.half_rf = true),
+        opt("--ctas", "N", "override the grid size", |c, v| {
+            put(&mut c.ctas, count(v).map(Some))
+        }),
+        opt(
+            "--force-es",
+            "N",
+            "force the |Es| extended-set size",
+            |c, v| put(&mut c.force_es, int(v).map(Some)),
+        ),
+        opt("--watchdog-cycles", "N", WATCHDOG, |c, v| {
+            put(&mut c.watchdog_cycles, int(v).map(Some))
+        }),
+        opt("--stall-multiplier", "N", STALL, |c, v| {
+            put(&mut c.stall_multiplier, int(v).map(Some))
+        }),
+        switch(
+            "--no-cycle-skip",
+            "tick every cycle (no event-driven skipping)",
+            |c| c.no_cycle_skip = true,
+        ),
     ],
     check: |_| Ok(()),
     wrap: Command::Run,
 };
 
-#[rustfmt::skip]
 static BENCH_LOOP: Verb<BenchLoopArgs> = Verb {
     name: "bench-loop",
     apps: Apps::None,
     flags: &[
-        opt("--apps", "A,B,...", "workloads to time (default: a 4-row basket)", |c, v| put(&mut c.apps, list(v))),
-        opt("--iters", "N", "timed runs per mode; the median is reported", |c, v| put(&mut c.iters, count(v))),
-        opt("--out", "PATH", "where to write the JSON report", |c, v| put(&mut c.out, Ok(v.into()))),
+        opt(
+            "--apps",
+            "A,B,...",
+            "workloads to time (default: a 4-row basket)",
+            |c, v| put(&mut c.apps, list(v)),
+        ),
+        opt(
+            "--iters",
+            "N",
+            "timed runs per mode; the median is reported",
+            |c, v| put(&mut c.iters, count(v)),
+        ),
+        opt("--out", "PATH", "where to write the JSON report", |c, v| {
+            put(&mut c.out, Ok(v.into()))
+        }),
     ],
     check: |_| Ok(()),
     wrap: Command::BenchLoop,
 };
 
-#[rustfmt::skip]
 static COMPARE: Verb<CompareArgs> = Verb {
     name: "compare",
     apps: Apps::One(|c, app| c.app = app),
     flags: &[
-        switch("--half-rf", HALF_RF, |c, _| put(&mut c.half_rf, Ok(true))),
-        opt("--jobs", "N", JOBS, |c, v| put(&mut c.jobs, count(v).map(Some))),
+        switch("--half-rf", HALF_RF, |c| c.half_rf = true),
+        opt("--jobs", "N", JOBS, |c, v| {
+            put(&mut c.jobs, count(v).map(Some))
+        }),
     ],
     check: |_| Ok(()),
     wrap: Command::Compare,
 };
 
-#[rustfmt::skip]
 static TRACE: Verb<TraceArgs> = Verb {
     name: "trace",
     apps: Apps::One(|c, app| c.app = app),
-    flags: &[
-        opt("--max", "N", "maximum dynamic instructions", |c, v| put(&mut c.max_steps, int(v))),
-    ],
+    flags: &[opt("--max", "N", "maximum dynamic instructions", |c, v| {
+        put(&mut c.max_steps, int(v))
+    })],
     check: |_| Ok(()),
     wrap: Command::Trace,
 };
 
-#[rustfmt::skip]
 static SWEEP: Verb<SweepArgs> = Verb {
     name: "sweep",
     apps: Apps::One(|c, app| c.app = app),
     flags: &[
-        opt("--jobs", "N", JOBS, |c, v| put(&mut c.jobs, count(v).map(Some))),
-        opt("--journal", "DIR", JOURNAL, |c, v| put(&mut c.journal.dir, path(v))),
-        switch("--resume", RESUME, |c, _| put(&mut c.journal.resume, Ok(true))),
+        opt("--jobs", "N", JOBS, |c, v| {
+            put(&mut c.jobs, count(v).map(Some))
+        }),
+        opt("--journal", "DIR", JOURNAL, |c, v| {
+            put(&mut c.journal.dir, path(v))
+        }),
+        switch("--resume", RESUME, |c| c.journal.resume = true),
     ],
     check: |c| check_journal(&c.journal),
     wrap: Command::Sweep,
 };
 
-#[rustfmt::skip]
 static CHAOS: Verb<ChaosArgs> = Verb {
     name: "chaos",
     apps: Apps::Many(|c, apps| c.spec.workloads = apps),
     flags: &[
-        opt("--seeds", "N", "seeds per (workload, fault class, severity) cell", |c, v| put(&mut c.spec.seeds, count(v))),
-        short("-t", opt("--technique", "T", TECHNIQUE, |c, v| put(&mut c.spec.technique, technique(v)))),
+        opt(
+            "--seeds",
+            "N",
+            "seeds per (workload, fault class, severity) cell",
+            |c, v| put(&mut c.spec.seeds, count(v)),
+        ),
+        short(
+            "-t",
+            opt("--technique", "T", TECHNIQUE, |c, v| {
+                put(&mut c.spec.technique, technique(v))
+            }),
+        ),
         opt("--jobs", "N", JOBS, |c, v| put(&mut c.spec.jobs, count(v))),
-        opt("--watchdog-cycles", "N", WATCHDOG, |c, v| put(&mut c.spec.watchdog_cycles, int(v).map(Some))),
-        opt("--stall-multiplier", "N", STALL, |c, v| put(&mut c.spec.stall_multiplier, int(v).map(Some))),
-        switch("--expect-detections", "exit 1 unless every fault class is caught", |c, _| put(&mut c.expect_detections, Ok(true))),
-        opt("--journal", "DIR", JOURNAL, |c, v| put(&mut c.journal.dir, path(v))),
-        switch("--resume", RESUME, |c, _| put(&mut c.journal.resume, Ok(true))),
+        opt("--watchdog-cycles", "N", WATCHDOG, |c, v| {
+            put(&mut c.spec.watchdog_cycles, int(v).map(Some))
+        }),
+        opt("--stall-multiplier", "N", STALL, |c, v| {
+            put(&mut c.spec.stall_multiplier, int(v).map(Some))
+        }),
+        switch(
+            "--expect-detections",
+            "exit 1 unless every fault class is caught",
+            |c| c.expect_detections = true,
+        ),
+        opt("--journal", "DIR", JOURNAL, |c, v| {
+            put(&mut c.journal.dir, path(v))
+        }),
+        switch("--resume", RESUME, |c| c.journal.resume = true),
     ],
     check: |c| check_journal(&c.journal),
     wrap: Command::Chaos,
 };
 
-#[rustfmt::skip]
 static SERVE: Verb<ServerConfig> = Verb {
     name: "serve",
     apps: Apps::None,
     flags: &[
-        opt("--addr", "HOST:PORT", "bind address", |c, v| put(&mut c.addr, Ok(v.into()))),
-        opt("--workers", "N", JOBS, |c, v| put(&mut c.sim_workers, count(v))),
-        opt("--queue", "N", "bounded job-queue capacity", |c, v| put(&mut c.queue_capacity, count(v))),
-        opt("--cache-mb", "N", "result-cache budget in MiB", |c, v| put(&mut c.cache_budget, int(v).map(|mb: usize| mb.saturating_mul(1 << 20)))),
-        opt("--cycle-budget", "N", "cycle cap applied to every job", |c, v| put(&mut c.cycle_budget, int(v).map(Some))),
-        opt("--max-connections", "N", "maximum concurrent connections", |c, v| put(&mut c.max_connections, int(v))),
-        opt("--client-rate", "R", "per-client requests/second (0 = off)", |c, v| put(&mut c.client_rate, rate(v))),
-        opt("--client-burst", "N", "per-client token-bucket burst", |c, v| put(&mut c.client_burst, rate(v))),
-        opt("--cache-dir", "DIR", "persist the result cache in DIR", |c, v| put(&mut c.cache_dir, path(v))),
+        opt("--addr", "HOST:PORT", "bind address", |c, v| {
+            put(&mut c.addr, Ok(v.into()))
+        }),
+        opt("--workers", "N", JOBS, |c, v| {
+            put(&mut c.sim_workers, count(v))
+        }),
+        opt("--queue", "N", "bounded job-queue capacity", |c, v| {
+            put(&mut c.queue_capacity, count(v))
+        }),
+        opt("--cache-mb", "N", "result-cache budget in MiB", |c, v| {
+            put(
+                &mut c.cache_budget,
+                int(v).map(|mb: usize| mb.saturating_mul(1 << 20)),
+            )
+        }),
+        opt(
+            "--cycle-budget",
+            "N",
+            "cycle cap applied to every job",
+            |c, v| put(&mut c.cycle_budget, int(v).map(Some)),
+        ),
+        opt(
+            "--max-connections",
+            "N",
+            "maximum concurrent connections",
+            |c, v| put(&mut c.max_connections, int(v)),
+        ),
+        opt(
+            "--client-rate",
+            "R",
+            "per-client requests/second (0 = off)",
+            |c, v| put(&mut c.client_rate, rate(v)),
+        ),
+        opt(
+            "--client-burst",
+            "N",
+            "per-client token-bucket burst",
+            |c, v| put(&mut c.client_burst, rate(v)),
+        ),
+        opt(
+            "--cache-dir",
+            "DIR",
+            "persist the result cache in DIR",
+            |c, v| put(&mut c.cache_dir, path(v)),
+        ),
     ],
     check: |_| Ok(()),
     wrap: Command::Serve,
 };
 
-#[rustfmt::skip]
 static LOADGEN: Verb<LoadgenArgs> = Verb {
     name: "loadgen",
     apps: Apps::None,
     flags: &[
-        opt("--addr", "HOST:PORT", "server address", |c, v| put(&mut c.load.addr, Ok(v.into()))),
-        opt("--threads", "N", "concurrent client threads", |c, v| put(&mut c.load.threads, count(v))),
-        opt("--requests", "N", "requests per thread", |c, v| put(&mut c.load.requests, count(v))),
-        opt("--seed", "N", "workload-sampling seed", |c, v| put(&mut c.load.seed, int(v))),
-        opt("--apps", "A,B,...", "sample only these workloads", |c, v| put(&mut c.load.apps, list(v))),
-        switch("--keep-alive", "reuse connections (the default)", |c, _| put(&mut c.load.keep_alive, Ok(true))),
-        switch("--no-keep-alive", "one connection per request", |c, _| put(&mut c.load.keep_alive, Ok(false))),
-        opt("--pipeline", "N", "requests pipelined per round trip", |c, v| put(&mut c.load.pipeline, count(v))),
-        switch("--fleet", FLEET, |c, _| put(&mut c.fleet, Ok(true))),
+        opt("--addr", "HOST:PORT", "server address", |c, v| {
+            put(&mut c.load.addr, Ok(v.into()))
+        }),
+        opt("--threads", "N", "concurrent client threads", |c, v| {
+            put(&mut c.load.threads, count(v))
+        }),
+        opt("--requests", "N", "requests per thread", |c, v| {
+            put(&mut c.load.requests, count(v))
+        }),
+        opt("--seed", "N", "workload-sampling seed", |c, v| {
+            put(&mut c.load.seed, int(v))
+        }),
+        opt(
+            "--apps",
+            "A,B,...",
+            "sample only these workloads",
+            |c, v| put(&mut c.load.apps, list(v)),
+        ),
+        switch("--keep-alive", "reuse connections (the default)", |c| {
+            c.load.keep_alive = true
+        }),
+        switch("--no-keep-alive", "one connection per request", |c| {
+            c.load.keep_alive = false
+        }),
+        opt(
+            "--pipeline",
+            "N",
+            "requests pipelined per round trip",
+            |c, v| put(&mut c.load.pipeline, count(v)),
+        ),
+        switch("--fleet", FLEET, |c| c.fleet = true),
         opt("--workers", "H:P,...", WORKERS, |c, v| {
             c.fleet = true;
             put(&mut c.workers, list(v))
         }),
-        opt("--cycle-budget", "N", "per-job cycle budget in fleet mode", |c, v| put(&mut c.cycle_budget, int(v).map(Some))),
+        opt(
+            "--cycle-budget",
+            "N",
+            "per-job cycle budget in fleet mode",
+            |c, v| put(&mut c.cycle_budget, int(v).map(Some)),
+        ),
     ],
     check: |c| match (c.fleet, c.workers.is_empty(), c.load.pipeline > 1) {
         (true, true, _) => Err(format!("--fleet {NEEDS_WORKERS}")),
@@ -566,18 +706,35 @@ static LOADGEN: Verb<LoadgenArgs> = Verb {
     wrap: Command::Loadgen,
 };
 
-#[rustfmt::skip]
 static COORDINATOR: Verb<CoordinatorArgs> = Verb {
     name: "coordinator",
     apps: Apps::None,
     flags: &[
-        opt("--workers", "H:P,...", "worker addresses (required)", |c, v| put(&mut c.fleet.workers, list(v))),
-        opt("--seed", "N", "fleet seed (backoff jitter)", |c, v| put(&mut c.fleet.seed, int(v))),
-        opt("--threads", "N", "concurrent dispatch threads", |c, v| put(&mut c.fleet.dispatch_threads, count(v))),
-        opt("--max-attempts", "N", "attempts per job before an error row", |c, v| put(&mut c.fleet.max_attempts, count(v))),
-        opt("--cycle-budget", "N", "per-job cycle budget", |c, v| put(&mut c.cycle_budget, int(v).map(Some))),
-        opt("--journal", "DIR", JOURNAL, |c, v| put(&mut c.journal.dir, path(v))),
-        switch("--resume", RESUME, |c, _| put(&mut c.journal.resume, Ok(true))),
+        opt(
+            "--workers",
+            "H:P,...",
+            "worker addresses (required)",
+            |c, v| put(&mut c.fleet.workers, list(v)),
+        ),
+        opt("--seed", "N", "fleet seed (backoff jitter)", |c, v| {
+            put(&mut c.fleet.seed, int(v))
+        }),
+        opt("--threads", "N", "concurrent dispatch threads", |c, v| {
+            put(&mut c.fleet.dispatch_threads, count(v))
+        }),
+        opt(
+            "--max-attempts",
+            "N",
+            "attempts per job before an error row",
+            |c, v| put(&mut c.fleet.max_attempts, count(v)),
+        ),
+        opt("--cycle-budget", "N", "per-job cycle budget", |c, v| {
+            put(&mut c.cycle_budget, int(v).map(Some))
+        }),
+        opt("--journal", "DIR", JOURNAL, |c, v| {
+            put(&mut c.journal.dir, path(v))
+        }),
+        switch("--resume", RESUME, |c| c.journal.resume = true),
     ],
     check: |c| {
         check_journal(&c.journal)?;
@@ -589,44 +746,108 @@ static COORDINATOR: Verb<CoordinatorArgs> = Verb {
     wrap: Command::Coordinator,
 };
 
-#[rustfmt::skip]
 static CHAOS_FLEET: Verb<FleetCampaignSpec> = Verb {
     name: "chaos-fleet",
     apps: Apps::None,
     flags: &[
-        opt("--seeds", "N", "fleet seeds per scenario (seeds 1..=N)", |c, v| put(&mut c.seeds, count(v).map(|n: u64| (1..=n).collect()))),
-        opt("--apps", "A,B,...", "one workload set in place of the default two", |c, v| put(&mut c.app_sets, list(v).map(|apps| vec![apps]))),
-        opt("--cycle-budget", "N", "per-job cycle budget", |c, v| put(&mut c.cycle_budget, int(v).map(Some))),
-        switch("--no-cycle-budget", "run every job to completion", |c, _| put(&mut c.cycle_budget, Ok(None))),
-        opt("--trigger-after", "N", "clean connections before each fault", |c, v| put(&mut c.trigger_after, int(v))),
-        opt("--sim-workers", "N", "simulation threads per worker", |c, v| put(&mut c.sim_workers, count(v))),
+        opt(
+            "--seeds",
+            "N",
+            "fleet seeds per scenario (seeds 1..=N)",
+            |c, v| put(&mut c.seeds, count(v).map(|n: u64| (1..=n).collect())),
+        ),
+        opt(
+            "--apps",
+            "A,B,...",
+            "one workload set in place of the default two",
+            |c, v| put(&mut c.app_sets, list(v).map(|apps| vec![apps])),
+        ),
+        opt("--cycle-budget", "N", "per-job cycle budget", |c, v| {
+            put(&mut c.cycle_budget, int(v).map(Some))
+        }),
+        switch("--no-cycle-budget", "run every job to completion", |c| {
+            c.cycle_budget = None
+        }),
+        opt(
+            "--trigger-after",
+            "N",
+            "clean connections before each fault",
+            |c, v| put(&mut c.trigger_after, int(v)),
+        ),
+        opt(
+            "--sim-workers",
+            "N",
+            "simulation threads per worker",
+            |c, v| put(&mut c.sim_workers, count(v)),
+        ),
     ],
     check: |_| Ok(()),
     wrap: Command::ChaosFleet,
 };
 
-#[rustfmt::skip]
 static FUZZ: Verb<FuzzArgs> = Verb {
     name: "fuzz",
     apps: Apps::None,
     flags: &[
-        opt("--seed", "N", "campaign seed", |c, v| put(&mut c.campaign.seed, int(v))),
-        opt("--iters", "N", "kernel count", |c, v| put(&mut c.campaign.iters, count(v))),
-        opt("--duration-secs", "N", "wall-clock budget (not reproducible)", |c, v| put(&mut c.campaign.duration, int(v).map(|s| Some(Duration::from_secs(s))))),
-        opt("--jobs", "N", JOBS, |c, v| put(&mut c.jobs, count(v).map(Some))),
-        opt("--cycle-budget", "N", "per-technique cycle budget", |c, v| put(&mut c.campaign.oracle.cycle_budget, int(v))),
-        opt("--max-divergences", "N", "stop after this many divergences", |c, v| put(&mut c.campaign.max_divergences, count(v))),
-        opt("--stats", "PATH", "write the JSON stats artifact", |c, v| put(&mut c.stats, path(v))),
-        switch("--no-minimize", "skip minimizing divergences", |c, _| put(&mut c.campaign.minimize, Ok(false))),
-        opt("--replay", "FILE", "replay one artifact instead", |c, v| put(&mut c.replay, path(v))),
-        opt("--fault", "CLASS:SEV:SEED:TECHNIQUE", "plant a manager fault", |c, v| put(&mut c.campaign.fault, parse_fault(v).map(Some))),
-        switch("--fleet", FLEET, |c, _| put(&mut c.fleet, Ok(true))),
+        opt("--seed", "N", "campaign seed", |c, v| {
+            put(&mut c.campaign.seed, int(v))
+        }),
+        opt("--iters", "N", "kernel count", |c, v| {
+            put(&mut c.campaign.iters, count(v))
+        }),
+        opt(
+            "--duration-secs",
+            "N",
+            "wall-clock budget (not reproducible)",
+            |c, v| {
+                put(
+                    &mut c.campaign.duration,
+                    int(v).map(|s| Some(Duration::from_secs(s))),
+                )
+            },
+        ),
+        opt("--jobs", "N", JOBS, |c, v| {
+            put(&mut c.jobs, count(v).map(Some))
+        }),
+        opt(
+            "--cycle-budget",
+            "N",
+            "per-technique cycle budget",
+            |c, v| put(&mut c.campaign.oracle.cycle_budget, int(v)),
+        ),
+        opt(
+            "--max-divergences",
+            "N",
+            "stop after this many divergences",
+            |c, v| put(&mut c.campaign.max_divergences, count(v)),
+        ),
+        opt(
+            "--stats",
+            "PATH",
+            "write the JSON stats artifact",
+            |c, v| put(&mut c.stats, path(v)),
+        ),
+        switch("--no-minimize", "skip minimizing divergences", |c| {
+            c.campaign.minimize = false
+        }),
+        opt("--replay", "FILE", "replay one artifact instead", |c, v| {
+            put(&mut c.replay, path(v))
+        }),
+        opt(
+            "--fault",
+            "CLASS:SEV:SEED:TECHNIQUE",
+            "plant a manager fault",
+            |c, v| put(&mut c.campaign.fault, parse_fault(v).map(Some)),
+        ),
+        switch("--fleet", FLEET, |c| c.fleet = true),
         opt("--workers", "H:P,...", WORKERS, |c, v| {
             c.fleet = true;
             put(&mut c.workers, list(v))
         }),
-        opt("--journal", "DIR", JOURNAL, |c, v| put(&mut c.journal.dir, path(v))),
-        switch("--resume", RESUME, |c, _| put(&mut c.journal.resume, Ok(true))),
+        opt("--journal", "DIR", JOURNAL, |c, v| {
+            put(&mut c.journal.dir, path(v))
+        }),
+        switch("--resume", RESUME, |c| c.journal.resume = true),
     ],
     check: |c| {
         if c.fleet && c.workers.is_empty() {
@@ -646,10 +867,20 @@ static FUZZ: Verb<FuzzArgs> = Verb {
 };
 
 /// Every verb, in usage order.
-#[rustfmt::skip]
 static VERBS: [&dyn AnyVerb; 13] = [
-    &LIST, &DISASM, &RUN, &BENCH_LOOP, &COMPARE, &TRACE, &SWEEP, &CHAOS, &SERVE, &LOADGEN,
-    &COORDINATOR, &CHAOS_FLEET, &FUZZ,
+    &LIST,
+    &DISASM,
+    &RUN,
+    &BENCH_LOOP,
+    &COMPARE,
+    &TRACE,
+    &SWEEP,
+    &CHAOS,
+    &SERVE,
+    &LOADGEN,
+    &COORDINATOR,
+    &CHAOS_FLEET,
+    &FUZZ,
 ];
 
 /// Parse an argument vector (without the program name); an error is the
@@ -887,7 +1118,7 @@ mod tests {
         let base = format!("{} {base}", verb.name);
         let bare = dbg(&parse(&v(&base)).unwrap());
         for f in verb.flags {
-            let Some(metavar) = f.metavar else {
+            let Some(metavar) = f.metavar() else {
                 assert_eq!(
                     err(&format!("{base} {}=x", f.name)),
                     format!("{} takes no value", f.name)
