@@ -140,15 +140,15 @@ pub struct ChaosArgs {
 }
 
 /// `loadgen` configuration: direct load uses `load`; with `fleet` the
-/// coordinator is built from `workers` and `load`'s seed, threads,
-/// requests and apps.
+/// coordinator is built from `workers` and `load`'s seed, and drives
+/// `load`'s closed loop.
 #[derive(Debug, Clone, Default)]
 pub struct LoadgenArgs {
     pub(crate) load: LoadgenConfig,
     pub(crate) fleet: bool,
     pub(crate) workers: Vec<String>,
-    /// Per-job cycle budget in fleet mode.
-    pub(crate) cycle_budget: Option<u64>,
+    /// The last direct-only flag given, refused with `--fleet`.
+    pub(crate) direct: Option<&'static str>,
 }
 
 /// `coordinator` configuration.
@@ -657,6 +657,7 @@ static LOADGEN: Verb<LoadgenArgs> = Verb {
     apps: Apps::None,
     flags: &[
         opt("--addr", "HOST:PORT", "server address", |c, v| {
+            c.direct = Some("--addr");
             put(&mut c.load.addr, Ok(v.into()))
         }),
         opt("--threads", "N", "concurrent client threads", |c, v| {
@@ -674,33 +675,38 @@ static LOADGEN: Verb<LoadgenArgs> = Verb {
             "sample only these workloads",
             |c, v| put(&mut c.load.apps, list(v)),
         ),
+        opt(
+            "--cycle-budget",
+            "N",
+            "cycle budget carried by every request",
+            |c, v| put(&mut c.load.cycle_budget, int(v).map(Some)),
+        ),
         switch("--keep-alive", "reuse connections (the default)", |c| {
+            c.direct = Some("--keep-alive");
             c.load.keep_alive = true
         }),
         switch("--no-keep-alive", "one connection per request", |c| {
+            c.direct = Some("--no-keep-alive");
             c.load.keep_alive = false
         }),
         opt(
             "--pipeline",
             "N",
             "requests pipelined per round trip",
-            |c, v| put(&mut c.load.pipeline, count(v)),
+            |c, v| {
+                c.direct = Some("--pipeline");
+                put(&mut c.load.pipeline, count(v))
+            },
         ),
         switch("--fleet", FLEET, |c| c.fleet = true),
         opt("--workers", "H:P,...", WORKERS, |c, v| {
             c.fleet = true;
             put(&mut c.workers, list(v))
         }),
-        opt(
-            "--cycle-budget",
-            "N",
-            "per-job cycle budget in fleet mode",
-            |c, v| put(&mut c.cycle_budget, int(v).map(Some)),
-        ),
     ],
-    check: |c| match (c.fleet, c.workers.is_empty(), c.load.pipeline > 1) {
+    check: |c| match (c.fleet, c.workers.is_empty(), c.direct) {
         (true, true, _) => Err(format!("--fleet {NEEDS_WORKERS}")),
-        (true, _, true) => Err("--pipeline applies to direct loadgen, not --fleet".into()),
+        (true, _, Some(flag)) => Err(format!("{flag} applies to direct loadgen, not --fleet")),
         _ => Ok(()),
     },
     wrap: Command::Loadgen,
@@ -946,7 +952,8 @@ connections (--no-keep-alive for one connection per request,
 --pipeline N for N requests per round trip) with a seeded workload mix
 and reports throughput, exact latency percentiles, connection reuse,
 backpressure and cache hits (429s are retried per Retry-After, capped,
-and reported as goodput; pipelined batches skip retries).
+and reported as goodput; pipelined batches skip retries). --cycle-budget
+rides on every request.
 
 coordinator schedules the Fig 7 sweep across N workers: consistent-hash
 routing by job fingerprint (cache affinity), per-job deadlines from the
@@ -954,8 +961,10 @@ cycle budget, bounded retries with seeded-jittered exponential backoff,
 automatic re-dispatch away from dead or hung workers (strike-based
 quarantine + periodic /healthz re-admission), and response integrity
 checks. Output is byte-identical to the local sweep at any worker count;
-aggregated Prometheus metrics go to stderr. loadgen --fleet drives the
-same coordinator closed-loop and breaks traffic down per worker.
+aggregated Prometheus metrics go to stderr. loadgen --fleet runs the
+same closed loop through the coordinator and breaks traffic down per
+worker; the direct-only flags (--addr, --keep-alive, --no-keep-alive,
+--pipeline) are refused there.
 
 chaos-fleet injects every network fault class (kill, hang, close-early,
 truncate, corrupt, delay) into a live two-worker fleet via a
@@ -1194,9 +1203,9 @@ mod tests {
     fn loadgen_defaults_and_flags() {
         let c = parsed!(Loadgen, "loadgen");
         assert_eq!(dbg(&c.load), dbg(&LoadgenConfig::default()));
-        assert_eq!((c.fleet, c.workers.len(), c.cycle_budget), (false, 0, None));
+        assert_eq!((c.fleet, c.workers.len(), c.direct), (false, 0, None));
         let line = "loadgen --addr 127.0.0.1:1234 --threads 2 --requests 10 --seed 7 \
-                    --apps BFS,SPMV --no-keep-alive --pipeline 8";
+                    --apps BFS,SPMV --no-keep-alive --pipeline 8 --cycle-budget 500";
         let c = parsed!(Loadgen, line);
         let l = &c.load;
         assert_eq!(
@@ -1204,8 +1213,8 @@ mod tests {
             ("127.0.0.1:1234", 2, 10, 7)
         );
         assert_eq!(
-            (l.apps.clone(), l.keep_alive, l.pipeline),
-            (v("BFS SPMV"), false, 8)
+            (l.apps.clone(), l.keep_alive, l.pipeline, l.cycle_budget),
+            (v("BFS SPMV"), false, 8, Some(500))
         );
         assert!(!c.fleet);
         // --keep-alive restores the default (last flag wins).
@@ -1218,7 +1227,6 @@ mod tests {
         assert_eq!(parsed!(Loadgen, "loadgen --seed 0x10").load.seed, 16);
         assert!(parse(&v("loadgen --threads 0")).is_err());
         assert!(parse(&v("loadgen --pipeline 0")).is_err());
-        assert!(parse(&v("loadgen --workers 127.0.0.1:1 --pipeline 4")).is_err());
     }
 
     #[test]
@@ -1230,10 +1238,23 @@ mod tests {
         );
         assert!(c.fleet);
         assert_eq!(c.workers, v("127.0.0.1:1 127.0.0.1:2"));
-        assert_eq!(c.cycle_budget, Some(100_000));
-        assert_eq!(dbg(&c.load), dbg(&LoadgenConfig::default()));
+        assert_eq!(c.load.cycle_budget, Some(100_000));
         // --fleet without workers is an error.
         assert!(parse(&v("loadgen --fleet")).is_err());
+        // The direct-only flags are refused rather than ignored, in
+        // either order.
+        for flag in [
+            "--addr 127.0.0.1:9",
+            "--keep-alive",
+            "--no-keep-alive",
+            "--pipeline 4",
+            "--pipeline 1",
+        ] {
+            let err = parse(&v(&format!("loadgen --workers 127.0.0.1:1 {flag}"))).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(err.contains(&format!("{name} applies to direct")), "{err}");
+            assert!(parse(&v(&format!("loadgen {flag} --workers 127.0.0.1:1"))).is_err());
+        }
     }
 
     #[test]

@@ -10,10 +10,8 @@ use regmutex_bench::chaos::{run_campaign, run_campaign_durable};
 use regmutex_bench::{runner::default_jobs, Fig07Source, JobExecutor, JobSource, JobSpec, Runner};
 use regmutex_compiler::{analyze, live_trace, CompileOptions};
 use regmutex_durable::{Campaign, Record, Run};
-use regmutex_fleet::{
-    run_fleet_campaign, run_fleet_loadgen, Coordinator, FleetCampaignSpec, FleetConfig,
-    FleetLoadgenConfig,
-};
+use regmutex_fleet::{run_fleet_campaign, Coordinator, FleetCampaignSpec, FleetConfig};
+use regmutex_server::loadgen::{run_loadgen, Direct};
 use regmutex_server::{signal, DiskTier, ServerConfig};
 use regmutex_sim::{GpuConfig, LaunchConfig};
 use regmutex_workloads::{suite, Workload};
@@ -678,38 +676,6 @@ pub fn chaos_fleet(spec: &FleetCampaignSpec) -> Result<(String, i32), CommandErr
     Ok(report.render())
 }
 
-/// `loadgen --fleet ...` — drive the coordinator closed-loop.
-fn fleet_loadgen(a: &LoadgenArgs) -> Result<String, CommandError> {
-    let load = &a.load;
-    let coordinator = Coordinator::new(FleetConfig {
-        workers: a.workers.clone(),
-        seed: load.seed,
-        ..FleetConfig::default()
-    })
-    .map_err(CommandError)?;
-    let report = run_fleet_loadgen(
-        &coordinator,
-        &FleetLoadgenConfig {
-            threads: load.threads,
-            requests: load.requests,
-            seed: load.seed,
-            apps: load.apps.clone(),
-            cycle_budget: a.cycle_budget,
-        },
-    )
-    .map_err(CommandError)?;
-    let mut out = report.render();
-    out.push('\n');
-    if !report.nothing_dropped() {
-        return Err(CommandError(format!(
-            "fleet loadgen: {} of {} requests got no verdict\n{out}",
-            report.total - (report.ok + report.job_errors + report.gave_up),
-            report.total
-        )));
-    }
-    Ok(out)
-}
-
 /// `fuzz ...` — mass kernel fuzzing with the differential oracle.
 ///
 /// Three modes: `--replay FILE` re-runs one artifact (exit 0 iff its
@@ -774,15 +740,24 @@ pub fn fuzz(a: &FuzzArgs) -> Result<(String, i32), CommandError> {
 /// `loadgen ...` — against one server, or with `--fleet` through the
 /// coordinator.
 pub fn loadgen(a: &LoadgenArgs) -> Result<String, CommandError> {
-    if a.fleet {
-        return fleet_loadgen(a);
+    let load = &a.load;
+    let report = if a.fleet {
+        let coordinator = Coordinator::new(FleetConfig {
+            workers: a.workers.clone(),
+            seed: load.seed,
+            ..FleetConfig::default()
+        })
+        .map_err(CommandError)?;
+        run_loadgen(load, &coordinator)
+    } else {
+        run_loadgen(load, &Direct(load))
     }
-    let report = regmutex_server::run_loadgen(&a.load).map_err(CommandError)?;
+    .map_err(CommandError)?;
     let mut out = report.render();
     out.push('\n');
     if !report.nothing_dropped() {
         return Err(CommandError(format!(
-            "loadgen: {} of {} requests got no response\n{out}",
+            "loadgen: {} of {} requests got no verdict\n{out}",
             report.total - (report.ok + report.rejected + report.failed),
             report.total
         )));

@@ -93,6 +93,10 @@ fn every_malformed_argv_exits_2_with_a_diagnosis() {
             "fuzz --journal /nonexistent --replay f",
             "fuzz --replay f --fault nope",
             "loadgen --workers 127.0.0.1:1 --pipeline 4",
+            "loadgen --workers 127.0.0.1:1 --addr 127.0.0.1:9",
+            "loadgen --no-keep-alive --workers 127.0.0.1:1",
+            "loadgen --fleet --keep-alive --workers 127.0.0.1:1",
+            "loadgen --cycle-budget -1",
             "coordinator",
             "nonsense",
         ]

@@ -52,7 +52,9 @@ use regmutex::{RunError, RunReport};
 use regmutex_bench::{CachedResult, DurableTier, JobExecutor, MatrixJob};
 use regmutex_durable::{Campaign, Run};
 use regmutex_server::json::{self, Json};
+use regmutex_server::loadgen::{JobTrace, Target, Verdict};
 use regmutex_server::wire::{report_from_json, run_request_json, RunRequest};
+use regmutex_workloads::suite;
 
 use crate::backoff::BackoffPolicy;
 use crate::journal::FleetRecord;
@@ -118,20 +120,6 @@ impl Default for FleetConfig {
             keep_alive: true,
         }
     }
-}
-
-/// What happened while running one job — for per-worker reporting.
-#[derive(Debug, Clone, Default)]
-pub struct JobTrace {
-    /// Index (into [`Coordinator::workers`]) of the worker that produced
-    /// the final verdict, if any attempt got that far.
-    pub served_by: Option<usize>,
-    /// Dispatch attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
-    /// 429 retries taken across all attempts.
-    pub retried_429: u32,
-    /// The result came from the worker's cache.
-    pub cached: bool,
 }
 
 /// One attempt's classification (see module docs).
@@ -300,6 +288,7 @@ impl Coordinator {
             self.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
             self.metrics.jobs_cached.fetch_add(1, Ordering::Relaxed);
             let trace = JobTrace {
+                verdict: Verdict::Ok,
                 cached: true,
                 ..JobTrace::default()
             };
@@ -338,6 +327,7 @@ impl Coordinator {
                     if let Some(j) = &self.journal {
                         j.append(&FleetRecord::JobOk(fingerprint));
                     }
+                    trace.verdict = Verdict::Ok;
                     trace.cached = cached;
                     self.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
                     self.metrics.per_worker[widx]
@@ -372,6 +362,7 @@ impl Coordinator {
             }
         }
         self.metrics.gave_up.fetch_add(1, Ordering::Relaxed);
+        trace.verdict = Verdict::GaveUp;
         trace.served_by = None;
         (
             Err(RunError::Remote(format!(
@@ -413,12 +404,7 @@ impl Coordinator {
                     tries_429 += 1;
                     trace.retried_429 += 1;
                     self.metrics.retries_429.fetch_add(1, Ordering::Relaxed);
-                    let wait = resp
-                        .header("retry-after")
-                        .and_then(|v| v.trim().parse::<u64>().ok())
-                        .map_or(self.cfg.retry_after_cap, Duration::from_secs)
-                        .min(self.cfg.retry_after_cap);
-                    std::thread::sleep(wait);
+                    std::thread::sleep(resp.retry_after_wait(self.cfg.retry_after_cap));
                 }
                 429 => {
                     return Attempt::Fault(format!(
@@ -634,6 +620,37 @@ impl Coordinator {
                 })
                 .collect(),
         ))
+    }
+}
+
+/// The coordinator as a load-generator target (`loadgen --workers`):
+/// every request goes through routing, retries, backoff and failover, and
+/// its outcome names the worker that served it.
+impl Target for Coordinator {
+    type Client = ();
+
+    fn workloads(&self) -> Result<Vec<String>, String> {
+        Ok(suite::all().iter().map(|w| w.name.to_string()).collect())
+    }
+
+    fn workers(&self) -> Vec<String> {
+        self.workers.iter().map(|w| w.addr.clone()).collect()
+    }
+
+    fn client(&self) {}
+
+    fn send(&self, (): &mut (), batch: &[RunRequest]) -> Vec<JobTrace> {
+        batch
+            .iter()
+            .map(|r| {
+                let mut job = MatrixJob::new(r.app.clone(), r.technique);
+                job.half_rf = r.half_rf;
+                job.ctas = r.ctas;
+                job.force_es = r.force_es;
+                job.cycle_budget = r.cycle_budget;
+                self.run_traced(&job).1
+            })
+            .collect()
     }
 }
 

@@ -8,17 +8,22 @@
 //! regenerates every kernel locally from `mix(seed, index)`. Only a few
 //! integers cross the wire in each direction.
 //!
+//! There is one shard per worker, and every shard runs on its own
+//! thread, so an N-worker fan-out runs N shards at once.
+//!
 //! Determinism contract: shard boundaries are a pure function of
-//! `(iters, shard_count)`, kernel `i` is the same kernel on every worker,
+//! `(iters, workers)`, kernel `i` is the same kernel on every worker,
 //! and shard results are merged in shard order — so the merged counters
 //! (and any divergence artifacts) are identical to a local run over the
-//! same range, no matter which worker served which shard or how many
-//! attempts failover took.
+//! same range, no matter which worker served which shard, which shard
+//! finished first, or how many attempts failover took.
 
 use std::time::Duration;
 
 use regmutex_server::http::client_request;
 use regmutex_server::json::{self, Json};
+
+use crate::backoff::BackoffPolicy;
 
 /// Fan-out tunables.
 #[derive(Debug, Clone)]
@@ -29,8 +34,6 @@ pub struct FuzzFanoutConfig {
     pub seed: u64,
     /// Total kernels across all shards.
     pub iters: u64,
-    /// Shard count (0 = one shard per worker).
-    pub shards: u64,
     /// Per-technique cycle budget forwarded to every worker.
     pub cycle_budget: u64,
     /// Ask workers to minimize divergences they find.
@@ -48,24 +51,12 @@ impl Default for FuzzFanoutConfig {
             workers: Vec::new(),
             seed: 0x5eed_f022,
             iters: 1000,
-            shards: 0,
             cycle_budget: 400_000,
             minimize: true,
             max_attempts: 4,
             timeout: Duration::from_secs(600),
         }
     }
-}
-
-/// One shard's result, as merged into the fan-out report.
-#[derive(Debug, Clone)]
-struct ShardResult {
-    start: u64,
-    count: u64,
-    /// Worker index that finally served the shard.
-    worker: usize,
-    attempts: u32,
-    body: Json,
 }
 
 /// Merged counters and artifacts from a completed fan-out.
@@ -97,53 +88,65 @@ pub fn run_fuzz_fanout(cfg: &FuzzFanoutConfig) -> Result<FuzzFanoutReport, Strin
     if cfg.iters == 0 {
         return Err("fuzz fan-out needs iters >= 1".to_string());
     }
-    let n = cfg.workers.len();
-    let shards = if cfg.shards == 0 {
-        n as u64
-    } else {
-        cfg.shards
-    }
-    .min(cfg.iters);
-
-    let mut results = Vec::with_capacity(shards as usize);
-    for s in 0..shards {
-        // Even split; the first `iters % shards` shards take one extra.
-        let base = cfg.iters / shards;
-        let extra = u64::from(s < cfg.iters % shards);
-        let count = base + extra;
-        let start = s * base + s.min(cfg.iters % shards);
-        results.push(run_shard(cfg, s as usize, start, count)?);
-    }
+    let shards = (cfg.workers.len() as u64).min(cfg.iters);
+    let results = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..shards)
+            .map(|shard| {
+                let (start, count) = shard_range(cfg.iters, shards, shard);
+                s.spawn(move || run_shard(cfg, shard as usize, start, count))
+            })
+            .collect();
+        // Merged in shard order: the first failing shard names the error.
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fuzz shard thread panicked"))
+            .collect::<Result<Vec<_>, String>>()
+    })?;
 
     let mut report = FuzzFanoutReport::default();
-    for r in &results {
-        let get = |k: &str| r.body.get(k).and_then(Json::as_u64).unwrap_or(0);
+    for (shard, body) in results {
+        let get = |k: &str| body.get(k).and_then(Json::as_u64).unwrap_or(0);
         report.kernels += get("kernels");
         report.runs += get("runs");
         report.agreements += get("agreements");
         report.divergences += get("divergences");
         report.escalations += get("escalations");
-        if let Some(Json::Arr(items)) = r.body.get("artifacts") {
+        if let Some(Json::Arr(items)) = body.get("artifacts") {
             for a in items {
                 if let Some(text) = a.as_str() {
                     report.artifacts.push(text.to_string());
                 }
             }
         }
-        report.shards.push((r.start, r.count, r.worker, r.attempts));
+        report.shards.push(shard);
     }
     Ok(report)
 }
 
+/// Shard `shard` of `shards` over `0..iters`, as `(start, count)`: an
+/// even split where the first `iters % shards` shards take one extra.
+fn shard_range(iters: u64, shards: u64, shard: u64) -> (u64, u64) {
+    let (base, extra) = (iters / shards, iters % shards);
+    (
+        shard * base + shard.min(extra),
+        base + u64::from(shard < extra),
+    )
+}
+
+/// A shard's `(start, count, worker, attempts)` attribution.
+type Shard = (u64, u64, usize, u32);
+
 /// Dispatch one shard with failover: attempt `a` goes to worker
 /// `(shard + a) % n`, so consecutive attempts walk the whole fleet before
-/// giving up, and a healthy fleet spreads shards round-robin.
+/// giving up, and a healthy fleet spreads shards round-robin. Returns the
+/// shard's `(start, count, worker, attempts)` attribution and the
+/// worker's reply.
 fn run_shard(
     cfg: &FuzzFanoutConfig,
     shard: usize,
     start: u64,
     count: u64,
-) -> Result<ShardResult, String> {
+) -> Result<(Shard, Json), String> {
     let n = cfg.workers.len();
     let body = format!(
         concat!(
@@ -154,6 +157,7 @@ fn run_shard(
     );
     let mut last_err = String::new();
     for attempt in 0..cfg.max_attempts {
+        std::thread::sleep(BackoffPolicy::default().delay(cfg.seed, shard as u64, attempt));
         let worker = (shard + attempt as usize) % n;
         let addr = &cfg.workers[worker];
         match client_request(
@@ -179,13 +183,7 @@ fn run_shard(
                     );
                     continue;
                 }
-                return Ok(ShardResult {
-                    start,
-                    count,
-                    worker,
-                    attempts: attempt + 1,
-                    body: parsed,
-                });
+                return Ok(((start, count, worker, attempt + 1), parsed));
             }
             Ok(resp) => {
                 last_err = format!(
@@ -198,7 +196,6 @@ fn run_shard(
                 last_err = format!("worker {addr}: {e:?}");
             }
         }
-        std::thread::sleep(Duration::from_millis(50 << attempt.min(4)));
     }
     Err(format!(
         "shard {shard} ({start}..{}) failed after {} attempts; last error: {last_err}",
@@ -299,18 +296,71 @@ mod tests {
 
     #[test]
     fn shard_split_covers_the_range_exactly() {
-        for (iters, shards) in [(10u64, 3u64), (7, 7), (100, 4), (5, 8)] {
-            let shards = shards.min(iters);
-            let mut covered = Vec::new();
-            for s in 0..shards {
-                let base = iters / shards;
-                let extra = u64::from(s < iters % shards);
-                let count = base + extra;
-                let start = s * base + s.min(iters % shards);
-                covered.extend(start..start + count);
-            }
+        for (iters, shards) in [(10u64, 3u64), (7, 7), (100, 4), (5, 5)] {
+            let covered: Vec<u64> = (0..shards)
+                .flat_map(|s| {
+                    let (start, count) = shard_range(iters, shards, s);
+                    start..start + count
+                })
+                .collect();
             assert_eq!(covered, (0..iters).collect::<Vec<_>>(), "{iters}/{shards}");
         }
+    }
+
+    /// Two stub workers, each of which answers its `/v1/fuzz` shard only
+    /// once both shards have arrived: a fan-out that ran its shards one
+    /// after another would time out on the first.
+    #[test]
+    fn shards_run_concurrently() {
+        use regmutex_server::http::{encode_response, parse_request_buf, Limits, Response};
+        use std::io::{Read, Write};
+        use std::net::TcpListener;
+        use std::sync::{Arc, Barrier};
+
+        let barrier = Arc::new(Barrier::new(2));
+        let workers = (0..2)
+            .map(|_| {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let addr = listener.local_addr().unwrap().to_string();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let (mut stream, _) = listener.accept().unwrap();
+                    let mut buf = Vec::new();
+                    let req = loop {
+                        let mut chunk = [0u8; 4096];
+                        let n = stream.read(&mut chunk).unwrap();
+                        buf.extend_from_slice(&chunk[..n]);
+                        if let Some((req, _)) = parse_request_buf(&buf, &Limits::default()).unwrap()
+                        {
+                            break req;
+                        }
+                    };
+                    barrier.wait();
+                    let body = json::parse(core::str::from_utf8(&req.body).unwrap()).unwrap();
+                    let field = |k: &str| body.get(k).and_then(Json::as_u64).unwrap();
+                    let (start, count) = (field("start"), field("count"));
+                    let reply = format!(
+                        "{{\"start\":{start},\"processed\":{count},\"kernels\":{count},\
+                         \"runs\":{},\"agreements\":{count},\"divergences\":0,\
+                         \"escalations\":0,\"artifacts\":[]}}",
+                        5 * count
+                    );
+                    let resp = encode_response(&Response::json(200, reply), false);
+                    stream.write_all(&resp).unwrap();
+                });
+                addr
+            })
+            .collect();
+        let cfg = FuzzFanoutConfig {
+            workers,
+            iters: 10,
+            max_attempts: 1,
+            timeout: Duration::from_secs(10),
+            ..FuzzFanoutConfig::default()
+        };
+        let report = run_fuzz_fanout(&cfg).expect("both shards answered");
+        assert_eq!((report.kernels, report.runs), (10, 50));
+        assert_eq!(report.shards, [(0, 5, 0, 1), (5, 5, 1, 1)]);
     }
 
     #[test]

@@ -46,18 +46,16 @@ pub mod coordinator;
 pub mod fault;
 pub mod fuzz_fanout;
 pub mod journal;
-pub mod loadgen;
 pub mod metrics;
 pub mod ring;
 pub mod worker;
 
 pub use backoff::BackoffPolicy;
 pub use chaos::{run_fleet_campaign, FleetCampaignReport, FleetCampaignSpec, ScenarioResult};
-pub use coordinator::{Coordinator, FleetConfig, JobTrace};
+pub use coordinator::{Coordinator, FleetConfig};
 pub use fault::{FaultKind, FaultPlan, FaultProxy};
 pub use fuzz_fanout::{run_fuzz_fanout, FuzzFanoutConfig, FuzzFanoutReport};
 pub use journal::FleetRecord;
-pub use loadgen::{run_fleet_loadgen, FleetLoadgenConfig, FleetLoadgenReport};
 pub use metrics::FleetMetrics;
 pub use ring::Ring;
 pub use worker::{WorkerHandle, WorkerStatus};

@@ -141,11 +141,6 @@ impl WorkerHandle {
         result
     }
 
-    /// Idle pooled connections right now (observability for tests).
-    pub fn pooled_connections(&self) -> usize {
-        self.pool.lock().expect("conn pool lock").len()
-    }
-
     /// Whether the dispatcher should route around this worker.
     pub fn is_quarantined(&self) -> bool {
         self.health.lock().expect("health lock").quarantined

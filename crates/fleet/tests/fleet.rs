@@ -7,10 +7,9 @@ use std::time::Duration;
 
 use regmutex_bench::{Fig07Source, JobExecutor, JobSource, Runner};
 use regmutex_fleet::{
-    run_fleet_campaign, run_fleet_loadgen, BackoffPolicy, Coordinator, FaultKind,
-    FleetCampaignSpec, FleetConfig, FleetLoadgenConfig,
+    run_fleet_campaign, BackoffPolicy, Coordinator, FaultKind, FleetCampaignSpec, FleetConfig,
 };
-use regmutex_server::{Server, ServerConfig};
+use regmutex_server::{run_loadgen, Direct, LoadgenConfig, Server, ServerConfig};
 
 fn start_worker() -> Server {
     Server::start(ServerConfig {
@@ -173,30 +172,59 @@ fn fleet_loadgen_reports_per_worker_breakdown() {
     let workers: Vec<Server> = (0..2).map(|_| start_worker()).collect();
     let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
     let coordinator = fleet_over(addrs);
-    let report = run_fleet_loadgen(
-        &coordinator,
-        &FleetLoadgenConfig {
+    let report = run_loadgen(
+        &LoadgenConfig {
             threads: 3,
             requests: 6,
             seed: 11,
             apps: vec!["Gaussian".into(), "SPMV".into()],
             cycle_budget: Some(100_000),
+            ..LoadgenConfig::default()
         },
+        &coordinator,
     )
     .expect("fleet loadgen runs");
     assert_eq!(report.total, 18);
     assert!(report.nothing_dropped(), "{report:?}");
-    assert_eq!(report.gave_up, 0, "{report:?}");
+    assert_eq!(report.rejected, 0, "{report:?}");
     assert_eq!(report.ok, 18, "{report:?}");
     // ≤4 distinct specs over 18 requests: worker caches absorb repeats.
     assert!(report.cached > 0, "{report:?}");
-    let served: usize = report.per_worker.iter().map(|w| w.served).sum();
-    assert_eq!(served, 18);
+    assert_eq!(report.workers.len(), 2);
+    // Every ok request names the worker that served it.
+    assert_eq!(report.served.len(), 18);
     let text = report.render();
     assert!(text.contains("worker"), "{text}");
     for w in workers {
         w.shutdown_and_wait();
     }
+}
+
+/// The direct and the coordinator targets sample one request stream: a
+/// seed names the same (app, technique) sequence through either, so two
+/// fresh single workers see the same cache hits.
+#[test]
+fn direct_and_coordinator_loadgen_share_one_request_stream() {
+    let direct_worker = start_worker();
+    let fleet_worker = start_worker();
+    // One config for both: the coordinator target ignores `addr`.
+    let cfg = LoadgenConfig {
+        addr: direct_worker.local_addr().to_string(),
+        threads: 1,
+        requests: 6,
+        seed: 7,
+        apps: vec!["Gaussian".into(), "SPMV".into()],
+        ..LoadgenConfig::default()
+    };
+    let direct = run_loadgen(&cfg, &Direct(&cfg)).expect("direct loadgen runs");
+    let coordinator = fleet_over(vec![fleet_worker.local_addr().to_string()]);
+    let via = run_loadgen(&cfg, &coordinator).expect("fleet loadgen runs");
+    assert_eq!((direct.ok, via.ok), (6, 6), "{direct:?}\n{via:?}");
+    assert_eq!(direct.cached, via.cached, "{direct:?}\n{via:?}");
+    // Seed 7 draws two distinct specs in six requests.
+    assert_eq!(direct.cached, 4, "{direct:?}");
+    direct_worker.shutdown_and_wait();
+    fleet_worker.shutdown_and_wait();
 }
 
 #[test]

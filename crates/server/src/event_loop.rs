@@ -823,7 +823,7 @@ fn close_conn(
     state
         .metrics
         .requests_per_conn
-        .observe(conn.requests_served);
+        .observe_count(conn.requests_served);
 }
 
 #[cfg(test)]

@@ -405,6 +405,16 @@ impl ClientResponse {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
+
+    /// The wait a 429 asked for: its `Retry-After` seconds, capped. A
+    /// missing or unparsable header falls back to the cap (the server
+    /// always sends the header; a proxy might strip it).
+    pub fn retry_after_wait(&self, cap: Duration) -> Duration {
+        self.header("retry-after")
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .map_or(cap, Duration::from_secs)
+            .min(cap)
+    }
 }
 
 const CLIENT_MAX_RESPONSE: usize = 16 * 1024 * 1024;
@@ -965,5 +975,22 @@ mod tests {
         let head = String::from_utf8(encode_stream_head(200, "application/json", false)).unwrap();
         assert!(head.contains("transfer-encoding: chunked\r\n"));
         assert!(head.contains("connection: close\r\n"));
+    }
+
+    #[test]
+    fn retry_after_wait_parses_and_caps() {
+        let resp = |headers: Vec<(String, String)>| ClientResponse {
+            status: 429,
+            headers,
+            body: Vec::new(),
+        };
+        let cap = Duration::from_secs(2);
+        let with = resp(vec![("retry-after".into(), "1".into())]);
+        assert_eq!(with.retry_after_wait(cap), Duration::from_secs(1));
+        let over = resp(vec![("retry-after".into(), "60".into())]);
+        assert_eq!(over.retry_after_wait(cap), cap);
+        assert_eq!(resp(vec![]).retry_after_wait(cap), cap);
+        let garbage = resp(vec![("retry-after".into(), "soon".into())]);
+        assert_eq!(garbage.retry_after_wait(cap), cap);
     }
 }

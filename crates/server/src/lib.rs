@@ -3,7 +3,8 @@
 //! A dependency-free simulation service for the RegMutex reproduction:
 //! a hand-rolled HTTP/1.1 daemon (`regmutex-cli serve`) that exposes the
 //! simulator over a small JSON API, plus a closed-loop load generator
-//! (`regmutex-cli loadgen`) for measuring it.
+//! (`regmutex-cli loadgen`) for measuring it, directly or through a fleet
+//! coordinator.
 //!
 //! Everything is `std`-only to preserve the fully offline build: sockets
 //! are `std::net` driven by a raw-epoll event loop ([`poll`] +
@@ -56,6 +57,6 @@ pub mod signal;
 pub mod timer;
 pub mod wire;
 
-pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
+pub use loadgen::{run_loadgen, Direct, LoadgenConfig, LoadgenReport};
 pub use persist::DiskTier;
 pub use server::{serve_until_shutdown, spec_for_request, Server, ServerConfig};

@@ -34,7 +34,7 @@ fn bad(msg: impl Into<String>) -> WireError {
 }
 
 /// A `POST /v1/run` body, decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunRequest {
     /// Workload name (required; case-insensitive against the registry).
     pub app: String,

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use regmutex_server::http::{client_request, ClientResponse, HttpClient, Limits};
 use regmutex_server::json::{self, Json};
-use regmutex_server::{run_loadgen, LoadgenConfig, Server, ServerConfig};
+use regmutex_server::{run_loadgen, Direct, LoadgenConfig, Server, ServerConfig};
 
 fn start(workers: usize, queue: usize) -> Server {
     start_with(workers, queue, Limits::default())
@@ -267,7 +267,7 @@ fn graceful_shutdown_drains_inflight_work() {
 #[test]
 fn loadgen_closed_loop_drops_nothing_and_hits_cache() {
     let server = start(2, 16);
-    let report = run_loadgen(&LoadgenConfig {
+    let cfg = LoadgenConfig {
         addr: server.local_addr().to_string(),
         threads: 3,
         requests: 8,
@@ -275,8 +275,8 @@ fn loadgen_closed_loop_drops_nothing_and_hits_cache() {
         timeout: Duration::from_secs(120),
         apps: vec!["Gaussian".into(), "SPMV".into()],
         ..LoadgenConfig::default()
-    })
-    .expect("loadgen runs");
+    };
+    let report = run_loadgen(&cfg, &Direct(&cfg)).expect("loadgen runs");
 
     assert_eq!(report.total, 24);
     assert!(report.nothing_dropped(), "{report:?}");
@@ -289,6 +289,25 @@ fn loadgen_closed_loop_drops_nothing_and_hits_cache() {
         "hit rate {:.2} too low: {report:?}",
         report.cache_hit_rate()
     );
+    server.shutdown_and_wait();
+}
+
+#[test]
+fn loadgen_cycle_budget_rides_on_every_request() {
+    // A budget too small to finish turns every run into a 422: the
+    // budget reached the server on each request.
+    let server = start(1, 8);
+    let cfg = LoadgenConfig {
+        addr: server.local_addr().to_string(),
+        threads: 2,
+        requests: 3,
+        apps: vec!["Gaussian".into()],
+        cycle_budget: Some(10),
+        ..LoadgenConfig::default()
+    };
+    let report = run_loadgen(&cfg, &Direct(&cfg)).expect("loadgen runs");
+    assert_eq!((report.failed, report.ok), (6, 0), "{report:?}");
+    assert!(report.nothing_dropped(), "{report:?}");
     server.shutdown_and_wait();
 }
 
