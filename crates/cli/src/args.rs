@@ -505,7 +505,7 @@ static BENCH_LOOP: Verb<BenchLoopArgs> = Verb {
         opt(
             "--apps",
             "A,B,...",
-            "workloads to time (default: a 4-row basket)",
+            "workloads to time (default: a 5-row basket)",
             |c, v| put(&mut c.apps, list(v)),
         ),
         opt(

@@ -234,28 +234,32 @@ pub fn bench_loop(a: &BenchLoopArgs) -> Result<(String, i32), CommandError> {
     use std::time::Instant;
 
     let (apps, iters, out_path) = (&a.apps, a.iters, &a.out);
-    // (row label, workload, grid override, simulated SMs)
-    let mut basket: Vec<(String, Workload, Option<u32>, u32)> = Vec::new();
+    // (row label, workload, grid override, simulated SMs, technique)
+    let mut basket: Vec<(String, Workload, Option<u32>, u32, Technique)> = Vec::new();
     if apps.is_empty() {
         // Default basket: a memory-latency-dominated workload at full
         // occupancy, the same workload at minimal occupancy (one CTA per
         // simulated SM — long fully stalled stretches, the skip loop's best
-        // case), a control-heavy one as the adversarial control, and that
-        // one again on the whole device, where every SM skips on its own
-        // clock and the run's verdict is folded across SMs.
+        // case), a control-heavy one as the adversarial control, that one
+        // again on the whole device, where every SM skips on its own clock
+        // and the run's verdict is folded across SMs, and once more under
+        // OWF, whose lock waits skip until the owner warp exits.
         let num_sms = GpuConfig::gtx480().num_sms;
-        basket.push(("Gaussian".into(), lookup("Gaussian")?, None, 1));
+        let rm = Technique::RegMutex;
+        basket.push(("Gaussian".into(), lookup("Gaussian")?, None, 1, rm));
         basket.push((
             "Gaussian-lowocc".into(),
             lookup("Gaussian")?,
             Some(num_sms),
             1,
+            rm,
         ));
-        basket.push(("BFS".into(), lookup("BFS")?, None, 1));
-        basket.push(("BFS-device".into(), lookup("BFS")?, None, num_sms));
+        basket.push(("BFS".into(), lookup("BFS")?, None, 1, rm));
+        basket.push(("BFS-device".into(), lookup("BFS")?, None, num_sms, rm));
+        basket.push(("BFS-owf".into(), lookup("BFS")?, None, 1, Technique::Owf));
     } else {
         for a in apps {
-            basket.push((a.clone(), lookup(a)?, None, 1));
+            basket.push((a.clone(), lookup(a)?, None, 1, Technique::RegMutex));
         }
     }
 
@@ -272,7 +276,7 @@ pub fn bench_loop(a: &BenchLoopArgs) -> Result<(String, i32), CommandError> {
         "{:<18} {:>12} {:>10} {:>10} {:>8}",
         "workload", "cycles", "skip ms", "tick ms", "speedup"
     );
-    for (label, w, ctas, sms) in &basket {
+    for (label, w, ctas, sms, technique) in &basket {
         let launch = LaunchConfig::new(ctas.unwrap_or(w.grid_ctas));
         let mut medians = [0.0f64; 2];
         let mut reports = Vec::with_capacity(2);
@@ -289,7 +293,7 @@ pub fn bench_loop(a: &BenchLoopArgs) -> Result<(String, i32), CommandError> {
             for _ in 0..iters {
                 let t0 = Instant::now();
                 let r = session
-                    .run_compiled(&compiled, launch, Technique::RegMutex)
+                    .run_compiled(&compiled, launch, *technique)
                     .map_err(|e| CommandError(format!("{label}: {e}")))?;
                 walls.push(t0.elapsed().as_secs_f64() * 1e3);
                 rep = Some(r);

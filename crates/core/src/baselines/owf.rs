@@ -168,6 +168,12 @@ impl RegisterManager for OwfManager {
         }
     }
 
+    fn pre_access_wake(&self, _now: u64) -> Option<u64> {
+        // A refusal waits on the partner's lock, which only the partner's
+        // exit frees, and an exit is an issue.
+        None
+    }
+
     fn translate(&self, warp: WarpId, reg: ArchReg) -> Option<PhysReg> {
         let x = u32::from(reg.0);
         if x < self.threshold {

@@ -587,6 +587,10 @@ impl RegisterManager for FaultInjector {
         self.inner.pre_access(ledger, warp, instr, pc, now)
     }
 
+    fn pre_access_wake(&self, now: u64) -> Option<u64> {
+        self.inner.pre_access_wake(now)
+    }
+
     fn post_issue(&mut self, ledger: &mut Ledger, warp: WarpId, instr: &Instr, pc: u32) {
         self.inner.post_issue(ledger, warp, instr, pc)
     }
@@ -601,10 +605,6 @@ impl RegisterManager for FaultInjector {
 
     fn holds_extended(&self, warp: WarpId) -> bool {
         self.inner.holds_extended(warp)
-    }
-
-    fn scheduling_priority(&self, warp: WarpId) -> u8 {
-        self.inner.scheduling_priority(warp)
     }
 
     fn storage_overhead_bits(&self) -> u64 {
@@ -790,6 +790,51 @@ mod tests {
             inj.bump(&mut ledger);
         }
         assert!(inj.steady());
+    }
+
+    /// The baseline manager reporting a time-dependent behaviour.
+    struct Unsteady(StaticManager);
+
+    impl RegisterManager for Unsteady {
+        fn name(&self) -> &'static str {
+            "unsteady"
+        }
+        fn try_admit_cta(&mut self, l: &mut Ledger, c: CtaId, s: &[WarpId]) -> bool {
+            self.0.try_admit_cta(l, c, s)
+        }
+        fn retire_cta(&mut self, l: &mut Ledger, c: CtaId, s: &[WarpId]) {
+            self.0.retire_cta(l, c, s)
+        }
+        fn try_acquire(&mut self, l: &mut Ledger, w: WarpId) -> AcquireResult {
+            self.0.try_acquire(l, w)
+        }
+        fn release(&mut self, l: &mut Ledger, w: WarpId) {
+            self.0.release(l, w)
+        }
+        fn translate(&self, w: WarpId, r: ArchReg) -> Option<PhysReg> {
+            self.0.translate(w, r)
+        }
+        fn on_warp_exit(&mut self, l: &mut Ledger, w: WarpId) {
+            self.0.on_warp_exit(l, w)
+        }
+        fn steady(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn injector_is_never_steadier_than_its_inner_manager() {
+        let c = cfg();
+        let mut ledger = Ledger::new(c.reg_rows_per_sm());
+        let resolved = |inner: Box<dyn RegisterManager>, ledger: &mut Ledger| {
+            let mut plan = FaultPlan::generate(FaultClass::DroppedRelease, Severity::Severe, 1, &c);
+            plan.faults[0].trigger_events = 0;
+            let mut inj = FaultInjector::new(inner, plan, Arc::new(FaultLog::new()), 8);
+            inj.bump(ledger); // the only fault fires: nothing armed or in flight
+            inj
+        };
+        assert!(resolved(Box::new(StaticManager::new(&c, 8)), &mut ledger).steady());
+        assert!(!resolved(Box::new(Unsteady(StaticManager::new(&c, 8))), &mut ledger).steady());
     }
 
     #[test]

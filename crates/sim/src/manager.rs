@@ -256,6 +256,13 @@ pub trait RegisterManager: Send {
     /// Try to admit one CTA whose warps would occupy `warp_slots` (lowest
     /// free slots, ascending). On success the manager has claimed all rows
     /// the CTA's statically-allocated registers need and returns `true`.
+    ///
+    /// Contract: once this refuses, it keeps refusing until the next
+    /// [`Self::retire_cta`]: the answer may depend only on state that
+    /// admission and retirement change, never on issue-stage calls or the
+    /// cycle. The SM relies on it and retries admission only at launch and
+    /// after a retire (debug builds retry on every step and assert that
+    /// nothing is admitted).
     fn try_admit_cta(&mut self, ledger: &mut Ledger, cta: CtaId, warp_slots: &[WarpId]) -> bool;
 
     /// Retire a CTA, releasing its static allocations. Warps have already
@@ -273,6 +280,7 @@ pub trait RegisterManager: Send {
     /// with per-register dynamic allocation (RFV) allocate destination rows
     /// here; return `false` to stall the warp this cycle. Must be
     /// idempotent: the same instruction may be retried over several cycles.
+    /// [`Self::pre_access_wake`] says when a refusal can next change.
     fn pre_access(
         &mut self,
         _ledger: &mut Ledger,
@@ -282,6 +290,17 @@ pub trait RegisterManager: Send {
         _now: u64,
     ) -> bool {
         true
+    }
+
+    /// Earliest cycle at which a [`Self::pre_access`] refusal at `now` could
+    /// turn into a grant without any warp issuing in between; the
+    /// cycle-skipping engine fast-forwards no further. `None` means only an
+    /// issue (another warp's exit, say) can lift it. The default, `now + 1`,
+    /// retries every cycle, which suits a refusal that depends on elapsed
+    /// time (RFV counts stalled cycles before it spills) and forbids skipping
+    /// past it.
+    fn pre_access_wake(&self, now: u64) -> Option<u64> {
+        Some(now + 1)
     }
 
     /// Called once when the instruction actually issues (after all checks).
@@ -297,15 +316,9 @@ pub trait RegisterManager: Send {
     fn on_warp_exit(&mut self, ledger: &mut Ledger, warp: WarpId);
 
     /// True while the warp holds its extended/shared allocation (stats and
-    /// owner-warp-first scheduling).
+    /// owner-warp-first scheduling, which tries holders first).
     fn holds_extended(&self, _warp: WarpId) -> bool {
         false
-    }
-
-    /// Scheduling priority hook (higher = preferred) used by the
-    /// owner-warp-first policy.
-    fn scheduling_priority(&self, warp: WarpId) -> u8 {
-        u8::from(self.holds_extended(warp))
     }
 
     /// Extra storage bits this technique adds to the baseline SM (§III-B1).

@@ -1,13 +1,15 @@
 //! Warp scheduler ordering policies.
 //!
 //! Each SM has `num_schedulers` schedulers; warp slot `s` belongs to
-//! scheduler `s % num_schedulers` (Fermi-style static partitioning). A
-//! scheduler ranks its eligible warps each cycle and the SM issues from the
-//! first one that can actually issue.
+//! scheduler `s % num_schedulers` (Fermi-style static partitioning). Each
+//! cycle a scheduler walks its eligible warps in policy order and the SM
+//! issues from the first one that can actually issue.
 //!
-//! The ranking is produced without sorting: the scheduler keeps its resident
-//! warps in admission order, so every policy is a walk over a list it
-//! already has.
+//! The walk is lazy: [`SchedulerState::next`] yields one candidate at a
+//! time from a [`Walk`] cursor, so a scheduler that issues from its first
+//! candidate never looks at the rest. Nothing is sorted: the scheduler keeps
+//! its resident warps in admission order, so every policy is a walk over a
+//! list it already has.
 
 use crate::config::SchedulerPolicy;
 
@@ -23,8 +25,17 @@ pub struct SchedulerState {
     /// Slots of this scheduler's resident warps in admission order, oldest
     /// first: GTO's age order, kept by appending on admission.
     by_age: Vec<u32>,
-    /// OWF scratch: `(slot, priority)` of the eligible warps in GTO order.
-    snapshot: Vec<(u32, u8)>,
+}
+
+/// Position of one scheduler's issue walk within one cycle; each cycle
+/// starts from `Walk::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Walk {
+    /// OWF: 0 while walking the extended-set holders, 1 for the rest.
+    pass: u8,
+    /// Position within the pass. GTO order: 0 is the greedy warp and
+    /// `i + 1` is `by_age[i]`. LRR: the offset past the cursor.
+    pos: usize,
 }
 
 impl SchedulerState {
@@ -37,7 +48,6 @@ impl SchedulerState {
         );
         SchedulerState {
             by_age: Vec::with_capacity(owned.len()),
-            snapshot: Vec::with_capacity(owned.len()),
             owned,
             ..Default::default()
         }
@@ -54,54 +64,77 @@ impl SchedulerState {
         self.by_age.retain(|&s| s != slot);
     }
 
-    /// Write the order in which to try this scheduler's `eligible` warps
-    /// into `out`:
+    /// Slots of this scheduler's resident warps, oldest first.
+    pub(crate) fn resident(&self) -> &[u32] {
+        &self.by_age
+    }
+
+    /// The next of this scheduler's `eligible` warps to try, in policy
+    /// order:
     ///
     /// * GTO: the greedily-held warp first (if eligible), then oldest first.
     /// * LRR: the owned slots in ascending order, rotated to start after the
     ///   cursor.
-    /// * OwnerWarpFirst: priority (descending), then GTO order. Priorities
-    ///   are snapshotted once, before the caller tries any warp, and
-    ///   `priority` is called only under this policy.
-    pub(crate) fn issue_order(
-        &mut self,
+    /// * OwnerWarpFirst: the warps that `holds` their extended set in GTO
+    ///   order, then the rest in GTO order. `holds` is called only under
+    ///   this policy.
+    ///
+    /// The caller stops at the first issue. Until then the walk equals the
+    /// order a sort taken before the first try would give, because only an
+    /// issue changes another warp's eligibility or `holds`: a stalled try
+    /// can make only the warp being tried an extended-set holder, and that
+    /// warp has already been visited.
+    pub(crate) fn next(
+        &self,
         policy: SchedulerPolicy,
+        walk: &mut Walk,
         eligible: impl Fn(u32) -> bool,
-        mut priority: impl FnMut(u32) -> u8,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
+        holds: impl Fn(u32) -> bool,
+    ) -> Option<u32> {
         match policy {
-            SchedulerPolicy::Gto => out.extend(self.gto(&eligible)),
+            SchedulerPolicy::Gto => self.gto_next(&mut walk.pos, eligible),
             SchedulerPolicy::Lrr => {
                 let start = self.owned.partition_point(|&s| s <= self.rr_cursor);
-                let (before, after) = self.owned.split_at(start);
-                out.extend(after.iter().chain(before).copied().filter(|&s| eligible(s)));
+                while walk.pos < self.owned.len() {
+                    let s = self.owned[(start + walk.pos) % self.owned.len()];
+                    walk.pos += 1;
+                    if eligible(s) {
+                        return Some(s);
+                    }
+                }
+                None
             }
             SchedulerPolicy::OwnerWarpFirst => {
-                let mut snapshot = std::mem::take(&mut self.snapshot);
-                snapshot.clear();
-                snapshot.extend(self.gto(&eligible).map(|s| (s, priority(s))));
-                // One GTO-ordered pass per distinct priority, highest first.
-                let mut level = snapshot.iter().map(|&(_, p)| p).max();
-                while let Some(p) = level {
-                    out.extend(snapshot.iter().filter(|e| e.1 == p).map(|e| e.0));
-                    level = snapshot.iter().map(|&(_, q)| q).filter(|&q| q < p).max();
+                if walk.pass == 0 {
+                    let owner = self.gto_next(&mut walk.pos, |s| eligible(s) && holds(s));
+                    if owner.is_some() {
+                        return owner;
+                    }
+                    *walk = Walk { pass: 1, pos: 0 };
                 }
-                self.snapshot = snapshot;
+                self.gto_next(&mut walk.pos, |s| eligible(s) && !holds(s))
             }
         }
     }
 
-    /// Eligible warps in GTO order.
-    fn gto<'a>(&'a self, eligible: &'a impl Fn(u32) -> bool) -> impl Iterator<Item = u32> + 'a {
-        let greedy = self.last_issued.filter(|&g| eligible(g));
-        greedy.into_iter().chain(
-            self.by_age
-                .iter()
-                .copied()
-                .filter(move |&s| Some(s) != greedy && eligible(s)),
-        )
+    /// The next warp that passes `keep` in GTO order, from `pos`. Skipping
+    /// the greedy slot in the age list is right either way: it was tried
+    /// already, or `keep` refused it, and during one walk `keep` changes its
+    /// answer only for a warp that was tried.
+    fn gto_next(&self, pos: &mut usize, keep: impl Fn(u32) -> bool) -> Option<u32> {
+        if *pos == 0 {
+            *pos = 1;
+            if let Some(greedy) = self.last_issued.filter(|&g| keep(g)) {
+                return Some(greedy);
+            }
+        }
+        while let Some(&s) = self.by_age.get(*pos - 1) {
+            *pos += 1;
+            if Some(s) != self.last_issued && keep(s) {
+                return Some(s);
+            }
+        }
+        None
     }
 }
 
@@ -121,28 +154,31 @@ mod tests {
         st
     }
 
+    /// The whole walk when no candidate issues.
     fn order(
-        st: &mut SchedulerState,
+        st: &SchedulerState,
         policy: SchedulerPolicy,
         eligible: &[u32],
-        prio: &[(u32, u8)],
+        owners: &[u32],
     ) -> Vec<u32> {
-        let mut out = Vec::new();
-        st.issue_order(
-            policy,
-            |s| eligible.contains(&s),
-            |s| prio.iter().find(|e| e.0 == s).map_or(0, |e| e.1),
-            &mut out,
-        );
-        out
+        let mut walk = Walk::default();
+        std::iter::from_fn(|| {
+            st.next(
+                policy,
+                &mut walk,
+                |s| eligible.contains(&s),
+                |s| owners.contains(&s),
+            )
+        })
+        .collect()
     }
 
     #[test]
     fn gto_prefers_last_issued_then_oldest() {
         // Ages: slot 2 oldest, then 0, then 4.
-        let mut st = sched(4, &[2, 0, 4], Some(4), 0);
+        let st = sched(4, &[2, 0, 4], Some(4), 0);
         assert_eq!(
-            order(&mut st, SchedulerPolicy::Gto, &[0, 2, 4], &[]),
+            order(&st, SchedulerPolicy::Gto, &[0, 2, 4], &[]),
             vec![4, 2, 0]
         );
     }
@@ -150,20 +186,17 @@ mod tests {
     #[test]
     fn gto_without_greedy_warp_is_oldest_first() {
         let mut st = sched(2, &[2, 0], None, 0);
-        assert_eq!(
-            order(&mut st, SchedulerPolicy::Gto, &[0, 2], &[]),
-            vec![2, 0]
-        );
+        assert_eq!(order(&st, SchedulerPolicy::Gto, &[0, 2], &[]), vec![2, 0]);
         // A greedy slot that is no longer eligible is skipped.
         st.last_issued = Some(0);
-        assert_eq!(order(&mut st, SchedulerPolicy::Gto, &[2], &[]), vec![2]);
+        assert_eq!(order(&st, SchedulerPolicy::Gto, &[2], &[]), vec![2]);
     }
 
     #[test]
     fn lrr_rotates_after_cursor() {
-        let mut st = sched(4, &[0, 2, 4, 6], None, 2);
+        let st = sched(4, &[0, 2, 4, 6], None, 2);
         assert_eq!(
-            order(&mut st, SchedulerPolicy::Lrr, &[0, 2, 4, 6], &[]),
+            order(&st, SchedulerPolicy::Lrr, &[0, 2, 4, 6], &[]),
             vec![4, 6, 0, 2]
         );
     }
@@ -171,14 +204,31 @@ mod tests {
     #[test]
     fn owf_puts_owners_first() {
         // Ages: 0 oldest, then 4, then 2.
-        let mut st = sched(3, &[0, 4, 2], Some(0), 0);
-        let got = order(
-            &mut st,
-            SchedulerPolicy::OwnerWarpFirst,
-            &[0, 2, 4],
-            &[(2, 1)],
-        );
+        let st = sched(3, &[0, 4, 2], Some(0), 0);
+        let got = order(&st, SchedulerPolicy::OwnerWarpFirst, &[0, 2, 4], &[2]);
         assert_eq!(got, vec![2, 0, 4]); // owner beats greedy, then greedy
+    }
+
+    #[test]
+    fn owf_warp_that_takes_the_lock_mid_walk_is_not_tried_again() {
+        // Ages: 0, 2, 4, 6; no owners. The walk reaches the non-owners and
+        // slot 2 takes its pair's lock on its try, then stalls.
+        let st = sched(4, &[0, 2, 4, 6], None, 0);
+        let mut owners = Vec::new();
+        let mut walk = Walk::default();
+        let mut tried = Vec::new();
+        while let Some(s) = st.next(
+            SchedulerPolicy::OwnerWarpFirst,
+            &mut walk,
+            |_| true,
+            |s| owners.contains(&s),
+        ) {
+            tried.push(s);
+            if s == 2 {
+                owners.push(2);
+            }
+        }
+        assert_eq!(tried, vec![0, 2, 4, 6]);
     }
 
     /// xorshift64* — deterministic case generator.
@@ -197,19 +247,25 @@ mod tests {
         }
     }
 
-    /// The ordering as a sort key over `(slot, age, priority)` candidates:
-    /// the definition each policy's walk must reproduce.
-    fn sort_reference(policy: SchedulerPolicy, st: &SchedulerState, cands: &mut [(u32, u64, u8)]) {
+    /// The ordering as a sort key over `(slot, age, holds)` candidates: the
+    /// definition each policy's walk must reproduce.
+    fn sort_reference(
+        policy: SchedulerPolicy,
+        st: &SchedulerState,
+        cands: &mut [(u32, u64, bool)],
+    ) {
         let greedy = st.last_issued.unwrap_or(u32::MAX);
         match policy {
             SchedulerPolicy::Gto => cands.sort_by_key(|c| (c.0 != greedy, c.1)),
             SchedulerPolicy::Lrr => cands.sort_by_key(|c| (c.0 <= st.rr_cursor, c.0)),
-            SchedulerPolicy::OwnerWarpFirst => {
-                cands.sort_by_key(|c| (core::cmp::Reverse(c.2), c.0 != greedy, c.1))
-            }
+            SchedulerPolicy::OwnerWarpFirst => cands.sort_by_key(|c| (!c.2, c.0 != greedy, c.1)),
         }
     }
 
+    /// Random warp sets, each walked under every policy until a random
+    /// tried candidate issues (or none does). The tried prefix must equal
+    /// the sort-key order taken before the walk, even when, under OWF, tried
+    /// warps take their pair's lock without issuing.
     #[test]
     fn walks_match_the_sort_key_on_random_sets() {
         for case in 0..2_000u64 {
@@ -235,7 +291,7 @@ mod tests {
                 st.admit(s);
                 age += 1 + rng.below(5);
                 if rng.below(5) != 0 {
-                    cands.push((s, age, rng.below(3) as u8));
+                    cands.push((s, age, rng.below(3) == 0));
                 }
             }
             // Retire a few, as CTA retirement does.
@@ -254,7 +310,6 @@ mod tests {
             };
             st.rr_cursor = rng.below(u64::from(max_warps) + 2) as u32;
             let eligible: Vec<u32> = cands.iter().map(|c| c.0).collect();
-            let prio: Vec<(u32, u8)> = cands.iter().map(|c| (c.0, c.2)).collect();
             for policy in [
                 SchedulerPolicy::Gto,
                 SchedulerPolicy::Lrr,
@@ -263,11 +318,28 @@ mod tests {
                 let mut want = cands.clone();
                 sort_reference(policy, &st, &mut want);
                 let want: Vec<u32> = want.iter().map(|c| c.0).collect();
-                assert_eq!(
-                    order(&mut st, policy, &eligible, &prio),
-                    want,
-                    "case {case} {policy:?}"
-                );
+                // The try at this index issues and ends the walk.
+                let issue_at = rng.below(want.len() as u64 + 1) as usize;
+                let mut owners: Vec<u32> = cands.iter().filter(|c| c.2).map(|c| c.0).collect();
+                let mut walk = Walk::default();
+                let mut tried = Vec::new();
+                while let Some(s) = st.next(
+                    policy,
+                    &mut walk,
+                    |s| eligible.contains(&s),
+                    |s| owners.contains(&s),
+                ) {
+                    tried.push(s);
+                    if tried.len() > issue_at {
+                        break;
+                    }
+                    // A stalled try that took the lock first.
+                    if !owners.contains(&s) && rng.below(3) == 0 {
+                        owners.push(s);
+                    }
+                }
+                let end = want.len().min(issue_at + 1);
+                assert_eq!(tried, want[..end], "case {case} {policy:?}");
             }
         }
     }

@@ -1,13 +1,13 @@
 //! The streaming-multiprocessor cycle engine.
 //!
 //! Each cycle the SM: retires completed memory requests, tallies residency,
-//! lets every warp scheduler pick the best candidate warp that can actually
-//! issue (greedy-then-oldest by default), executes that instruction both
-//! *temporally* (scoreboard, latencies, structural limits, barrier and
-//! acquire semantics at the issue stage — where the paper places RegMutex's
-//! allocation logic, §III-B1) and *functionally* (value layer + store
-//! checksums), and finally retires CTAs whose warps all exited, admitting
-//! queued CTAs into the freed resources.
+//! lets every warp scheduler walk its candidate warps in policy order
+//! (greedy-then-oldest by default) up to the first one that can actually
+//! issue, executes that instruction both *temporally* (scoreboard,
+//! latencies, structural limits, barrier and acquire semantics at the issue
+//! stage — where the paper places RegMutex's allocation logic, §III-B1) and
+//! *functionally* (value layer + store checksums), and finally retires CTAs
+//! whose warps all exited, admitting queued CTAs into the freed resources.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use crate::barrier::BarrierUnit;
 use crate::config::GpuConfig;
 use crate::manager::{AcquireResult, Ledger, LedgerViolation, RegisterManager};
 use crate::memory::MemoryPipe;
-use crate::scheduler::SchedulerState;
+use crate::scheduler::{SchedulerState, Walk};
 use crate::simt::full_mask;
 use crate::stats::SimStats;
 use crate::trace::{TraceEvent, TraceKind};
@@ -36,6 +36,9 @@ pub struct KernelImage {
     /// (acquire/release injection, MOV compaction) leave control flow —
     /// and therefore checksums — unchanged.
     branch_ordinal: Vec<u32>,
+    /// Branches in the kernel: the length of each warp's per-ordinal
+    /// branch counters.
+    branches: usize,
 }
 
 impl KernelImage {
@@ -54,6 +57,7 @@ impl KernelImage {
         KernelImage {
             kernel,
             branch_ordinal: ordinals,
+            branches: next as usize,
         }
     }
 
@@ -133,6 +137,18 @@ struct StepProbe {
     wake: Option<u64>,
 }
 
+impl StepProbe {
+    /// Fold one stalled candidate's wake hint into the minimum.
+    fn note_wake(&mut self, wake: Option<u64>) {
+        if let Some(at) = wake {
+            self.wake = Some(self.wake.map_or(at, |cur| cur.min(at)));
+        }
+    }
+}
+
+/// [`Sm::gate`] value of a slot with no issuable warp.
+const NOT_ISSUABLE: u64 = u64::MAX;
+
 #[derive(Debug)]
 struct ResidentCta {
     cta: CtaId,
@@ -162,16 +178,15 @@ pub struct Sm {
     trace: Option<Vec<TraceEvent>>,
     /// Deltas and wake hints of the most recent step (cycle skipping).
     probe: StepProbe,
-    /// Reusable issue-order scratch — `step` must not allocate in steady
-    /// state.
-    order_buf: Vec<u32>,
-    /// Reusable admission scratch for `fill_ctas` (same reason).
+    /// Reusable admission scratch for `fill_ctas`: `step` must not
+    /// allocate in steady state.
     slot_buf: Vec<WarpId>,
-    /// Incremental per-scheduler issuable-warp counts, so schedulers with
-    /// nothing to do skip their slot scan entirely. Maintained at every
-    /// `issuable()` transition: admission (+1), barrier park (−1), barrier
-    /// release (+1), exit (−1).
-    sched_ready: Vec<u32>,
+    /// Per-slot issue gate, dense so that a walk passes over stalled warps
+    /// without touching their `WarpState`: [`NOT_ISSUABLE`] for a slot with
+    /// no issuable warp (empty, exited or parked at a barrier), else the
+    /// cycle until which the warp's next instruction is blocked on its
+    /// scoreboard (any cycle at or before now when no block is known).
+    gate: Vec<u64>,
     /// Resident, unfinished warps: +1 per admitted warp, −1 per exit.
     live_warps: u32,
 }
@@ -210,9 +225,8 @@ impl Sm {
             last_progress: 0,
             trace: None,
             probe: StepProbe::default(),
-            order_buf: Vec::with_capacity(max_warps),
             slot_buf: Vec::new(),
-            sched_ready: vec![0; nsched],
+            gate: vec![NOT_ISSUABLE; max_warps],
             live_warps: 0,
         }
     }
@@ -324,66 +338,94 @@ impl Sm {
         self.stats.step_calls += 1;
         self.probe = StepProbe::default();
         self.mem.begin_cycle(now);
-        self.fill_ctas();
+        // CTAs are admitted at launch and after a retire
+        // (`retire_finished_ctas`): whether one fits changes only when one
+        // retires (see `RegisterManager::try_admit_cta`), so an attempt on
+        // any other step would admit nothing.
+        if self.resident.is_empty() {
+            self.fill_ctas();
+        } else if cfg!(debug_assertions) {
+            let ctas = self.stats.ctas;
+            self.fill_ctas();
+            debug_assert_eq!(
+                self.stats.ctas, ctas,
+                "a CTA became admissible without a retire"
+            );
+        }
 
         let resident = u64::from(self.resident_warps());
         self.stats.resident_warp_cycles += resident;
         self.probe.resident = resident;
 
-        let nsched = self.sched.len();
-        // The order buffer lives on the SM: `step` runs every simulated
-        // cycle and must not allocate in steady state.
-        let mut order = std::mem::take(&mut self.order_buf);
+        let (nsched, policy) = (self.sched.len(), self.cfg.policy);
         for sid in 0..nsched {
-            debug_assert_eq!(
-                self.sched_ready[sid],
-                self.recount_issuable(sid),
-                "incremental issuable count out of sync (scheduler {sid})"
-            );
-            if self.sched_ready[sid] == 0 {
+            if cfg!(debug_assertions) {
+                self.check_gates(sid, now);
+            }
+            // A stalled scheduler's cycle is charged to its first candidate
+            // in policy order, fixed before any try: under OWF a try can
+            // make the warp an extended-set holder.
+            let (gate, manager) = (&self.gate, &self.manager);
+            let Some(first) = self.sched[sid].next(
+                policy,
+                &mut Walk::default(),
+                |s| gate[s as usize] != NOT_ISSUABLE,
+                |s| manager.holds_extended(WarpId(s)),
+            ) else {
                 self.stats.empty_scheduler_cycles += 1;
                 self.probe.empty_scheds += 1;
                 continue;
-            }
-            let (warps, manager) = (&self.warps, &self.manager);
-            self.sched[sid].issue_order(
-                self.cfg.policy,
-                |s| warps[s as usize].as_ref().is_some_and(WarpState::issuable),
-                |s| manager.scheduling_priority(WarpId(s)),
-                &mut order,
-            );
-            let mut first_block: Option<StallReason> = None;
-            let mut issued = false;
-            for &slot in &order {
+            };
+            // Try the candidates in policy order up to the first issue,
+            // passing over the warps whose cached scoreboard verdict still
+            // holds (`gate`): trying one would stall with no side effect.
+            let mut first_try: Option<StallReason> = None;
+            let mut walk = Walk::default();
+            let issued = loop {
+                let (gate, manager) = (&self.gate, &self.manager);
+                let Some(slot) = self.sched[sid].next(
+                    policy,
+                    &mut walk,
+                    |s| gate[s as usize] <= now,
+                    |s| manager.holds_extended(WarpId(s)),
+                ) else {
+                    break false;
+                };
                 match self.try_issue(slot as usize, now) {
                     Ok(()) => {
                         self.sched[sid].last_issued = Some(slot);
                         self.sched[sid].rr_cursor = slot;
                         self.last_progress = now;
                         self.probe.issued = true;
-                        issued = true;
-                        break;
+                        break true;
                     }
                     Err(Blocked::Stall { reason, wake }) => {
-                        first_block.get_or_insert(reason);
-                        if let Some(at) = wake {
-                            self.probe.wake = Some(self.probe.wake.map_or(at, |cur| cur.min(at)));
-                        }
+                        first_try.get_or_insert(reason);
+                        self.probe.note_wake(wake);
                     }
-                    Err(Blocked::Fatal(fault)) => {
-                        self.order_buf = order;
-                        return Err(fault);
-                    }
+                    Err(Blocked::Fatal(fault)) => return Err(fault),
                 }
-            }
+            };
             if !issued {
-                if let Some(r) = first_block {
-                    self.stats.note_stall(r);
-                    self.probe.stalls[r.index()] += 1;
+                // The passed-over warps stall on their scoreboards until
+                // their gate cycles; so does any tried warp that a write in
+                // flight blocked.
+                for &slot in self.sched[sid].resident() {
+                    let until = self.gate[slot as usize];
+                    if now < until && until != NOT_ISSUABLE {
+                        self.probe.note_wake(Some(until));
+                    }
                 }
+                let reason = if now < self.gate[first as usize] {
+                    StallReason::Scoreboard
+                } else {
+                    // Not blocked on its scoreboard, so it was tried first.
+                    first_try.expect("the first candidate was tried")
+                };
+                self.stats.note_stall(reason);
+                self.probe.stalls[reason.index()] += 1;
             }
         }
-        self.order_buf = order;
 
         self.retire_finished_ctas();
         self.stats.cycles = now + 1;
@@ -391,13 +433,26 @@ impl Sm {
         Ok(())
     }
 
-    /// Recount a scheduler's issuable warps from scratch — debug cross-check
-    /// of the incremental `sched_ready` bookkeeping.
-    fn recount_issuable(&self, sid: usize) -> u32 {
-        (sid..self.warps.len())
-            .step_by(self.sched.len())
-            .filter(|&slot| self.warps[slot].as_ref().is_some_and(|w| w.issuable()))
-            .count() as u32
+    /// Debug cross-check of the incremental `gate` bookkeeping for one
+    /// scheduler's slots against the warps, including every cached
+    /// scoreboard verdict still in force at `now`.
+    fn check_gates(&self, sid: usize, now: u64) {
+        for slot in (sid..self.warps.len()).step_by(self.sched.len()) {
+            let until = self.gate[slot];
+            let Some(w) = self.warps[slot].as_ref().filter(|w| w.issuable()) else {
+                assert_eq!(until, NOT_ISSUABLE, "gate of idle slot {slot}");
+                continue;
+            };
+            if now < until {
+                let instr = &self.image.kernel.instrs[w.pc as usize];
+                assert_eq!(
+                    w.scoreboard_block(instr, now),
+                    Some(until),
+                    "stale scoreboard verdict (slot {slot}, pc {})",
+                    w.pc
+                );
+            }
+        }
     }
 
     /// Attempt to issue the next instruction of the warp in `slot`.
@@ -414,24 +469,6 @@ impl Sm {
             let w = self.warps[slot].as_mut().expect("issuing absent warp");
             let instr = &image.kernel.instrs[w.pc as usize];
 
-            // A scoreboard verdict found on an earlier cycle still holds
-            // until its wake cycle: the pending set only grows when this
-            // warp issues, the stall below returns before any manager,
-            // ledger or memory call, and reconverging at an unchanged PC is
-            // idempotent.
-            if now < w.scoreboard_until {
-                debug_assert_eq!(
-                    w.scoreboard_block(instr, now),
-                    Some(w.scoreboard_until),
-                    "stale scoreboard verdict (warp {slot}, pc {})",
-                    w.pc
-                );
-                return Err(Blocked::Stall {
-                    reason: StallReason::Scoreboard,
-                    wake: Some(w.scoreboard_until),
-                });
-            }
-
             // Reconverge masked-off lanes arriving at their rejoin point.
             let rejoined = w.simt.reconverge_at(w.pc);
             w.active_mask |= rejoined;
@@ -441,7 +478,7 @@ impl Sm {
             // instruction touches drains — that cycle is the wake hint.
             w.drain_scoreboard(now);
             if let Some(ready) = w.scoreboard_block(instr, now) {
-                w.scoreboard_until = ready;
+                self.gate[slot] = ready;
                 return Err(Blocked::Stall {
                     reason: StallReason::Scoreboard,
                     wake: Some(ready),
@@ -456,7 +493,7 @@ impl Sm {
                     self.stats.instructions += 1;
                     let cta = w.cta;
                     w.at_barrier = true;
-                    self.sched_ready[slot % self.sched.len()] -= 1;
+                    self.gate[slot] = NOT_ISSUABLE;
                     if self.barrier.arrive(cta) {
                         // Completed by this arrival (includes self).
                         After::BarrierComplete(cta)
@@ -526,7 +563,7 @@ impl Sm {
                 Op::Exit => {
                     debug_assert!(w.simt.is_converged(), "exit inside divergence");
                     w.done = true;
-                    self.sched_ready[slot % self.sched.len()] -= 1;
+                    self.gate[slot] = NOT_ISSUABLE;
                     self.live_warps -= 1;
                     w.issued += 1;
                     self.stats.instructions += 1;
@@ -546,19 +583,20 @@ impl Sm {
                         BranchBehavior::Loop { trips } => {
                             let key = w.warp_key;
                             let seed = image.kernel.seed;
-                            let remaining = w.loop_counters.entry(ord).or_insert_with(|| {
+                            let counter = &mut w.loop_counters[ord as usize];
+                            let remaining = counter.get_or_insert_with(|| {
                                 trips.resolve(key, mix(seed, u64::from(ord))).max(1) - 1
                             });
                             if *remaining > 0 {
                                 *remaining -= 1;
                                 w.pc = target;
                             } else {
-                                w.loop_counters.remove(&ord);
+                                *counter = None;
                                 w.pc += 1;
                             }
                         }
                         BranchBehavior::If { taken_permille } => {
-                            let occ = w.occurrences.entry(ord).or_insert(0);
+                            let occ = &mut w.occurrences[ord as usize];
                             *occ += 1;
                             let taken = decide(
                                 taken_permille,
@@ -568,7 +606,7 @@ impl Sm {
                             w.pc = if taken { target } else { w.pc + 1 };
                         }
                         BranchBehavior::Divergent { taken_permille } => {
-                            let occ = w.occurrences.entry(ord).or_insert(0);
+                            let occ = &mut w.occurrences[ord as usize];
                             *occ += 1;
                             let occ = *occ;
                             let mut taken_mask = 0u64;
@@ -614,10 +652,7 @@ impl Sm {
                     {
                         return Err(Blocked::Stall {
                             reason: StallReason::RegAlloc,
-                            // RFV admission is time-dependent (spill
-                            // trigger counts stalled cycles): retry every
-                            // cycle, which disables skipping.
-                            wake: Some(now + 1),
+                            wake: self.manager.pre_access_wake(now),
                         });
                     }
                     // Validate every operand's physical mapping + ownership,
@@ -742,35 +777,11 @@ impl Sm {
         // --- Phase 2: effects that touch other warps / CTA records -------
         match after {
             After::None => {}
-            After::BarrierComplete(cta) => {
-                if let Some(rc) = self.resident.iter().find(|r| r.cta == cta) {
-                    for &s in &rc.slots {
-                        if let Some(w) = self.warps[s.index()].as_mut() {
-                            if w.at_barrier {
-                                w.at_barrier = false;
-                                if !w.done {
-                                    self.sched_ready[s.index() % self.sched.len()] += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            After::BarrierComplete(cta) => self.release_barrier(cta),
             After::Exit(cta, warp_checksum) => {
                 self.stats.checksum = value::combine_checksums(self.stats.checksum, warp_checksum);
                 if self.barrier.warp_exited(cta) {
-                    if let Some(rc) = self.resident.iter().find(|r| r.cta == cta) {
-                        for &s in &rc.slots {
-                            if let Some(w) = self.warps[s.index()].as_mut() {
-                                if w.at_barrier {
-                                    w.at_barrier = false;
-                                    if !w.done {
-                                        self.sched_ready[s.index() % self.sched.len()] += 1;
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    self.release_barrier(cta);
                 }
                 if let Some(rc) = self.resident.iter_mut().find(|r| r.cta == cta) {
                     rc.live_warps -= 1;
@@ -778,6 +789,21 @@ impl Sm {
             }
         }
         Ok(())
+    }
+
+    /// Wake the warps of `cta` parked at its barrier.
+    fn release_barrier(&mut self, cta: CtaId) {
+        let Some(rc) = self.resident.iter().find(|r| r.cta == cta) else {
+            return;
+        };
+        for &s in &rc.slots {
+            if let Some(w) = self.warps[s.index()].as_mut().filter(|w| w.at_barrier) {
+                w.at_barrier = false;
+                if !w.done {
+                    self.gate[s.index()] = 0;
+                }
+            }
+        }
     }
 
     /// Admit queued CTAs while resources allow.
@@ -792,9 +818,8 @@ impl Sm {
             if self.shmem_used + kernel_shmem > self.cfg.shmem_per_sm {
                 break;
             }
-            // Reuse a persistent scratch buffer for the candidate slot list:
-            // a failed admission attempt runs every cycle while CTAs queue,
-            // and must not allocate on that hot path.
+            // Reuse a persistent scratch buffer for the candidate slot list,
+            // so that a failed admission attempt does not allocate.
             self.slot_buf.clear();
             for (i, w) in self.warps.iter().enumerate() {
                 if self.slot_buf.len() == wpc {
@@ -830,9 +855,10 @@ impl Sm {
                     i as u32,
                     self.image.kernel.seed,
                     regs,
+                    self.image.branches,
                     fm,
                 ));
-                self.sched_ready[slot.index() % nsched] += 1;
+                self.gate[slot.index()] = 0;
                 self.sched[slot.index() % nsched].admit(slot.0);
                 self.live_warps += 1;
             }

@@ -1,7 +1,5 @@
 //! Per-warp execution state.
 
-use std::collections::HashMap;
-
 use regmutex_isa::{mix, CtaId, Instr, WarpId};
 
 use crate::simt::SimtStack;
@@ -91,15 +89,11 @@ pub struct WarpState {
     /// the per-cycle scoreboard drain is a single comparison until the next
     /// writeback actually matures.
     pending_min: u64,
-    /// Cached scoreboard verdict: the instruction at `pc` is blocked on a
-    /// pending write until this cycle. Set by the issue stage when it finds
-    /// the block; any cycle before it would find the same block, since the
-    /// pending set only grows when this warp issues.
-    pub(crate) scoreboard_until: u64,
-    /// Remaining-iteration counters per loop-branch ordinal.
-    pub loop_counters: HashMap<u32, u32>,
-    /// Dynamic occurrence counters per branch ordinal (seeds `If` choices).
-    pub occurrences: HashMap<u32, u32>,
+    /// Remaining-iteration counter per branch ordinal; `None` until the
+    /// loop branch is first reached and again once the loop exits.
+    pub loop_counters: Vec<Option<u32>>,
+    /// Dynamic occurrence counter per branch ordinal (seeds `If` choices).
+    pub occurrences: Vec<u32>,
     /// Warp-local store checksum.
     pub checksum: u64,
     /// Warp has executed `exit`.
@@ -113,13 +107,15 @@ pub struct WarpState {
 impl WarpState {
     /// Fresh warp state at PC 0 with `regs` architected registers whose
     /// initial values are a deterministic function of the warp key (standing
-    /// in for thread-id/special-register reads at kernel entry).
+    /// in for thread-id/special-register reads at kernel entry), and branch
+    /// counters for a kernel with `branches` branches.
     pub fn new(
         slot: WarpId,
         cta: CtaId,
         warp_in_cta: u32,
         kernel_seed: u64,
         regs: u16,
+        branches: usize,
         full_mask: u64,
     ) -> Self {
         let warp_key = mix(
@@ -138,9 +134,8 @@ impl WarpState {
             regs: reg_values,
             pending: Vec::new(),
             pending_min: u64::MAX,
-            scoreboard_until: 0,
-            loop_counters: HashMap::new(),
-            occurrences: HashMap::new(),
+            loop_counters: vec![None; branches],
+            occurrences: vec![0; branches],
             checksum: 0,
             done: false,
             at_barrier: false,
@@ -214,7 +209,7 @@ mod tests {
     use super::*;
 
     fn warp() -> WarpState {
-        WarpState::new(WarpId(3), CtaId(1), 2, 42, 8, 0xFFFF_FFFF)
+        WarpState::new(WarpId(3), CtaId(1), 2, 42, 8, 0, 0xFFFF_FFFF)
     }
 
     #[test]
@@ -229,10 +224,10 @@ mod tests {
 
     #[test]
     fn initial_values_depend_on_cta_not_slot() {
-        let a = WarpState::new(WarpId(0), CtaId(1), 2, 42, 8, u64::MAX);
-        let b = WarpState::new(WarpId(5), CtaId(1), 2, 42, 8, u64::MAX);
+        let a = WarpState::new(WarpId(0), CtaId(1), 2, 42, 8, 0, u64::MAX);
+        let b = WarpState::new(WarpId(5), CtaId(1), 2, 42, 8, 0, u64::MAX);
         assert_eq!(a.regs, b.regs);
-        let c = WarpState::new(WarpId(0), CtaId(2), 2, 42, 8, u64::MAX);
+        let c = WarpState::new(WarpId(0), CtaId(2), 2, 42, 8, 0, u64::MAX);
         assert_ne!(a.regs, c.regs);
     }
 

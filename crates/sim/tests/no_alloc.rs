@@ -2,9 +2,10 @@
 //!
 //! The device loop calls `step` once per simulated cycle (modulo cycle
 //! skipping), so a single allocation on that path multiplies into millions
-//! over a run. The SM keeps reusable scratch buffers (`cand_buf`,
-//! `slot_buf`) precisely so the hot path stays allocation-free; this test
-//! pins that property with a counting global allocator.
+//! over a run. The issue walk is a cursor over lists the schedulers already
+//! keep, and admission reuses a scratch buffer (`slot_buf`), precisely so
+//! the hot path stays allocation-free; this test pins that property, under
+//! every scheduling policy, with a counting global allocator.
 //!
 //! Gated behind the `count-alloc` feature because a `#[global_allocator]`
 //! wraps every allocation in the whole test process:
@@ -23,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use regmutex_isa::{ArchReg, CtaId, KernelBuilder, TripCount};
-use regmutex_sim::{GpuConfig, KernelImage, Sm, StaticManager};
+use regmutex_sim::{GpuConfig, KernelImage, SchedulerPolicy, Sm, StaticManager};
 
 /// Counts allocation events (alloc + realloc); frees are not interesting
 /// here — a steady-state step must not request memory at all.
@@ -56,10 +57,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn steady_state_step_does_not_allocate() {
     // Memory-bound loop: each trip stalls the warp on a `gmem_latency`-long
     // load, giving long windows of no-issue, no-admission steps — the
-    // steady state the cycle-skipping engine replays multiplicatively.
+    // steady state the cycle-skipping engine replays multiplicatively. Four
+    // warps, so each policy's walk has several candidates to pass over.
     let r = ArchReg;
     let mut b = KernelBuilder::new("noalloc");
-    b.threads_per_cta(32);
+    b.threads_per_cta(128);
     b.movi(r(0), 1);
     let top = b.here();
     b.ld_global(r(1), r(0));
@@ -68,15 +70,36 @@ fn steady_state_step_does_not_allocate() {
     b.exit();
     let kernel = b.build().expect("kernel builds");
 
-    let cfg = GpuConfig::test_tiny();
     let regs = kernel.regs_per_thread;
     let image = Arc::new(KernelImage::new(kernel));
-    // One CTA: once admitted, `pending_ctas` is empty and `fill_ctas` is a
-    // pure front-check, so every subsequent no-issue step is steady state.
+    for policy in [
+        SchedulerPolicy::Gto,
+        SchedulerPolicy::Lrr,
+        SchedulerPolicy::OwnerWarpFirst,
+    ] {
+        let cfg = GpuConfig {
+            policy,
+            ..GpuConfig::test_tiny()
+        };
+        let steady_steps = run_steady_window(&cfg, &image, regs);
+        assert!(
+            steady_steps > 100,
+            "{policy:?}: only {steady_steps} steady-state steps observed; \
+             workload not memory-bound enough"
+        );
+    }
+}
+
+/// Step one SM through warm-up and then a measured window, asserting that
+/// no step of the window that neither issued nor admitted allocated; returns
+/// how many such steps there were.
+fn run_steady_window(cfg: &GpuConfig, image: &Arc<KernelImage>, regs: u16) -> u32 {
+    // One CTA: once it is admitted nothing is queued, so every later
+    // no-issue step is steady state.
     let mut sm = Sm::new(
         cfg.clone(),
-        image,
-        Box::new(StaticManager::new(&cfg, regs)),
+        Arc::clone(image),
+        Box::new(StaticManager::new(cfg, regs)),
         [CtaId(0)],
     );
 
@@ -107,14 +130,12 @@ fn steady_state_step_does_not_allocate() {
             assert_eq!(
                 allocs_after - allocs_before,
                 0,
-                "steady-state step allocated at cycle {now}"
+                "{:?}: steady-state step allocated at cycle {now}",
+                cfg.policy
             );
             steady_steps += 1;
         }
         now += 1;
     }
-    assert!(
-        steady_steps > 100,
-        "only {steady_steps} steady-state steps observed; workload not memory-bound enough"
-    );
+    steady_steps
 }

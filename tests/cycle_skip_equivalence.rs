@@ -3,13 +3,13 @@
 //! The fast-forward loop in `regmutex-sim` only ever skips cycles whose
 //! steps it can prove would replay byte-for-byte, folding their stat deltas
 //! in multiplicatively. These tests pin that equivalence end to end: every
-//! registered workload, two techniques, three kernel seeds, and fault
-//! campaigns (including one that must end in a deadlock verdict) produce
-//! field-for-field identical [`SimStats`] with skipping on and off — the
-//! only permitted differences are the two meta-counters the engine itself
-//! maintains (`skipped_cycles`, `step_calls`). Each check runs on the one
-//! sampled SM the experiments use and again on the whole device, where the
-//! skip target is a minimum over SMs in different states.
+//! registered workload under all five techniques and several kernel seeds,
+//! and fault campaigns (including one that must end in a deadlock verdict)
+//! produce field-for-field identical [`SimStats`] with skipping on and off —
+//! the only permitted differences are the two meta-counters the engine
+//! itself maintains (`skipped_cycles`, `step_calls`). The checks run on the
+//! one sampled SM the experiments use and again on the whole device, where
+//! the skip target is a minimum over SMs in different states.
 
 use std::sync::Arc;
 
@@ -55,8 +55,17 @@ fn launch_for(w: &Workload, cfg: &GpuConfig) -> LaunchConfig {
 fn every_workload_technique_and_seed_is_skip_invariant() {
     let mut any_skipped = false;
     for w in suite::all() {
-        for technique in [Technique::Baseline, Technique::RegMutex] {
-            for seed_step in 0..3u64 {
+        // Every technique; the baseline and RegMutex under three seeds.
+        // RFV's allocation stalls retry every cycle, and OWF's lock waits
+        // skip until an issue.
+        for (technique, seeds) in [
+            (Technique::Baseline, 3u64),
+            (Technique::RegMutex, 3),
+            (Technique::RegMutexPaired, 1),
+            (Technique::Rfv, 1),
+            (Technique::Owf, 1),
+        ] {
+            for seed_step in 0..seeds {
                 // Distinct seeds perturb per-warp trip counts and divergence
                 // outcomes, changing where the steady-state windows fall.
                 let mut kernel = w.kernel.clone();
