@@ -1,8 +1,8 @@
 //! Process-wide, byte-bounded result cache for simulation jobs.
 //!
-//! PR 1 gave every [`Runner`](crate::Runner) a private, unbounded
+//! Each [`Runner`](crate::Runner) once had a private, unbounded
 //! content-addressed map of completed simulations. That was enough for a
-//! one-shot figure binary, but a long-lived serving process (`regmutex-cli
+//! one-shot figure run, but a long-lived serving process (`regmutex-cli
 //! serve`) needs the opposite trade-offs:
 //!
 //! * **Shared** — every worker and every [`Runner`] in the process should
@@ -30,7 +30,7 @@ use regmutex::{RunError, RunReport};
 /// once will deadlock every time, so re-simulating it is pure waste).
 pub type CachedResult = Result<RunReport, RunError>;
 
-/// Default byte budget: 64 MiB, far above what the 19 paper binaries need
+/// Default byte budget: 64 MiB, far above what the 19 paper figures need
 /// (their whole job matrix is a few hundred reports) while still bounding
 /// a serving process under adversarial job mixes.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 * 1024 * 1024;

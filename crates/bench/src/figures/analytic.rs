@@ -1,0 +1,368 @@
+//! The outputs that simulate nothing through the runner: Figs 1–3,
+//! Table I and the storage table. Each renders from a trace, a compile, a
+//! closed-form model, or (Fig 2) its own traced run.
+
+use std::fmt::Write as _;
+
+use regmutex::{cycle_reduction_percent, storage, RunError, RunReport, Session, Technique};
+use regmutex_compiler::{analyze, live_trace, CompileOptions};
+use regmutex_isa::{ArchReg, Kernel, KernelBuilder, TripCount};
+use regmutex_sim::{GpuConfig, LaunchConfig, TraceEvent};
+use regmutex_workloads::suite;
+
+use super::Failures;
+use crate::cache::CachedResult;
+use crate::report::Table;
+use crate::source::MatrixJob;
+
+fn r(i: u16) -> ArchReg {
+    ArchReg(i)
+}
+
+/// Applications shown in the paper's Fig 1.
+const APPS: [&str; 6] = [
+    "CUTCP",
+    "DWT2D",
+    "HeartWall",
+    "HotSpot3D",
+    "ParticleFilter",
+    "SAD",
+];
+
+/// Render one trace as a coarse sparkline over `buckets` buckets.
+fn sparkline(percentages: &[f64], buckets: usize) -> String {
+    const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    if percentages.is_empty() {
+        return String::new();
+    }
+    let chunk = percentages.len().div_ceil(buckets);
+    percentages
+        .chunks(chunk)
+        .map(|c| {
+            let avg = c.iter().sum::<f64>() / c.len() as f64;
+            let idx = ((avg / 100.0) * (GLYPHS.len() as f64 - 1.0)).round() as usize;
+            GLYPHS[idx.min(GLYPHS.len() - 1)]
+        })
+        .collect()
+}
+
+/// Figure 1: live-register utilization of a sample thread during kernel
+/// execution.
+///
+/// For the six applications the paper plots (CUTCP, DWT2D, HeartWall,
+/// HotSpot3D, ParticleFilter, SAD), traces one warp dynamically and prints
+/// the percentage of live registers (w.r.t. the allocation) in fixed-width
+/// buckets, plus the summary statistics. Paper reference: "for the majority
+/// of the program execution only subsets of the requested registers are
+/// alive", with constant fluctuation.
+pub(super) fn fig01(_: &[MatrixJob], _: &[CachedResult]) -> (String, i32) {
+    (liveness(false), 0)
+}
+
+/// [`fig01`] followed by every trace's per-instruction percentages as CSV.
+pub(super) fn fig01_csv(_: &[MatrixJob], _: &[CachedResult]) -> (String, i32) {
+    (liveness(true), 0)
+}
+
+fn liveness(csv: bool) -> String {
+    let traces: Vec<(&str, Vec<f64>, f64)> = APPS
+        .iter()
+        .filter_map(|name| suite::by_name(name))
+        .map(|w| {
+            let trace = live_trace(&w.kernel, 20_000);
+            (w.name, trace.percentages(), trace.mean_utilization())
+        })
+        .collect();
+    let mut table = Table::new(&["app", "instrs", "mean", "min", "max", "profile (time →)"]);
+    for (name, p, mean) in &traces {
+        let min = p.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = p.iter().cloned().fold(0.0f64, f64::max);
+        table.row(vec![
+            name.to_string(),
+            p.len().to_string(),
+            format!("{mean:.0}%"),
+            format!("{min:.0}%"),
+            format!("{max:.0}%"),
+            sparkline(p, 64),
+        ]);
+    }
+    let mut out = format!(
+        "Figure 1 — % of allocated registers live, per executed instruction\n\
+         (one warp traced; paper: utilization fluctuates, mostly well below 100%)\n\n{}\n\
+         Series data (CSV): run with --csv to dump per-instruction percentages.\n",
+        table.render()
+    );
+    for (name, p, _) in traces.iter().filter(|_| csv) {
+        let _ = writeln!(out, "# {name}");
+        for (i, v) in p.iter().enumerate() {
+            let _ = writeln!(out, "{i},{v:.2}");
+        }
+    }
+    out
+}
+
+/// The Fig 2 machine: one SM with 48 registers per thread worth of RF and
+/// two warp slots.
+fn fig2_config() -> GpuConfig {
+    GpuConfig {
+        num_sms: 1,
+        regs_per_sm: 48 * 32,
+        max_warps_per_sm: 2,
+        max_ctas_per_sm: 2,
+        num_schedulers: 1,
+        alu_latency: 4,
+        sfu_latency: 8,
+        shmem_latency: 10,
+        gmem_latency: 80,
+        max_outstanding_mem: 16,
+        watchdog_cycles: 10_000_000,
+        ..GpuConfig::gtx480()
+    }
+}
+
+/// A kernel demanding 31 registers with base-phase memory work and a
+/// 31-register spike.
+fn fig2_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("fig2");
+    b.threads_per_cta(32).declared_regs(31);
+    for i in 0..6 {
+        b.movi(r(i), 10 + u64::from(i));
+    }
+    let top = b.here();
+    b.ld_global(r(6), r(0));
+    b.iadd(r(1), r(6), r(1));
+    b.ld_global(r(6), r(1));
+    b.iadd(r(0), r(6), r(0));
+    // Spike to 31 live: r6..r30 (25) + 6 persistent.
+    for i in 6..31 {
+        b.xor(r(i), r(i % 6), r((i + 1) % 6));
+    }
+    let mut i = 6;
+    while i + 1 < 31 {
+        b.imad(r(1), r(i), r(i + 1), r(1));
+        i += 2;
+    }
+    b.bra_loop(top, TripCount::Fixed(4));
+    b.st_global(r(0), r(1));
+    b.exit();
+    b.build().expect("fig2 kernel valid")
+}
+
+/// The two runs of warps A and B: baseline, then RegMutex (traced).
+fn simulate(
+    cfg: &GpuConfig,
+    kernel: &Kernel,
+) -> Result<(RunReport, RunReport, Vec<TraceEvent>), RunError> {
+    let launch = LaunchConfig::new(2);
+    let baseline = Session::new(cfg.clone()).run(kernel, launch, Technique::Baseline)?;
+    let options = CompileOptions {
+        force_es: Some(16),
+        force_apply: true,
+    };
+    let session = Session::with_options(cfg.clone(), options);
+    let compiled = session.compile(kernel)?;
+    let (rm, trace) = session.run_compiled_traced(&compiled, launch, Technique::RegMutex)?;
+    Ok((baseline, rm, trace))
+}
+
+/// Figure 2: the illustrative two-warp example.
+///
+/// A machine with 48 hardware registers per thread runs a kernel demanding
+/// 31 registers per thread. The baseline cannot co-locate two warps (2 ×
+/// 32 rounded = 64 > 48) and serializes them; RegMutex with |Bs| = 16 and
+/// |Es| = 16 overlaps their base-set phases and time-shares one SRP
+/// section for the spikes. Runs its own traced simulation instead of
+/// submitting jobs: the timeline needs the issue trace, which job results
+/// do not carry.
+pub(super) fn fig02(_: &[MatrixJob], _: &[CachedResult]) -> (String, i32) {
+    let mut fails = Failures::among(2);
+    let cfg = fig2_config();
+    let (baseline, rm, trace) = match simulate(&cfg, &fig2_kernel()) {
+        Ok(runs) => runs,
+        Err(e) => {
+            fails.push("fig2", e);
+            return fails.finish(String::new());
+        }
+    };
+    if baseline.stats.checksum != rm.stats.checksum {
+        fails.push("fig2/regmutex", "functional divergence from the baseline");
+    }
+    if rm.cycles() >= baseline.cycles() {
+        fails.push("fig2/regmutex", "RegMutex did not overlap the two warps");
+    }
+    fails.finish(format!(
+        "Figure 2 — two warps, 48 hardware registers/thread, kernel wants 31\n\n\
+         Register-file layout under RegMutex (|Bs|=16, |Es|=16):\n  \
+         rows   0..16   warp A base set   (static, exclusive)\n  \
+         rows  16..32   warp B base set   (static, exclusive)\n  \
+         rows  32..48   shared pool       (one Es section, time-shared)\n\n\
+         baseline : {} cycles — warps serialized (2 x 32 rounded regs > 48)\n\
+         regmutex : {} cycles — base phases overlap; {} acquires ({} successful)\n\n\
+         cycle reduction: {:.1}% (paper's figure illustrates the same overlap)\n\n\
+         RegMutex execution timeline (Fig 2(b), from the actual run):\n{}",
+        baseline.cycles(),
+        rm.cycles(),
+        rm.stats.acquire_attempts,
+        rm.stats.acquire_successes,
+        cycle_reduction_percent(&baseline, &rm),
+        regmutex_sim::render_timeline(&trace, cfg.max_warps_per_sm, 72)
+    ))
+}
+
+/// Figure 3: a DWT2D-like code sample and its static register liveness.
+///
+/// Reconstructs the paper's example: R1 live within a straight-line block;
+/// R3 defined before a branch and used in only one arm — conservatively
+/// live through the sibling block; R2 defined inside an arm and used at
+/// the post-dominator — conservatively live along the other path too.
+/// Prints the per-instruction live vectors the way `nvdisasm` does.
+pub(super) fn fig03(_: &[MatrixJob], _: &[CachedResult]) -> (String, i32) {
+    // s0: defs; s1: fall-through arm; s2: join (post-dominator).
+    let mut b = KernelBuilder::new("fig3-dwt2d");
+    b.movi(r(2), 7); //  0: def R2 (used at the join unless redefined)
+    b.movi(r(3), 9); //  1: def R3 (used only in the arm)
+    b.movi(r(1), 1); //  2: def R1
+    b.iadd(r(1), r(1), r(2)); //  3: R1 live range inside s0/s1
+    let join = b.new_label();
+    b.bra_if(join, 500, Some(r(1))); //  4: branch
+    b.imul(r(4), r(3), r(3)); //  5: s1 — last use of R3
+    b.movi(r(2), 3); //  6: s1 — redefinition of R2
+    b.iadd(r(1), r(1), r(4)); //  7: s1
+    b.place(join);
+    b.st_global(r(2), r(1)); //  8: s2 — uses R2 (both defs reach here)
+    b.exit(); //  9
+    let k = b.build().expect("fig3 kernel valid");
+    let lv = analyze(&k);
+
+    let mut out = String::from("Figure 3 — code sample and static register liveness\n\n");
+    let regs = k.regs_per_thread;
+    let header: String = (0..regs).map(|i| format!(" R{i}")).collect();
+    let _ = writeln!(out, "{:>4}  {:<24} {}", "pc", "instruction", header);
+    for (pc, instr) in k.instrs.iter().enumerate() {
+        let marks: String = (0..regs)
+            .map(|reg| {
+                let live =
+                    lv.live_in[pc].contains(reg as usize) || lv.live_out[pc].contains(reg as usize);
+                format!(" {:>2}", if live { "x" } else { "." })
+            })
+            .collect();
+        let _ = writeln!(out, "{pc:>4}  {:<24} {marks}", instr.to_string());
+    }
+
+    out += "\nPaper's observations, verified here:\n";
+    let observed = [
+        // R3 is live at the branch although used only in one arm.
+        lv.live_in[4].contains(3),
+        // R2's original value is live across the branch because the taken
+        // path reaches the join without the redefinition.
+        lv.live_out[4].contains(2),
+        // R3 dies after its last use in the arm.
+        !lv.live_out[5].contains(3),
+    ];
+    let mut fails = Failures::among(observed.len());
+    for (holds, claim) in observed.into_iter().zip(FIG3_CLAIMS) {
+        if holds {
+            let _ = writeln!(out, "  * {claim}");
+        } else {
+            fails.push("fig3", format_args!("not observed: {claim}"));
+        }
+    }
+    fails.finish(out)
+}
+
+/// What Fig 3's example shows, in `observed` order.
+const FIG3_CLAIMS: [&str; 3] = [
+    "R3 (used only in s1) is conservatively live at the branch (pc 4)",
+    "R2 (redefined in s1, used at s2) is live along both paths",
+    "R3 dies after its last use at pc 5",
+];
+
+/// Table I: the workloads, their per-thread register demand (with the
+/// rounded value in parentheses) and RegMutex's computed base-set size.
+///
+/// The `|Bs|` column is *computed by the heuristic* on each application's
+/// home architecture (the baseline GPU for the Fig 7 group, the half-RF
+/// variant for the Fig 8 group) and must match the paper's Table I.
+pub(super) fn table01(_: &[MatrixJob], _: &[CachedResult]) -> (String, i32) {
+    let mut table = Table::new(&[
+        "application",
+        "# regs",
+        "|Bs| (computed)",
+        "|Bs| (paper)",
+        "|Es|",
+        "SRP sections",
+        "group",
+    ]);
+    let apps = suite::all();
+    let mut fails = Failures::among(apps.len());
+    let mut matches = 0;
+    for w in &apps {
+        let session = Session::new(w.table_config());
+        let compiled = session
+            .compile(&w.kernel)
+            .inspect_err(|e| fails.push(w.name, e));
+        let Ok(compiled) = compiled else { continue };
+        let (bs, es, srp) = match compiled.plan {
+            Some(p) => (
+                p.bs.to_string(),
+                p.es.to_string(),
+                p.srp_sections.to_string(),
+            ),
+            None => ("-".into(), "-".into(), "-".into()),
+        };
+        if bs == w.table_bs.to_string() {
+            matches += 1;
+        }
+        let rounded = session.config().round_regs(w.table_regs);
+        table.row(vec![
+            w.name.to_string(),
+            format!("{} ({})", w.table_regs, rounded),
+            bs,
+            w.table_bs.to_string(),
+            es,
+            srp,
+            format!("{:?}", w.group),
+        ]);
+    }
+    fails.finish(format!(
+        "Table I — workloads, register demand, and RegMutex base-set sizes\n\n{}\n\
+         {matches} of {} computed |Bs| values match the paper's Table I\n",
+        table.render(),
+        apps.len()
+    ))
+}
+
+/// §III-B1 / §IV-C storage-overhead comparison.
+///
+/// Paper reference: RegMutex adds 384 bits per SM; RFV needs 30,240 bits
+/// of renaming table + 1,024 bits of availability mask (31,264 total) —
+/// more than 81× RegMutex; the paired-warps specialization needs only
+/// `Nw/2` bits.
+pub(super) fn table_storage(_: &[MatrixJob], _: &[CachedResult]) -> (String, i32) {
+    let mut out = String::new();
+    for (label, cfg) in [
+        ("baseline (128 KB RF)", GpuConfig::gtx480()),
+        ("half RF (64 KB)", GpuConfig::gtx480_half_rf()),
+    ] {
+        let _ = writeln!(out, "Storage overhead per SM — {label}\n");
+        let mut table = Table::new(&["technique", "bits", "vs RegMutex"]);
+        let rm = storage::regmutex_bits(&cfg);
+        for row in storage::comparison(&cfg) {
+            let ratio = row.bits as f64 / rm as f64;
+            table.row(vec![
+                row.technique.to_string(),
+                row.bits.to_string(),
+                format!("{ratio:.2}x"),
+            ]);
+        }
+        out += &table.render();
+        out.push('\n');
+    }
+    let cfg = GpuConfig::gtx480();
+    let _ = writeln!(
+        out,
+        "RFV / RegMutex = {}x (paper: more than 81x)",
+        storage::rfv_bits(&cfg) / storage::regmutex_bits(&cfg)
+    );
+    (out, 0)
+}

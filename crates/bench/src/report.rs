@@ -1,25 +1,4 @@
-//! Plain-text table formatting for the harness binaries.
-
-/// A row whose cell count does not match the table's header count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowArityError {
-    /// Header count.
-    pub expected: usize,
-    /// Offending row's cell count.
-    pub got: usize,
-}
-
-impl core::fmt::Display for RowArityError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "row has {} cells, table has {} columns",
-            self.got, self.expected
-        )
-    }
-}
-
-impl std::error::Error for RowArityError {}
+//! Plain-text table formatting for the figures.
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone)]
@@ -30,9 +9,9 @@ pub struct Table {
 
 impl Table {
     /// New table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
+    pub fn new<S: AsRef<str>>(headers: &[S]) -> Self {
         Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -43,30 +22,13 @@ impl Table {
     /// release sweep at render time: in release builds the row is
     /// normalized (short rows padded with empty cells, long rows
     /// truncated) and kept. Debug builds still panic so the bug is caught
-    /// in development. Use [`Table::try_row`] to handle the mismatch.
+    /// in development.
     pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
         debug_assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         let mut cells = cells;
         cells.resize(self.headers.len(), String::new());
         self.rows.push(cells);
         self
-    }
-
-    /// Append a row, reporting an arity mismatch instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`RowArityError`] when the cell count differs from the header
-    /// count; the table is left unchanged.
-    pub fn try_row(&mut self, cells: Vec<String>) -> Result<&mut Self, RowArityError> {
-        if cells.len() != self.headers.len() {
-            return Err(RowArityError {
-                expected: self.headers.len(),
-                got: cells.len(),
-            });
-        }
-        self.rows.push(cells);
-        Ok(self)
     }
 
     /// Render to a string.
@@ -100,11 +62,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 
@@ -140,11 +97,6 @@ impl GeoMean {
         } else {
             self.sum / f64::from(self.n)
         }
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u32 {
-        self.n
     }
 }
 
@@ -186,30 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn try_row_reports_arity() {
-        let mut t = Table::new(&["a", "b"]);
-        assert!(t.try_row(vec!["1".into(), "2".into()]).is_ok());
-        let err = t.try_row(vec!["x".into()]).unwrap_err();
-        assert_eq!(
-            err,
-            RowArityError {
-                expected: 2,
-                got: 1
-            }
-        );
-        assert_eq!(err.to_string(), "row has 1 cells, table has 2 columns");
-        // The failed row was not added.
-        assert_eq!(t.render().lines().count(), 3);
-    }
-
-    #[test]
     fn mean_accumulates() {
         let mut m = GeoMean::new();
         assert_eq!(m.mean(), 0.0);
         m.push(10.0);
         m.push(20.0);
         assert_eq!(m.mean(), 15.0);
-        assert_eq!(m.count(), 2);
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! Shared parallel experiment engine for the harness binaries.
+//! Shared parallel experiment engine for every figure and campaign.
 //!
-//! Every figure/table/ablation binary used to re-run its own
-//! `(kernel × config × technique)` matrix on the strictly single-threaded
-//! simulator, one simulation after another. Independent simulations are
-//! embarrassingly parallel, so this module gives all of them one engine:
+//! A figure is a `(kernel × config × technique)` matrix on the strictly
+//! single-threaded simulator. Independent simulations are embarrassingly
+//! parallel, so this module gives all of them one engine:
 //!
 //! * **Submission API** — describe each simulation as a [`JobSpec`]
 //!   (kernel, [`GpuConfig`], compile options, [`Technique`], launch) and
 //!   submit the whole batch with [`Runner::run_all`].
-//! * **Thread pool** — jobs execute across `std::thread` workers (default
-//!   [`std::thread::available_parallelism`], overridable with `--jobs N` on
-//!   every harness binary via [`Runner::from_env`]).
+//! * **Thread pool** — jobs execute across `std::thread` workers (see
+//!   [`default_jobs`]; the CLI's `--jobs N` overrides it).
 //! * **Determinism** — each simulation is single-threaded and seeded
 //!   exactly as before; the pool only changes *which OS thread* a job runs
 //!   on, never its inputs. Results come back in submission order, so a
@@ -179,18 +177,6 @@ impl Runner {
         self.tier.as_ref()
     }
 
-    /// An engine sized from the environment, in precedence order:
-    /// `--jobs N` (or `--jobs=N`) in `std::env::args`, then a
-    /// `REGMUTEX_JOBS` environment variable, then
-    /// [`std::thread::available_parallelism`]. Unknown flags are left for
-    /// the binary's own parsing; unparsable values fall through to the
-    /// next source.
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let env = std::env::var("REGMUTEX_JOBS").ok();
-        Self::new(jobs_from_env(&args, env.as_deref()))
-    }
-
     /// Worker-thread count.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -317,16 +303,6 @@ impl Runner {
         (result, false)
     }
 
-    /// Like [`Runner::run_all`], but panics (with the job's label) on the
-    /// first error — the behaviour every figure binary wants.
-    pub fn run_reports(&self, specs: &[JobSpec]) -> Vec<RunReport> {
-        self.run_all(specs)
-            .into_iter()
-            .zip(specs)
-            .map(|(r, s)| r.unwrap_or_else(|e| panic!("{}: {e}", s.label)))
-            .collect()
-    }
-
     /// One-line execution summary for stderr (stdout stays byte-stable).
     pub fn summary(&self) -> String {
         format!(
@@ -361,67 +337,41 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Render failed jobs as a fixed-width error table for the end of a sweep,
-/// or `None` when every job succeeded. Labels come from the specs, so the
-/// caller can tell exactly which `kernel/technique` combinations died.
-pub fn error_table(specs: &[JobSpec], results: &[Result<RunReport, RunError>]) -> Option<String> {
-    let failures: Vec<(&JobSpec, &RunError)> = specs
-        .iter()
-        .zip(results)
-        .filter_map(|(s, r)| r.as_ref().err().map(|e| (s, e)))
-        .collect();
+/// Render failures — `(job label, what went wrong)` — as the fixed-width
+/// error table that ends a sweep of `total` jobs, or `None` when nothing
+/// failed. The labels tell the reader exactly which `kernel/technique`
+/// combinations died.
+pub fn error_table(failures: &[(String, String)], total: usize) -> Option<String> {
     if failures.is_empty() {
         return None;
     }
     let width = failures
         .iter()
-        .map(|(s, _)| s.label.len())
+        .map(|(label, _)| label.len())
         .max()
         .unwrap_or(0)
         .max("job".len());
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{} of {} job(s) failed:\n",
-        failures.len(),
-        results.len()
-    ));
+    let mut out = format!("{} of {total} job(s) failed:\n", failures.len());
     out.push_str(&format!("  {:width$}  error\n", "job"));
-    for (spec, err) in failures {
-        out.push_str(&format!("  {:width$}  {err}\n", spec.label));
+    for (label, err) in failures {
+        out.push_str(&format!("  {label:width$}  {err}\n"));
     }
     Some(out)
 }
 
 /// Default worker count when no `--jobs`/`--workers` flag names one:
 /// `REGMUTEX_JOBS` if it holds a positive integer, else every available
-/// core. Every pool in the workspace (figure binaries, CLI verbs, the
-/// server) resolves its size through this one rule.
+/// core. Every pool in the workspace (the figures, CLI verbs, the server)
+/// resolves its size through this one rule.
 pub fn default_jobs() -> usize {
-    jobs_from_env(&[], std::env::var("REGMUTEX_JOBS").ok().as_deref())
+    jobs_from_env(std::env::var("REGMUTEX_JOBS").ok().as_deref())
 }
 
-/// Extract a `--jobs N` / `--jobs=N` override from an argument list.
-/// Returns `None` when absent; invalid values also fall back to `None` so
-/// a typo degrades to the default rather than aborting a long sweep.
-pub fn jobs_from_args(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            return it.next()?.parse().ok();
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().ok();
-        }
-    }
-    None
-}
-
-/// Resolve the worker count from an argument list plus an optional
-/// `REGMUTEX_JOBS` value: flag, then env, then every available core. A
-/// zero or unparsable env value falls through to the core count.
-pub fn jobs_from_env(args: &[String], env: Option<&str>) -> usize {
-    jobs_from_args(args)
-        .or_else(|| env.and_then(|v| v.trim().parse().ok()).filter(|&n| n > 0))
+/// [`default_jobs`] for a given `REGMUTEX_JOBS` value: a zero or
+/// unparsable value falls through to the core count.
+fn jobs_from_env(env: Option<&str>) -> usize {
+    env.and_then(|v| v.trim().parse().ok())
+        .filter(|&n| n > 0)
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -436,6 +386,15 @@ mod tests {
 
     fn r(i: u16) -> ArchReg {
         ArchReg(i)
+    }
+
+    /// Run a batch that must succeed.
+    fn reports(runner: &Runner, specs: &[JobSpec]) -> Vec<RunReport> {
+        runner
+            .run_all(specs)
+            .into_iter()
+            .map(|r| r.expect("job succeeds"))
+            .collect()
     }
 
     /// A small memory-bound kernel with enough register pressure to make
@@ -474,8 +433,8 @@ mod tests {
     fn parallel_matches_serial_exactly() {
         // The acceptance property: a jobs=4 sweep produces byte-identical
         // per-job stats (cycles + checksum, and everything else) to jobs=1.
-        let serial = Runner::new(1).run_reports(&specs());
-        let parallel = Runner::new(4).run_reports(&specs());
+        let serial = reports(&Runner::new(1), &specs());
+        let parallel = reports(&Runner::new(4), &specs());
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.technique, p.technique, "submission order changed");
@@ -491,11 +450,11 @@ mod tests {
     fn repeated_jobs_hit_the_cache() {
         let runner = Runner::new(2);
         let batch = specs();
-        let first = runner.run_reports(&batch);
+        let first = reports(&runner, &batch);
         assert_eq!(runner.cache_misses(), batch.len() as u64);
         assert_eq!(runner.cache_hits(), 0);
         // The same batch again: zero new simulations.
-        let second = runner.run_reports(&batch);
+        let second = reports(&runner, &batch);
         assert_eq!(
             runner.cache_misses(),
             batch.len() as u64,
@@ -514,7 +473,7 @@ mod tests {
         let mut batch = specs();
         let dup = batch[0].clone();
         batch.push(dup); // same fingerprint as batch[0]
-        let reports = runner.run_reports(&batch);
+        let reports = reports(&runner, &batch);
         assert_eq!(runner.cache_misses(), (batch.len() - 1) as u64);
         assert_eq!(runner.cache_hits(), 1);
         let last = reports.last().unwrap();
@@ -604,11 +563,16 @@ mod tests {
         }
 
         // The error table names the sick job and only it.
-        let table = error_table(&batch, &mixed).expect("one failure => table");
+        let failures: Vec<(String, String)> = batch
+            .iter()
+            .zip(&mixed)
+            .filter_map(|(s, r)| r.as_ref().err().map(|e| (s.label.clone(), e.to_string())))
+            .collect();
+        let table = error_table(&failures, mixed.len()).expect("one failure => table");
         assert!(table.contains("sick"), "{table}");
         assert!(table.contains("panicked"), "{table}");
         assert!(table.contains("1 of"), "{table}");
-        assert!(error_table(&healthy, &clean).is_none());
+        assert!(error_table(&[], clean.len()).is_none());
     }
 
     #[test]
@@ -663,8 +627,8 @@ mod tests {
         let cache = crate::cache::ResultCache::shared(1);
         let runner = Runner::with_cache(2, cache);
         let batch = specs();
-        let first = runner.run_reports(&batch);
-        let second = runner.run_reports(&batch);
+        let first = reports(&runner, &batch);
+        let second = reports(&runner, &batch);
         assert_eq!(first.len(), second.len());
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.stats.cycles, b.stats.cycles);
@@ -699,7 +663,7 @@ mod tests {
 
         let mut a = Runner::new(2);
         a.set_tier(Arc::clone(&tier) as Arc<dyn DurableTier>);
-        let first = a.run_reports(&batch);
+        let first = reports(&a, &batch);
         assert_eq!(tier.saves.load(Ordering::Relaxed), batch.len());
         assert_eq!(
             tier.syncs.load(Ordering::Relaxed),
@@ -712,7 +676,7 @@ mod tests {
         // match the originals exactly.
         let mut b = Runner::with_cache(2, ResultCache::shared(DEFAULT_CACHE_BUDGET));
         b.set_tier(Arc::clone(&tier) as Arc<dyn DurableTier>);
-        let second = b.run_reports(&batch);
+        let second = reports(&b, &batch);
         assert_eq!(b.cache_misses(), 0, "tier must serve the warm start");
         assert_eq!(b.cache_hits(), batch.len() as u64);
         assert_eq!(
@@ -739,26 +703,12 @@ mod tests {
 
     #[test]
     fn jobs_env_precedence() {
-        let v = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        // Flag beats env.
-        assert_eq!(jobs_from_env(&v(&["--jobs", "3"]), Some("7")), 3);
-        // Env beats the default.
-        assert_eq!(jobs_from_env(&[], Some("7")), 7);
-        assert_eq!(jobs_from_env(&[], Some(" 2 ")), 2);
+        assert_eq!(jobs_from_env(Some("7")), 7);
+        assert_eq!(jobs_from_env(Some(" 2 ")), 2);
         // No env, or a bad one, falls through to the core count.
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        assert_eq!(jobs_from_env(&[], None), cores);
-        assert_eq!(jobs_from_env(&[], Some("zero")), cores);
-        assert_eq!(jobs_from_env(&[], Some("0")), cores);
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        let v = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(&v(&["--jobs", "4"])), Some(4));
-        assert_eq!(jobs_from_args(&v(&["--csv", "--jobs=2"])), Some(2));
-        assert_eq!(jobs_from_args(&v(&["--csv"])), None);
-        assert_eq!(jobs_from_args(&v(&["--jobs", "zero"])), None);
-        assert_eq!(jobs_from_args(&[]), None);
+        assert_eq!(jobs_from_env(None), cores);
+        assert_eq!(jobs_from_env(Some("zero")), cores);
+        assert_eq!(jobs_from_env(Some("0")), cores);
     }
 }

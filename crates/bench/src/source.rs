@@ -2,29 +2,29 @@
 //! *where* it runs.
 //!
 //! A [`JobSource`] describes a sweep as a list of [`MatrixJob`]s — the
-//! wire-level `(app, technique, half_rf, ctas, force_es, cycle_budget)`
-//! tuple every execution substrate understands — and knows how to render
-//! the results. A [`JobExecutor`] turns those jobs into [`CachedResult`]s:
-//! the in-process [`Runner`] is one executor, a fleet coordinator
-//! dispatching the same jobs to remote workers is another. Because the
-//! source renders purely from the returned reports (in submission order),
-//! a sweep's output is byte-identical across executors.
+//! `(app, technique, config, ctas, force_es, cycle_budget)` tuple every
+//! execution substrate understands — and knows how to render the results.
+//! A [`JobExecutor`] turns those jobs into [`CachedResult`]s: the
+//! in-process [`Runner`] is one executor, a fleet coordinator dispatching
+//! the same jobs to remote workers is another. Because the source renders
+//! purely from the returned reports (in submission order), a sweep's
+//! output is byte-identical across executors. Every table and figure of
+//! the paper is a source (see [`crate::figures`]).
 
-use regmutex::{cycle_reduction_percent, RunError, Technique};
+use regmutex::Technique;
 use regmutex_compiler::CompileOptions;
 use regmutex_sim::{GpuConfig, LaunchConfig};
 use regmutex_workloads::suite;
 
 use crate::cache::CachedResult;
-use crate::report::{fmt_pct, GeoMean, Table};
 use crate::runner::{JobSpec, Runner};
 
 /// One sweep job, described at the workload-registry level rather than as
-/// a materialized [`JobSpec`]. This is exactly the information a
-/// `POST /v1/run` body carries, so a job can be executed locally (via
-/// [`MatrixJob::to_spec`]) or shipped to a `regmutex-server` worker and
-/// produce the same result either way.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// a materialized [`JobSpec`]. On the GTX480 config or its half-RF variant
+/// this is exactly what a `POST /v1/run` body carries, so such a job can be
+/// executed locally (via [`MatrixJob::to_spec`]) or shipped to a
+/// `regmutex-server` worker and produce the same result either way.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixJob {
     /// Human-readable label for error rows, e.g. `"BFS/regmutex"`.
     pub label: String,
@@ -32,8 +32,8 @@ pub struct MatrixJob {
     pub app: String,
     /// Technique to run.
     pub technique: Technique,
-    /// Run on the half-size register file.
-    pub half_rf: bool,
+    /// The GPU the job runs on (default: [`GpuConfig::gtx480`]).
+    pub cfg: GpuConfig,
     /// Grid-size override.
     pub ctas: Option<u32>,
     /// Forced `|Es|`.
@@ -43,14 +43,15 @@ pub struct MatrixJob {
 }
 
 impl MatrixJob {
-    /// A job with defaults for everything but the identity fields.
+    /// A job on the GTX480 with defaults for everything but the identity
+    /// fields.
     pub fn new(app: impl Into<String>, technique: Technique) -> Self {
         let app = app.into();
         MatrixJob {
             label: format!("{app}/{technique}"),
             app,
             technique,
-            half_rf: false,
+            cfg: GpuConfig::gtx480(),
             ctas: None,
             force_es: None,
             cycle_budget: None,
@@ -61,36 +62,48 @@ impl MatrixJob {
     /// server builds for the equivalent `/v1/run` body, so local and
     /// remote execution share one content fingerprint.
     pub fn to_spec(&self) -> Result<JobSpec, String> {
-        let w = suite::by_name(&self.app).ok_or_else(|| {
-            let names: Vec<&str> = suite::all().iter().map(|w| w.name).collect();
-            format!(
-                "unknown workload '{}'; available: {}",
-                self.app,
-                names.join(", ")
-            )
-        })?;
-        let cfg = if self.half_rf {
-            GpuConfig::gtx480_half_rf()
-        } else {
-            GpuConfig::gtx480()
-        };
-        let launch = LaunchConfig::new(self.ctas.unwrap_or(w.grid_ctas));
-        let mut spec = JobSpec::new(
-            format!("{}/{}", w.name, self.technique),
-            &w.kernel,
-            &cfg,
-            launch,
+        job_spec(
+            &self.app,
             self.technique,
+            &self.cfg,
+            self.ctas,
+            self.force_es,
+            self.cycle_budget,
         )
-        .with_options(CompileOptions {
-            force_es: self.force_es,
-            force_apply: self.force_es.is_some(),
-        });
-        if let Some(b) = self.cycle_budget {
-            spec = spec.with_cycle_budget(b);
-        }
-        Ok(spec)
     }
+}
+
+/// The body of [`MatrixJob::to_spec`], over borrowed fields so a caller
+/// holding them elsewhere (a decoded `/v1/run` request) builds the same
+/// spec without first copying them into a job.
+pub fn job_spec(
+    app: &str,
+    technique: Technique,
+    cfg: &GpuConfig,
+    ctas: Option<u32>,
+    force_es: Option<u16>,
+    cycle_budget: Option<u64>,
+) -> Result<JobSpec, String> {
+    let w = suite::by_name(app).ok_or_else(|| {
+        let names = suite::names().join(", ");
+        format!("unknown workload '{app}'; available: {names}")
+    })?;
+    let launch = LaunchConfig::new(ctas.unwrap_or(w.grid_ctas));
+    let mut spec = JobSpec::new(
+        format!("{}/{technique}", w.name),
+        &w.kernel,
+        cfg,
+        launch,
+        technique,
+    )
+    .with_options(CompileOptions {
+        force_es,
+        force_apply: force_es.is_some(),
+    });
+    if let Some(b) = cycle_budget {
+        spec = spec.with_cycle_budget(b);
+    }
+    Ok(spec)
 }
 
 /// An execution substrate for [`MatrixJob`]s. Implementations must return
@@ -119,6 +132,8 @@ impl JobExecutor for Runner {
 /// and must derive every printed value from the reports alone, so any
 /// conforming [`JobExecutor`] reproduces the same bytes.
 pub trait JobSource {
+    /// The output's name: its golden is `results/<name>.txt`.
+    fn name(&self) -> &'static str;
     /// The jobs, in the order `render` expects them.
     fn jobs(&self) -> Vec<MatrixJob>;
     /// Render results (same order as [`JobSource::jobs`]) into the output
@@ -127,112 +142,15 @@ pub trait JobSource {
     fn render(&self, jobs: &[MatrixJob], results: &[CachedResult]) -> (String, i32);
 }
 
-/// The Figure 7 sweep: the 8 occupancy-limited applications on the GTX480
-/// baseline, `baseline` vs `regmutex`, rendered as the execution-cycle
-/// reduction table. [`JobSource::render`] here is byte-identical to the
-/// `fig07_occupancy_boost` binary's historical output on a clean run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fig07Source;
-
-impl JobSource for Fig07Source {
-    fn jobs(&self) -> Vec<MatrixJob> {
-        let mut jobs = Vec::new();
-        for w in suite::occupancy_limited() {
-            for t in [Technique::Baseline, Technique::RegMutex] {
-                jobs.push(MatrixJob::new(w.name, t));
-            }
-        }
-        jobs
-    }
-
-    fn render(&self, jobs: &[MatrixJob], results: &[CachedResult]) -> (String, i32) {
-        use std::fmt::Write as _;
-
-        let mut table = Table::new(&[
-            "app",
-            "exec-cycle reduction",
-            "init occupancy",
-            "occupancy w/ RegMutex",
-            "acquire success",
-            "cycles base",
-            "cycles rm",
-        ]);
-        let mut avg = GeoMean::new();
-        let mut failures: Vec<(String, RunError)> = Vec::new();
-        for (jpair, rpair) in jobs.chunks(2).zip(results.chunks(2)) {
-            let app = jpair[0].app.as_str();
-            let (base, rm) = match (&rpair[0], &rpair[1]) {
-                (Ok(b), Ok(r)) => (b, r),
-                (b, r) => {
-                    for (j, res) in jpair.iter().zip([b, r]) {
-                        if let Err(e) = res {
-                            failures.push((j.label.clone(), e.clone()));
-                        }
-                    }
-                    continue;
-                }
-            };
-            if base.stats.checksum != rm.stats.checksum {
-                failures.push((
-                    format!("{app}/regmutex"),
-                    RunError::Remote(format!(
-                        "functional divergence: baseline checksum {:#018x} != regmutex checksum {:#018x}",
-                        base.stats.checksum, rm.stats.checksum
-                    )),
-                ));
-                continue;
-            }
-            let red = cycle_reduction_percent(base, rm);
-            avg.push(red);
-            table.row(vec![
-                app.to_string(),
-                fmt_pct(red),
-                format!("{}%", base.occupancy_percent()),
-                format!("{}%", rm.occupancy_percent()),
-                fmt_pct(100.0 * rm.acquire_success_rate()),
-                base.cycles().to_string(),
-                rm.cycles().to_string(),
-            ]);
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Figure 7 — execution-cycle reduction with RegMutex (baseline GTX480)"
-        );
-        let _ = writeln!(
-            out,
-            "(paper: avg 13%, BFS up to 23%, SAD small despite occupancy boost)\n"
-        );
-        out.push_str(&table.render());
-        let _ = writeln!(out, "\naverage reduction: {}", fmt_pct(avg.mean()));
-        if failures.is_empty() {
-            return (out, 0);
-        }
-        let width = failures
-            .iter()
-            .map(|(l, _)| l.len())
-            .max()
-            .unwrap_or(0)
-            .max("job".len());
-        let _ = writeln!(out, "\n{} of {} job(s) failed:", failures.len(), jobs.len());
-        let _ = writeln!(out, "  {:width$}  error", "job");
-        for (label, err) in &failures {
-            let _ = writeln!(out, "  {label:width$}  {err}");
-        }
-        (out, 3)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::default_jobs;
 
     #[test]
     fn matrix_job_spec_matches_hand_built_spec() {
-        // The fig07 jobs must materialize into exactly the specs the
-        // figure binary has always built — same fingerprints, so local and
-        // fleet execution share cache entries and golden output.
+        // The fig07 jobs must materialize into exactly the specs built by
+        // hand from the registry — same fingerprints, so local and fleet
+        // execution share cache entries and golden output.
         let cfg = GpuConfig::gtx480();
         for w in suite::occupancy_limited() {
             for t in [Technique::Baseline, Technique::RegMutex] {
@@ -259,39 +177,5 @@ mod tests {
         assert!(runner
             .execute(&[MatrixJob::new("Nope", Technique::Baseline)])
             .is_err());
-    }
-
-    #[test]
-    fn fig07_render_marks_failures_as_rows_with_exit_3() {
-        let source = Fig07Source;
-        let jobs = source.jobs();
-        assert_eq!(jobs.len(), 16);
-        // Fake results: every pair errors, so the table is empty and every
-        // job shows up as a labeled error row.
-        let results: Vec<CachedResult> = jobs
-            .iter()
-            .map(|j| Err(RunError::Remote(format!("{}: gave up", j.label))))
-            .collect();
-        let (text, code) = source.render(&jobs, &results);
-        assert_eq!(code, 3);
-        assert!(text.contains("16 of 16 job(s) failed"), "{text}");
-        assert!(text.contains("BFS/regmutex"), "{text}");
-        assert!(text.contains("remote worker error"), "{text}");
-    }
-
-    #[test]
-    fn fig07_render_flags_checksum_divergence() {
-        let source = Fig07Source;
-        let jobs = source.jobs();
-        let runner = Runner::new(default_jobs());
-        let mut results = runner.execute(&jobs).unwrap();
-        // Corrupt one regmutex row's checksum: the renderer must surface
-        // it as a divergence error, not print a silently-wrong row.
-        if let Ok(r) = &mut results[1] {
-            r.stats.checksum ^= 0xdead_beef;
-        }
-        let (text, code) = source.render(&jobs, &results);
-        assert_eq!(code, 3);
-        assert!(text.contains("functional divergence"), "{text}");
     }
 }

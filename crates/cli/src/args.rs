@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use regmutex::{ParseTechniqueError, Technique};
 use regmutex_bench::chaos::CampaignSpec;
+use regmutex_bench::figures;
 use regmutex_fleet::{FleetCampaignSpec, FleetConfig};
 use regmutex_fuzz::{parse_fault, CampaignConfig};
 use regmutex_server::{LoadgenConfig, ServerConfig};
@@ -42,7 +43,10 @@ pub enum Command {
     Serve(ServerConfig),
     /// `loadgen` — closed-loop load against one server or a fleet.
     Loadgen(LoadgenArgs),
-    /// `coordinator` — the Fig 7 sweep across a fleet of workers.
+    /// `figures [<figure>...]` — regenerate the paper's tables and figures.
+    Figures(FiguresArgs),
+    /// `coordinator [<figure>]` — one figure's jobs across a fleet of
+    /// workers.
     Coordinator(CoordinatorArgs),
     /// `chaos-fleet` — network-fault campaign against a live fleet.
     ChaosFleet(FleetCampaignSpec),
@@ -151,9 +155,23 @@ pub struct LoadgenArgs {
     pub(crate) direct: Option<&'static str>,
 }
 
+/// `figures` configuration.
+#[derive(Debug, Clone, Default)]
+pub struct FiguresArgs {
+    /// Empty runs every figure.
+    pub(crate) names: Vec<String>,
+    /// `None`: print to stdout.
+    pub(crate) out: Option<PathBuf>,
+    /// `None`: [`default_jobs`](regmutex_bench::runner::default_jobs).
+    pub(crate) jobs: Option<usize>,
+    pub(crate) csv: bool,
+}
+
 /// `coordinator` configuration.
 #[derive(Debug, Clone, Default)]
 pub struct CoordinatorArgs {
+    /// `None`: `fig07_occupancy_boost`.
+    pub(crate) figure: Option<String>,
     pub(crate) fleet: FleetConfig,
     pub(crate) cycle_budget: Option<u64>,
     pub(crate) journal: JournalArgs,
@@ -234,14 +252,16 @@ const fn short<C>(short: &'static str, mut flag: Flag<C>) -> Flag<C> {
     flag
 }
 
-/// How many positional workload names a verb takes.
+/// How many positional names (workloads or figures) a verb takes.
 enum Apps<C> {
     None,
-    /// Exactly one, first: `<app>`.
+    /// Exactly one workload, first: `<app>`.
     One(fn(&mut C, String)),
-    /// Any number, anywhere: `[<app>...]`; the setter sees them only when
+    /// At most one, anywhere: `[<what>]`.
+    Optional(&'static str, fn(&mut C, String)),
+    /// Any number, anywhere: `[<what>...]`; the setter sees them only when
     /// at least one was given.
-    Many(fn(&mut C, Vec<String>)),
+    Many(&'static str, fn(&mut C, Vec<String>)),
 }
 
 /// One verb's grammar.
@@ -270,7 +290,8 @@ impl<C: Default + 'static> Verb<C> {
         while let Some(arg) = it.next() {
             if !arg.starts_with('-') {
                 match self.apps {
-                    Apps::Many(_) => apps.push(arg.clone()),
+                    Apps::Many(..) => apps.push(arg.clone()),
+                    Apps::Optional(..) if apps.is_empty() => apps.push(arg.clone()),
                     _ => return Err(format!("unexpected argument '{arg}'")),
                 }
                 continue;
@@ -300,8 +321,13 @@ impl<C: Default + 'static> Verb<C> {
             };
             set(&mut cfg, value).map_err(|e| format!("invalid value '{value}' for {name}: {e}"))?;
         }
-        if let (Apps::Many(set), false) = (&self.apps, apps.is_empty()) {
-            set(&mut cfg, apps);
+        match (&self.apps, apps.pop()) {
+            (Apps::Optional(_, set), Some(name)) => set(&mut cfg, name),
+            (Apps::Many(_, set), Some(name)) => {
+                apps.push(name);
+                set(&mut cfg, apps);
+            }
+            _ => {}
         }
         (self.check)(&cfg)?;
         Ok(cfg)
@@ -330,10 +356,11 @@ impl<C: Default + 'static> AnyVerb for Verb<C> {
     fn synopsis(&self) -> String {
         let mut out = format!("  regmutex-cli {}", self.name);
         let indent = " ".repeat(out.len());
-        out += match self.apps {
-            Apps::None => "",
-            Apps::One(_) => " <app>",
-            Apps::Many(_) => " [<app>...]",
+        out += &match self.apps {
+            Apps::None => String::new(),
+            Apps::One(_) => " <app>".to_string(),
+            Apps::Optional(what, _) => format!(" [<{what}>]"),
+            Apps::Many(what, _) => format!(" [<{what}>...]"),
         };
         let mut width = out.len();
         for f in self.flags {
@@ -563,7 +590,7 @@ static SWEEP: Verb<SweepArgs> = Verb {
 
 static CHAOS: Verb<ChaosArgs> = Verb {
     name: "chaos",
-    apps: Apps::Many(|c, apps| c.spec.workloads = apps),
+    apps: Apps::Many("app", |c, apps| c.spec.workloads = apps),
     flags: &[
         opt(
             "--seeds",
@@ -712,9 +739,32 @@ static LOADGEN: Verb<LoadgenArgs> = Verb {
     wrap: Command::Loadgen,
 };
 
+static FIGURES: Verb<FiguresArgs> = Verb {
+    name: "figures",
+    apps: Apps::Many("figure", |c, names| c.names = names),
+    flags: &[
+        opt(
+            "--out",
+            "DIR",
+            "write DIR/<figure>.txt instead of printing",
+            |c, v| put(&mut c.out, path(v)),
+        ),
+        opt("--jobs", "N", JOBS, |c, v| {
+            put(&mut c.jobs, count(v).map(Some))
+        }),
+        switch(
+            "--csv",
+            "append fig01_liveness's per-instruction series as CSV",
+            |c| c.csv = true,
+        ),
+    ],
+    check: |c| figures::select(&c.names, false).map(drop),
+    wrap: Command::Figures,
+};
+
 static COORDINATOR: Verb<CoordinatorArgs> = Verb {
     name: "coordinator",
-    apps: Apps::None,
+    apps: Apps::Optional("figure", |c, name| c.figure = Some(name)),
     flags: &[
         opt(
             "--workers",
@@ -743,6 +793,7 @@ static COORDINATOR: Verb<CoordinatorArgs> = Verb {
         switch("--resume", RESUME, |c| c.journal.resume = true),
     ],
     check: |c| {
+        figures::select(c.figure.as_slice(), false)?;
         check_journal(&c.journal)?;
         if c.fleet.workers.is_empty() {
             return Err(format!("coordinator {NEEDS_WORKERS}"));
@@ -873,7 +924,7 @@ static FUZZ: Verb<FuzzArgs> = Verb {
 };
 
 /// Every verb, in usage order.
-static VERBS: [&dyn AnyVerb; 13] = [
+static VERBS: [&dyn AnyVerb; 14] = [
     &LIST,
     &DISASM,
     &RUN,
@@ -882,6 +933,7 @@ static VERBS: [&dyn AnyVerb; 13] = [
     &TRACE,
     &SWEEP,
     &CHAOS,
+    &FIGURES,
     &SERVE,
     &LOADGEN,
     &COORDINATOR,
@@ -921,10 +973,10 @@ pub fn usage(verb: Option<&str>) -> String {
 }
 
 const OVERVIEW: &str = "\
-The multi-simulation commands (compare, sweep, chaos, fuzz) and serve run
-their simulations on a worker pool; --jobs N (serve: --workers N) sets the
-worker count (default: REGMUTEX_JOBS, else all cores). Output is identical
-for any worker count.
+The multi-simulation commands (compare, sweep, chaos, figures, fuzz) and
+serve run their simulations on a worker pool; --jobs N (serve: --workers
+N) sets the worker count (default: REGMUTEX_JOBS, else all cores). Output
+is identical for any worker count.
 
 The simulator fast-forwards over provably idle stretches (event-driven
 cycle skipping); results are bit-identical either way. --no-cycle-skip
@@ -955,12 +1007,18 @@ backpressure and cache hits (429s are retried per Retry-After, capped,
 and reported as goodput; pipelined batches skip retries). --cycle-budget
 rides on every request.
 
-coordinator schedules the Fig 7 sweep across N workers: consistent-hash
+figures regenerates the named tables and figures (default: all), each
+byte-identical to its golden results/<figure>.txt, on one worker pool;
+--out DIR writes them there instead of printing. Exit 3 if a job failed.
+
+coordinator schedules one figure (default: fig07_occupancy_boost) across
+N workers; a figure with a job on any GPU other than the GTX480 or its
+half-RF variant is refused before dispatch. It uses consistent-hash
 routing by job fingerprint (cache affinity), per-job deadlines from the
 cycle budget, bounded retries with seeded-jittered exponential backoff,
 automatic re-dispatch away from dead or hung workers (strike-based
 quarantine + periodic /healthz re-admission), and response integrity
-checks. Output is byte-identical to the local sweep at any worker count;
+checks. Output is byte-identical to `figures <figure>` at any worker count;
 aggregated Prometheus metrics go to stderr. loadgen --fleet runs the
 same closed loop through the coordinator and breaks traffic down per
 worker; the direct-only flags (--addr, --keep-alive, --no-keep-alive,
@@ -1083,6 +1141,7 @@ mod tests {
                 }),
             ),
             ("chaos", Command::Chaos(ChaosArgs::default())),
+            ("figures", Command::Figures(FiguresArgs::default())),
             ("serve", Command::Serve(ServerConfig::default())),
             ("loadgen", Command::Loadgen(LoadgenArgs::default())),
             (
@@ -1258,8 +1317,27 @@ mod tests {
     }
 
     #[test]
-    fn coordinator_requires_workers() {
+    fn figures_take_known_figure_names() {
+        let c = parsed!(
+            Figures,
+            "figures fig02_timeline --out /tmp/f table_storage --csv"
+        );
+        assert_eq!(c.names, v("fig02_timeline table_storage"));
+        assert_eq!((c.out, c.csv), (Some(PathBuf::from("/tmp/f")), true));
+        assert!(err("figures fig02_timeline Nope").contains("unknown figure 'Nope'"));
+    }
+
+    #[test]
+    fn coordinator_requires_workers_and_takes_one_known_figure() {
         assert!(parse(&v("coordinator")).is_err());
+        let c = parsed!(
+            Coordinator,
+            "coordinator --workers a:1 fig13_acquire_success"
+        );
+        assert_eq!(c.figure.as_deref(), Some("fig13_acquire_success"));
+        assert!(err("coordinator Nope --workers a:1").contains("unknown figure 'Nope'"));
+        assert!(err("coordinator fig08_half_rf fig12_paired --workers a:1")
+            .contains("unexpected argument 'fig12_paired'"));
         let c = parsed!(
             Coordinator,
             "coordinator --workers 127.0.0.1:1,127.0.0.1:2,127.0.0.1:3 --seed 9 --threads 8 \

@@ -7,18 +7,21 @@ use std::sync::Arc;
 
 use regmutex::{cycle_reduction_percent, Session, Technique, ALL_TECHNIQUES};
 use regmutex_bench::chaos::{run_campaign, run_campaign_durable};
-use regmutex_bench::{runner::default_jobs, Fig07Source, JobExecutor, JobSource, JobSpec, Runner};
+use regmutex_bench::{
+    figures, runner::default_jobs, JobExecutor, JobSource, JobSpec, MatrixJob, Runner,
+};
 use regmutex_compiler::{analyze, live_trace, CompileOptions};
 use regmutex_durable::{Campaign, Record, Run};
 use regmutex_fleet::{run_fleet_campaign, Coordinator, FleetCampaignSpec, FleetConfig};
 use regmutex_server::loadgen::{run_loadgen, Direct};
+use regmutex_server::wire::RunRequest;
 use regmutex_server::{signal, DiskTier, ServerConfig};
 use regmutex_sim::{GpuConfig, LaunchConfig};
 use regmutex_workloads::{suite, Workload};
 
 use crate::args::{
-    BenchLoopArgs, ChaosArgs, CompareArgs, CoordinatorArgs, DisasmArgs, FuzzArgs, LoadgenArgs,
-    RunArgs, SweepArgs, TraceArgs,
+    BenchLoopArgs, ChaosArgs, CompareArgs, CoordinatorArgs, DisasmArgs, FiguresArgs, FuzzArgs,
+    LoadgenArgs, RunArgs, SweepArgs, TraceArgs,
 };
 
 /// Exit code for a graceful SIGINT/SIGTERM checkpoint: the campaign is
@@ -90,14 +93,6 @@ fn lookup(app: &str) -> Result<Workload, CommandError> {
     })
 }
 
-fn config(half_rf: bool) -> GpuConfig {
-    if half_rf {
-        GpuConfig::gtx480_half_rf()
-    } else {
-        GpuConfig::gtx480()
-    }
-}
-
 /// `list [--json]`
 pub fn list(json: bool) -> String {
     if json {
@@ -159,7 +154,7 @@ pub fn disasm(a: &DisasmArgs) -> Result<String, CommandError> {
 pub fn run(a: &RunArgs) -> Result<String, CommandError> {
     let w = lookup(&a.app)?;
     let technique = a.technique;
-    let mut cfg = config(a.half_rf);
+    let mut cfg = GpuConfig::gtx480_rf(a.half_rf);
     if let Some(wd) = a.watchdog_cycles {
         cfg.watchdog_cycles = wd;
     }
@@ -281,7 +276,7 @@ pub fn bench_loop(a: &BenchLoopArgs) -> Result<(String, i32), CommandError> {
         let mut medians = [0.0f64; 2];
         let mut reports = Vec::with_capacity(2);
         for (mode, skipping) in [true, false].into_iter().enumerate() {
-            let mut cfg = config(false);
+            let mut cfg = GpuConfig::gtx480();
             cfg.cycle_skipping = skipping;
             cfg.simulated_sms = *sms;
             let session = Session::new(cfg);
@@ -369,7 +364,7 @@ pub fn bench_loop(a: &BenchLoopArgs) -> Result<(String, i32), CommandError> {
 /// `compare <app>`
 pub fn compare(a: &CompareArgs) -> Result<String, CommandError> {
     let w = lookup(&a.app)?;
-    let cfg = config(a.half_rf);
+    let cfg = GpuConfig::gtx480_rf(a.half_rf);
     let launch = w.launch();
     let runner = Runner::new(a.jobs.unwrap_or_else(default_jobs));
     let specs: Vec<JobSpec> = ALL_TECHNIQUES
@@ -473,28 +468,20 @@ pub fn sweep(a: &SweepArgs) -> Result<(String, i32), CommandError> {
     let mut runner = Runner::new(a.jobs.unwrap_or_else(default_jobs));
     const ES_VALUES: [u16; 6] = [2, 4, 6, 8, 10, 12];
 
-    let mut specs = vec![JobSpec::new(
-        format!("{}/baseline", w.name),
-        &w.kernel,
-        &cfg,
-        w.launch(),
-        Technique::Baseline,
-    )];
-    for es in ES_VALUES {
-        specs.push(
-            JobSpec::new(
-                format!("{}/|Es|={es}", w.name),
-                &w.kernel,
-                &cfg,
-                w.launch(),
-                Technique::RegMutex,
-            )
-            .with_options(CompileOptions {
-                force_es: Some(es),
-                force_apply: true,
-            }),
-        );
-    }
+    let on_home = |t| MatrixJob {
+        cfg: cfg.clone(),
+        ..MatrixJob::new(w.name, t)
+    };
+    let mut jobs = vec![on_home(Technique::Baseline)];
+    jobs.extend(ES_VALUES.map(|es| MatrixJob {
+        force_es: Some(es),
+        ..on_home(Technique::RegMutex)
+    }));
+    let specs = jobs
+        .iter()
+        .map(MatrixJob::to_spec)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(CommandError)?;
     let collected = match &a.journal.dir {
         None => runner.run_all(&specs),
         Some(dir) => {
@@ -628,21 +615,54 @@ pub fn serve(cfg: &ServerConfig) -> Result<String, CommandError> {
         .map_err(|e| CommandError(format!("serve: {e}")))
 }
 
-/// `coordinator ...` — run the Fig 7 sweep across a fleet of workers.
-/// Returns the sweep output and the exit code, and prints the aggregated
-/// Prometheus metrics to stderr so the sweep on stdout stays
+/// `figures [<figure>...]` — run the named figures (all of them when none
+/// is named) as one batch on one [`Runner`], so a job shared by several
+/// figures is simulated once. Prints the outputs in order, or with `--out`
+/// writes each to `DIR/<figure>.txt`. Exit code 3 when any figure had a
+/// failed job.
+pub fn figures(a: &FiguresArgs) -> Result<(String, i32), CommandError> {
+    let sources = figures::select(&a.names, a.csv).map_err(CommandError)?;
+    let runner = Runner::new(a.jobs.unwrap_or_else(default_jobs));
+    let batches: Vec<_> = sources.iter().map(|s| s.jobs()).collect();
+    let results = runner.execute(&batches.concat()).map_err(CommandError)?;
+    let io = |e: std::io::Error| CommandError(format!("--out: {e}"));
+    if let Some(dir) = &a.out {
+        std::fs::create_dir_all(dir).map_err(io)?;
+    }
+    let (mut out, mut code, mut done) = (String::new(), 0, 0);
+    for (source, jobs) in sources.iter().zip(&batches) {
+        let (text, c) = source.render(jobs, &results[done..done + jobs.len()]);
+        done += jobs.len();
+        code = code.max(c);
+        match &a.out {
+            None => out += &text,
+            Some(dir) => {
+                std::fs::write(dir.join(format!("{}.txt", source.name())), text).map_err(io)?
+            }
+        }
+    }
+    eprintln!("{}", runner.summary());
+    Ok((out, code))
+}
+
+/// `coordinator [<figure>] ...` — run one figure's jobs across a fleet of
+/// workers. Returns the figure's output and the exit code, and prints the
+/// aggregated Prometheus metrics to stderr so the figure on stdout stays
 /// byte-comparable to the local golden. Exit code 3 when any row is a
 /// labeled error row (a give-up after exhausting retries — never a missing
-/// row); [`CHECKPOINT_EXIT`] when a journaled run was interrupted.
+/// row); [`CHECKPOINT_EXIT`] when a journaled run was interrupted. A
+/// figure with a job the `/v1/run` wire cannot carry is refused before any
+/// worker is contacted or any journal written.
 pub fn coordinator(a: &CoordinatorArgs) -> Result<(String, i32), CommandError> {
     let mut coordinator = Coordinator::new(a.fleet.clone()).map_err(CommandError)?;
     let cycle_budget = a.cycle_budget;
-    let source = Fig07Source;
+    let name = a.figure.as_deref().unwrap_or("fig07_occupancy_boost");
+    let source =
+        figures::by_name(name).ok_or_else(|| CommandError(format!("unknown figure '{name}'")))?;
     let mut jobs = source.jobs();
-    if cycle_budget.is_some() {
-        for j in &mut jobs {
-            j.cycle_budget = cycle_budget;
-        }
+    for j in &mut jobs {
+        j.cycle_budget = cycle_budget.or(j.cycle_budget);
+        RunRequest::for_job(j).map_err(CommandError)?;
     }
     let results = match &a.journal.dir {
         None => Some(coordinator.execute(&jobs).map_err(CommandError)?),
@@ -651,9 +671,14 @@ pub fn coordinator(a: &CoordinatorArgs) -> Result<(String, i32), CommandError> {
             coordinator.set_cancel(Arc::new(signal::triggered));
             // The campaign identity pins the job matrix (which jobs run), not
             // the throughput knobs — the determinism contract lets a resumed
-            // run use a different worker list, seed, or thread count.
+            // run use a different worker list, seed, or thread count. Fig 7
+            // keeps the short name its journals have always carried.
+            let name = match name {
+                "fig07_occupancy_boost" => "fig07",
+                name => name,
+            };
             let campaign = format!(
-                "fig07 budget={}",
+                "{name} budget={}",
                 cycle_budget.map_or_else(|| "-".to_string(), |b| b.to_string())
             );
             let resume = a.journal.resume;

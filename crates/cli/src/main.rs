@@ -22,6 +22,7 @@ fn main() {
         Command::BenchLoop(a) => exit_with(commands::bench_loop(a)),
         Command::Sweep(a) => exit_with(commands::sweep(a)),
         Command::Chaos(a) => exit_with(commands::chaos(a)),
+        Command::Figures(a) => exit_with(commands::figures(a)),
         Command::Coordinator(a) => exit_with(commands::coordinator(a)),
         Command::ChaosFleet(spec) => exit_with(commands::chaos_fleet(spec)),
         Command::Fuzz(a) => exit_with(commands::fuzz(a)),

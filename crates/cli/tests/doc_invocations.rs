@@ -1,13 +1,14 @@
-//! Every `regmutex-cli <verb> …` invocation written in the README, the CI
-//! workflow and the verify notes must parse under the current grammar, so
-//! the docs cannot drift from the flag tables.
+//! Every `regmutex-cli <verb> …` invocation written in the README,
+//! EXPERIMENTS.md, the CI workflow and the verify notes must parse under
+//! the current grammar, so the docs cannot drift from the flag tables.
 
 use std::path::Path;
 
 /// The documents to scan, relative to the workspace root, and whether the
 /// invocations live only inside ``` fences (markdown) or anywhere (YAML).
-const DOCS: [(&str, bool); 3] = [
+const DOCS: [(&str, bool); 4] = [
     ("README.md", true),
+    ("EXPERIMENTS.md", true),
     (".github/workflows/ci.yml", false),
     (".claude/skills/verify/SKILL.md", true),
 ];
@@ -96,7 +97,7 @@ fn every_documented_invocation_parses() {
     }
     // Guard against an extractor that silently finds nothing.
     assert!(total >= 40, "only {total} invocations found");
-    for verb in "serve loadgen coordinator chaos fuzz sweep run".split(' ') {
+    for verb in "serve loadgen coordinator chaos figures fuzz sweep run".split(' ') {
         assert!(verbs.contains(verb), "no documented `{verb}` invocation");
     }
 }

@@ -177,11 +177,11 @@ fn spawn_worker() -> (KillOnDrop, String) {
 
 #[test]
 fn fleet_sweep_survives_coordinator_sigkills_byte_identically() {
-    use regmutex_bench::{Fig07Source, JobExecutor, JobSource, Runner};
+    use regmutex_bench::{figures, JobExecutor, JobSource, Runner};
 
     // The golden is the local sweep: the fleet determinism contract says
     // the coordinator output is byte-identical to it at any worker count.
-    let source = Fig07Source;
+    let source = figures::by_name("fig07_occupancy_boost").expect("fig07 is a figure");
     let jobs = source.jobs();
     let t0 = Instant::now();
     let local = Runner::new(2).execute(&jobs).expect("local run");

@@ -12,7 +12,7 @@ use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use regmutex_bench::{Fig07Source, JobExecutor, JobSource, Runner};
+use regmutex_bench::{figures, JobExecutor, JobSource, Runner};
 use regmutex_fleet::{BackoffPolicy, Coordinator, FleetConfig};
 
 /// Reap the child on scope exit so a failing assertion never leaks a
@@ -74,7 +74,7 @@ fn hung_socket() -> String {
 
 #[test]
 fn fleet_survives_sigkill_and_hung_socket_with_byte_identical_output() {
-    let source = Fig07Source;
+    let source = figures::by_name("fig07_occupancy_boost").expect("fig07 is a figure");
     let jobs = source.jobs();
     let local = Runner::new(2).execute(&jobs).expect("local run");
     let (local_text, local_code) = source.render(&jobs, &local);

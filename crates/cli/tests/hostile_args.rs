@@ -33,7 +33,7 @@ fn run(line: &str) -> (Option<i32>, String) {
 /// Each verb with the arguments that make it valid, an integer flag, and a
 /// flag that counts something (so zero is out of range); "" where it has
 /// none.
-const VERBS: [[&str; 3]; 13] = [
+const VERBS: [[&str; 3]; 14] = [
     ["list", "", ""],
     ["disasm BFS", "", ""],
     ["run BFS", "--watchdog-cycles", "--ctas"],
@@ -42,6 +42,7 @@ const VERBS: [[&str; 3]; 13] = [
     ["trace BFS", "--max", ""],
     ["sweep BFS", "--jobs", "--jobs"],
     ["chaos", "--seeds", "--jobs"],
+    ["figures", "--jobs", "--jobs"],
     ["serve", "--queue", "--workers"],
     ["loadgen", "--seed", "--threads"],
     [
@@ -98,6 +99,10 @@ fn every_malformed_argv_exits_2_with_a_diagnosis() {
             "loadgen --fleet --keep-alive --workers 127.0.0.1:1",
             "loadgen --cycle-budget -1",
             "coordinator",
+            "coordinator Nope --workers a:1",
+            "coordinator fig07_occupancy_boost fig13_acquire_success --workers a:1",
+            "figures Nope",
+            "figures --jobs 0",
             "nonsense",
         ]
         .map(String::from),
@@ -111,4 +116,31 @@ fn every_malformed_argv_exits_2_with_a_diagnosis() {
             "`{line}`: no diagnosis:\n{stderr}"
         );
     }
+}
+
+/// A figure with a job the `/v1/run` wire cannot carry (the ablation's
+/// shrunken register files) is a command error naming that job, before
+/// any worker is contacted or any journal written.
+#[test]
+fn coordinator_refuses_a_figure_the_wire_cannot_carry_before_contacting_a_worker() {
+    let worker = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a would-be worker");
+    worker.set_nonblocking(true).expect("non-blocking accept");
+    let addr = worker.local_addr().expect("local addr");
+    let journal = std::env::temp_dir().join(format!("regmutex-refused-{}", std::process::id()));
+    let line = format!(
+        "coordinator ablation_rf_size --workers {addr} --journal {}",
+        journal.display()
+    );
+    let (code, stderr) = run(&line);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: HeartWall/96KB baseline: "),
+        "{stderr}"
+    );
+    assert!(!journal.exists(), "a refused figure writes no journal");
+    let contacted = worker.accept().map_err(|e| e.kind());
+    assert!(
+        matches!(contacted, Err(std::io::ErrorKind::WouldBlock)),
+        "a worker was contacted"
+    );
 }

@@ -242,9 +242,10 @@ impl Coordinator {
         self.metrics.render(&self.workers, self.cfg.probe_timeout)
     }
 
-    /// The per-attempt socket deadline for `job` (see module docs).
-    pub fn deadline_for(&self, job: &MatrixJob) -> Duration {
-        match job.cycle_budget {
+    /// The per-attempt socket deadline for a job with `cycle_budget` (see
+    /// module docs).
+    pub fn deadline_for(&self, cycle_budget: Option<u64>) -> Duration {
+        match cycle_budget {
             None => self.cfg.deadline_cap,
             Some(b) => {
                 let budget_ms = b / self.cfg.cycles_per_ms.max(1) + 1;
@@ -255,10 +256,11 @@ impl Coordinator {
     }
 
     /// Run one job through the full retry/failover policy, reporting how.
-    /// An unknown workload is an immediate labeled error (no dispatch).
+    /// An unknown workload, or a config the wire cannot carry, is an
+    /// immediate labeled error (no dispatch).
     pub fn run_traced(&self, job: &MatrixJob) -> (CachedResult, JobTrace) {
-        match job.to_spec() {
-            Ok(spec) => self.run_fingerprinted(job, spec.fingerprint()),
+        match wire_request(job) {
+            Ok((req, fingerprint)) => self.run_fingerprinted(&req, fingerprint),
             Err(e) => (Err(RunError::Remote(e)), JobTrace::default()),
         }
     }
@@ -276,7 +278,7 @@ impl Coordinator {
         order[base % n]
     }
 
-    fn run_fingerprinted(&self, job: &MatrixJob, fingerprint: u64) -> (CachedResult, JobTrace) {
+    fn run_fingerprinted(&self, req: &RunRequest, fingerprint: u64) -> (CachedResult, JobTrace) {
         // Durable warm start: a fingerprint already in the result store
         // was verified end-to-end by a previous run (or this one) — no
         // worker round-trip needed. A corrupt store entry reads as a
@@ -295,7 +297,7 @@ impl Coordinator {
             return (v, trace);
         }
         let order = self.ring.route(fingerprint);
-        let deadline = self.deadline_for(job);
+        let deadline = self.deadline_for(req.cycle_budget);
         let mut trace = JobTrace::default();
         let mut last_fault = String::new();
         for attempt in 0..self.cfg.max_attempts {
@@ -317,7 +319,7 @@ impl Coordinator {
             self.metrics.per_worker[widx]
                 .attempts
                 .fetch_add(1, Ordering::Relaxed);
-            match self.attempt_once(worker, job, deadline, &mut trace) {
+            match self.attempt_once(worker, req, deadline, &mut trace) {
                 Attempt::Verified(report, cached) => {
                     self.note_worker_ok(worker);
                     if let Some(t) = &self.tier {
@@ -377,19 +379,14 @@ impl Coordinator {
     fn attempt_once(
         &self,
         worker: &WorkerHandle,
-        job: &MatrixJob,
+        req: &RunRequest,
         deadline: Duration,
         trace: &mut JobTrace,
     ) -> Attempt {
         let lease = self.lease_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let body = run_request_json(&RunRequest {
-            app: job.app.clone(),
-            technique: job.technique,
-            half_rf: job.half_rf,
-            ctas: job.ctas,
-            force_es: job.force_es,
-            cycle_budget: job.cycle_budget,
             lease: Some(lease),
+            ..req.clone()
         })
         .encode();
         let mut tries_429 = 0u32;
@@ -399,7 +396,7 @@ impl Coordinator {
                 Err(e) => return Attempt::Fault(format!("transport: {e}")),
             };
             match resp.status {
-                200 => return self.verify_response(&resp.body, job, lease),
+                200 => return self.verify_response(&resp.body, req, lease),
                 429 if tries_429 < self.cfg.max_retries_429 => {
                     tries_429 += 1;
                     trace.retried_429 += 1;
@@ -431,7 +428,7 @@ impl Coordinator {
 
     /// Integrity-check and decode a 200 body. Any mismatch is a worker
     /// fault — the bytes cannot be trusted, so the job re-runs elsewhere.
-    fn verify_response(&self, body: &[u8], job: &MatrixJob, lease: u64) -> Attempt {
+    fn verify_response(&self, body: &[u8], req: &RunRequest, lease: u64) -> Attempt {
         let fault = |why: String| {
             self.metrics
                 .integrity_failures
@@ -447,7 +444,7 @@ impl Coordinator {
             Err(e) => return fault(format!("unparsable response body: {e}")),
         };
         match v.get("app").and_then(Json::as_str) {
-            Some(app) if app == job.app => {}
+            Some(app) if app == req.app => {}
             other => return fault(format!("app echo mismatch: {other:?}")),
         }
         match v.get("lease").and_then(Json::as_u64) {
@@ -510,6 +507,14 @@ impl Coordinator {
     }
 }
 
+/// The `/v1/run` request that runs `job`, and the fingerprint it is routed
+/// and cached by — or why the job cannot be dispatched at all (an unknown
+/// workload, or a GPU config the wire cannot name).
+fn wire_request(job: &MatrixJob) -> Result<(RunRequest, u64), String> {
+    let fingerprint = job.to_spec()?.fingerprint();
+    Ok((RunRequest::for_job(job)?, fingerprint))
+}
+
 /// Pull the `error` string out of a JSON error body (or show raw bytes).
 fn error_message(body: &[u8]) -> String {
     core::str::from_utf8(body)
@@ -541,17 +546,19 @@ impl Coordinator {
     /// the first result; assembly is in submission order — exactly the
     /// local `Runner`'s contract, so renderers can't tell the substrates
     /// apart. A fired cancel hook ends the run as a checkpoint counting
-    /// unique jobs.
+    /// unique jobs. A job the wire cannot carry refuses the whole batch
+    /// before any worker is contacted.
     pub fn execute_durable(&self, jobs: &[MatrixJob]) -> Result<Run<Vec<CachedResult>>, String> {
+        let (requests, fingerprints): (Vec<RunRequest>, Vec<u64>) = jobs
+            .iter()
+            .map(wire_request)
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
         // Resume replay may have restored quarantine state that went
         // stale while the campaign was down: give every benched worker
         // one synchronous probe before routing around it.
         self.reprobe_quarantined();
-        let specs = jobs
-            .iter()
-            .map(MatrixJob::to_spec)
-            .collect::<Result<Vec<_>, _>>()?;
-        let fingerprints: Vec<u64> = specs.iter().map(|s| s.fingerprint()).collect();
         let mut first: HashMap<u64, usize> = HashMap::new();
         let mut unique: Vec<usize> = Vec::new();
         for (i, fp) in fingerprints.iter().enumerate() {
@@ -574,6 +581,7 @@ impl Coordinator {
                 let unique = &unique;
                 let results = &results;
                 let fingerprints = &fingerprints;
+                let requests = &requests;
                 let interrupted = &interrupted;
                 handles.push(s.spawn(move || loop {
                     if self.cancelled() {
@@ -585,7 +593,7 @@ impl Coordinator {
                         break;
                     }
                     let i = unique[u];
-                    let (res, _) = self.run_fingerprinted(&jobs[i], fingerprints[i]);
+                    let (res, _) = self.run_fingerprinted(&requests[i], fingerprints[i]);
                     *results[i].lock().expect("result slot lock") = Some(res);
                 }));
             }
@@ -640,17 +648,7 @@ impl Target for Coordinator {
     fn client(&self) {}
 
     fn send(&self, (): &mut (), batch: &[RunRequest]) -> Vec<JobTrace> {
-        batch
-            .iter()
-            .map(|r| {
-                let mut job = MatrixJob::new(r.app.clone(), r.technique);
-                job.half_rf = r.half_rf;
-                job.ctas = r.ctas;
-                job.force_es = r.force_es;
-                job.cycle_budget = r.cycle_budget;
-                self.run_traced(&job).1
-            })
-            .collect()
+        batch.iter().map(|r| self.run_traced(&r.job()).1).collect()
     }
 }
 
@@ -675,13 +673,10 @@ mod tests {
     #[test]
     fn deadline_scales_with_cycle_budget_and_caps() {
         let c = coordinator(vec!["127.0.0.1:1".into()]);
-        let mut job = MatrixJob::new("BFS", Technique::Baseline);
-        assert_eq!(c.deadline_for(&job), c.cfg.deadline_cap);
-        job.cycle_budget = Some(100_000);
-        let d = c.deadline_for(&job);
+        assert_eq!(c.deadline_for(None), c.cfg.deadline_cap);
+        let d = c.deadline_for(Some(100_000));
         assert!(d > c.cfg.deadline_base && d < c.cfg.deadline_cap, "{d:?}");
-        job.cycle_budget = Some(u64::MAX);
-        assert_eq!(c.deadline_for(&job), c.cfg.deadline_cap);
+        assert_eq!(c.deadline_for(Some(u64::MAX)), c.cfg.deadline_cap);
     }
 
     #[test]
@@ -719,20 +714,27 @@ mod tests {
     }
 
     #[test]
-    fn unknown_workload_is_a_substrate_error() {
+    fn unknown_workloads_and_unwired_configs_are_refused_before_dispatch() {
         let c = coordinator(vec!["127.0.0.1:1".into()]);
-        assert!(c
-            .execute(&[MatrixJob::new("Nope", Technique::Baseline)])
-            .is_err());
-        let (res, trace) = c.run_traced(&MatrixJob::new("Nope", Technique::Baseline));
-        assert!(matches!(res, Err(RunError::Remote(_))));
-        assert_eq!(trace.attempts, 0);
+        let mut banked = MatrixJob::new("BFS", Technique::Baseline);
+        banked.cfg.reg_banks = 16;
+        for job in [MatrixJob::new("Nope", Technique::Baseline), banked] {
+            let batch = [MatrixJob::new("SAD", Technique::Baseline), job.clone()];
+            assert!(c.execute(&batch).is_err());
+            let (res, trace) = c.run_traced(&job);
+            assert!(matches!(res, Err(RunError::Remote(_))));
+            assert_eq!(trace.attempts, 0);
+        }
+        assert_eq!(c.metrics().attempts.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn verify_response_rejects_corruption_and_mismatched_leases() {
         let c = coordinator(vec!["127.0.0.1:1".into()]);
-        let job = MatrixJob::new("BFS", Technique::Baseline);
+        let req = RunRequest {
+            app: "BFS".into(),
+            ..RunRequest::default()
+        };
         for (body, why) in [
             (&b"garbage"[..], "unparsable"),
             (br#"{"app":"SAD","lease":7}"#, "wrong app"),
@@ -742,7 +744,7 @@ mod tests {
                 "missing report",
             ),
         ] {
-            match c.verify_response(body, &job, 7) {
+            match c.verify_response(body, &req, 7) {
                 Attempt::Fault(msg) => assert!(msg.starts_with("integrity:"), "{why}: {msg}"),
                 _ => panic!("{why}: should be an integrity fault"),
             }

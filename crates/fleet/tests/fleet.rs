@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use regmutex_bench::{Fig07Source, JobExecutor, JobSource, Runner};
+use regmutex_bench::{figures, JobExecutor, JobSource, Runner};
 use regmutex_fleet::{
     run_fleet_campaign, BackoffPolicy, Coordinator, FaultKind, FleetCampaignSpec, FleetConfig,
 };
@@ -35,7 +35,7 @@ fn fleet_over(addrs: Vec<String>) -> Coordinator {
 
 #[test]
 fn fleet_fig07_is_byte_identical_to_local_at_one_two_and_three_workers() {
-    let source = Fig07Source;
+    let source = figures::by_name("fig07_occupancy_boost").expect("fig07 is a figure");
     let jobs = source.jobs();
     let local = Runner::new(2).execute(&jobs).expect("local run");
     let (local_text, local_code) = source.render(&jobs, &local);
@@ -93,7 +93,7 @@ fn fleet_fails_over_dead_workers_without_losing_jobs() {
         l.local_addr().unwrap().to_string()
     };
     let live = start_worker();
-    let source = Fig07Source;
+    let source = figures::by_name("fig07_occupancy_boost").expect("fig07 is a figure");
     let jobs = source.jobs();
     let local = Runner::new(2).execute(&jobs).expect("local run");
     let (local_text, _) = source.render(&jobs, &local);

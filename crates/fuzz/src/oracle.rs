@@ -60,13 +60,6 @@ pub enum Outcome {
     Divergence(Divergence),
 }
 
-impl Outcome {
-    /// True for [`Outcome::Divergence`].
-    pub fn is_divergence(&self) -> bool {
-        matches!(self, Outcome::Divergence(_))
-    }
-}
-
 /// Which invariant failed, against which technique.
 #[derive(Debug, Clone)]
 pub struct Divergence {

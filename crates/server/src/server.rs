@@ -35,11 +35,9 @@ use std::time::{Duration, Instant};
 
 use regmutex::{RunError, RunReport, Technique};
 use regmutex_bench::runner::default_jobs;
-use regmutex_bench::{CachedResult, JobSpec, ResultCache, Runner, DEFAULT_CACHE_BUDGET};
-use regmutex_compiler::CompileOptions;
+use regmutex_bench::{job_spec, CachedResult, JobSpec, ResultCache, Runner, DEFAULT_CACHE_BUDGET};
 use regmutex_fuzz::{CampaignConfig, CampaignStats, FuzzReport};
-use regmutex_sim::{GpuConfig, LaunchConfig};
-use regmutex_workloads::suite;
+use regmutex_sim::GpuConfig;
 
 use crate::event_loop::{run_event_loop, Completion, CompletionQueue, SlotToken, TokenBuckets};
 use crate::http::{Limits, Request, Response};
@@ -496,39 +494,28 @@ fn parse_body(request: &Request) -> Result<Json, Response> {
 /// cap. Public so a coordinator can compute the *same* content fingerprint
 /// the worker will key its cache with — consistent-hash routing by that
 /// fingerprint shards the workers' LRU caches cleanly. Without a server cap
-/// the spec is identical to the one the local harness builds for the same
-/// job.
+/// the spec is identical to the one [`MatrixJob::to_spec`] builds for
+/// [`RunRequest::job`]: both go through [`job_spec`].
 ///
 /// The second argument is ignored. It is kept only so the benchmark
 /// package's existing `spec_for_request(&run, 0, None)` call still
 /// compiles; pass `0`.
+///
+/// [`MatrixJob::to_spec`]: regmutex_bench::MatrixJob::to_spec
 pub fn spec_for_request(req: &RunRequest, _: u32, server_budget: Option<u64>) -> JobSpec {
-    let w = suite::by_name(&req.app).expect("validated by parse_run_request");
-    let cfg = if req.half_rf {
-        GpuConfig::gtx480_half_rf()
-    } else {
-        GpuConfig::gtx480()
-    };
-    let launch = LaunchConfig::new(req.ctas.unwrap_or(w.grid_ctas));
-    let mut spec = JobSpec::new(
-        format!("{}/{}", w.name, req.technique),
-        &w.kernel,
-        &cfg,
-        launch,
-        req.technique,
-    )
-    .with_options(CompileOptions {
-        force_es: req.force_es,
-        force_apply: req.force_es.is_some(),
-    });
     let budget = match (req.cycle_budget, server_budget) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
     };
-    if let Some(b) = budget {
-        spec = spec.with_cycle_budget(b);
-    }
-    spec
+    job_spec(
+        &req.app,
+        req.technique,
+        &GpuConfig::gtx480_rf(req.half_rf),
+        req.ctas,
+        req.force_es,
+        budget,
+    )
+    .expect("validated by parse_run_request")
 }
 
 /// Build the job spec for one run request under this server's config.

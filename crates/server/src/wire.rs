@@ -10,8 +10,9 @@
 use std::str::FromStr;
 
 use regmutex::{RunReport, Technique};
+use regmutex_bench::MatrixJob;
 use regmutex_compiler::RegPlan;
-use regmutex_sim::{SimStats, StallReason};
+use regmutex_sim::{GpuConfig, SimStats, StallReason};
 use regmutex_workloads::suite;
 
 use crate::json::Json;
@@ -55,6 +56,41 @@ pub struct RunRequest {
     /// is idempotent either way (results are content-addressed), so
     /// re-execution of a leased job is always safe.
     pub lease: Option<u64>,
+}
+
+impl RunRequest {
+    /// The sweep job this request runs.
+    pub fn job(&self) -> MatrixJob {
+        MatrixJob {
+            cfg: GpuConfig::gtx480_rf(self.half_rf),
+            ctas: self.ctas,
+            force_es: self.force_es,
+            cycle_budget: self.cycle_budget,
+            ..MatrixJob::new(self.app.clone(), self.technique)
+        }
+    }
+
+    /// The request that runs `job` — or, naming the job, why none can: the
+    /// wire names only the GTX480 config and its half-RF variant.
+    pub fn for_job(job: &MatrixJob) -> Result<RunRequest, String> {
+        let half_rf = job.cfg == GpuConfig::gtx480_half_rf();
+        if !half_rf && job.cfg != GpuConfig::gtx480() {
+            return Err(format!(
+                "{}: /v1/run carries only the GTX480 config and its half-RF variant, \
+                 and this job runs on another",
+                job.label
+            ));
+        }
+        Ok(RunRequest {
+            app: job.app.clone(),
+            technique: job.technique,
+            half_rf,
+            ctas: job.ctas,
+            force_es: job.force_es,
+            cycle_budget: job.cycle_budget,
+            lease: None,
+        })
+    }
 }
 
 fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, WireError> {
@@ -450,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn run_request_json_round_trips_through_the_strict_parser() {
+    fn run_requests_round_trip_through_the_strict_parser_and_as_jobs() {
         for req in [
             RunRequest {
                 app: "BFS".into(),
@@ -474,7 +510,18 @@ mod tests {
             let body = run_request_json(&req).encode();
             let back = parse_run_request(&parse(&body).unwrap()).unwrap();
             assert_eq!(back, req, "{body}");
+            // As a sweep job and back (a lease belongs to one attempt), and
+            // to the same spec either way.
+            let job = req.job();
+            let unleased = RunRequest { lease: None, ..req };
+            assert_eq!(RunRequest::for_job(&job).as_ref(), Ok(&unleased));
+            let spec = crate::spec_for_request(&unleased, 0, None);
+            assert_eq!(spec.fingerprint(), job.to_spec().unwrap().fingerprint());
         }
+        let mut volta = MatrixJob::new("BFS", Technique::Baseline);
+        volta.cfg = GpuConfig::volta_like();
+        let err = RunRequest::for_job(&volta).unwrap_err();
+        assert!(err.starts_with("BFS/baseline: "), "{err}");
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct GpuConfig {
     /// cycle of result latency each (the operand collector gathers them over
     /// extra cycles). `0` disables the model (the default — the paper's
     /// evaluation does not model bank conflicts either; this is an
-    /// extension, see `ablation_bank_conflicts`).
+    /// extension, see the `ablation_bank_conflicts` figure).
     pub reg_banks: u32,
     /// Event-driven cycle skipping: when every resident warp on an SM is
     /// provably asleep until a known future event (memory completion,
@@ -136,6 +136,16 @@ impl GpuConfig {
         GpuConfig {
             regs_per_sm: 16_384,
             ..Self::gtx480()
+        }
+    }
+
+    /// The half-RF variant when `half_rf`, else the GTX480: the two GPUs
+    /// the CLI's `--half-rf` and `/v1/run`'s `half_rf` choose between.
+    pub fn gtx480_rf(half_rf: bool) -> Self {
+        if half_rf {
+            Self::gtx480_half_rf()
+        } else {
+            Self::gtx480()
         }
     }
 
