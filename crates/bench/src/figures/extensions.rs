@@ -9,7 +9,7 @@ use regmutex_workloads::{suite, Workload};
 
 use super::{job, Failures};
 use crate::cache::CachedResult;
-use crate::report::{fmt_pct, GeoMean, Table};
+use crate::report::{fmt_pct, Mean, Table};
 use crate::source::MatrixJob;
 
 /// Baseline then RegMutex, per app, per variant of the GTX480 (`set`
@@ -286,7 +286,7 @@ pub(super) fn volta(jobs: &[MatrixJob], results: &[CachedResult]) -> (String, i3
     let mut fails = Failures::new(jobs, results);
     let mut rows = fails.rows(jobs, results, 2).into_iter().peekable();
     let mut table = Table::new(&["app", "reduction", "occupancy base", "occupancy rm", "plan"]);
-    let mut avg = GeoMean::new();
+    let mut avg = Mean::new();
     for w in suite::occupancy_limited() {
         if !transformed_on_volta(&w) {
             let dash = || "-".to_string();

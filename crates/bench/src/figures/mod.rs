@@ -16,7 +16,7 @@ use regmutex::{RunReport, Technique};
 use regmutex_sim::GpuConfig;
 
 use crate::cache::CachedResult;
-use crate::report::{fmt_pct, GeoMean, Table};
+use crate::report::{fmt_pct, Mean, Table};
 use crate::runner::error_table;
 use crate::source::{JobSource, MatrixJob};
 
@@ -220,10 +220,10 @@ impl Failures {
         headers: &[S],
         paired: bool,
         metric: fn(&RunReport, &RunReport) -> f64,
-    ) -> (Table, Vec<GeoMean>) {
+    ) -> (Table, Vec<Mean>) {
         let cols = headers.len() - 1;
         let mut table = Table::new(headers);
-        let mut avg = vec![GeoMean::new(); cols];
+        let mut avg = vec![Mean::new(); cols];
         let n = if paired { 2 * cols } else { cols + 1 };
         for (app, g) in self.rows(jobs, results, n) {
             let mut cells = vec![app.to_string()];

@@ -6,7 +6,7 @@ use regmutex_workloads::{suite, Group};
 
 use super::{job, Failures};
 use crate::cache::CachedResult;
-use crate::report::{fmt_pct, GeoMean, Table};
+use crate::report::{fmt_pct, Mean, Table};
 use crate::source::MatrixJob;
 
 /// Fig 9's techniques; the first is the reference.
@@ -89,7 +89,7 @@ pub(super) fn fig07(jobs: &[MatrixJob], results: &[CachedResult]) -> (String, i3
         "cycles base",
         "cycles rm",
     ]);
-    let mut avg = GeoMean::new();
+    let mut avg = Mean::new();
     for (app, g) in fails.rows(jobs, results, 2) {
         let (base, rm) = (g[0], g[1]);
         let red = cycle_reduction_percent(base, rm);
@@ -136,7 +136,7 @@ pub(super) fn fig08(jobs: &[MatrixJob], results: &[CachedResult]) -> (String, i3
         "occupancy w/",
         "acquire success",
     ]);
-    let (mut avg_none, mut avg_rm) = (GeoMean::new(), GeoMean::new());
+    let (mut avg_none, mut avg_rm) = (Mean::new(), Mean::new());
     for (app, g) in fails.rows(jobs, results, 3) {
         let (reference, none, rm) = (g[0], g[1], g[2]);
         let inc_none = cycle_increase_percent(reference, none);
@@ -337,7 +337,7 @@ pub(super) fn fig12(jobs: &[MatrixJob], results: &[CachedResult]) -> (String, i3
         "occupancy paired",
     ];
     let mut table_a = Table::new(&headers);
-    let (mut avg_paired, mut avg_default) = (GeoMean::new(), GeoMean::new());
+    let (mut avg_paired, mut avg_default) = (Mean::new(), Mean::new());
     for (app, g) in fails.rows(&jobs[..split], &results[..split], 3) {
         let (base, paired, default) = (g[0], g[1], g[2]);
         let red_p = cycle_reduction_percent(base, paired);
@@ -358,7 +358,7 @@ pub(super) fn fig12(jobs: &[MatrixJob], results: &[CachedResult]) -> (String, i3
         "occupancy paired",
     ];
     let mut table_b = Table::new(&headers);
-    let (mut avg_paired_b, mut avg_none_b) = (GeoMean::new(), GeoMean::new());
+    let (mut avg_paired_b, mut avg_none_b) = (Mean::new(), Mean::new());
     for (app, g) in fails.rows(&jobs[split..], &results[split..], 3) {
         let (reference, none, paired) = (g[0], g[1], g[2]);
         let inc_p = cycle_increase_percent(reference, paired);

@@ -73,12 +73,12 @@ pub fn fmt_pct(v: f64) -> String {
 /// Running arithmetic mean (the paper reports arithmetic averages of
 /// per-application percentages).
 #[derive(Debug, Clone, Default)]
-pub struct GeoMean {
+pub struct Mean {
     sum: f64,
     n: u32,
 }
 
-impl GeoMean {
+impl Mean {
     /// Empty accumulator.
     pub fn new() -> Self {
         Self::default()
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn mean_accumulates() {
-        let mut m = GeoMean::new();
+        let mut m = Mean::new();
         assert_eq!(m.mean(), 0.0);
         m.push(10.0);
         m.push(20.0);

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use std::io::{BufRead, BufReader};
 
-use regmutex_server::loadgen::Rng;
+use regmutex_isa::Rng;
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_regmutex-cli"))

@@ -2,37 +2,18 @@
 //! with FFZ, warp-status bitmask, section LUT) driven by random
 //! acquire/release sequences against a plain `HashSet`/`HashMap` model.
 //!
-//! Sequences come from a seeded xorshift64* PRNG (no external generator
-//! crate); the case number in a failure message replays the input exactly.
+//! Sequences come from the workspace's seeded `Rng`, started at
+//! `seed * φ | 1`; the case number in a failure message replays the input
+//! exactly.
 
 use std::collections::{HashMap, HashSet};
 
 use regmutex::hw::bitmask::{SectionLut, SrpBitmask, WarpStatusBitmask};
+use regmutex_isa::Rng;
 
-/// Deterministic xorshift64* PRNG (same construction as `tests/common`).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo)
-    }
+/// The case generator for `seed`.
+fn case_rng(seed: u64) -> Rng {
+    Rng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
 }
 
 /// One random hardware operation.
@@ -64,7 +45,7 @@ fn gen_ops(rng: &mut Rng, nw: u32) -> Vec<HwOp> {
 #[test]
 fn fig5_procedures_match_reference_model() {
     for case in 0..256u64 {
-        let mut rng = Rng::new(0x3009 + case);
+        let mut rng = case_rng(0x3009 + case);
         let nw = rng.range(2, 48) as u32;
         let valid = (rng.range(1, 48) as u32).min(nw);
         let ops = gen_ops(&mut rng, 48);
@@ -145,7 +126,7 @@ fn fig5_procedures_match_reference_model() {
 #[test]
 fn invalid_sections_never_granted() {
     for case in 0..256u64 {
-        let mut rng = Rng::new(0x400A + case);
+        let mut rng = case_rng(0x400A + case);
         let valid = rng.range(1, 8) as u32;
         let ops = gen_ops(&mut rng, 8);
         let nw = 8;

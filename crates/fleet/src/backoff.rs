@@ -3,7 +3,7 @@
 //! The delay before re-dispatching a job is a *pure function* of
 //! `(seed, fingerprint, attempt)`: exponential growth from
 //! [`BackoffPolicy::base`], capped at [`BackoffPolicy::cap`], scaled by a
-//! jitter factor in `[0.5, 1.0)`: one output of the service side's
+//! jitter factor in `[0.5, 1.0)`: one output of the workspace's
 //! xorshift64\* [`Rng`] seeded with a hash of the inputs. Jitter
 //! de-synchronizes a thundering herd of retries without
 //! sacrificing reproducibility — the same seed replays the exact same
@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use regmutex_server::loadgen::Rng;
+use regmutex_isa::Rng;
 
 /// Exponential backoff parameters.
 #[derive(Debug, Clone)]

@@ -360,4 +360,40 @@ mod tests {
         assert!(divs > 10, "too little divergence: {divs}");
         assert!(loads > 100, "too little memory traffic: {loads}");
     }
+
+    /// Fresh-mode output is pinned: a seed names one kernel and one
+    /// trace on every build, so a change to the generator or to the
+    /// stream it draws from shows here first.
+    #[test]
+    fn fresh_generation_is_pinned() {
+        let pins: [(u64, u64, &[u64]); 3] = [
+            (
+                0,
+                0x9055_d8b4_534d_dff2,
+                &[0, 5, 0, 32, 2, 4, 282, 0, 4, 749, 0, 1, 2, 2, 9, 1, 2],
+            ),
+            (
+                1,
+                0x78d8_dc41_148a_215b,
+                &[
+                    1, 5, 1, 3, 3, 1, 0, 5, 48, 1, 0, 4, 0, 5, 925, 1, 2, 2, 0, 0, 3, 1, 2, 2, 0, 0,
+                ],
+            ),
+            (
+                0xA001,
+                0xe6ee_4d02_640b_53e4,
+                &[5, 3, 1, 31, 4, 2, 8, 1, 0, 3, 2, 7, 8, 1],
+            ),
+        ];
+        for (seed, kernel_hash, trace) in pins {
+            let g = generate(seed);
+            let text = g.kernel.to_string();
+            assert_eq!(
+                regmutex_durable::fnv1a(text.as_bytes()),
+                kernel_hash,
+                "seed {seed:#x}"
+            );
+            assert_eq!(g.trace, trace, "seed {seed:#x}");
+        }
+    }
 }

@@ -10,32 +10,7 @@
 //! kernels only. Entries past the end of a replayed trace read as zero,
 //! which makes plain truncation a legal shrink step.
 
-/// Deterministic xorshift64* PRNG (same family the load generator and the
-/// chaos campaigns use; no external randomness anywhere).
-#[derive(Debug, Clone)]
-pub struct XorShift(u64);
-
-impl XorShift {
-    /// Seed the generator; a zero seed is remapped to a fixed odd constant
-    /// (xorshift has a fixed point at zero).
-    pub fn new(seed: u64) -> Self {
-        XorShift(if seed == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            seed
-        })
-    }
-
-    /// Next raw 64-bit sample.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
+use regmutex_isa::Rng;
 
 /// The single source every generator decision is drawn from.
 ///
@@ -46,17 +21,23 @@ impl XorShift {
 /// exactly one in-range entry per draw the generator performed.
 #[derive(Debug, Clone)]
 pub struct Decisions {
-    rng: XorShift,
+    rng: Rng,
     replay: Option<Vec<u64>>,
     cursor: usize,
     recorded: Vec<u64>,
 }
 
 impl Decisions {
-    /// Draw fresh decisions from the PRNG seeded with `seed`.
+    /// Draw fresh decisions from the PRNG seeded with `seed`. Seed 0, a
+    /// real `generate` input, starts from a fixed odd constant instead.
     pub fn fresh(seed: u64) -> Self {
+        let state = if seed == 0 {
+            0x9E37_79B9_7F4A_7C15
+        } else {
+            seed
+        };
         Decisions {
-            rng: XorShift::new(seed),
+            rng: Rng::new(state),
             replay: None,
             cursor: 0,
             recorded: Vec::new(),
@@ -68,7 +49,7 @@ impl Decisions {
     /// demand) read as the minimal choice.
     pub fn replay(trace: &[u64]) -> Self {
         Decisions {
-            rng: XorShift::new(0),
+            rng: Rng::new(0),
             replay: Some(trace.to_vec()),
             cursor: 0,
             recorded: Vec::new(),

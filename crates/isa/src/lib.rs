@@ -32,9 +32,11 @@ mod display;
 mod instr;
 mod kernel;
 mod reg;
+mod rng;
 
 pub use branch::{decide, mix, BranchBehavior, TripCount};
 pub use builder::{BuildKernelError, KernelBuilder, Label};
 pub use instr::{Instr, LatencyClass, Op, Space};
 pub use kernel::{Kernel, ValidateKernelError, MAX_ARCH_REGS};
 pub use reg::{ArchReg, CtaId, PhysReg, WarpId};
+pub use rng::Rng;

@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use regmutex::Technique;
 use regmutex_bench::Table;
+use regmutex_isa::Rng;
 
 use crate::http::{client_request, ClientResponse, HttpClient};
 use crate::json::{self, Json};
@@ -294,34 +295,6 @@ impl LoadgenReport {
     }
 }
 
-/// xorshift64* (shifts 12/25/27, seed 0 remapped to 1): the service
-/// side's one seeded generator, behind the loadgen's request picks and
-/// the fleet's backoff jitter.
-#[derive(Debug, Clone)]
-pub struct Rng(u64);
-
-impl Rng {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    /// The next output.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// An element of non-empty `items`, drawn with one output.
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[(self.next_u64() % items.len() as u64) as usize]
-    }
-}
-
 const TECHNIQUES: [Technique; 2] = [Technique::Baseline, Technique::RegMutex];
 
 /// Run the closed loop against `target` and aggregate every thread's
@@ -499,30 +472,6 @@ fn trace(resp: Option<&ClientResponse>, retried_429: u32) -> JobTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rng_is_deterministic() {
-        let mut a = Rng::new(42);
-        let mut b = Rng::new(42);
-        for _ in 0..32 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut c = Rng::new(43);
-        assert_ne!(a.next_u64(), c.next_u64());
-        // The sequence itself is pinned: a seed replays the same stream
-        // across builds, and seed 0 is remapped to 1.
-        let mut r = Rng::new(42);
-        let first: Vec<u64> = (0..3).map(|_| r.next_u64()).collect();
-        assert_eq!(
-            first,
-            [
-                0x56ce_4ab7_719b_a3a0,
-                0xc841_eb53_ebbb_2dda,
-                0xca46_6be0_c998_0276
-            ]
-        );
-        assert_eq!(Rng::new(0).next_u64(), 0x47e4_ce4b_896c_dd1d);
-    }
 
     #[test]
     fn percentiles_are_exact_on_sorted_samples() {

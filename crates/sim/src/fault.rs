@@ -159,10 +159,10 @@ pub struct FaultPlan {
     pub faults: Vec<Fault>,
 }
 
-/// Minimal xorshift generator with a xorshift64* output multiply, on the
-/// 13/7/17 shift triple (not the 12/25/27 of the service side's `Rng`,
-/// so its sequence differs) — deterministic fault parameters without an
-/// external RNG dependency. Pinned fault verdicts depend on this exact
+/// Xorshift generator with a xorshift64* output multiply on the 13/7/17
+/// shift triple: the one copy kept apart from [`regmutex_isa::Rng`]
+/// (12/25/27), because its stream differs and the pinned fault verdicts,
+/// the chaos tables and `fuzz --fault` outputs depend on this exact
 /// sequence.
 struct Rng(u64);
 

@@ -231,22 +231,6 @@ mod tests {
         assert_eq!(tried, vec![0, 2, 4, 6]);
     }
 
-    /// xorshift64* — deterministic case generator.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     /// The ordering as a sort key over `(slot, age, holds)` candidates: the
     /// definition each policy's walk must reproduce.
     fn sort_reference(
@@ -269,8 +253,9 @@ mod tests {
     #[test]
     fn walks_match_the_sort_key_on_random_sets() {
         for case in 0..2_000u64 {
-            let mut rng =
-                Rng(0x9E37_79B9_7F4A_7C15 ^ (case + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
+            let mut rng = regmutex_isa::Rng::new(
+                0x9E37_79B9_7F4A_7C15 ^ (case + 1).wrapping_mul(0xD1B5_4A32_D192_ED03),
+            );
             let nsched = 1 + rng.below(4) as u32;
             let sid = rng.below(u64::from(nsched)) as u32;
             let max_warps = 1 + rng.below(64) as u32;

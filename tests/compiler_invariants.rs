@@ -2,17 +2,23 @@
 //! brute-force reference on straight-line code, verifier guarantees on
 //! transformed kernels, and heuristic viability rules.
 //!
-//! Cases are generated from fixed seeds (see `common::Rng`); the case number
-//! in a failure message replays the input exactly.
+//! Cases are generated from fixed seeds. Structured kernels come from
+//! `regmutex_fuzz::generate(seed)`; the straight-line kernels the
+//! brute-force references need, and the other inputs, draw from a
+//! `regmutex_isa::Rng` started at `seed * φ | 1`. The case number in a
+//! failure message replays the input exactly.
 
-mod common;
-
-use common::Rng;
 use regmutex_compiler::{
     analyze, barrier_live_max, compile, es_select, verify_transformed, CompileOptions,
 };
-use regmutex_isa::{ArchReg, Instr, Kernel, Op};
+use regmutex_fuzz::{generate, oracle::config_for};
+use regmutex_isa::{ArchReg, Instr, Kernel, Op, Rng};
 use regmutex_sim::{GpuConfig, KernelResources};
+
+/// The case generator for `seed`.
+fn case_rng(seed: u64) -> Rng {
+    Rng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+}
 
 /// Brute-force liveness for straight-line code: a register is live-in at pc
 /// if it is read at some pc' >= pc before being written.
@@ -63,7 +69,7 @@ fn gen_straight_line(rng: &mut Rng) -> Kernel {
 #[test]
 fn liveness_matches_brute_force() {
     for case in 0..128u64 {
-        let mut rng = Rng::new(0xD004 + case);
+        let mut rng = case_rng(0xD004 + case);
         let kernel = gen_straight_line(&mut rng);
         let lv = analyze(&kernel);
         for pc in 0..kernel.len() {
@@ -83,15 +89,15 @@ fn liveness_matches_brute_force() {
 #[test]
 fn pipeline_output_verifies() {
     for case in 0..128u64 {
-        let mut rng = Rng::new(0xE005 + case);
-        let kernel = common::gen_kernel(&mut rng);
-        let es = rng.range(1, 5) as u16;
-        let cfg = GpuConfig::test_tiny();
+        let seed = 0xE005 + case;
+        let g = generate(seed);
+        let kernel = &g.kernel;
+        let es = 2 * (1 + seed % 4) as u16;
         let compiled = compile(
-            &kernel,
-            &cfg,
+            kernel,
+            &config_for(&g),
             &CompileOptions {
-                force_es: Some(es * 2),
+                force_es: Some(es),
                 force_apply: true,
             },
         )
@@ -101,11 +107,15 @@ fn pipeline_output_verifies() {
             .validate()
             .expect("transformed kernel valid");
         if let Some(plan) = compiled.plan {
-            verify_transformed(&compiled.kernel, plan.bs).expect("verifier clean");
+            verify_transformed(&compiled.kernel, plan.bs)
+                .unwrap_or_else(|e| panic!("generate({seed:#x}) (es {es}): {e}"));
             // The plan satisfies both deadlock rules.
-            assert!(plan.srp_sections >= 1, "case {case}");
-            let lv = analyze(&kernel);
-            assert!(plan.bs >= barrier_live_max(&kernel, &lv), "case {case}");
+            assert!(plan.srp_sections >= 1, "generate({seed:#x})");
+            let lv = analyze(kernel);
+            assert!(
+                plan.bs >= barrier_live_max(kernel, &lv),
+                "generate({seed:#x})"
+            );
         }
     }
 }
@@ -116,7 +126,7 @@ fn pipeline_output_verifies() {
 #[test]
 fn es_selection_invariants() {
     for case in 0..128u64 {
-        let mut rng = Rng::new(0xF006 + case);
+        let mut rng = case_rng(0xF006 + case);
         let regs = rng.range(6, 64) as u16;
         let tpc = rng.range(1, 16) as u32;
         let bl = rng.below(20) as u16;
@@ -149,7 +159,7 @@ fn es_selection_invariants() {
 #[test]
 fn occupancy_monotonic() {
     for case in 0..128u64 {
-        let mut rng = Rng::new(0x1007 + case);
+        let mut rng = case_rng(0x1007 + case);
         let tpc = rng.range(1, 16) as u32;
         let shmem = rng.below(24_000) as u32;
         let cfg = GpuConfig::gtx480();
@@ -223,7 +233,7 @@ fn compaction_preserves_straightline_semantics() {
     use regmutex_sim::LaunchConfig;
 
     for case in 0..96u64 {
-        let mut rng = Rng::new(0x2008 + case);
+        let mut rng = case_rng(0x2008 + case);
         let kernel = gen_straight_line_10(&mut rng);
         let es = rng.range(2, 8) as u16;
 
