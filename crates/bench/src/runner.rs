@@ -18,6 +18,12 @@
 //!   (e.g. the baseline run that nearly every figure re-simulates) are
 //!   simulated once and served from the cache afterwards, within and
 //!   across batches of one process.
+//! * **One compile per kernel** — compilation depends on the kernel, the
+//!   config and the options, never on the technique. A batch hashes each
+//!   kernel once, and its jobs that share a compile key (the fingerprint
+//!   minus technique and grid) share one [`CompiledKernel`], built by
+//!   whichever worker reaches the group first. Each technique is still
+//!   its own pool job.
 //! * **Fault isolation** — a job that panics inside the simulator is
 //!   caught at the worker boundary and reported as
 //!   [`RunError::Panicked`]; a job that blows its [`JobSpec::cycle_budget`]
@@ -27,13 +33,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use regmutex::{RunError, RunReport, Session, Technique};
-use regmutex_compiler::CompileOptions;
+use regmutex::{RunError, Session, Technique};
+use regmutex_compiler::{CompileOptions, CompiledKernel};
 use regmutex_durable::Fnv1a;
-use regmutex_isa::Kernel;
+use regmutex_isa::{Kernel, ValidateKernelError};
 use regmutex_sim::{GpuConfig, LaunchConfig};
 
 use crate::cache::{CachedResult, DurableTier, ResultCache, DEFAULT_CACHE_BUDGET};
@@ -44,10 +50,11 @@ use crate::cache::{CachedResult, DurableTier, ResultCache, DEFAULT_CACHE_BUDGET}
 pub struct JobSpec {
     /// Human-readable job name for diagnostics, e.g. `"BFS/regmutex"`.
     pub label: String,
-    /// The kernel to simulate (pre-transformation; each job compiles for
-    /// its own technique, which is deterministic and cheap next to the
-    /// simulation itself).
-    pub kernel: Kernel,
+    /// The kernel to simulate (pre-transformation). Shared, so the specs
+    /// one kernel fans out to (one per technique) hold a single copy;
+    /// [`Runner::run_all`] compiles it once for every job with the same
+    /// kernel, config and options.
+    pub kernel: Arc<Kernel>,
     /// GPU configuration.
     pub cfg: GpuConfig,
     /// Compile options (forced `|Es|` etc.).
@@ -71,9 +78,21 @@ impl JobSpec {
         launch: LaunchConfig,
         technique: Technique,
     ) -> Self {
+        Self::shared(label, Arc::new(kernel.clone()), cfg, launch, technique)
+    }
+
+    /// A job with default compile options on a kernel other specs may
+    /// share (no copy).
+    pub fn shared(
+        label: impl Into<String>,
+        kernel: Arc<Kernel>,
+        cfg: &GpuConfig,
+        launch: LaunchConfig,
+        technique: Technique,
+    ) -> Self {
         JobSpec {
             label: label.into(),
-            kernel: kernel.clone(),
+            kernel,
             cfg: cfg.clone(),
             options: CompileOptions::default(),
             technique,
@@ -110,27 +129,88 @@ impl JobSpec {
     /// Content fingerprint: identical fingerprints mean identical
     /// simulations (same kernel text, config, options, technique, grid),
     /// so their results are interchangeable.
+    ///
+    /// FNV-1a is sequential, so the key is built in three stages over one
+    /// field order: the kernel prefix ([`kernel_prefix`]), the compile key
+    /// ([`JobSpec::compile_state`]) and this job key. [`Runner::run_all`]
+    /// reuses the first two across a batch and gets the same values.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        // The kernel's disassembly covers every instruction; name/seed and
-        // the resource declaration are folded in separately because they
-        // affect execution but may not appear in the listing.
-        h.write_field(self.kernel.name.as_bytes());
-        h.write_field(&self.kernel.seed.to_le_bytes());
-        h.write_field(&self.kernel.regs_per_thread.to_le_bytes());
-        h.write_field(&self.kernel.shmem_per_cta.to_le_bytes());
-        h.write_field(&self.kernel.threads_per_cta.to_le_bytes());
-        h.write_field(self.kernel.to_string().as_bytes());
+        self.job_key(self.compile_state(kernel_prefix(&self.kernel)))
+    }
+
+    /// Stage 2: the kernel prefix plus everything else compilation depends
+    /// on. Specs with equal compile keys compile to the same kernel.
+    fn compile_state(&self, kernel_prefix: Fnv1a) -> Fnv1a {
+        let mut h = kernel_prefix;
         // The budget is hashed via the effective config, so a job with a
         // budget below the watchdog is distinct from the uncapped job while
         // a no-op budget (≥ watchdog) shares its cache entry.
         h.write_field(format!("{:?}", self.effective_cfg()).as_bytes());
         h.write_field(format!("{:?}", self.options).as_bytes());
-        h.write_field(format!("{}", self.technique).as_bytes());
+        h
+    }
+
+    /// Stage 3: the compile key plus the technique and the grid.
+    fn job_key(&self, compile_state: Fnv1a) -> u64 {
+        let mut h = compile_state;
+        h.write_field(self.technique.to_string().as_bytes());
         h.write_field(&self.launch.grid_ctas.to_le_bytes());
         h.finish()
     }
+
+    /// True when `other` has this spec's compile key by construction: the
+    /// same kernel, config, budget and options.
+    fn same_compile(&self, other: &JobSpec) -> bool {
+        (Arc::ptr_eq(&self.kernel, &other.kernel) || self.kernel == other.kernel)
+            && self.cfg == other.cfg
+            && self.cycle_budget == other.cycle_budget
+            && self.options == other.options
+    }
 }
+
+/// Stage 1 of every key: the kernel's name, seed, resources and text. The
+/// disassembly covers every instruction; name/seed and the resource
+/// declaration are folded in separately because they affect execution but
+/// may not appear in the listing.
+fn kernel_prefix(kernel: &Kernel) -> Fnv1a {
+    let mut h = Fnv1a::new();
+    h.write_field(kernel.name.as_bytes());
+    h.write_field(&kernel.seed.to_le_bytes());
+    h.write_field(&kernel.regs_per_thread.to_le_bytes());
+    h.write_field(&kernel.shmem_per_cta.to_le_bytes());
+    h.write_field(&kernel.threads_per_cta.to_le_bytes());
+    h.write_field(kernel.to_string().as_bytes());
+    h
+}
+
+/// Every spec's `(job key, compile key)`, with the job key equal to
+/// [`JobSpec::fingerprint`]. Each distinct kernel `Arc` is hashed once,
+/// and consecutive specs with the same compile inputs reuse the compile
+/// stage.
+fn batch_keys(specs: &[JobSpec]) -> Vec<(u64, u64)> {
+    let mut prefixes: HashMap<*const Kernel, Fnv1a> = HashMap::new();
+    let mut prev: Option<(&JobSpec, Fnv1a)> = None;
+    specs
+        .iter()
+        .map(|spec| {
+            let compile = match prev {
+                Some((p, state)) if p.same_compile(spec) => state,
+                _ => {
+                    let prefix = *prefixes
+                        .entry(Arc::as_ptr(&spec.kernel))
+                        .or_insert_with(|| kernel_prefix(&spec.kernel));
+                    spec.compile_state(prefix)
+                }
+            };
+            prev = Some((spec, compile));
+            (spec.job_key(compile), compile.finish())
+        })
+        .collect()
+}
+
+/// One compile group's shared compilation, filled by the first job of the
+/// group that runs. A compile that panics leaves it empty.
+type CompileSlot = OnceLock<Result<CompiledKernel, ValidateKernelError>>;
 
 /// Parallel experiment engine: a fixed worker count and a cache of
 /// completed simulations, shared by every batch submitted to it.
@@ -146,6 +226,8 @@ pub struct Runner {
     /// Optional durable spill tier consulted on cache misses and written
     /// through on fresh simulations (see [`DurableTier`]).
     tier: Option<Arc<dyn DurableTier>>,
+    /// Kernel compilations this runner performed.
+    compiles: AtomicU64,
 }
 
 impl Runner {
@@ -161,6 +243,7 @@ impl Runner {
             jobs: jobs.max(1),
             cache,
             tier: None,
+            compiles: AtomicU64::new(0),
         }
     }
 
@@ -197,17 +280,25 @@ impl Runner {
         self.cache.misses()
     }
 
+    /// Kernel compilations this runner has performed. A batch compiles
+    /// once per compile group, so this stays at or below the number of
+    /// distinct `(kernel, config, options, budget)` tuples it simulated.
+    pub fn compiles(&self) -> u64 {
+        self.compiles.load(Ordering::Relaxed)
+    }
+
     /// Run a batch. Results are returned in **submission order** regardless
     /// of the worker count or completion order, so harness output is
     /// byte-identical for any `--jobs` value.
     ///
     /// Identical jobs — same fingerprint, whether duplicated inside this
-    /// batch or already completed in an earlier batch — are simulated once.
+    /// batch or already completed in an earlier batch — are simulated once,
+    /// and the jobs left to simulate compile once per compile key.
     /// With a durable tier attached, the batch's fresh results are on
     /// stable storage when this returns (one [`DurableTier::sync`] per
     /// batch).
     pub fn run_all(&self, specs: &[JobSpec]) -> Vec<CachedResult> {
-        let keys: Vec<u64> = specs.iter().map(JobSpec::fingerprint).collect();
+        let (keys, compile_keys): (Vec<u64>, Vec<u64>) = batch_keys(specs).into_iter().unzip();
 
         // Resolve what we can from the shared cache, pinning every resolved
         // value in a batch-local map so a concurrent writer (or our own
@@ -236,6 +327,17 @@ impl Runner {
             }
         }
 
+        // Group the unique jobs by compile key: one compile slot per group.
+        let mut groups: HashMap<u64, usize> = HashMap::new();
+        let group_of: Vec<usize> = todo
+            .iter()
+            .map(|&i| {
+                let next = groups.len();
+                *groups.entry(compile_keys[i]).or_insert(next)
+            })
+            .collect();
+        let slots: Vec<CompileSlot> = (0..groups.len()).map(|_| OnceLock::new()).collect();
+
         // Execute the unique jobs across the pool. Workers pull the next
         // index from a shared cursor; each simulation is single-threaded
         // and deterministic, so scheduling cannot affect any result.
@@ -247,8 +349,7 @@ impl Runner {
                 scope.spawn(|| loop {
                     let n = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(&i) = todo.get(n) else { break };
-                    let spec = &specs[i];
-                    let result = run_isolated(spec);
+                    let result = self.run_isolated(&specs[i], &slots[group_of[n]]);
                     fresh.lock().unwrap().push((keys[i], result));
                 });
             }
@@ -294,13 +395,34 @@ impl Runner {
             return (v, true);
         }
         self.cache.note_miss();
-        let result = run_isolated(spec);
+        let result = self.run_isolated(spec, &OnceLock::new());
         if let Some(t) = &self.tier {
             t.save(key, &result);
             t.sync();
         }
         self.cache.insert(key, result.clone());
         (result, false)
+    }
+
+    /// Execute one job behind a panic boundary, compiling through `slot`
+    /// unless another job of its compile group already has. A panic
+    /// anywhere in compile/simulate becomes [`RunError::Panicked`]
+    /// carrying the panic message, so one sick job can never take down a
+    /// sweep; a compile that panics leaves `slot` empty, so every job of
+    /// its group compiles again and reports its own panic.
+    fn run_isolated(&self, spec: &JobSpec, slot: &CompileSlot) -> CachedResult {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let session = Session::with_options(spec.effective_cfg(), spec.options.clone());
+            let compiled = slot.get_or_init(|| {
+                self.compiles.fetch_add(1, Ordering::Relaxed);
+                session.compile(&spec.kernel)
+            });
+            match compiled {
+                Ok(c) => session.run_compiled(c, spec.launch, spec.technique),
+                Err(e) => Err(RunError::InvalidKernel(e.clone())),
+            }
+        }));
+        outcome.unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&payload))))
     }
 
     /// One-line execution summary for stderr (stdout stays byte-stable).
@@ -312,17 +434,6 @@ impl Runner {
             self.cache_hits()
         )
     }
-}
-
-/// Execute one job behind a panic boundary. A panic anywhere in
-/// compile/simulate becomes [`RunError::Panicked`] carrying the panic
-/// message, so one sick job can never take down a sweep.
-fn run_isolated(spec: &JobSpec) -> Result<RunReport, RunError> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let session = Session::with_options(spec.effective_cfg(), spec.options.clone());
-        session.run(&spec.kernel, spec.launch, spec.technique)
-    }));
-    outcome.unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&payload))))
 }
 
 /// Best-effort extraction of a panic payload's message (`&str` and `String`
@@ -382,6 +493,7 @@ fn jobs_from_env(env: Option<&str>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regmutex::RunReport;
     use regmutex_isa::{ArchReg, KernelBuilder, TripCount};
 
     fn r(i: u16) -> ArchReg {
@@ -522,57 +634,139 @@ mod tests {
 
     #[test]
     fn panicking_job_is_isolated_and_survivors_match() {
-        // warp_size = 0 makes occupancy placement divide by zero, which is
-        // a genuine panic (not a SimError) inside the worker.
-        let k = kernel();
+        // warp_size = 0 makes occupancy placement divide by zero inside
+        // the compiler, which is a genuine panic (not a SimError) inside
+        // the worker — for every technique of the sick compile group.
         let mut sick_cfg = GpuConfig::test_tiny();
         sick_cfg.warp_size = 0;
         let healthy = specs();
         let mut batch = healthy.clone();
-        batch.insert(
-            1,
-            JobSpec::new(
-                "sick",
-                &k,
-                &sick_cfg,
-                LaunchConfig::new(1),
-                Technique::Baseline,
-            ),
-        );
+        let sick = shared_specs(&sick_cfg, "sick");
+        batch.splice(1..1, sick.iter().cloned());
 
         let clean = Runner::new(2).run_all(&healthy);
-        let mixed = Runner::new(2).run_all(&batch);
+        let runner = Runner::new(2);
+        let mixed = runner.run_all(&batch);
 
-        // The sick job failed with a panic report...
-        assert!(
-            matches!(&mixed[1], Err(RunError::Panicked(_))),
-            "expected Panicked, got {:?}",
-            mixed[1]
-        );
+        // Each sick job failed with its own panic report: the compile
+        // panicked, left the group's slot empty, and every job retried...
+        for r in &mixed[1..=sick.len()] {
+            assert!(
+                matches!(r, Err(RunError::Panicked(_))),
+                "expected Panicked, got {r:?}"
+            );
+        }
+        assert_eq!(runner.compiles(), 1 + sick.len() as u64);
         // ...and every survivor is byte-identical to the clean sweep.
         let survivors: Vec<_> = mixed
             .iter()
             .enumerate()
-            .filter(|&(i, _)| i != 1)
+            .filter(|&(i, _)| !(1..=sick.len()).contains(&i))
             .map(|(_, r)| r.as_ref().unwrap())
             .collect();
+        assert_eq!(survivors.len(), clean.len());
         for (c, s) in clean.iter().zip(survivors) {
-            let c = c.as_ref().unwrap();
-            assert_eq!(c.stats.cycles, s.stats.cycles);
-            assert_eq!(c.stats.checksum, s.stats.checksum);
+            assert_eq!(format!("{:?}", c.as_ref().unwrap()), format!("{s:?}"));
         }
 
-        // The error table names the sick job and only it.
+        // The error table names the sick jobs and only them.
         let failures: Vec<(String, String)> = batch
             .iter()
             .zip(&mixed)
             .filter_map(|(s, r)| r.as_ref().err().map(|e| (s.label.clone(), e.to_string())))
             .collect();
-        let table = error_table(&failures, mixed.len()).expect("one failure => table");
-        assert!(table.contains("sick"), "{table}");
+        let table = error_table(&failures, mixed.len()).expect("failures => table");
+        assert!(table.contains("sick/"), "{table}");
+        assert!(!table.contains("runner-test/"), "{table}");
         assert!(table.contains("panicked"), "{table}");
-        assert!(table.contains("1 of"), "{table}");
+        assert!(table.contains("5 of"), "{table}");
         assert!(error_table(&[], clean.len()).is_none());
+    }
+
+    /// The five techniques on `cfg`, all holding one shared kernel.
+    fn shared_specs(cfg: &GpuConfig, label: &str) -> Vec<JobSpec> {
+        let k = Arc::new(kernel());
+        regmutex::ALL_TECHNIQUES
+            .iter()
+            .map(|&t| {
+                JobSpec::shared(
+                    format!("{label}/{t}"),
+                    Arc::clone(&k),
+                    cfg,
+                    LaunchConfig::new(3),
+                    t,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_kernel_compiles_once_for_every_technique() {
+        let runner = Runner::new(2);
+        reports(&runner, &shared_specs(&GpuConfig::test_tiny(), "shared"));
+        assert_eq!(runner.compiles(), 1);
+
+        // Content-equal kernels in separate `Arc`s share one compile too,
+        // and the results match one compile per job exactly.
+        let copies = specs();
+        assert!(!Arc::ptr_eq(&copies[0].kernel, &copies[1].kernel));
+        let runner = Runner::new(2);
+        let grouped = reports(&runner, &copies);
+        assert_eq!(runner.compiles(), 1);
+        let single = Runner::new(1);
+        for (spec, g) in copies.iter().zip(&grouped) {
+            let one = single.run_one(spec).0.expect("job succeeds");
+            assert_eq!(format!("{one:?}"), format!("{g:?}"), "{}", spec.label);
+        }
+        assert_eq!(
+            single.compiles(),
+            copies.len() as u64,
+            "run_one compiles per call"
+        );
+    }
+
+    #[test]
+    fn different_compile_inputs_do_not_share() {
+        let base = shared_specs(&GpuConfig::test_tiny(), "base").remove(1);
+        let mut half = base.clone();
+        half.cfg.regs_per_sm /= 2;
+        let forced = base.clone().with_options(CompileOptions {
+            force_es: Some(4),
+            force_apply: true,
+        });
+        let capped = base.clone().with_cycle_budget(1_000_000);
+        let other_technique = JobSpec {
+            technique: Technique::Rfv,
+            ..base.clone()
+        };
+        let runner = Runner::new(2);
+        runner.run_all(&[base, half, forced, capped, other_technique]);
+        assert_eq!(runner.compiles(), 4, "only the technique change shares");
+    }
+
+    #[test]
+    fn invalid_kernel_fails_every_job_of_its_group() {
+        let mut k = kernel();
+        k.instrs.clear();
+        let k = Arc::new(k);
+        let cfg = GpuConfig::test_tiny();
+        let batch: Vec<JobSpec> = regmutex::ALL_TECHNIQUES
+            .iter()
+            .map(|&t| {
+                JobSpec::shared(
+                    format!("empty/{t}"),
+                    Arc::clone(&k),
+                    &cfg,
+                    LaunchConfig::new(1),
+                    t,
+                )
+            })
+            .collect();
+        let runner = Runner::new(2);
+        for r in runner.run_all(&batch) {
+            assert!(matches!(r, Err(RunError::InvalidKernel(_))), "{r:?}");
+        }
+        assert_eq!(runner.compiles(), 1);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! output is byte-identical across executors. Every table and figure of
 //! the paper is a source (see [`crate::figures`]).
 
+use std::sync::Arc;
+
 use regmutex::Technique;
 use regmutex_compiler::CompileOptions;
 use regmutex_sim::{GpuConfig, LaunchConfig};
@@ -89,9 +91,9 @@ pub fn job_spec(
         format!("unknown workload '{app}'; available: {names}")
     })?;
     let launch = LaunchConfig::new(ctas.unwrap_or(w.grid_ctas));
-    let mut spec = JobSpec::new(
+    let mut spec = JobSpec::shared(
         format!("{}/{technique}", w.name),
-        &w.kernel,
+        Arc::new(w.kernel),
         cfg,
         launch,
         technique,

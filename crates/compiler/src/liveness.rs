@@ -34,6 +34,16 @@ impl Liveness {
         self.live_out[pc].len()
     }
 
+    /// Mean live-in count over the static instructions (0 for an empty
+    /// kernel): the average register demand RFV admits CTAs by.
+    pub fn mean_live(&self) -> f64 {
+        if self.live_in.is_empty() {
+            return 0.0;
+        }
+        let total: usize = (0..self.live_in.len()).map(|pc| self.count_in(pc)).sum();
+        total as f64 / self.live_in.len() as f64
+    }
+
     /// The maximum simultaneous register demand anywhere (the kernel's true
     /// register pressure). At an instruction, sources and destination are
     /// needed at once, so the pressure there is `|live_in ∪ live_out|`.

@@ -8,6 +8,8 @@
 //! "RegMutex evaluates all the registers as the members of the base register
 //! set, therefore, it does not insert any acquire or release instructions".
 
+use std::sync::Arc;
+
 use regmutex_isa::{Kernel, ValidateKernelError};
 use regmutex_sim::{occupancy, GpuConfig, KernelResources, Limiter};
 
@@ -19,7 +21,7 @@ use crate::regions::{find_regions, region_spans};
 use crate::verify::verify_transformed;
 
 /// Options controlling compilation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Force a specific `|Es|` instead of running the heuristic (used by the
     /// Fig 10/11 sensitivity sweeps). The heuristic's viability rules still
@@ -117,7 +119,11 @@ pub struct CompiledKernel {
     pub selection: Option<EsSelection>,
     /// Per-pc registers whose live range ends at that instruction of the
     /// *original* kernel — the compiler annotation RFV consumes \[3\].
-    pub dead_after: Vec<Vec<u16>>,
+    /// Shared, so every RFV run of this compilation reads one table.
+    pub dead_after: Arc<Vec<Vec<u16>>>,
+    /// Mean live-register count over the original kernel's instructions
+    /// (see [`crate::Liveness::mean_live`]), from the same liveness pass.
+    pub avg_live: f64,
     /// What the pipeline did.
     pub diagnostics: Diagnostics,
 }
@@ -160,9 +166,12 @@ pub fn compile(
 ) -> Result<CompiledKernel, ValidateKernelError> {
     kernel.validate()?;
     let lv = analyze(kernel);
-    let dead_after: Vec<Vec<u16>> = (0..kernel.len())
-        .map(|pc| lv.dead_after(kernel, pc))
-        .collect();
+    let dead_after: Arc<Vec<Vec<u16>>> = Arc::new(
+        (0..kernel.len())
+            .map(|pc| lv.dead_after(kernel, pc))
+            .collect(),
+    );
+    let avg_live = lv.mean_live();
     let bl_max = barrier_live_max(kernel, &lv);
     let res = KernelResources::new(
         kernel.regs_per_thread,
@@ -186,6 +195,7 @@ pub fn compile(
                 plan: None,
                 selection: None,
                 dead_after,
+                avg_live,
                 diagnostics,
             });
         }
@@ -255,6 +265,7 @@ pub fn compile(
             }),
             selection,
             dead_after,
+            avg_live,
             diagnostics,
         });
     }
@@ -266,6 +277,7 @@ pub fn compile(
         plan: None,
         selection,
         dead_after,
+        avg_live,
         diagnostics,
     })
 }

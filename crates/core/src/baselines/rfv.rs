@@ -39,8 +39,8 @@ pub struct RfvManager {
     admitted_warps: u32,
     /// Registers whose value was evicted and must be reloaded on access.
     spilled: HashMap<(u32, u16), Option<u64>>,
-    /// First cycle of the current allocation dry spell, per warp.
-    stall_since: HashMap<u32, u64>,
+    /// First cycle of the current allocation dry spell, per warp slot.
+    stall_since: Vec<Option<u64>>,
     /// Emergency spills performed (reported into stats by the runner).
     pub spill_events: u64,
     /// Rows evicted across all spill events.
@@ -74,7 +74,7 @@ impl RfvManager {
             admit_rows_per_warp: admit,
             admitted_warps: 0,
             spilled: HashMap::new(),
-            stall_since: HashMap::new(),
+            stall_since: vec![None; cfg.max_warps_per_sm as usize],
             spill_events: 0,
             rows_spilled: 0,
             spill_trigger: 400,
@@ -112,16 +112,18 @@ impl RfvManager {
     /// (Dry-spell timing lives in [`RegisterManager::pre_access`], which
     /// sees the whole instruction's outcome.)
     fn ensure_mapped(&mut self, ledger: &mut Ledger, warp: WarpId, reg: u16, now: u64) -> bool {
-        // Pending reload?
-        if let Some(ready) = self.spilled.get_mut(&(warp.0, reg)) {
-            match ready {
-                None => {
-                    *ready = Some(now + self.reload_latency);
-                    return false;
-                }
-                Some(t) if now < *t => return false,
-                Some(_) => {
-                    self.spilled.remove(&(warp.0, reg));
+        // Pending reload? (Nothing is spilled on most runs: skip the hash.)
+        if !self.spilled.is_empty() {
+            if let Some(ready) = self.spilled.get_mut(&(warp.0, reg)) {
+                match ready {
+                    None => {
+                        *ready = Some(now + self.reload_latency);
+                        return false;
+                    }
+                    Some(t) if now < *t => return false,
+                    Some(_) => {
+                        self.spilled.remove(&(warp.0, reg));
+                    }
                 }
             }
         }
@@ -181,17 +183,17 @@ impl RegisterManager for RfvManager {
                 // spell and, once it has lasted long enough with an empty
                 // file, evict a victim so progress resumes (GPU-Shrink's
                 // register spilling).
-                let since = *self.stall_since.entry(warp.0).or_insert(now);
+                let since = *self.stall_since[warp.index()].get_or_insert(now);
                 if now.saturating_sub(since) >= self.spill_trigger
                     && self.free.is_empty()
                     && self.evict_victim(ledger)
                 {
-                    self.stall_since.remove(&warp.0);
+                    self.stall_since[warp.index()] = None;
                 }
                 return false;
             }
         }
-        self.stall_since.remove(&warp.0);
+        self.stall_since[warp.index()] = None;
         true
     }
 
@@ -203,7 +205,9 @@ impl RegisterManager for RfvManager {
                     ledger.release(row, warp);
                     self.free.push(row);
                 }
-                self.spilled.remove(&(warp.0, reg));
+                if !self.spilled.is_empty() {
+                    self.spilled.remove(&(warp.0, reg));
+                }
             }
         }
     }
@@ -220,7 +224,7 @@ impl RegisterManager for RfvManager {
             }
         }
         self.spilled.retain(|&(w, _), _| w != warp.0);
-        self.stall_since.remove(&warp.0);
+        self.stall_since[warp.index()] = None;
     }
 
     fn storage_overhead_bits(&self) -> u64 {

@@ -37,6 +37,6 @@ pub use baselines::rfv::RfvManager;
 pub use manager::RegMutexManager;
 pub use paired::PairedWarpsManager;
 pub use runner::{
-    average_live, cycle_increase_percent, cycle_reduction_percent, ParseTechniqueError, RunError,
-    RunReport, Session, Technique, ALL_TECHNIQUES,
+    cycle_increase_percent, cycle_reduction_percent, ParseTechniqueError, RunError, RunReport,
+    Session, Technique, ALL_TECHNIQUES,
 };

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use regmutex_compiler::{analyze, compile, CompileOptions, CompiledKernel, RegPlan};
+use regmutex_compiler::{compile, CompileOptions, CompiledKernel, RegPlan};
 use regmutex_isa::{Kernel, ValidateKernelError};
 use regmutex_sim::fault::{FaultLog, FaultPlan};
 use regmutex_sim::manager::RegisterManager;
@@ -358,9 +358,9 @@ impl Session {
             },
             Technique::Rfv => {
                 let c = cfg.clone();
-                let dead = Arc::new(compiled.dead_after.clone());
+                let dead = Arc::clone(&compiled.dead_after);
                 let regs = original.regs_per_thread;
-                let avg = average_live(original);
+                let avg = compiled.avg_live;
                 Box::new(move || Box::new(RfvManager::new(&c, Arc::clone(&dead), regs, avg)))
             }
             Technique::Owf => {
@@ -398,7 +398,7 @@ impl Session {
                 None => baseline_occ.warps,
             },
             Technique::Rfv => {
-                let per_warp = (average_live(original).ceil() as u32 + 2).max(1);
+                let per_warp = (compiled.avg_live.ceil() as u32 + 2).max(1);
                 cta_granular_warps(cfg, res, cfg.reg_rows_per_sm() / per_warp, wpc)
             }
             Technique::Owf => {
@@ -451,16 +451,6 @@ impl Session {
             trace,
         ))
     }
-}
-
-/// Mean live-register count over the kernel's static instructions.
-pub fn average_live(kernel: &Kernel) -> f64 {
-    let lv = analyze(kernel);
-    if kernel.is_empty() {
-        return 0.0;
-    }
-    let total: usize = (0..kernel.len()).map(|pc| lv.count_in(pc)).sum();
-    total as f64 / kernel.len() as f64
 }
 
 /// CTA-granular occupancy given a technique-specific warp capacity.
@@ -629,9 +619,12 @@ mod tests {
     }
 
     #[test]
-    fn average_live_positive_for_real_kernels() {
+    fn mean_live_count_is_positive_for_real_kernels() {
         let k = hungry_kernel();
-        let avg = average_live(&k);
+        let avg = Session::new(GpuConfig::gtx480())
+            .compile(&k)
+            .unwrap()
+            .avg_live;
         assert!(avg > 1.0 && avg < 24.0, "avg {avg}");
     }
 

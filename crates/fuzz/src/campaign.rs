@@ -114,6 +114,9 @@ pub struct CampaignStats {
     pub cache_hits: u64,
     /// See [`CampaignStats::cache_hits`].
     pub cache_misses: u64,
+    /// Kernel compilations the runner performed (JSON only). A clean
+    /// campaign compiles each kernel once, plus once per escalation.
+    pub compiles: u64,
     /// Wall clock (JSON only).
     pub elapsed: Duration,
 }
@@ -165,6 +168,7 @@ pub fn run_campaign_durable(
     let started = Instant::now();
     let hits0 = runner.cache_hits();
     let misses0 = runner.cache_misses();
+    let compiles0 = runner.compiles();
     let mut stats = CampaignStats::default();
     let mut divergences = Vec::new();
     let mut index = cfg.start;
@@ -241,10 +245,8 @@ pub fn run_campaign_durable(
                 (None, Some(results)) => {
                     crate::oracle::evaluate(&g, &results[n * 5..n * 5 + 5], &cfg.oracle, |t| {
                         stats.runs += 1;
-                        let spec = crate::oracle::specs_for(&g, &cfg.oracle)
-                            .into_iter()
-                            .find(|s| s.technique == t)
-                            .expect("technique spec exists")
+                        let spec = crate::oracle::specs_over(&g, &cfg.oracle, &[t])
+                            .remove(0)
                             .with_cycle_budget(
                                 cfg.oracle.cycle_budget * cfg.oracle.escalate_factor,
                             );
@@ -291,6 +293,7 @@ pub fn run_campaign_durable(
     }
     stats.cache_hits = runner.cache_hits() - hits0;
     stats.cache_misses = runner.cache_misses() - misses0;
+    stats.compiles = runner.compiles() - compiles0;
     stats.elapsed = started.elapsed();
     FuzzRun::Complete(FuzzReport {
         seed: cfg.seed,
@@ -421,7 +424,7 @@ impl FuzzReport {
                 "{{\"seed\":{},\"start\":{},\"processed\":{},",
                 "\"kernels\":{},\"runs\":{},\"agreements\":{},\"divergences\":{},",
                 "\"escalations\":{},\"minimize_steps\":{},\"minimize_tests\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},",
+                "\"cache_hits\":{},\"cache_misses\":{},\"compiles\":{},",
                 "\"elapsed_ms\":{},\"kernels_per_sec\":{:.2},",
                 "\"artifacts\":[{}]}}"
             ),
@@ -437,6 +440,7 @@ impl FuzzReport {
             s.minimize_tests,
             s.cache_hits,
             s.cache_misses,
+            s.compiles,
             s.elapsed.as_millis(),
             kps,
             artifacts

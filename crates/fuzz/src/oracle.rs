@@ -122,12 +122,24 @@ pub fn config_for(g: &Generated) -> GpuConfig {
 /// kernel fans out to. Labels carry the kernel name so cache fingerprints
 /// and error rows stay self-describing.
 pub fn specs_for(g: &Generated, oc: &OracleConfig) -> Vec<JobSpec> {
+    specs_over(g, oc, &ALL_TECHNIQUES)
+}
+
+/// The specs for `techniques`, all sharing one copy of the kernel (so the
+/// runner hashes and compiles it once for all of them).
+pub(crate) fn specs_over(
+    g: &Generated,
+    oc: &OracleConfig,
+    techniques: &[Technique],
+) -> Vec<JobSpec> {
     let cfg = config_for(g);
     let launch = LaunchConfig::new(g.grid_ctas);
-    ALL_TECHNIQUES
+    let kernel = Arc::new(g.kernel.clone());
+    techniques
         .iter()
         .map(|&t| {
-            JobSpec::new(format!("{}/{t}", g.kernel.name), &g.kernel, &cfg, launch, t)
+            let label = format!("{}/{t}", g.kernel.name);
+            JobSpec::shared(label, Arc::clone(&kernel), &cfg, launch, t)
                 .with_cycle_budget(oc.cycle_budget)
         })
         .collect()
@@ -153,15 +165,7 @@ fn run_techniques(
     oc: &OracleConfig,
     techniques: &[Technique],
 ) -> Outcome {
-    let cfg = config_for(g);
-    let launch = LaunchConfig::new(g.grid_ctas);
-    let specs: Vec<JobSpec> = techniques
-        .iter()
-        .map(|&t| {
-            JobSpec::new(format!("{}/{t}", g.kernel.name), &g.kernel, &cfg, launch, t)
-                .with_cycle_budget(oc.cycle_budget)
-        })
-        .collect();
+    let specs = specs_over(g, oc, techniques);
     let results = runner.run_all(&specs);
     evaluate_over(g, techniques, &results, oc, |technique| {
         let escalated: Vec<JobSpec> = specs

@@ -999,6 +999,7 @@ fn merge_stats(into: &mut CampaignStats, from: &CampaignStats) {
     into.minimize_tests += from.minimize_tests;
     into.cache_hits += from.cache_hits;
     into.cache_misses += from.cache_misses;
+    into.compiles += from.compiles;
     into.elapsed += from.elapsed;
 }
 

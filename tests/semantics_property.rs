@@ -8,16 +8,21 @@
 
 use regmutex::{Session, Technique};
 use regmutex_compiler::CompileOptions;
-use regmutex_fuzz::{generate, oracle::config_for};
+use regmutex_fuzz::{generate, oracle::config_for, Generated};
 use regmutex_sim::LaunchConfig;
 
 /// Cases per property.
 const CASES: u64 = 48;
 
-/// Forced-|Es| options for the generated kernel of `seed`: |Es| is 2 or 4.
-fn forced(seed: u64) -> CompileOptions {
+/// Forced-|Es| options for a generated kernel: |Es| is half its rounded
+/// register demand, rounded down to an even count and at least 2. A fixed
+/// small |Es| leaves most kernels' pressure inside the base set, so few
+/// cases would ever execute `acq.es`.
+fn forced(g: &Generated) -> CompileOptions {
+    let total = config_for(g).round_regs(g.kernel.regs_per_thread);
+    let es = u16::try_from((total / 2) & !1).expect("register counts fit u16");
     CompileOptions {
-        force_es: Some(2 + 2 * (seed % 2) as u16),
+        force_es: Some(es.max(2)),
         force_apply: true,
     }
 }
@@ -33,7 +38,7 @@ fn regmutex_preserves_semantics() {
         let baseline = Session::new(cfg.clone())
             .run(&g.kernel, launch, Technique::Baseline)
             .expect("baseline completes");
-        let opts = forced(seed);
+        let opts = forced(&g);
         let es = opts.force_es;
         let rm = Session::with_options(cfg, opts)
             .run(&g.kernel, launch, Technique::RegMutex)
@@ -97,13 +102,14 @@ fn scheduling_policy_is_functionally_transparent() {
 
 /// The cases `regmutex_preserves_semantics` runs do get transformed, so
 /// the properties above are not vacuous: at least half of them compile to
-/// a RegMutex kernel, and some of those acquire the extended set.
+/// a RegMutex kernel, and at least a third of all cases acquire the
+/// extended set.
 #[test]
 fn generator_produces_transformable_kernels() {
     let (mut transformed, mut acquiring) = (0, 0);
     for seed in (0..CASES).map(|case| 0xA001 + case) {
         let g = generate(seed);
-        let compiled = Session::with_options(config_for(&g), forced(seed))
+        let compiled = Session::with_options(config_for(&g), forced(&g))
             .compile(&g.kernel)
             .expect("compiles");
         if compiled.is_transformed() {
@@ -115,5 +121,8 @@ fn generator_produces_transformable_kernels() {
         2 * transformed >= CASES,
         "only {transformed} of {CASES} cases transformed"
     );
-    assert!(acquiring >= 1, "no transformed case acquires");
+    assert!(
+        acquiring >= 16,
+        "only {acquiring} of {CASES} cases acquire the extended set"
+    );
 }
