@@ -72,6 +72,14 @@ pub struct FuzzFanoutReport {
     pub divergences: u64,
     /// Blessed watchdog escalations.
     pub escalations: u64,
+    /// Result-cache hits on the workers (timing-dependent when a worker
+    /// serves several shards at once).
+    pub cache_hits: u64,
+    /// Result-cache misses on the workers (as `cache_hits`).
+    pub cache_misses: u64,
+    /// Kernel compilations across all shards: one per kernel plus one per
+    /// escalation on a clean campaign, as in a local run.
+    pub compiles: u64,
     /// Divergence artifacts, in shard (= index) order.
     pub artifacts: Vec<String>,
     /// Per-shard `(start, count, worker, attempts)` attribution.
@@ -111,6 +119,9 @@ pub fn run_fuzz_fanout(cfg: &FuzzFanoutConfig) -> Result<FuzzFanoutReport, Strin
         report.agreements += get("agreements");
         report.divergences += get("divergences");
         report.escalations += get("escalations");
+        report.cache_hits += get("cache_hits");
+        report.cache_misses += get("cache_misses");
+        report.compiles += get("compiles");
         if let Some(Json::Arr(items)) = body.get("artifacts") {
             for a in items {
                 if let Some(text) = a.as_str() {
@@ -260,6 +271,9 @@ impl FuzzFanoutReport {
             ("agreements".into(), Json::U64(self.agreements)),
             ("divergences".into(), Json::U64(self.divergences)),
             ("escalations".into(), Json::U64(self.escalations)),
+            ("cache_hits".into(), Json::U64(self.cache_hits)),
+            ("cache_misses".into(), Json::U64(self.cache_misses)),
+            ("compiles".into(), Json::U64(self.compiles)),
             ("shards".into(), Json::U64(self.shards.len() as u64)),
             ("elapsed_ms".into(), Json::U64(elapsed_ms as u64)),
             ("kernels_per_sec".into(), Json::F64(kps)),
@@ -287,10 +301,14 @@ mod tests {
             kernels: 10,
             runs: 50,
             agreements: 10,
+            compiles: 10,
+            cache_misses: 50,
             ..FuzzFanoutReport::default()
         };
         let j = report.to_json(2000);
         assert!(j.contains("\"kernels\":10"), "{j}");
+        assert!(j.contains("\"compiles\":10"), "{j}");
+        assert!(j.contains("\"cache_hits\":0,\"cache_misses\":50"), "{j}");
         assert!(j.contains("\"kernels_per_sec\":5"), "{j}");
     }
 

@@ -262,6 +262,19 @@ fn fuzz_fanout_matches_local_campaign_and_fails_over_dead_workers() {
     assert_eq!(report.kernels, local.stats.kernels);
     assert_eq!(report.agreements, local.stats.agreements);
     assert_eq!(report.escalations, local.stats.escalations);
+    // One compile per kernel and per escalation, on the fleet as locally,
+    // although the dead worker's shard and another share one live worker.
+    assert_eq!(report.compiles, local.stats.compiles);
+    assert!(
+        report.compiles <= report.kernels + report.escalations,
+        "{} compiles for {} kernels and {} escalations",
+        report.compiles,
+        report.kernels,
+        report.escalations
+    );
+    assert!(report
+        .to_json(1)
+        .contains(&format!("\"compiles\":{}", report.compiles)));
 
     let (text, code) = report.render(&cfg.workers);
     assert_eq!(code, 0, "{text}");

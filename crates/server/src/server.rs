@@ -892,7 +892,7 @@ fn parse_u64_field(v: &Json) -> Option<u64> {
 /// merged in index order are byte-identical to a local run of the whole
 /// range.
 ///
-/// The shard runs on a detached thread against the shared runner/cache
+/// The shard runs on a detached thread against the shared cache
 /// (fuzz jobs are batch work; the bounded sim queue stays free for
 /// interactive `/v1/run` traffic). With `"progress": true` the response
 /// is NDJSON over chunked encoding: one `{"event":"progress",...}` line
@@ -1003,10 +1003,22 @@ fn merge_stats(into: &mut CampaignStats, from: &CampaignStats) {
     into.elapsed += from.elapsed;
 }
 
+/// A runner for one campaign shard. It shares the server's result cache
+/// and durable tier but counts its own compiles, so a shard's `compiles`
+/// stays exact while other shards run on the same server.
+fn campaign_runner(state: &ServerState) -> Runner {
+    let mut runner = Runner::with_cache(state.runner.jobs(), Arc::clone(&state.cache));
+    if let Some(tier) = state.runner.tier() {
+        runner.set_tier(Arc::clone(tier));
+    }
+    runner
+}
+
 /// Run one campaign shard on a detached thread and post its response.
 fn run_fuzz_job(state: &Arc<ServerState>, token: SlotToken, cfg: &CampaignConfig, progress: bool) {
+    let runner = campaign_runner(state);
     if !progress {
-        let report = regmutex_fuzz::run_campaign(cfg, &state.runner);
+        let report = regmutex_fuzz::run_campaign(cfg, &runner);
         state.metrics.record_request("/v1/fuzz", 200);
         state.completions.post(Completion::Respond(
             token,
@@ -1034,7 +1046,7 @@ fn run_fuzz_job(state: &Arc<ServerState>, token: SlotToken, cfg: &CampaignConfig
         sub.iters = FUZZ_PROGRESS_BATCH.min(cfg.iters - merged.processed);
         sub.max_divergences = cfg.max_divergences - merged.stats.divergences;
         let asked = sub.iters;
-        let r = regmutex_fuzz::run_campaign(&sub, &state.runner);
+        let r = regmutex_fuzz::run_campaign(&sub, &runner);
         merged.processed += r.processed;
         merge_stats(&mut merged.stats, &r.stats);
         merged.divergences.extend(r.divergences);

@@ -1,17 +1,23 @@
-//! Warp scheduler ordering policies.
+//! Warp scheduler state and ordering policies.
 //!
 //! Each SM has `num_schedulers` schedulers; warp slot `s` belongs to
 //! scheduler `s % num_schedulers` (Fermi-style static partitioning). Each
-//! cycle a scheduler walks its eligible warps in policy order and the SM
-//! issues from the first one that can actually issue.
+//! cycle a scheduler tries its ready warps in policy order and the SM issues
+//! from the first one that can actually issue.
 //!
-//! The walk is lazy: [`SchedulerState::next`] yields one candidate at a
-//! time from a [`Walk`] cursor, so a scheduler that issues from its first
-//! candidate never looks at the rest. Nothing is sorted: the scheduler keeps
-//! its resident warps in admission order, so every policy is a walk over a
-//! list it already has.
+//! A scheduler keeps its resident warps in admission order, oldest first,
+//! and describes them with two `u64` masks over those age positions: the
+//! `ready` warps, which a try may issue, and the `blocked` ones, parked on
+//! their scoreboard until a known cycle. A warp that has exited or waits at
+//! a barrier is in neither. Every policy picks the minimum of a mask under
+//! its own order key ([`SchedulerState::pick`]), so finding the next warp to
+//! try costs a few bit operations (LRR: one pass over the mask's warps), not
+//! a walk over every resident warp.
 
 use crate::config::SchedulerPolicy;
+
+/// [`SchedulerState::pos`] entry of a slot with no resident warp here.
+const NO_POS: u8 = u8::MAX;
 
 /// Per-scheduler persistent state.
 #[derive(Debug, Clone, Default)]
@@ -20,132 +26,185 @@ pub struct SchedulerState {
     pub last_issued: Option<u32>,
     /// Round-robin cursor (LRR).
     pub rr_cursor: u32,
-    /// Every warp slot this scheduler owns, ascending (the LRR walk).
-    owned: Vec<u32>,
     /// Slots of this scheduler's resident warps in admission order, oldest
-    /// first: GTO's age order, kept by appending on admission.
+    /// first: bit `p` of the masks is the warp in `by_age[p]`.
     by_age: Vec<u32>,
-}
-
-/// Position of one scheduler's issue walk within one cycle; each cycle
-/// starts from `Walk::default()`.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Walk {
-    /// OWF: 0 while walking the extended-set holders, 1 for the rest.
-    pass: u8,
-    /// Position within the pass. GTO order: 0 is the greedy warp and
-    /// `i + 1` is `by_age[i]`. LRR: the offset past the cursor.
-    pos: usize,
+    /// Per age position: the cycle until which that warp is blocked on its
+    /// scoreboard. Meaningful only while its `blocked` bit is set.
+    until: Vec<u64>,
+    /// Per SM slot: the age position of its warp here, or [`NO_POS`].
+    pos: Vec<u8>,
+    /// Warps that may be tried this cycle.
+    pub(crate) ready: u64,
+    /// Warps blocked on a write in flight until their `until` cycle.
+    pub(crate) blocked: u64,
 }
 
 impl SchedulerState {
-    /// A scheduler owning `owned` (ascending) with no resident warps.
-    pub(crate) fn new(owned: impl IntoIterator<Item = u32>) -> Self {
-        let owned: Vec<u32> = owned.into_iter().collect();
-        debug_assert!(
-            owned.windows(2).all(|p| p[0] < p[1]),
-            "owned slots not ascending"
-        );
+    /// A scheduler with no resident warps on an SM with `slots` warp slots
+    /// (at most 64: one bit per warp).
+    pub(crate) fn new(slots: usize) -> Self {
+        assert!(slots <= 64, "{slots} warp slots do not fit a u64 mask");
         SchedulerState {
-            by_age: Vec::with_capacity(owned.len()),
-            owned,
+            by_age: Vec::with_capacity(slots),
+            until: Vec::with_capacity(slots),
+            pos: vec![NO_POS; slots],
             ..Default::default()
         }
     }
 
-    /// A warp was admitted into `slot`; it is younger than every resident
-    /// warp of this scheduler.
+    /// A warp was admitted into `slot`, ready to issue; it is younger than
+    /// every resident warp of this scheduler.
     pub(crate) fn admit(&mut self, slot: u32) {
+        let p = self.by_age.len();
         self.by_age.push(slot);
+        self.until.push(0);
+        self.pos[slot as usize] = p as u8;
+        self.ready |= 1 << p;
     }
 
-    /// The warp in `slot` left the SM.
+    /// The warp in `slot` left the SM. It must be parked (exited).
     pub(crate) fn retire(&mut self, slot: u32) {
-        self.by_age.retain(|&s| s != slot);
+        let p = self.pos[slot as usize] as usize;
+        debug_assert!(
+            ((self.ready | self.blocked) >> p) & 1 == 0,
+            "retiring a live warp"
+        );
+        self.by_age.remove(p);
+        self.until.remove(p);
+        self.pos[slot as usize] = NO_POS;
+        for (q, &s) in self.by_age.iter().enumerate().skip(p) {
+            self.pos[s as usize] = q as u8;
+        }
+        let below = (1u64 << p) - 1;
+        self.ready = (self.ready & below) | ((self.ready >> 1) & !below);
+        self.blocked = (self.blocked & below) | ((self.blocked >> 1) & !below);
     }
 
-    /// Slots of this scheduler's resident warps, oldest first.
-    pub(crate) fn resident(&self) -> &[u32] {
-        &self.by_age
+    /// The mask bit of the warp in `slot` (0 if it is not resident here).
+    pub(crate) fn bit(&self, slot: u32) -> u64 {
+        match self.pos.get(slot as usize) {
+            Some(&p) if p != NO_POS => 1 << p,
+            _ => 0,
+        }
     }
 
-    /// The next of this scheduler's `eligible` warps to try, in policy
-    /// order:
+    /// The warp in `slot` stalls on its scoreboard until `until`.
+    pub(crate) fn block(&mut self, slot: u32, until: u64) {
+        let b = self.bit(slot);
+        self.ready &= !b;
+        self.blocked |= b;
+        self.until[b.trailing_zeros() as usize] = until;
+    }
+
+    /// The warp in `slot` parked at a barrier or exited.
+    pub(crate) fn park(&mut self, slot: u32) {
+        let b = self.bit(slot);
+        self.ready &= !b;
+        self.blocked &= !b;
+    }
+
+    /// The warp in `slot` left its barrier.
+    pub(crate) fn wake(&mut self, slot: u32) {
+        self.ready |= self.bit(slot);
+    }
+
+    /// Move the blocked warps whose gate passed by `now` to `ready`; return
+    /// the earliest gate still ahead (`u64::MAX` if none).
+    pub(crate) fn mature(&mut self, now: u64) -> u64 {
+        let mut next = u64::MAX;
+        for p in positions(self.blocked) {
+            if self.until[p] <= now {
+                self.blocked &= !(1 << p);
+                self.ready |= 1 << p;
+            } else {
+                next = next.min(self.until[p]);
+            }
+        }
+        next
+    }
+
+    /// The earliest gate among the blocked warps (`u64::MAX` if none).
+    pub(crate) fn earliest_gate(&self) -> u64 {
+        positions(self.blocked)
+            .map(|p| self.until[p])
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// The gate of the warp in `slot` (meaningful while it is blocked).
+    pub(crate) fn gate(&self, slot: u32) -> u64 {
+        self.until[self.bit(slot).trailing_zeros() as usize]
+    }
+
+    /// The bits of `mask` whose warps `holds`.
+    pub(crate) fn holders(&self, mask: u64, holds: impl Fn(u32) -> bool) -> u64 {
+        positions(mask)
+            .filter(|&p| holds(self.by_age[p]))
+            .fold(0, |acc, p| acc | 1 << p)
+    }
+
+    /// The slot of `mask`'s first warp in policy order:
     ///
-    /// * GTO: the greedily-held warp first (if eligible), then oldest first.
-    /// * LRR: the owned slots in ascending order, rotated to start after the
-    ///   cursor.
-    /// * OwnerWarpFirst: the warps that `holds` their extended set in GTO
-    ///   order, then the rest in GTO order. `holds` is called only under
-    ///   this policy.
+    /// * GTO: the greedily-held warp (the one issued last), else the oldest.
+    /// * LRR: the lowest slot after the cursor, wrapping around.
+    /// * OwnerWarpFirst: GTO among the `holders` (warps holding their
+    ///   extended set), else GTO among the rest.
     ///
-    /// The caller stops at the first issue. Until then the walk equals the
-    /// order a sort taken before the first try would give, because only an
-    /// issue changes another warp's eligibility or `holds`: a stalled try
-    /// can make only the warp being tried an extended-set holder, and that
-    /// warp has already been visited.
-    pub(crate) fn next(
-        &self,
-        policy: SchedulerPolicy,
-        walk: &mut Walk,
-        eligible: impl Fn(u32) -> bool,
-        holds: impl Fn(u32) -> bool,
-    ) -> Option<u32> {
-        match policy {
-            SchedulerPolicy::Gto => self.gto_next(&mut walk.pos, eligible),
+    /// The SM picks from its ready warps less the ones it tried this cycle,
+    /// so the picks of one cycle follow the order a sort of the ready warps
+    /// by these keys would give: a failed try changes no other warp's
+    /// eligibility, and under OWF only the tried warp's holder status.
+    pub(crate) fn pick(&self, policy: SchedulerPolicy, mask: u64, holders: u64) -> Option<u32> {
+        if mask == 0 {
+            return None;
+        }
+        let p = match policy {
+            SchedulerPolicy::Gto => self.gto(mask),
+            SchedulerPolicy::OwnerWarpFirst => match mask & holders {
+                0 => self.gto(mask),
+                owners => self.gto(owners),
+            },
             SchedulerPolicy::Lrr => {
-                let start = self.owned.partition_point(|&s| s <= self.rr_cursor);
-                while walk.pos < self.owned.len() {
-                    let s = self.owned[(start + walk.pos) % self.owned.len()];
-                    walk.pos += 1;
-                    if eligible(s) {
-                        return Some(s);
-                    }
-                }
-                None
+                let cursor = self.rr_cursor;
+                positions(mask)
+                    .min_by_key(|&p| (self.by_age[p] <= cursor, self.by_age[p]))
+                    .expect("mask is not empty")
             }
-            SchedulerPolicy::OwnerWarpFirst => {
-                if walk.pass == 0 {
-                    let owner = self.gto_next(&mut walk.pos, |s| eligible(s) && holds(s));
-                    if owner.is_some() {
-                        return owner;
-                    }
-                    *walk = Walk { pass: 1, pos: 0 };
-                }
-                self.gto_next(&mut walk.pos, |s| eligible(s) && !holds(s))
-            }
-        }
+        };
+        Some(self.by_age[p])
     }
 
-    /// The next warp that passes `keep` in GTO order, from `pos`. Skipping
-    /// the greedy slot in the age list is right either way: it was tried
-    /// already, or `keep` refused it, and during one walk `keep` changes its
-    /// answer only for a warp that was tried.
-    fn gto_next(&self, pos: &mut usize, keep: impl Fn(u32) -> bool) -> Option<u32> {
-        if *pos == 0 {
-            *pos = 1;
-            if let Some(greedy) = self.last_issued.filter(|&g| keep(g)) {
-                return Some(greedy);
-            }
-        }
-        while let Some(&s) = self.by_age.get(*pos - 1) {
-            *pos += 1;
-            if Some(s) != self.last_issued && keep(s) {
-                return Some(s);
-            }
-        }
-        None
+    /// GTO's first position in a non-empty `mask`.
+    fn gto(&self, mask: u64) -> usize {
+        let greedy = self.last_issued.map_or(0, |g| self.bit(g));
+        (if mask & greedy != 0 { greedy } else { mask }).trailing_zeros() as usize
     }
+}
+
+/// The age positions set in `mask`, ascending.
+fn positions(mask: u64) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        let p = rest.trailing_zeros() as usize;
+        rest &= rest.wrapping_sub(1);
+        (p < 64).then_some(p)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A scheduler owning the even slots `0..2*n` with `resident` admitted
-    /// oldest first.
-    fn sched(n: u32, resident: &[u32], last_issued: Option<u32>, rr_cursor: u32) -> SchedulerState {
-        let mut st = SchedulerState::new((0..n).map(|i| 2 * i));
+    /// A scheduler on a `slots`-slot SM with `resident` admitted oldest
+    /// first.
+    fn sched(
+        slots: usize,
+        resident: &[u32],
+        last_issued: Option<u32>,
+        rr_cursor: u32,
+    ) -> SchedulerState {
+        let mut st = SchedulerState::new(slots);
         for &s in resident {
             st.admit(s);
         }
@@ -154,21 +213,14 @@ mod tests {
         st
     }
 
-    /// The whole walk when no candidate issues.
-    fn order(
-        st: &SchedulerState,
-        policy: SchedulerPolicy,
-        eligible: &[u32],
-        owners: &[u32],
-    ) -> Vec<u32> {
-        let mut walk = Walk::default();
+    /// Every pick of a cycle in which no try issues: the SM's loop.
+    fn order(st: &SchedulerState, policy: SchedulerPolicy, owners: &[u32]) -> Vec<u32> {
+        let holders = st.holders(st.ready, |s| owners.contains(&s));
+        let mut tried = 0;
         std::iter::from_fn(|| {
-            st.next(
-                policy,
-                &mut walk,
-                |s| eligible.contains(&s),
-                |s| owners.contains(&s),
-            )
+            let s = st.pick(policy, st.ready & !tried, holders)?;
+            tried |= st.bit(s);
+            Some(s)
         })
         .collect()
     }
@@ -176,63 +228,59 @@ mod tests {
     #[test]
     fn gto_prefers_last_issued_then_oldest() {
         // Ages: slot 2 oldest, then 0, then 4.
-        let st = sched(4, &[2, 0, 4], Some(4), 0);
-        assert_eq!(
-            order(&st, SchedulerPolicy::Gto, &[0, 2, 4], &[]),
-            vec![4, 2, 0]
-        );
+        let st = sched(8, &[2, 0, 4], Some(4), 0);
+        assert_eq!(order(&st, SchedulerPolicy::Gto, &[]), vec![4, 2, 0]);
     }
 
     #[test]
     fn gto_without_greedy_warp_is_oldest_first() {
-        let mut st = sched(2, &[2, 0], None, 0);
-        assert_eq!(order(&st, SchedulerPolicy::Gto, &[0, 2], &[]), vec![2, 0]);
-        // A greedy slot that is no longer eligible is skipped.
+        let mut st = sched(4, &[2, 0], None, 0);
+        assert_eq!(order(&st, SchedulerPolicy::Gto, &[]), vec![2, 0]);
+        // A greedy warp that is not ready is passed over.
         st.last_issued = Some(0);
-        assert_eq!(order(&st, SchedulerPolicy::Gto, &[2], &[]), vec![2]);
+        st.park(0);
+        assert_eq!(order(&st, SchedulerPolicy::Gto, &[]), vec![2]);
     }
 
     #[test]
     fn lrr_rotates_after_cursor() {
-        let st = sched(4, &[0, 2, 4, 6], None, 2);
-        assert_eq!(
-            order(&st, SchedulerPolicy::Lrr, &[0, 2, 4, 6], &[]),
-            vec![4, 6, 0, 2]
-        );
+        let st = sched(8, &[0, 2, 4, 6], None, 2);
+        assert_eq!(order(&st, SchedulerPolicy::Lrr, &[]), vec![4, 6, 0, 2]);
     }
 
     #[test]
     fn owf_puts_owners_first() {
         // Ages: 0 oldest, then 4, then 2.
-        let st = sched(3, &[0, 4, 2], Some(0), 0);
-        let got = order(&st, SchedulerPolicy::OwnerWarpFirst, &[0, 2, 4], &[2]);
+        let st = sched(6, &[0, 4, 2], Some(0), 0);
+        let got = order(&st, SchedulerPolicy::OwnerWarpFirst, &[2]);
         assert_eq!(got, vec![2, 0, 4]); // owner beats greedy, then greedy
     }
 
     #[test]
-    fn owf_warp_that_takes_the_lock_mid_walk_is_not_tried_again() {
-        // Ages: 0, 2, 4, 6; no owners. The walk reaches the non-owners and
-        // slot 2 takes its pair's lock on its try, then stalls.
-        let st = sched(4, &[0, 2, 4, 6], None, 0);
-        let mut owners = Vec::new();
-        let mut walk = Walk::default();
-        let mut tried = Vec::new();
-        while let Some(s) = st.next(
-            SchedulerPolicy::OwnerWarpFirst,
-            &mut walk,
-            |_| true,
-            |s| owners.contains(&s),
-        ) {
-            tried.push(s);
-            if s == 2 {
-                owners.push(2);
-            }
-        }
-        assert_eq!(tried, vec![0, 2, 4, 6]);
+    fn masks_follow_blocks_parks_wakes_and_retires() {
+        let mut st = sched(8, &[6, 2, 4, 0], None, 0);
+        assert_eq!(st.ready, 0b1111);
+        st.block(2, 50);
+        st.block(0, 30);
+        st.park(4);
+        assert_eq!((st.ready, st.blocked), (0b0001, 0b1010));
+        assert_eq!((st.earliest_gate(), st.gate(2)), (30, 50));
+        assert_eq!(st.mature(29), 30);
+        assert_eq!(st.mature(30), 50);
+        assert_eq!((st.ready, st.blocked), (0b1001, 0b0010));
+        // Slot 4 exits and retires: the younger warp 0 moves down a place.
+        st.retire(4);
+        assert_eq!((st.ready, st.blocked), (0b101, 0b010));
+        assert_eq!((st.bit(0), st.bit(4)), (0b100, 0));
+        assert_eq!(order(&st, SchedulerPolicy::Gto, &[]), vec![6, 0]);
+        st.wake(2);
+        assert_eq!(st.ready, 0b111);
+        assert_eq!(st.mature(100), u64::MAX);
+        assert_eq!(st.earliest_gate(), u64::MAX);
     }
 
     /// The ordering as a sort key over `(slot, age, holds)` candidates: the
-    /// definition each policy's walk must reproduce.
+    /// definition each policy's picks must reproduce.
     fn sort_reference(
         policy: SchedulerPolicy,
         st: &SchedulerState,
@@ -246,12 +294,12 @@ mod tests {
         }
     }
 
-    /// Random warp sets, each walked under every policy until a random
-    /// tried candidate issues (or none does). The tried prefix must equal
-    /// the sort-key order taken before the walk, even when, under OWF, tried
-    /// warps take their pair's lock without issuing.
+    /// Random warp sets, picked under every policy until a random tried
+    /// candidate issues (or none does). The tried prefix must equal the
+    /// sort-key order taken before the first try, even when, under OWF,
+    /// tried warps take their pair's lock without issuing.
     #[test]
-    fn walks_match_the_sort_key_on_random_sets() {
+    fn picks_match_the_sort_key_on_random_sets() {
         for case in 0..2_000u64 {
             let mut rng = regmutex_isa::Rng::new(
                 0x9E37_79B9_7F4A_7C15 ^ (case + 1).wrapping_mul(0xD1B5_4A32_D192_ED03),
@@ -260,7 +308,7 @@ mod tests {
             let sid = rng.below(u64::from(nsched)) as u32;
             let max_warps = 1 + rng.below(64) as u32;
             let owned: Vec<u32> = (sid..max_warps).step_by(nsched as usize).collect();
-            let mut st = SchedulerState::new(owned.iter().copied());
+            let mut st = SchedulerState::new(max_warps as usize);
             // Residents with distinct, increasing ages in a shuffled slot order.
             let mut resident: Vec<u32> = owned
                 .iter()
@@ -275,13 +323,16 @@ mod tests {
             for &s in &resident {
                 st.admit(s);
                 age += 1 + rng.below(5);
-                if rng.below(5) != 0 {
-                    cands.push((s, age, rng.below(3) == 0));
+                match rng.below(5) {
+                    0 => st.park(s),
+                    1 => st.block(s, 10),
+                    _ => cands.push((s, age, rng.below(3) == 0)),
                 }
             }
             // Retire a few, as CTA retirement does.
             if rng.below(3) == 0 {
                 if let Some(&gone) = resident.first() {
+                    st.park(gone);
                     st.retire(gone);
                     cands.retain(|c| c.0 != gone);
                 }
@@ -294,7 +345,6 @@ mod tests {
                 _ => Some(rng.below(u64::from(max_warps) + 2) as u32),
             };
             st.rr_cursor = rng.below(u64::from(max_warps) + 2) as u32;
-            let eligible: Vec<u32> = cands.iter().map(|c| c.0).collect();
             for policy in [
                 SchedulerPolicy::Gto,
                 SchedulerPolicy::Lrr,
@@ -303,17 +353,14 @@ mod tests {
                 let mut want = cands.clone();
                 sort_reference(policy, &st, &mut want);
                 let want: Vec<u32> = want.iter().map(|c| c.0).collect();
-                // The try at this index issues and ends the walk.
+                // The try at this index issues and ends the cycle.
                 let issue_at = rng.below(want.len() as u64 + 1) as usize;
                 let mut owners: Vec<u32> = cands.iter().filter(|c| c.2).map(|c| c.0).collect();
-                let mut walk = Walk::default();
+                let holders = st.holders(st.ready, |s| owners.contains(&s));
+                let mut tried_mask = 0;
                 let mut tried = Vec::new();
-                while let Some(s) = st.next(
-                    policy,
-                    &mut walk,
-                    |s| eligible.contains(&s),
-                    |s| owners.contains(&s),
-                ) {
+                while let Some(s) = st.pick(policy, st.ready & !tried_mask, holders) {
+                    tried_mask |= st.bit(s);
                     tried.push(s);
                     if tried.len() > issue_at {
                         break;

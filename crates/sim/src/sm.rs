@@ -1,13 +1,16 @@
 //! The streaming-multiprocessor cycle engine.
 //!
 //! Each cycle the SM: retires completed memory requests, tallies residency,
-//! lets every warp scheduler walk its candidate warps in policy order
-//! (greedy-then-oldest by default) up to the first one that can actually
-//! issue, executes that instruction both *temporally* (scoreboard,
-//! latencies, structural limits, barrier and acquire semantics at the issue
-//! stage — where the paper places RegMutex's allocation logic, §III-B1) and
-//! *functionally* (value layer + store checksums), and finally retires CTAs
-//! whose warps all exited, admitting queued CTAs into the freed resources.
+//! releases the warps whose scoreboard gate passed, lets every warp
+//! scheduler try its ready warps in policy order (greedy-then-oldest by
+//! default) up to the first one that can actually issue, executes that
+//! instruction both *temporally* (scoreboard, latencies, structural limits,
+//! barrier and acquire semantics at the issue stage — where the paper
+//! places RegMutex's allocation logic, §III-B1) and *functionally* (value
+//! layer + store checksums), and finally retires CTAs whose warps all
+//! exited, admitting queued CTAs into the freed resources. A step costs in
+//! proportion to the warps it tries and their operands, not to the warps
+//! resident (DESIGN.md §7).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -15,11 +18,10 @@ use std::sync::Arc;
 use regmutex_isa::{decide, mix, ArchReg, BranchBehavior, CtaId, Kernel, LatencyClass, Op, WarpId};
 
 use crate::barrier::BarrierUnit;
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, SchedulerPolicy};
 use crate::manager::{AcquireResult, Ledger, LedgerViolation, RegisterManager};
 use crate::memory::MemoryPipe;
-use crate::scheduler::{SchedulerState, Walk};
-use crate::simt::full_mask;
+use crate::scheduler::SchedulerState;
 use crate::stats::SimStats;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::value;
@@ -38,26 +40,59 @@ pub struct KernelImage {
     branch_ordinal: Vec<u32>,
     /// Branches in the kernel: the length of each warp's per-ordinal
     /// branch counters.
-    branches: usize,
+    pub(crate) branches: usize,
+    /// The kernel has a `Divergent` branch, so its warps need lane keys.
+    pub(crate) divergent: bool,
+    /// For every PC: the registers its instruction reads, then the one it
+    /// writes, padded with `regs_per_thread` (the scoreboard's spare entry,
+    /// which never has a write in flight). The scoreboard check reads this
+    /// instead of the instruction's operand `Vec`s.
+    operands: Vec<[u16; 4]>,
 }
 
 impl KernelImage {
     /// Precompute derived tables for `kernel`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an instruction has more than three sources or names a
+    /// register at or past `regs_per_thread`: the builder and the compiler
+    /// never produce either.
     pub fn new(kernel: Kernel) -> Self {
         let mut ordinals = Vec::with_capacity(kernel.instrs.len());
+        let mut operands = Vec::with_capacity(kernel.instrs.len());
         let mut next = 0u32;
-        for i in &kernel.instrs {
+        let regs = kernel.regs_per_thread;
+        for (pc, i) in kernel.instrs.iter().enumerate() {
             if matches!(i.op, Op::Bra { .. }) {
                 ordinals.push(next);
                 next += 1;
             } else {
                 ordinals.push(u32::MAX);
             }
+            assert!(i.srcs.len() <= 3, "pc {pc}: more than three sources");
+            let mut ops = [regs; 4];
+            for (op, r) in ops.iter_mut().zip(i.srcs.iter().chain(&i.dst)) {
+                assert!(r.0 < regs, "pc {pc}: r{} past regs_per_thread {regs}", r.0);
+                *op = r.0;
+            }
+            operands.push(ops);
         }
+        let divergent = kernel.instrs.iter().any(|i| {
+            matches!(
+                i.op,
+                Op::Bra {
+                    behavior: BranchBehavior::Divergent { .. },
+                    ..
+                }
+            )
+        });
         KernelImage {
             kernel,
             branch_ordinal: ordinals,
             branches: next as usize,
+            divergent,
+            operands,
         }
     }
 
@@ -133,7 +168,8 @@ struct StepProbe {
     stalls: [u64; StallReason::ALL.len()],
     /// `acq.es` attempts performed during the step.
     acquire_attempts: u64,
-    /// Minimum wake hint over every stalled candidate tried this step.
+    /// Minimum wake hint over every stalled candidate tried this step and,
+    /// when no scheduler issued, every warp blocked on its scoreboard.
     wake: Option<u64>,
 }
 
@@ -145,9 +181,6 @@ impl StepProbe {
         }
     }
 }
-
-/// [`Sm::gate`] value of a slot with no issuable warp.
-const NOT_ISSUABLE: u64 = u64::MAX;
 
 #[derive(Debug)]
 struct ResidentCta {
@@ -181,24 +214,31 @@ pub struct Sm {
     /// Reusable admission scratch for `fill_ctas`: `step` must not
     /// allocate in steady state.
     slot_buf: Vec<WarpId>,
-    /// Per-slot issue gate, dense so that a walk passes over stalled warps
-    /// without touching their `WarpState`: [`NOT_ISSUABLE`] for a slot with
-    /// no issuable warp (empty, exited or parked at a barrier), else the
-    /// cycle until which the warp's next instruction is blocked on its
-    /// scoreboard (any cycle at or before now when no block is known).
-    gate: Vec<u64>,
+    /// The earliest gate cycle of any warp blocked on its scoreboard, over
+    /// every scheduler (`u64::MAX` if none): until then no gate matures.
+    unblock_at: u64,
     /// Resident, unfinished warps: +1 per admitted warp, −1 per exit.
     live_warps: u32,
 }
 
 impl Sm {
     /// Create an SM that will execute `ctas` (queued) with `manager`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.max_warps_per_sm` exceeds 64: the issue stage keeps
+    /// one bit per warp slot in a `u64`.
     pub fn new(
         cfg: GpuConfig,
         image: Arc<KernelImage>,
         manager: Box<dyn RegisterManager>,
         ctas: impl IntoIterator<Item = CtaId>,
     ) -> Self {
+        assert!(
+            cfg.max_warps_per_sm <= 64,
+            "max_warps_per_sm = {} exceeds the 64 warp slots an SM supports",
+            cfg.max_warps_per_sm
+        );
         let rows = cfg.reg_rows_per_sm();
         let max_warps = cfg.max_warps_per_sm as usize;
         let nsched = cfg.num_schedulers as usize;
@@ -216,7 +256,7 @@ impl Sm {
             mem,
             warps: (0..max_warps).map(|_| None).collect(),
             sched: (0..nsched)
-                .map(|sid| SchedulerState::new((sid..max_warps).step_by(nsched).map(|s| s as u32)))
+                .map(|_| SchedulerState::new(max_warps))
                 .collect(),
             resident: Vec::new(),
             pending_ctas: ctas.into_iter().collect(),
@@ -226,7 +266,7 @@ impl Sm {
             trace: None,
             probe: StepProbe::default(),
             slot_buf: Vec::new(),
-            gate: vec![NOT_ISSUABLE; max_warps],
+            unblock_at: u64::MAX,
             live_warps: 0,
         }
     }
@@ -305,6 +345,7 @@ impl Sm {
     /// unblock without another warp issuing first: the SM is stuck, and the
     /// device loop judges the deadlock at the usual no-progress bound.
     pub(crate) fn next_event_cycle(&self) -> u64 {
+        debug_assert!(!self.probe.issued, "the wake hint of an issuing step");
         self.probe.wake.unwrap_or(u64::MAX)
     }
 
@@ -357,41 +398,44 @@ impl Sm {
         self.stats.resident_warp_cycles += resident;
         self.probe.resident = resident;
 
-        let (nsched, policy) = (self.sched.len(), self.cfg.policy);
-        for sid in 0..nsched {
-            if cfg!(debug_assertions) {
-                self.check_gates(sid, now);
-            }
-            // A stalled scheduler's cycle is charged to its first candidate
-            // in policy order, fixed before any try: under OWF a try can
-            // make the warp an extended-set holder.
-            let (gate, manager) = (&self.gate, &self.manager);
-            let Some(first) = self.sched[sid].next(
-                policy,
-                &mut Walk::default(),
-                |s| gate[s as usize] != NOT_ISSUABLE,
-                |s| manager.holds_extended(WarpId(s)),
-            ) else {
+        if now >= self.unblock_at {
+            self.unblock_at = self
+                .sched
+                .iter_mut()
+                .map(|st| st.mature(now))
+                .min()
+                .unwrap_or(u64::MAX);
+        }
+        if cfg!(debug_assertions) {
+            self.check_gates(now);
+        }
+        let policy = self.cfg.policy;
+        for sid in 0..self.sched.len() {
+            let st = &self.sched[sid];
+            let (ready, blocked) = (st.ready, st.blocked);
+            if ready | blocked == 0 {
                 self.stats.empty_scheduler_cycles += 1;
                 self.probe.empty_scheds += 1;
                 continue;
+            }
+            // OWF orders by extended-set ownership as it stands before any
+            // try: a failed try changes it only for the warp tried, which
+            // is not picked again this cycle.
+            let holders = if policy == SchedulerPolicy::OwnerWarpFirst {
+                st.holders(ready | blocked, |s| self.manager.holds_extended(WarpId(s)))
+            } else {
+                0
             };
-            // Try the candidates in policy order up to the first issue,
-            // passing over the warps whose cached scoreboard verdict still
-            // holds (`gate`): trying one would stall with no side effect.
+            // Try the ready warps in policy order up to the first issue.
+            let mut tried = 0u64;
             let mut first_try: Option<StallReason> = None;
-            let mut walk = Walk::default();
             let issued = loop {
-                let (gate, manager) = (&self.gate, &self.manager);
-                let Some(slot) = self.sched[sid].next(
-                    policy,
-                    &mut walk,
-                    |s| gate[s as usize] <= now,
-                    |s| manager.holds_extended(WarpId(s)),
-                ) else {
+                let st = &self.sched[sid];
+                let Some(slot) = st.pick(policy, st.ready & !tried, holders) else {
                     break false;
                 };
-                match self.try_issue(slot as usize, now) {
+                tried |= st.bit(slot);
+                match self.try_issue(sid, slot, now) {
                     Ok(()) => {
                         self.sched[sid].last_issued = Some(slot);
                         self.sched[sid].rr_cursor = slot;
@@ -402,29 +446,41 @@ impl Sm {
                     Err(Blocked::Stall { reason, wake }) => {
                         first_try.get_or_insert(reason);
                         self.probe.note_wake(wake);
+                        if cfg!(debug_assertions) && policy == SchedulerPolicy::OwnerWarpFirst {
+                            let st = &self.sched[sid];
+                            let untried = (ready | blocked) & !tried;
+                            assert_eq!(
+                                st.holders(untried, |s| self.manager.holds_extended(WarpId(s))),
+                                holders & untried,
+                                "a failed try changed another warp's holder status"
+                            );
+                        }
                     }
                     Err(Blocked::Fatal(fault)) => return Err(fault),
                 }
             };
             if !issued {
-                // The passed-over warps stall on their scoreboards until
-                // their gate cycles; so does any tried warp that a write in
-                // flight blocked.
-                for &slot in self.sched[sid].resident() {
-                    let until = self.gate[slot as usize];
-                    if now < until && until != NOT_ISSUABLE {
-                        self.probe.note_wake(Some(until));
-                    }
-                }
-                let reason = if now < self.gate[first as usize] {
+                // A stalled scheduler's cycle is charged to its first
+                // issuable warp in policy order: `Scoreboard` if that warp
+                // was blocked, else the reason of the first try, which was
+                // that warp's.
+                let first = self.sched[sid]
+                    .pick(policy, ready | blocked, holders)
+                    .expect("the scheduler has an issuable warp");
+                let reason = if blocked & self.sched[sid].bit(first) != 0 {
                     StallReason::Scoreboard
                 } else {
-                    // Not blocked on its scoreboard, so it was tried first.
                     first_try.expect("the first candidate was tried")
                 };
                 self.stats.note_stall(reason);
                 self.probe.stalls[reason.index()] += 1;
             }
+        }
+        // The blocked warps stall until their gates; their earliest gate
+        // joins the wake hint, which is read only after a step in which no
+        // scheduler issued.
+        if !self.probe.issued && self.unblock_at != u64::MAX {
+            self.probe.note_wake(Some(self.unblock_at));
         }
 
         self.retire_finished_ctas();
@@ -433,32 +489,43 @@ impl Sm {
         Ok(())
     }
 
-    /// Debug cross-check of the incremental `gate` bookkeeping for one
-    /// scheduler's slots against the warps, including every cached
-    /// scoreboard verdict still in force at `now`.
-    fn check_gates(&self, sid: usize, now: u64) {
-        for slot in (sid..self.warps.len()).step_by(self.sched.len()) {
-            let until = self.gate[slot];
-            let Some(w) = self.warps[slot].as_ref().filter(|w| w.issuable()) else {
-                assert_eq!(until, NOT_ISSUABLE, "gate of idle slot {slot}");
+    /// Debug cross-check of the schedulers' masks and gates against the
+    /// warps: an issuable warp is ready or blocked, any other is neither,
+    /// a blocked warp's gate is still its scoreboard's verdict (which never
+    /// changes before the gate matures), and `unblock_at` is the earliest
+    /// gate.
+    fn check_gates(&self, now: u64) {
+        for (slot, w) in self.warps.iter().enumerate() {
+            let st = &self.sched[slot % self.sched.len()];
+            assert_eq!(st.ready & st.blocked, 0, "a warp both ready and blocked");
+            let b = st.bit(slot as u32);
+            let Some(w) = w.as_ref().filter(|w| w.issuable()) else {
+                assert_eq!((st.ready | st.blocked) & b, 0, "idle slot {slot} in a mask");
                 continue;
             };
-            if now < until {
-                let instr = &self.image.kernel.instrs[w.pc as usize];
+            assert_ne!(
+                (st.ready | st.blocked) & b,
+                0,
+                "issuable slot {slot} in no mask"
+            );
+            if st.blocked & b != 0 {
+                let ops = &self.image.operands[w.pc as usize];
                 assert_eq!(
-                    w.scoreboard_block(instr, now),
-                    Some(until),
+                    w.scoreboard_block(ops, now),
+                    Some(st.gate(slot as u32)),
                     "stale scoreboard verdict (slot {slot}, pc {})",
                     w.pc
                 );
             }
         }
+        let earliest = self.sched.iter().map(SchedulerState::earliest_gate).min();
+        assert_eq!(Some(self.unblock_at), earliest, "unblock_at out of date");
     }
 
     /// Attempt to issue the next instruction of the warp in `slot`.
-    fn try_issue(&mut self, slot: usize, now: u64) -> Result<(), Blocked> {
+    fn try_issue(&mut self, sid: usize, slot: u32, now: u64) -> Result<(), Blocked> {
         // --- Phase 1: everything that needs &mut warp -------------------
-        let wid = WarpId(slot as u32);
+        let wid = WarpId(slot);
         enum After {
             None,
             BarrierComplete(CtaId),
@@ -466,7 +533,9 @@ impl Sm {
         }
         let after = {
             let image: &KernelImage = &self.image;
-            let w = self.warps[slot].as_mut().expect("issuing absent warp");
+            let w = self.warps[wid.index()]
+                .as_mut()
+                .expect("issuing absent warp");
             let instr = &image.kernel.instrs[w.pc as usize];
 
             // Reconverge masked-off lanes arriving at their rejoin point.
@@ -475,10 +544,13 @@ impl Sm {
 
             // Scoreboard: RAW + WAW. A blocked warp next changes state when
             // the earliest pending write among the registers this
-            // instruction touches drains — that cycle is the wake hint.
-            w.drain_scoreboard(now);
-            if let Some(ready) = w.scoreboard_block(instr, now) {
-                self.gate[slot] = ready;
+            // instruction touches lands — that cycle is its gate and the
+            // wake hint. The block returns before any manager, ledger or
+            // memory call, and the reconvergence above is idempotent at an
+            // unchanged PC, so until then the warp need not be tried.
+            if let Some(ready) = w.scoreboard_block(&image.operands[w.pc as usize], now) {
+                self.sched[sid].block(slot, ready);
+                self.unblock_at = self.unblock_at.min(ready);
                 return Err(Blocked::Stall {
                     reason: StallReason::Scoreboard,
                     wake: Some(ready),
@@ -493,7 +565,7 @@ impl Sm {
                     self.stats.instructions += 1;
                     let cta = w.cta;
                     w.at_barrier = true;
-                    self.gate[slot] = NOT_ISSUABLE;
+                    self.sched[sid].park(slot);
                     if self.barrier.arrive(cta) {
                         // Completed by this arrival (includes self).
                         After::BarrierComplete(cta)
@@ -563,7 +635,7 @@ impl Sm {
                 Op::Exit => {
                     debug_assert!(w.simt.is_converged(), "exit inside divergence");
                     w.done = true;
-                    self.gate[slot] = NOT_ISSUABLE;
+                    self.sched[sid].park(slot);
                     self.live_warps -= 1;
                     w.issued += 1;
                     self.stats.instructions += 1;
@@ -608,18 +680,14 @@ impl Sm {
                         BranchBehavior::Divergent { taken_permille } => {
                             let occ = &mut w.occurrences[ord as usize];
                             *occ += 1;
-                            let occ = *occ;
+                            let salt = mix(u64::from(ord), u64::from(*occ));
                             let mut taken_mask = 0u64;
-                            for lane in 0..self.cfg.warp_size as u64 {
-                                let bit = 1u64 << lane;
-                                if w.active_mask & bit != 0
-                                    && decide(
-                                        taken_permille,
-                                        mix(w.warp_key, lane),
-                                        mix(u64::from(ord), u64::from(occ)),
-                                    )
-                                {
-                                    taken_mask |= bit;
+                            let mut lanes = w.active_mask;
+                            while lanes != 0 {
+                                let lane = lanes.trailing_zeros() as usize;
+                                lanes &= lanes - 1;
+                                if decide(taken_permille, w.lane_keys[lane], salt) {
+                                    taken_mask |= 1 << lane;
                                 }
                             }
                             if taken_mask == w.active_mask {
@@ -706,7 +774,7 @@ impl Sm {
                                     let v = value::load_value(addr);
                                     let dst = instr.dst.expect("load has dst");
                                     w.write(dst.0, v);
-                                    w.set_pending(dst.0, ready + bank_extra);
+                                    w.set_pending(dst.0, ready + bank_extra, now);
                                 }
                                 Op::St(_) => {
                                     let addr = w.read(instr.srcs[0].0);
@@ -725,7 +793,7 @@ impl Sm {
                                     let v = value::load_value(addr);
                                     let dst = instr.dst.expect("load has dst");
                                     w.write(dst.0, v);
-                                    w.set_pending(dst.0, ready);
+                                    w.set_pending(dst.0, ready, now);
                                 }
                                 Op::St(_) => {
                                     let addr = w.read(instr.srcs[0].0) ^ salt;
@@ -751,7 +819,7 @@ impl Sm {
                             let v = value::eval(instr, &srcs[..n]);
                             if let Some(d) = instr.dst {
                                 w.write(d.0, v);
-                                w.set_pending(d.0, now + u64::from(lat) + bank_extra);
+                                w.set_pending(d.0, now + u64::from(lat) + bank_extra, now);
                             }
                         }
                         LatencyClass::Control => unreachable!("handled above"),
@@ -796,11 +864,12 @@ impl Sm {
         let Some(rc) = self.resident.iter().find(|r| r.cta == cta) else {
             return;
         };
+        let nsched = self.sched.len();
         for &s in &rc.slots {
             if let Some(w) = self.warps[s.index()].as_mut().filter(|w| w.at_barrier) {
                 w.at_barrier = false;
                 if !w.done {
-                    self.gate[s.index()] = 0;
+                    self.sched[s.index() % nsched].wake(s.0);
                 }
             }
         }
@@ -810,7 +879,6 @@ impl Sm {
     fn fill_ctas(&mut self) {
         let wpc = self.image.kernel.warps_per_cta(self.cfg.warp_size) as usize;
         let kernel_shmem = self.image.kernel.shmem_per_cta;
-        let regs = self.image.kernel.regs_per_thread;
         while let Some(&next) = self.pending_ctas.front() {
             if self.resident.len() >= self.cfg.max_ctas_per_sm as usize {
                 break;
@@ -840,7 +908,6 @@ impl Sm {
             }
             let slots = std::mem::take(&mut self.slot_buf);
             let nsched = self.sched.len();
-            let fm = full_mask(self.cfg.warp_size);
             for (i, &slot) in slots.iter().enumerate() {
                 if let Some(t) = self.trace.as_mut() {
                     t.push(TraceEvent {
@@ -853,12 +920,9 @@ impl Sm {
                     slot,
                     next,
                     i as u32,
-                    self.image.kernel.seed,
-                    regs,
-                    self.image.branches,
-                    fm,
+                    &self.image,
+                    self.cfg.warp_size,
                 ));
-                self.gate[slot.index()] = 0;
                 self.sched[slot.index() % nsched].admit(slot.0);
                 self.live_warps += 1;
             }

@@ -1,8 +1,9 @@
 //! Per-warp execution state.
 
-use regmutex_isa::{mix, CtaId, Instr, WarpId};
+use regmutex_isa::{mix, CtaId, WarpId};
 
-use crate::simt::SimtStack;
+use crate::simt::{full_mask, SimtStack};
+use crate::sm::KernelImage;
 
 /// Why a warp could not issue this cycle (stall accounting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,12 +84,14 @@ pub struct WarpState {
     pub simt: SimtStack,
     /// Architected register values (warp-granular functional layer).
     pub regs: Vec<u64>,
-    /// Scoreboard: registers with writes in flight, and their ready cycles.
-    pub pending: Vec<(u16, u64)>,
-    /// Cached minimum ready cycle over `pending` (`u64::MAX` when empty), so
-    /// the per-cycle scoreboard drain is a single comparison until the next
-    /// writeback actually matures.
-    pending_min: u64,
+    /// Scoreboard: per architected register, the cycle at which its last
+    /// write lands; a write is in flight while that cycle lies ahead. One
+    /// spare entry past the last register never receives a write: it pads
+    /// [`KernelImage`]'s decoded operand lists.
+    ready_at: Vec<u64>,
+    /// `mix(warp_key, lane)` per lane, the keys of divergent-branch
+    /// decisions; empty unless the kernel has a `Divergent` branch.
+    pub(crate) lane_keys: Vec<u64>,
     /// Remaining-iteration counter per branch ordinal; `None` until the
     /// loop branch is first reached and again once the loop exits.
     pub loop_counters: Vec<Option<u32>>,
@@ -105,37 +108,40 @@ pub struct WarpState {
 }
 
 impl WarpState {
-    /// Fresh warp state at PC 0 with `regs` architected registers whose
-    /// initial values are a deterministic function of the warp key (standing
-    /// in for thread-id/special-register reads at kernel entry), and branch
-    /// counters for a kernel with `branches` branches.
+    /// Fresh warp state at PC 0 for `image`'s kernel on a `warp_size`-lane
+    /// SM. The architected registers' initial values are a deterministic
+    /// function of the warp key (standing in for thread-id/special-register
+    /// reads at kernel entry); the branch counters, the scoreboard and the
+    /// lane keys are sized from the kernel.
     pub fn new(
         slot: WarpId,
         cta: CtaId,
         warp_in_cta: u32,
-        kernel_seed: u64,
-        regs: u16,
-        branches: usize,
-        full_mask: u64,
+        image: &KernelImage,
+        warp_size: u32,
     ) -> Self {
+        let kernel = &image.kernel;
         let warp_key = mix(
-            kernel_seed,
+            kernel.seed,
             u64::from(cta.0) * 4096 + u64::from(warp_in_cta),
         );
-        let reg_values = (0..regs).map(|i| mix(warp_key, u64::from(i))).collect();
+        let regs = kernel.regs_per_thread;
+        let lanes = if image.divergent { warp_size } else { 0 };
         WarpState {
             slot,
             cta,
             warp_in_cta,
             warp_key,
             pc: 0,
-            active_mask: full_mask,
+            active_mask: full_mask(warp_size),
             simt: SimtStack::new(),
-            regs: reg_values,
-            pending: Vec::new(),
-            pending_min: u64::MAX,
-            loop_counters: vec![None; branches],
-            occurrences: vec![0; branches],
+            regs: (0..regs).map(|i| mix(warp_key, u64::from(i))).collect(),
+            ready_at: vec![0; usize::from(regs) + 1],
+            lane_keys: (0..lanes)
+                .map(|lane| mix(warp_key, u64::from(lane)))
+                .collect(),
+            loop_counters: vec![None; image.branches],
+            occurrences: vec![0; image.branches],
             checksum: 0,
             done: false,
             at_barrier: false,
@@ -143,44 +149,29 @@ impl WarpState {
         }
     }
 
-    /// Remove scoreboard entries whose writes completed by `now`. The cached
-    /// minimum makes this a no-op comparison until the earliest in-flight
-    /// write actually matures.
-    pub fn drain_scoreboard(&mut self, now: u64) {
-        if now < self.pending_min {
-            return;
+    /// The earliest cycle at which one of the writes in flight at `now` to
+    /// the registers `operands` reads or overwrites (RAW/WAW) lands, if
+    /// there is one. That is when this warp's next try can first get past
+    /// its scoreboard, though a later write to another operand may block it
+    /// again.
+    pub(crate) fn scoreboard_block(&self, operands: &[u16; 4], now: u64) -> Option<u64> {
+        let mut earliest = u64::MAX;
+        for &r in operands {
+            let ready = self.ready_at[usize::from(r)];
+            if ready > now {
+                earliest = earliest.min(ready);
+            }
         }
-        self.pending.retain(|&(_, ready)| ready > now);
-        self.pending_min = self
-            .pending
-            .iter()
-            .map(|&(_, ready)| ready)
-            .min()
-            .unwrap_or(u64::MAX);
+        (earliest != u64::MAX).then_some(earliest)
     }
 
-    /// True if `reg` has a pending write (RAW/WAW hazard).
-    pub fn reg_pending(&self, reg: u16) -> bool {
-        self.pending.iter().any(|&(r, _)| r == reg)
-    }
-
-    /// Earliest cycle at which every write `instr` reads or overwrites
-    /// (RAW/WAW) has landed, when one is still in flight at `now`.
-    pub(crate) fn scoreboard_block(&self, instr: &Instr, now: u64) -> Option<u64> {
-        self.pending
-            .iter()
-            .filter(|&&(r, ready)| {
-                ready > now
-                    && (instr.srcs.iter().any(|s| s.0 == r) || instr.dst.is_some_and(|d| d.0 == r))
-            })
-            .map(|&(_, ready)| ready)
-            .min()
-    }
-
-    /// Record a pending write to `reg` completing at `ready`.
-    pub fn set_pending(&mut self, reg: u16, ready: u64) {
-        self.pending.push((reg, ready));
-        self.pending_min = self.pending_min.min(ready);
+    /// Record a write to `reg`, issued at `now`, that lands at `ready`. The
+    /// scoreboard blocks an instruction whose destination has a write in
+    /// flight (WAW), so each register has at most one.
+    pub(crate) fn set_pending(&mut self, reg: u16, ready: u64, now: u64) {
+        let slot = &mut self.ready_at[usize::from(reg)];
+        debug_assert!(*slot <= now, "a second write to r{reg} in flight");
+        *slot = ready;
     }
 
     /// Candidate for issue? (resident, not finished, not parked)
@@ -207,9 +198,18 @@ impl WarpState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regmutex_isa::{ArchReg, KernelBuilder, Rng};
+
+    /// An image of a kernel with `regs` registers and kernel seed 42.
+    fn image(regs: u16) -> KernelImage {
+        let mut b = KernelBuilder::new("w");
+        b.seed(42).declared_regs(regs);
+        b.movi(ArchReg(0), 1).exit();
+        KernelImage::new(b.build().expect("kernel builds"))
+    }
 
     fn warp() -> WarpState {
-        WarpState::new(WarpId(3), CtaId(1), 2, 42, 8, 0, 0xFFFF_FFFF)
+        WarpState::new(WarpId(3), CtaId(1), 2, &image(8), 32)
     }
 
     #[test]
@@ -220,46 +220,67 @@ mod tests {
         assert!(!w.done);
         assert_eq!(w.regs.len(), 8);
         assert_eq!(w.active_mask, 0xFFFF_FFFF);
+        assert!(w.lane_keys.is_empty(), "no divergent branch, no lane keys");
     }
 
     #[test]
     fn initial_values_depend_on_cta_not_slot() {
-        let a = WarpState::new(WarpId(0), CtaId(1), 2, 42, 8, 0, u64::MAX);
-        let b = WarpState::new(WarpId(5), CtaId(1), 2, 42, 8, 0, u64::MAX);
+        let img = image(8);
+        let a = WarpState::new(WarpId(0), CtaId(1), 2, &img, 64);
+        let b = WarpState::new(WarpId(5), CtaId(1), 2, &img, 64);
         assert_eq!(a.regs, b.regs);
-        let c = WarpState::new(WarpId(0), CtaId(2), 2, 42, 8, 0, u64::MAX);
+        let c = WarpState::new(WarpId(0), CtaId(2), 2, &img, 64);
         assert_ne!(a.regs, c.regs);
     }
 
     #[test]
-    fn scoreboard_tracks_and_drains() {
-        let mut w = warp();
-        w.set_pending(3, 100);
-        assert!(w.reg_pending(3));
-        assert!(!w.reg_pending(4));
-        w.drain_scoreboard(99);
-        assert!(w.reg_pending(3));
-        w.drain_scoreboard(100);
-        assert!(!w.reg_pending(3));
+    fn lane_keys_exist_only_for_divergent_kernels() {
+        let mut b = KernelBuilder::new("div");
+        let skip = b.new_label();
+        b.movi(ArchReg(0), 1).bra_div(skip, 500, None);
+        b.movi(ArchReg(1), 2).place(skip).exit();
+        let img = KernelImage::new(b.build().expect("kernel builds"));
+        let w = WarpState::new(WarpId(0), CtaId(0), 1, &img, 32);
+        let want: Vec<u64> = (0..32).map(|lane| mix(w.warp_key, lane)).collect();
+        assert_eq!(w.lane_keys, want);
     }
 
+    /// The per-register scoreboard against a list of `(reg, ready)` writes
+    /// in flight, on random write and query sequences: every query of the
+    /// earliest blocking write must agree, and a write is only issued to a
+    /// register with none in flight, as the SM's WAW check guarantees.
     #[test]
-    fn scoreboard_min_cache_tracks_multiple_entries() {
-        let mut w = warp();
-        w.set_pending(1, 50);
-        w.set_pending(2, 30);
-        w.set_pending(3, 70);
-        // Draining below the minimum must not remove anything.
-        w.drain_scoreboard(29);
-        assert_eq!(w.pending.len(), 3);
-        // Draining the minimum removes exactly it and re-arms the cache.
-        w.drain_scoreboard(30);
-        assert!(!w.reg_pending(2));
-        assert!(w.reg_pending(1) && w.reg_pending(3));
-        w.drain_scoreboard(49);
-        assert!(w.reg_pending(1));
-        w.drain_scoreboard(70);
-        assert!(w.pending.is_empty());
+    fn scoreboard_matches_a_pending_list() {
+        let mut rng = Rng::new(0x5C0E_B0A2_D000_0001);
+        for case in 0..300 {
+            let regs = 1 + rng.below(12) as u16;
+            let img = image(regs);
+            let mut w = WarpState::new(WarpId(0), CtaId(0), 0, &img, 32);
+            let mut list: Vec<(u16, u64)> = Vec::new();
+            let mut now = rng.below(50);
+            for _ in 0..200 {
+                now += rng.below(4);
+                list.retain(|&(_, ready)| ready > now);
+                // Up to three sources and a destination, padded with the
+                // spare entry as `KernelImage` decodes them.
+                let mut ops = [regs; 4];
+                for op in ops.iter_mut().take(rng.below(5) as usize) {
+                    *op = rng.below(u64::from(regs)) as u16;
+                }
+                let want = list
+                    .iter()
+                    .filter(|&&(r, _)| ops.contains(&r))
+                    .map(|&(_, ready)| ready)
+                    .min();
+                assert_eq!(w.scoreboard_block(&ops, now), want, "case {case} at {now}");
+                let reg = rng.below(u64::from(regs)) as u16;
+                if rng.below(2) == 0 && list.iter().all(|&(r, _)| r != reg) {
+                    let ready = now + 1 + rng.below(40);
+                    w.set_pending(reg, ready, now);
+                    list.push((reg, ready));
+                }
+            }
+        }
     }
 
     #[test]

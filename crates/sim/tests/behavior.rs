@@ -241,6 +241,21 @@ fn volta_like_config_runs() {
     assert_eq!(s.ctas, 2); // 160 CTAs / 80 SMs
 }
 
+/// The issue stage keeps one bit per warp slot in a `u64`, so an SM with
+/// more than 64 slots is refused up front, naming the field to fix.
+#[test]
+#[should_panic(expected = "max_warps_per_sm = 65")]
+fn more_than_64_warp_slots_are_refused() {
+    let mut b = KernelBuilder::new("wide");
+    b.movi(r(0), 1).exit();
+    let k = b.build().unwrap();
+    let cfg = GpuConfig {
+        max_warps_per_sm: 65,
+        ..GpuConfig::volta_like()
+    };
+    run(&k, &cfg, 1);
+}
+
 /// With bank-conflict modelling enabled, instructions whose sources collide
 /// in a bank pay extra latency; with it disabled, timing is unchanged.
 #[test]
