@@ -2,8 +2,9 @@
 //!
 //! A campaign crosses `workloads × fault matrix × seeds`: every job runs a
 //! real benchmark kernel with a seeded [`FaultPlan`] wired into the SM's
-//! register manager ([`regmutex::Session::run_faulted`]), then classifies
-//! what the safety net did with the injected corruption:
+//! register manager (a [`JobSpec`] carrying a [`FaultSpec`], run on the
+//! shared [`Runner`]), then classifies what the safety net did with the
+//! injected corruption:
 //!
 //! * **detected** — the run aborted with a structured [`SimError`]
 //!   (ledger violation, missing mapping, deadlock detector, watchdog);
@@ -15,18 +16,25 @@
 //! * **not triggered** — the plan's trigger point was never reached
 //!   (e.g. a short kernel retired before the scheduled event count).
 //!
-//! Every job is panic-isolated and capped by a cycle budget derived from
-//! its golden run, so a campaign always terminates with a full report.
+//! Every job is panic-isolated by the runner (a panic is the `panic`
+//! detector) and capped by a cycle budget derived from its golden run, so
+//! a campaign always terminates with a full report. The golden runs are
+//! one batch, each injection compiles nothing of its own (a workload's
+//! injections in a batch share one compile), and no faulted result is
+//! cached.
+//!
+//! [`FaultPlan`]: regmutex_sim::FaultPlan
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use regmutex::{RunError, Session, Technique};
+use regmutex::{RunError, Technique};
 use regmutex_durable::{Campaign, Record, Run};
-use regmutex_sim::fault::{FaultClass, FaultLog, FaultPlan, Severity};
-use regmutex_sim::{GpuConfig, SimError};
-use regmutex_workloads::{suite, Workload};
+use regmutex_sim::fault::{FaultClass, FaultLog, Severity};
+use regmutex_sim::SimError;
+use regmutex_workloads::suite;
+
+use crate::cache::CachedResult;
+use crate::runner::{FaultSpec, JobSpec, Runner};
 
 /// The fault matrix every campaign crosses with its workloads and seeds:
 /// each fault class at the severities where its light/severe behaviours
@@ -285,6 +293,16 @@ fn encode_outcome(o: &Outcome) -> String {
     }
 }
 
+/// Every name [`classify`] gives a detector.
+const DETECTORS: [&str; 6] = [
+    "ledger",
+    "translation",
+    "deadlock",
+    "watchdog",
+    "panic",
+    "other",
+];
+
 /// Decode an [`Outcome`] journal field; `None` on anything unexpected
 /// (the record is then treated as missing and the injection re-runs).
 fn decode_outcome(s: &str) -> Option<Outcome> {
@@ -297,15 +315,8 @@ fn decode_outcome(s: &str) -> Option<Outcome> {
     match parts.next()? {
         "detected" => {
             // Map back onto the classifier's static detector names.
-            let detector = match parts.next()? {
-                "ledger" => "ledger",
-                "translation" => "translation",
-                "deadlock" => "deadlock",
-                "watchdog" => "watchdog",
-                "panic" => "panic",
-                "other" => "other",
-                _ => return None,
-            };
+            let name = parts.next()?;
+            let detector = DETECTORS.into_iter().find(|&d| d == name)?;
             let ttd = match parts.next()? {
                 "-" => None,
                 t => Some(t.parse::<u64>().ok()?),
@@ -392,19 +403,23 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
     }
 }
 
-/// [`run_campaign`] with durability hooks: completed injections are
-/// journaled as they land (any completion order), replayed injections are
-/// skipped on resume, and `cancel` is polled between injections for the
-/// graceful checkpoint-and-exit path. The final report is assembled in
-/// deterministic submission order, so a resumed campaign renders
-/// byte-identically to an uninterrupted one at any worker count.
+/// Injections per [`Runner::run_all`] batch, per worker. Cancellation and
+/// journal appends happen between batches.
+const BATCH_PER_WORKER: usize = 4;
+
+/// [`run_campaign`] with durability hooks: injections run in batches on one
+/// [`Runner`], each batch's outcomes are journaled when it lands, replayed
+/// injections are skipped on resume, and `cancel` is polled between
+/// batches for the graceful checkpoint-and-exit path. The final report is
+/// assembled in deterministic submission order, so a resumed campaign
+/// renders byte-identically to an uninterrupted one at any worker count.
 pub fn run_campaign_durable(
     spec: &CampaignSpec,
     journal: Option<&Campaign<InjectionRecord>>,
     cancel: Option<&(dyn Fn() -> bool + Sync)>,
 ) -> Result<Run<CampaignReport>, String> {
-    // Resolve workloads and establish each one's golden (fault-free) run.
-    let mut targets: Vec<(Workload, GpuConfig, u64, u64)> = Vec::new();
+    let runner = Runner::new(spec.jobs);
+    let (mut names, mut goldens) = (Vec::new(), Vec::new());
     for name in &spec.workloads {
         let w = suite::by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
         let mut cfg = w.table_config();
@@ -414,162 +429,99 @@ pub fn run_campaign_durable(
         if let Some(m) = spec.stall_multiplier {
             cfg.stall_multiplier = m;
         }
-        let session = Session::new(cfg.clone());
-        let golden = session
-            .run(&w.kernel, w.launch(), spec.technique)
-            .map_err(|e| format!("golden run {name}/{} failed: {e}", spec.technique))?;
-        targets.push((w, cfg, golden.stats.cycles, golden.stats.checksum));
+        let label = format!("{name}/{}", spec.technique);
+        let golden = JobSpec::new(label, &w.kernel, &cfg, w.launch(), spec.technique);
+        goldens.push(golden);
+        names.push(w.name);
     }
 
-    // The full job list, in deterministic order.
-    struct Job {
-        windex: usize,
-        class: FaultClass,
-        severity: Severity,
-        seed: u64,
-        label: String,
-    }
-    let mut jobs: Vec<Job> = Vec::new();
-    for (wi, (w, ..)) in targets.iter().enumerate() {
+    // The golden (fault-free) runs are one batch. Each injection is its
+    // workload's golden spec with a fault planted and a budget derived
+    // from the golden run: generous slack plus two deadlock-detector
+    // windows, so the watchdog is a backstop rather than the first
+    // detector. The list is in deterministic order, each entry with the
+    // golden checksum it is judged against.
+    let mut jobs: Vec<(Injection, JobSpec, u64)> = Vec::new();
+    let results = runner.run_all(&goldens);
+    for (wi, ((name, golden), result)) in names.iter().zip(&goldens).zip(results).enumerate() {
+        let report = result.map_err(|e| format!("golden run {} failed: {e}", golden.label))?;
+        let budget = report.stats.cycles * 4 + golden.cfg.stall_limit() * 2 + 100_000;
         for &(class, severity) in FAULT_MATRIX {
             for s in 0..spec.seeds {
+                let label = format!("{name}/{class}/{severity}/s{s}");
                 // Decorrelate seeds across workloads; the plan generator
                 // further salts by class and severity.
-                let seed = ((wi as u64) << 32) | s;
-                jobs.push(Job {
-                    windex: wi,
+                let fault = FaultSpec {
                     class,
                     severity,
-                    seed,
-                    label: format!("{}/{class}/{severity}/s{s}", w.name),
-                });
+                    seed: ((wi as u64) << 32) | s,
+                    log: Arc::default(),
+                };
+                let job = JobSpec {
+                    label: label.clone(),
+                    ..golden.clone()
+                };
+                let injection = Injection {
+                    label,
+                    class,
+                    severity,
+                    outcome: Outcome::NotTriggered,
+                };
+                let job = job.with_cycle_budget(budget).with_fault(fault);
+                jobs.push((injection, job, report.stats.checksum));
             }
         }
     }
 
-    // Seed the result set with injections replayed from the journal (the
-    // outcome is journaled; label/class/severity re-derive from the
-    // deterministic job list, which the verified meta record pins).
-    let mut replayed: Vec<(usize, Injection)> = Vec::new();
-    if let Some(j) = journal {
-        for (index, job) in jobs.iter().enumerate() {
-            let Some(rec) = j.replayed(index as u64) else {
-                continue;
-            };
-            replayed.push((
-                index,
-                Injection {
-                    label: job.label.clone(),
-                    class: job.class,
-                    severity: job.severity,
-                    outcome: rec.outcome.clone(),
-                },
-            ));
+    // Fold in injections replayed from the journal (the outcome is
+    // journaled; label/class/severity re-derive from the deterministic job
+    // list, which the verified meta record pins), then run the rest.
+    let mut pending = Vec::new();
+    for (n, (injection, ..)) in jobs.iter_mut().enumerate() {
+        match journal.and_then(|j| j.replayed(n as u64)) {
+            Some(rec) => injection.outcome = rec.outcome.clone(),
+            None => pending.push(n),
         }
     }
-    let skip: std::collections::HashSet<usize> = replayed.iter().map(|(n, _)| *n).collect();
-
-    let done: Mutex<Vec<(usize, Injection)>> = Mutex::new(replayed);
-    let cursor = AtomicUsize::new(0);
-    let stopped = AtomicBool::new(false);
-    let workers = spec.jobs.max(1).min(jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if stopped.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(c) = cancel {
-                    if c() {
-                        stopped.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                let n = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(n) else { break };
-                if skip.contains(&n) {
-                    continue;
-                }
-                let (w, cfg, golden_cycles, golden_checksum) = &targets[job.windex];
-                let outcome = run_one(
-                    w,
-                    cfg,
-                    spec.technique,
-                    job.class,
-                    job.severity,
-                    job.seed,
-                    *golden_cycles,
-                    *golden_checksum,
-                );
-                if let Some(j) = journal {
-                    j.append(&InjectionRecord {
-                        index: n as u64,
-                        outcome: outcome.clone(),
-                    });
-                }
-                done.lock().unwrap().push((
-                    n,
-                    Injection {
-                        label: job.label.clone(),
-                        class: job.class,
-                        severity: job.severity,
-                        outcome,
-                    },
-                ));
+    let mut completed = jobs.len() - pending.len();
+    for batch in pending.chunks(runner.jobs() * BATCH_PER_WORKER) {
+        if cancel.is_some_and(|c| c()) {
+            if let Some(j) = journal {
+                j.sync();
+            }
+            return Ok(Run::Checkpointed {
+                completed: completed as u64,
+                total: jobs.len() as u64,
             });
         }
-    });
-
+        let specs: Vec<JobSpec> = batch.iter().map(|&n| jobs[n].1.clone()).collect();
+        for (&n, result) in batch.iter().zip(runner.run_all(&specs)) {
+            let (injection, job, checksum) = &mut jobs[n];
+            let log = &job.fault.as_ref().expect("every injection is faulted").log;
+            injection.outcome = classify(&result, log, *checksum);
+            if let Some(j) = journal {
+                j.append(&InjectionRecord {
+                    index: n as u64,
+                    outcome: injection.outcome.clone(),
+                });
+            }
+        }
+        completed += batch.len();
+    }
     if let Some(j) = journal {
         j.sync();
     }
-    let mut results = done.into_inner().unwrap();
-    if results.len() < jobs.len() {
-        return Ok(Run::Checkpointed {
-            completed: results.len() as u64,
-            total: jobs.len() as u64,
-        });
-    }
-    results.sort_by_key(|(n, _)| *n);
     Ok(Run::Complete(CampaignReport {
-        injections: results.into_iter().map(|(_, i)| i).collect(),
+        injections: jobs.into_iter().map(|(i, ..)| i).collect(),
         technique: spec.technique,
-        workloads: targets.len(),
+        workloads: goldens.len(),
     }))
 }
 
-/// One injection run: wrap the manager in a `FaultInjector`, cap the run
-/// at a budget derived from the golden cycle count, classify the result.
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    w: &Workload,
-    cfg: &GpuConfig,
-    technique: Technique,
-    class: FaultClass,
-    severity: Severity,
-    seed: u64,
-    golden_cycles: u64,
-    golden_checksum: u64,
-) -> Outcome {
-    let mut run_cfg = cfg.clone();
-    // Budget: generous slack over the golden run plus two deadlock-detector
-    // windows, so the watchdog is a backstop rather than the first detector.
-    let budget = golden_cycles * 4 + run_cfg.stall_limit() * 2 + 100_000;
-    run_cfg.watchdog_cycles = run_cfg.watchdog_cycles.min(budget);
-
-    let plan = FaultPlan::generate(class, severity, seed, &run_cfg);
-    let log = Arc::new(FaultLog::default());
-    let session = Session::new(run_cfg);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        session.run_faulted(&w.kernel, w.launch(), technique, &plan, Arc::clone(&log))
-    }));
-
+/// Classify one injection run against its workload's golden checksum.
+fn classify(result: &CachedResult, log: &FaultLog, golden_checksum: u64) -> Outcome {
     match result {
-        Err(_) => Outcome::Detected {
-            detector: "panic",
-            cycles_to_detection: None,
-        },
-        Ok(Ok(report)) => {
+        Ok(report) => {
             if log.injections() == 0 {
                 Outcome::NotTriggered
             } else if report.stats.checksum == golden_checksum {
@@ -581,12 +533,13 @@ fn run_one(
                 }
             }
         }
-        Ok(Err(err)) => {
-            let (detector, at) = match &err {
+        Err(err) => {
+            let (detector, at) = match err {
                 RunError::Sim(SimError::LedgerViolation { cycle, .. }) => ("ledger", Some(*cycle)),
                 RunError::Sim(SimError::NoMapping { cycle, .. }) => ("translation", Some(*cycle)),
                 RunError::Sim(SimError::Deadlock { cycle, .. }) => ("deadlock", Some(*cycle)),
                 RunError::Sim(SimError::WatchdogExpired { limit }) => ("watchdog", Some(*limit)),
+                RunError::Panicked(_) => ("panic", None),
                 _ => ("other", None),
             };
             let ttd = match (at, log.first_injection_cycle()) {
@@ -604,6 +557,7 @@ fn run_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn matrix_covers_every_class() {
@@ -660,7 +614,7 @@ mod tests {
         let dir = journal_dir("resume");
         let journal = Campaign::create(&dir, &spec).unwrap();
         let polls = AtomicUsize::new(0);
-        let cancel = move || polls.fetch_add(1, Ordering::Relaxed) >= 6;
+        let cancel = move || polls.fetch_add(1, Ordering::Relaxed) >= 1;
         let first =
             run_campaign_durable(&spec, Some(&journal), Some(&cancel)).expect("setup must succeed");
         let completed = match first {

@@ -24,6 +24,8 @@ mod analytic;
 mod extensions;
 mod paper;
 
+pub use paper::ES_VALUES;
+
 use analytic::*;
 use extensions::*;
 use paper::*;

@@ -17,8 +17,9 @@ const TECHNIQUES: [Technique; 4] = [
     Technique::RegMutex,
 ];
 
-/// The paper's `|Es|` sweep values (Figs 10 and 11).
-const ES_VALUES: [u16; 6] = [2, 4, 6, 8, 10, 12];
+/// The paper's `|Es|` sweep values (Figs 10 and 11); `sweep` and
+/// `/v1/sweep` use them too.
+pub const ES_VALUES: [u16; 6] = [2, 4, 6, 8, 10, 12];
 
 /// `techniques` for each occupancy-limited app on the GTX480.
 fn on_gtx480(techniques: &[Technique]) -> Vec<MatrixJob> {

@@ -20,6 +20,7 @@ pub mod source;
 
 pub use cache::{CachedResult, DurableTier, ResultCache, DEFAULT_CACHE_BUDGET};
 pub use chaos::{CampaignReport, CampaignSpec, InjectionRecord, Outcome};
+pub use figures::ES_VALUES;
 pub use report::{fmt_pct, Mean, Table};
 pub use runner::{error_table, JobSpec, Runner};
 pub use source::{job_spec, JobExecutor, JobSource, MatrixJob};

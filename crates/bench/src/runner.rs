@@ -24,6 +24,11 @@
 //!   minus technique and grid) share one [`CompiledKernel`], built by
 //!   whichever worker reaches the group first. Each technique is still
 //!   its own pool job.
+//! * **Planted faults** — a job may carry a [`FaultSpec`]: its technique's
+//!   register manager runs under a seeded [`FaultPlan`] and the injectors
+//!   record into the spec's own [`FaultLog`]. Such a job is always
+//!   simulated: it never reads or writes the cache or the durable tier and
+//!   is never deduplicated, but it shares its group's compile.
 //! * **Fault isolation** — a job that panics inside the simulator is
 //!   caught at the worker boundary and reported as
 //!   [`RunError::Panicked`]; a job that blows its [`JobSpec::cycle_budget`]
@@ -40,7 +45,7 @@ use regmutex::{RunError, Session, Technique};
 use regmutex_compiler::{CompileOptions, CompiledKernel};
 use regmutex_durable::Fnv1a;
 use regmutex_isa::{Kernel, ValidateKernelError};
-use regmutex_sim::{GpuConfig, LaunchConfig};
+use regmutex_sim::{FaultClass, FaultLog, FaultPlan, GpuConfig, LaunchConfig, Severity};
 
 use crate::cache::{CachedResult, DurableTier, ResultCache, DEFAULT_CACHE_BUDGET};
 
@@ -67,6 +72,24 @@ pub struct JobSpec {
     /// `min(cfg.watchdog_cycles, budget)`, so one runaway simulation cannot
     /// stall a whole sweep. `None` keeps the config's watchdog.
     pub cycle_budget: Option<u64>,
+    /// A fault planted in the technique's register manager. A faulted job
+    /// has its fault-free twin's fingerprint, but is always simulated and
+    /// never cached.
+    pub fault: Option<FaultSpec>,
+}
+
+/// A seeded fault for one job: [`FaultPlan::generate`] builds the plan from
+/// these and the job's effective config.
+#[derive(Debug, Clone)]
+pub struct FaultSpec {
+    /// Fault class to inject.
+    pub class: FaultClass,
+    /// Light or severe.
+    pub severity: Severity,
+    /// Plan seed.
+    pub seed: u64,
+    /// What the injectors did, readable after the run even when it errors.
+    pub log: Arc<FaultLog>,
 }
 
 impl JobSpec {
@@ -98,6 +121,7 @@ impl JobSpec {
             technique,
             launch,
             cycle_budget: None,
+            fault: None,
         }
     }
 
@@ -113,6 +137,14 @@ impl JobSpec {
     #[must_use]
     pub fn with_cycle_budget(mut self, cycles: u64) -> Self {
         self.cycle_budget = Some(cycles);
+        self
+    }
+
+    /// Plant `fault` in this job's register manager (see
+    /// [`JobSpec::fault`]).
+    #[must_use]
+    pub fn with_fault(mut self, fault: FaultSpec) -> Self {
+        self.fault = Some(fault);
         self
     }
 
@@ -228,6 +260,9 @@ pub struct Runner {
     tier: Option<Arc<dyn DurableTier>>,
     /// Kernel compilations this runner performed.
     compiles: AtomicU64,
+    /// This runner's own cache lookups, whoever else shares the cache.
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl Runner {
@@ -244,6 +279,8 @@ impl Runner {
             cache,
             tier: None,
             compiles: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -270,14 +307,27 @@ impl Runner {
         &self.cache
     }
 
-    /// Jobs served from the cache so far (cache-wide when shared).
+    /// Jobs this runner served from the cache (or its tier) so far. Other
+    /// runners sharing the cache do not count here.
     pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
+        self.hits.load(Ordering::Relaxed)
     }
 
-    /// Jobs actually simulated so far (cache-wide when shared).
+    /// Jobs this runner actually simulated so far, faulted jobs included.
     pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Count a job served without simulating, here and in the cache.
+    fn hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.cache.note_hit();
+    }
+
+    /// Count a job that will be simulated, here and in the cache.
+    fn miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.cache.note_miss();
     }
 
     /// Kernel compilations this runner has performed. A batch compiles
@@ -293,37 +343,41 @@ impl Runner {
     ///
     /// Identical jobs — same fingerprint, whether duplicated inside this
     /// batch or already completed in an earlier batch — are simulated once,
-    /// and the jobs left to simulate compile once per compile key.
-    /// With a durable tier attached, the batch's fresh results are on
-    /// stable storage when this returns (one [`DurableTier::sync`] per
-    /// batch).
+    /// and the jobs left to simulate compile once per compile key. A
+    /// faulted job is always simulated and never stored. With a durable
+    /// tier attached, the batch's fresh results are on stable storage when
+    /// this returns (one [`DurableTier::sync`] per batch).
     pub fn run_all(&self, specs: &[JobSpec]) -> Vec<CachedResult> {
         let (keys, compile_keys): (Vec<u64>, Vec<u64>) = batch_keys(specs).into_iter().unzip();
 
         // Resolve what we can from the shared cache, pinning every resolved
         // value in a batch-local map so a concurrent writer (or our own
         // inserts) evicting an entry mid-batch cannot lose it. `todo` holds
-        // the first occurrence of each unresolved fingerprint.
+        // the first occurrence of each unresolved fingerprint, and every
+        // faulted job.
         let mut local: HashMap<u64, CachedResult> = HashMap::new();
         let mut todo: Vec<usize> = Vec::new();
         let mut scheduled: HashSet<u64> = HashSet::new();
         for (i, k) in keys.iter().enumerate() {
-            if local.contains_key(k) {
-                self.cache.note_hit();
+            if specs[i].fault.is_some() {
+                todo.push(i);
+                self.miss();
+            } else if local.contains_key(k) {
+                self.hit();
             } else if let Some(v) = self.cache.probe(*k) {
                 local.insert(*k, v);
-                self.cache.note_hit();
+                self.hit();
             } else if let Some(v) = self.tier.as_ref().and_then(|t| t.load(*k)) {
                 // Durable-tier warm start: promote into the cache so the
                 // rest of the process sees it at memory speed.
                 self.cache.insert(*k, v.clone());
                 local.insert(*k, v);
-                self.cache.note_hit();
+                self.hit();
             } else if scheduled.insert(*k) {
                 todo.push(i);
-                self.cache.note_miss();
+                self.miss();
             } else {
-                self.cache.note_hit();
+                self.hit();
             }
         }
 
@@ -341,36 +395,49 @@ impl Runner {
         // Execute the unique jobs across the pool. Workers pull the next
         // index from a shared cursor; each simulation is single-threaded
         // and deterministic, so scheduling cannot affect any result.
-        let fresh: Mutex<Vec<(u64, CachedResult)>> = Mutex::new(Vec::with_capacity(todo.len()));
+        let fresh: Mutex<Vec<(usize, CachedResult)>> = Mutex::new(Vec::with_capacity(todo.len()));
         let cursor = AtomicUsize::new(0);
         let workers = self.jobs.min(todo.len().max(1));
+        let work = || loop {
+            let n = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&i) = todo.get(n) else { break };
+            let result = self.run_isolated(&specs[i], &slots[group_of[n]]);
+            fresh.lock().unwrap().push((i, result));
+        };
+        // The calling thread is one of the workers, so a one-worker batch
+        // (a minimizer probe, an escalation) spawns no thread at all.
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let n = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = todo.get(n) else { break };
-                    let result = self.run_isolated(&specs[i], &slots[group_of[n]]);
-                    fresh.lock().unwrap().push((keys[i], result));
-                });
+            for _ in 1..workers {
+                scope.spawn(work);
             }
+            work();
         });
 
-        // Persist the batch with one group commit, publish results to the
-        // shared cache and the batch-local map, then assemble the batch in
-        // submission order.
-        let fresh = fresh.into_inner().unwrap();
-        if let Some(t) = self.tier.as_ref().filter(|_| !fresh.is_empty()) {
-            for (k, r) in &fresh {
-                t.save(*k, r);
+        // Persist the fault-free results with one group commit, publish
+        // them to the shared cache and the batch-local map, then assemble
+        // the batch in submission order.
+        let (faulted, clean): (Vec<_>, Vec<_>) = fresh
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .partition(|(i, _)| specs[*i].fault.is_some());
+        if let Some(t) = self.tier.as_ref().filter(|_| !clean.is_empty()) {
+            for (i, r) in &clean {
+                t.save(keys[*i], r);
             }
             t.sync();
         }
-        for (k, r) in fresh {
-            self.cache.insert(k, r.clone());
-            local.insert(k, r);
+        for (i, r) in clean {
+            self.cache.insert(keys[i], r.clone());
+            local.insert(keys[i], r);
         }
+        let mut faulted: HashMap<usize, CachedResult> = faulted.into_iter().collect();
         keys.iter()
-            .map(|k| local.get(k).expect("every submitted job resolved").clone())
+            .enumerate()
+            .map(|(i, k)| match faulted.remove(&i) {
+                Some(r) => r,
+                None => local.get(k).expect("every submitted job resolved").clone(),
+            })
             .collect()
     }
 
@@ -382,19 +449,24 @@ impl Runner {
     /// Two threads racing on the same fingerprint may both simulate it;
     /// the simulations are deterministic, so the duplicate work is a
     /// performance wrinkle, never a correctness one. With a durable tier
-    /// attached, a fresh result is on stable storage when this returns.
+    /// attached, a fresh result is on stable storage when this returns. A
+    /// faulted job is simulated and returned without touching either store.
     pub fn run_one(&self, spec: &JobSpec) -> (CachedResult, bool) {
+        if spec.fault.is_some() {
+            self.miss();
+            return (self.run_isolated(spec, &OnceLock::new()), false);
+        }
         let key = spec.fingerprint();
         if let Some(v) = self.cache.probe(key) {
-            self.cache.note_hit();
+            self.hit();
             return (v, true);
         }
         if let Some(v) = self.tier.as_ref().and_then(|t| t.load(key)) {
             self.cache.insert(key, v.clone());
-            self.cache.note_hit();
+            self.hit();
             return (v, true);
         }
-        self.cache.note_miss();
+        self.miss();
         let result = self.run_isolated(spec, &OnceLock::new());
         if let Some(t) = &self.tier {
             t.save(key, &result);
@@ -409,7 +481,8 @@ impl Runner {
     /// anywhere in compile/simulate becomes [`RunError::Panicked`]
     /// carrying the panic message, so one sick job can never take down a
     /// sweep; a compile that panics leaves `slot` empty, so every job of
-    /// its group compiles again and reports its own panic.
+    /// its group compiles again and reports its own panic. A faulted job
+    /// builds its plan from the effective config.
     fn run_isolated(&self, spec: &JobSpec, slot: &CompileSlot) -> CachedResult {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let session = Session::with_options(spec.effective_cfg(), spec.options.clone());
@@ -417,9 +490,16 @@ impl Runner {
                 self.compiles.fetch_add(1, Ordering::Relaxed);
                 session.compile(&spec.kernel)
             });
-            match compiled {
-                Ok(c) => session.run_compiled(c, spec.launch, spec.technique),
-                Err(e) => Err(RunError::InvalidKernel(e.clone())),
+            let c = compiled
+                .as_ref()
+                .map_err(|e| RunError::InvalidKernel(e.clone()))?;
+            match &spec.fault {
+                None => session.run_compiled(c, spec.launch, spec.technique),
+                Some(f) => {
+                    let plan = FaultPlan::generate(f.class, f.severity, f.seed, session.config());
+                    let log = Arc::clone(&f.log);
+                    session.run_compiled_faulted(c, spec.launch, spec.technique, &plan, log)
+                }
             }
         }));
         outcome.unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&payload))))
@@ -793,6 +873,89 @@ mod tests {
             "budget must trip the watchdog: {:?}",
             results[1]
         );
+    }
+
+    #[test]
+    fn runners_sharing_a_cache_count_only_their_own_lookups() {
+        let cache = ResultCache::shared(DEFAULT_CACHE_BUDGET);
+        let batch = specs();
+        let (a, b) = (
+            Runner::with_cache(1, Arc::clone(&cache)),
+            Runner::with_cache(2, Arc::clone(&cache)),
+        );
+        // `a` submits the batch three times and `b` twice, concurrently:
+        // whoever simulates a job first, each runner looks up exactly its
+        // own submissions.
+        std::thread::scope(|scope| {
+            scope.spawn(|| (0..3).for_each(|_| drop(a.run_all(&batch))));
+            scope.spawn(|| (0..2).for_each(|_| drop(b.run_all(&batch))));
+        });
+        let n = batch.len() as u64;
+        assert_eq!(a.cache_hits() + a.cache_misses(), 3 * n);
+        assert_eq!(b.cache_hits() + b.cache_misses(), 2 * n);
+        assert_eq!(a.cache_misses() + b.cache_misses(), cache.misses());
+        assert_eq!(a.cache_hits() + b.cache_hits(), cache.hits());
+        // Each job was simulated at most once per runner.
+        assert!(a.cache_misses() <= n && b.cache_misses() <= n);
+    }
+
+    #[test]
+    fn faulted_jobs_are_always_simulated_and_share_the_compile() {
+        use regmutex_sim::{FaultClass, Severity};
+        let clean = shared_specs(&GpuConfig::test_tiny(), "f");
+        let fault = || FaultSpec {
+            class: FaultClass::MemLatencySpike,
+            severity: Severity::Severe,
+            seed: 3,
+            log: Arc::new(FaultLog::default()),
+        };
+        let faulted = clean[1].clone().with_fault(fault());
+        let twin = clean[1].clone().with_fault(fault());
+        let mut batch = clean.clone();
+        batch.extend([faulted.clone(), twin.clone()]);
+
+        let runner = Runner::new(2);
+        let results = runner.run_all(&batch);
+        assert_eq!(runner.compiles(), 1, "faulted jobs share their group");
+        assert_eq!(runner.cache_misses(), batch.len() as u64, "none deduped");
+        assert_eq!(
+            runner.cache().entries(),
+            clean.len(),
+            "faults are not cached"
+        );
+
+        // Each faulted result is its own run, logged into its own spec, and
+        // equals a direct faulted run of the same compiled kernel.
+        let session = Session::new(faulted.effective_cfg());
+        let compiled = session.compile(&faulted.kernel).unwrap();
+        let plan = FaultPlan::generate(
+            FaultClass::MemLatencySpike,
+            Severity::Severe,
+            3,
+            session.config(),
+        );
+        let log = Arc::new(FaultLog::default());
+        let direct = session.run_compiled_faulted(
+            &compiled,
+            faulted.launch,
+            faulted.technique,
+            &plan,
+            Arc::clone(&log),
+        );
+        for (spec, result) in [&faulted, &twin].into_iter().zip(&results[clean.len()..]) {
+            assert_eq!(format!("{result:?}"), format!("{direct:?}"));
+            let spec_log = &spec.fault.as_ref().unwrap().log;
+            assert_eq!(spec_log.injections(), log.injections());
+        }
+        assert!(log.injections() > 0, "the fault never fired");
+
+        // A repeat simulates the faulted jobs again and serves the clean
+        // ones from the cache; `run_one` never caches a fault either.
+        runner.run_all(&batch);
+        assert_eq!(runner.cache_misses(), batch.len() as u64 + 2);
+        assert_eq!(runner.cache_hits(), clean.len() as u64);
+        assert!(!runner.run_one(&faulted).1);
+        assert_eq!(runner.cache().entries(), clean.len());
     }
 
     #[test]

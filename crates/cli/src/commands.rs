@@ -8,7 +8,7 @@ use std::sync::Arc;
 use regmutex::{cycle_reduction_percent, Session, Technique, ALL_TECHNIQUES};
 use regmutex_bench::chaos::{run_campaign, run_campaign_durable};
 use regmutex_bench::{
-    figures, runner::default_jobs, JobExecutor, JobSource, JobSpec, MatrixJob, Runner,
+    figures, runner::default_jobs, JobExecutor, JobSource, JobSpec, MatrixJob, Runner, ES_VALUES,
 };
 use regmutex_compiler::{analyze, live_trace, CompileOptions};
 use regmutex_durable::{Campaign, Record, Run};
@@ -303,13 +303,7 @@ pub fn bench_loop(a: &BenchLoopArgs) -> Result<(String, i32), CommandError> {
 
         // The two loops must agree on every statistic except the loop's own
         // accounting of itself.
-        let strip = |r: &regmutex::RunReport| {
-            let mut s = r.stats.clone();
-            s.skipped_cycles = 0;
-            s.step_calls = 0;
-            s
-        };
-        if strip(&reports[0]) != strip(&reports[1]) {
+        if reports[0].stats.architectural() != reports[1].stats.architectural() {
             let _ = writeln!(
                 out,
                 "FAIL: {label}: cycle skipping changed the simulation\n  skip: {:?}\n  tick: {:?}",
@@ -466,7 +460,6 @@ pub fn sweep(a: &SweepArgs) -> Result<(String, i32), CommandError> {
     let w = lookup(&a.app)?;
     let cfg = w.table_config();
     let mut runner = Runner::new(a.jobs.unwrap_or_else(default_jobs));
-    const ES_VALUES: [u16; 6] = [2, 4, 6, 8, 10, 12];
 
     let on_home = |t| MatrixJob {
         cfg: cfg.clone(),

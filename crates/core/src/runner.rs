@@ -257,26 +257,26 @@ impl Session {
             .map(|(rep, _)| rep)
     }
 
-    /// Run `kernel` under `technique` with fault injection: every SM's
-    /// manager is wrapped in a [`regmutex_sim::FaultInjector`] executing
-    /// `plan`, and what the injectors did is recorded into `log` (readable
-    /// even when the run errors — how chaos campaigns tell *detected* from
-    /// *never triggered*).
+    /// Run an already-compiled kernel under `technique` with fault
+    /// injection: every SM's manager is wrapped in a
+    /// [`regmutex_sim::FaultInjector`] executing `plan`, and what the
+    /// injectors did is recorded into `log` (readable even when the run
+    /// errors — how chaos campaigns tell *detected* from *never
+    /// triggered*).
     ///
     /// # Errors
     ///
-    /// Same as [`Session::run`], plus the fault-detection variants of
-    /// [`SimError`] when the safety net catches the injected corruption.
-    pub fn run_faulted(
+    /// Same as [`Session::run_compiled`], plus the fault-detection variants
+    /// of [`SimError`] when the safety net catches the injected corruption.
+    pub fn run_compiled_faulted(
         &self,
-        kernel: &Kernel,
+        compiled: &CompiledKernel,
         launch: LaunchConfig,
         technique: Technique,
         plan: &FaultPlan,
         log: Arc<FaultLog>,
     ) -> Result<RunReport, RunError> {
-        let compiled = self.compile(kernel)?;
-        self.run_compiled_inner(&compiled, launch, technique, false, Some((plan, log)))
+        self.run_compiled_inner(compiled, launch, technique, false, Some((plan, log)))
             .map(|(rep, _)| rep)
     }
 
@@ -637,8 +637,15 @@ mod tests {
         let k = hungry_kernel();
         let launch = LaunchConfig::new(45);
         let log = Arc::new(FaultLog::default());
+        let compiled = s.compile(&k).unwrap();
         let err = s
-            .run_faulted(&k, launch, Technique::RegMutex, &plan, Arc::clone(&log))
+            .run_compiled_faulted(
+                &compiled,
+                launch,
+                Technique::RegMutex,
+                &plan,
+                Arc::clone(&log),
+            )
             .expect_err("a corrupted LUT entry must not complete cleanly");
         assert!(log.injections() > 0, "the fault never fired");
         assert!(
@@ -651,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn run_faulted_with_untriggered_plan_matches_clean_run() {
+    fn faulted_run_with_untriggered_plan_matches_clean_run() {
         use regmutex_sim::fault::Fault;
         let cfg = GpuConfig::gtx480();
         let s = Session::new(cfg);
@@ -666,8 +673,15 @@ mod tests {
             faults: Vec::<Fault>::new(),
         };
         let log = Arc::new(FaultLog::default());
+        let compiled = s.compile(&k).unwrap();
         let faulted = s
-            .run_faulted(&k, launch, Technique::RegMutex, &plan, Arc::clone(&log))
+            .run_compiled_faulted(
+                &compiled,
+                launch,
+                Technique::RegMutex,
+                &plan,
+                Arc::clone(&log),
+            )
             .unwrap();
         assert_eq!(log.injections(), 0);
         assert_eq!(clean.stats.cycles, faulted.stats.cycles);

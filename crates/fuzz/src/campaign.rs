@@ -12,6 +12,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use regmutex::{Technique, ALL_TECHNIQUES};
 use regmutex_bench::{JobSpec, Runner};
 use regmutex_durable::Run;
 use regmutex_isa::mix;
@@ -21,8 +22,7 @@ use crate::gen::{generate, Generated};
 use crate::journal::{FuzzJournal, KernelRecord};
 use crate::minimize::minimize;
 use crate::oracle::{
-    run_faulted, run_faulted_pair, run_local, run_pair, Divergence, OracleConfig, Outcome,
-    PlantedFault,
+    escalate, evaluate, run_local, specs_over, Divergence, OracleConfig, Outcome, PlantedFault,
 };
 use crate::trace::trace_to_text;
 
@@ -42,8 +42,9 @@ pub struct CampaignConfig {
     pub duration: Option<Duration>,
     /// Oracle settings (cycle budget, escalation).
     pub oracle: OracleConfig,
-    /// Planted manager fault (oracle self-test mode); forces session-based
-    /// execution so the fault never pollutes the shared result cache.
+    /// Planted manager fault (oracle self-test mode). The faulted
+    /// technique's jobs run on the same runner as the clean ones but are
+    /// always simulated, so the fault never enters the result cache.
     pub fault: Option<PlantedFault>,
     /// Minimize each divergence to an artifact.
     pub minimize: bool,
@@ -141,9 +142,9 @@ pub struct FuzzReport {
 /// How a durable campaign ended: a [`Run`] counting kernels.
 pub type FuzzRun = Run<FuzzReport>;
 
-/// Run a campaign on `runner`. Fault-free campaigns batch all techniques
-/// of `cfg.batch` kernels into single [`Runner::run_all`] calls; planted
-/// -fault campaigns run kernel-at-a-time through fresh sessions.
+/// Run a campaign on `runner`: all techniques of `cfg.batch` kernels go
+/// into single [`Runner::run_all`] calls, with the planted fault (if any)
+/// on its technique's jobs.
 pub fn run_campaign(cfg: &CampaignConfig, runner: &Runner) -> FuzzReport {
     match run_campaign_durable(cfg, runner, None, None) {
         FuzzRun::Complete(report) => report,
@@ -225,36 +226,20 @@ pub fn run_campaign_durable(
 
         // One big submission: the runner parallelizes across kernels
         // *and* techniques; results come back in submission order.
-        // (Planted-fault campaigns go kernel-at-a-time through fresh
-        // sessions instead, so the fault never pollutes the cache.)
-        let prefetched: Option<Vec<_>> = if cfg.fault.is_none() {
-            let specs: Vec<JobSpec> = kernels
-                .iter()
-                .flat_map(|(_, g)| crate::oracle::specs_for(g, &cfg.oracle))
-                .collect();
-            Some(runner.run_all(&specs))
-        } else {
-            None
-        };
+        let fault = cfg.fault.as_ref();
+        let specs: Vec<JobSpec> = kernels
+            .iter()
+            .flat_map(|(_, g)| specs_over(g, &cfg.oracle, &ALL_TECHNIQUES, fault))
+            .collect();
+        let results = runner.run_all(&specs);
 
         for (n, (i, g)) in kernels.into_iter().enumerate() {
             let runs_before = stats.runs;
             stats.runs += 5;
-            let outcome = match (&cfg.fault, &prefetched) {
-                (Some(fault), _) => run_faulted(&g, &cfg.oracle, fault),
-                (None, Some(results)) => {
-                    crate::oracle::evaluate(&g, &results[n * 5..n * 5 + 5], &cfg.oracle, |t| {
-                        stats.runs += 1;
-                        let spec = crate::oracle::specs_over(&g, &cfg.oracle, &[t])
-                            .remove(0)
-                            .with_cycle_budget(
-                                cfg.oracle.cycle_budget * cfg.oracle.escalate_factor,
-                            );
-                        runner.run_all(&[spec]).remove(0)
-                    })
-                }
-                (None, None) => unreachable!("fault-free batches are prefetched"),
-            };
+            let outcome = evaluate(&g, &results[n * 5..n * 5 + 5], &cfg.oracle, |t| {
+                stats.runs += 1;
+                escalate(&g, runner, &cfg.oracle, t, fault)
+            });
             stats.kernels += 1;
             match outcome {
                 Outcome::Agreement { escalations } => {
@@ -320,12 +305,9 @@ fn shrink_divergence(
         Outcome::Agreement { .. } => false,
     };
     let (final_g, steps, tests) = if cfg.minimize {
+        let (pair, fault) = ([Technique::Baseline, technique], cfg.fault.as_ref());
         let min = minimize(seed, &g.trace, cfg.minimize_tests, |cand| {
-            let probe = match &cfg.fault {
-                Some(f) => run_faulted_pair(cand, &cfg.oracle, f, technique),
-                None => run_pair(cand, runner, &cfg.oracle, technique),
-            };
-            same(&probe)
+            same(&run_local(cand, runner, &cfg.oracle, &pair, fault))
         });
         stats.runs += 2 * min.tests;
         (min.generated, min.steps, min.tests)
@@ -475,10 +457,7 @@ fn json_escape(s: &str) -> String {
 /// matches the artifact's `expect`, 1 = it does not).
 pub fn replay_artifact(a: &Artifact, runner: &Runner, oracle: &OracleConfig) -> (String, i32) {
     let g = crate::gen::replay(a.seed, &a.trace);
-    let outcome = match &a.fault {
-        Some(f) => run_faulted(&g, oracle, f),
-        None => run_local(&g, runner, oracle),
-    };
+    let outcome = run_local(&g, runner, oracle, &ALL_TECHNIQUES, a.fault.as_ref());
     let mut out = String::new();
     let _ = writeln!(
         out,

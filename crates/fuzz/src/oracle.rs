@@ -19,10 +19,11 @@
 //!    ([`FallbackClass`]) and the technique must match the baseline
 //!    *exactly*, stat for stat.
 
-use regmutex::{RunError, Session, Technique, ALL_TECHNIQUES};
+use regmutex::{RunError, Technique, ALL_TECHNIQUES};
+use regmutex_bench::runner::FaultSpec;
 use regmutex_bench::{CachedResult, JobSpec, Runner};
 use regmutex_compiler::{compile, CompileOptions, FallbackClass};
-use regmutex_sim::{FaultLog, FaultPlan, GpuConfig, LaunchConfig, SimError};
+use regmutex_sim::{GpuConfig, LaunchConfig, SimError};
 use std::sync::Arc;
 
 use crate::gen::Generated;
@@ -122,15 +123,18 @@ pub fn config_for(g: &Generated) -> GpuConfig {
 /// kernel fans out to. Labels carry the kernel name so cache fingerprints
 /// and error rows stay self-describing.
 pub fn specs_for(g: &Generated, oc: &OracleConfig) -> Vec<JobSpec> {
-    specs_over(g, oc, &ALL_TECHNIQUES)
+    specs_over(g, oc, &ALL_TECHNIQUES, None)
 }
 
 /// The specs for `techniques`, all sharing one copy of the kernel (so the
-/// runner hashes and compiles it once for all of them).
+/// runner hashes and compiles it once for all of them). With a `fault`,
+/// its technique's spec carries it, escalations included; such a spec is
+/// always simulated, never cached.
 pub(crate) fn specs_over(
     g: &Generated,
     oc: &OracleConfig,
     techniques: &[Technique],
+    fault: Option<&PlantedFault>,
 ) -> Vec<JobSpec> {
     let cfg = config_for(g);
     let launch = LaunchConfig::new(g.grid_ctas);
@@ -139,45 +143,51 @@ pub(crate) fn specs_over(
         .iter()
         .map(|&t| {
             let label = format!("{}/{t}", g.kernel.name);
-            JobSpec::shared(label, Arc::clone(&kernel), &cfg, launch, t)
-                .with_cycle_budget(oc.cycle_budget)
+            let spec = JobSpec::shared(label, Arc::clone(&kernel), &cfg, launch, t)
+                .with_cycle_budget(oc.cycle_budget);
+            match fault.filter(|f| f.technique == t) {
+                Some(f) => spec.with_fault(FaultSpec {
+                    class: f.class,
+                    severity: f.severity,
+                    seed: f.seed,
+                    log: Arc::default(),
+                }),
+                None => spec,
+            }
         })
         .collect()
 }
 
-/// Run one kernel through every technique on `runner` and evaluate the
-/// invariants. Watchdog escalations re-run through the same runner (the
-/// escalated budget gives them a distinct cache fingerprint).
-pub fn run_local(g: &Generated, runner: &Runner, oc: &OracleConfig) -> Outcome {
-    run_techniques(g, runner, oc, &ALL_TECHNIQUES)
-}
-
-/// Run only `[Baseline, t]` — the cheap probe the minimizer re-evaluates
-/// hundreds of times. A full [`run_local`] costs 5 simulations; confirming
-/// that one technique still diverges costs 2 (and most are cache hits).
-pub fn run_pair(g: &Generated, runner: &Runner, oc: &OracleConfig, t: Technique) -> Outcome {
-    run_techniques(g, runner, oc, &[Technique::Baseline, t])
-}
-
-fn run_techniques(
+/// Run `techniques` (baseline first) of one kernel on `runner`, with
+/// `fault` planted if given, and evaluate the invariants. With
+/// [`ALL_TECHNIQUES`] this is the full check; `[Baseline, t]` is the cheap
+/// probe the minimizer re-evaluates hundreds of times (two simulations,
+/// and the baseline is usually a cache hit).
+pub fn run_local(
     g: &Generated,
     runner: &Runner,
     oc: &OracleConfig,
     techniques: &[Technique],
+    fault: Option<&PlantedFault>,
 ) -> Outcome {
-    let specs = specs_over(g, oc, techniques);
-    let results = runner.run_all(&specs);
-    evaluate_over(g, techniques, &results, oc, |technique| {
-        let escalated: Vec<JobSpec> = specs
-            .iter()
-            .filter(|s| s.technique == technique)
-            .map(|s| {
-                s.clone()
-                    .with_cycle_budget(oc.cycle_budget * oc.escalate_factor)
-            })
-            .collect();
-        runner.run_all(&escalated).remove(0)
+    let results = runner.run_all(&specs_over(g, oc, techniques, fault));
+    evaluate_over(g, techniques, &results, oc, |t| {
+        escalate(g, runner, oc, t, fault)
     })
+}
+
+/// Re-run technique `t` of `g` on `runner` under the escalated cycle
+/// budget (a distinct cache fingerprint), with `fault` planted if given.
+pub(crate) fn escalate(
+    g: &Generated,
+    runner: &Runner,
+    oc: &OracleConfig,
+    t: Technique,
+    fault: Option<&PlantedFault>,
+) -> CachedResult {
+    let spec = specs_over(g, oc, &[t], fault).remove(0);
+    let budget = oc.cycle_budget * oc.escalate_factor;
+    runner.run_all(&[spec.with_cycle_budget(budget)]).remove(0)
 }
 
 /// Evaluate the oracle invariants over `results` (one per technique, in
@@ -295,7 +305,7 @@ fn evaluate_over(
         // bench-loop skip-vs-tick cross-check).
         if *t == Technique::RegMutex
             && rep.plan.is_none()
-            && arch_stats(&rep.stats) != arch_stats(&base.stats)
+            && rep.stats.architectural() != base.stats.architectural()
         {
             return diverge(
                 *t,
@@ -313,58 +323,6 @@ fn evaluate_over(
     Outcome::Agreement { escalations }
 }
 
-/// Run the oracle with a fault planted under one technique's register
-/// manager (the oracle self-test: a broken manager must surface as a
-/// divergence). Runs through fresh [`Session`]s — planted faults must
-/// never enter the shared result cache.
-pub fn run_faulted(g: &Generated, oc: &OracleConfig, fault: &PlantedFault) -> Outcome {
-    run_faulted_over(g, oc, fault, &ALL_TECHNIQUES)
-}
-
-/// Faulted variant of [`run_pair`] (the minimizer's probe when shrinking
-/// a planted-fault divergence).
-pub fn run_faulted_pair(
-    g: &Generated,
-    oc: &OracleConfig,
-    fault: &PlantedFault,
-    t: Technique,
-) -> Outcome {
-    run_faulted_over(g, oc, fault, &[Technique::Baseline, t])
-}
-
-fn run_faulted_over(
-    g: &Generated,
-    oc: &OracleConfig,
-    fault: &PlantedFault,
-    techniques: &[Technique],
-) -> Outcome {
-    let mut cfg = config_for(g);
-    cfg.watchdog_cycles = cfg.watchdog_cycles.min(oc.cycle_budget);
-    let launch = LaunchConfig::new(g.grid_ctas);
-    let session = Session::new(cfg.clone());
-    let plan = FaultPlan::generate(fault.class, fault.severity, fault.seed, &cfg);
-    let results: Vec<CachedResult> = techniques
-        .iter()
-        .map(|&t| {
-            if t == fault.technique {
-                session.run_faulted(&g.kernel, launch, t, &plan, Arc::new(FaultLog::default()))
-            } else {
-                session.run(&g.kernel, launch, t)
-            }
-        })
-        .collect();
-    evaluate_over(g, techniques, &results, oc, |t| {
-        let mut big = cfg.clone();
-        big.watchdog_cycles = oc.cycle_budget * oc.escalate_factor;
-        let s = Session::new(big);
-        if t == fault.technique {
-            s.run_faulted(&g.kernel, launch, t, &plan, Arc::new(FaultLog::default()))
-        } else {
-            s.run(&g.kernel, launch, t)
-        }
-    })
-}
-
 /// A deliberately-broken register manager: which fault class corrupts
 /// which technique's manager (see [`regmutex_sim::FaultPlan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -377,17 +335,6 @@ pub struct PlantedFault {
     pub seed: u64,
     /// Technique whose manager is wrapped in the injector.
     pub technique: Technique,
-}
-
-/// A run's architectural statistics: everything except the event-driven
-/// loop's accounting of itself (`skipped_cycles`, `step_calls`), which is
-/// a property of how the simulation was driven, not of what the kernel
-/// did.
-fn arch_stats(s: &regmutex_sim::SimStats) -> regmutex_sim::SimStats {
-    let mut s = s.clone();
-    s.skipped_cycles = 0;
-    s.step_calls = 0;
-    s
 }
 
 fn diverge(technique: Technique, kind: DivergenceKind, detail: String) -> Outcome {

@@ -35,7 +35,9 @@ use std::time::{Duration, Instant};
 
 use regmutex::{RunError, RunReport, Technique};
 use regmutex_bench::runner::default_jobs;
-use regmutex_bench::{job_spec, CachedResult, JobSpec, ResultCache, Runner, DEFAULT_CACHE_BUDGET};
+use regmutex_bench::{
+    job_spec, CachedResult, JobSpec, ResultCache, Runner, DEFAULT_CACHE_BUDGET, ES_VALUES,
+};
 use regmutex_fuzz::{CampaignConfig, CampaignStats, FuzzReport};
 use regmutex_sim::GpuConfig;
 
@@ -609,8 +611,19 @@ fn run_endpoint(
     }
 }
 
-/// Default `|Es|` points for `/v1/sweep` (the Fig 10 sweep).
-const SWEEP_ES: [u16; 6] = [2, 4, 6, 8, 10, 12];
+/// A `/v1/sweep` `es` list: positive `u16` points, or `null` for the
+/// Fig 10 points.
+fn es_list(v: &Json) -> Option<Vec<u16>> {
+    if *v == Json::Null {
+        return Some(ES_VALUES.to_vec());
+    }
+    let point = |x: &Json| {
+        x.as_u64()
+            .and_then(|n| u16::try_from(n).ok())
+            .filter(|&n| n > 0)
+    };
+    v.as_arr()?.iter().map(point).collect()
+}
 
 fn sweep_endpoint(
     request: &Request,
@@ -630,29 +643,10 @@ fn sweep_endpoint(
         Err(resp) => return RequestAction::Respond(resp),
     };
     // Reuse the run-request parser for the shared fields; `es` is ours.
-    let es_points: Vec<u16> = match body.get("es") {
-        None | Some(Json::Null) => SWEEP_ES.to_vec(),
-        Some(Json::Arr(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                match item.as_u64().and_then(|n| u16::try_from(n).ok()) {
-                    Some(v) if v > 0 => out.push(v),
-                    _ => {
-                        return RequestAction::Respond(Response::json(
-                            400,
-                            wire::error_json("'es' entries must be positive integers"),
-                        ))
-                    }
-                }
-            }
-            out
-        }
-        Some(_) => {
-            return RequestAction::Respond(Response::json(
-                400,
-                wire::error_json("'es' must be an array"),
-            ))
-        }
+    let es = optional(&body, "es", "an array of positive integers", es_list);
+    let es_points = match es {
+        Ok(es) => es.unwrap_or_else(|| ES_VALUES.to_vec()),
+        Err(resp) => return RequestAction::Respond(resp),
     };
     if es_points.len() > 64 {
         return RequestAction::Respond(Response::json(
@@ -662,7 +656,10 @@ fn sweep_endpoint(
     }
     // Rows stream as chunks by default; `"stream": false` buffers the
     // identical bytes into one response.
-    let stream = body.get("stream").and_then(Json::as_bool).unwrap_or(true);
+    let stream = match optional(&body, "stream", "a boolean", Json::as_bool) {
+        Ok(stream) => stream.unwrap_or(true),
+        Err(resp) => return RequestAction::Respond(resp),
+    };
     let mut base_body = match body {
         Json::Obj(pairs) => Json::Obj(
             pairs
@@ -871,23 +868,51 @@ const FUZZ_MAX_COUNT: u64 = 100_000;
 /// Kernels per sub-batch in `"progress": true` streaming mode.
 const FUZZ_PROGRESS_BATCH: u64 = 256;
 
-/// Decode a u64 field that may arrive as a JSON number or a hex string
-/// (`"0x..."`), since campaign seeds use the full u64 range.
+/// Decode a u64 field that may arrive as a JSON number or a `"0x..."` hex
+/// string, since campaign seeds use the full u64 range. A string without
+/// the prefix is refused rather than read in a guessed base.
 fn parse_u64_field(v: &Json) -> Option<u64> {
-    if let Some(n) = v.as_u64() {
-        return Some(n);
+    match v.as_str() {
+        Some(s) => u64::from_str_radix(s.strip_prefix("0x")?, 16).ok(),
+        None => v.as_u64(),
     }
-    let s = v.as_str()?;
-    let s = s.strip_prefix("0x").unwrap_or(s);
-    u64::from_str_radix(s, 16).ok()
 }
+
+/// The optional field `key` of a request body, decoded by `parse`: absent
+/// is `None`, and a present value `parse` refuses is a 400 naming the
+/// field (never a silent default).
+fn optional<T>(
+    body: &Json,
+    key: &str,
+    what: &str,
+    parse: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, Response> {
+    body.get(key).map_or(Ok(None), |v| {
+        parse(v).map(Some).ok_or_else(|| {
+            Response::json(400, wire::error_json(&format!("'{key}' must be {what}")))
+        })
+    })
+}
+
+/// Every field a `/v1/fuzz` body may carry.
+const FUZZ_FIELDS: [&str; 7] = [
+    "seed",
+    "start",
+    "count",
+    "cycle_budget",
+    "minimize",
+    "max_divergences",
+    "progress",
+];
 
 /// `POST /v1/fuzz`: run one shard of a fuzzing campaign on this worker.
 ///
-/// Body: `{"seed": <u64|hex string>, "start": <u64>, "count": <u64>,
+/// Body: `{"seed": <u64|"0x.." string>, "start"?: <u64>, "count": <u64>,
 /// "cycle_budget"?: <u64>, "minimize"?: <bool>, "max_divergences"?: <u64>,
-/// "progress"?: <bool>}`. Workers regenerate every kernel locally from
-/// `mix(seed, index)` over `start..start+count`, so the coordinator ships
+/// "progress"?: <bool>}`; any u64 may also be a `"0x..."` string, and an
+/// unknown field or a wrongly typed value is a 400 naming the field.
+/// Workers regenerate every kernel locally from `mix(seed, index)` over
+/// `start..start+count`, so the coordinator ships
 /// a few integers instead of kernels, and disjoint shards of one seed
 /// merged in index order are byte-identical to a local run of the whole
 /// range.
@@ -914,63 +939,10 @@ fn fuzz_endpoint(
         Ok(v) => v,
         Err(resp) => return RequestAction::Respond(resp),
     };
-    let seed = match body.get("seed").and_then(parse_u64_field) {
-        Some(s) => s,
-        None => {
-            return RequestAction::Respond(Response::json(
-                400,
-                wire::error_json("'seed' (u64 or hex string) is required"),
-            ))
-        }
+    let (cfg, progress) = match parse_fuzz_request(&body) {
+        Ok(parsed) => parsed,
+        Err(resp) => return RequestAction::Respond(resp),
     };
-    let count = match body.get("count").and_then(parse_u64_field) {
-        Some(c) if (1..=FUZZ_MAX_COUNT).contains(&c) => c,
-        Some(_) => {
-            return RequestAction::Respond(Response::json(
-                400,
-                wire::error_json(&format!("'count' must be in 1..={FUZZ_MAX_COUNT}")),
-            ))
-        }
-        None => {
-            return RequestAction::Respond(Response::json(
-                400,
-                wire::error_json("'count' (u64) is required"),
-            ))
-        }
-    };
-    let start = match body.get("start") {
-        None => 0,
-        Some(v) => match parse_u64_field(v) {
-            Some(s) => s,
-            None => {
-                return RequestAction::Respond(Response::json(
-                    400,
-                    wire::error_json("'start' must be a u64"),
-                ))
-            }
-        },
-    };
-    let mut oracle = regmutex_fuzz::OracleConfig::default();
-    if let Some(b) = body.get("cycle_budget").and_then(parse_u64_field) {
-        oracle.cycle_budget = b;
-    }
-    let cfg = CampaignConfig {
-        seed,
-        start,
-        iters: count,
-        oracle,
-        minimize: body.get("minimize").and_then(Json::as_bool).unwrap_or(true),
-        max_divergences: body
-            .get("max_divergences")
-            .and_then(parse_u64_field)
-            .unwrap_or(5),
-        ..CampaignConfig::default()
-    };
-    let progress = body
-        .get("progress")
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-
     state.active_fuzz.fetch_add(1, Ordering::SeqCst);
     let thread_state = Arc::clone(state);
     let spawned = std::thread::Builder::new()
@@ -987,6 +959,46 @@ fn fuzz_endpoint(
         ));
     }
     RequestAction::Pending
+}
+
+/// Decode a `/v1/fuzz` body into the shard's campaign and its progress
+/// flag, or the 400 that names the offending field.
+fn parse_fuzz_request(body: &Json) -> Result<(CampaignConfig, bool), Response> {
+    let bad = |msg: &str| Response::json(400, wire::error_json(msg));
+    let Some(fields) = body.as_obj() else {
+        return Err(bad("body must be a JSON object"));
+    };
+    if let Some((k, _)) = fields
+        .iter()
+        .find(|(k, _)| !FUZZ_FIELDS.contains(&k.as_str()))
+    {
+        return Err(bad(&format!("unknown field '{k}'")));
+    }
+    let seed = body
+        .get("seed")
+        .and_then(parse_u64_field)
+        .ok_or_else(|| bad("'seed' (u64 or 0x-prefixed hex string) is required"))?;
+    let count = match body.get("count").and_then(parse_u64_field) {
+        Some(c) if (1..=FUZZ_MAX_COUNT).contains(&c) => c,
+        Some(_) => return Err(bad(&format!("'count' must be in 1..={FUZZ_MAX_COUNT}"))),
+        None => return Err(bad("'count' (u64) is required")),
+    };
+    let u64_field = |key| optional(body, key, "a u64", parse_u64_field);
+    let flag = |key| optional(body, key, "a boolean", Json::as_bool);
+    let mut oracle = regmutex_fuzz::OracleConfig::default();
+    if let Some(b) = u64_field("cycle_budget")? {
+        oracle.cycle_budget = b;
+    }
+    let cfg = CampaignConfig {
+        seed,
+        start: u64_field("start")?.unwrap_or(0),
+        iters: count,
+        oracle,
+        minimize: flag("minimize")?.unwrap_or(true),
+        max_divergences: u64_field("max_divergences")?.unwrap_or(5),
+        ..CampaignConfig::default()
+    };
+    Ok((cfg, flag("progress")?.unwrap_or(false)))
 }
 
 fn merge_stats(into: &mut CampaignStats, from: &CampaignStats) {

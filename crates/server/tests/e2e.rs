@@ -425,6 +425,51 @@ fn fuzz_endpoint_runs_a_shard_and_validates_input() {
         assert!(body_json(&resp).get("error").is_some(), "{bad}");
     }
 
+    // No silent defaults: a wrongly typed optional field, an unknown field
+    // and an un-prefixed hex string are each refused, naming the field.
+    for (bad, field) in [
+        (
+            r#"{"seed":1,"count":4,"cycle_budget":"lots"}"#,
+            "cycle_budget",
+        ),
+        (r#"{"seed":1,"count":4,"cycle_budget":-1}"#, "cycle_budget"),
+        (r#"{"seed":1,"count":4,"minimize":"no"}"#, "minimize"),
+        (
+            r#"{"seed":1,"count":4,"max_divergences":true}"#,
+            "max_divergences",
+        ),
+        (r#"{"seed":1,"count":4,"progress":1}"#, "progress"),
+        (r#"{"seed":1,"count":4,"minimise":false}"#, "minimise"),
+        (r#"{"seed":"10","count":4}"#, "seed"),
+        (r#"{"seed":1,"count":4,"start":"3"}"#, "start"),
+    ] {
+        let resp = call(&server, "POST", "/v1/fuzz", Some(bad));
+        assert_eq!(resp.status, 400, "{bad}");
+        let error = body_json(&resp)
+            .get("error")
+            .and_then(Json::as_str)
+            .map(str::to_string);
+        assert!(
+            error
+                .as_deref()
+                .is_some_and(|e| e.contains(&format!("'{field}'"))),
+            "{bad}: {error:?}"
+        );
+    }
+
+    // `/v1/sweep` holds its `stream` flag to the same rule.
+    let bad = r#"{"app":"Gaussian","es":[2],"stream":"no"}"#;
+    let resp = call(&server, "POST", "/v1/sweep", Some(bad));
+    assert_eq!(resp.status, 400, "{bad}");
+    let error = body_json(&resp)
+        .get("error")
+        .and_then(Json::as_str)
+        .map(str::to_string);
+    assert!(
+        error.as_deref().is_some_and(|e| e.contains("'stream'")),
+        "{error:?}"
+    );
+
     // A tiny shard completes and reports campaign stats.
     let resp = call(
         &server,

@@ -83,6 +83,18 @@ impl SimStats {
         }
     }
 
+    /// Everything but the loop's accounting of itself (`skipped_cycles` and
+    /// `step_calls`, zeroed): what the kernel did, not how the simulation
+    /// was driven (cycle skipping, fault-injector gating).
+    #[must_use]
+    pub fn architectural(&self) -> SimStats {
+        SimStats {
+            skipped_cycles: 0,
+            step_calls: 0,
+            ..self.clone()
+        }
+    }
+
     /// Stall attribution in the canonical [`StallReason::ALL`] order,
     /// zero-count reasons omitted — the view serializers and metric
     /// exporters iterate.

@@ -22,10 +22,7 @@ use regmutex_workloads::{suite, Workload};
 /// Zero the meta-counters that are *expected* to differ between the two
 /// loops; every other field must match exactly.
 fn strip(stats: &SimStats) -> SimStats {
-    let mut s = stats.clone();
-    s.skipped_cycles = 0;
-    s.step_calls = 0;
-    s
+    stats.architectural()
 }
 
 /// The workload's home architecture with skipping forced on or off.
@@ -139,9 +136,11 @@ fn run_faulted(
 ) -> (Result<SimStats, RunError>, u64) {
     let launch = launch_for(w, &cfg);
     let log = Arc::new(FaultLog::new());
-    let res = Session::new(cfg)
-        .run_faulted(
-            &w.kernel,
+    let session = Session::new(cfg);
+    let compiled = session.compile(&w.kernel).expect("registered workload");
+    let res = session
+        .run_compiled_faulted(
+            &compiled,
             launch,
             Technique::RegMutex,
             plan,
@@ -267,8 +266,10 @@ fn device_verdict(app: &str, class: FaultClass, severity: Severity, seed: u64) -
     let plan = FaultPlan::generate(class, severity, seed, &w.table_config());
     let launch = launch_for(&w, &cfg);
     let log = Arc::new(FaultLog::new());
-    let res = Session::new(cfg).run_faulted(
-        &w.kernel,
+    let session = Session::new(cfg);
+    let compiled = session.compile(&w.kernel).expect("registered workload");
+    let res = session.run_compiled_faulted(
+        &compiled,
         launch,
         Technique::RegMutex,
         &plan,
