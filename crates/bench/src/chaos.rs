@@ -293,16 +293,6 @@ fn encode_outcome(o: &Outcome) -> String {
     }
 }
 
-/// Every name [`classify`] gives a detector.
-const DETECTORS: [&str; 6] = [
-    "ledger",
-    "translation",
-    "deadlock",
-    "watchdog",
-    "panic",
-    "other",
-];
-
 /// Decode an [`Outcome`] journal field; `None` on anything unexpected
 /// (the record is then treated as missing and the injection re-runs).
 fn decode_outcome(s: &str) -> Option<Outcome> {
@@ -315,8 +305,15 @@ fn decode_outcome(s: &str) -> Option<Outcome> {
     match parts.next()? {
         "detected" => {
             // Map back onto the classifier's static detector names.
-            let name = parts.next()?;
-            let detector = DETECTORS.into_iter().find(|&d| d == name)?;
+            let detector = match parts.next()? {
+                "ledger" => "ledger",
+                "translation" => "translation",
+                "deadlock" => "deadlock",
+                "watchdog" => "watchdog",
+                "panic" => "panic",
+                "other" => "other",
+                _ => return None,
+            };
             let ttd = match parts.next()? {
                 "-" => None,
                 t => Some(t.parse::<u64>().ok()?),
@@ -416,7 +413,7 @@ const BATCH_PER_WORKER: usize = 4;
 pub fn run_campaign_durable(
     spec: &CampaignSpec,
     journal: Option<&Campaign<InjectionRecord>>,
-    cancel: Option<&(dyn Fn() -> bool + Sync)>,
+    cancel: Option<&dyn Fn() -> bool>,
 ) -> Result<Run<CampaignReport>, String> {
     let runner = Runner::new(spec.jobs);
     let (mut names, mut goldens) = (Vec::new(), Vec::new());
