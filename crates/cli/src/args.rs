@@ -15,6 +15,7 @@ use regmutex_bench::chaos::CampaignSpec;
 use regmutex_bench::figures;
 use regmutex_fleet::{FleetCampaignSpec, FleetConfig};
 use regmutex_fuzz::{parse_fault, CampaignConfig};
+use regmutex_server::wire::FUZZ_MAX_COUNT;
 use regmutex_server::{LoadgenConfig, ServerConfig};
 
 /// A parsed CLI invocation: the verb and the configuration it runs with.
@@ -178,8 +179,8 @@ pub struct CoordinatorArgs {
 }
 
 /// `fuzz` configuration: a local `campaign`, its `--replay` of one
-/// artifact, or (with `fleet`) a fan-out built from `workers` and the
-/// campaign's seed, iterations, cycle budget and minimize setting.
+/// artifact, or (with `fleet`) the same campaign fanned out over
+/// `workers`.
 #[derive(Debug, Clone, Default)]
 pub struct FuzzArgs {
     pub(crate) campaign: CampaignConfig,
@@ -190,6 +191,8 @@ pub struct FuzzArgs {
     pub(crate) fleet: bool,
     pub(crate) workers: Vec<String>,
     pub(crate) journal: JournalArgs,
+    /// The last local-only flag given, refused with `--fleet`.
+    pub(crate) local: Option<&'static str>,
 }
 
 /// Parses a flag's value into a verb's configuration `C`.
@@ -857,6 +860,7 @@ static FUZZ: Verb<FuzzArgs> = Verb {
             "N",
             "wall-clock budget (not reproducible)",
             |c, v| {
+                c.local = Some("--duration-secs");
                 put(
                     &mut c.campaign.duration,
                     int(v).map(|s| Some(Duration::from_secs(s))),
@@ -876,7 +880,10 @@ static FUZZ: Verb<FuzzArgs> = Verb {
             "--max-divergences",
             "N",
             "stop after this many divergences",
-            |c, v| put(&mut c.campaign.max_divergences, count(v)),
+            |c, v| {
+                c.local = Some("--max-divergences");
+                put(&mut c.campaign.max_divergences, count(v))
+            },
         ),
         opt(
             "--stats",
@@ -894,7 +901,10 @@ static FUZZ: Verb<FuzzArgs> = Verb {
             "--fault",
             "CLASS:SEV:SEED:TECHNIQUE",
             "plant a manager fault",
-            |c, v| put(&mut c.campaign.fault, parse_fault(v).map(Some)),
+            |c, v| {
+                c.local = Some("--fault");
+                put(&mut c.campaign.fault, parse_fault(v).map(Some))
+            },
         ),
         switch("--fleet", FLEET, |c| c.fleet = true),
         opt("--workers", "H:P,...", WORKERS, |c, v| {
@@ -902,21 +912,25 @@ static FUZZ: Verb<FuzzArgs> = Verb {
             put(&mut c.workers, list(v))
         }),
         opt("--journal", "DIR", JOURNAL, |c, v| {
+            c.local = Some("--journal");
             put(&mut c.journal.dir, path(v))
         }),
         switch("--resume", RESUME, |c| c.journal.resume = true),
     ],
     check: |c| {
-        if c.fleet && c.workers.is_empty() {
-            return Err(format!("--fleet {NEEDS_WORKERS}"));
-        }
-        if c.fleet && (c.replay.is_some() || c.campaign.fault.is_some()) {
-            return Err("--fleet cannot be combined with --replay or --fault".into());
-        }
         check_journal(&c.journal)?;
-        match (&c.journal.dir, c.fleet, &c.replay) {
-            (Some(_), true, _) => Err("--journal applies to local campaigns, not --fleet".into()),
-            (Some(_), _, Some(_)) => Err("--journal applies to campaigns, not --replay".into()),
+        let shards = c.workers.len() as u64;
+        match (c.fleet, c.local, &c.replay) {
+            (true, _, _) if shards == 0 => Err(format!("--fleet {NEEDS_WORKERS}")),
+            (true, Some(flag), _) => Err(format!("{flag} applies to local campaigns, not --fleet")),
+            (true, _, Some(_)) => Err("--fleet cannot be combined with --replay".into()),
+            (true, _, _) if c.campaign.iters > shards * FUZZ_MAX_COUNT => Err(format!(
+                "--iters {} exceeds {FUZZ_MAX_COUNT} kernels per shard on {shards} worker(s)",
+                c.campaign.iters
+            )),
+            (false, _, Some(_)) if c.journal.dir.is_some() => {
+                Err("--journal applies to campaigns, not --replay".into())
+            }
             _ => Ok(()),
         }
     },
@@ -1051,8 +1065,9 @@ re-runs one artifact and exits 0 iff its documented outcome reproduces;
 --fault plants a register-manager fault (the oracle self-test: the
 campaign MUST diverge); --stats writes machine-readable counters
 including wall-clock throughput; --fleet shards the index range across
-workers' POST /v1/fuzz endpoints with failover and merges shard results
-in index order.
+workers' POST /v1/fuzz endpoints with failover and prints the report a
+local campaign prints (shard attribution goes to stderr). --fault,
+--max-divergences, --duration-secs and --journal are local-only.
 ";
 
 #[cfg(test)]
@@ -1609,10 +1624,26 @@ mod tests {
         assert!(parse(&v("fuzz --fleet")).is_err());
         // Fleet excludes single-kernel / fault-injection modes.
         assert!(parse(&v("fuzz --fleet --workers a:1 --replay f")).is_err());
-        assert!(parse(&v(
-            "fuzz --fleet --workers a:1 --fault corrupt-lut:severe:1:regmutex"
-        ))
-        .is_err());
+        // Flags a fleet campaign cannot honour are refused, in either order.
+        for (line, flag) in [
+            (
+                "fuzz --fleet --workers a:1 --fault corrupt-lut:severe:1:regmutex",
+                "--fault",
+            ),
+            (
+                "fuzz --workers a:1 --max-divergences 3",
+                "--max-divergences",
+            ),
+            ("fuzz --duration-secs 5 --workers a:1", "--duration-secs"),
+        ] {
+            assert_eq!(
+                err(line),
+                format!("{flag} applies to local campaigns, not --fleet")
+            );
+        }
+        // A shard larger than /v1/fuzz takes is refused before dispatch.
+        assert!(parse(&v("fuzz --workers a:1,b:2 --iters 200000")).is_ok());
+        assert!(err("fuzz --workers a:1,b:2 --iters 200001").contains("exceeds 100000"));
     }
 
     #[test]

@@ -702,8 +702,10 @@ pub fn chaos_fleet(spec: &FleetCampaignSpec) -> Result<(String, i32), CommandErr
 ///
 /// Three modes: `--replay FILE` re-runs one artifact (exit 0 iff its
 /// documented outcome reproduces); `--fleet` shards the campaign across
-/// workers' `/v1/fuzz` endpoints; otherwise a local campaign. In every
-/// mode exit code 1 means a divergence (or a replay mismatch).
+/// workers' `/v1/fuzz` endpoints, printing the shard attribution to
+/// stderr; otherwise a local campaign. A fleet campaign prints the report
+/// and `--stats` file a local one does. In every mode exit code 1 means a
+/// divergence (or a replay mismatch).
 pub fn fuzz(a: &FuzzArgs) -> Result<(String, i32), CommandError> {
     let cfg = &a.campaign;
     let mut runner = Runner::new(a.jobs.unwrap_or_else(default_jobs));
@@ -716,27 +718,15 @@ pub fn fuzz(a: &FuzzArgs) -> Result<(String, i32), CommandError> {
         return Ok(regmutex_fuzz::replay_artifact(&artifact, &runner, oracle));
     }
 
-    if a.fleet {
-        let started = std::time::Instant::now();
-        let fanout = regmutex_fleet::FuzzFanoutConfig {
-            workers: a.workers.clone(),
-            seed: cfg.seed,
-            iters: cfg.iters,
-            cycle_budget: cfg.oracle.cycle_budget,
-            minimize: cfg.minimize,
-            ..regmutex_fleet::FuzzFanoutConfig::default()
-        };
-        let report = regmutex_fleet::run_fuzz_fanout(&fanout).map_err(CommandError)?;
-        if let Some(path) = &a.stats {
-            std::fs::write(path, report.to_json(started.elapsed().as_millis()))
-                .map_err(|e| CommandError(format!("write {path}: {e}")))?;
+    let report = match (a.fleet, &a.journal.dir) {
+        (true, _) => {
+            let (report, shards) =
+                regmutex_fleet::run_fuzz_fanout(&a.workers, cfg).map_err(CommandError)?;
+            eprint!("{}", regmutex_fleet::render_shards(&shards, &a.workers));
+            report
         }
-        return Ok(report.render(&fanout.workers));
-    }
-
-    let report = match &a.journal.dir {
-        None => regmutex_fuzz::run_campaign(cfg, &runner),
-        Some(dir) => {
+        (false, None) => regmutex_fuzz::run_campaign(cfg, &runner),
+        (false, Some(dir)) => {
             runner.set_tier(result_store(dir)?);
             let fuzz = durable("fuzz", dir, a.journal.resume, cfg, "kernels", |journal| {
                 Ok(regmutex_fuzz::run_campaign_durable(
@@ -753,8 +743,8 @@ pub fn fuzz(a: &FuzzArgs) -> Result<(String, i32), CommandError> {
         }
     };
     if let Some(path) = &a.stats {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| CommandError(format!("write {path}: {e}")))?;
+        let json = regmutex_server::wire::fuzz_report_to_json(&report).encode();
+        std::fs::write(path, json).map_err(|e| CommandError(format!("write {path}: {e}")))?;
     }
     Ok(report.render())
 }

@@ -54,7 +54,7 @@ pub use backoff::BackoffPolicy;
 pub use chaos::{run_fleet_campaign, FleetCampaignReport, FleetCampaignSpec, ScenarioResult};
 pub use coordinator::{Coordinator, FleetConfig};
 pub use fault::{FaultKind, FaultPlan, FaultProxy};
-pub use fuzz_fanout::{run_fuzz_fanout, FuzzFanoutConfig, FuzzFanoutReport};
+pub use fuzz_fanout::{render_shards, run_fuzz_fanout, Shard};
 pub use journal::FleetRecord;
 pub use metrics::FleetMetrics;
 pub use ring::Ring;

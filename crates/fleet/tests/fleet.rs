@@ -229,56 +229,44 @@ fn direct_and_coordinator_loadgen_share_one_request_stream() {
 
 #[test]
 fn fuzz_fanout_matches_local_campaign_and_fails_over_dead_workers() {
-    use regmutex_fleet::{run_fuzz_fanout, FuzzFanoutConfig};
+    use regmutex_fleet::run_fuzz_fanout;
+    use regmutex_fuzz::{run_campaign, CampaignConfig};
 
     let w1 = start_worker();
     let w2 = start_worker();
-    let cfg = FuzzFanoutConfig {
-        workers: vec![
-            // A dead address first: every shard homed there must fail over.
-            "127.0.0.1:1".to_string(),
-            w1.local_addr().to_string(),
-            w2.local_addr().to_string(),
-        ],
+    let workers = [
+        // A dead address first: every shard homed there must fail over.
+        "127.0.0.1:1".to_string(),
+        w1.local_addr().to_string(),
+        w2.local_addr().to_string(),
+    ];
+    let cfg = CampaignConfig {
         seed: 0xfee1,
         iters: 24,
-        max_attempts: 3,
-        timeout: Duration::from_secs(120),
-        ..FuzzFanoutConfig::default()
+        ..CampaignConfig::default()
     };
-    let report = run_fuzz_fanout(&cfg).expect("fan-out completes despite the dead worker");
-    assert_eq!(report.kernels, 24);
-    assert_eq!(report.divergences, 0);
+    let (report, shards) =
+        run_fuzz_fanout(&workers, &cfg).expect("fan-out completes despite the dead worker");
+    assert_eq!(shards.len(), 3);
+    assert!(shards.iter().all(|&(_, _, worker, _)| worker != 0));
 
-    // The merged counters equal a local campaign over the same range.
-    let local = regmutex_fuzz::run_campaign(
-        &regmutex_fuzz::CampaignConfig {
-            seed: 0xfee1,
-            iters: 24,
-            ..regmutex_fuzz::CampaignConfig::default()
-        },
-        &Runner::new(2),
-    );
-    assert_eq!(report.kernels, local.stats.kernels);
-    assert_eq!(report.agreements, local.stats.agreements);
-    assert_eq!(report.escalations, local.stats.escalations);
+    // The merged report renders byte for byte as a local campaign over
+    // the same range.
+    let local = run_campaign(&cfg, &Runner::new(2));
+    let (text, code) = report.render();
+    assert_eq!((text.as_str(), code), (local.render().0.as_str(), 0));
+    assert!(text.contains("verdict: CLEAN"));
     // One compile per kernel and per escalation, on the fleet as locally,
     // although the dead worker's shard and another share one live worker.
-    assert_eq!(report.compiles, local.stats.compiles);
+    let s = &report.stats;
+    assert_eq!(s.compiles, local.stats.compiles);
     assert!(
-        report.compiles <= report.kernels + report.escalations,
+        s.compiles <= s.kernels + s.escalations,
         "{} compiles for {} kernels and {} escalations",
-        report.compiles,
-        report.kernels,
-        report.escalations
+        s.compiles,
+        s.kernels,
+        s.escalations
     );
-    assert!(report
-        .to_json(1)
-        .contains(&format!("\"compiles\":{}", report.compiles)));
-
-    let (text, code) = report.render(&cfg.workers);
-    assert_eq!(code, 0, "{text}");
-    assert!(text.contains("verdict: CLEAN"));
 
     w1.shutdown_and_wait();
     w2.shutdown_and_wait();

@@ -5,7 +5,8 @@
 //! results are evaluated in index order, so a campaign's rendered report
 //! is byte-identical at any `--jobs` count and across
 //! execution substrates — sharding a seed range over fleet workers and
-//! concatenating the shard reports reproduces the local run exactly.
+//! joining the shard reports with [`FuzzReport::merge`] reproduces the
+//! local run exactly, unless a shard stops at the divergence cap.
 //! (Wall-clock numbers live only in the JSON stats artifact, never in the
 //! rendered report.)
 
@@ -128,11 +129,10 @@ pub struct FuzzReport {
     /// The configuration that ran (determinism contract: `seed`, `start`,
     /// `iters` fully determine the rendered report).
     pub seed: u64,
-    /// First index.
+    /// First index. The report covers `start..start + stats.kernels`:
+    /// fewer than `iters` kernels only under a duration budget or the
+    /// divergence cap.
     pub start: u64,
-    /// Kernels actually processed (< `iters` only under a duration budget
-    /// or the divergence cap).
-    pub processed: u64,
     /// Counters.
     pub stats: CampaignStats,
     /// Divergences, in index order.
@@ -155,9 +155,10 @@ pub fn run_campaign(cfg: &CampaignConfig, runner: &Runner) -> FuzzReport {
 /// [`run_campaign`] with durability hooks: every evaluated kernel is
 /// journaled as it lands, kernels replayed from the journal are folded
 /// into the report without re-simulating, and `cancel` is polled at
-/// batch boundaries for the graceful checkpoint-and-exit path. Because
-/// kernel `i` depends only on `mix(seed, i)` and `runs` is attributed
-/// per kernel at evaluation time, a resumed campaign renders
+/// batch boundaries for the graceful checkpoint-and-exit path. A live
+/// kernel and a replayed one fold through the same
+/// [`FuzzReport::fold`] over the same [`KernelRecord`], and kernel `i`
+/// depends only on `mix(seed, i)`, so a resumed campaign renders
 /// byte-identically to an uninterrupted one regardless of where the
 /// interruption fell relative to batch boundaries.
 pub fn run_campaign_durable(
@@ -170,41 +171,23 @@ pub fn run_campaign_durable(
     let hits0 = runner.cache_hits();
     let misses0 = runner.cache_misses();
     let compiles0 = runner.compiles();
-    let mut stats = CampaignStats::default();
-    let mut divergences = Vec::new();
-    let mut index = cfg.start;
+    let mut report = FuzzReport::empty(cfg.seed, cfg.start);
     let end = cfg.start.saturating_add(cfg.iters);
-    let mut capped = false;
+    let more = |r: &FuzzReport| r.end() < end && r.stats.divergences < cfg.max_divergences;
 
     // Replay: fold the journal's contiguous prefix of completed kernels.
     // A gap (missing or undecodable record) stops the fold; everything
     // past it re-runs, which is safe because evaluation is deterministic.
     if let Some(j) = journal {
-        while index < end && !capped {
-            let Some(rec) = j.replayed(index) else { break };
-            stats.kernels += 1;
-            match rec {
-                KernelRecord::Agreement {
-                    runs, escalations, ..
-                } => {
-                    stats.runs += runs;
-                    stats.agreements += 1;
-                    stats.escalations += u64::from(*escalations);
-                }
-                KernelRecord::Divergence { runs, found } => {
-                    stats.runs += runs;
-                    stats.divergences += 1;
-                    stats.minimize_steps += found.minimize_steps;
-                    stats.minimize_tests += found.minimize_tests;
-                    divergences.push(found.clone());
-                    capped = stats.divergences >= cfg.max_divergences;
-                }
-            }
-            index += 1;
+        while more(&report) {
+            let Some(rec) = j.replayed(report.end()) else {
+                break;
+            };
+            report.fold(rec);
         }
     }
 
-    'outer: while index < end && !capped {
+    'outer: while more(&report) {
         if let Some(d) = cfg.duration {
             if started.elapsed() >= d {
                 break;
@@ -215,10 +198,11 @@ pub fn run_campaign_durable(
                 j.sync();
             }
             return FuzzRun::Checkpointed {
-                completed: index - cfg.start,
+                completed: report.stats.kernels,
                 total: cfg.iters,
             };
         }
+        let index = report.end();
         let batch_end = end.min(index + cfg.batch as u64);
         let kernels: Vec<(u64, Generated)> = (index..batch_end)
             .map(|i| (i, generate(mix(cfg.seed, i))))
@@ -234,59 +218,42 @@ pub fn run_campaign_durable(
         let results = runner.run_all(&specs);
 
         for (n, (i, g)) in kernels.into_iter().enumerate() {
-            let runs_before = stats.runs;
-            stats.runs += 5;
+            let mut runs = 5;
             let outcome = evaluate(&g, &results[n * 5..n * 5 + 5], &cfg.oracle, |t| {
-                stats.runs += 1;
+                runs += 1;
                 escalate(&g, runner, &cfg.oracle, t, fault)
             });
-            stats.kernels += 1;
-            match outcome {
-                Outcome::Agreement { escalations } => {
-                    stats.agreements += 1;
-                    stats.escalations += u64::from(escalations);
-                    if let Some(j) = journal {
-                        j.append(&KernelRecord::Agreement {
-                            index: i,
-                            runs: stats.runs - runs_before,
-                            escalations,
-                        });
-                    }
-                }
+            let rec = match outcome {
+                Outcome::Agreement { escalations } => KernelRecord::Agreement {
+                    index: i,
+                    runs,
+                    escalations,
+                },
                 Outcome::Divergence(d) => {
-                    stats.divergences += 1;
-                    let found = shrink_divergence(cfg, runner, i, g, d, &mut stats);
-                    if let Some(j) = journal {
-                        j.append(&KernelRecord::Divergence {
-                            runs: stats.runs - runs_before,
-                            found: found.clone(),
-                        });
-                    }
-                    divergences.push(found);
-                    if stats.divergences >= cfg.max_divergences {
-                        index = i + 1;
-                        break 'outer;
-                    }
+                    let found = shrink_divergence(cfg, runner, i, g, d);
+                    // Each minimizer probe runs baseline and the technique.
+                    let runs = runs + 2 * found.minimize_tests;
+                    KernelRecord::Divergence { runs, found }
                 }
+            };
+            if let Some(j) = journal {
+                j.append(&rec);
+            }
+            report.fold(&rec);
+            if !more(&report) {
+                break 'outer;
             }
         }
-        index = batch_end;
     }
 
     if let Some(j) = journal {
         j.sync();
     }
-    stats.cache_hits = runner.cache_hits() - hits0;
-    stats.cache_misses = runner.cache_misses() - misses0;
-    stats.compiles = runner.compiles() - compiles0;
-    stats.elapsed = started.elapsed();
-    FuzzRun::Complete(FuzzReport {
-        seed: cfg.seed,
-        start: cfg.start,
-        processed: index - cfg.start,
-        stats,
-        divergences,
-    })
+    report.stats.cache_hits = runner.cache_hits() - hits0;
+    report.stats.cache_misses = runner.cache_misses() - misses0;
+    report.stats.compiles = runner.compiles() - compiles0;
+    report.stats.elapsed = started.elapsed();
+    FuzzRun::Complete(report)
 }
 
 /// Minimize one divergence (or package it unminimized) into an artifact.
@@ -296,7 +263,6 @@ fn shrink_divergence(
     index: u64,
     g: Generated,
     d: Divergence,
-    stats: &mut CampaignStats,
 ) -> FoundDivergence {
     let seed = g.seed;
     let (technique, kind) = (d.technique, d.kind);
@@ -309,13 +275,10 @@ fn shrink_divergence(
         let min = minimize(seed, &g.trace, cfg.minimize_tests, |cand| {
             same(&run_local(cand, runner, &cfg.oracle, &pair, fault))
         });
-        stats.runs += 2 * min.tests;
         (min.generated, min.steps, min.tests)
     } else {
         (g, 0, 0)
     };
-    stats.minimize_steps += steps;
-    stats.minimize_tests += tests;
     let instructions = final_g.kernel.len();
     let artifact = Artifact {
         seed,
@@ -339,6 +302,74 @@ fn shrink_divergence(
 }
 
 impl FuzzReport {
+    /// A report over no kernels, starting at index `start`.
+    pub fn empty(seed: u64, start: u64) -> FuzzReport {
+        FuzzReport {
+            seed,
+            start,
+            stats: CampaignStats::default(),
+            divergences: Vec::new(),
+        }
+    }
+
+    /// One past the last index this report covers.
+    pub fn end(&self) -> u64 {
+        self.start + self.stats.kernels
+    }
+
+    /// Fold one evaluated kernel, live or replayed from the journal, into
+    /// the report. It must be the kernel at [`FuzzReport::end`].
+    pub fn fold(&mut self, rec: &KernelRecord) {
+        let mut kernel = FuzzReport::empty(self.seed, 0);
+        kernel.stats.kernels = 1;
+        match rec {
+            KernelRecord::Agreement {
+                index,
+                runs,
+                escalations,
+            } => {
+                kernel.start = *index;
+                kernel.stats.runs = *runs;
+                kernel.stats.agreements = 1;
+                kernel.stats.escalations = u64::from(*escalations);
+            }
+            KernelRecord::Divergence { runs, found } => {
+                kernel.start = found.index;
+                kernel.stats.runs = *runs;
+                kernel.stats.divergences = 1;
+                kernel.stats.minimize_steps = found.minimize_steps;
+                kernel.stats.minimize_tests = found.minimize_tests;
+                kernel.divergences.push(found.clone());
+            }
+        }
+        self.merge(kernel);
+    }
+
+    /// Append `later`, the report over the index range that starts where
+    /// this one ends. This is the only place campaign counters are
+    /// added: a campaign folds its kernels through it, a streamed
+    /// `/v1/fuzz` shard its sub-batches, and the fleet its shards.
+    pub fn merge(&mut self, later: FuzzReport) {
+        debug_assert_eq!(
+            (later.seed, later.start),
+            (self.seed, self.end()),
+            "merge appends the next contiguous range of the same campaign"
+        );
+        let (s, l) = (&mut self.stats, later.stats);
+        s.kernels += l.kernels;
+        s.runs += l.runs;
+        s.agreements += l.agreements;
+        s.divergences += l.divergences;
+        s.escalations += l.escalations;
+        s.minimize_steps += l.minimize_steps;
+        s.minimize_tests += l.minimize_tests;
+        s.cache_hits += l.cache_hits;
+        s.cache_misses += l.cache_misses;
+        s.compiles += l.compiles;
+        s.elapsed += l.elapsed;
+        self.divergences.extend(later.divergences);
+    }
+
     /// Render the deterministic campaign report and its exit code (0 =
     /// clean, 1 = divergences found).
     pub fn render(&self) -> (String, i32) {
@@ -346,7 +377,7 @@ impl FuzzReport {
         let _ = writeln!(
             out,
             "fuzz campaign: seed {:#018x} start {} iters {}",
-            self.seed, self.start, self.processed
+            self.seed, self.start, self.stats.kernels
         );
         let _ = writeln!(out, "  kernels      {}", self.stats.kernels);
         let _ = writeln!(out, "  runs         {}", self.stats.runs);
@@ -385,70 +416,6 @@ impl FuzzReport {
         );
         (out, i32::from(!clean))
     }
-
-    /// JSON stats artifact (the `--stats` output; the only place
-    /// wall-clock numbers appear).
-    pub fn to_json(&self) -> String {
-        let s = &self.stats;
-        let secs = s.elapsed.as_secs_f64();
-        let kps = if secs > 0.0 {
-            s.kernels as f64 / secs
-        } else {
-            0.0
-        };
-        let artifacts: Vec<String> = self
-            .divergences
-            .iter()
-            .map(|d| json_escape(&d.artifact.to_text()))
-            .collect();
-        format!(
-            concat!(
-                "{{\"seed\":{},\"start\":{},\"processed\":{},",
-                "\"kernels\":{},\"runs\":{},\"agreements\":{},\"divergences\":{},",
-                "\"escalations\":{},\"minimize_steps\":{},\"minimize_tests\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},\"compiles\":{},",
-                "\"elapsed_ms\":{},\"kernels_per_sec\":{:.2},",
-                "\"artifacts\":[{}]}}"
-            ),
-            self.seed,
-            self.start,
-            self.processed,
-            s.kernels,
-            s.runs,
-            s.agreements,
-            s.divergences,
-            s.escalations,
-            s.minimize_steps,
-            s.minimize_tests,
-            s.cache_hits,
-            s.cache_misses,
-            s.compiles,
-            s.elapsed.as_millis(),
-            kps,
-            artifacts
-                .iter()
-                .map(|a| format!("\"{a}\""))
-                .collect::<Vec<_>>()
-                .join(",")
-        )
-    }
-}
-
-/// Minimal JSON string escaping (the artifact text is ASCII).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Replay one artifact: regenerate, re-run the oracle (with the planted
@@ -531,21 +498,22 @@ mod tests {
 
     #[test]
     fn shard_union_equals_whole_campaign() {
-        // Two shards of one campaign, concatenated, must match the whole
-        // run: this is the fleet fan-out's correctness argument.
+        // Two shards of one campaign, merged in index order, must render
+        // as the whole run: this is the fleet fan-out's correctness
+        // argument.
         let runner = Runner::new(2);
         let whole = run_campaign(&quick_cfg(30), &runner);
-        let mut lo = quick_cfg(15);
-        lo.start = 0;
-        let mut hi = quick_cfg(15);
-        hi.start = 15;
-        let a = run_campaign(&lo, &runner);
-        let b = run_campaign(&hi, &runner);
-        assert_eq!(
-            whole.stats.agreements,
-            a.stats.agreements + b.stats.agreements
+        let mut lo = run_campaign(&quick_cfg(15), &runner);
+        let hi = run_campaign(
+            &CampaignConfig {
+                start: 15,
+                ..quick_cfg(15)
+            },
+            &runner,
         );
-        assert_eq!(whole.stats.kernels, a.stats.kernels + b.stats.kernels);
+        lo.merge(hi);
+        assert_eq!(lo.render(), whole.render());
+        assert_eq!(lo.stats.runs, whole.stats.runs);
     }
 
     #[test]
@@ -664,15 +632,5 @@ mod tests {
             panic!("must complete");
         };
         assert_eq!(report.render().0, golden, "gap must force a full re-run");
-    }
-
-    #[test]
-    fn json_stats_are_parseable_shape() {
-        let runner = Runner::new(2);
-        let report = run_campaign(&quick_cfg(5), &runner);
-        let j = report.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
-        assert!(j.contains("\"kernels\":5"), "{j}");
-        assert!(j.contains("\"artifacts\":[]"), "{j}");
     }
 }

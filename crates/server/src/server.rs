@@ -35,10 +35,8 @@ use std::time::{Duration, Instant};
 
 use regmutex::{RunError, RunReport, Technique};
 use regmutex_bench::runner::default_jobs;
-use regmutex_bench::{
-    job_spec, CachedResult, JobSpec, ResultCache, Runner, DEFAULT_CACHE_BUDGET, ES_VALUES,
-};
-use regmutex_fuzz::{CampaignConfig, CampaignStats, FuzzReport};
+use regmutex_bench::{job_spec, CachedResult, JobSpec, ResultCache, Runner, DEFAULT_CACHE_BUDGET};
+use regmutex_fuzz::{CampaignConfig, FuzzReport};
 use regmutex_sim::GpuConfig;
 
 use crate::event_loop::{run_event_loop, Completion, CompletionQueue, SlotToken, TokenBuckets};
@@ -611,20 +609,6 @@ fn run_endpoint(
     }
 }
 
-/// A `/v1/sweep` `es` list: positive `u16` points, or `null` for the
-/// Fig 10 points.
-fn es_list(v: &Json) -> Option<Vec<u16>> {
-    if *v == Json::Null {
-        return Some(ES_VALUES.to_vec());
-    }
-    let point = |x: &Json| {
-        x.as_u64()
-            .and_then(|n| u16::try_from(n).ok())
-            .filter(|&n| n > 0)
-    };
-    v.as_arr()?.iter().map(point).collect()
-}
-
 fn sweep_endpoint(
     request: &Request,
     token: SlotToken,
@@ -642,43 +626,7 @@ fn sweep_endpoint(
         Ok(v) => v,
         Err(resp) => return RequestAction::Respond(resp),
     };
-    // Reuse the run-request parser for the shared fields; `es` is ours.
-    let es = optional(&body, "es", "an array of positive integers", es_list);
-    let es_points = match es {
-        Ok(es) => es.unwrap_or_else(|| ES_VALUES.to_vec()),
-        Err(resp) => return RequestAction::Respond(resp),
-    };
-    if es_points.len() > 64 {
-        return RequestAction::Respond(Response::json(
-            400,
-            wire::error_json("'es' is limited to 64 points"),
-        ));
-    }
-    // Rows stream as chunks by default; `"stream": false` buffers the
-    // identical bytes into one response.
-    let stream = match optional(&body, "stream", "a boolean", Json::as_bool) {
-        Ok(stream) => stream.unwrap_or(true),
-        Err(resp) => return RequestAction::Respond(resp),
-    };
-    let mut base_body = match body {
-        Json::Obj(pairs) => Json::Obj(
-            pairs
-                .into_iter()
-                .filter(|(k, _)| k != "es" && k != "technique" && k != "force_es" && k != "stream")
-                .collect(),
-        ),
-        _ => {
-            return RequestAction::Respond(Response::json(
-                400,
-                wire::error_json("body must be a JSON object"),
-            ))
-        }
-    };
-    // The sweep always runs baseline + forced-|Es| RegMutex.
-    if let Json::Obj(pairs) = &mut base_body {
-        pairs.push(("technique".into(), Json::Str("baseline".into())));
-    }
-    let base_req = match wire::parse_run_request(&base_body) {
+    let sweep = match wire::parse_sweep_request(&body) {
         Ok(r) => r,
         Err(e) => return RequestAction::Respond(Response::json(400, wire::error_json(&e.0))),
     };
@@ -686,13 +634,13 @@ fn sweep_endpoint(
     // Baseline first: everything in the response is relative to it. Each
     // completion submits the next point, so one sweep holds at most one
     // queue slot at a time.
-    let spec = build_spec(&base_req, state);
+    let spec = build_spec(&sweep.base, state);
     let task = Arc::new(Mutex::new(SweepTask {
         token,
-        base_req,
-        es_points,
+        base_req: sweep.base,
+        es_points: sweep.es,
         next: 0,
-        stream,
+        stream: sweep.stream,
         base_report: None,
         buf: String::new(),
         rows_emitted: 0,
@@ -862,56 +810,16 @@ fn sweep_step(
     }
 }
 
-/// Upper bound on kernels per `/v1/fuzz` request (shard further instead).
-const FUZZ_MAX_COUNT: u64 = 100_000;
-
 /// Kernels per sub-batch in `"progress": true` streaming mode.
 const FUZZ_PROGRESS_BATCH: u64 = 256;
 
-/// Decode a u64 field that may arrive as a JSON number or a `"0x..."` hex
-/// string, since campaign seeds use the full u64 range. A string without
-/// the prefix is refused rather than read in a guessed base.
-fn parse_u64_field(v: &Json) -> Option<u64> {
-    match v.as_str() {
-        Some(s) => u64::from_str_radix(s.strip_prefix("0x")?, 16).ok(),
-        None => v.as_u64(),
-    }
-}
-
-/// The optional field `key` of a request body, decoded by `parse`: absent
-/// is `None`, and a present value `parse` refuses is a 400 naming the
-/// field (never a silent default).
-fn optional<T>(
-    body: &Json,
-    key: &str,
-    what: &str,
-    parse: impl Fn(&Json) -> Option<T>,
-) -> Result<Option<T>, Response> {
-    body.get(key).map_or(Ok(None), |v| {
-        parse(v).map(Some).ok_or_else(|| {
-            Response::json(400, wire::error_json(&format!("'{key}' must be {what}")))
-        })
-    })
-}
-
-/// Every field a `/v1/fuzz` body may carry.
-const FUZZ_FIELDS: [&str; 7] = [
-    "seed",
-    "start",
-    "count",
-    "cycle_budget",
-    "minimize",
-    "max_divergences",
-    "progress",
-];
-
 /// `POST /v1/fuzz`: run one shard of a fuzzing campaign on this worker.
 ///
-/// Body: `{"seed": <u64|"0x.." string>, "start"?: <u64>, "count": <u64>,
-/// "cycle_budget"?: <u64>, "minimize"?: <bool>, "max_divergences"?: <u64>,
-/// "progress"?: <bool>}`; any u64 may also be a `"0x..."` string, and an
-/// unknown field or a wrongly typed value is a 400 naming the field.
-/// Workers regenerate every kernel locally from `mix(seed, index)` over
+/// The body is a [`CampaignConfig`] as [`wire::campaign_to_json`]
+/// encodes it (decoded by [`wire::campaign_from_json`]; an unknown field
+/// or a wrongly typed value is a 400 naming the field), and the reply is
+/// the shard's [`FuzzReport`] as [`wire::fuzz_report_to_json`] encodes
+/// it. Workers regenerate every kernel locally from `mix(seed, index)` over
 /// `start..start+count`, so the coordinator ships
 /// a few integers instead of kernels, and disjoint shards of one seed
 /// merged in index order are byte-identical to a local run of the whole
@@ -939,9 +847,9 @@ fn fuzz_endpoint(
         Ok(v) => v,
         Err(resp) => return RequestAction::Respond(resp),
     };
-    let (cfg, progress) = match parse_fuzz_request(&body) {
+    let (cfg, progress) = match wire::campaign_from_json(&body) {
         Ok(parsed) => parsed,
-        Err(resp) => return RequestAction::Respond(resp),
+        Err(e) => return RequestAction::Respond(Response::json(400, wire::error_json(&e.0))),
     };
     state.active_fuzz.fetch_add(1, Ordering::SeqCst);
     let thread_state = Arc::clone(state);
@@ -959,60 +867,6 @@ fn fuzz_endpoint(
         ));
     }
     RequestAction::Pending
-}
-
-/// Decode a `/v1/fuzz` body into the shard's campaign and its progress
-/// flag, or the 400 that names the offending field.
-fn parse_fuzz_request(body: &Json) -> Result<(CampaignConfig, bool), Response> {
-    let bad = |msg: &str| Response::json(400, wire::error_json(msg));
-    let Some(fields) = body.as_obj() else {
-        return Err(bad("body must be a JSON object"));
-    };
-    if let Some((k, _)) = fields
-        .iter()
-        .find(|(k, _)| !FUZZ_FIELDS.contains(&k.as_str()))
-    {
-        return Err(bad(&format!("unknown field '{k}'")));
-    }
-    let seed = body
-        .get("seed")
-        .and_then(parse_u64_field)
-        .ok_or_else(|| bad("'seed' (u64 or 0x-prefixed hex string) is required"))?;
-    let count = match body.get("count").and_then(parse_u64_field) {
-        Some(c) if (1..=FUZZ_MAX_COUNT).contains(&c) => c,
-        Some(_) => return Err(bad(&format!("'count' must be in 1..={FUZZ_MAX_COUNT}"))),
-        None => return Err(bad("'count' (u64) is required")),
-    };
-    let u64_field = |key| optional(body, key, "a u64", parse_u64_field);
-    let flag = |key| optional(body, key, "a boolean", Json::as_bool);
-    let mut oracle = regmutex_fuzz::OracleConfig::default();
-    if let Some(b) = u64_field("cycle_budget")? {
-        oracle.cycle_budget = b;
-    }
-    let cfg = CampaignConfig {
-        seed,
-        start: u64_field("start")?.unwrap_or(0),
-        iters: count,
-        oracle,
-        minimize: flag("minimize")?.unwrap_or(true),
-        max_divergences: u64_field("max_divergences")?.unwrap_or(5),
-        ..CampaignConfig::default()
-    };
-    Ok((cfg, flag("progress")?.unwrap_or(false)))
-}
-
-fn merge_stats(into: &mut CampaignStats, from: &CampaignStats) {
-    into.kernels += from.kernels;
-    into.runs += from.runs;
-    into.agreements += from.agreements;
-    into.divergences += from.divergences;
-    into.escalations += from.escalations;
-    into.minimize_steps += from.minimize_steps;
-    into.minimize_tests += from.minimize_tests;
-    into.cache_hits += from.cache_hits;
-    into.cache_misses += from.cache_misses;
-    into.compiles += from.compiles;
-    into.elapsed += from.elapsed;
 }
 
 /// A runner for one campaign shard. It shares the server's result cache
@@ -1034,7 +888,7 @@ fn run_fuzz_job(state: &Arc<ServerState>, token: SlotToken, cfg: &CampaignConfig
         state.metrics.record_request("/v1/fuzz", 200);
         state.completions.post(Completion::Respond(
             token,
-            Response::json(200, report.to_json()),
+            Response::json(200, wire::fuzz_report_to_json(&report).encode()),
         ));
         return;
     }
@@ -1045,37 +899,29 @@ fn run_fuzz_job(state: &Arc<ServerState>, token: SlotToken, cfg: &CampaignConfig
     state
         .completions
         .post(Completion::StreamStart(token, 200, "application/x-ndjson"));
-    let mut merged = FuzzReport {
-        seed: cfg.seed,
-        start: cfg.start,
-        processed: 0,
-        stats: CampaignStats::default(),
-        divergences: Vec::new(),
-    };
-    while merged.processed < cfg.iters {
-        let mut sub = cfg.clone();
-        sub.start = cfg.start + merged.processed;
-        sub.iters = FUZZ_PROGRESS_BATCH.min(cfg.iters - merged.processed);
-        sub.max_divergences = cfg.max_divergences - merged.stats.divergences;
-        let asked = sub.iters;
-        let r = regmutex_fuzz::run_campaign(&sub, &runner);
-        merged.processed += r.processed;
-        merge_stats(&mut merged.stats, &r.stats);
-        merged.divergences.extend(r.divergences);
+    let mut merged = FuzzReport::empty(cfg.seed, cfg.start);
+    loop {
+        let sub = CampaignConfig {
+            start: merged.end(),
+            iters: FUZZ_PROGRESS_BATCH.min(cfg.iters - merged.stats.kernels),
+            max_divergences: cfg.max_divergences - merged.stats.divergences,
+            ..cfg.clone()
+        };
+        merged.merge(regmutex_fuzz::run_campaign(&sub, &runner));
         let line = format!(
             "{{\"event\":\"progress\",\"processed\":{},\"total\":{},\"divergences\":{}}}\n",
-            merged.processed, cfg.iters, merged.stats.divergences
+            merged.stats.kernels, cfg.iters, merged.stats.divergences
         );
         state.metrics.streamed_rows.fetch_add(1, Ordering::Relaxed);
         state
             .completions
             .post(Completion::StreamChunk(token, line.into_bytes()));
-        // A short batch means the campaign stopped itself (divergence cap).
-        if r.processed < asked || merged.stats.divergences >= cfg.max_divergences {
+        // The shard ends at its last kernel or at the divergence cap.
+        if merged.stats.kernels == cfg.iters || merged.stats.divergences >= cfg.max_divergences {
             break;
         }
     }
-    let mut last = merged.to_json();
+    let mut last = wire::fuzz_report_to_json(&merged).encode();
     last.push('\n');
     state.metrics.record_request("/v1/fuzz", 200);
     state

@@ -1,5 +1,14 @@
 //! The service wire format: JSON encodings of requests, workloads,
-//! [`SimStats`], and [`RunReport`], plus their parsers.
+//! [`SimStats`], [`RunReport`] and fuzz campaigns, plus their parsers.
+//!
+//! Every body is decoded here, on one set of field helpers, and a
+//! decoder refuses an unknown, missing or wrongly typed field by name,
+//! never reading it as a default or a 0. `/v1/fuzz` carries a
+//! [`CampaignConfig`] ([`campaign_to_json`]/[`campaign_from_json`]) and
+//! answers a [`FuzzReport`] ([`fuzz_report_to_json`]/
+//! [`fuzz_report_from_json`]): the fleet's fan-out encodes with the
+//! functions the server decodes with, and `fuzz --stats` writes the same
+//! reply, so a campaign has one JSON form wherever it ran.
 //!
 //! [`SimStats`] has exactly one serializer — [`SimStats::to_json`] in
 //! `regmutex-sim` — and this module *parses* that format back; keeping a
@@ -8,10 +17,15 @@
 //! f64 number model of generic JSON consumers).
 
 use std::str::FromStr;
+use std::time::Duration;
 
 use regmutex::{RunReport, Technique};
-use regmutex_bench::MatrixJob;
+use regmutex_bench::{MatrixJob, ES_VALUES};
 use regmutex_compiler::RegPlan;
+use regmutex_fuzz::{
+    Artifact, CampaignConfig, CampaignStats, Divergence, DivergenceKind, FoundDivergence,
+    FuzzReport,
+};
 use regmutex_sim::{GpuConfig, SimStats, StallReason};
 use regmutex_workloads::suite;
 
@@ -93,72 +107,89 @@ impl RunRequest {
     }
 }
 
-fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, WireError> {
+/// The optional field `key` of object `v`, decoded by `parse`: absent or
+/// `null` is `None`, and a value `parse` refuses is an error naming the
+/// field.
+fn optional<'a, T>(
+    v: &'a Json,
+    key: &str,
+    what: &str,
+    parse: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, WireError> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
+        Some(x) => parse(x)
             .map(Some)
-            .ok_or_else(|| bad(format!("'{key}' must be a non-negative integer"))),
+            .ok_or_else(|| bad(format!("'{key}' must be {what}"))),
     }
+}
+
+/// The required field `key`, decoded as by [`optional`].
+fn required<'a, T>(
+    v: &'a Json,
+    key: &str,
+    what: &str,
+    parse: impl Fn(&'a Json) -> Option<T>,
+) -> Result<T, WireError> {
+    optional(v, key, what, parse)?.ok_or_else(|| bad(format!("missing field '{key}'")))
+}
+
+fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, WireError> {
+    optional(v, key, "a non-negative integer", Json::as_u64)
 }
 
 fn opt_bool(v: &Json, key: &str, default: bool) -> Result<bool, WireError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(x) => x
-            .as_bool()
-            .ok_or_else(|| bad(format!("'{key}' must be a boolean"))),
-    }
+    Ok(optional(v, key, "a boolean", Json::as_bool)?.unwrap_or(default))
 }
 
 fn req_u64(v: &Json, key: &str) -> Result<u64, WireError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(format!("missing or non-integer field '{key}'")))
+    required(v, key, "a non-negative integer", Json::as_u64)
+}
+
+fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, WireError> {
+    required(v, key, "a string", Json::as_str)
 }
 
 fn narrow<T: TryFrom<u64>>(n: u64, key: &str) -> Result<T, WireError> {
     T::try_from(n).map_err(|_| bad(format!("'{key}' out of range")))
 }
 
-/// Decode a `/v1/run` body. Unknown fields are rejected so typos fail
-/// loudly instead of silently running a default configuration.
-pub fn parse_run_request(v: &Json) -> Result<RunRequest, WireError> {
+/// Refuse `v` unless it is an object holding only `fields`.
+fn only_fields(v: &Json, fields: &[&str]) -> Result<(), WireError> {
     let obj = v
         .as_obj()
         .ok_or_else(|| bad("body must be a JSON object"))?;
-    const KNOWN: [&str; 7] = [
-        "app",
-        "technique",
-        "half_rf",
-        "ctas",
-        "force_es",
-        "cycle_budget",
-        "lease",
-    ];
-    if let Some((k, _)) = obj.iter().find(|(k, _)| !KNOWN.contains(&k.as_str())) {
-        return Err(bad(format!("unknown field '{k}'")));
+    match obj.iter().find(|(k, _)| !fields.contains(&k.as_str())) {
+        Some((k, _)) => Err(bad(format!("unknown field '{k}'"))),
+        None => Ok(()),
     }
-    let app = v
-        .get("app")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("missing or non-string field 'app'"))?
-        .to_string();
+}
+
+/// Decode a `/v1/run` body. Unknown fields are rejected so typos fail
+/// loudly instead of silently running a default configuration.
+pub fn parse_run_request(v: &Json) -> Result<RunRequest, WireError> {
+    only_fields(
+        v,
+        &[
+            "app",
+            "technique",
+            "half_rf",
+            "ctas",
+            "force_es",
+            "cycle_budget",
+            "lease",
+        ],
+    )?;
+    let app = req_str(v, "app")?.to_string();
     if !suite::is_app(&app) {
         return Err(bad(format!(
             "unknown workload '{app}'; available: {}",
             suite::names().join(", ")
         )));
     }
-    let technique = match v.get("technique") {
-        None | Some(Json::Null) => Technique::RegMutex,
-        Some(t) => {
-            let s = t
-                .as_str()
-                .ok_or_else(|| bad("'technique' must be a string"))?;
-            Technique::from_str(s).map_err(|e| bad(e.to_string()))?
-        }
+    let technique = match optional(v, "technique", "a string", Json::as_str)? {
+        None => Technique::RegMutex,
+        Some(t) => Technique::from_str(t).map_err(|e| bad(e.to_string()))?,
     };
     Ok(RunRequest {
         app,
@@ -205,6 +236,238 @@ pub fn run_request_json(req: &RunRequest) -> Json {
     Json::Obj(pairs)
 }
 
+/// A `POST /v1/sweep` body, decoded: the baseline run every row is
+/// measured against, and the forced-`|Es|` RegMutex points.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepRequest {
+    /// The baseline run; each row reruns it under RegMutex at one point.
+    pub base: RunRequest,
+    /// Forced `|Es|` points (default: the Fig 10 points).
+    pub es: Vec<u16>,
+    /// Stream rows as chunks (default) or buffer them into one body.
+    pub stream: bool,
+}
+
+/// Upper bound on the points of one `/v1/sweep`.
+const SWEEP_MAX_POINTS: usize = 64;
+
+/// Decode a `/v1/sweep` body: the `/v1/run` fields a sweep shares, plus
+/// `es` and `stream`. The sweep picks each row's technique and `|Es|`
+/// itself, and a lease belongs to one `/v1/run` attempt, so
+/// `technique`, `force_es` and `lease` are refused by name rather than
+/// dropped.
+pub fn parse_sweep_request(v: &Json) -> Result<SweepRequest, WireError> {
+    let obj = v
+        .as_obj()
+        .ok_or_else(|| bad("body must be a JSON object"))?;
+    if let Some(k) = ["technique", "force_es", "lease"]
+        .into_iter()
+        .find(|k| v.get(k).is_some())
+    {
+        return Err(bad(format!("'{k}' is not a /v1/sweep field")));
+    }
+    let point = |x: &Json| {
+        x.as_u64()
+            .and_then(|n| u16::try_from(n).ok())
+            .filter(|&n| n > 0)
+    };
+    let es_list = |x: &Json| x.as_arr()?.iter().map(point).collect::<Option<Vec<u16>>>();
+    let es = optional(v, "es", "an array of positive integers", es_list)?
+        .unwrap_or_else(|| ES_VALUES.to_vec());
+    if es.len() > SWEEP_MAX_POINTS {
+        return Err(bad(format!("'es' is limited to {SWEEP_MAX_POINTS} points")));
+    }
+    let stream = opt_bool(v, "stream", true)?;
+    let mut run: Vec<(String, Json)> = obj
+        .iter()
+        .filter(|(k, _)| k != "es" && k != "stream")
+        .cloned()
+        .collect();
+    run.push(("technique".into(), Json::Str("baseline".into())));
+    Ok(SweepRequest {
+        base: parse_run_request(&Json::Obj(run))?,
+        es,
+        stream,
+    })
+}
+
+/// Upper bound on kernels per `/v1/fuzz` request; a larger campaign is
+/// sharded over more requests.
+pub const FUZZ_MAX_COUNT: u64 = 100_000;
+
+/// A u64 as a JSON number or a `"0x..."` hex string (campaign seeds use
+/// the full u64 range). A string without the prefix is refused rather
+/// than read in a guessed base.
+fn u64_or_hex(v: &Json) -> Option<u64> {
+    match v.as_str() {
+        Some(s) => u64::from_str_radix(s.strip_prefix("0x")?, 16).ok(),
+        None => v.as_u64(),
+    }
+}
+
+const U64_OR_HEX: &str = "a u64 or an 0x-prefixed hex string";
+
+/// Encode the `/v1/fuzz` body that runs `cfg`: its seed, index range,
+/// cycle budget, minimize switch and divergence cap. The rest of a
+/// [`CampaignConfig`] (planted fault, wall-clock budget, escalation
+/// factor, minimizer budget, batch size) does not cross the wire: a
+/// worker runs its defaults.
+pub fn campaign_to_json(cfg: &CampaignConfig) -> Json {
+    Json::Obj(vec![
+        ("seed".into(), Json::Str(format!("{:#x}", cfg.seed))),
+        ("start".into(), Json::U64(cfg.start)),
+        ("count".into(), Json::U64(cfg.iters)),
+        ("cycle_budget".into(), Json::U64(cfg.oracle.cycle_budget)),
+        ("minimize".into(), Json::Bool(cfg.minimize)),
+        ("max_divergences".into(), Json::U64(cfg.max_divergences)),
+    ])
+}
+
+/// Decode a `/v1/fuzz` body into the campaign it runs and its
+/// `progress` flag (stream NDJSON progress lines). `seed` and `count`
+/// are required; `count` is at most [`FUZZ_MAX_COUNT`]; any integer may
+/// also be an `"0x..."` string.
+pub fn campaign_from_json(v: &Json) -> Result<(CampaignConfig, bool), WireError> {
+    only_fields(
+        v,
+        &[
+            "seed",
+            "start",
+            "count",
+            "cycle_budget",
+            "minimize",
+            "max_divergences",
+            "progress",
+        ],
+    )?;
+    let int = |key| optional(v, key, U64_OR_HEX, u64_or_hex);
+    let count = required(v, "count", U64_OR_HEX, u64_or_hex)?;
+    if !(1..=FUZZ_MAX_COUNT).contains(&count) {
+        return Err(bad(format!("'count' must be in 1..={FUZZ_MAX_COUNT}")));
+    }
+    let mut cfg = CampaignConfig {
+        seed: required(v, "seed", U64_OR_HEX, u64_or_hex)?,
+        start: int("start")?.unwrap_or(0),
+        iters: count,
+        ..CampaignConfig::default()
+    };
+    if let Some(budget) = int("cycle_budget")? {
+        cfg.oracle.cycle_budget = budget;
+    }
+    cfg.minimize = opt_bool(v, "minimize", cfg.minimize)?;
+    if let Some(cap) = int("max_divergences")? {
+        cfg.max_divergences = cap;
+    }
+    Ok((cfg, opt_bool(v, "progress", false)?))
+}
+
+/// Encode a finished campaign: the `/v1/fuzz` reply and the `fuzz
+/// --stats` file. It carries every counter, each divergence in full, and
+/// the wall clock (`elapsed_ms`, and `kernels_per_sec` derived from it),
+/// which the rendered report leaves out.
+pub fn fuzz_report_to_json(r: &FuzzReport) -> Json {
+    let s = &r.stats;
+    let ms = s.elapsed.as_millis() as u64;
+    let kps = if ms > 0 {
+        s.kernels as f64 * 1000.0 / ms as f64
+    } else {
+        0.0
+    };
+    let n = |key: &str, value: u64| (key.to_string(), Json::U64(value));
+    Json::Obj(vec![
+        n("seed", r.seed),
+        n("start", r.start),
+        n("kernels", s.kernels),
+        n("runs", s.runs),
+        n("agreements", s.agreements),
+        n("divergences", s.divergences),
+        n("escalations", s.escalations),
+        n("minimize_steps", s.minimize_steps),
+        n("minimize_tests", s.minimize_tests),
+        n("cache_hits", s.cache_hits),
+        n("cache_misses", s.cache_misses),
+        n("compiles", s.compiles),
+        n("elapsed_ms", ms),
+        ("kernels_per_sec".into(), Json::F64(kps)),
+        (
+            "found".into(),
+            Json::Arr(r.divergences.iter().map(found_to_json).collect()),
+        ),
+    ])
+}
+
+fn found_to_json(f: &FoundDivergence) -> Json {
+    let n = |key: &str, value: u64| (key.to_string(), Json::U64(value));
+    let d = &f.divergence;
+    Json::Obj(vec![
+        n("index", f.index),
+        n("seed", f.seed),
+        ("technique".into(), Json::Str(d.technique.to_string())),
+        ("kind".into(), Json::Str(d.kind.name().to_string())),
+        ("detail".into(), Json::Str(d.detail.clone())),
+        n("instructions", f.instructions as u64),
+        n("minimize_steps", f.minimize_steps),
+        n("minimize_tests", f.minimize_tests),
+        ("artifact".into(), Json::Str(f.artifact.to_text())),
+    ])
+}
+
+/// Decode a finished campaign from [`fuzz_report_to_json`]'s encoding.
+/// Every counter is required (a missing one is an error, never 0), and
+/// `found` must list exactly `divergences` entries.
+pub fn fuzz_report_from_json(v: &Json) -> Result<FuzzReport, WireError> {
+    let n = |key| req_u64(v, key);
+    let found = required(v, "found", "an array", Json::as_arr)?
+        .iter()
+        .map(found_from_json)
+        .collect::<Result<Vec<_>, _>>()?;
+    let report = FuzzReport {
+        seed: n("seed")?,
+        start: n("start")?,
+        stats: CampaignStats {
+            kernels: n("kernels")?,
+            runs: n("runs")?,
+            agreements: n("agreements")?,
+            divergences: n("divergences")?,
+            escalations: n("escalations")?,
+            minimize_steps: n("minimize_steps")?,
+            minimize_tests: n("minimize_tests")?,
+            cache_hits: n("cache_hits")?,
+            cache_misses: n("cache_misses")?,
+            compiles: n("compiles")?,
+            elapsed: Duration::from_millis(n("elapsed_ms")?),
+        },
+        divergences: found,
+    };
+    if report.divergences.len() as u64 != report.stats.divergences {
+        return Err(bad(format!(
+            "'found' lists {} divergences but 'divergences' is {}",
+            report.divergences.len(),
+            report.stats.divergences
+        )));
+    }
+    Ok(report)
+}
+
+fn found_from_json(v: &Json) -> Result<FoundDivergence, WireError> {
+    let n = |key| req_u64(v, key);
+    Ok(FoundDivergence {
+        index: n("index")?,
+        seed: n("seed")?,
+        divergence: Divergence {
+            technique: Technique::from_str(req_str(v, "technique")?)
+                .map_err(|e| bad(e.to_string()))?,
+            kind: DivergenceKind::parse(req_str(v, "kind")?).map_err(bad)?,
+            detail: req_str(v, "detail")?.to_string(),
+        },
+        artifact: Artifact::parse(req_str(v, "artifact")?)
+            .map_err(|e| bad(format!("'artifact': {e}")))?,
+        instructions: narrow(n("instructions")?, "instructions")?,
+        minimize_steps: n("minimize_steps")?,
+        minimize_tests: n("minimize_tests")?,
+    })
+}
+
 /// The workload registry as machine-readable JSON — the same rows as
 /// `regmutex-cli list`, structured.
 pub fn workloads_json() -> Json {
@@ -238,10 +501,7 @@ pub fn stats_to_json(stats: &SimStats) -> Json {
 }
 
 fn checksum_from(v: &Json) -> Result<u64, WireError> {
-    let s = v
-        .get("checksum")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("missing or non-string field 'checksum'"))?;
+    let s = req_str(v, "checksum")?;
     let hex = s
         .strip_prefix("0x")
         .ok_or_else(|| bad("'checksum' must be an 0x-prefixed hex string"))?;
@@ -269,10 +529,7 @@ pub fn stats_from_json(v: &Json) -> Result<SimStats, WireError> {
         step_calls: req_u64(v, "step_calls")?,
         ..Default::default()
     };
-    let stalls = v
-        .get("stall_cycles")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| bad("missing or non-object field 'stall_cycles'"))?;
+    let stalls = required(v, "stall_cycles", "an object", Json::as_obj)?;
     for (name, count) in stalls {
         let reason = StallReason::from_str(name)
             .map_err(|()| bad(format!("unknown stall reason '{name}'")))?;
@@ -335,22 +592,14 @@ pub fn report_to_json(report: &RunReport) -> Json {
 
 /// Decode a [`RunReport`] from the wire encoding.
 pub fn report_from_json(v: &Json) -> Result<RunReport, WireError> {
-    let technique = v
-        .get("technique")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("missing or non-string field 'technique'"))?;
-    let plan = match v.get("plan") {
-        None | Some(Json::Null) => None,
-        Some(p) => Some(plan_from_json(p)?),
-    };
+    let technique = req_str(v, "technique")?;
+    let plan = optional(v, "plan", "an object", Some)?
+        .map(plan_from_json)
+        .transpose()?;
     Ok(RunReport {
         technique: Technique::from_str(technique).map_err(|e| bad(e.to_string()))?,
-        kernel_name: v
-            .get("kernel_name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing or non-string field 'kernel_name'"))?
-            .to_string(),
-        stats: stats_from_json(v.get("stats").ok_or_else(|| bad("missing field 'stats'"))?)?,
+        kernel_name: req_str(v, "kernel_name")?.to_string(),
+        stats: stats_from_json(required(v, "stats", "an object", Some)?)?,
         plan,
         theoretical_occupancy_warps: narrow(
             req_u64(v, "theoretical_occupancy_warps")?,
@@ -572,6 +821,99 @@ mod tests {
         text = text.replace("\"scoreboard\"", "\"warpdrive\"");
         let err = stats_from_json(&parse(&text).unwrap()).unwrap_err();
         assert!(err.0.contains("warpdrive"), "{err}");
+    }
+
+    /// A planted-fault campaign small enough for a unit test that still
+    /// finds and minimizes one divergence.
+    fn divergent_campaign() -> FuzzReport {
+        let cfg = CampaignConfig {
+            seed: 0xfa_017,
+            iters: 24,
+            fault: Some(regmutex_fuzz::parse_fault("stuck-srp-bit:severe:5:regmutex").unwrap()),
+            minimize_tests: 300,
+            max_divergences: 1,
+            ..CampaignConfig::default()
+        };
+        regmutex_fuzz::run_campaign(&cfg, &regmutex_bench::Runner::new(2))
+    }
+
+    #[test]
+    fn fuzz_report_round_trips_with_its_divergences() {
+        let report = divergent_campaign();
+        assert_eq!(report.divergences.len(), 1);
+        let wire = fuzz_report_to_json(&report);
+        let back = fuzz_report_from_json(&parse(&wire.encode()).unwrap()).unwrap();
+        assert_eq!(back.render(), report.render());
+        assert_eq!(fuzz_report_to_json(&back), wire);
+
+        // Every field but the derived rate is required, and so is its type.
+        let Json::Obj(pairs) = &wire else {
+            unreachable!()
+        };
+        for (key, _) in pairs.iter().filter(|(k, _)| k != "kernels_per_sec") {
+            let without = Json::Obj(pairs.iter().filter(|(k, _)| k != key).cloned().collect());
+            let err = fuzz_report_from_json(&without).unwrap_err();
+            assert!(err.0.contains(&format!("'{key}'")), "{key}: {err}");
+            let mistyped = Json::Obj(
+                pairs
+                    .iter()
+                    .map(|(k, v)| match k == key {
+                        true => (k.clone(), Json::Str("0".into())),
+                        false => (k.clone(), v.clone()),
+                    })
+                    .collect(),
+            );
+            assert!(fuzz_report_from_json(&mistyped).is_err(), "{key}");
+        }
+        // So is every field of a divergence.
+        let text = wire.encode();
+        for key in ["\"technique\"", "\"kind\"", "\"detail\"", "\"artifact\""] {
+            let renamed = text.replacen(key, "\"other\"", 1);
+            assert!(
+                fuzz_report_from_json(&parse(&renamed).unwrap()).is_err(),
+                "{key}"
+            );
+        }
+        // A divergence count the list does not back is refused.
+        let miscounted = text.replace("\"divergences\":1", "\"divergences\":2");
+        assert!(fuzz_report_from_json(&parse(&miscounted).unwrap()).is_err());
+    }
+
+    #[test]
+    fn campaigns_round_trip_through_the_fuzz_request() {
+        let mut cfg = CampaignConfig {
+            seed: u64::MAX - 2,
+            start: 7,
+            iters: 300,
+            minimize: false,
+            max_divergences: 2,
+            ..CampaignConfig::default()
+        };
+        cfg.oracle.cycle_budget = 123_456;
+        let body = campaign_to_json(&cfg).encode();
+        let (back, progress) = campaign_from_json(&parse(&body).unwrap()).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{cfg:?}"), "{body}");
+        assert!(!progress);
+        let (_, progress) =
+            campaign_from_json(&parse(r#"{"seed":1,"count":2,"progress":true}"#).unwrap()).unwrap();
+        assert!(progress);
+    }
+
+    #[test]
+    fn sweep_requests_refuse_fields_they_would_drop() {
+        let r = parse_sweep_request(&parse(r#"{"app":"BFS","half_rf":true}"#).unwrap()).unwrap();
+        assert_eq!(
+            (r.base.technique, r.base.half_rf),
+            (Technique::Baseline, true)
+        );
+        assert_eq!((r.es, r.stream), (ES_VALUES.to_vec(), true));
+        let r = parse_sweep_request(&parse(r#"{"app":"BFS","es":[3],"stream":false}"#).unwrap());
+        assert_eq!(r.map(|r| (r.es, r.stream)), Ok((vec![3], false)));
+        for field in ["technique", "force_es", "lease"] {
+            let body = format!(r#"{{"app":"BFS","{field}":1}}"#);
+            let err = parse_sweep_request(&parse(&body).unwrap()).unwrap_err();
+            assert!(err.0.contains(&format!("'{field}'")), "{err}");
+        }
     }
 
     #[test]

@@ -457,18 +457,31 @@ fn fuzz_endpoint_runs_a_shard_and_validates_input() {
         );
     }
 
-    // `/v1/sweep` holds its `stream` flag to the same rule.
-    let bad = r#"{"app":"Gaussian","es":[2],"stream":"no"}"#;
-    let resp = call(&server, "POST", "/v1/sweep", Some(bad));
-    assert_eq!(resp.status, 400, "{bad}");
-    let error = body_json(&resp)
-        .get("error")
-        .and_then(Json::as_str)
-        .map(str::to_string);
-    assert!(
-        error.as_deref().is_some_and(|e| e.contains("'stream'")),
-        "{error:?}"
-    );
+    // `/v1/sweep` holds its `stream` flag to the same rule, and refuses
+    // the run fields it would otherwise drop: it picks each row's
+    // technique and |Es| itself, and a lease belongs to one `/v1/run`.
+    for (bad, field) in [
+        (r#"{"app":"Gaussian","es":[2],"stream":"no"}"#, "stream"),
+        (
+            r#"{"app":"Gaussian","es":[2],"technique":"owf"}"#,
+            "technique",
+        ),
+        (r#"{"app":"Gaussian","es":[2],"force_es":4}"#, "force_es"),
+        (r#"{"app":"Gaussian","es":[2],"lease":7}"#, "lease"),
+    ] {
+        let resp = call(&server, "POST", "/v1/sweep", Some(bad));
+        assert_eq!(resp.status, 400, "{bad}");
+        let error = body_json(&resp)
+            .get("error")
+            .and_then(Json::as_str)
+            .map(str::to_string);
+        assert!(
+            error
+                .as_deref()
+                .is_some_and(|e| e.contains(&format!("'{field}'"))),
+            "{bad}: {error:?}"
+        );
+    }
 
     // A tiny shard completes and reports campaign stats.
     let resp = call(
