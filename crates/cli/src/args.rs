@@ -868,6 +868,7 @@ static FUZZ: Verb<FuzzArgs> = Verb {
             },
         ),
         opt("--jobs", "N", JOBS, |c, v| {
+            c.local = Some("--jobs");
             put(&mut c.jobs, count(v).map(Some))
         }),
         opt(
@@ -1067,7 +1068,8 @@ campaign MUST diverge); --stats writes machine-readable counters
 including wall-clock throughput; --fleet shards the index range across
 workers' POST /v1/fuzz endpoints with failover and prints the report a
 local campaign prints (shard attribution goes to stderr). --fault,
---max-divergences, --duration-secs and --journal are local-only.
+--max-divergences, --duration-secs, --journal and --jobs are local-only
+(each worker runs its own pool).
 ";
 
 #[cfg(test)]
@@ -1635,6 +1637,7 @@ mod tests {
                 "--max-divergences",
             ),
             ("fuzz --duration-secs 5 --workers a:1", "--duration-secs"),
+            ("fuzz --workers a:1 --jobs 4", "--jobs"),
         ] {
             assert_eq!(
                 err(line),

@@ -708,38 +708,38 @@ pub fn chaos_fleet(spec: &FleetCampaignSpec) -> Result<(String, i32), CommandErr
 /// divergence (or a replay mismatch).
 pub fn fuzz(a: &FuzzArgs) -> Result<(String, i32), CommandError> {
     let cfg = &a.campaign;
-    let mut runner = Runner::new(a.jobs.unwrap_or_else(default_jobs));
-    if let Some(path) = &a.replay {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| CommandError(format!("read {path}: {e}")))?;
-        let artifact = regmutex_fuzz::Artifact::parse(&text)
-            .map_err(|e| CommandError(format!("{path}: {e}")))?;
-        let oracle = &cfg.oracle;
-        return Ok(regmutex_fuzz::replay_artifact(&artifact, &runner, oracle));
-    }
-
-    let report = match (a.fleet, &a.journal.dir) {
-        (true, _) => {
-            let (report, shards) =
-                regmutex_fleet::run_fuzz_fanout(&a.workers, cfg).map_err(CommandError)?;
-            eprint!("{}", regmutex_fleet::render_shards(&shards, &a.workers));
-            report
+    let report = if a.fleet {
+        let (report, shards) =
+            regmutex_fleet::run_fuzz_fanout(&a.workers, cfg).map_err(CommandError)?;
+        eprint!("{}", regmutex_fleet::render_shards(&shards, &a.workers));
+        report
+    } else {
+        let mut runner = Runner::new(a.jobs.unwrap_or_else(default_jobs));
+        if let Some(path) = &a.replay {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| CommandError(format!("read {path}: {e}")))?;
+            let artifact = regmutex_fuzz::Artifact::parse(&text)
+                .map_err(|e| CommandError(format!("{path}: {e}")))?;
+            let oracle = &cfg.oracle;
+            return Ok(regmutex_fuzz::replay_artifact(&artifact, &runner, oracle));
         }
-        (false, None) => regmutex_fuzz::run_campaign(cfg, &runner),
-        (false, Some(dir)) => {
-            runner.set_tier(result_store(dir)?);
-            let fuzz = durable("fuzz", dir, a.journal.resume, cfg, "kernels", |journal| {
-                Ok(regmutex_fuzz::run_campaign_durable(
-                    cfg,
-                    &runner,
-                    Some(&journal),
-                    Some(&signal::triggered),
-                ))
-            })?;
-            let Some(report) = fuzz else {
-                return Ok((String::new(), CHECKPOINT_EXIT));
-            };
-            report
+        match &a.journal.dir {
+            None => regmutex_fuzz::run_campaign(cfg, &runner),
+            Some(dir) => {
+                runner.set_tier(result_store(dir)?);
+                let fuzz = durable("fuzz", dir, a.journal.resume, cfg, "kernels", |journal| {
+                    Ok(regmutex_fuzz::run_campaign_durable(
+                        cfg,
+                        &runner,
+                        Some(&journal),
+                        Some(&signal::triggered),
+                    ))
+                })?;
+                let Some(report) = fuzz else {
+                    return Ok((String::new(), CHECKPOINT_EXIT));
+                };
+                report
+            }
         }
     };
     if let Some(path) = &a.stats {

@@ -95,6 +95,7 @@ fn every_malformed_argv_exits_2_with_a_diagnosis() {
             "fuzz --replay f --fault nope",
             "fuzz --fleet --workers 127.0.0.1:1 --max-divergences 3",
             "fuzz --workers 127.0.0.1:1 --duration-secs 5",
+            "fuzz --workers 127.0.0.1:1 --jobs 4",
             "fuzz --workers 127.0.0.1:1 --iters 100001",
             "loadgen --workers 127.0.0.1:1 --pipeline 4",
             "loadgen --workers 127.0.0.1:1 --addr 127.0.0.1:9",

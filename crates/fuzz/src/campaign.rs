@@ -203,7 +203,7 @@ pub fn run_campaign_durable(
             };
         }
         let index = report.end();
-        let batch_end = end.min(index + cfg.batch as u64);
+        let batch_end = end.min(index.saturating_add(cfg.batch as u64));
         let kernels: Vec<(u64, Generated)> = (index..batch_end)
             .map(|i| (i, generate(mix(cfg.seed, i))))
             .collect();
@@ -514,6 +514,18 @@ mod tests {
         lo.merge(hi);
         assert_eq!(lo.render(), whole.render());
         assert_eq!(lo.stats.runs, whole.stats.runs);
+    }
+
+    #[test]
+    fn a_range_ending_at_the_top_of_u64_runs_to_its_end() {
+        // The batch bound saturates instead of wrapping below `start`.
+        let runner = Runner::new(1);
+        let cfg = CampaignConfig {
+            start: u64::MAX - 3,
+            ..quick_cfg(3)
+        };
+        let report = run_campaign(&cfg, &runner);
+        assert_eq!((report.stats.kernels, report.end()), (3, u64::MAX));
     }
 
     #[test]

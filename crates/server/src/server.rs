@@ -907,7 +907,9 @@ fn run_fuzz_job(state: &Arc<ServerState>, token: SlotToken, cfg: &CampaignConfig
             max_divergences: cfg.max_divergences - merged.stats.divergences,
             ..cfg.clone()
         };
-        merged.merge(regmutex_fuzz::run_campaign(&sub, &runner));
+        let batch = regmutex_fuzz::run_campaign(&sub, &runner);
+        let short = batch.stats.kernels < sub.iters;
+        merged.merge(batch);
         let line = format!(
             "{{\"event\":\"progress\",\"processed\":{},\"total\":{},\"divergences\":{}}}\n",
             merged.stats.kernels, cfg.iters, merged.stats.divergences
@@ -916,8 +918,12 @@ fn run_fuzz_job(state: &Arc<ServerState>, token: SlotToken, cfg: &CampaignConfig
         state
             .completions
             .post(Completion::StreamChunk(token, line.into_bytes()));
-        // The shard ends at its last kernel or at the divergence cap.
-        if merged.stats.kernels == cfg.iters || merged.stats.divergences >= cfg.max_divergences {
+        // The shard ends at its last kernel, at the divergence cap, or
+        // at a sub-batch that stopped short of its range.
+        if short
+            || merged.stats.kernels == cfg.iters
+            || merged.stats.divergences >= cfg.max_divergences
+        {
             break;
         }
     }

@@ -107,9 +107,9 @@ impl RunRequest {
     }
 }
 
-/// The optional field `key` of object `v`, decoded by `parse`: absent or
-/// `null` is `None`, and a value `parse` refuses is an error naming the
-/// field.
+/// The optional field `key` of object `v`, decoded by `parse`: absent is
+/// `None`, and a value `parse` refuses (`null` included) is an error
+/// naming the field.
 fn optional<'a, T>(
     v: &'a Json,
     key: &str,
@@ -117,10 +117,25 @@ fn optional<'a, T>(
     parse: impl Fn(&'a Json) -> Option<T>,
 ) -> Result<Option<T>, WireError> {
     match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
+        None => Ok(None),
         Some(x) => parse(x)
             .map(Some)
             .ok_or_else(|| bad(format!("'{key}' must be {what}"))),
+    }
+}
+
+/// [`optional`], but `null` also reads as absent, as the `/v1/run`
+/// fields, a sweep's `es` and a run report's `plan` always have. The
+/// `/v1/fuzz` fields and a sweep's `stream` refuse it.
+fn nullable<'a, T>(
+    v: &'a Json,
+    key: &str,
+    what: &str,
+    parse: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, WireError> {
+    match v.get(key) {
+        Some(Json::Null) => Ok(None),
+        _ => optional(v, key, what, parse),
     }
 }
 
@@ -135,7 +150,7 @@ fn required<'a, T>(
 }
 
 fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, WireError> {
-    optional(v, key, "a non-negative integer", Json::as_u64)
+    nullable(v, key, "a non-negative integer", Json::as_u64)
 }
 
 fn opt_bool(v: &Json, key: &str, default: bool) -> Result<bool, WireError> {
@@ -187,14 +202,14 @@ pub fn parse_run_request(v: &Json) -> Result<RunRequest, WireError> {
             suite::names().join(", ")
         )));
     }
-    let technique = match optional(v, "technique", "a string", Json::as_str)? {
+    let technique = match nullable(v, "technique", "a string", Json::as_str)? {
         None => Technique::RegMutex,
         Some(t) => Technique::from_str(t).map_err(|e| bad(e.to_string()))?,
     };
     Ok(RunRequest {
         app,
         technique,
-        half_rf: opt_bool(v, "half_rf", false)?,
+        half_rf: nullable(v, "half_rf", "a boolean", Json::as_bool)?.unwrap_or(false),
         ctas: opt_u64(v, "ctas")?
             .map(|n| match n {
                 0 => Err(bad("'ctas' must be at least 1")),
@@ -242,7 +257,7 @@ pub fn run_request_json(req: &RunRequest) -> Json {
 pub struct SweepRequest {
     /// The baseline run; each row reruns it under RegMutex at one point.
     pub base: RunRequest,
-    /// Forced `|Es|` points (default: the Fig 10 points).
+    /// Forced `|Es|` points (default, or `null`: the Fig 10 points).
     pub es: Vec<u16>,
     /// Stream rows as chunks (default) or buffer them into one body.
     pub stream: bool,
@@ -272,7 +287,7 @@ pub fn parse_sweep_request(v: &Json) -> Result<SweepRequest, WireError> {
             .filter(|&n| n > 0)
     };
     let es_list = |x: &Json| x.as_arr()?.iter().map(point).collect::<Option<Vec<u16>>>();
-    let es = optional(v, "es", "an array of positive integers", es_list)?
+    let es = nullable(v, "es", "an array of positive integers", es_list)?
         .unwrap_or_else(|| ES_VALUES.to_vec());
     if es.len() > SWEEP_MAX_POINTS {
         return Err(bad(format!("'es' is limited to {SWEEP_MAX_POINTS} points")));
@@ -325,8 +340,9 @@ pub fn campaign_to_json(cfg: &CampaignConfig) -> Json {
 
 /// Decode a `/v1/fuzz` body into the campaign it runs and its
 /// `progress` flag (stream NDJSON progress lines). `seed` and `count`
-/// are required; `count` is at most [`FUZZ_MAX_COUNT`]; any integer may
-/// also be an `"0x..."` string.
+/// are required; `count` is at most [`FUZZ_MAX_COUNT`], `start + count`
+/// fits in a u64, and `max_divergences` is at least 1; any integer may
+/// also be an `"0x..."` string, and `null` is refused.
 pub fn campaign_from_json(v: &Json) -> Result<(CampaignConfig, bool), WireError> {
     only_fields(
         v,
@@ -345,9 +361,13 @@ pub fn campaign_from_json(v: &Json) -> Result<(CampaignConfig, bool), WireError>
     if !(1..=FUZZ_MAX_COUNT).contains(&count) {
         return Err(bad(format!("'count' must be in 1..={FUZZ_MAX_COUNT}")));
     }
+    let start = int("start")?.unwrap_or(0);
+    if start.checked_add(count).is_none() {
+        return Err(bad("'start' + 'count' must fit in a u64"));
+    }
     let mut cfg = CampaignConfig {
         seed: required(v, "seed", U64_OR_HEX, u64_or_hex)?,
-        start: int("start")?.unwrap_or(0),
+        start,
         iters: count,
         ..CampaignConfig::default()
     };
@@ -355,8 +375,10 @@ pub fn campaign_from_json(v: &Json) -> Result<(CampaignConfig, bool), WireError>
         cfg.oracle.cycle_budget = budget;
     }
     cfg.minimize = opt_bool(v, "minimize", cfg.minimize)?;
-    if let Some(cap) = int("max_divergences")? {
-        cfg.max_divergences = cap;
+    match int("max_divergences")? {
+        Some(0) => return Err(bad("'max_divergences' must be at least 1")),
+        Some(cap) => cfg.max_divergences = cap,
+        None => {}
     }
     Ok((cfg, opt_bool(v, "progress", false)?))
 }
@@ -593,7 +615,7 @@ pub fn report_to_json(report: &RunReport) -> Json {
 /// Decode a [`RunReport`] from the wire encoding.
 pub fn report_from_json(v: &Json) -> Result<RunReport, WireError> {
     let technique = req_str(v, "technique")?;
-    let plan = optional(v, "plan", "an object", Some)?
+    let plan = nullable(v, "plan", "an object", Some)?
         .map(plan_from_json)
         .transpose()?;
     Ok(RunReport {
@@ -897,6 +919,57 @@ mod tests {
         let (_, progress) =
             campaign_from_json(&parse(r#"{"seed":1,"count":2,"progress":true}"#).unwrap()).unwrap();
         assert!(progress);
+        // A range past 2^64 and a cap that stops before the first kernel
+        // are refused by name; the largest range that fits is taken.
+        for (body, field) in [
+            (
+                r#"{"seed":1,"start":"0xffffffffffffffff","count":1}"#,
+                "'start'",
+            ),
+            (
+                r#"{"seed":1,"start":18446744073709551615,"count":2}"#,
+                "'start'",
+            ),
+            (
+                r#"{"seed":1,"count":2,"max_divergences":0}"#,
+                "'max_divergences'",
+            ),
+        ] {
+            let err = campaign_from_json(&parse(body).unwrap()).unwrap_err();
+            assert!(err.0.contains(field), "{body}: {err}");
+        }
+        let top = r#"{"seed":1,"start":"0xfffffffffffffffe","count":1}"#;
+        assert!(campaign_from_json(&parse(top).unwrap()).is_ok());
+    }
+
+    #[test]
+    fn null_reads_as_absent_only_where_it_always_did() {
+        let run = r#"{"app":"BFS","technique":null,"half_rf":null,"ctas":null,"lease":null}"#;
+        assert_eq!(
+            parse_run_request(&parse(run).unwrap()).map(|r| r.technique),
+            Ok(Technique::RegMutex)
+        );
+        let sweep = parse_sweep_request(&parse(r#"{"app":"BFS","es":null}"#).unwrap());
+        assert_eq!(sweep.map(|r| r.es), Ok(ES_VALUES.to_vec()));
+        let err = parse_sweep_request(&parse(r#"{"app":"BFS","stream":null}"#).unwrap());
+        assert!(err.unwrap_err().0.contains("'stream'"));
+        for field in [
+            "seed",
+            "count",
+            "start",
+            "cycle_budget",
+            "minimize",
+            "max_divergences",
+            "progress",
+        ] {
+            let body = format!(r#"{{"seed":1,"count":1,"{field}":null}}"#).replacen(
+                &format!(r#""{field}":1,"#),
+                "",
+                1,
+            );
+            let err = campaign_from_json(&parse(&body).unwrap()).unwrap_err();
+            assert!(err.0.contains(&format!("'{field}'")), "{body}: {err}");
+        }
     }
 
     #[test]

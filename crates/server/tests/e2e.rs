@@ -442,6 +442,17 @@ fn fuzz_endpoint_runs_a_shard_and_validates_input() {
         (r#"{"seed":1,"count":4,"minimise":false}"#, "minimise"),
         (r#"{"seed":"10","count":4}"#, "seed"),
         (r#"{"seed":1,"count":4,"start":"3"}"#, "start"),
+        (r#"{"seed":1,"count":4,"minimize":null}"#, "minimize"),
+        // A range past 2^64 would leave the streamed shard nothing to
+        // run and nowhere to stop; a cap of 0 would run no kernel.
+        (
+            r#"{"seed":1,"start":"0xffffffffffffffff","count":1,"progress":true}"#,
+            "start",
+        ),
+        (
+            r#"{"seed":1,"count":4,"max_divergences":0}"#,
+            "max_divergences",
+        ),
     ] {
         let resp = call(&server, "POST", "/v1/fuzz", Some(bad));
         assert_eq!(resp.status, 400, "{bad}");
@@ -462,6 +473,7 @@ fn fuzz_endpoint_runs_a_shard_and_validates_input() {
     // technique and |Es| itself, and a lease belongs to one `/v1/run`.
     for (bad, field) in [
         (r#"{"app":"Gaussian","es":[2],"stream":"no"}"#, "stream"),
+        (r#"{"app":"Gaussian","es":[2],"stream":null}"#, "stream"),
         (
             r#"{"app":"Gaussian","es":[2],"technique":"owf"}"#,
             "technique",
