@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use regmutex::{RunError, Technique};
+use regmutex::{verdict, RunError, RunReport, Technique};
 use regmutex_durable::{Campaign, Record, Run};
 use regmutex_sim::fault::{FaultClass, FaultLog, Severity};
 use regmutex_sim::SimError;
@@ -437,8 +437,8 @@ pub fn run_campaign_durable(
     // from the golden run: generous slack plus two deadlock-detector
     // windows, so the watchdog is a backstop rather than the first
     // detector. The list is in deterministic order, each entry with the
-    // golden checksum it is judged against.
-    let mut jobs: Vec<(Injection, JobSpec, u64)> = Vec::new();
+    // index of the golden report it is judged against.
+    let (mut jobs, mut reports) = (Vec::new(), Vec::new());
     let results = runner.run_all(&goldens);
     for (wi, ((name, golden), result)) in names.iter().zip(&goldens).zip(results).enumerate() {
         let report = result.map_err(|e| format!("golden run {} failed: {e}", golden.label))?;
@@ -465,9 +465,10 @@ pub fn run_campaign_durable(
                     outcome: Outcome::NotTriggered,
                 };
                 let job = job.with_cycle_budget(budget).with_fault(fault);
-                jobs.push((injection, job, report.stats.checksum));
+                jobs.push((injection, job, wi));
             }
         }
+        reports.push(report);
     }
 
     // Fold in injections replayed from the journal (the outcome is
@@ -493,9 +494,9 @@ pub fn run_campaign_durable(
         }
         let specs: Vec<JobSpec> = batch.iter().map(|&n| jobs[n].1.clone()).collect();
         for (&n, result) in batch.iter().zip(runner.run_all(&specs)) {
-            let (injection, job, checksum) = &mut jobs[n];
+            let (injection, job, wi) = &mut jobs[n];
             let log = &job.fault.as_ref().expect("every injection is faulted").log;
-            injection.outcome = classify(&result, log, *checksum);
+            injection.outcome = classify(&result, log, &reports[*wi]);
             if let Some(j) = journal {
                 j.append(&InjectionRecord {
                     index: n as u64,
@@ -515,21 +516,18 @@ pub fn run_campaign_durable(
     }))
 }
 
-/// Classify one injection run against its workload's golden checksum.
-fn classify(result: &CachedResult, log: &FaultLog, golden_checksum: u64) -> Outcome {
+/// Classify one injection run against its workload's golden run.
+fn classify(result: &CachedResult, log: &FaultLog, golden: &RunReport) -> Outcome {
     match result {
-        Ok(report) => {
-            if log.injections() == 0 {
-                Outcome::NotTriggered
-            } else if report.stats.checksum == golden_checksum {
-                Outcome::Benign
-            } else {
-                Outcome::SilentCorruption {
-                    expected: golden_checksum,
-                    got: report.stats.checksum,
-                }
-            }
-        }
+        Ok(_) if log.injections() == 0 => Outcome::NotTriggered,
+        // Same technique, another budget: held to the checksum alone.
+        Ok(report) => match verdict(golden, Ok(report), false) {
+            None => Outcome::Benign,
+            Some(_) => Outcome::SilentCorruption {
+                expected: golden.stats.checksum,
+                got: report.stats.checksum,
+            },
+        },
         Err(err) => {
             let (detector, at) = match err {
                 RunError::Sim(SimError::LedgerViolation { cycle, .. }) => ("ledger", Some(*cycle)),

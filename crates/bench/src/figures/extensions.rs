@@ -177,7 +177,7 @@ pub(super) fn rf_size(jobs: &[MatrixJob], results: &[CachedResult]) -> (String, 
             continue;
         };
         let mut cells = js[1..].iter().zip(&rs[1..]).map(|(job, result)| {
-            match fails.cell(job, reference, result) {
+            match fails.cell((&js[0], reference), job, result) {
                 Some(rep) => fmt_pct(cycle_increase_percent(reference, rep)),
                 None => "err".to_string(),
             }

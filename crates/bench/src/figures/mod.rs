@@ -8,11 +8,11 @@
 //! nothing (Figs 1–3, Table I and the storage table) have no jobs; their
 //! renderer does all the work.
 //!
-//! No figure panics on a failed job: a row whose job failed (or computed a
-//! different checksum than its reference) is left out, and the output ends
-//! with the shared [`error_table`] and exit code 3.
+//! No figure panics on a failed job: a row whose job failed (or diverged
+//! from its reference) is left out, and the output ends with the shared
+//! [`error_table`] and exit code 3.
 
-use regmutex::{RunReport, Technique};
+use regmutex::{verdict, RunReport, Technique};
 use regmutex_sim::GpuConfig;
 
 use crate::cache::CachedResult;
@@ -161,28 +161,22 @@ impl Failures {
         self.rows.push((label.to_string(), error.to_string()));
     }
 
-    /// `job`'s report, or `None` when the job failed or computed a
-    /// different checksum than `reference` (recorded here): every
-    /// technique and configuration must compute the same result.
+    /// `job`'s report, or `None` when the job failed or [`verdict`] finds
+    /// it diverging from `reference` (recorded here): every technique and
+    /// configuration must compute the same result.
     fn cell<'r>(
         &mut self,
+        (ref_job, reference): (&MatrixJob, &RunReport),
         job: &MatrixJob,
-        reference: &RunReport,
         result: &'r CachedResult,
     ) -> Option<&'r RunReport> {
         let report = result.as_ref().ok()?;
-        if report.stats.checksum == reference.stats.checksum {
+        let Some(kind) = verdict(reference, Ok(report), ref_job.same_job(job)) else {
             return Some(report);
-        }
+        };
         self.push(
             &job.label,
-            format_args!(
-                "functional divergence: {} checksum {:#018x} != {} checksum {:#018x}",
-                reference.technique,
-                reference.stats.checksum,
-                report.technique,
-                report.stats.checksum
-            ),
+            format_args!("{} from {}", kind.describe(), reference.technique),
         );
         None
     }
@@ -203,7 +197,7 @@ impl Failures {
             let cells: Vec<_> = js
                 .iter()
                 .zip(rs)
-                .map(|(job, result)| self.cell(job, reference, result))
+                .map(|(job, result)| self.cell((&js[0], reference), job, result))
                 .collect();
             if let Some(reports) = cells.into_iter().collect() {
                 rows.push((js[0].app.as_str(), reports));

@@ -242,7 +242,7 @@ pub(super) fn fig10(jobs: &[MatrixJob], results: &[CachedResult]) -> (String, i3
         let pick = heuristic_es(&js[0].app);
         let mut cells = vec![js[0].app.clone()];
         for ((es, job), result) in ES_VALUES.iter().zip(&js[1..]).zip(&rs[1..]) {
-            cells.push(match fails.cell(job, base, result) {
+            cells.push(match fails.cell((&js[0], base), job, result) {
                 Some(rep) if rep.plan.is_some() => {
                     let mark = if pick == Some(*es) { "*" } else { "" };
                     format!("{}{mark}", fmt_pct(cycle_reduction_percent(base, rep)))

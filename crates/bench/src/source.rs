@@ -60,6 +60,14 @@ impl MatrixJob {
         }
     }
 
+    /// Whether `other` runs the same job apart from the technique (and
+    /// label): the precondition for [`regmutex::verdict`]'s occupancy and
+    /// fallback checks.
+    pub fn same_job(&self, other: &MatrixJob) -> bool {
+        let key = |j: &MatrixJob| (j.ctas, j.force_es, j.cycle_budget);
+        self.app == other.app && self.cfg == other.cfg && key(self) == key(other)
+    }
+
     /// Materialize the [`JobSpec`] this job runs as — the same spec the
     /// server builds for the equivalent `/v1/run` body, so local and
     /// remote execution share one content fingerprint.
@@ -167,6 +175,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Only the label and the technique may differ within one job; the
+    /// half register file and a forced `|Es|` make another job.
+    #[test]
+    fn same_job_ignores_only_label_and_technique() {
+        let base = MatrixJob::new("BFS", Technique::Baseline);
+        let rm = MatrixJob {
+            label: "BFS/any".into(),
+            ..MatrixJob::new("BFS", Technique::RegMutex)
+        };
+        assert!(base.same_job(&rm));
+        let half = MatrixJob {
+            cfg: GpuConfig::gtx480_half_rf(),
+            ..rm.clone()
+        };
+        let forced = MatrixJob {
+            force_es: Some(4),
+            ..rm.clone()
+        };
+        let other = MatrixJob::new("SAD", Technique::RegMutex);
+        assert!(![half, forced, other].iter().any(|j| base.same_job(j)));
     }
 
     #[test]

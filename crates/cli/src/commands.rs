@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-use regmutex::{cycle_reduction_percent, Session, Technique, ALL_TECHNIQUES};
+use regmutex::{cycle_reduction_percent, verdict, Session, Technique, ALL_TECHNIQUES};
 use regmutex_bench::chaos::{run_campaign, run_campaign_durable};
 use regmutex_bench::{
     figures, runner::default_jobs, JobExecutor, JobSource, JobSpec, MatrixJob, Runner, ES_VALUES,
@@ -369,10 +369,7 @@ pub fn compare(a: &CompareArgs) -> Result<String, CommandError> {
     for (result, spec) in runner.run_all(&specs).into_iter().zip(&specs) {
         reports.push(result.map_err(|e| CommandError(format!("{}: {e}", spec.label)))?);
     }
-    let base = reports
-        .iter()
-        .find(|r| r.technique == Technique::Baseline)
-        .expect("ALL_TECHNIQUES includes the baseline");
+    let base = &reports[0]; // ALL_TECHNIQUES starts with the baseline
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -388,10 +385,12 @@ pub fn compare(a: &CompareArgs) -> Result<String, CommandError> {
         "technique", "cycles", "reduction", "occupancy", "storage bits"
     );
     for rep in &reports {
-        if rep.stats.checksum != base.stats.checksum {
+        // Every spec is the same job apart from the technique.
+        if let Some(kind) = verdict(base, Ok(rep), true) {
             return Err(CommandError(format!(
-                "{}: functional divergence",
-                rep.technique
+                "{}: {}",
+                rep.technique,
+                kind.describe()
             )));
         }
         let _ = writeln!(

@@ -31,6 +31,7 @@ pub mod manager;
 pub mod paired;
 pub mod runner;
 pub mod storage;
+pub mod verdict;
 
 pub use baselines::owf::OwfManager;
 pub use baselines::rfv::RfvManager;
@@ -40,3 +41,4 @@ pub use runner::{
     cycle_increase_percent, cycle_reduction_percent, ParseTechniqueError, RunError, RunReport,
     Session, Technique, ALL_TECHNIQUES,
 };
+pub use verdict::{verdict, DivergenceKind};

@@ -326,61 +326,38 @@ impl Session {
             run_cfg.policy = SchedulerPolicy::OwnerWarpFirst;
         }
 
+        // OWF's lock is held to the end of the program, so sharing
+        // combined with CTA barriers can form lock/barrier wait cycles
+        // (warp A at its barrier for C; C on a lock held by D; D at its
+        // barrier for B; B on A's lock). Jatala et al. \[7\] handle
+        // synchronization with mechanisms we do not model; our OWF shares
+        // only for barrier-free kernels and runs barrier kernels unshared.
+        let regs = original.regs_per_thread;
+        let owf_shares =
+            regs >= 4 && original.count_ops(|o| matches!(o, regmutex_isa::Op::Bar)) == 0;
+
         // `Send + Sync` so a whole run — factory included — can be handed
         // to a worker thread by parallel harnesses (regmutex-bench runner).
-        let make: Box<dyn Fn() -> Box<dyn RegisterManager> + Send + Sync> = match technique {
-            Technique::Baseline => {
-                let c = cfg.clone();
-                let regs = original.regs_per_thread;
-                Box::new(move || Box::new(StaticManager::new(&c, regs)))
+        // `plan` is `None` for every technique but the RegMutex variants.
+        let c = cfg.clone();
+        let make: Box<dyn Fn() -> Box<dyn RegisterManager> + Send + Sync> = match (technique, plan)
+        {
+            (Technique::RegMutex, Some(p)) => {
+                Box::new(move || Box::new(RegMutexManager::new(&c, &p)))
             }
-            Technique::RegMutex => match plan {
-                Some(p) => {
-                    let c = cfg.clone();
-                    Box::new(move || Box::new(RegMutexManager::new(&c, &p)))
-                }
-                None => {
-                    let c = cfg.clone();
-                    let regs = original.regs_per_thread;
-                    Box::new(move || Box::new(StaticManager::new(&c, regs)))
-                }
-            },
-            Technique::RegMutexPaired => match plan {
-                Some(p) => {
-                    let c = cfg.clone();
-                    Box::new(move || Box::new(PairedWarpsManager::new(&c, &p)))
-                }
-                None => {
-                    let c = cfg.clone();
-                    let regs = original.regs_per_thread;
-                    Box::new(move || Box::new(StaticManager::new(&c, regs)))
-                }
-            },
-            Technique::Rfv => {
-                let c = cfg.clone();
+            (Technique::RegMutexPaired, Some(p)) => {
+                Box::new(move || Box::new(PairedWarpsManager::new(&c, &p)))
+            }
+            (Technique::Rfv, _) => {
                 let dead = Arc::clone(&compiled.dead_after);
-                let regs = original.regs_per_thread;
                 let avg = compiled.avg_live;
                 Box::new(move || Box::new(RfvManager::new(&c, Arc::clone(&dead), regs, avg)))
             }
-            Technique::Owf => {
-                let c = cfg.clone();
-                let regs = original.regs_per_thread;
-                // OWF's lock is held to the end of the program, so sharing
-                // combined with CTA barriers can form lock/barrier wait
-                // cycles (warp A at its barrier for C; C on a lock held by
-                // D; D at its barrier for B; B on A's lock). Jatala et
-                // al. \[7\] handle synchronization with mechanisms we do not
-                // model; our OWF shares only for barrier-free kernels and
-                // runs barrier kernels unshared.
-                let has_barrier = original.count_ops(|o| matches!(o, regmutex_isa::Op::Bar)) > 0;
-                if regs >= 4 && !has_barrier {
-                    let t = OwfManager::choose_threshold(&c, regs);
-                    Box::new(move || Box::new(OwfManager::new(&c, regs, t)))
-                } else {
-                    Box::new(move || Box::new(StaticManager::new(&c, regs)))
-                }
+            (Technique::Owf, _) if owf_shares => {
+                let t = OwfManager::choose_threshold(&c, regs);
+                Box::new(move || Box::new(OwfManager::new(&c, regs, t)))
             }
+            _ => Box::new(move || Box::new(StaticManager::new(&c, regs))),
         };
 
         let probe = make();
@@ -401,16 +378,12 @@ impl Session {
                 let per_warp = (compiled.avg_live.ceil() as u32 + 2).max(1);
                 cta_granular_warps(cfg, res, cfg.reg_rows_per_sm() / per_warp, wpc)
             }
-            Technique::Owf => {
-                let regs = u32::from(original.regs_per_thread);
-                let has_barrier = original.count_ops(|o| matches!(o, regmutex_isa::Op::Bar)) > 0;
-                if regs >= 4 && !has_barrier {
-                    let t = u32::from(OwfManager::choose_threshold(cfg, original.regs_per_thread));
-                    cta_granular_warps(cfg, res, (cfg.reg_rows_per_sm() / (regs + t)) * 2, wpc)
-                } else {
-                    baseline_occ.warps
-                }
+            Technique::Owf if owf_shares => {
+                let t = u32::from(OwfManager::choose_threshold(cfg, regs));
+                let per_pair = u32::from(regs) + t;
+                cta_granular_warps(cfg, res, (cfg.reg_rows_per_sm() / per_pair) * 2, wpc)
             }
+            Technique::Owf => baseline_occ.warps,
         };
         drop(probe);
 

@@ -112,8 +112,9 @@ fn shard_range(iters: u64, shards: u64, shard: u64) -> (u64, u64) {
 
 /// Dispatch one shard with failover: attempt `a` goes to worker
 /// `(shard + a) % n`, so consecutive attempts walk the whole fleet before
-/// giving up, and a healthy fleet spreads shards round-robin. Returns the
-/// shard's attribution and the worker's report.
+/// giving up, and a healthy fleet spreads shards round-robin. A 400 fails
+/// the shard at once: the body is refused, and every worker would refuse
+/// it alike. Returns the shard's attribution and the worker's report.
 fn run_shard(
     workers: &[String],
     cfg: &CampaignConfig,
@@ -137,6 +138,12 @@ fn run_shard(
                 Ok(report) => return Ok(((start, count, worker, attempt + 1), report)),
                 Err(e) => format!("worker {addr}: {e}"),
             },
+            Ok(resp) if resp.status == 400 => {
+                let why = String::from_utf8_lossy(&resp.body);
+                return Err(format!(
+                    "shard {shard} refused by worker {addr}: HTTP 400 {why}"
+                ));
+            }
             Ok(resp) => format!(
                 "worker {addr}: HTTP {} {}",
                 resp.status,
@@ -198,6 +205,7 @@ mod tests {
     use regmutex_fuzz::{
         Artifact, CampaignStats, Divergence, DivergenceKind, Expectation, FoundDivergence,
     };
+    use regmutex_server::http::{encode_response, parse_request_buf, Limits, Request, Response};
     use regmutex_server::wire::{campaign_from_json, fuzz_report_to_json};
 
     /// A clean report over `cfg`'s whole range, as a worker would send it.
@@ -272,13 +280,26 @@ mod tests {
         assert!(decode_shard(b"{}", &cfg).is_err());
     }
 
+    /// One whole request read off a stub worker's connection.
+    fn read_request(stream: &mut std::net::TcpStream) -> Request {
+        use std::io::Read;
+        let mut buf = Vec::new();
+        loop {
+            let mut chunk = [0u8; 4096];
+            let n = stream.read(&mut chunk).unwrap();
+            buf.extend_from_slice(&chunk[..n]);
+            if let Some((req, _)) = parse_request_buf(&buf, &Limits::default()).unwrap() {
+                return req;
+            }
+        }
+    }
+
     /// Two stub workers, each of which answers its `/v1/fuzz` shard only
     /// once both shards have arrived: a fan-out that ran its shards one
     /// after another would time out on the first.
     #[test]
     fn shards_run_concurrently() {
-        use regmutex_server::http::{encode_response, parse_request_buf, Limits, Response};
-        use std::io::{Read, Write};
+        use std::io::Write;
         use std::net::TcpListener;
         use std::sync::{Arc, Barrier};
 
@@ -290,16 +311,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     let (mut stream, _) = listener.accept().unwrap();
-                    let mut buf = Vec::new();
-                    let req = loop {
-                        let mut chunk = [0u8; 4096];
-                        let n = stream.read(&mut chunk).unwrap();
-                        buf.extend_from_slice(&chunk[..n]);
-                        if let Some((req, _)) = parse_request_buf(&buf, &Limits::default()).unwrap()
-                        {
-                            break req;
-                        }
-                    };
+                    let req = read_request(&mut stream);
                     barrier.wait();
                     let body = json::parse(core::str::from_utf8(&req.body).unwrap()).unwrap();
                     let (cfg, _) = campaign_from_json(&body).unwrap();
@@ -317,6 +329,33 @@ mod tests {
         let (report, shards) = run_fuzz_fanout(&workers, &cfg).expect("both shards answered");
         assert_eq!((report.stats.kernels, report.stats.runs), (10, 50));
         assert_eq!(shards, [(0, 5, 0, 1), (5, 5, 1, 1)]);
+    }
+
+    /// A 400 depends only on the body, so the shard fails on the first
+    /// one with the worker's message instead of trying every worker.
+    #[test]
+    fn a_refused_shard_fails_at_once() {
+        use std::io::Write;
+        use std::net::TcpListener;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let workers = [listener.local_addr().unwrap().to_string()];
+        let requests = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&requests);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let mut stream = stream.unwrap();
+                read_request(&mut stream);
+                seen.fetch_add(1, Ordering::SeqCst);
+                let resp = Response::json(400, r#"{"error":"stub refuses 'seed'"}"#);
+                stream.write_all(&encode_response(&resp, false)).unwrap();
+            }
+        });
+        let err = run_fuzz_fanout(&workers, &CampaignConfig::default()).unwrap_err();
+        assert!(err.contains("stub refuses 'seed'"), "{err}");
+        assert_eq!(requests.load(Ordering::SeqCst), 1, "{err}");
     }
 
     #[test]

@@ -23,7 +23,8 @@ use crate::gen::{generate, Generated};
 use crate::journal::{FuzzJournal, KernelRecord};
 use crate::minimize::minimize;
 use crate::oracle::{
-    escalate, evaluate, run_local, specs_over, Divergence, OracleConfig, Outcome, PlantedFault,
+    escalate, evaluate, probe, run_local, specs_over, Divergence, OracleConfig, Outcome,
+    PlantedFault,
 };
 use crate::trace::trace_to_text;
 
@@ -266,14 +267,11 @@ fn shrink_divergence(
 ) -> FoundDivergence {
     let seed = g.seed;
     let (technique, kind) = (d.technique, d.kind);
-    let same = |o: &Outcome| match o {
-        Outcome::Divergence(x) => x.technique == technique && x.kind == kind,
-        Outcome::Agreement { .. } => false,
-    };
     let (final_g, steps, tests) = if cfg.minimize {
         let (pair, fault) = ([Technique::Baseline, technique], cfg.fault.as_ref());
         let min = minimize(seed, &g.trace, cfg.minimize_tests, |cand| {
-            same(&run_local(cand, runner, &cfg.oracle, &pair, fault))
+            let outcome = probe(cand, runner, &cfg.oracle, &pair, fault, String::new);
+            matches!(outcome, Outcome::Divergence(x) if x.technique == technique && x.kind == kind)
         });
         (min.generated, min.steps, min.tests)
     } else {

@@ -16,11 +16,9 @@
 //!   branch divergence. Every `(seed, trace)` pair maps to a valid
 //!   kernel by construction.
 //! - [`oracle`] — runs one generated kernel through every
-//!   [`regmutex::Technique`] and checks differential invariants:
-//!   checksum agreement, an occupancy floor for the RegMutex variants,
-//!   and verdict symmetry (with two *blessed* asymmetries: watchdog
-//!   escalation and verifier-rejected fallback, which must match
-//!   baseline exactly).
+//!   [`regmutex::Technique`] and judges each against the baseline with
+//!   [`regmutex::verdict`], re-running watchdog expiries at a larger
+//!   budget first.
 //! - [`minimize`] — delta debugging over the decision trace (never the
 //!   instruction list), producing small replayable [`artifact`]s.
 //!

@@ -1,25 +1,17 @@
 //! The differential cross-technique oracle.
 //!
-//! Every generated kernel runs under all five [`Technique`]s; the paper's
-//! correctness contract (§4: register time-sharing may change occupancy
-//! and latency, never results) becomes three machine-checked invariants:
-//!
-//! 1. **Checksum agreement** — every technique's store checksum equals the
-//!    baseline's.
-//! 2. **Occupancy floor** — RegMutex and RegMutexPaired never report a
-//!    *theoretical* occupancy below baseline (the whole point of sharing;
-//!    RFV/OWF are related-work baselines whose storage overhead may
-//!    legitimately cost a warp and are exempt — see DESIGN.md §9).
-//! 3. **Verdict symmetry** — a technique may not deadlock or trip the
-//!    safety net when the baseline completes. Two asymmetries are
-//!    *blessed*: (a) a watchdog expiry that disappears under an escalated
-//!    cycle budget and then agrees on the checksum (slower-by-design, not
-//!    wrong), and (b) the static verifier rejecting every `|Es|` candidate
-//!    — then the pipeline fell back to the untouched kernel
-//!    ([`FallbackClass`]) and the technique must match the baseline
-//!    *exactly*, stat for stat.
+//! Every generated kernel runs under all five [`Technique`]s as one job
+//! apart from the technique, so [`regmutex::verdict`] holds each to all
+//! four invariants against the baseline (DESIGN.md §9): verdict symmetry,
+//! checksum agreement, the occupancy floor (RegMutex and RegMutexPaired)
+//! and fallback identity (a RegMutex run without a plan, whatever its
+//! [`FallbackClass`], must match the baseline stat for stat). The oracle
+//! adds the one step that needs a runner: a watchdog expiry is re-run at
+//! `escalate_factor` times the cycle budget and the re-run is judged
+//! instead (slower by design is not wrong).
 
-use regmutex::{RunError, Technique, ALL_TECHNIQUES};
+pub use regmutex::DivergenceKind;
+use regmutex::{verdict, RunError, Technique, ALL_TECHNIQUES};
 use regmutex_bench::runner::FaultSpec;
 use regmutex_bench::{CachedResult, JobSpec, Runner};
 use regmutex_compiler::{compile, CompileOptions, FallbackClass};
@@ -72,44 +64,6 @@ pub struct Divergence {
     pub detail: String,
 }
 
-/// The oracle's invariant classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DivergenceKind {
-    /// Store checksums disagree with baseline.
-    Checksum,
-    /// Theoretical occupancy fell below baseline.
-    Occupancy,
-    /// Error/verdict asymmetry not blessed by escalation or fallback.
-    Verdict,
-    /// Verifier-blessed fallback ran, but stats differ from baseline.
-    Fallback,
-}
-
-impl DivergenceKind {
-    /// Stable artifact-format name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DivergenceKind::Checksum => "checksum",
-            DivergenceKind::Occupancy => "occupancy",
-            DivergenceKind::Verdict => "verdict",
-            DivergenceKind::Fallback => "fallback",
-        }
-    }
-
-    /// Parse an artifact-format name.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "checksum" => Ok(DivergenceKind::Checksum),
-            "occupancy" => Ok(DivergenceKind::Occupancy),
-            "verdict" => Ok(DivergenceKind::Verdict),
-            "fallback" => Ok(DivergenceKind::Fallback),
-            other => Err(format!(
-                "unknown divergence kind '{other}' (expected checksum|occupancy|verdict|fallback)"
-            )),
-        }
-    }
-}
-
 /// The GPU config a generated kernel runs under.
 pub fn config_for(g: &Generated) -> GpuConfig {
     if g.half_rf {
@@ -160,9 +114,7 @@ pub(crate) fn specs_over(
 
 /// Run `techniques` (baseline first) of one kernel on `runner`, with
 /// `fault` planted if given, and evaluate the invariants. With
-/// [`ALL_TECHNIQUES`] this is the full check; `[Baseline, t]` is the cheap
-/// probe the minimizer re-evaluates hundreds of times (two simulations,
-/// and the baseline is usually a cache hit).
+/// [`ALL_TECHNIQUES`] this is the full check.
 pub fn run_local(
     g: &Generated,
     runner: &Runner,
@@ -170,8 +122,23 @@ pub fn run_local(
     techniques: &[Technique],
     fault: Option<&PlantedFault>,
 ) -> Outcome {
+    probe(g, runner, oc, techniques, fault, || fallback_note(g))
+}
+
+/// [`run_local`] with `note` in place of the kernel's fallback class.
+/// `[Baseline, t]` with a `note` that renders nothing is the cheap probe
+/// the minimizer re-evaluates hundreds of times: it reads only the
+/// technique and kind, so it compiles nothing outside the runner.
+pub(crate) fn probe(
+    g: &Generated,
+    runner: &Runner,
+    oc: &OracleConfig,
+    techniques: &[Technique],
+    fault: Option<&PlantedFault>,
+    note: impl Fn() -> String,
+) -> Outcome {
     let results = runner.run_all(&specs_over(g, oc, techniques, fault));
-    evaluate_over(g, techniques, &results, oc, |t| {
+    evaluate_over(techniques, &results, oc, note, |t| {
         escalate(g, runner, oc, t, fault)
     })
 }
@@ -200,127 +167,85 @@ pub fn evaluate(
     oc: &OracleConfig,
     escalate: impl FnMut(Technique) -> CachedResult,
 ) -> Outcome {
-    evaluate_over(g, &ALL_TECHNIQUES, results, oc, escalate)
+    evaluate_over(&ALL_TECHNIQUES, results, oc, || fallback_note(g), escalate)
 }
 
-/// [`evaluate`] over an arbitrary technique subset (baseline first).
+/// [`evaluate`] over `techniques` (baseline first): each result is judged
+/// against the baseline's by [`verdict`], after the one step that needs a
+/// runner — a watchdog-expired row is re-run under the escalated budget
+/// and that run is judged instead. `note` renders the kernel's fallback
+/// class into a verdict or fallback divergence's detail.
 fn evaluate_over(
-    g: &Generated,
     techniques: &[Technique],
     results: &[CachedResult],
     oc: &OracleConfig,
+    note: impl Fn() -> String,
     mut escalate: impl FnMut(Technique) -> CachedResult,
 ) -> Outcome {
     assert_eq!(results.len(), techniques.len());
     assert_eq!(techniques.first(), Some(&Technique::Baseline));
     let mut escalations = 0u32;
-
-    // Resolve the baseline row, escalating a watchdog expiry once.
-    let base = match &results[0] {
-        Ok(rep) => rep.clone(),
-        Err(e) if is_watchdog(e) => {
+    let mut settle = |t: Technique, result: &CachedResult| match result {
+        Err(RunError::Sim(SimError::WatchdogExpired { .. })) => {
             escalations += 1;
-            match escalate(Technique::Baseline) {
-                Ok(rep) => rep,
-                Err(e) => {
-                    return diverge(
-                        Technique::Baseline,
-                        DivergenceKind::Verdict,
-                        format!("baseline failed even at the escalated budget: {e}"),
-                    )
-                }
-            }
+            (Some(escalate(t)), true)
         }
-        Err(e) => {
-            return diverge(
-                Technique::Baseline,
-                DivergenceKind::Verdict,
-                format!("baseline failed: {e}"),
-            )
-        }
+        _ => (None, false),
     };
 
-    for (t, res) in techniques.iter().zip(results).skip(1) {
-        let rep = match res {
-            Ok(rep) => rep.clone(),
-            Err(e) if is_watchdog(e) => {
-                // Blessed asymmetry candidate: slower-by-design. Re-run
-                // with headroom; it must then complete *and* agree.
-                escalations += 1;
-                match escalate(*t) {
-                    Ok(rep) => rep,
-                    Err(e) => {
-                        return diverge(
-                            *t,
-                            DivergenceKind::Verdict,
-                            format!(
-                                "still failing at {}x the cycle budget: {e}",
-                                oc.escalate_factor
-                            ),
-                        )
-                    }
-                }
-            }
-            Err(e) => {
-                return diverge(
-                    *t,
-                    DivergenceKind::Verdict,
-                    format!(
-                        "baseline completed but {t} failed ({}): {e}",
-                        fallback_note(g)
-                    ),
-                )
-            }
+    let (rerun, escalated) = settle(Technique::Baseline, &results[0]);
+    let base = match rerun.as_ref().unwrap_or(&results[0]) {
+        Ok(base) => base,
+        Err(e) => {
+            let at = if escalated {
+                " even at the escalated budget"
+            } else {
+                ""
+            };
+            let detail = format!("baseline failed{at}: {e}");
+            return diverge(Technique::Baseline, DivergenceKind::Verdict, detail);
+        }
+    };
+    for (&t, result) in techniques.iter().zip(results).skip(1) {
+        let (rerun, escalated) = settle(t, result);
+        let run = rerun.as_ref().unwrap_or(result);
+        // Every spec of a kernel is the same job apart from the technique
+        // (an escalation raises only the watchdog's budget).
+        let Some(kind) = verdict(base, run.as_ref(), true) else {
+            continue;
         };
-
-        if rep.stats.checksum != base.stats.checksum {
-            return diverge(
-                *t,
-                DivergenceKind::Checksum,
-                format!(
-                    "checksum {:#018x} != baseline {:#018x}",
-                    rep.stats.checksum, base.stats.checksum
-                ),
-            );
-        }
-        if matches!(t, Technique::RegMutex | Technique::RegMutexPaired)
-            && rep.theoretical_occupancy_warps < base.theoretical_occupancy_warps
-        {
-            return diverge(
-                *t,
-                DivergenceKind::Occupancy,
-                format!(
-                    "theoretical occupancy {} warps < baseline {}",
-                    rep.theoretical_occupancy_warps, base.theoretical_occupancy_warps
-                ),
-            );
-        }
-        // Verifier-blessed fallback: when no |Es| candidate survived, the
-        // technique ran the untouched kernel on the static manager and
-        // must be indistinguishable from baseline, stat for stat — except
-        // the loop's own accounting of itself (`skipped_cycles`,
-        // `step_calls`): the fault injector inhibits fast-forwarding, so
-        // those differ between a faulted and a clean run even when the
-        // fault never architecturally fires (same normalization as the
-        // bench-loop skip-vs-tick cross-check).
-        if *t == Technique::RegMutex
-            && rep.plan.is_none()
-            && rep.stats.architectural() != base.stats.architectural()
-        {
-            return diverge(
-                *t,
-                DivergenceKind::Fallback,
-                format!(
-                    "untransformed ({}) yet stats differ from baseline: \
-                     {} vs {} cycles",
-                    fallback_note(g),
-                    rep.stats.cycles,
-                    base.stats.cycles
-                ),
-            );
-        }
+        let detail = match (run, kind) {
+            (Err(e), _) if escalated => format!(
+                "still failing at {}x the cycle budget: {e}",
+                oc.escalate_factor
+            ),
+            (Err(e), _) => format!("baseline completed but {t} failed ({}): {e}", note()),
+            (Ok(r), DivergenceKind::Checksum) => format!(
+                "checksum {:#018x} != baseline {:#018x}",
+                r.stats.checksum, base.stats.checksum
+            ),
+            (Ok(r), DivergenceKind::Occupancy) => format!(
+                "theoretical occupancy {} warps < baseline {}",
+                r.theoretical_occupancy_warps, base.theoretical_occupancy_warps
+            ),
+            (Ok(r), _) => format!(
+                "untransformed ({}) yet stats differ from baseline: {} vs {} cycles",
+                note(),
+                r.stats.cycles,
+                base.stats.cycles
+            ),
+        };
+        return diverge(t, kind, detail);
     }
     Outcome::Agreement { escalations }
+}
+
+fn diverge(technique: Technique, kind: DivergenceKind, detail: String) -> Outcome {
+    Outcome::Divergence(Divergence {
+        technique,
+        kind,
+        detail,
+    })
 }
 
 /// A deliberately-broken register manager: which fault class corrupts
@@ -337,38 +262,23 @@ pub struct PlantedFault {
     pub technique: Technique,
 }
 
-fn diverge(technique: Technique, kind: DivergenceKind, detail: String) -> Outcome {
-    Outcome::Divergence(Divergence {
-        technique,
-        kind,
-        detail,
-    })
-}
-
-fn is_watchdog(e: &RunError) -> bool {
-    matches!(e, RunError::Sim(SimError::WatchdogExpired { .. }))
-}
-
-/// The static verifier's "expected rejection" classification for this
-/// kernel, rendered for divergence details ("applied es=6" /
-/// "fallback: verifier rejected every candidate").
+/// The compiler's classification of this kernel, rendered for divergence
+/// details ("transform applied, es=6" / "fallback: not register-limited").
 fn fallback_note(g: &Generated) -> String {
-    let cfg = config_for(g);
-    match compile(&g.kernel, &cfg, &CompileOptions::default()) {
-        Ok(c) => match c.fallback() {
-            None => match c.plan {
-                Some(p) => format!("transform applied, es={}", p.es),
-                None => "transform applied".to_string(),
-            },
-            Some(FallbackClass::NotRegisterLimited) => "fallback: not register-limited".to_string(),
-            Some(FallbackClass::NoViableCandidate) => {
-                "fallback: no viable |Es| candidate".to_string()
-            }
-            Some(FallbackClass::RegionFormation) => "fallback: region formation failed".to_string(),
-            Some(FallbackClass::VerificationFailed) => {
-                "fallback: static verifier rejected every candidate".to_string()
-            }
-        },
-        Err(e) => format!("kernel failed validation: {e}"),
-    }
+    let compiled = match compile(&g.kernel, &config_for(g), &CompileOptions::default()) {
+        Ok(c) => c,
+        Err(e) => return format!("kernel failed validation: {e}"),
+    };
+    let why = match compiled.fallback() {
+        None => {
+            return compiled.plan.map_or("transform applied".into(), |p| {
+                format!("transform applied, es={}", p.es)
+            })
+        }
+        Some(FallbackClass::NotRegisterLimited) => "not register-limited",
+        Some(FallbackClass::NoViableCandidate) => "no viable |Es| candidate",
+        Some(FallbackClass::RegionFormation) => "region formation failed",
+        Some(FallbackClass::VerificationFailed) => "static verifier rejected every candidate",
+    };
+    format!("fallback: {why}")
 }

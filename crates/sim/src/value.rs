@@ -18,9 +18,9 @@ use regmutex_isa::{mix, Instr, Op};
 ///
 /// Opcode identity is folded in so that different operations produce
 /// different results, but the function is intentionally *not* real
-/// arithmetic: it is a collision-resistant fingerprint of the dataflow. `Mov`
-/// and `MovImm` are exact (identity / constant) because the compaction pass
-/// relies on moves preserving values.
+/// arithmetic: it is a 64-bit fingerprint of the dataflow, not a
+/// collision-resistant one. `Mov` and `MovImm` are exact (identity /
+/// constant) because the compaction pass relies on moves preserving values.
 pub fn eval(instr: &Instr, srcs: &[u64]) -> u64 {
     match instr.op {
         Op::Mov => srcs[0],
@@ -89,7 +89,10 @@ pub fn fold_store(checksum: u64, addr: u64, value: u64) -> u64 {
     checksum ^ mix(addr, value)
 }
 
-/// Combine warp checksums into a kernel checksum (order-independent).
+/// Combine warp checksums into a kernel checksum (order-independent). An
+/// even number of identical warp checksums cancels out: the warp's
+/// identity is not folded in, so a change that hits every warp alike can
+/// leave the kernel checksum as it was.
 pub fn combine_checksums(acc: u64, warp_checksum: u64) -> u64 {
     acc ^ mix(warp_checksum, 0x5EED_0FAC_ADE5_0001)
 }

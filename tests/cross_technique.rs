@@ -4,7 +4,7 @@
 
 use regmutex_repro::prelude::*;
 
-use regmutex::{cycle_reduction_percent, ALL_TECHNIQUES};
+use regmutex::{cycle_reduction_percent, verdict, RunReport, ALL_TECHNIQUES};
 use regmutex_sim::LaunchConfig;
 
 /// Reduced grids keep debug-mode runtime reasonable while still spanning
@@ -19,19 +19,17 @@ fn all_workloads_all_techniques_agree_functionally() {
         let session = Session::new(w.table_config());
         let compiled = session.compile(&w.kernel).expect("compile");
         let launch = reduced_launch(&w);
-        let mut reference: Option<u64> = None;
+        let mut reference: Option<RunReport> = None;
         for t in ALL_TECHNIQUES {
             let rep = session
                 .run_compiled(&compiled, launch, t)
                 .unwrap_or_else(|e| panic!("{} under {t}: {e}", w.name));
             assert!(rep.cycles() > 0, "{} under {t}: zero cycles", w.name);
-            match reference {
-                None => reference = Some(rep.stats.checksum),
-                Some(c) => assert_eq!(
-                    c, rep.stats.checksum,
-                    "{} under {t}: functional divergence",
-                    w.name
-                ),
+            match &reference {
+                None => reference = Some(rep),
+                Some(base) => {
+                    assert_eq!(verdict(base, Ok(&rep), true), None, "{} under {t}", w.name)
+                }
             }
         }
     }

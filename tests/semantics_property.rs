@@ -6,7 +6,7 @@
 //! failure message names that seed: `regmutex_fuzz::generate(seed)`
 //! replays the case exactly and `regmutex_fuzz::minimize` can shrink it.
 
-use regmutex::{Session, Technique};
+use regmutex::{verdict, Session, Technique};
 use regmutex_compiler::CompileOptions;
 use regmutex_fuzz::{generate, oracle::config_for, Generated};
 use regmutex_sim::LaunchConfig;
@@ -72,7 +72,8 @@ fn all_techniques_agree() {
                 .run_compiled(&compiled, launch, t)
                 .unwrap_or_else(|e| panic!("generate({seed:#x}) {t}: {e}"));
             assert_eq!(
-                baseline.stats.checksum, rep.stats.checksum,
+                verdict(&baseline, Ok(&rep), true),
+                None,
                 "generate({seed:#x}): {t} diverged"
             );
         }
