@@ -182,7 +182,11 @@ impl Failures {
     }
 
     /// The batch cut into rows of `n` jobs, as `(app, reports)`, leaving
-    /// out each row in which a job failed or diverged from the row's first.
+    /// out each row in which a job failed or diverged from its reference:
+    /// the nearest earlier Baseline run of the same job in the row, else
+    /// the row's first job. So in a paired table each pair's second is held
+    /// to every invariant against the baseline beside it, and each later
+    /// baseline still computes the row's first job's result.
     fn rows<'r>(
         &mut self,
         jobs: &'r [MatrixJob],
@@ -191,13 +195,28 @@ impl Failures {
     ) -> Vec<(&'r str, Vec<&'r RunReport>)> {
         let mut rows = Vec::new();
         for (js, rs) in jobs.chunks(n).zip(results.chunks(n)) {
-            let Some(Ok(reference)) = rs.first() else {
+            let Some(Ok(first)) = rs.first() else {
                 continue;
             };
             let cells: Vec<_> = js
                 .iter()
                 .zip(rs)
-                .map(|(job, result)| self.cell((&js[0], reference), job, result))
+                .enumerate()
+                .map(|(i, (job, result))| {
+                    let reference = (0..i)
+                        .rev()
+                        .find_map(|r| match &rs[r] {
+                            Ok(rep)
+                                if js[r].technique == Technique::Baseline
+                                    && js[r].same_job(job) =>
+                            {
+                                Some((&js[r], rep))
+                            }
+                            _ => None,
+                        })
+                        .unwrap_or((&js[0], first));
+                    self.cell(reference, job, result)
+                })
                 .collect();
             if let Some(reports) = cells.into_iter().collect() {
                 rows.push((js[0].app.as_str(), reports));
@@ -290,6 +309,42 @@ mod tests {
         }
         let (text, code) = source.render(&jobs, &results);
         assert_eq!(code, 3);
+        assert!(text.contains("functional divergence"), "{text}");
+    }
+
+    /// In a paired table every pair's RegMutex run is judged against the
+    /// baseline beside it, the same job under another technique, so a
+    /// later pair is held to the occupancy floor as the first is; every
+    /// later baseline is judged against the row's first job.
+    #[test]
+    fn paired_tables_judge_each_pair_against_its_own_baseline() {
+        let source = by_name("ablation_scheduler").expect("the scheduler ablation is in the table");
+        // One app's row: (GTO baseline, GTO RegMutex, LRR baseline, LRR RegMutex).
+        let jobs: Vec<MatrixJob> = source.jobs().into_iter().take(4).collect();
+        let runner = Runner::new(crate::runner::default_jobs());
+        let mut results = runner.execute(&jobs).unwrap();
+        assert_eq!(source.render(&jobs, &results).1, 0);
+        // The second pair's RegMutex run loses occupancy against its own
+        // baseline; its checksum still matches the row's first job.
+        if let Ok(r) = &mut results[3] {
+            r.theoretical_occupancy_warps = 0;
+        }
+        let (text, code) = source.render(&jobs, &results);
+        assert_eq!(code, 3, "{text}");
+        assert!(text.contains(&jobs[3].label), "{text}");
+        assert!(
+            text.contains("theoretical occupancy below the baseline"),
+            "{text}"
+        );
+        // The second pair computes the same wrong result under both
+        // techniques: its baseline is still held to the row's first job.
+        let mut results = runner.execute(&jobs).unwrap();
+        for r in results[2..].iter_mut().flatten() {
+            r.stats.checksum ^= 0xdead_beef;
+        }
+        let (text, code) = source.render(&jobs, &results);
+        assert_eq!(code, 3, "{text}");
+        assert!(text.contains(&jobs[2].label), "{text}");
         assert!(text.contains("functional divergence"), "{text}");
     }
 }

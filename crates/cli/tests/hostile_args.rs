@@ -148,3 +148,21 @@ fn coordinator_refuses_a_figure_the_wire_cannot_carry_before_contacting_a_worker
         "a worker was contacted"
     );
 }
+
+/// A kernel no CTA of which fits an SM is a command error at launch that
+/// names the CTA's register demand and the SM's register rows, not a
+/// deadlock verdict after the no-progress detector's bound.
+#[test]
+fn compare_refuses_a_kernel_whose_cta_fits_no_sm() {
+    let (code, stderr) = run("compare DWT2D --half-rf");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: DWT2D/baseline: ") && stderr.contains("no CTA fits"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("a CTA needs 572 register rows under static allocation, the SM has 512"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("deadlock"), "{stderr}");
+}

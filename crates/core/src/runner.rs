@@ -8,8 +8,8 @@ use regmutex_isa::{Kernel, ValidateKernelError};
 use regmutex_sim::fault::{FaultLog, FaultPlan};
 use regmutex_sim::manager::RegisterManager;
 use regmutex_sim::{
-    occupancy, run_kernel, GpuConfig, KernelResources, LaunchConfig, SchedulerPolicy, SimError,
-    SimStats, StaticManager,
+    occupancy, run_kernel, run_kernel_faulted, run_kernel_traced, GpuConfig, KernelResources,
+    LaunchConfig, SchedulerPolicy, SimError, SimStats, StaticManager, TraceEvent,
 };
 
 use crate::baselines::owf::OwfManager;
@@ -292,7 +292,7 @@ impl Session {
         compiled: &CompiledKernel,
         launch: LaunchConfig,
         technique: Technique,
-    ) -> Result<(RunReport, Vec<regmutex_sim::TraceEvent>), RunError> {
+    ) -> Result<(RunReport, Vec<TraceEvent>), RunError> {
         self.run_compiled_inner(compiled, launch, technique, true, None)
     }
 
@@ -303,7 +303,7 @@ impl Session {
         technique: Technique,
         traced: bool,
         faults: Option<(&FaultPlan, Arc<FaultLog>)>,
-    ) -> Result<(RunReport, Vec<regmutex_sim::TraceEvent>), RunError> {
+    ) -> Result<(RunReport, Vec<TraceEvent>), RunError> {
         let cfg = &self.cfg;
         let original = &compiled.original;
         let res = KernelResources::new(
@@ -336,32 +336,33 @@ impl Session {
         let owf_shares =
             regs >= 4 && original.count_ops(|o| matches!(o, regmutex_isa::Op::Bar)) == 0;
 
-        // `Send + Sync` so a whole run — factory included — can be handed
-        // to a worker thread by parallel harnesses (regmutex-bench runner).
-        // `plan` is `None` for every technique but the RegMutex variants.
+        // Each technique runs its own manager type, so the step loop is
+        // compiled once per manager with static dispatch. `plan` is `None`
+        // for every technique but the RegMutex variants.
         let c = cfg.clone();
-        let make: Box<dyn Fn() -> Box<dyn RegisterManager> + Send + Sync> = match (technique, plan)
-        {
-            (Technique::RegMutex, Some(p)) => {
-                Box::new(move || Box::new(RegMutexManager::new(&c, &p)))
-            }
+        let sim = Simulation {
+            cfg: &run_cfg,
+            kernel: kernel_to_run,
+            launch,
+            traced,
+            faults,
+        };
+        let (stats, trace, storage_bits) = match (technique, plan) {
+            (Technique::RegMutex, Some(p)) => sim.run(move || RegMutexManager::new(&c, &p)),
             (Technique::RegMutexPaired, Some(p)) => {
-                Box::new(move || Box::new(PairedWarpsManager::new(&c, &p)))
+                sim.run(move || PairedWarpsManager::new(&c, &p))
             }
             (Technique::Rfv, _) => {
                 let dead = Arc::clone(&compiled.dead_after);
                 let avg = compiled.avg_live;
-                Box::new(move || Box::new(RfvManager::new(&c, Arc::clone(&dead), regs, avg)))
+                sim.run(move || RfvManager::new(&c, Arc::clone(&dead), regs, avg))
             }
             (Technique::Owf, _) if owf_shares => {
                 let t = OwfManager::choose_threshold(&c, regs);
-                Box::new(move || Box::new(OwfManager::new(&c, regs, t)))
+                sim.run(move || OwfManager::new(&c, regs, t))
             }
-            _ => Box::new(move || Box::new(StaticManager::new(&c, regs))),
-        };
-
-        let probe = make();
-        let storage_bits = probe.storage_overhead_bits();
+            _ => sim.run(move || StaticManager::new(&c, regs)),
+        }?;
         let theoretical = match technique {
             Technique::Baseline => baseline_occ.warps,
             Technique::RegMutex => plan
@@ -385,28 +386,6 @@ impl Session {
             }
             Technique::Owf => baseline_occ.warps,
         };
-        drop(probe);
-
-        let (stats, trace) = if let Some((plan, log)) = faults {
-            (
-                regmutex_sim::run_kernel_faulted(
-                    &run_cfg,
-                    kernel_to_run,
-                    launch,
-                    |_| make(),
-                    plan,
-                    log,
-                )?,
-                Vec::new(),
-            )
-        } else if traced {
-            regmutex_sim::run_kernel_traced(&run_cfg, kernel_to_run, launch, |_| make())?
-        } else {
-            (
-                run_kernel(&run_cfg, kernel_to_run, launch, |_| make())?,
-                Vec::new(),
-            )
-        };
 
         Ok((
             RunReport {
@@ -423,6 +402,41 @@ impl Session {
             },
             trace,
         ))
+    }
+}
+
+/// One simulation, waiting for the manager type it runs with.
+struct Simulation<'a> {
+    cfg: &'a GpuConfig,
+    kernel: &'a Kernel,
+    launch: LaunchConfig,
+    traced: bool,
+    faults: Option<(&'a FaultPlan, Arc<FaultLog>)>,
+}
+
+impl Simulation<'_> {
+    /// Run with a manager from `make` on every SM: statically dispatched,
+    /// except that fault injection and tracing run the same loop over
+    /// `Box<dyn RegisterManager>`. Returns the stats, the trace (empty
+    /// unless traced) and the technique's storage overhead in bits.
+    fn run<M: RegisterManager + 'static>(
+        self,
+        make: impl Fn() -> M + Send + Sync,
+    ) -> Result<(SimStats, Vec<TraceEvent>, u64), SimError> {
+        let storage_bits = make().storage_overhead_bits();
+        let boxed = |_| -> Box<dyn RegisterManager> { Box::new(make()) };
+        let (stats, trace) = match self.faults {
+            Some((plan, log)) => (
+                run_kernel_faulted(self.cfg, self.kernel, self.launch, boxed, plan, log)?,
+                Vec::new(),
+            ),
+            None if self.traced => run_kernel_traced(self.cfg, self.kernel, self.launch, boxed)?,
+            None => (
+                run_kernel(self.cfg, self.kernel, self.launch, |_| Box::new(make()))?,
+                Vec::new(),
+            ),
+        };
+        Ok((stats, trace, storage_bits))
     }
 }
 

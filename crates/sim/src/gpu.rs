@@ -7,7 +7,7 @@ use regmutex_isa::{ArchReg, CtaId, Kernel, ValidateKernelError, WarpId};
 use crate::config::{GpuConfig, LaunchConfig};
 use crate::fault::{FaultInjector, FaultLog, FaultPlan};
 use crate::manager::{LedgerViolation as Violation, RegisterManager};
-use crate::sm::{IssueFault, KernelImage, Sm};
+use crate::sm::{IssueFault, KernelImage, Shortfall, Sm};
 use crate::stats::SimStats;
 
 /// Fatal simulation errors.
@@ -67,6 +67,14 @@ pub enum SimError {
         /// Cycle at which the missing mapping was caught.
         cycle: u64,
     },
+    /// Not one CTA fits an empty SM, so the kernel can never start
+    /// (checked at launch, on the first cycle).
+    NoCtaFits {
+        /// Technique name of the refusing manager.
+        manager: &'static str,
+        /// The resource one CTA needs more of than an SM has, if any.
+        short: Option<Shortfall>,
+    },
 }
 
 impl core::fmt::Display for SimError {
@@ -108,6 +116,14 @@ impl core::fmt::Display for SimError {
                 f,
                 "{manager}: no mapping for {reg} of {warp} at pc {pc} (cycle {cycle})"
             ),
+            SimError::NoCtaFits {
+                manager,
+                short: Some(short),
+            } => write!(f, "{manager}: no CTA fits an empty SM: {short}"),
+            SimError::NoCtaFits {
+                manager,
+                short: None,
+            } => write!(f, "{manager} admits no CTA on an empty SM"),
         }
     }
 }
@@ -116,7 +132,9 @@ impl std::error::Error for SimError {}
 
 /// Run `kernel` on `cfg` with per-SM register managers produced by
 /// `manager_factory` (one call per simulated SM, plus one for each SM a
-/// fault or deadlock verdict re-runs).
+/// fault or deadlock verdict re-runs). The loop is generic over the
+/// manager: a factory of a concrete manager type runs with static
+/// dispatch, one of `Box<dyn RegisterManager>` through the trait object.
 ///
 /// CTAs are split evenly across the device's `num_sms`; only
 /// `cfg.simulated_sms` of them are actually simulated (SM-local effects —
@@ -126,14 +144,15 @@ impl std::error::Error for SimError {}
 /// # Errors
 ///
 /// [`SimError::InvalidKernel`] if the kernel fails structural validation,
+/// [`SimError::NoCtaFits`] if not one CTA fits an SM at launch,
 /// [`SimError::Deadlock`] if no instruction issues device-wide for longer
 /// than a conservative bound, or [`SimError::WatchdogExpired`] at
 /// `cfg.watchdog_cycles`.
-pub fn run_kernel(
+pub fn run_kernel<M: RegisterManager + ?Sized>(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    mut manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
+    mut manager_factory: impl FnMut(u32) -> Box<M> + Send,
 ) -> Result<SimStats, SimError> {
     run_inner(
         cfg,
@@ -222,13 +241,14 @@ fn fault_error(fault: IssueFault, cycle: u64) -> SimError {
             pc,
             cycle,
         },
+        IssueFault::NoCtaFits { manager, short } => SimError::NoCtaFits { manager, short },
     }
 }
 
 /// The deadlock verdict, with diagnostics snapshotted from the non-idle SM
 /// with the oldest progress (ties to the lowest id). Every SM must have
 /// [`stopped_at`](SmRun::stopped_at) `cycle`.
-fn deadlock_error(runs: &[SmRun], cycle: u64) -> SimError {
+fn deadlock_error<M: RegisterManager + ?Sized>(runs: &[SmRun<M>], cycle: u64) -> SimError {
     let last_progress = runs.iter().map(|r| r.sm.last_progress).max().unwrap_or(0);
     let (sm_id, run) = runs
         .iter()
@@ -247,8 +267,8 @@ fn deadlock_error(runs: &[SmRun], cycle: u64) -> SimError {
 }
 
 /// One SM running on its own clock.
-struct SmRun {
-    sm: Sm,
+struct SmRun<M: RegisterManager + ?Sized> {
+    sm: Sm<M>,
     /// What this SM's injector did (unused without a fault plan).
     log: Arc<FaultLog>,
     /// Next cycle to step.
@@ -265,7 +285,7 @@ struct SmRun {
     quiet: Vec<(u64, u64)>,
 }
 
-impl SmRun {
+impl<M: RegisterManager + ?Sized> SmRun<M> {
     /// The recorded quiet ranges, then the one that starts a stall limit
     /// after the SM's last issue and lasts until it issues again.
     fn quiet_ranges(&self, stall_limit: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
@@ -297,18 +317,18 @@ enum Verdict {
     Watchdog,
 }
 
-fn run_inner(
+fn run_inner<M: RegisterManager + ?Sized>(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    mut manager_factory: impl FnMut(u32, &Arc<FaultLog>) -> Box<dyn RegisterManager>,
+    mut manager_factory: impl FnMut(u32, &Arc<FaultLog>) -> Box<M>,
     traced: bool,
     faults: Option<(&FaultPlan, &Arc<FaultLog>)>,
 ) -> Result<(SimStats, Vec<crate::trace::TraceEvent>), SimError> {
     kernel.validate().map_err(SimError::InvalidKernel)?;
     let image = Arc::new(KernelImage::new(kernel.clone()));
     let simulated = cfg.simulated_sms.min(cfg.num_sms).max(1);
-    let mut new_run = |sm_id: u32| -> SmRun {
+    let mut new_run = |sm_id: u32| -> SmRun<M> {
         let first: u32 = (0..sm_id).map(|id| launch.ctas_for_sm(id, cfg)).sum();
         let ctas = (first..first + launch.ctas_for_sm(sm_id, cfg)).map(CtaId);
         let log = Arc::new(FaultLog::new());
@@ -323,7 +343,7 @@ fn run_inner(
         }
     };
 
-    let mut runs: Vec<SmRun> = (0..simulated).map(&mut new_run).collect();
+    let mut runs: Vec<SmRun<M>> = (0..simulated).map(&mut new_run).collect();
     if traced {
         runs[0].sm.enable_tracing();
     }
@@ -406,8 +426,8 @@ fn note_first_spike(plan: &FaultPlan, last_cycle: u64, log: &FaultLog) {
 /// at once, so a deadlock is judged without running the SMs past it; and
 /// once an SM faults, the SMs after it in the window stop right after the
 /// fault cycle.
-fn run_device(
-    runs: &mut [SmRun],
+fn run_device<M: RegisterManager + ?Sized>(
+    runs: &mut [SmRun<M>],
     stall_limit: u64,
     watchdog: u64,
     skipping: bool,
@@ -443,8 +463,8 @@ fn run_device(
 /// memory-spike edges; one that crosses the horizon stops there and
 /// resumes in the next window without a step. Every issue that ends a
 /// spell of more than `stall_limit` quiet cycles records that spell.
-fn run_sm(
-    run: &mut SmRun,
+fn run_sm<M: RegisterManager + ?Sized>(
+    run: &mut SmRun<M>,
     horizon: u64,
     stall_limit: u64,
     skipping: bool,
@@ -489,7 +509,11 @@ fn run_sm(
 /// the earliest fault (the lowest SM id on ties), completion once every SM
 /// fell idle, and the first cycle that lies in a quiet range of every SM
 /// while one SM is still busy.
-fn judge(runs: &[SmRun], horizon: u64, stall_limit: u64) -> Option<Verdict> {
+fn judge<M: RegisterManager + ?Sized>(
+    runs: &[SmRun<M>],
+    horizon: u64,
+    stall_limit: u64,
+) -> Option<Verdict> {
     let mut fault: Option<u64> = None;
     let mut last_idle: Option<u64> = Some(0);
     for run in runs {
@@ -514,7 +538,7 @@ fn judge(runs: &[SmRun], horizon: u64, stall_limit: u64) -> Option<Verdict> {
 
 /// The first cycle that lies in a quiet range of every SM. Issues only
 /// ever shrink quiet ranges, so no later run can move it earlier.
-fn first_all_quiet(runs: &[SmRun], stall_limit: u64) -> u64 {
+fn first_all_quiet<M: RegisterManager + ?Sized>(runs: &[SmRun<M>], stall_limit: u64) -> u64 {
     let mut cycle = 0;
     'search: loop {
         for run in runs {

@@ -56,7 +56,7 @@ pub use memory::MemoryPipe;
 pub use occupancy::{theoretical, theoretical_with_base_set, KernelResources, Limiter, Occupancy};
 pub use scheduler::SchedulerState;
 pub use simt::{full_mask, ReconvEntry, SimtStack};
-pub use sm::{IssueFault, KernelImage, Sm};
+pub use sm::{IssueFault, KernelImage, Shortfall, Sm};
 pub use stats::SimStats;
 pub use trace::{render_timeline, TraceEvent, TraceKind};
 pub use warp::{StallReason, WarpState};

@@ -13,6 +13,10 @@
 //! its own order key ([`SchedulerState::pick`]), so finding the next warp to
 //! try costs a few bit operations (LRR: one pass over the mask's warps), not
 //! a walk over every resident warp.
+//!
+//! The cycles the blocked warps wait for (their *gates*) live in the SM's
+//! [`GateWheel`], which hands back the warps whose gate passed in time
+//! proportional to their number, not to the warps blocked.
 
 use crate::config::SchedulerPolicy;
 
@@ -29,14 +33,11 @@ pub struct SchedulerState {
     /// Slots of this scheduler's resident warps in admission order, oldest
     /// first: bit `p` of the masks is the warp in `by_age[p]`.
     by_age: Vec<u32>,
-    /// Per age position: the cycle until which that warp is blocked on its
-    /// scoreboard. Meaningful only while its `blocked` bit is set.
-    until: Vec<u64>,
     /// Per SM slot: the age position of its warp here, or [`NO_POS`].
     pos: Vec<u8>,
     /// Warps that may be tried this cycle.
     pub(crate) ready: u64,
-    /// Warps blocked on a write in flight until their `until` cycle.
+    /// Warps blocked on a write in flight until their gate.
     pub(crate) blocked: u64,
 }
 
@@ -47,7 +48,6 @@ impl SchedulerState {
         assert!(slots <= 64, "{slots} warp slots do not fit a u64 mask");
         SchedulerState {
             by_age: Vec::with_capacity(slots),
-            until: Vec::with_capacity(slots),
             pos: vec![NO_POS; slots],
             ..Default::default()
         }
@@ -58,7 +58,6 @@ impl SchedulerState {
     pub(crate) fn admit(&mut self, slot: u32) {
         let p = self.by_age.len();
         self.by_age.push(slot);
-        self.until.push(0);
         self.pos[slot as usize] = p as u8;
         self.ready |= 1 << p;
     }
@@ -71,7 +70,6 @@ impl SchedulerState {
             "retiring a live warp"
         );
         self.by_age.remove(p);
-        self.until.remove(p);
         self.pos[slot as usize] = NO_POS;
         for (q, &s) in self.by_age.iter().enumerate().skip(p) {
             self.pos[s as usize] = q as u8;
@@ -89,12 +87,24 @@ impl SchedulerState {
         }
     }
 
-    /// The warp in `slot` stalls on its scoreboard until `until`.
-    pub(crate) fn block(&mut self, slot: u32, until: u64) {
+    /// The warp in `slot` stalls on its scoreboard (its gate goes to the
+    /// SM's [`GateWheel`]).
+    pub(crate) fn block(&mut self, slot: u32) {
         let b = self.bit(slot);
         self.ready &= !b;
         self.blocked |= b;
-        self.until[b.trailing_zeros() as usize] = until;
+    }
+
+    /// The gate of the blocked warp in `slot` passed: it may be tried again.
+    pub(crate) fn unblock(&mut self, slot: u32) {
+        let b = self.bit(slot);
+        debug_assert_ne!(
+            self.blocked & b,
+            0,
+            "unblocking slot {slot}, which is not blocked"
+        );
+        self.blocked &= !b;
+        self.ready |= b;
     }
 
     /// The warp in `slot` parked at a barrier or exited.
@@ -107,34 +117,6 @@ impl SchedulerState {
     /// The warp in `slot` left its barrier.
     pub(crate) fn wake(&mut self, slot: u32) {
         self.ready |= self.bit(slot);
-    }
-
-    /// Move the blocked warps whose gate passed by `now` to `ready`; return
-    /// the earliest gate still ahead (`u64::MAX` if none).
-    pub(crate) fn mature(&mut self, now: u64) -> u64 {
-        let mut next = u64::MAX;
-        for p in positions(self.blocked) {
-            if self.until[p] <= now {
-                self.blocked &= !(1 << p);
-                self.ready |= 1 << p;
-            } else {
-                next = next.min(self.until[p]);
-            }
-        }
-        next
-    }
-
-    /// The earliest gate among the blocked warps (`u64::MAX` if none).
-    pub(crate) fn earliest_gate(&self) -> u64 {
-        positions(self.blocked)
-            .map(|p| self.until[p])
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
-    /// The gate of the warp in `slot` (meaningful while it is blocked).
-    pub(crate) fn gate(&self, slot: u32) -> u64 {
-        self.until[self.bit(slot).trailing_zeros() as usize]
     }
 
     /// The bits of `mask` whose warps `holds`.
@@ -179,6 +161,138 @@ impl SchedulerState {
     fn gto(&self, mask: u64) -> usize {
         let greedy = self.last_issued.map_or(0, |g| self.bit(g));
         (if mask & greedy != 0 { greedy } else { mask }).trailing_zeros() as usize
+    }
+}
+
+/// Cycles a gate may lie ahead of the cycle it is set on and still go into
+/// a bucket of the [`GateWheel`]; gates further out (planted memory-latency
+/// spikes, say) wait in its overflow list. A multiple of 64: the occupancy
+/// bitmap's words then line up with the wrap-around.
+const SPAN: u64 = 512;
+
+/// The gates of an SM's blocked warps, kept as a fixed-span timing wheel.
+///
+/// Bucket `c % SPAN` holds, as a mask over SM warp slots, the warps whose
+/// gate is cycle `c`, and one occupancy bit per bucket says which buckets
+/// hold any. Before a warp blocks on cycle `now`, the SM has matured every
+/// gate at or before `now`, so every bucketed gate lies in
+/// `next .. next + SPAN`, where `next` is the earliest of them: a bucket
+/// names one cycle. Maturing a gate, and finding the next one, costs a
+/// bucket and a few bitmap words, whatever the number of warps blocked.
+#[derive(Debug, Clone)]
+pub(crate) struct GateWheel {
+    /// Per bucket: the slots whose gate is the bucket's cycle.
+    buckets: Vec<u64>,
+    /// One bit per bucket: the bucket is not empty.
+    occupied: [u64; (SPAN / 64) as usize],
+    /// The earliest bucketed gate (`u64::MAX` if none).
+    next: u64,
+    /// Gates `SPAN` or more cycles past the cycle they were set on, as
+    /// `(gate, slot)`; at most one per slot, so it never outgrows its
+    /// initial capacity.
+    overflow: Vec<(u64, u32)>,
+    /// The earliest overflow gate (`u64::MAX` if none).
+    overflow_next: u64,
+}
+
+impl GateWheel {
+    /// An empty wheel for an SM with `slots` warp slots.
+    pub(crate) fn new(slots: usize) -> Self {
+        GateWheel {
+            buckets: vec![0; SPAN as usize],
+            occupied: [0; (SPAN / 64) as usize],
+            next: u64::MAX,
+            overflow: Vec::with_capacity(slots),
+            overflow_next: u64::MAX,
+        }
+    }
+
+    /// The earliest gate of any blocked warp (`u64::MAX` if none): until
+    /// then no gate matures.
+    pub(crate) fn earliest(&self) -> u64 {
+        self.next.min(self.overflow_next)
+    }
+
+    /// The warp in `slot` blocks on cycle `now` until `gate`. Every gate at
+    /// or before `now` must have matured.
+    pub(crate) fn block(&mut self, slot: u32, gate: u64, now: u64) {
+        debug_assert!(gate > now, "a gate at {gate} set on cycle {now}");
+        debug_assert!(self.earliest() > now, "blocking before the gates matured");
+        if gate - now >= SPAN {
+            self.overflow.push((gate, slot));
+            self.overflow_next = self.overflow_next.min(gate);
+            return;
+        }
+        let i = (gate % SPAN) as usize;
+        self.buckets[i] |= 1 << slot;
+        self.occupied[i / 64] |= 1 << (i % 64);
+        self.next = self.next.min(gate);
+    }
+
+    /// Remove every gate at or before `now` and return their slots as a
+    /// mask. `now` may lie any distance past the earliest gate.
+    pub(crate) fn mature(&mut self, now: u64) -> u64 {
+        let mut slots = 0;
+        if now >= self.next {
+            // The bucketed gates lie in `next .. next + SPAN`.
+            let last = now.min(self.next + SPAN - 1);
+            let mut c = self.next;
+            while let Some(at) = self.occupied_from(c, last) {
+                let i = (at % SPAN) as usize;
+                slots |= std::mem::take(&mut self.buckets[i]);
+                self.occupied[i / 64] &= !(1 << (i % 64));
+                c = at + 1;
+            }
+            // What is left lies in `now + 1 .. now + SPAN`.
+            self.next = self
+                .occupied_from(now + 1, now + SPAN - 1)
+                .unwrap_or(u64::MAX);
+        }
+        if now >= self.overflow_next {
+            self.overflow.retain(|&(gate, slot)| {
+                let matured = gate <= now;
+                if matured {
+                    slots |= 1 << slot;
+                }
+                !matured
+            });
+            self.overflow_next = self
+                .overflow
+                .iter()
+                .map(|&(g, _)| g)
+                .min()
+                .unwrap_or(u64::MAX);
+        }
+        slots
+    }
+
+    /// The first cycle in `from ..= last` whose bucket is occupied, if
+    /// any. The range spans fewer than `SPAN` cycles.
+    fn occupied_from(&self, from: u64, last: u64) -> Option<u64> {
+        let mut c = from;
+        while c <= last {
+            let i = (c % SPAN) as usize;
+            let word = self.occupied[i / 64] >> (i % 64);
+            if word != 0 {
+                let at = c + u64::from(word.trailing_zeros());
+                return (at <= last).then_some(at);
+            }
+            c += 64 - (i % 64) as u64;
+        }
+        None
+    }
+
+    /// Whether the wheel holds `slot`'s gate at `gate` (debug cross-checks).
+    pub(crate) fn holds(&self, slot: u32, gate: u64) -> bool {
+        let bucketed = (self.next..self.next.saturating_add(SPAN)).contains(&gate)
+            && self.buckets[(gate % SPAN) as usize] & (1 << slot) != 0;
+        bucketed || self.overflow.contains(&(gate, slot))
+    }
+
+    /// Gates held (debug cross-checks).
+    pub(crate) fn len(&self) -> usize {
+        let bucketed: u32 = self.buckets.iter().map(|b| b.count_ones()).sum();
+        bucketed as usize + self.overflow.len()
     }
 }
 
@@ -260,13 +374,11 @@ mod tests {
     fn masks_follow_blocks_parks_wakes_and_retires() {
         let mut st = sched(8, &[6, 2, 4, 0], None, 0);
         assert_eq!(st.ready, 0b1111);
-        st.block(2, 50);
-        st.block(0, 30);
+        st.block(2);
+        st.block(0);
         st.park(4);
         assert_eq!((st.ready, st.blocked), (0b0001, 0b1010));
-        assert_eq!((st.earliest_gate(), st.gate(2)), (30, 50));
-        assert_eq!(st.mature(29), 30);
-        assert_eq!(st.mature(30), 50);
+        st.unblock(0);
         assert_eq!((st.ready, st.blocked), (0b1001, 0b0010));
         // Slot 4 exits and retires: the younger warp 0 moves down a place.
         st.retire(4);
@@ -275,8 +387,77 @@ mod tests {
         assert_eq!(order(&st, SchedulerPolicy::Gto, &[]), vec![6, 0]);
         st.wake(2);
         assert_eq!(st.ready, 0b111);
-        assert_eq!(st.mature(100), u64::MAX);
-        assert_eq!(st.earliest_gate(), u64::MAX);
+    }
+
+    #[test]
+    fn wheel_matures_bucketed_and_overflow_gates() {
+        let mut wheel = GateWheel::new(8);
+        wheel.block(2, 50, 10);
+        wheel.block(0, 30, 10);
+        wheel.block(5, 10 + SPAN, 10); // just past the span
+        assert_eq!(wheel.earliest(), 30);
+        assert_eq!(wheel.mature(29), 0);
+        assert_eq!(wheel.mature(30), 1 << 0);
+        assert_eq!(wheel.earliest(), 50);
+        // A skip far past every gate matures them all at once.
+        assert_eq!(wheel.mature(40 * SPAN), (1 << 2) | (1 << 5));
+        assert_eq!((wheel.earliest(), wheel.len()), (u64::MAX, 0));
+    }
+
+    /// The wheel against a list of `(gate, slot)` pairs, the brute-force
+    /// minimum over every blocked warp's gate, on random sequences of
+    /// blocks and steps. Steps advance by one cycle, to the earliest gate,
+    /// or well past the span, as the SM's skips do; gates fall inside the
+    /// span and far past it.
+    #[test]
+    fn wheel_matches_a_brute_force_gate_list() {
+        let mut rng = regmutex_isa::Rng::new(0x6A7E_3E31_0000_0001);
+        for case in 0..300 {
+            let slots = 1 + rng.below(64) as u32;
+            let mut wheel = GateWheel::new(slots as usize);
+            let mut list: Vec<(u64, u32)> = Vec::new();
+            let mut now = rng.below(3 * SPAN);
+            for _ in 0..400 {
+                // Step to a later cycle, maturing what passed.
+                let earliest = list.iter().map(|&(g, _)| g).min();
+                assert_eq!(
+                    wheel.earliest(),
+                    earliest.unwrap_or(u64::MAX),
+                    "case {case}"
+                );
+                now = match (rng.below(4), earliest) {
+                    (0, Some(g)) => g.max(now + 1),
+                    (1, _) => now + SPAN + rng.below(3 * SPAN),
+                    _ => now + 1 + rng.below(8),
+                };
+                let want = list
+                    .iter()
+                    .filter(|&&(g, _)| g <= now)
+                    .fold(0u64, |m, &(_, s)| m | 1 << s);
+                list.retain(|&(g, _)| g > now);
+                assert_eq!(wheel.mature(now), want, "case {case} at {now}");
+                assert_eq!(wheel.len(), list.len(), "case {case}");
+                // Block a few unblocked slots on this cycle.
+                for _ in 0..rng.below(4) {
+                    let slot = rng.below(u64::from(slots)) as u32;
+                    if list.iter().any(|&(_, s)| s == slot) {
+                        continue;
+                    }
+                    let gate = now
+                        + 1
+                        + match rng.below(6) {
+                            0 => SPAN - 1 + rng.below(4 * SPAN),
+                            1 => SPAN - 2 + rng.below(3),
+                            _ => rng.below(400),
+                        };
+                    wheel.block(slot, gate, now);
+                    list.push((gate, slot));
+                }
+                for &(g, s) in &list {
+                    assert!(wheel.holds(s, g), "case {case}: ({g}, {s}) lost");
+                }
+            }
+        }
     }
 
     /// The ordering as a sort key over `(slot, age, holds)` candidates: the
@@ -325,7 +506,7 @@ mod tests {
                 age += 1 + rng.below(5);
                 match rng.below(5) {
                     0 => st.park(s),
-                    1 => st.block(s, 10),
+                    1 => st.block(s),
                     _ => cands.push((s, age, rng.below(3) == 0)),
                 }
             }

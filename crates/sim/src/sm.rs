@@ -21,7 +21,7 @@ use crate::barrier::BarrierUnit;
 use crate::config::{GpuConfig, SchedulerPolicy};
 use crate::manager::{AcquireResult, Ledger, LedgerViolation, RegisterManager};
 use crate::memory::MemoryPipe;
-use crate::scheduler::SchedulerState;
+use crate::scheduler::{GateWheel, SchedulerState};
 use crate::stats::SimStats;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::value;
@@ -32,22 +32,33 @@ use crate::warp::{StallReason, WarpState};
 pub struct KernelImage {
     /// The kernel being executed.
     pub kernel: Kernel,
-    /// For every PC holding a branch: its ordinal among the kernel's
-    /// branches. Behavioral decisions key on ordinals, not PCs, so that
-    /// compiler transformations which only insert non-branch instructions
-    /// (acquire/release injection, MOV compaction) leave control flow —
-    /// and therefore checksums — unchanged.
-    branch_ordinal: Vec<u32>,
     /// Branches in the kernel: the length of each warp's per-ordinal
     /// branch counters.
     pub(crate) branches: usize,
     /// The kernel has a `Divergent` branch, so its warps need lane keys.
     pub(crate) divergent: bool,
-    /// For every PC: the registers its instruction reads, then the one it
-    /// writes, padded with `regs_per_thread` (the scoreboard's spare entry,
-    /// which never has a write in flight). The scoreboard check reads this
-    /// instead of the instruction's operand `Vec`s.
-    operands: Vec<[u16; 4]>,
+    /// Per PC: its instruction decoded for the issue stage, which reads
+    /// this instead of the instruction's operand `Vec`s.
+    decoded: Vec<Decoded>,
+}
+
+/// One PC's instruction as the issue stage reads it.
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    /// The registers the instruction reads, then the one it writes, padded
+    /// with `regs_per_thread` (the scoreboard's spare entry, which never
+    /// has a write in flight): the scoreboard check reads all four.
+    operands: [u16; 4],
+    /// Sources: `operands[..srcs]`.
+    srcs: u8,
+    /// The instruction writes a register: `operands[srcs]`.
+    has_dst: bool,
+    /// For a branch, its ordinal among the kernel's branches. Behavioral
+    /// decisions key on ordinals, not PCs, so that compiler
+    /// transformations which only insert non-branch instructions
+    /// (acquire/release injection, MOV compaction) leave control flow —
+    /// and therefore checksums — unchanged.
+    ordinal: u32,
 }
 
 impl KernelImage {
@@ -59,24 +70,28 @@ impl KernelImage {
     /// register at or past `regs_per_thread`: the builder and the compiler
     /// never produce either.
     pub fn new(kernel: Kernel) -> Self {
-        let mut ordinals = Vec::with_capacity(kernel.instrs.len());
-        let mut operands = Vec::with_capacity(kernel.instrs.len());
-        let mut next = 0u32;
+        let mut decoded = Vec::with_capacity(kernel.instrs.len());
+        let mut branches = 0u32;
         let regs = kernel.regs_per_thread;
         for (pc, i) in kernel.instrs.iter().enumerate() {
-            if matches!(i.op, Op::Bra { .. }) {
-                ordinals.push(next);
-                next += 1;
+            let ordinal = if matches!(i.op, Op::Bra { .. }) {
+                branches += 1;
+                branches - 1
             } else {
-                ordinals.push(u32::MAX);
-            }
+                u32::MAX
+            };
             assert!(i.srcs.len() <= 3, "pc {pc}: more than three sources");
-            let mut ops = [regs; 4];
-            for (op, r) in ops.iter_mut().zip(i.srcs.iter().chain(&i.dst)) {
+            let mut operands = [regs; 4];
+            for (op, r) in operands.iter_mut().zip(i.srcs.iter().chain(&i.dst)) {
                 assert!(r.0 < regs, "pc {pc}: r{} past regs_per_thread {regs}", r.0);
                 *op = r.0;
             }
-            operands.push(ops);
+            decoded.push(Decoded {
+                operands,
+                srcs: i.srcs.len() as u8,
+                has_dst: i.dst.is_some(),
+                ordinal,
+            });
         }
         let divergent = kernel.instrs.iter().any(|i| {
             matches!(
@@ -89,18 +104,10 @@ impl KernelImage {
         });
         KernelImage {
             kernel,
-            branch_ordinal: ordinals,
-            branches: next as usize,
+            branches: branches as usize,
             divergent,
-            operands,
+            decoded,
         }
-    }
-
-    /// Branch ordinal at `pc` (must be a branch).
-    fn ordinal(&self, pc: u32) -> u32 {
-        let o = self.branch_ordinal[pc as usize];
-        debug_assert_ne!(o, u32::MAX, "ordinal queried at non-branch pc {pc}");
-        o
     }
 }
 
@@ -133,6 +140,40 @@ pub enum IssueFault {
         /// Program counter of the faulting instruction.
         pc: u32,
     },
+    /// Not one CTA fits the empty SM at launch. By
+    /// [`RegisterManager::try_admit_cta`]'s contract an empty SM that
+    /// refuses a CTA refuses it forever, so the kernel can never start.
+    NoCtaFits {
+        /// Technique name of the refusing manager.
+        manager: &'static str,
+        /// The resource one CTA needs more of than the SM has, or `None`
+        /// when the SM has enough of each and the manager refused on
+        /// grounds of its own.
+        short: Option<Shortfall>,
+    },
+}
+
+/// A resource one CTA needs more of than an SM has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shortfall {
+    /// What runs short: CTA slots, bytes of shared memory, warp slots, or
+    /// register rows under static allocation.
+    pub resource: &'static str,
+    /// How much of it one CTA needs.
+    pub needs: u32,
+    /// How much of it the SM has.
+    pub has: u32,
+}
+
+impl std::fmt::Display for Shortfall {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Shortfall {
+            resource,
+            needs,
+            has,
+        } = self;
+        write!(f, "a CTA needs {needs} {resource}, the SM has {has}")
+    }
 }
 
 /// Why a warp could not issue: an ordinary stall, or a fatal fault.
@@ -168,6 +209,8 @@ struct StepProbe {
     stalls: [u64; StallReason::ALL.len()],
     /// `acq.es` attempts performed during the step.
     acquire_attempts: u64,
+    /// A warp exited, so a CTA may have finished.
+    exited: bool,
     /// Minimum wake hint over every stalled candidate tried this step and,
     /// when no scheduler issued, every warp blocked on its scoreboard.
     wake: Option<u64>,
@@ -190,17 +233,23 @@ struct ResidentCta {
     shmem: u32,
 }
 
-/// One simulated streaming multiprocessor.
-pub struct Sm {
+/// One simulated streaming multiprocessor, generic over its register
+/// manager: the device loop runs the five techniques' managers with static
+/// dispatch, and `Sm<dyn RegisterManager>` (the default) is the same loop
+/// over a boxed trait object, which fault injection and traced runs use.
+pub struct Sm<M: RegisterManager + ?Sized = dyn RegisterManager> {
     cfg: GpuConfig,
     image: Arc<KernelImage>,
-    manager: Box<dyn RegisterManager>,
+    manager: Box<M>,
     /// Ownership ledger over register rows (invariant checking).
     pub ledger: Ledger,
     barrier: BarrierUnit,
     mem: MemoryPipe,
     warps: Vec<Option<WarpState>>,
     sched: Vec<SchedulerState>,
+    /// The gates of the warps blocked on their scoreboard, over every
+    /// scheduler.
+    gates: GateWheel,
     resident: Vec<ResidentCta>,
     pending_ctas: VecDeque<CtaId>,
     shmem_used: u32,
@@ -214,14 +263,11 @@ pub struct Sm {
     /// Reusable admission scratch for `fill_ctas`: `step` must not
     /// allocate in steady state.
     slot_buf: Vec<WarpId>,
-    /// The earliest gate cycle of any warp blocked on its scoreboard, over
-    /// every scheduler (`u64::MAX` if none): until then no gate matures.
-    unblock_at: u64,
     /// Resident, unfinished warps: +1 per admitted warp, −1 per exit.
     live_warps: u32,
 }
 
-impl Sm {
+impl<M: RegisterManager + ?Sized> Sm<M> {
     /// Create an SM that will execute `ctas` (queued) with `manager`.
     ///
     /// # Panics
@@ -231,7 +277,7 @@ impl Sm {
     pub fn new(
         cfg: GpuConfig,
         image: Arc<KernelImage>,
-        manager: Box<dyn RegisterManager>,
+        manager: Box<M>,
         ctas: impl IntoIterator<Item = CtaId>,
     ) -> Self {
         assert!(
@@ -258,6 +304,7 @@ impl Sm {
             sched: (0..nsched)
                 .map(|_| SchedulerState::new(max_warps))
                 .collect(),
+            gates: GateWheel::new(max_warps),
             resident: Vec::new(),
             pending_ctas: ctas.into_iter().collect(),
             shmem_used: 0,
@@ -266,7 +313,6 @@ impl Sm {
             trace: None,
             probe: StepProbe::default(),
             slot_buf: Vec::new(),
-            unblock_at: u64::MAX,
             live_warps: 0,
         }
     }
@@ -287,8 +333,8 @@ impl Sm {
     }
 
     /// Immutable view of the register manager (for reports).
-    pub fn manager(&self) -> &dyn RegisterManager {
-        self.manager.as_ref()
+    pub fn manager(&self) -> &M {
+        &self.manager
     }
 
     /// Resident, unfinished warps right now.
@@ -371,7 +417,8 @@ impl Sm {
     /// # Errors
     ///
     /// An [`IssueFault`] when the ledger or translation layer catches
-    /// corrupted register state; the simulation cannot continue.
+    /// corrupted register state, or when not one CTA fits the SM at
+    /// launch; the simulation cannot continue.
     pub fn step(&mut self, now: u64) -> Result<(), IssueFault> {
         if self.idle() {
             return Ok(());
@@ -385,6 +432,9 @@ impl Sm {
         // any other step would admit nothing.
         if self.resident.is_empty() {
             self.fill_ctas();
+            if self.stats.ctas == 0 {
+                return Err(self.no_cta_fits());
+            }
         } else if cfg!(debug_assertions) {
             let ctas = self.stats.ctas;
             self.fill_ctas();
@@ -398,13 +448,14 @@ impl Sm {
         self.stats.resident_warp_cycles += resident;
         self.probe.resident = resident;
 
-        if now >= self.unblock_at {
-            self.unblock_at = self
-                .sched
-                .iter_mut()
-                .map(|st| st.mature(now))
-                .min()
-                .unwrap_or(u64::MAX);
+        if now >= self.gates.earliest() {
+            let nsched = self.sched.len();
+            let mut matured = self.gates.mature(now);
+            while matured != 0 {
+                let slot = matured.trailing_zeros();
+                matured &= matured - 1;
+                self.sched[slot as usize % nsched].unblock(slot);
+            }
         }
         if cfg!(debug_assertions) {
             self.check_gates(now);
@@ -476,25 +527,69 @@ impl Sm {
                 self.probe.stalls[reason.index()] += 1;
             }
         }
-        // The blocked warps stall until their gates; their earliest gate
+        // The blocked warps stall until their gates; the earliest gate
         // joins the wake hint, which is read only after a step in which no
         // scheduler issued.
-        if !self.probe.issued && self.unblock_at != u64::MAX {
-            self.probe.note_wake(Some(self.unblock_at));
+        if !self.probe.issued {
+            let earliest = self.gates.earliest();
+            if earliest != u64::MAX {
+                self.probe.note_wake(Some(earliest));
+            }
         }
 
-        self.retire_finished_ctas();
+        if self.probe.exited {
+            self.retire_finished_ctas();
+        }
         self.stats.cycles = now + 1;
         self.stats.mem_requests = self.mem.total_requests;
         Ok(())
     }
 
-    /// Debug cross-check of the schedulers' masks and gates against the
-    /// warps: an issuable warp is ready or blocked, any other is neither,
-    /// a blocked warp's gate is still its scoreboard's verdict (which never
-    /// changes before the gate matures), and `unblock_at` is the earliest
-    /// gate.
+    /// The launch-time refusal, naming the first resource, in
+    /// `fill_ctas`'s order of checks, that one CTA needs more of than the
+    /// empty SM has. Register rows are counted, and named, as static
+    /// allocation reserves them. When the SM has enough of each, the
+    /// manager refused on grounds of its own and the fault names none.
+    fn no_cta_fits(&self) -> IssueFault {
+        let (kernel, cfg) = (&self.image.kernel, &self.cfg);
+        let warps = kernel.warps_per_cta(cfg.warp_size);
+        let rows = warps * cfg.rows_per_warp(kernel.regs_per_thread);
+        let short = [
+            ("CTA slots", 1, cfg.max_ctas_per_sm),
+            (
+                "bytes of shared memory",
+                kernel.shmem_per_cta,
+                cfg.shmem_per_sm,
+            ),
+            ("warp slots", warps, cfg.max_warps_per_sm),
+            (
+                "register rows under static allocation",
+                rows,
+                cfg.reg_rows_per_sm(),
+            ),
+        ]
+        .into_iter()
+        .find(|&(_, needs, has)| needs > has)
+        .map(|(resource, needs, has)| Shortfall {
+            resource,
+            needs,
+            has,
+        });
+        IssueFault::NoCtaFits {
+            manager: self.manager.name(),
+            short,
+        }
+    }
+
+    /// Debug cross-check of the schedulers' masks and the gate wheel
+    /// against the warps: an issuable warp is ready or blocked, any other
+    /// is neither, a blocked warp's gate is still its scoreboard's verdict
+    /// (which never changes before the gate matures) and is in the wheel,
+    /// the wheel holds no other gate, and its earliest gate is the
+    /// earliest of them.
     fn check_gates(&self, now: u64) {
+        let mut blocked = 0;
+        let mut earliest = u64::MAX;
         for (slot, w) in self.warps.iter().enumerate() {
             let st = &self.sched[slot % self.sched.len()];
             assert_eq!(st.ready & st.blocked, 0, "a warp both ready and blocked");
@@ -509,17 +604,16 @@ impl Sm {
                 "issuable slot {slot} in no mask"
             );
             if st.blocked & b != 0 {
-                let ops = &self.image.operands[w.pc as usize];
-                assert_eq!(
-                    w.scoreboard_block(ops, now),
-                    Some(st.gate(slot as u32)),
-                    "stale scoreboard verdict (slot {slot}, pc {})",
-                    w.pc
-                );
+                let ops = &self.image.decoded[w.pc as usize].operands;
+                let gate = w.scoreboard_block(ops, now);
+                let held = gate.is_some_and(|g| self.gates.holds(slot as u32, g));
+                assert!(held, "stale gate {gate:?} (slot {slot}, pc {})", w.pc);
+                blocked += 1;
+                earliest = earliest.min(gate.unwrap_or(u64::MAX));
             }
         }
-        let earliest = self.sched.iter().map(SchedulerState::earliest_gate).min();
-        assert_eq!(Some(self.unblock_at), earliest, "unblock_at out of date");
+        assert_eq!(self.gates.len(), blocked, "a gate of no blocked warp");
+        assert_eq!(self.gates.earliest(), earliest, "earliest gate out of date");
     }
 
     /// Attempt to issue the next instruction of the warp in `slot`.
@@ -537,6 +631,7 @@ impl Sm {
                 .as_mut()
                 .expect("issuing absent warp");
             let instr = &image.kernel.instrs[w.pc as usize];
+            let d = image.decoded[w.pc as usize];
 
             // Reconverge masked-off lanes arriving at their rejoin point.
             let rejoined = w.simt.reconverge_at(w.pc);
@@ -548,9 +643,9 @@ impl Sm {
             // wake hint. The block returns before any manager, ledger or
             // memory call, and the reconvergence above is idempotent at an
             // unchanged PC, so until then the warp need not be tried.
-            if let Some(ready) = w.scoreboard_block(&image.operands[w.pc as usize], now) {
-                self.sched[sid].block(slot, ready);
-                self.unblock_at = self.unblock_at.min(ready);
+            if let Some(ready) = w.scoreboard_block(&d.operands, now) {
+                self.sched[sid].block(slot);
+                self.gates.block(slot, ready, now);
                 return Err(Blocked::Stall {
                     reason: StallReason::Scoreboard,
                     wake: Some(ready),
@@ -640,6 +735,7 @@ impl Sm {
                     w.issued += 1;
                     self.stats.instructions += 1;
                     self.manager.on_warp_exit(&mut self.ledger, wid);
+                    self.probe.exited = true;
                     if let Some(t) = self.trace.as_mut() {
                         t.push(TraceEvent {
                             cycle: now,
@@ -650,7 +746,8 @@ impl Sm {
                     After::Exit(w.cta, w.checksum)
                 }
                 Op::Bra { target, behavior } => {
-                    let ord = image.ordinal(w.pc);
+                    let ord = d.ordinal;
+                    debug_assert_ne!(ord, u32::MAX, "no ordinal at branch pc {}", w.pc);
                     match behavior {
                         BranchBehavior::Loop { trips } => {
                             let key = w.warp_key;
@@ -726,14 +823,20 @@ impl Sm {
                     // Validate every operand's physical mapping + ownership,
                     // and (when bank modelling is on) count operand-collector
                     // bank conflicts among the source rows.
+                    let srcs = usize::from(d.srcs);
+                    let dst = d.has_dst.then_some(d.operands[srcs]);
                     let mut src_banks: [Option<u32>; 3] = [None; 3];
                     let mut bank_extra = 0u64;
-                    for (i, reg) in instr.srcs.iter().chain(instr.dst.iter()).enumerate() {
-                        let Some(phys) = self.manager.translate(wid, *reg) else {
+                    for (i, &r) in d.operands[..srcs + usize::from(d.has_dst)]
+                        .iter()
+                        .enumerate()
+                    {
+                        let reg = ArchReg(r);
+                        let Some(phys) = self.manager.translate(wid, reg) else {
                             return Err(Blocked::Fatal(IssueFault::NoMapping {
                                 manager: self.manager.name(),
                                 warp: wid,
-                                reg: *reg,
+                                reg,
                                 pc: w.pc,
                             }));
                         };
@@ -745,14 +848,12 @@ impl Sm {
                                 pc: w.pc,
                             }));
                         }
-                        if self.cfg.reg_banks > 0 && i < instr.srcs.len() {
+                        if self.cfg.reg_banks > 0 && i < srcs {
                             let bank = phys.0 % self.cfg.reg_banks;
-                            if src_banks[..i.min(3)].iter().flatten().any(|&b| b == bank) {
+                            if src_banks[..i].iter().flatten().any(|&b| b == bank) {
                                 bank_extra += 1; // gather over an extra cycle
                             }
-                            if i < 3 {
-                                src_banks[i] = Some(bank);
-                            }
+                            src_banks[i] = Some(bank);
                         }
                     }
                     match instr.op.latency_class() {
@@ -768,39 +869,31 @@ impl Sm {
                                     wake: self.mem.next_completion(),
                                 });
                             };
-                            match instr.op {
-                                Op::Ld(_) => {
-                                    let addr = w.read(instr.srcs[0].0);
-                                    let v = value::load_value(addr);
-                                    let dst = instr.dst.expect("load has dst");
-                                    w.write(dst.0, v);
-                                    w.set_pending(dst.0, ready + bank_extra, now);
+                            let addr = w.read(d.operands[0]);
+                            match dst {
+                                Some(dst) => {
+                                    w.write(dst, value::load_value(addr));
+                                    w.set_pending(dst, ready + bank_extra, now);
                                 }
-                                Op::St(_) => {
-                                    let addr = w.read(instr.srcs[0].0);
-                                    let v = w.read(instr.srcs[1].0);
+                                None => {
+                                    let v = w.read(d.operands[1]);
                                     w.checksum = value::fold_store(w.checksum, addr, v);
                                 }
-                                _ => unreachable!(),
                             }
                         }
                         LatencyClass::SharedMem => {
                             let ready = now + u64::from(self.cfg.shmem_latency) + bank_extra;
                             let salt = mix(u64::from(w.cta.0), 0x5A4E_D000);
-                            match instr.op {
-                                Op::Ld(_) => {
-                                    let addr = w.read(instr.srcs[0].0) ^ salt;
-                                    let v = value::load_value(addr);
-                                    let dst = instr.dst.expect("load has dst");
-                                    w.write(dst.0, v);
-                                    w.set_pending(dst.0, ready, now);
+                            let addr = w.read(d.operands[0]) ^ salt;
+                            match dst {
+                                Some(dst) => {
+                                    w.write(dst, value::load_value(addr));
+                                    w.set_pending(dst, ready, now);
                                 }
-                                Op::St(_) => {
-                                    let addr = w.read(instr.srcs[0].0) ^ salt;
-                                    let v = w.read(instr.srcs[1].0);
+                                None => {
+                                    let v = w.read(d.operands[1]);
                                     w.checksum = value::fold_store(w.checksum, addr, v);
                                 }
-                                _ => unreachable!(),
                             }
                         }
                         LatencyClass::Alu | LatencyClass::Sfu => {
@@ -811,21 +904,20 @@ impl Sm {
                             };
                             // Fixed-size operand buffer (instructions carry
                             // at most 3 sources) — no per-issue allocation.
-                            let mut srcs = [0u64; 3];
-                            let n = instr.srcs.len().min(3);
-                            for (buf, s) in srcs.iter_mut().zip(instr.srcs.iter()) {
-                                *buf = w.read(s.0);
+                            let mut vals = [0u64; 3];
+                            for (v, &r) in vals.iter_mut().zip(&d.operands[..srcs]) {
+                                *v = w.read(r);
                             }
-                            let v = value::eval(instr, &srcs[..n]);
-                            if let Some(d) = instr.dst {
-                                w.write(d.0, v);
-                                w.set_pending(d.0, now + u64::from(lat) + bank_extra, now);
+                            let v = value::eval(instr, &vals[..srcs]);
+                            if let Some(dst) = dst {
+                                w.write(dst, v);
+                                w.set_pending(dst, now + u64::from(lat) + bank_extra, now);
                             }
                         }
                         LatencyClass::Control => unreachable!("handled above"),
                     }
-                    self.stats.reg_reads += instr.srcs.len() as u64;
-                    self.stats.reg_writes += u64::from(instr.dst.is_some());
+                    self.stats.reg_reads += u64::from(d.srcs);
+                    self.stats.reg_writes += u64::from(dst.is_some());
                     self.manager.post_issue(&mut self.ledger, wid, instr, w.pc);
                     if let Some(t) = self.trace.as_mut() {
                         t.push(TraceEvent {
@@ -967,7 +1059,7 @@ impl Sm {
     }
 }
 
-impl std::fmt::Debug for Sm {
+impl<M: RegisterManager + ?Sized> std::fmt::Debug for Sm<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sm")
             .field("manager", &self.manager.name())

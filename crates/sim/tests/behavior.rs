@@ -1,9 +1,13 @@
 //! Behavioral tests of the SM cycle engine: timing-visible properties that
 //! unit tests of individual components cannot capture.
 
-use regmutex_isa::{ArchReg, Kernel, KernelBuilder, TripCount};
+use std::sync::Arc;
+
+use regmutex_isa::{ArchReg, CtaId, Kernel, KernelBuilder, PhysReg, TripCount, WarpId};
 use regmutex_sim::{
-    run_kernel, GpuConfig, LaunchConfig, SchedulerPolicy, SimStats, StallReason, StaticManager,
+    run_kernel, run_kernel_faulted, AcquireResult, Fault, FaultClass, FaultKind, FaultLog,
+    FaultPlan, GpuConfig, LaunchConfig, Ledger, RegisterManager, SchedulerPolicy, Severity,
+    SimError, SimStats, StallReason, StaticManager,
 };
 
 fn r(i: u16) -> ArchReg {
@@ -256,6 +260,67 @@ fn more_than_64_warp_slots_are_refused() {
     run(&k, &cfg, 1);
 }
 
+/// A launch at which not one CTA fits fails on the first cycle. The error
+/// names a resource only when the CTA needs more of it than the SM has;
+/// a manager that refuses on grounds of its own gets no figures.
+#[test]
+fn a_refused_launch_names_only_a_real_shortfall() {
+    /// Static allocation that admits no CTA.
+    struct Refusing(StaticManager);
+    impl RegisterManager for Refusing {
+        fn name(&self) -> &'static str {
+            "refusing"
+        }
+        fn try_admit_cta(&mut self, _: &mut Ledger, _: CtaId, _: &[WarpId]) -> bool {
+            false
+        }
+        fn retire_cta(&mut self, ledger: &mut Ledger, cta: CtaId, slots: &[WarpId]) {
+            self.0.retire_cta(ledger, cta, slots);
+        }
+        fn try_acquire(&mut self, ledger: &mut Ledger, warp: WarpId) -> AcquireResult {
+            self.0.try_acquire(ledger, warp)
+        }
+        fn release(&mut self, ledger: &mut Ledger, warp: WarpId) {
+            self.0.release(ledger, warp);
+        }
+        fn translate(&self, warp: WarpId, reg: ArchReg) -> Option<PhysReg> {
+            self.0.translate(warp, reg)
+        }
+        fn on_warp_exit(&mut self, ledger: &mut Ledger, warp: WarpId) {
+            self.0.on_warp_exit(ledger, warp);
+        }
+    }
+    let mut b = KernelBuilder::new("small");
+    b.movi(r(0), 1).exit();
+    let k = b.build().unwrap();
+    let cfg = GpuConfig::test_tiny();
+    let err = run_kernel(&cfg, &k, LaunchConfig::new(1), |_| {
+        Box::new(Refusing(StaticManager::new(&cfg, k.regs_per_thread)))
+    })
+    .expect_err("no CTA is admitted");
+    assert!(
+        matches!(err, SimError::NoCtaFits { short: None, .. }),
+        "{err:?}"
+    );
+    assert_eq!(err.to_string(), "refusing admits no CTA on an empty SM");
+
+    let no_slots = GpuConfig {
+        max_ctas_per_sm: 0,
+        ..cfg.clone()
+    };
+    let err = run_kernel(&no_slots, &k, LaunchConfig::new(1), |_| {
+        Box::new(StaticManager::new(&no_slots, k.regs_per_thread))
+    })
+    .expect_err("no CTA slot");
+    let SimError::NoCtaFits {
+        short: Some(short), ..
+    } = err
+    else {
+        panic!("{err:?}");
+    };
+    assert_eq!(short.to_string(), "a CTA needs 1 CTA slots, the SM has 0");
+}
+
 /// With bank-conflict modelling enabled, instructions whose sources collide
 /// in a bank pay extra latency; with it disabled, timing is unchanged.
 #[test]
@@ -408,6 +473,76 @@ fn scoreboard_stall_across_a_skip_landing_is_skip_invariant() {
             skip.stall_cycles[StallReason::Scoreboard.index()] > 0,
             "{policy:?}: no scoreboard stalls"
         );
+        assert_eq!(tick.skipped_cycles, 0);
+        let strip = |s: &SimStats| SimStats {
+            skipped_cycles: 0,
+            step_calls: 0,
+            ..s.clone()
+        };
+        assert_eq!(strip(&skip), strip(&tick), "{policy:?}");
+    }
+}
+
+/// A memory-latency spike far longer than the span of the SM's gate wheel
+/// sends the gates of the loads issued inside it to the wheel's overflow
+/// list, and the skips that follow jump further than the span in one go.
+/// Every counter must still match a run that ticks each cycle.
+#[test]
+fn a_memory_spike_past_the_gate_span_is_skip_invariant() {
+    let mut b = KernelBuilder::new("spike");
+    b.threads_per_cta(128);
+    b.movi(r(0), 8);
+    let top = b.here();
+    b.ld_global(r(1), r(0));
+    b.iadd(r(0), r(1), r(0)); // waits for the load
+    b.bra_loop(top, TripCount::PerWarp { base: 3, spread: 3 });
+    b.st_global(r(0), r(1));
+    b.exit();
+    let k = b.build().unwrap();
+    let extra = 6_000;
+    let plan = FaultPlan {
+        class: FaultClass::MemLatencySpike,
+        severity: Severity::Light,
+        seed: 0,
+        faults: vec![Fault {
+            kind: FaultKind::MemLatencySpike {
+                start: 100,
+                duration: 300,
+                extra,
+            },
+            trigger_events: 0,
+        }],
+    };
+    for policy in [
+        SchedulerPolicy::Gto,
+        SchedulerPolicy::Lrr,
+        SchedulerPolicy::OwnerWarpFirst,
+    ] {
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.policy = policy;
+        let run = |cfg: &GpuConfig| {
+            let regs = k.regs_per_thread;
+            let log = Arc::new(FaultLog::new());
+            let stats = run_kernel_faulted(
+                cfg,
+                &k,
+                LaunchConfig::new(3),
+                |_| Box::new(StaticManager::new(cfg, regs)),
+                &plan,
+                Arc::clone(&log),
+            )
+            .expect("simulation completes");
+            (stats, log.injections())
+        };
+        let (skip, spiked) = run(&cfg);
+        cfg.cycle_skipping = false;
+        let (tick, _) = run(&cfg);
+        assert!(spiked > 0, "{policy:?}: the spike never started");
+        assert!(
+            skip.cycles > extra,
+            "{policy:?}: no load waited out the spike"
+        );
+        assert!(skip.skipped_cycles > extra / 2, "{policy:?}: no long skip");
         assert_eq!(tick.skipped_cycles, 0);
         let strip = |s: &SimStats| SimStats {
             skipped_cycles: 0,

@@ -4,8 +4,8 @@
 
 use regmutex_repro::prelude::*;
 
-use regmutex::{cycle_reduction_percent, verdict, RunReport, ALL_TECHNIQUES};
-use regmutex_sim::LaunchConfig;
+use regmutex::{cycle_reduction_percent, verdict, RunError, RunReport, ALL_TECHNIQUES};
+use regmutex_sim::{LaunchConfig, SimError};
 
 /// Reduced grids keep debug-mode runtime reasonable while still spanning
 /// multiple CTA waves.
@@ -113,4 +113,37 @@ fn storage_ordering_matches_paper() {
     assert_eq!(get(Technique::Rfv), 31_264);
     assert!(get(Technique::RegMutexPaired) < get(Technique::RegMutex));
     assert!(get(Technique::Rfv) / get(Technique::RegMutex) >= 81);
+}
+
+/// DWT2D's 44-register, 416-thread CTAs do not fit the half register file
+/// under static allocation. The baseline refuses at launch with a
+/// diagnosed error naming the CTA's register demand and the SM's rows,
+/// rather than idling until the no-progress detector calls a deadlock;
+/// a technique either runs the kernel or refuses it the same way.
+#[test]
+fn a_cta_that_fits_no_sm_is_refused_at_launch() {
+    let w = suite::all()
+        .into_iter()
+        .find(|w| w.name == "DWT2D")
+        .expect("DWT2D is in the suite");
+    let session = Session::new(GpuConfig::gtx480_half_rf());
+    for t in ALL_TECHNIQUES {
+        match session.run(&w.kernel, w.launch(), t) {
+            Err(RunError::Sim(SimError::NoCtaFits { short: Some(s), .. })) => assert_eq!(
+                (s.resource, s.needs, s.has),
+                ("register rows under static allocation", 572, 512),
+                "{t}"
+            ),
+            Err(e) => panic!("{t}: {e}"),
+            Ok(rep) => assert_ne!(t, Technique::Baseline, "baseline ran: {rep:?}"),
+        }
+    }
+    let err = session
+        .run(&w.kernel, w.launch(), Technique::Baseline)
+        .expect_err("the baseline cannot start");
+    let text = err.to_string();
+    assert!(
+        text.contains("a CTA needs 572 register rows under static allocation, the SM has 512"),
+        "{text}"
+    );
 }
