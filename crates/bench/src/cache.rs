@@ -5,7 +5,7 @@
 //! one-shot figure run, but a long-lived serving process (`regmutex-cli
 //! serve`) needs the opposite trade-offs:
 //!
-//! * **Shared** — every worker and every [`Runner`] in the process should
+//! * **Shared** — every worker and every [`crate::Runner`] in the process should
 //!   hit one cache, so a sweep submitted over HTTP reuses results computed
 //!   for an earlier request. The cache is therefore its own type, handed
 //!   around behind an [`Arc`].

@@ -348,11 +348,11 @@ pub(super) fn table_storage(_: &[MatrixJob], _: &[CachedResult]) -> (String, i32
         let _ = writeln!(out, "Storage overhead per SM — {label}\n");
         let mut table = Table::new(&["technique", "bits", "vs RegMutex"]);
         let rm = storage::regmutex_bits(&cfg);
-        for row in storage::comparison(&cfg) {
-            let ratio = row.bits as f64 / rm as f64;
+        for (technique, bits) in storage::comparison(&cfg) {
+            let ratio = bits as f64 / rm as f64;
             table.row(vec![
-                row.technique.to_string(),
-                row.bits.to_string(),
+                technique.to_string(),
+                bits.to_string(),
                 format!("{ratio:.2}x"),
             ]);
         }

@@ -163,8 +163,8 @@ impl JobSpec {
     /// so their results are interchangeable.
     ///
     /// FNV-1a is sequential, so the key is built in three stages over one
-    /// field order: the kernel prefix ([`kernel_prefix`]), the compile key
-    /// ([`JobSpec::compile_state`]) and this job key. [`Runner::run_all`]
+    /// field order: the kernel prefix (`kernel_prefix`), the compile key
+    /// (`JobSpec::compile_state`) and this job key. [`Runner::run_all`]
     /// reuses the first two across a batch and gets the same values.
     pub fn fingerprint(&self) -> u64 {
         self.job_key(self.compile_state(kernel_prefix(&self.kernel)))
@@ -348,19 +348,44 @@ impl Runner {
     /// tier attached, the batch's fresh results are on stable storage when
     /// this returns (one [`DurableTier::sync`] per batch).
     pub fn run_all(&self, specs: &[JobSpec]) -> Vec<CachedResult> {
+        self.run_batch(specs).into_iter().map(|(r, _)| r).collect()
+    }
+
+    /// Run a single job on the calling thread: a one-job batch. Returns the
+    /// result plus whether it was served without simulating (from the
+    /// cache or the durable tier) — the primitive a serving worker wants
+    /// (its concurrency comes from its own thread pool, not from batch
+    /// fan-out).
+    ///
+    /// Two threads racing on the same fingerprint may both simulate it;
+    /// the simulations are deterministic, so the duplicate work is a
+    /// performance wrinkle, never a correctness one. With a durable tier
+    /// attached, a fresh result is on stable storage when this returns. A
+    /// faulted job is simulated and returned without touching either store.
+    pub fn run_one(&self, spec: &JobSpec) -> (CachedResult, bool) {
+        self.run_batch(std::slice::from_ref(spec))
+            .pop()
+            .expect("a one-job batch has one result")
+    }
+
+    /// [`Runner::run_all`], with each job's result paired with whether it
+    /// was served without being simulated for this batch.
+    fn run_batch(&self, specs: &[JobSpec]) -> Vec<(CachedResult, bool)> {
         let (keys, compile_keys): (Vec<u64>, Vec<u64>) = batch_keys(specs).into_iter().unzip();
 
         // Resolve what we can from the shared cache, pinning every resolved
         // value in a batch-local map so a concurrent writer (or our own
         // inserts) evicting an entry mid-batch cannot lose it. `todo` holds
         // the first occurrence of each unresolved fingerprint, and every
-        // faulted job.
+        // faulted job; every other job is `cached`.
         let mut local: HashMap<u64, CachedResult> = HashMap::new();
         let mut todo: Vec<usize> = Vec::new();
         let mut scheduled: HashSet<u64> = HashSet::new();
+        let mut cached = vec![true; specs.len()];
         for (i, k) in keys.iter().enumerate() {
             if specs[i].fault.is_some() {
                 todo.push(i);
+                cached[i] = false;
                 self.miss();
             } else if local.contains_key(k) {
                 self.hit();
@@ -375,6 +400,7 @@ impl Runner {
                 self.hit();
             } else if scheduled.insert(*k) {
                 todo.push(i);
+                cached[i] = false;
                 self.miss();
             } else {
                 self.hit();
@@ -435,45 +461,13 @@ impl Runner {
         keys.iter()
             .enumerate()
             .map(|(i, k)| match faulted.remove(&i) {
-                Some(r) => r,
-                None => local.get(k).expect("every submitted job resolved").clone(),
+                Some(r) => (r, false),
+                None => {
+                    let r = local.get(k).expect("every submitted job resolved").clone();
+                    (r, cached[i])
+                }
             })
             .collect()
-    }
-
-    /// Run a single job on the calling thread, consulting the shared cache
-    /// first. Returns the result plus whether it was served from the cache
-    /// — the primitive a serving worker wants (its concurrency comes from
-    /// its own thread pool, not from batch fan-out).
-    ///
-    /// Two threads racing on the same fingerprint may both simulate it;
-    /// the simulations are deterministic, so the duplicate work is a
-    /// performance wrinkle, never a correctness one. With a durable tier
-    /// attached, a fresh result is on stable storage when this returns. A
-    /// faulted job is simulated and returned without touching either store.
-    pub fn run_one(&self, spec: &JobSpec) -> (CachedResult, bool) {
-        if spec.fault.is_some() {
-            self.miss();
-            return (self.run_isolated(spec, &OnceLock::new()), false);
-        }
-        let key = spec.fingerprint();
-        if let Some(v) = self.cache.probe(key) {
-            self.hit();
-            return (v, true);
-        }
-        if let Some(v) = self.tier.as_ref().and_then(|t| t.load(key)) {
-            self.cache.insert(key, v.clone());
-            self.hit();
-            return (v, true);
-        }
-        self.miss();
-        let result = self.run_isolated(spec, &OnceLock::new());
-        if let Some(t) = &self.tier {
-            t.save(key, &result);
-            t.sync();
-        }
-        self.cache.insert(key, result.clone());
-        (result, false)
     }
 
     /// Execute one job behind a panic boundary, compiling through `slot`

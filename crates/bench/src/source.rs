@@ -61,7 +61,7 @@ impl MatrixJob {
     }
 
     /// Whether `other` runs the same job apart from the technique (and
-    /// label): the precondition for [`regmutex::verdict`]'s occupancy and
+    /// label): the precondition for [`regmutex::verdict()`]'s occupancy and
     /// fallback checks.
     pub fn same_job(&self, other: &MatrixJob) -> bool {
         let key = |j: &MatrixJob| (j.ctas, j.force_es, j.cycle_budget);

@@ -9,7 +9,7 @@
 //! first shared access until the owner exits. The Owner-Warp-First scheduler
 //! optimization prioritizes lock owners so they finish (and release) sooner.
 
-use regmutex_isa::{ArchReg, CtaId, Instr, PhysReg, WarpId};
+use regmutex_isa::{ArchReg, CtaId, Instr, Kernel, Op, PhysReg, WarpId};
 use regmutex_sim::manager::{AcquireResult, Ledger, RegisterManager};
 use regmutex_sim::GpuConfig;
 
@@ -44,9 +44,24 @@ impl OwfManager {
         }
     }
 
+    /// The threshold OWF shares `kernel`'s registers at, or `None` when it
+    /// runs the kernel unshared under static allocation.
+    ///
+    /// OWF's lock is held to the end of the program, so sharing combined
+    /// with CTA barriers can form lock/barrier wait cycles (warp A at its
+    /// barrier for C; C on a lock held by D; D at its barrier for B; B on
+    /// A's lock). Jatala et al. \[7\] handle synchronization with mechanisms
+    /// we do not model; our OWF shares only for barrier-free kernels of at
+    /// least four registers per thread.
+    pub fn sharing_threshold(cfg: &GpuConfig, kernel: &Kernel) -> Option<u16> {
+        let regs = kernel.regs_per_thread;
+        let shares = regs >= 4 && kernel.count_ops(|o| matches!(o, Op::Bar)) == 0;
+        shares.then(|| Self::choose_threshold(cfg, regs))
+    }
+
     /// Pick the sharing threshold that maximizes warp capacity (ties:
     /// largest `t`, i.e. the least sharing that still achieves it).
-    pub fn choose_threshold(cfg: &GpuConfig, regs_per_thread: u16) -> u16 {
+    fn choose_threshold(cfg: &GpuConfig, regs_per_thread: u16) -> u16 {
         let rows = cfg.reg_rows_per_sm();
         let r = u32::from(regs_per_thread);
         let mut best = (0u32, regs_per_thread.saturating_sub(2));
@@ -71,11 +86,16 @@ impl OwfManager {
     }
 
     /// Pairing is across the two halves of the warp-slot space (slot `i`
-    /// with slot `i + Nw/2`). Since a CTA's warps occupy contiguous low
-    /// slots (at most 16 of them), the two members of a pair can never
-    /// belong to the same CTA — so the held-to-program-end lock can never
-    /// deadlock against a CTA barrier the owner and the waiter both
-    /// participate in.
+    /// with slot `i + Nw/2`).
+    ///
+    /// Known defect: the SM offers a CTA the lowest free slots, so slot
+    /// `i + Nw/2` is offered only once every slot below it is taken. When
+    /// the register file holds fewer than `Nw/2` pair blocks, the first
+    /// slot whose pair block does not fit stops admission there, and the
+    /// high half, whose blocks would fit, is never used: OWF admits fewer
+    /// warps than its [`RegisterManager::warp_capacity`] (DWT2D on the
+    /// full register file: 39 stated, 13 admitted). Fixing it moves OWF's
+    /// results (an open item in ROADMAP.md).
     fn pair(&self, w: WarpId) -> u32 {
         w.0 % (self.nw / 2)
     }
@@ -114,6 +134,13 @@ impl OwfManager {
 impl RegisterManager for OwfManager {
     fn name(&self) -> &'static str {
         "owf"
+    }
+
+    /// The warps the pair layout has room for. Unlike every other
+    /// manager's, OWF's admission does not reach it when the register
+    /// file holds fewer than `Nw/2` pair blocks (see `pair`).
+    fn warp_capacity(&self) -> u32 {
+        ((self.total_rows / self.rows_per_pair()) * 2).min(self.nw)
     }
 
     fn try_admit_cta(&mut self, ledger: &mut Ledger, _cta: CtaId, warp_slots: &[WarpId]) -> bool {
@@ -203,10 +230,6 @@ impl RegisterManager for OwfManager {
     fn holds_extended(&self, warp: WarpId) -> bool {
         self.owner[self.pair(warp) as usize] == Some(warp)
     }
-
-    fn storage_overhead_bits(&self) -> u64 {
-        u64::from(self.nw / 2) // one lock bit per pair
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +295,7 @@ mod tests {
         // rows/pair = 82 -> 12 pairs = 24 warps.
         let t = OwfManager::choose_threshold(&cfg, 44);
         let m = OwfManager::new(&cfg, 44, t);
-        assert!(m.warp_capacity_for_test() >= 24);
+        assert!(m.warp_capacity() >= 24);
     }
 
     #[test]
@@ -282,12 +305,6 @@ mod tests {
         // Any t <= 18 gives rows/pair <= 42 -> 24 pairs = 48 warps (max);
         // the largest such t is picked.
         assert_eq!(t, 18);
-    }
-
-    #[test]
-    fn storage_is_half_nw() {
-        let (m, _) = setup(24, 18);
-        assert_eq!(m.storage_overhead_bits(), 24);
     }
 
     #[test]
@@ -301,11 +318,5 @@ mod tests {
         assert!(!m.try_admit_cta(&mut l, CtaId(1), &[WarpId(1)]));
         // Slot 24 is pair 0's other member: fits.
         assert!(m.try_admit_cta(&mut l, CtaId(2), &[WarpId(24)]));
-    }
-
-    impl OwfManager {
-        fn warp_capacity_for_test(&self) -> u32 {
-            ((self.total_rows / self.rows_per_pair()) * 2).min(self.nw)
-        }
     }
 }

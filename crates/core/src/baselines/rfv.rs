@@ -19,16 +19,10 @@ use regmutex_isa::{ArchReg, CtaId, Instr, PhysReg, WarpId};
 use regmutex_sim::manager::{AcquireResult, Ledger, RegisterManager};
 use regmutex_sim::GpuConfig;
 
-use crate::hw::bitmask::ceil_log2;
-
-/// Architected registers the paper's RRT sizing assumes (Fermi's 63).
-pub const RRT_ARCH_REGS: u64 = 63;
-
 /// RFV per-SM state.
 #[derive(Debug, Clone)]
 pub struct RfvManager {
     total_rows: u32,
-    nw: u32,
     free: Vec<u32>,
     /// Renaming table: per warp slot, per architected register.
     map: Vec<Vec<Option<u32>>>,
@@ -64,7 +58,6 @@ impl RfvManager {
         let admit = (avg_live.ceil() as u32 + 2).clamp(1, u32::from(regs_per_thread).max(1));
         RfvManager {
             total_rows,
-            nw: cfg.max_warps_per_sm,
             free: (0..total_rows).rev().collect(),
             map: vec![
                 vec![None; usize::from(regs_per_thread.max(1))];
@@ -144,6 +137,10 @@ impl RfvManager {
 impl RegisterManager for RfvManager {
     fn name(&self) -> &'static str {
         "rfv"
+    }
+
+    fn warp_capacity(&self) -> u32 {
+        self.total_rows / self.admit_rows_per_warp
     }
 
     fn try_admit_cta(&mut self, _ledger: &mut Ledger, _cta: CtaId, warp_slots: &[WarpId]) -> bool {
@@ -227,13 +224,6 @@ impl RegisterManager for RfvManager {
         self.stall_since[warp.index()] = None;
     }
 
-    fn storage_overhead_bits(&self) -> u64 {
-        // §III-B1 / §IV-C accounting: the renaming table (Nw × 63 entries of
-        // ⌈log₂ rows⌉ bits) plus the per-row availability mask.
-        u64::from(self.nw) * RRT_ARCH_REGS * u64::from(ceil_log2(self.total_rows))
-            + u64::from(self.total_rows)
-    }
-
     fn spill_count(&self) -> u64 {
         self.spill_events
     }
@@ -258,16 +248,6 @@ mod tests {
             Some(ArchReg(dst)),
             srcs.iter().map(|&s| ArchReg(s)).collect(),
         )
-    }
-
-    #[test]
-    fn storage_matches_paper_31264_bits() {
-        let cfg = GpuConfig::gtx480();
-        let (m, _) = mk(&cfg, 8, vec![]);
-        // 48 × 63 × 10 + 1024 = 31,264.
-        assert_eq!(m.storage_overhead_bits(), 31_264);
-        // And the >81× claim versus RegMutex's 384.
-        assert!(m.storage_overhead_bits() / 384 >= 81);
     }
 
     #[test]
@@ -298,6 +278,7 @@ mod tests {
         // avg_live 4.0 -> 6 rows/warp -> 10 warps admit on 64 rows.
         let (mut m, mut l) = mk(&cfg, 32, vec![]);
         assert_eq!(m.admit_rows_per_warp(), 6);
+        assert_eq!(m.warp_capacity(), 10);
         let slots: Vec<WarpId> = (0..10).map(WarpId).collect();
         assert!(m.try_admit_cta(&mut l, CtaId(0), &slots));
         assert!(!m.try_admit_cta(&mut l, CtaId(1), &[WarpId(10)]));

@@ -1,7 +1,7 @@
 //! The three storage structures RegMutex adds to the SM (Fig 4, §III-B1):
 //! the warp-status bitmask, the SRP bitmask with its Find-First-Zero port,
-//! and the warp→section lookup table. Sizes are accounted in bits exactly as
-//! the paper does (384 bits total at `Nw = 48`).
+//! and the warp→section lookup table. Their size in bits is
+//! [`crate::storage::regmutex_bits`] (384 at `Nw = 48`).
 
 /// One bit per resident warp: set while the warp holds its extended set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,11 +38,6 @@ impl WarpStatusBitmask {
     /// Warps currently in the acquired state.
     pub fn count(&self) -> u32 {
         self.bits.count_ones()
-    }
-
-    /// Hardware storage: `Nw` bits.
-    pub fn storage_bits(&self) -> u64 {
-        u64::from(self.nw)
     }
 }
 
@@ -155,18 +150,12 @@ impl SrpBitmask {
         };
         (self.effective() & mask).count_ones()
     }
-
-    /// Hardware storage: `Nw` bits.
-    pub fn storage_bits(&self) -> u64 {
-        u64::from(self.nw)
-    }
 }
 
 /// Per-warp section index: `Nw` entries of `⌈log₂ Nw⌉` bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionLut {
     entries: Vec<u32>,
-    nw: u32,
 }
 
 impl SectionLut {
@@ -174,7 +163,6 @@ impl SectionLut {
     pub fn new(nw: u32) -> Self {
         SectionLut {
             entries: vec![0; nw as usize],
-            nw,
         }
     }
 
@@ -187,11 +175,6 @@ impl SectionLut {
     /// bit is set).
     pub fn get(&self, w: u32) -> u32 {
         self.entries[w as usize]
-    }
-
-    /// Hardware storage: `Nw × ⌈log₂ Nw⌉` bits (288 at `Nw = 48`).
-    pub fn storage_bits(&self) -> u64 {
-        u64::from(self.nw) * u64::from(ceil_log2(self.nw))
     }
 }
 
@@ -217,7 +200,6 @@ mod tests {
         assert_eq!(m.count(), 1);
         m.unset(5);
         assert!(!m.get(5));
-        assert_eq!(m.storage_bits(), 48);
     }
 
     #[test]
@@ -254,13 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn lut_round_trip_and_storage() {
+    fn lut_round_trip() {
         let mut l = SectionLut::new(48);
         l.set(7, 33);
         assert_eq!(l.get(7), 33);
         assert_eq!(l.get(8), 0);
-        // 48 × ceil(log2 48) = 48 × 6 = 288 bits, as §III-B1 counts.
-        assert_eq!(l.storage_bits(), 288);
     }
 
     #[test]
@@ -270,17 +250,6 @@ mod tests {
         assert_eq!(ceil_log2(48), 6);
         assert_eq!(ceil_log2(64), 6);
         assert_eq!(ceil_log2(65), 7);
-    }
-
-    #[test]
-    fn paper_total_is_384_bits() {
-        let status = WarpStatusBitmask::new(48);
-        let srp = SrpBitmask::new(48, 48);
-        let lut = SectionLut::new(48);
-        assert_eq!(
-            status.storage_bits() + srp.storage_bits() + lut.storage_bits(),
-            384
-        );
     }
 
     #[test]

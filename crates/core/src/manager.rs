@@ -77,6 +77,10 @@ impl RegisterManager for RegMutexManager {
         "regmutex"
     }
 
+    fn warp_capacity(&self) -> u32 {
+        self.max_resident_warps
+    }
+
     fn try_admit_cta(&mut self, ledger: &mut Ledger, _cta: CtaId, warp_slots: &[WarpId]) -> bool {
         // A slot is feasible iff its base block lies inside the base segment
         // (equivalently: slot < occupancy_warps).
@@ -156,10 +160,6 @@ impl RegisterManager for RegMutexManager {
         self.status.get(warp.0)
     }
 
-    fn storage_overhead_bits(&self) -> u64 {
-        self.status.storage_bits() + self.srp.storage_bits() + self.lut.storage_bits()
-    }
-
     fn inject_hw_fault(&mut self, fault: &HwFault) -> InjectOutcome {
         match *fault {
             HwFault::CorruptLut { warp } => {
@@ -214,14 +214,9 @@ mod tests {
     }
 
     #[test]
-    fn storage_is_384_bits() {
-        let (m, _) = setup();
-        assert_eq!(m.storage_overhead_bits(), 384);
-    }
-
-    #[test]
     fn admission_respects_base_segment() {
         let (mut m, mut l) = setup();
+        assert_eq!(m.warp_capacity(), 48);
         assert!(m.try_admit_cta(&mut l, CtaId(0), &[WarpId(0), WarpId(47)]));
         assert!(!m.try_admit_cta(&mut l, CtaId(1), &[WarpId(48)]));
         assert_eq!(l.free_rows(), 1024 - 2 * 18);

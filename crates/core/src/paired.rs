@@ -52,11 +52,6 @@ impl PairedWarpsManager {
         2 * self.bs + self.es
     }
 
-    /// Theoretical warp capacity of this layout (before CTA granularity).
-    pub fn warp_capacity(&self) -> u32 {
-        ((self.total_rows / self.rows_per_pair()) * 2).min(self.nw)
-    }
-
     fn pair(&self, w: WarpId) -> u32 {
         w.0 / 2
     }
@@ -78,6 +73,10 @@ impl PairedWarpsManager {
 impl RegisterManager for PairedWarpsManager {
     fn name(&self) -> &'static str {
         "regmutex-paired"
+    }
+
+    fn warp_capacity(&self) -> u32 {
+        ((self.total_rows / self.rows_per_pair()) * 2).min(self.nw)
     }
 
     fn try_admit_cta(&mut self, ledger: &mut Ledger, _cta: CtaId, warp_slots: &[WarpId]) -> bool {
@@ -167,11 +166,6 @@ impl RegisterManager for PairedWarpsManager {
         self.holder[self.pair(warp).index()] == Some(warp)
     }
 
-    fn storage_overhead_bits(&self) -> u64 {
-        // §III-C: only the Nw/2 pair bits.
-        u64::from(self.nw / 2)
-    }
-
     fn inject_hw_fault(&mut self, fault: &HwFault) -> InjectOutcome {
         let pairs = self.nw / 2;
         match *fault {
@@ -243,12 +237,6 @@ mod tests {
             PairedWarpsManager::new(&cfg, &plan()),
             Ledger::new(cfg.reg_rows_per_sm()),
         )
-    }
-
-    #[test]
-    fn storage_is_nw_over_2() {
-        let (m, _) = setup();
-        assert_eq!(m.storage_overhead_bits(), 24);
     }
 
     #[test]

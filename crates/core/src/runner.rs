@@ -8,14 +8,15 @@ use regmutex_isa::{Kernel, ValidateKernelError};
 use regmutex_sim::fault::{FaultLog, FaultPlan};
 use regmutex_sim::manager::RegisterManager;
 use regmutex_sim::{
-    occupancy, run_kernel, run_kernel_faulted, run_kernel_traced, GpuConfig, KernelResources,
-    LaunchConfig, SchedulerPolicy, SimError, SimStats, StaticManager, TraceEvent,
+    run_kernel, run_kernel_faulted, run_kernel_traced, GpuConfig, LaunchConfig, SchedulerPolicy,
+    SimError, SimStats, StaticManager, TraceEvent,
 };
 
 use crate::baselines::owf::OwfManager;
 use crate::baselines::rfv::RfvManager;
 use crate::manager::RegMutexManager;
 use crate::paired::PairedWarpsManager;
+use crate::storage;
 
 /// A register-allocation technique under evaluation. The default is
 /// RegMutex, the paper's technique.
@@ -306,97 +307,66 @@ impl Session {
     ) -> Result<(RunReport, Vec<TraceEvent>), RunError> {
         let cfg = &self.cfg;
         let original = &compiled.original;
-        let res = KernelResources::new(
-            original.regs_per_thread,
-            original.shmem_per_cta,
-            original.threads_per_cta,
-        );
-        let wpc = original.warps_per_cta(cfg.warp_size);
-        let baseline_occ = occupancy::theoretical(cfg, res);
-
-        // Pick the kernel image, manager factory, scheduler policy, and
-        // theoretical occupancy for this technique.
-        let (kernel_to_run, plan) = match technique {
-            Technique::RegMutex | Technique::RegMutexPaired => (&compiled.kernel, compiled.plan),
-            _ => (original, None),
-        };
-
-        let mut run_cfg = cfg.clone();
-        if technique == Technique::Owf {
-            run_cfg.policy = SchedulerPolicy::OwnerWarpFirst;
-        }
-
-        // OWF's lock is held to the end of the program, so sharing
-        // combined with CTA barriers can form lock/barrier wait cycles
-        // (warp A at its barrier for C; C on a lock held by D; D at its
-        // barrier for B; B on A's lock). Jatala et al. \[7\] handle
-        // synchronization with mechanisms we do not model; our OWF shares
-        // only for barrier-free kernels and runs barrier kernels unshared.
         let regs = original.regs_per_thread;
-        let owf_shares =
-            regs >= 4 && original.count_ops(|o| matches!(o, regmutex_isa::Op::Bar)) == 0;
-
-        // Each technique runs its own manager type, so the step loop is
-        // compiled once per manager with static dispatch. `plan` is `None`
-        // for every technique but the RegMutex variants.
-        let c = cfg.clone();
-        let sim = Simulation {
-            cfg: &run_cfg,
-            kernel: kernel_to_run,
+        let mut sim = Simulation {
+            cfg: cfg.clone(),
             launch,
             traced,
             faults,
         };
-        let (stats, trace, storage_bits) = match (technique, plan) {
-            (Technique::RegMutex, Some(p)) => sim.run(move || RegMutexManager::new(&c, &p)),
-            (Technique::RegMutexPaired, Some(p)) => {
-                sim.run(move || PairedWarpsManager::new(&c, &p))
-            }
+
+        // The one technique switch: it picks the kernel image and plan, the
+        // manager (whose probe states the warp capacity) and the storage
+        // the technique adds. Each technique runs its own manager type, so
+        // the step loop is compiled once per manager with static dispatch.
+        // The RegMutex variants fall back to static allocation, and so to
+        // no added storage, when the compiler left the kernel untransformed.
+        let c = cfg.clone();
+        let (plan, storage_bits, run) = match (technique, compiled.plan) {
+            (Technique::RegMutex, Some(p)) => (
+                Some(p),
+                storage::regmutex_bits(cfg),
+                sim.run(&compiled.kernel, move || RegMutexManager::new(&c, &p)),
+            ),
+            (Technique::RegMutexPaired, Some(p)) => (
+                Some(p),
+                storage::paired_bits(cfg),
+                sim.run(&compiled.kernel, move || PairedWarpsManager::new(&c, &p)),
+            ),
             (Technique::Rfv, _) => {
                 let dead = Arc::clone(&compiled.dead_after);
                 let avg = compiled.avg_live;
-                sim.run(move || RfvManager::new(&c, Arc::clone(&dead), regs, avg))
+                let make = move || RfvManager::new(&c, Arc::clone(&dead), regs, avg);
+                (None, storage::rfv_bits(cfg), sim.run(original, make))
             }
-            (Technique::Owf, _) if owf_shares => {
-                let t = OwfManager::choose_threshold(&c, regs);
-                sim.run(move || OwfManager::new(&c, regs, t))
-            }
-            _ => sim.run(move || StaticManager::new(&c, regs)),
-        }?;
-        let theoretical = match technique {
-            Technique::Baseline => baseline_occ.warps,
-            Technique::RegMutex => plan
-                .map(|p| p.occupancy_warps)
-                .unwrap_or(baseline_occ.warps),
-            Technique::RegMutexPaired => match plan {
-                Some(p) => {
-                    let per_pair = 2 * u32::from(p.bs) + u32::from(p.es);
-                    cta_granular_warps(cfg, res, (cfg.reg_rows_per_sm() / per_pair) * 2, wpc)
+            (Technique::Owf, _) => {
+                sim.cfg.policy = SchedulerPolicy::OwnerWarpFirst;
+                match OwfManager::sharing_threshold(cfg, original) {
+                    Some(t) => {
+                        let make = move || OwfManager::new(&c, regs, t);
+                        (None, storage::owf_bits(cfg), sim.run(original, make))
+                    }
+                    None => (
+                        None,
+                        0,
+                        sim.run(original, move || StaticManager::new(&c, regs)),
+                    ),
                 }
-                None => baseline_occ.warps,
-            },
-            Technique::Rfv => {
-                let per_warp = (compiled.avg_live.ceil() as u32 + 2).max(1);
-                cta_granular_warps(cfg, res, cfg.reg_rows_per_sm() / per_warp, wpc)
             }
-            Technique::Owf if owf_shares => {
-                let t = u32::from(OwfManager::choose_threshold(cfg, regs));
-                let per_pair = u32::from(regs) + t;
-                cta_granular_warps(cfg, res, (cfg.reg_rows_per_sm() / per_pair) * 2, wpc)
-            }
-            Technique::Owf => baseline_occ.warps,
+            _ => (
+                None,
+                0,
+                sim.run(original, move || StaticManager::new(&c, regs)),
+            ),
         };
-
+        let (stats, trace, warp_capacity) = run?;
         Ok((
             RunReport {
                 technique,
                 kernel_name: original.name.clone(),
                 stats,
-                plan: match technique {
-                    Technique::RegMutex | Technique::RegMutexPaired => plan,
-                    _ => None,
-                },
-                theoretical_occupancy_warps: theoretical,
+                plan,
+                theoretical_occupancy_warps: cta_granular_warps(cfg, original, warp_capacity),
                 max_warps: cfg.max_warps_per_sm,
                 storage_overhead_bits: storage_bits,
             },
@@ -405,48 +375,53 @@ impl Session {
     }
 }
 
-/// One simulation, waiting for the manager type it runs with.
+/// One simulation, waiting for its kernel image and the manager type it
+/// runs with.
 struct Simulation<'a> {
-    cfg: &'a GpuConfig,
-    kernel: &'a Kernel,
+    cfg: GpuConfig,
     launch: LaunchConfig,
     traced: bool,
     faults: Option<(&'a FaultPlan, Arc<FaultLog>)>,
 }
 
 impl Simulation<'_> {
-    /// Run with a manager from `make` on every SM: statically dispatched,
-    /// except that fault injection and tracing run the same loop over
-    /// `Box<dyn RegisterManager>`. Returns the stats, the trace (empty
-    /// unless traced) and the technique's storage overhead in bits.
+    /// Run `kernel` with a manager from `make` on every SM: statically
+    /// dispatched, except that fault injection and tracing run the same
+    /// loop over `Box<dyn RegisterManager>`. Returns the stats, the trace
+    /// (empty unless traced) and the warp capacity a probe manager states.
     fn run<M: RegisterManager + 'static>(
-        self,
+        &self,
+        kernel: &Kernel,
         make: impl Fn() -> M + Send + Sync,
-    ) -> Result<(SimStats, Vec<TraceEvent>, u64), SimError> {
-        let storage_bits = make().storage_overhead_bits();
+    ) -> Result<(SimStats, Vec<TraceEvent>, u32), SimError> {
+        let warp_capacity = make().warp_capacity();
         let boxed = |_| -> Box<dyn RegisterManager> { Box::new(make()) };
-        let (stats, trace) = match self.faults {
+        let (cfg, launch) = (&self.cfg, self.launch);
+        let (stats, trace) = match &self.faults {
             Some((plan, log)) => (
-                run_kernel_faulted(self.cfg, self.kernel, self.launch, boxed, plan, log)?,
+                run_kernel_faulted(cfg, kernel, launch, boxed, plan, Arc::clone(log))?,
                 Vec::new(),
             ),
-            None if self.traced => run_kernel_traced(self.cfg, self.kernel, self.launch, boxed)?,
+            None if self.traced => run_kernel_traced(cfg, kernel, launch, boxed)?,
             None => (
-                run_kernel(self.cfg, self.kernel, self.launch, |_| Box::new(make()))?,
+                run_kernel(cfg, kernel, launch, |_| Box::new(make()))?,
                 Vec::new(),
             ),
         };
-        Ok((stats, trace, storage_bits))
+        Ok((stats, trace, warp_capacity))
     }
 }
 
-/// CTA-granular occupancy given a technique-specific warp capacity.
-fn cta_granular_warps(cfg: &GpuConfig, res: KernelResources, warp_capacity: u32, wpc: u32) -> u32 {
+/// `kernel`'s occupancy in warps, in whole CTAs, when registers admit
+/// `warp_capacity` warps: the CTAs that fit the warp slots, that capacity,
+/// the shared memory and the CTA slots at once.
+fn cta_granular_warps(cfg: &GpuConfig, kernel: &Kernel, warp_capacity: u32) -> u32 {
+    let wpc = kernel.warps_per_cta(cfg.warp_size).max(1);
     let by_warps = cfg.max_warps_per_sm / wpc;
     let by_capacity = warp_capacity / wpc;
     let by_shmem = cfg
         .shmem_per_sm
-        .checked_div(res.shmem_per_cta)
+        .checked_div(kernel.shmem_per_cta)
         .unwrap_or(u32::MAX);
     let ctas = by_warps
         .min(by_capacity)

@@ -1,17 +1,11 @@
-//! Hardware storage-overhead accounting (§III-B1 and §IV-C).
+//! Hardware storage-overhead accounting (§III-B1 and §IV-C): the one
+//! place each technique's added storage is stated. A run reports the
+//! figure for the manager it built; the baseline adds nothing.
 
 use regmutex_sim::GpuConfig;
 
 use crate::hw::bitmask::ceil_log2;
-
-/// Storage a technique adds to one SM, in bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StorageOverhead {
-    /// Technique label.
-    pub technique: &'static str,
-    /// Added bits.
-    pub bits: u64,
-}
+use crate::Technique;
 
 /// RegMutex: warp-status bitmask + SRP bitmask + LUT
 /// (`Nw + Nw + Nw·⌈log₂ Nw⌉` = 384 at `Nw = 48`).
@@ -25,8 +19,9 @@ pub fn paired_bits(cfg: &GpuConfig) -> u64 {
     u64::from(cfg.max_warps_per_sm / 2)
 }
 
-/// RFV: renaming table (`Nw × 63 × ⌈log₂ rows⌉`) + availability mask
-/// (`rows`); 30,240 + 1,024 = 31,264 on the Fermi baseline.
+/// RFV: renaming table (`Nw × 63 × ⌈log₂ rows⌉`, sized for Fermi's 63
+/// architected registers) + availability mask (`rows`); 30,240 + 1,024 =
+/// 31,264 on the Fermi baseline.
 pub fn rfv_bits(cfg: &GpuConfig) -> u64 {
     let rows = cfg.reg_rows_per_sm();
     u64::from(cfg.max_warps_per_sm) * 63 * u64::from(ceil_log2(rows)) + u64::from(rows)
@@ -37,25 +32,14 @@ pub fn owf_bits(cfg: &GpuConfig) -> u64 {
     u64::from(cfg.max_warps_per_sm / 2)
 }
 
-/// The full comparison table.
-pub fn comparison(cfg: &GpuConfig) -> Vec<StorageOverhead> {
-    vec![
-        StorageOverhead {
-            technique: "regmutex",
-            bits: regmutex_bits(cfg),
-        },
-        StorageOverhead {
-            technique: "regmutex-paired",
-            bits: paired_bits(cfg),
-        },
-        StorageOverhead {
-            technique: "rfv",
-            bits: rfv_bits(cfg),
-        },
-        StorageOverhead {
-            technique: "owf",
-            bits: owf_bits(cfg),
-        },
+/// The full comparison table: each technique that adds storage, with its
+/// bits per SM.
+pub fn comparison(cfg: &GpuConfig) -> [(Technique, u64); 4] {
+    [
+        (Technique::RegMutex, regmutex_bits(cfg)),
+        (Technique::RegMutexPaired, paired_bits(cfg)),
+        (Technique::Rfv, rfv_bits(cfg)),
+        (Technique::Owf, owf_bits(cfg)),
     ]
 }
 
@@ -84,9 +68,6 @@ mod tests {
     #[test]
     fn comparison_table_has_all_rows() {
         let rows = comparison(&GpuConfig::gtx480());
-        assert_eq!(rows.len(), 4);
-        assert!(rows
-            .iter()
-            .any(|r| r.technique == "regmutex" && r.bits == 384));
+        assert!(rows.contains(&(Technique::RegMutex, 384)));
     }
 }

@@ -1,6 +1,6 @@
 //! The checksummed append-only record journal.
 //!
-//! One file in the shared record framing (see [`crate::record`]): the
+//! One file in the shared record framing (see `crate::record`): the
 //! `RMXJRNL1` header, then one `RMXR`-marked, length-prefixed,
 //! FNV-1a-checksummed record per append. Payloads are UTF-8 text; the
 //! campaign layers define the vocabulary (first record is always the

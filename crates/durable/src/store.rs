@@ -1,7 +1,7 @@
 //! The content-addressed on-disk result store.
 //!
 //! One append-only log, `<dir>/results.log`, in the journal's record
-//! framing (see [`crate::record`]): the `RMXJRNL1` header, then one
+//! framing (see `crate::record`): the `RMXJRNL1` header, then one
 //! record per result whose payload is
 //!
 //! ```text

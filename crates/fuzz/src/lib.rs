@@ -17,9 +17,9 @@
 //!   kernel by construction.
 //! - [`oracle`] — runs one generated kernel through every
 //!   [`regmutex::Technique`] and judges each against the baseline with
-//!   [`regmutex::verdict`], re-running watchdog expiries at a larger
+//!   [`regmutex::verdict()`], re-running watchdog expiries at a larger
 //!   budget first.
-//! - [`minimize`] — delta debugging over the decision trace (never the
+//! - [`minimize()`] — delta debugging over the decision trace (never the
 //!   instruction list), producing small replayable [`artifact`]s.
 //!
 //! [`campaign`] wires them into deterministic batched campaigns whose

@@ -1,7 +1,7 @@
 //! The differential cross-technique oracle.
 //!
 //! Every generated kernel runs under all five [`Technique`]s as one job
-//! apart from the technique, so [`regmutex::verdict`] holds each to all
+//! apart from the technique, so [`regmutex::verdict()`] holds each to all
 //! four invariants against the baseline (DESIGN.md §9): verdict symmetry,
 //! checksum agreement, the occupancy floor (RegMutex and RegMutexPaired)
 //! and fallback identity (a RegMutex run without a plan, whatever its

@@ -144,7 +144,7 @@ const SIM_COUNTERS: [&str; 8] = [
     "step_calls",
 ];
 
-/// Aggregated simulation counters, in [`SIM_COUNTERS`] order.
+/// Aggregated simulation counters, in `SIM_COUNTERS` order.
 #[derive(Default)]
 pub struct SimTotals([AtomicU64; SIM_COUNTERS.len()]);
 

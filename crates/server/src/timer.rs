@@ -70,7 +70,7 @@ impl TimerWheel {
         (elapsed.as_nanos() / g) as u64
     }
 
-    /// Arm an entry. Ticks in the past fire on the next [`advance`].
+    /// Arm an entry. Ticks in the past fire on the next [`Self::advance`].
     pub fn schedule(&mut self, entry: TimerEntry) {
         let tick = entry.tick.max(self.cursor);
         let slot = (tick as usize) % WHEEL_SLOTS;

@@ -3,7 +3,7 @@
 //! RegMutex's correctness rests on fragile invariants — acquire/release
 //! pairing, SRP section ownership, the compiler's deadlock rules — and the
 //! simulator ships several detectors for them (the ownership
-//! [`Ledger`](crate::manager::Ledger), the no-progress deadlock detector,
+//! [`crate::manager::Ledger`], the no-progress deadlock detector,
 //! the absolute watchdog, and the store-checksum functional oracle). This
 //! module *attacks* the machinery those detectors guard: a seeded
 //! [`FaultPlan`] corrupts manager state at the issue stage / manager
@@ -607,8 +607,8 @@ impl RegisterManager for FaultInjector {
         self.inner.holds_extended(warp)
     }
 
-    fn storage_overhead_bits(&self) -> u64 {
-        self.inner.storage_overhead_bits()
+    fn warp_capacity(&self) -> u32 {
+        self.inner.warp_capacity()
     }
 
     fn spill_count(&self) -> u64 {

@@ -165,7 +165,7 @@ pub fn run_kernel<M: RegisterManager + ?Sized>(
     .map(|(stats, _)| stats)
 }
 
-/// Like [`run_kernel`], but records issue-stage [`TraceEvent`]s on the first
+/// Like [`run_kernel`], but records issue-stage [`crate::TraceEvent`]s on the first
 /// simulated SM and returns them with the stats (see
 /// [`render_timeline`](crate::trace::render_timeline)).
 ///

@@ -18,11 +18,11 @@
 //!   latency (the mechanism behind the paper's speedups).
 //! * **Functional execution**: a warp-granular value layer with store
 //!   checksums, the oracle for compiler-transform correctness, plus a
-//!   register-ownership [`Ledger`](manager::Ledger) that validates every
+//!   register-ownership [`manager::Ledger`] that validates every
 //!   access against the active allocation technique.
 //!
 //! Register-allocation techniques plug in through the
-//! [`RegisterManager`](manager::RegisterManager) trait; this crate ships the
+//! [`manager::RegisterManager`] trait; this crate ships the
 //! conventional static/exclusive baseline, while RegMutex itself, the
 //! paired-warps specialization, RFV, and OWF live in the `regmutex` crate.
 

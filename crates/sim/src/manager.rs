@@ -321,9 +321,13 @@ pub trait RegisterManager: Send {
         false
     }
 
-    /// Extra storage bits this technique adds to the baseline SM (§III-B1).
-    fn storage_overhead_bits(&self) -> u64 {
-        0
+    /// Warp slots [`Self::try_admit_cta`] accepts on an empty SM when
+    /// registers are the only limit: the technique's register-bound warp
+    /// capacity, which a run reports, rounded down to whole CTAs, as its
+    /// theoretical occupancy. The default, `u32::MAX`, says registers do
+    /// not limit admission.
+    fn warp_capacity(&self) -> u32 {
+        u32::MAX
     }
 
     /// Emergency register spills this manager performed (RFV only).
@@ -385,6 +389,10 @@ impl StaticManager {
 impl RegisterManager for StaticManager {
     fn name(&self) -> &'static str {
         "baseline-static"
+    }
+
+    fn warp_capacity(&self) -> u32 {
+        self.total_rows.checked_div(self.coeff).unwrap_or(u32::MAX)
     }
 
     fn try_admit_cta(&mut self, ledger: &mut Ledger, _cta: CtaId, warp_slots: &[WarpId]) -> bool {
@@ -569,6 +577,7 @@ mod tests {
         let c = cfg();
         // 20 regs/thread -> coeff 20 rows; 64 rows fit 3 warps.
         let mut m = StaticManager::new(&c, 20);
+        assert_eq!(m.warp_capacity(), 3);
         let mut l = Ledger::new(c.reg_rows_per_sm());
         assert!(m.try_admit_cta(&mut l, CtaId(0), &[WarpId(0), WarpId(1)]));
         assert!(m.try_admit_cta(&mut l, CtaId(1), &[WarpId(2)]));
@@ -593,7 +602,6 @@ mod tests {
         let mut l = Ledger::new(c.reg_rows_per_sm());
         assert_eq!(m.try_acquire(&mut l, WarpId(0)), AcquireResult::NoOp);
         assert!(!m.holds_extended(WarpId(0)));
-        assert_eq!(m.storage_overhead_bits(), 0);
     }
 
     #[test]
@@ -607,6 +615,7 @@ mod tests {
     fn zero_reg_kernel_admits_everywhere() {
         let c = cfg();
         let mut m = StaticManager::new(&c, 0);
+        assert_eq!(m.warp_capacity(), u32::MAX);
         let mut l = Ledger::new(c.reg_rows_per_sm());
         for s in 0..8 {
             assert!(m.try_admit_cta(&mut l, CtaId(s), &[WarpId(s)]));

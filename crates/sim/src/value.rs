@@ -26,8 +26,11 @@ pub fn eval(instr: &Instr, srcs: &[u64]) -> u64 {
         Op::Mov => srcs[0],
         Op::MovImm(v) => v,
         Op::Sel => {
-            // Selection keyed on the third operand's parity: keeps Sel
-            // genuinely dependent on all inputs while staying simple.
+            // Known defect: both arms return `srcs[0]`, so `sel` reads
+            // its first operand only and a wrong second or third operand
+            // cannot move a checksum. The intended rule picks by the third
+            // operand's parity; fixing it moves MergeSort's checksums and
+            // pinned stats (an open item in ROADMAP.md).
             if srcs.len() == 3 && srcs[2] & 1 == 1 {
                 srcs[0]
             } else {

@@ -2,10 +2,18 @@
 //! techniques agree functionally (store checksums), and the headline
 //! orderings hold.
 
+use std::sync::Arc;
+
 use regmutex_repro::prelude::*;
 
-use regmutex::{cycle_reduction_percent, verdict, RunError, RunReport, ALL_TECHNIQUES};
-use regmutex_sim::{LaunchConfig, SimError};
+use regmutex::{
+    cycle_reduction_percent, verdict, PairedWarpsManager, RegMutexManager, RfvManager, RunError,
+    RunReport, ALL_TECHNIQUES,
+};
+use regmutex_isa::CtaId;
+use regmutex_sim::{
+    IssueFault, KernelImage, LaunchConfig, RegisterManager, SimError, Sm, StaticManager,
+};
 
 /// Reduced grids keep debug-mode runtime reasonable while still spanning
 /// multiple CTA waves.
@@ -146,4 +154,63 @@ fn a_cta_that_fits_no_sm_is_refused_at_launch() {
         text.contains("a CTA needs 572 register rows under static allocation, the SM has 512"),
         "{text}"
     );
+}
+
+/// `manager`'s stated warp capacity, rounded down to whole CTAs of
+/// `kernel` and capped by the SM's warp slots, shared memory and CTA slots,
+/// is what an SM with more CTAs queued than can ever be resident admits on
+/// its first cycle (nothing, refused at launch, when that is zero).
+fn assert_admits_its_capacity<M: RegisterManager>(
+    label: &str,
+    cfg: &GpuConfig,
+    kernel: &Kernel,
+    manager: M,
+) {
+    let wpc = kernel.warps_per_cta(cfg.warp_size);
+    let ctas = [
+        cfg.max_warps_per_sm / wpc,
+        manager.warp_capacity() / wpc,
+        cfg.shmem_per_sm
+            .checked_div(kernel.shmem_per_cta)
+            .unwrap_or(u32::MAX),
+        cfg.max_ctas_per_sm,
+    ]
+    .into_iter()
+    .min()
+    .unwrap();
+    let image = Arc::new(KernelImage::new(kernel.clone()));
+    let queued = (0..=cfg.max_ctas_per_sm).map(CtaId);
+    let mut sm = Sm::new(cfg.clone(), image, Box::new(manager), queued);
+    if let Err(e) = sm.step(0) {
+        assert!(matches!(e, IssueFault::NoCtaFits { .. }), "{label}: {e:?}");
+    }
+    assert_eq!(sm.resident_warps(), ctas * wpc, "{label}");
+}
+
+/// Every manager but OWF admits exactly the capacity it states, which is
+/// what a run reports as the technique's occupancy. OWF's admission falls
+/// short of its capacity (see `OwfManager::warp_capacity`).
+#[test]
+fn managers_admit_the_warp_capacity_they_state() {
+    for (rf, cfg) in [
+        ("full", GpuConfig::gtx480()),
+        ("half", GpuConfig::gtx480_half_rf()),
+    ] {
+        let session = Session::new(cfg.clone());
+        for w in suite::all() {
+            let c = session.compile(&w.kernel).expect("compile");
+            let (k, regs) = (&c.original, c.original.regs_per_thread);
+            let label = |t: &str| format!("{}/{t}/{rf} RF", w.name);
+            let static_manager = StaticManager::new(&cfg, regs);
+            assert_admits_its_capacity(&label("static"), &cfg, k, static_manager);
+            let rfv = RfvManager::new(&cfg, Arc::clone(&c.dead_after), regs, c.avg_live);
+            assert_admits_its_capacity(&label("rfv"), &cfg, k, rfv);
+            if let Some(p) = &c.plan {
+                let rm = RegMutexManager::new(&cfg, p);
+                assert_admits_its_capacity(&label("regmutex"), &cfg, &c.kernel, rm);
+                let paired = PairedWarpsManager::new(&cfg, p);
+                assert_admits_its_capacity(&label("paired"), &cfg, &c.kernel, paired);
+            }
+        }
+    }
 }

@@ -6,9 +6,16 @@
 //! scheduling policy on a few apps, and short whole-device runs. A change
 //! that claims to leave the simulator's behaviour alone must leave every
 //! value here unchanged; a change that means to move them must say why.
+//!
+//! A second pin covers what a run reports about its technique rather than
+//! what it simulated: the theoretical occupancy, the storage overhead and
+//! the register plan, over the same basket and 500 generated fuzz kernels.
 
-use regmutex::{Session, Technique};
-use regmutex_durable::fnv1a;
+use std::sync::OnceLock;
+
+use regmutex::{RunReport, Session, Technique};
+use regmutex_durable::{fnv1a, Fnv1a};
+use regmutex_fuzz::oracle::config_for;
 use regmutex_sim::{GpuConfig, LaunchConfig, SchedulerPolicy};
 use regmutex_workloads::{suite, Workload};
 
@@ -194,16 +201,28 @@ const PINS: &[(&str, u64)] = &[
     ("SPMV/owf/device", 0x268d22c5bb8cecaa),
 ];
 
+/// Every basket job's report, in basket order, simulated once for both
+/// tests.
+fn basket_reports() -> &'static [(String, RunReport)] {
+    static REPORTS: OnceLock<Vec<(String, RunReport)>> = OnceLock::new();
+    REPORTS.get_or_init(|| {
+        basket()
+            .into_iter()
+            .map(|p| {
+                let report = Session::new(p.cfg)
+                    .run(&p.workload.kernel, p.launch, p.technique)
+                    .unwrap_or_else(|e| panic!("{}: {e}", p.name));
+                (p.name, report)
+            })
+            .collect()
+    })
+}
+
 #[test]
 fn simstats_are_pinned() {
-    let got: Vec<(String, u64)> = basket()
-        .into_iter()
-        .map(|p| {
-            let report = Session::new(p.cfg)
-                .run(&p.workload.kernel, p.launch, p.technique)
-                .unwrap_or_else(|e| panic!("{}: {e}", p.name));
-            (p.name, fnv1a(report.stats.to_json().as_bytes()))
-        })
+    let got: Vec<(String, u64)> = basket_reports()
+        .iter()
+        .map(|(name, report)| (name.clone(), fnv1a(report.stats.to_json().as_bytes())))
         .collect();
     let table: String = got
         .iter()
@@ -213,5 +232,44 @@ fn simstats_are_pinned() {
     assert_eq!(
         got, want,
         "SimStats moved; the digests this build computes:\n{table}"
+    );
+}
+
+/// Folds one run's technique facts into `h`.
+fn write_facts(h: &mut Fnv1a, label: &str, report: &RunReport) {
+    h.write_field(label.as_bytes());
+    h.write_field(&report.theoretical_occupancy_warps.to_le_bytes());
+    h.write_field(&report.storage_overhead_bits.to_le_bytes());
+    h.write_field(format!("{:?}", report.plan).as_bytes());
+}
+
+/// `(label, theoretical_occupancy_warps, storage_overhead_bits, plan)` of
+/// every basket job and of fuzz kernels `generate(0..500)` under all five
+/// techniques, reduced to one digest: the occupancy and storage each
+/// technique reports stay what they were.
+#[test]
+fn technique_facts_are_pinned() {
+    let mut h = Fnv1a::new();
+    for (name, report) in basket_reports() {
+        write_facts(&mut h, name, report);
+    }
+    for seed in 0..500 {
+        let g = regmutex_fuzz::generate(seed);
+        let session = Session::new(config_for(&g));
+        let compiled = session
+            .compile(&g.kernel)
+            .expect("generated kernels are valid");
+        for technique in TECHNIQUES {
+            let label = format!("fuzz{seed}/{technique}");
+            let report = session
+                .run_compiled(&compiled, LaunchConfig::new(g.grid_ctas), technique)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            write_facts(&mut h, &label, &report);
+        }
+    }
+    let digest = h.finish();
+    assert_eq!(
+        digest, 0xe097_a69d_8411_5941,
+        "technique facts moved: {digest:#018x}"
     );
 }
