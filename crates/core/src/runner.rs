@@ -395,7 +395,7 @@ impl Simulation<'_> {
         make: impl Fn() -> M + Send + Sync,
     ) -> Result<(SimStats, Vec<TraceEvent>, u32), SimError> {
         let warp_capacity = make().warp_capacity();
-        let boxed = |_| -> Box<dyn RegisterManager> { Box::new(make()) };
+        let boxed = || -> Box<dyn RegisterManager> { Box::new(make()) };
         let (cfg, launch) = (&self.cfg, self.launch);
         let (stats, trace) = match &self.faults {
             Some((plan, log)) => (
@@ -404,7 +404,7 @@ impl Simulation<'_> {
             ),
             None if self.traced => run_kernel_traced(cfg, kernel, launch, boxed)?,
             None => (
-                run_kernel(cfg, kernel, launch, |_| Box::new(make()))?,
+                run_kernel(cfg, kernel, launch, || Box::new(make()))?,
                 Vec::new(),
             ),
         };

@@ -101,7 +101,7 @@ fn manager_rejects_admission_beyond_base_segment() {
     );
     let compiled = session.compile(&kernel).expect("compile");
     assert!(compiled.is_transformed());
-    let stats = run_kernel(&cfg, &compiled.kernel, LaunchConfig::new(4), |_| {
+    let stats = run_kernel(&cfg, &compiled.kernel, LaunchConfig::new(4), || {
         Box::new(RegMutexManager::new(&cfg, &plan))
     })
     .expect("completes despite serialization");

@@ -235,8 +235,9 @@ impl Default for GpuConfig {
 /// Grid dimensions of a kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
-    /// Total CTAs in the grid (across the whole device). The simulator
-    /// assigns `grid_ctas / num_sms` (rounded for SM 0) to each simulated SM.
+    /// Total CTAs in the grid (across the whole device). Each SM gets
+    /// `grid_ctas / num_sms` of them, and SMs `0..grid_ctas % num_sms` one
+    /// more each (see [`ctas_for_sm`](Self::ctas_for_sm)).
     pub grid_ctas: u32,
 }
 

@@ -1,5 +1,6 @@
 //! Whole-device simulation loop.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use regmutex_isa::{ArchReg, CtaId, Kernel, ValidateKernelError, WarpId};
@@ -9,6 +10,8 @@ use crate::fault::{FaultInjector, FaultLog, FaultPlan};
 use crate::manager::{LedgerViolation as Violation, RegisterManager};
 use crate::sm::{IssueFault, KernelImage, Shortfall, Sm};
 use crate::stats::SimStats;
+use crate::value;
+use crate::warp::WarpState;
 
 /// Fatal simulation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,9 +29,11 @@ pub enum SimError {
         last_progress: u64,
         /// Simulated SM the diagnostics below were captured from: the
         /// non-idle SM with the *oldest* progress (ties to the lowest id).
-        /// With uneven CTA tails (`grid_ctas % num_sms != 0`) the simulated
-        /// SMs do not run identical workloads, so the snapshot names the SM
-        /// that has been stuck longest rather than an arbitrary one.
+        /// With uneven CTA tails (`grid_ctas % num_sms != 0`) SMs
+        /// `0..grid_ctas % num_sms` run one CTA more than the rest, so the
+        /// snapshot names the SM that has been stuck longest rather than
+        /// an arbitrary one. When one SM is stepped for a group of
+        /// identical SMs, it is the group's lowest id, a real SM.
         sm_id: u32,
         /// Warps blocked at an `acq.es` when the detector fired.
         blocked_at_acquire: Vec<u32>,
@@ -131,15 +136,25 @@ impl core::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Run `kernel` on `cfg` with per-SM register managers produced by
-/// `manager_factory` (one call per simulated SM, plus one for each SM a
-/// fault or deadlock verdict re-runs). The loop is generic over the
-/// manager: a factory of a concrete manager type runs with static
-/// dispatch, one of `Box<dyn RegisterManager>` through the trait object.
+/// `manager_factory` (one call per SM stepped, plus one for each SM a
+/// fault or deadlock verdict re-runs). Every call must build the same
+/// manager: SMs that run the same number of CTAs may share one run. The
+/// loop is generic over the manager: a factory of a concrete manager type
+/// runs with static dispatch, one of `Box<dyn RegisterManager>` through
+/// the trait object.
 ///
-/// CTAs are split evenly across the device's `num_sms`; only
-/// `cfg.simulated_sms` of them are actually simulated (SM-local effects —
-/// which is all RegMutex changes — are identical across SMs, so simulating
-/// one SM with its share of the grid reproduces per-SM behaviour).
+/// CTAs are split across the device's `num_sms` as
+/// [`LaunchConfig::ctas_for_sm`] assigns them; only the first
+/// `cfg.simulated_sms` SMs are simulated. Sampling rests on RegMutex's
+/// effects being SM-local: one SM with its share of the grid shows the
+/// per-SM behaviour.
+///
+/// On a kernel whose control flow is the same for every warp (every
+/// branch a `Loop` with one trip count for all warps), SMs with equal CTA
+/// counts step identically. The lowest-id SM of each such group is
+/// stepped, and each other SM of the group gets the checksum of its own
+/// warps from a replay of the value layer alone; the stats are exactly
+/// those of stepping every SM (DESIGN.md §7).
 ///
 /// # Errors
 ///
@@ -152,15 +167,16 @@ pub fn run_kernel<M: RegisterManager + ?Sized>(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    mut manager_factory: impl FnMut(u32) -> Box<M> + Send,
+    mut manager_factory: impl FnMut() -> Box<M> + Send,
 ) -> Result<SimStats, SimError> {
     run_inner(
         cfg,
         kernel,
         launch,
-        |sm, _| manager_factory(sm),
+        |_, _| manager_factory(),
         false,
         None,
+        true,
     )
     .map(|(stats, _)| stats)
 }
@@ -176,9 +192,10 @@ pub fn run_kernel_traced(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    mut manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
+    mut manager_factory: impl FnMut() -> Box<dyn RegisterManager> + Send,
 ) -> Result<(SimStats, Vec<crate::trace::TraceEvent>), SimError> {
-    run_inner(cfg, kernel, launch, |sm, _| manager_factory(sm), true, None)
+    let factory = |_, _: &Arc<FaultLog>| manager_factory();
+    run_inner(cfg, kernel, launch, factory, true, None, true)
 }
 
 /// Like [`run_kernel`], but wraps every SM's manager in a
@@ -186,7 +203,8 @@ pub fn run_kernel_traced(
 /// memory-latency spikes to the memory pipes. What the injectors actually
 /// did is recorded into `log`, which stays readable even when the run ends
 /// in an error — the channel chaos campaigns use to distinguish *detected*
-/// from *never triggered*.
+/// from *never triggered*. A faulted run steps every simulated SM, even
+/// under an empty plan.
 ///
 /// # Errors
 ///
@@ -197,20 +215,21 @@ pub fn run_kernel_faulted(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    mut manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
+    mut manager_factory: impl FnMut() -> Box<dyn RegisterManager> + Send,
     plan: &FaultPlan,
     log: Arc<FaultLog>,
 ) -> Result<SimStats, SimError> {
     let max_warps = cfg.max_warps_per_sm;
-    let factory = |sm: u32, log: &Arc<FaultLog>| -> Box<dyn RegisterManager> {
+    let factory = |_, log: &Arc<FaultLog>| -> Box<dyn RegisterManager> {
         Box::new(FaultInjector::new(
-            manager_factory(sm),
+            manager_factory(),
             plan.clone(),
             Arc::clone(log),
             max_warps,
         ))
     };
-    run_inner(cfg, kernel, launch, factory, false, Some((plan, &log))).map(|(stats, _)| stats)
+    let faults = Some((plan, &log));
+    run_inner(cfg, kernel, launch, factory, false, faults, false).map(|(stats, _)| stats)
 }
 
 /// Map an SM's [`IssueFault`] to the public error, stamped with the cycle
@@ -250,17 +269,16 @@ fn fault_error(fault: IssueFault, cycle: u64) -> SimError {
 /// [`stopped_at`](SmRun::stopped_at) `cycle`.
 fn deadlock_error<M: RegisterManager + ?Sized>(runs: &[SmRun<M>], cycle: u64) -> SimError {
     let last_progress = runs.iter().map(|r| r.sm.last_progress).max().unwrap_or(0);
-    let (sm_id, run) = runs
+    let run = runs
         .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.sm.idle())
-        .min_by_key(|&(id, r)| (r.sm.last_progress, id))
+        .filter(|r| !r.sm.idle())
+        .min_by_key(|r| (r.sm.last_progress, r.sms.start))
         .expect("the no-progress detector only fires while an SM is busy");
     let (blocked_at_acquire, srp_holders) = run.sm.stall_snapshot();
     SimError::Deadlock {
         cycle,
         last_progress,
-        sm_id: sm_id as u32,
+        sm_id: run.sms.start,
         blocked_at_acquire,
         srp_holders,
     }
@@ -268,6 +286,10 @@ fn deadlock_error<M: RegisterManager + ?Sized>(runs: &[SmRun<M>], cycle: u64) ->
 
 /// One SM running on its own clock.
 struct SmRun<M: RegisterManager + ?Sized> {
+    /// The SMs this run stands for, all with the same CTA count: the run
+    /// steps the first, and the others step identically (see
+    /// [`sm_groups`]). One SM unless the run is grouped.
+    sms: Range<u32>,
     sm: Sm<M>,
     /// What this SM's injector did (unused without a fault plan).
     log: Arc<FaultLog>,
@@ -317,6 +339,10 @@ enum Verdict {
     Watchdog,
 }
 
+/// The per-SM entry behind the public runs. `manager_factory` gets the id
+/// of the SM it builds for. With `grouped`, and no fault plan, a
+/// warp-uniform kernel runs one SM per group of SMs with equal CTA counts
+/// ([`sm_groups`]); otherwise every simulated SM is stepped.
 fn run_inner<M: RegisterManager + ?Sized>(
     cfg: &GpuConfig,
     kernel: &Kernel,
@@ -324,17 +350,24 @@ fn run_inner<M: RegisterManager + ?Sized>(
     mut manager_factory: impl FnMut(u32, &Arc<FaultLog>) -> Box<M>,
     traced: bool,
     faults: Option<(&FaultPlan, &Arc<FaultLog>)>,
+    grouped: bool,
 ) -> Result<(SimStats, Vec<crate::trace::TraceEvent>), SimError> {
     kernel.validate().map_err(SimError::InvalidKernel)?;
     let image = Arc::new(KernelImage::new(kernel.clone()));
     let simulated = cfg.simulated_sms.min(cfg.num_sms).max(1);
-    let mut new_run = |sm_id: u32| -> SmRun<M> {
-        let first: u32 = (0..sm_id).map(|id| launch.ctas_for_sm(id, cfg)).sum();
-        let ctas = (first..first + launch.ctas_for_sm(sm_id, cfg)).map(CtaId);
+    let grouped = grouped && faults.is_none() && simulated > 1 && image.warp_uniform();
+    let groups = if grouped {
+        sm_groups(launch, cfg, simulated)
+    } else {
+        (0..simulated).map(|sm| sm..sm + 1).collect()
+    };
+    let mut new_run = |sms: Range<u32>| -> SmRun<M> {
+        let ctas = sm_ctas(launch, cfg, sms.start).map(CtaId);
         let log = Arc::new(FaultLog::new());
-        let manager = manager_factory(sm_id, &log);
+        let manager = manager_factory(sms.start, &log);
         SmRun {
             sm: Sm::new(cfg.clone(), Arc::clone(&image), manager, ctas),
+            sms,
             log,
             now: 0,
             skip_to: 0,
@@ -343,7 +376,7 @@ fn run_inner<M: RegisterManager + ?Sized>(
         }
     };
 
-    let mut runs: Vec<SmRun<M>> = (0..simulated).map(&mut new_run).collect();
+    let mut runs: Vec<SmRun<M>> = groups.into_iter().map(&mut new_run).collect();
     if traced {
         runs[0].sm.enable_tracing();
     }
@@ -364,9 +397,9 @@ fn run_inner<M: RegisterManager + ?Sized>(
             // SMs that ran past the verdict cycle are rebuilt and re-run
             // exactly through it, so the snapshot and the log show what
             // the lockstep loop would have shown.
-            for (sm_id, run) in runs.iter_mut().enumerate() {
+            for run in runs.iter_mut() {
                 if !run.stopped_at(cycle) {
-                    *run = new_run(sm_id as u32);
+                    *run = new_run(run.sms.clone());
                     run_sm(run, cycle + 1, stall_limit, skipping, plan);
                 }
             }
@@ -393,13 +426,84 @@ fn run_inner<M: RegisterManager + ?Sized>(
         return Err(error);
     }
 
+    // Each run's stats count once for every SM it stands for, each with
+    // that SM's own checksum.
     let mut total = SimStats::default();
+    let mut scratch = None;
     for run in &runs {
-        total.merge(&run.sm.stats);
-        total.spills += run.sm.manager().spill_count();
+        let mut stats = run.sm.stats.clone();
+        debug_assert!(
+            !grouped
+                || replay_checksum(&image, launch, cfg, run.sms.start, &mut scratch)
+                    == stats.checksum,
+            "SM {}'s checksum differs from its replay",
+            run.sms.start
+        );
+        for sm in run.sms.clone() {
+            if sm != run.sms.start {
+                stats.checksum = replay_checksum(&image, launch, cfg, sm, &mut scratch);
+            }
+            total.merge(&stats);
+            total.spills += run.sm.manager().spill_count();
+        }
     }
     let trace = runs[0].sm.take_trace();
     Ok((total, trace))
+}
+
+/// The SMs `0..simulated` in runs of equal CTA count. Of a uniform
+/// kernel's SMs, those with equal counts step identically: a warp's
+/// identity (its CTA id) reaches the timing only through its branch
+/// decisions, and latency, banks, managers and barriers all key on warp
+/// slots. [`LaunchConfig::ctas_for_sm`] gives SMs `0..grid % num_sms` one
+/// CTA more than the rest, so there are at most two groups.
+fn sm_groups(launch: LaunchConfig, cfg: &GpuConfig, simulated: u32) -> Vec<Range<u32>> {
+    let mut groups: Vec<Range<u32>> = Vec::new();
+    for sm in 0..simulated {
+        match groups.last_mut() {
+            Some(g) if launch.ctas_for_sm(g.start, cfg) == launch.ctas_for_sm(sm, cfg) => {
+                g.end = sm + 1;
+            }
+            _ => groups.push(sm..sm + 1),
+        }
+    }
+    groups
+}
+
+/// The ids of the CTAs `launch` assigns to SM `sm`.
+fn sm_ctas(launch: LaunchConfig, cfg: &GpuConfig, sm: u32) -> Range<u32> {
+    let first: u32 = (0..sm).map(|id| launch.ctas_for_sm(id, cfg)).sum();
+    first..first + launch.ctas_for_sm(sm, cfg)
+}
+
+/// The checksum SM `sm` reports, from the value layer alone: each of its
+/// warps is run from PC 0 to `exit` through [`WarpState::execute`], with
+/// no timing. Warps share no values (loads read a pure function of the
+/// address), so this is exact whenever no branch is `Divergent`. The warp
+/// is built in `scratch` on first use and relaunched in place after.
+fn replay_checksum(
+    image: &KernelImage,
+    launch: LaunchConfig,
+    cfg: &GpuConfig,
+    sm: u32,
+    scratch: &mut Option<WarpState>,
+) -> u64 {
+    let warps = image.kernel.warps_per_cta(cfg.warp_size);
+    let mut checksum = 0;
+    for cta in sm_ctas(launch, cfg, sm).map(CtaId) {
+        for warp in 0..warps {
+            let w = scratch
+                .get_or_insert_with(|| WarpState::new(WarpId(0), cta, warp, image, cfg.warp_size));
+            w.relaunch(cta, warp, image.kernel.seed);
+            let exit = loop {
+                if let Some(exit) = w.execute(image) {
+                    break exit;
+                }
+            };
+            checksum = value::combine_checksums(checksum, exit);
+        }
+    }
+    checksum
 }
 
 /// Log the first cycle of a memory-latency spike, if the device ran that
@@ -568,7 +672,7 @@ mod tests {
 
     fn run(kernel: &Kernel, cfg: &GpuConfig, ctas: u32) -> SimStats {
         let regs = kernel.regs_per_thread;
-        run_kernel(cfg, kernel, LaunchConfig::new(ctas), |_| {
+        run_kernel(cfg, kernel, LaunchConfig::new(ctas), || {
             Box::new(StaticManager::new(cfg, regs))
         })
         .expect("simulation completes")
@@ -777,7 +881,7 @@ mod tests {
             seed: 0,
         };
         let cfg = GpuConfig::test_tiny();
-        let res = run_kernel(&cfg, &k, LaunchConfig::new(1), |_| {
+        let res = run_kernel(&cfg, &k, LaunchConfig::new(1), || {
             Box::new(StaticManager::new(&cfg, 0))
         });
         assert!(matches!(res, Err(SimError::InvalidKernel(_))), "{res:?}");
@@ -852,6 +956,21 @@ mod tests {
         }
     }
 
+    /// Run with a manager from `factory` per SM, which gets the SM's id.
+    /// The tests below build a different manager per SM on purpose, which
+    /// the public runs' factories may not, so they drive the per-SM entry
+    /// with grouping off: every SM is stepped and judged.
+    fn run_per_sm(
+        cfg: &GpuConfig,
+        kernel: &Kernel,
+        ctas: u32,
+        mut factory: impl FnMut(u32) -> Box<Broken>,
+    ) -> Result<SimStats, SimError> {
+        let launch = LaunchConfig::new(ctas);
+        run_inner(cfg, kernel, launch, |sm, _| factory(sm), false, None, false)
+            .map(|(stats, _)| stats)
+    }
+
     const SM_NAMES: [&str; 8] = ["sm0", "sm1", "sm2", "sm3", "sm4", "sm5", "sm6", "sm7"];
 
     #[test]
@@ -863,7 +982,7 @@ mod tests {
         let k = b.build().unwrap();
         let mut cfg = GpuConfig::test_tiny();
         cfg.gmem_latency = 10; // shrink the stall bound for test speed
-        let res = run_kernel(&cfg, &k, LaunchConfig::new(1), |_| {
+        let res = run_kernel(&cfg, &k, LaunchConfig::new(1), || {
             Box::new(Broken::new(&cfg, &k, "never-acquire", 0))
         });
         assert!(matches!(res, Err(SimError::Deadlock { .. })));
@@ -882,7 +1001,7 @@ mod tests {
         cfg.simulated_sms = 8;
         let run = |broken: &[u32]| {
             let log = Arc::new(Mutex::new(Vec::new()));
-            let res = run_kernel(&cfg, &k, LaunchConfig::new(8), |sm| {
+            let res = run_per_sm(&cfg, &k, 8, |sm| {
                 Box::new(Broken {
                     fault_log: broken.contains(&sm).then(|| Arc::clone(&log)),
                     ..Broken::new(&cfg, &k, SM_NAMES[sm as usize], u32::MAX)
@@ -939,7 +1058,7 @@ mod tests {
         cfg.simulated_sms = 4;
         cfg.gmem_latency = 10; // shrink the stall bound for test speed
         let grants = [40, 30, 10, 10];
-        let res = run_kernel(&cfg, &k, LaunchConfig::new(4), |sm| {
+        let res = run_per_sm(&cfg, &k, 4, |sm| {
             Box::new(Broken::new(
                 &cfg,
                 &k,
@@ -983,7 +1102,7 @@ mod tests {
         cfg.simulated_sms = 2;
         let limit = cfg.stall_limit();
         let k = long_acquiring_loop(limit as u32);
-        let stats = run_kernel(&cfg, &k, LaunchConfig::new(2), |sm| {
+        let stats = run_per_sm(&cfg, &k, 2, |sm| {
             Box::new(Broken {
                 stalls: if sm == 0 { limit + 1_000 } else { 0 },
                 ..Broken::new(&cfg, &k, SM_NAMES[sm as usize], u32::MAX)
@@ -1009,7 +1128,7 @@ mod tests {
 
         cfg.num_sms = 2;
         cfg.simulated_sms = 2;
-        let res = run_kernel(&cfg, &k, LaunchConfig::new(2), |sm| {
+        let res = run_per_sm(&cfg, &k, 2, |sm| {
             let grants = if sm == 0 { u32::MAX } else { 0 };
             Box::new(Broken::new(&cfg, &k, SM_NAMES[sm as usize], grants))
         });

@@ -15,7 +15,9 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use regmutex_isa::{decide, mix, ArchReg, BranchBehavior, CtaId, Kernel, LatencyClass, Op, WarpId};
+use regmutex_isa::{
+    decide, mix, ArchReg, BranchBehavior, CtaId, Kernel, LatencyClass, Op, TripCount, WarpId,
+};
 
 use crate::barrier::BarrierUnit;
 use crate::config::{GpuConfig, SchedulerPolicy};
@@ -39,26 +41,26 @@ pub struct KernelImage {
     pub(crate) divergent: bool,
     /// Per PC: its instruction decoded for the issue stage, which reads
     /// this instead of the instruction's operand `Vec`s.
-    decoded: Vec<Decoded>,
+    pub(crate) decoded: Vec<Decoded>,
 }
 
 /// One PC's instruction as the issue stage reads it.
 #[derive(Debug, Clone, Copy)]
-struct Decoded {
+pub(crate) struct Decoded {
     /// The registers the instruction reads, then the one it writes, padded
     /// with `regs_per_thread` (the scoreboard's spare entry, which never
     /// has a write in flight): the scoreboard check reads all four.
-    operands: [u16; 4],
+    pub(crate) operands: [u16; 4],
     /// Sources: `operands[..srcs]`.
-    srcs: u8,
+    pub(crate) srcs: u8,
     /// The instruction writes a register: `operands[srcs]`.
-    has_dst: bool,
+    pub(crate) has_dst: bool,
     /// For a branch, its ordinal among the kernel's branches. Behavioral
     /// decisions key on ordinals, not PCs, so that compiler
     /// transformations which only insert non-branch instructions
     /// (acquire/release injection, MOV compaction) leave control flow —
     /// and therefore checksums — unchanged.
-    ordinal: u32,
+    pub(crate) ordinal: u32,
 }
 
 impl KernelImage {
@@ -108,6 +110,22 @@ impl KernelImage {
             divergent,
             decoded,
         }
+    }
+
+    /// Whether no warp's control flow depends on which warp it is: every
+    /// branch is a `Loop` that each warp runs the same number of times.
+    /// A warp's identity then reaches only the values it computes, never
+    /// the SM's timing (DESIGN.md §7).
+    pub(crate) fn warp_uniform(&self) -> bool {
+        self.kernel.instrs.iter().all(|i| match i.op {
+            Op::Bra { behavior, .. } => matches!(
+                behavior,
+                BranchBehavior::Loop {
+                    trips: TripCount::Fixed(_) | TripCount::PerWarp { spread: 0, .. }
+                }
+            ),
+            _ => true,
+        })
     }
 }
 
@@ -655,7 +673,7 @@ impl<M: RegisterManager + ?Sized> Sm<M> {
             match instr.op {
                 Op::Bar => {
                     debug_assert!(w.simt.is_converged(), "barrier inside divergence");
-                    w.pc += 1;
+                    w.execute(image);
                     w.issued += 1;
                     self.stats.instructions += 1;
                     let cta = w.cta;
@@ -674,7 +692,7 @@ impl<M: RegisterManager + ?Sized> Sm<M> {
                     match self.manager.try_acquire(&mut self.ledger, wid) {
                         AcquireResult::Acquired | AcquireResult::NoOp => {
                             self.stats.acquire_successes += 1;
-                            w.pc += 1;
+                            w.execute(image);
                             w.issued += 1;
                             self.stats.instructions += 1;
                             if let Some(t) = self.trace.as_mut() {
@@ -715,7 +733,7 @@ impl<M: RegisterManager + ?Sized> Sm<M> {
                 Op::RelEs => {
                     self.manager.release(&mut self.ledger, wid);
                     self.stats.releases += 1;
-                    w.pc += 1;
+                    w.execute(image);
                     w.issued += 1;
                     self.stats.instructions += 1;
                     if let Some(t) = self.trace.as_mut() {
@@ -743,60 +761,35 @@ impl<M: RegisterManager + ?Sized> Sm<M> {
                             kind: TraceKind::WarpExit,
                         });
                     }
-                    After::Exit(w.cta, w.checksum)
+                    let checksum = w.execute(image).expect("exit yields the warp's checksum");
+                    After::Exit(w.cta, checksum)
                 }
                 Op::Bra { target, behavior } => {
-                    let ord = d.ordinal;
-                    debug_assert_ne!(ord, u32::MAX, "no ordinal at branch pc {}", w.pc);
-                    match behavior {
-                        BranchBehavior::Loop { trips } => {
-                            let key = w.warp_key;
-                            let seed = image.kernel.seed;
-                            let counter = &mut w.loop_counters[ord as usize];
-                            let remaining = counter.get_or_insert_with(|| {
-                                trips.resolve(key, mix(seed, u64::from(ord))).max(1) - 1
-                            });
-                            if *remaining > 0 {
-                                *remaining -= 1;
-                                w.pc = target;
-                            } else {
-                                *counter = None;
-                                w.pc += 1;
+                    if let BranchBehavior::Divergent { taken_permille } = behavior {
+                        let ord = d.ordinal;
+                        let occ = &mut w.occurrences[ord as usize];
+                        *occ += 1;
+                        let salt = mix(u64::from(ord), u64::from(*occ));
+                        let mut taken_mask = 0u64;
+                        let mut lanes = w.active_mask;
+                        while lanes != 0 {
+                            let lane = lanes.trailing_zeros() as usize;
+                            lanes &= lanes - 1;
+                            if decide(taken_permille, w.lane_keys[lane], salt) {
+                                taken_mask |= 1 << lane;
                             }
                         }
-                        BranchBehavior::If { taken_permille } => {
-                            let occ = &mut w.occurrences[ord as usize];
-                            *occ += 1;
-                            let taken = decide(
-                                taken_permille,
-                                w.warp_key ^ mix(u64::from(ord), 0xB4A),
-                                u64::from(*occ),
-                            );
-                            w.pc = if taken { target } else { w.pc + 1 };
+                        if taken_mask == w.active_mask {
+                            w.pc = target;
+                        } else if taken_mask == 0 {
+                            w.pc += 1;
+                        } else {
+                            w.simt.diverge(target, taken_mask);
+                            w.active_mask &= !taken_mask;
+                            w.pc += 1;
                         }
-                        BranchBehavior::Divergent { taken_permille } => {
-                            let occ = &mut w.occurrences[ord as usize];
-                            *occ += 1;
-                            let salt = mix(u64::from(ord), u64::from(*occ));
-                            let mut taken_mask = 0u64;
-                            let mut lanes = w.active_mask;
-                            while lanes != 0 {
-                                let lane = lanes.trailing_zeros() as usize;
-                                lanes &= lanes - 1;
-                                if decide(taken_permille, w.lane_keys[lane], salt) {
-                                    taken_mask |= 1 << lane;
-                                }
-                            }
-                            if taken_mask == w.active_mask {
-                                w.pc = target;
-                            } else if taken_mask == 0 {
-                                w.pc += 1;
-                            } else {
-                                w.simt.diverge(target, taken_mask);
-                                w.active_mask &= !taken_mask;
-                                w.pc += 1;
-                            }
-                        }
+                    } else {
+                        w.execute(image);
                     }
                     w.issued += 1;
                     self.stats.instructions += 1;
@@ -856,7 +849,9 @@ impl<M: RegisterManager + ?Sized> Sm<M> {
                             src_banks[i] = Some(bank);
                         }
                     }
-                    match instr.op.latency_class() {
+                    // When the result lands: the timing half of the issue.
+                    // The values are `execute`'s, below.
+                    let ready = match instr.op.latency_class() {
                         LatencyClass::GlobalMem => {
                             let Some(ready) = self.mem.try_issue() else {
                                 return Err(Blocked::Stall {
@@ -869,52 +864,15 @@ impl<M: RegisterManager + ?Sized> Sm<M> {
                                     wake: self.mem.next_completion(),
                                 });
                             };
-                            let addr = w.read(d.operands[0]);
-                            match dst {
-                                Some(dst) => {
-                                    w.write(dst, value::load_value(addr));
-                                    w.set_pending(dst, ready + bank_extra, now);
-                                }
-                                None => {
-                                    let v = w.read(d.operands[1]);
-                                    w.checksum = value::fold_store(w.checksum, addr, v);
-                                }
-                            }
+                            ready
                         }
-                        LatencyClass::SharedMem => {
-                            let ready = now + u64::from(self.cfg.shmem_latency) + bank_extra;
-                            let salt = mix(u64::from(w.cta.0), 0x5A4E_D000);
-                            let addr = w.read(d.operands[0]) ^ salt;
-                            match dst {
-                                Some(dst) => {
-                                    w.write(dst, value::load_value(addr));
-                                    w.set_pending(dst, ready, now);
-                                }
-                                None => {
-                                    let v = w.read(d.operands[1]);
-                                    w.checksum = value::fold_store(w.checksum, addr, v);
-                                }
-                            }
-                        }
-                        LatencyClass::Alu | LatencyClass::Sfu => {
-                            let lat = if instr.op.latency_class() == LatencyClass::Sfu {
-                                self.cfg.sfu_latency
-                            } else {
-                                self.cfg.alu_latency
-                            };
-                            // Fixed-size operand buffer (instructions carry
-                            // at most 3 sources) — no per-issue allocation.
-                            let mut vals = [0u64; 3];
-                            for (v, &r) in vals.iter_mut().zip(&d.operands[..srcs]) {
-                                *v = w.read(r);
-                            }
-                            let v = value::eval(instr, &vals[..srcs]);
-                            if let Some(dst) = dst {
-                                w.write(dst, v);
-                                w.set_pending(dst, now + u64::from(lat) + bank_extra, now);
-                            }
-                        }
+                        LatencyClass::SharedMem => now + u64::from(self.cfg.shmem_latency),
+                        LatencyClass::Sfu => now + u64::from(self.cfg.sfu_latency),
+                        LatencyClass::Alu => now + u64::from(self.cfg.alu_latency),
                         LatencyClass::Control => unreachable!("handled above"),
+                    };
+                    if let Some(dst) = dst {
+                        w.set_pending(dst, ready + bank_extra, now);
                     }
                     self.stats.reg_reads += u64::from(d.srcs);
                     self.stats.reg_writes += u64::from(dst.is_some());
@@ -926,7 +884,7 @@ impl<M: RegisterManager + ?Sized> Sm<M> {
                             kind: TraceKind::Issue { pc: w.pc },
                         });
                     }
-                    w.pc += 1;
+                    w.execute(image);
                     w.issued += 1;
                     self.stats.instructions += 1;
                     After::None

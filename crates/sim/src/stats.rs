@@ -44,8 +44,11 @@ pub struct SimStats {
     /// merged, this is the most cycles any one SM fast-forwarded, so it
     /// stays within `cycles`.
     pub skipped_cycles: u64,
-    /// `Sm::step` invocations that did real work (idle early-outs excluded).
-    /// With skipping on this is the wall-clock-proportional work measure:
+    /// `Sm::step` invocations that did real work (idle early-outs excluded),
+    /// counted for every SM: an SM that a whole-device run does not step,
+    /// because it steps identically to one that is (DESIGN.md §7), is
+    /// credited with that SM's steps. So this is the work of stepping every
+    /// SM, not the steps taken. With skipping on,
     /// `step_calls + skipped_cycles ≈ cycles` on a single-SM device.
     pub step_calls: u64,
 }

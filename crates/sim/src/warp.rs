@@ -1,9 +1,10 @@
 //! Per-warp execution state.
 
-use regmutex_isa::{mix, CtaId, WarpId};
+use regmutex_isa::{decide, mix, BranchBehavior, CtaId, LatencyClass, Op, WarpId};
 
 use crate::simt::{full_mask, SimtStack};
 use crate::sm::KernelImage;
+use crate::value;
 
 /// Why a warp could not issue this cycle (stall accounting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,33 +121,145 @@ impl WarpState {
         image: &KernelImage,
         warp_size: u32,
     ) -> Self {
-        let kernel = &image.kernel;
-        let warp_key = mix(
-            kernel.seed,
-            u64::from(cta.0) * 4096 + u64::from(warp_in_cta),
-        );
-        let regs = kernel.regs_per_thread;
+        let regs = usize::from(image.kernel.regs_per_thread);
         let lanes = if image.divergent { warp_size } else { 0 };
-        WarpState {
+        let mut w = WarpState {
             slot,
             cta,
             warp_in_cta,
-            warp_key,
+            warp_key: 0,
             pc: 0,
             active_mask: full_mask(warp_size),
             simt: SimtStack::new(),
-            regs: (0..regs).map(|i| mix(warp_key, u64::from(i))).collect(),
-            ready_at: vec![0; usize::from(regs) + 1],
-            lane_keys: (0..lanes)
-                .map(|lane| mix(warp_key, u64::from(lane)))
-                .collect(),
+            regs: vec![0; regs],
+            ready_at: vec![0; regs + 1],
+            lane_keys: vec![0; lanes as usize],
             loop_counters: vec![None; image.branches],
             occurrences: vec![0; image.branches],
             checksum: 0,
             done: false,
             at_barrier: false,
             issued: 0,
+        };
+        w.relaunch(cta, warp_in_cta, image.kernel.seed);
+        w
+    }
+
+    /// Restart this warp at PC 0 as warp `warp_in_cta` of `cta` under
+    /// kernel seed `seed`, reusing its tables: the registers, lane keys,
+    /// branch counters, scoreboard and checksum start over, and nothing is
+    /// allocated. The SIMT state is kept, so the warp must be converged, as
+    /// a new warp and one that reached `exit` are.
+    pub(crate) fn relaunch(&mut self, cta: CtaId, warp_in_cta: u32, seed: u64) {
+        debug_assert!(self.simt.is_converged(), "relaunch inside divergence");
+        let warp_key = mix(seed, u64::from(cta.0) * 4096 + u64::from(warp_in_cta));
+        self.cta = cta;
+        self.warp_in_cta = warp_in_cta;
+        self.warp_key = warp_key;
+        self.pc = 0;
+        for (i, r) in self.regs.iter_mut().enumerate() {
+            *r = mix(warp_key, i as u64);
         }
+        for (lane, k) in self.lane_keys.iter_mut().enumerate() {
+            *k = mix(warp_key, lane as u64);
+        }
+        self.ready_at.fill(0);
+        self.loop_counters.fill(None);
+        self.occurrences.fill(0);
+        self.checksum = 0;
+        self.done = false;
+        self.at_barrier = false;
+        self.issued = 0;
+    }
+
+    /// Carry out the instruction at this warp's PC in the value layer and
+    /// move the PC on: ALU and SFU results, load values, store folds (a
+    /// shared-memory address is salted by the warp's CTA), and the
+    /// decisions of `Loop` and `If` branches. Barriers, acquires and
+    /// releases only move the PC. At `exit` the PC stays and the warp's
+    /// checksum, as its SM folds it in, is returned; every other
+    /// instruction returns `None`.
+    ///
+    /// This is the value layer's one copy: the issue stage calls it for
+    /// each instruction it issues, and a whole-device run replays warps
+    /// through it alone (DESIGN.md §7).
+    ///
+    /// # Panics
+    ///
+    /// On a `Divergent` branch: the issue stage splits its lanes itself.
+    pub(crate) fn execute(&mut self, image: &KernelImage) -> Option<u64> {
+        let pc = self.pc as usize;
+        let instr = &image.kernel.instrs[pc];
+        let d = &image.decoded[pc];
+        let srcs = usize::from(d.srcs);
+        let dst = d.has_dst.then_some(d.operands[srcs]);
+        match instr.op {
+            Op::Exit => return Some(self.checksum),
+            Op::Bar | Op::AcqEs | Op::RelEs => {}
+            Op::Bra { target, behavior } => {
+                let ord = d.ordinal;
+                debug_assert_ne!(ord, u32::MAX, "no ordinal at branch pc {pc}");
+                let taken = match behavior {
+                    BranchBehavior::Loop { trips } => {
+                        let (key, seed) = (self.warp_key, image.kernel.seed);
+                        let counter = &mut self.loop_counters[ord as usize];
+                        let remaining = counter.get_or_insert_with(|| {
+                            trips.resolve(key, mix(seed, u64::from(ord))).max(1) - 1
+                        });
+                        if *remaining > 0 {
+                            *remaining -= 1;
+                            true
+                        } else {
+                            *counter = None;
+                            false
+                        }
+                    }
+                    BranchBehavior::If { taken_permille } => {
+                        let occ = &mut self.occurrences[ord as usize];
+                        *occ += 1;
+                        decide(
+                            taken_permille,
+                            self.warp_key ^ mix(u64::from(ord), 0xB4A),
+                            u64::from(*occ),
+                        )
+                    }
+                    BranchBehavior::Divergent { .. } => {
+                        unreachable!("pc {pc}: the issue stage splits divergent branches")
+                    }
+                };
+                self.pc = if taken { target } else { self.pc + 1 };
+                return None;
+            }
+            _ => match instr.op.latency_class() {
+                class @ (LatencyClass::GlobalMem | LatencyClass::SharedMem) => {
+                    let mut addr = self.read(d.operands[0]);
+                    if class == LatencyClass::SharedMem {
+                        addr ^= mix(u64::from(self.cta.0), 0x5A4E_D000);
+                    }
+                    match dst {
+                        Some(dst) => self.write(dst, value::load_value(addr)),
+                        None => {
+                            let v = self.read(d.operands[1]);
+                            self.checksum = value::fold_store(self.checksum, addr, v);
+                        }
+                    }
+                }
+                _ => {
+                    // Fixed-size operand buffer (instructions carry at most
+                    // 3 sources): no per-issue allocation.
+                    let mut vals = [0u64; 3];
+                    for (v, &r) in vals.iter_mut().zip(&d.operands[..srcs]) {
+                        *v = self.read(r);
+                    }
+                    let v = value::eval(instr, &vals[..srcs]);
+                    if let Some(dst) = dst {
+                        self.write(dst, v);
+                    }
+                }
+            },
+        }
+        self.pc += 1;
+        None
     }
 
     /// The earliest cycle at which one of the writes in flight at `now` to

@@ -16,7 +16,7 @@ fn r(i: u16) -> ArchReg {
 
 fn run(kernel: &Kernel, cfg: &GpuConfig, ctas: u32) -> SimStats {
     let regs = kernel.regs_per_thread;
-    run_kernel(cfg, kernel, LaunchConfig::new(ctas), |_| {
+    run_kernel(cfg, kernel, LaunchConfig::new(ctas), || {
         Box::new(StaticManager::new(cfg, regs))
     })
     .expect("simulation completes")
@@ -238,7 +238,7 @@ fn volta_like_config_runs() {
     let mut cfg = GpuConfig::volta_like();
     cfg.watchdog_cycles = 10_000_000;
     let regs = k.regs_per_thread;
-    let s = run_kernel(&cfg, &k, LaunchConfig::new(160), |_| {
+    let s = run_kernel(&cfg, &k, LaunchConfig::new(160), || {
         Box::new(StaticManager::new(&cfg, regs))
     })
     .expect("completes");
@@ -294,7 +294,7 @@ fn a_refused_launch_names_only_a_real_shortfall() {
     b.movi(r(0), 1).exit();
     let k = b.build().unwrap();
     let cfg = GpuConfig::test_tiny();
-    let err = run_kernel(&cfg, &k, LaunchConfig::new(1), |_| {
+    let err = run_kernel(&cfg, &k, LaunchConfig::new(1), || {
         Box::new(Refusing(StaticManager::new(&cfg, k.regs_per_thread)))
     })
     .expect_err("no CTA is admitted");
@@ -308,7 +308,7 @@ fn a_refused_launch_names_only_a_real_shortfall() {
         max_ctas_per_sm: 0,
         ..cfg.clone()
     };
-    let err = run_kernel(&no_slots, &k, LaunchConfig::new(1), |_| {
+    let err = run_kernel(&no_slots, &k, LaunchConfig::new(1), || {
         Box::new(StaticManager::new(&no_slots, k.regs_per_thread))
     })
     .expect_err("no CTA slot");
@@ -527,7 +527,7 @@ fn a_memory_spike_past_the_gate_span_is_skip_invariant() {
                 cfg,
                 &k,
                 LaunchConfig::new(3),
-                |_| Box::new(StaticManager::new(cfg, regs)),
+                || Box::new(StaticManager::new(cfg, regs)),
                 &plan,
                 Arc::clone(&log),
             )

@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = GpuConfig::gtx480();
     let regs = w.kernel.regs_per_thread;
 
-    let stats = run_kernel(&cfg, &w.kernel, w.launch(), |_| {
+    let stats = run_kernel(&cfg, &w.kernel, w.launch(), || {
         Box::new(MyStatic::new(&cfg, regs))
     })?;
 

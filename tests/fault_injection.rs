@@ -77,7 +77,7 @@ fn simulator_detects_rule2_deadlock_with_diagnostics() {
         srp_sections: 1,
         occupancy_warps: 2,
     };
-    let err = run_kernel(&cfg, &k, LaunchConfig::new(1), |_| {
+    let err = run_kernel(&cfg, &k, LaunchConfig::new(1), || {
         Box::new(regmutex::RegMutexManager::new(&cfg, &plan))
     })
     .expect_err("a rule-2 violation with one section must deadlock");
